@@ -25,9 +25,10 @@ from .harnack import (
     minimal_C, verify_theorem,
 )
 from .models import ModelError, hypothesis_report, model_from_id
-from .symbolic import verify_all, verify_identity
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_EXPLORATORY = 0, 1, 2, 3
+EXIT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
+              "exploratory": EXIT_EXPLORATORY}
 
 DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -58,6 +59,10 @@ class RunConfig:
             val = getattr(args, key, None)
             if val is not None:
                 setattr(cfg, key, val)
+        for key in ("C", "tol", "r_min", "r_max"):
+            val = getattr(cfg, key)
+            if not isinstance(val, (int, float)) or not math.isfinite(val):
+                raise ModelError(f"{key} must be a finite number, got {val!r}")
         cfg.n = int(cfg.n)
         cfg.lambdas = tuple(float(x) for x in cfg.lambdas)
         return cfg
@@ -126,8 +131,7 @@ def cmd_verify(args) -> int:
         verdict = "pass"
     payload = _envelope("verify", cfg, verdict, {"report": json.loads(report.to_json())})
     _emit(payload, "verify", cfg.output_dir)
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
-            "exploratory": EXIT_EXPLORATORY}[verdict]
+    return EXIT_CODES[verdict]
 
 
 def cmd_min_c(args) -> int:
@@ -178,8 +182,7 @@ def cmd_corollary(args) -> int:
         "hypothesis_flags": hyp.flags(),
     })
     _emit(payload, "corollary", cfg.output_dir)
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
-            "exploratory": EXIT_EXPLORATORY}[verdict]
+    return EXIT_CODES[verdict]
 
 
 def cmd_audit(args) -> int:
@@ -199,14 +202,16 @@ def cmd_audit(args) -> int:
     verdict = "fail" if not ok else ("exploratory" if exploratory else "pass")
     payload = _envelope("audit", cfg, verdict, {"audit": dataclasses.asdict(audit)})
     _emit(payload, "audit", cfg.output_dir)
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
-            "exploratory": EXIT_EXPLORATORY}[verdict]
+    return EXIT_CODES[verdict]
 
 
 def cmd_symbolic(args) -> int:
     cfg = RunConfig.load(args)
     if args.action != "verify-all" and not args.name:
         raise ModelError("symbolic supports: verify-all, or verify --name <id>")
+    # sympy-backed, so imported here rather than by every numeric command
+    from .symbolic import verify_all, verify_identity
+
     results = [verify_identity(args.name)] if args.name else verify_all()
     table = [
         {"name": r.name, "zero": r.zero, "expected_zero": r.expect_zero,

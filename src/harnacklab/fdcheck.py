@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .models import ModelManifold, make_model
 
@@ -293,6 +292,8 @@ class TestFunction:
     """Scalar function with analytic partial derivatives up to 4th order."""
 
     def __init__(self, expr, coords: Sequence[str]):
+        import sympy as sp  # only test functions need sympy; keep it lazy
+
         self.coords = [sp.Symbol(c) for c in coords]
         self.expr = sp.sympify(expr)
         self.dim = len(self.coords)

@@ -304,12 +304,3 @@ def corollary_check(
             )
         )
     return out
-
-
-def triples_to_csv(triples) -> str:
-    lines = ["lambda,d_yz,b2_w,rhs,slack"]
-    for t in triples:
-        lines.append(
-        ",".join(format(v, ".17g") for v in (t.lam, t.d_yz, t.b2_w, t.rhs, t.slack))
-        )
-    return "\n".join(lines) + "\n"

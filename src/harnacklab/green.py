@@ -10,6 +10,21 @@ the pole, which pins it up to normalization:
 
 The constant is chosen so that G = r^{2-n} when f(r) = r.  Everything
 else (b, b^2, |grad b|) is algebra on top of these three.
+
+G is computed piecewise.  (0, inf) is cut into pieces on which either
+f = a*r exactly, where
+
+    (n-2) * int_r^s (a t)^{1-n} dt = a^{1-n} (r^{2-n} - s^{2-n})
+
+is closed, or f is not linear and adaptive quadrature integrates it.
+Euclidean space and cones are one linear piece, so G = a^{1-n} r^{2-n}
+with no quadrature at all.  A smoothed cone is linear below r0/2 and from
+r0 on; only its blend [r0/2, r0) is integrated.  A custom profile is
+linear below its table, integrated on its spline, and closed off above
+the radius where it comes within TAIL_MATCH_RTOL of its asymptote.
+The pieces are worked top down, each starting from G at its upper end,
+and G at every piece boundary is kept with the profile, so a pointwise
+G(r) costs at most one quadrature over part of one piece.
 """
 
 from __future__ import annotations
@@ -18,17 +33,22 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import integrate
 
-from .models import ModelError, ModelManifold
+from .models import (
+    ModelError, ModelManifold, NonParabolicityReport, nonparabolic_check,
+)
 
 __all__ = [
     "RadialGreenProfile",
+    "GreenPiece",
     "NonParabolicityReport",
     "compute_profile",
     "hess_b2_eigs",
+    "hess_b2_eigs_arrays",
     "check_power_laplacian",
     "nonparabolic_check",
 ]
@@ -38,18 +58,23 @@ __all__ = [
 TAIL_MATCH_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class NonParabolicityReport:
-    varopoulos_integral_finite: bool
-    tail_exponent: float
+class GreenPiece(NamedTuple):
+    """G on [lo, hi): closed form when f = slope*r there, else quadrature."""
+
+    lo: float
+    hi: float
+    slope: Optional[float]  # None: f is not linear on the piece
+    G_hi: float             # G(hi); 0 for the unbounded top piece
 
 
 def _tail_split_radius(model: ModelManifold, r_hint: float) -> float:
-    """Smallest probed S >= r_hint with f within TAIL_MATCH_RTOL of a*s."""
+    """Radius S from which G is closed: linear_from() when f is exactly
+    linear from there on, else (custom profile) the smallest probed
+    S >= r_hint with f within TAIL_MATCH_RTOL of a*S."""
     p = model.profile
     lin = p.linear_from()
     if math.isfinite(lin):
-        return max(lin, r_hint)
+        return lin
     # custom profile: walk up the table looking for an effectively linear tail
     a = p.asymptotic_slope()
     r_top = p.table[0][-1]
@@ -62,29 +87,35 @@ def _tail_split_radius(model: ModelManifold, r_hint: float) -> float:
     )
 
 
-def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
-    """Convergence of the volume integral test, via the decay rate of f^{1-n}.
+def _piece_bounds(model: ModelManifold, r_hint: float):
+    """(lo, hi, slope) pieces covering (0, inf) in ascending order."""
+    p = model.profile
+    S = _tail_split_radius(model, r_hint)
+    # a custom profile is linear only below its table: close it with its
+    # effectively linear tail from S on
+    linear = [pc for pc in p.linear_pieces() if pc[0] < S]
+    linear.append((S, math.inf, p.asymptotic_slope()))
+    bounds, edge = [], 0.0
+    for lo, hi, a in linear:
+        if lo > edge:
+            bounds.append((edge, lo, None))
+        bounds.append((lo, hi, a))
+        edge = hi
+    return bounds
 
-    The integrand t / Vol B(t) behaves like f(t)^{1-n}, so the integral is
-    finite iff the measured log-log slope of f^{1-n} is below -1.
-    """
-    if s <= 0:
-        raise ModelError("nonparabolic_check requires s > 0")
-    p, n = model.profile, model.n
-    if p.kind == "custom":
-        r_hi = p.table[0][-1]
-        r_lo = r_hi / 2.0
-    else:
-        r_lo = max(s, 10.0 * (p.r0 if p.kind == "smoothed_cone" else 1.0))
-        r_hi = 2.0 * r_lo
-    slope = (math.log(p.f(r_hi)) - math.log(p.f(r_lo))) / (
-        math.log(r_hi) - math.log(r_lo)
-    )
-    tail_exponent = (1 - n) * slope
-    return NonParabolicityReport(
-        varopoulos_integral_finite=bool(tail_exponent < -1.0 - 1e-9),
-        tail_exponent=float(tail_exponent),
-    )
+
+def _closed_G(piece: GreenPiece, n: int, r):
+    """G(r) = G(hi) + a^{1-n} (r^{2-n} - hi^{2-n}) on a linear piece
+    (hi = inf contributes hi^{2-n} = 0)."""
+    return piece.G_hi + piece.slope ** (1 - n) * (r ** (2 - n) - piece.hi ** (2 - n))
+
+
+def _quad_f_pow(model: ModelManifold, r: float, s: float, epsrel: float) -> float:
+    """(n-2) * int_r^s f^{1-n} by adaptive quadrature."""
+    n, p = model.n, model.profile
+    val = integrate.quad(lambda t: p.f(t) ** (1 - n), r, s, limit=200,
+                         epsabs=0.0, epsrel=epsrel, full_output=1)[0]
+    return (n - 2) * val
 
 
 @dataclass(frozen=True)
@@ -102,29 +133,18 @@ class RadialGreenProfile:
     b2p: np.ndarray
     b2pp: np.ndarray
     grad_b: np.ndarray
-    tail_radius: float
-    tail_constant: float  # G contribution of [S, inf) in closed form
+    pieces: tuple  # GreenPiece cover of (0, inf), ascending
 
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
 
     def green_at(self, r: float) -> float:
-        """G(r) for any r in (0, tail range], by quadrature + closed tail."""
+        """G(r) for any r > 0: closed form, or quadrature up to its piece's end."""
         if r <= 0:
             raise ModelError("green_at requires r > 0")
-        n, p = self.model.n, self.model.profile
-        if r >= self.tail_radius:
-            a = p.asymptotic_slope()
-            return a ** (1 - n) * r ** (2 - n)
-        val = integrate.quad(
-            lambda s: p.f(s) ** (1 - n),
-            r,
-            self.tail_radius,
-            limit=200,
-            epsabs=0.0,
-            epsrel=1e-12,
-            full_output=1,
-        )[0]
-        return (n - 2) * val + self.tail_constant
+        piece = next(pc for pc in self.pieces if r < pc.hi)
+        if piece.slope is not None:
+            return _closed_G(piece, self.model.n, r)
+        return piece.G_hi + _quad_f_pow(self.model, r, piece.hi, 1e-12)
 
     def green_derivs_at(self, r: float):
         """(G, G', G'') at r, the derivatives in closed form."""
@@ -153,8 +173,6 @@ class RadialGreenProfile:
         return upp + (self.model.n - 1) * p.fp(r) / p.f(r) * up
 
     def to_csv(self) -> str:
-        from .harnack import hess_b2_eigs_arrays
-
         mu_rad, mu_tan = hess_b2_eigs_arrays(self)
         buf = io.StringIO()
         buf.write("r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan\n")
@@ -170,7 +188,7 @@ def default_grid(r_min=1e-2, r_max=1e2, size=512) -> np.ndarray:
 
 
 def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
-    """Integrate the Green function on the grid (backwards, tail first)."""
+    """G on the grid, piece by piece from the top down (see module doc)."""
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
@@ -185,21 +203,26 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
             "no positive Green function"
         )
     n, p = model.n, model.profile
-    a = p.asymptotic_slope()
-    S = _tail_split_radius(model, grid[-1])
-    # (n-2) * int_S^inf (a s)^{1-n} ds
-    tail_constant = a ** (1 - n) * S ** (2 - n)
 
-    f_pow = lambda s: p.f(s) ** (1 - n)
     G = np.empty_like(grid)
-    acc = tail_constant
-    prev = S
-    for i in range(grid.size - 1, -1, -1):
-        seg = integrate.quad(f_pow, grid[i], prev, limit=200,
-                             epsabs=0.0, epsrel=1e-13, full_output=1)[0]
-        acc += (n - 2) * seg
-        G[i] = acc
-        prev = grid[i]
+    pieces = []
+    G_hi = 0.0  # G(inf)
+    for lo, hi, a in reversed(_piece_bounds(model, grid[-1])):
+        piece = GreenPiece(lo, hi, a, G_hi)
+        pieces.append(piece)
+        inside = np.nonzero((grid >= lo) & (grid < hi))[0]
+        if a is not None:
+            G[inside] = _closed_G(piece, n, grid[inside])
+            if lo > 0:
+                G_hi = _closed_G(piece, n, lo)
+            continue
+        # quadrature piece: one segment per grid interval, accumulated down
+        acc, prev = G_hi, hi
+        for i in inside[::-1]:
+            acc += _quad_f_pow(model, grid[i], prev, 1e-13)
+            G[i] = acc
+            prev = grid[i]
+        G_hi = acc + _quad_f_pow(model, lo, prev, 1e-13) if prev > lo else acc
 
     fg, fpg = p.f(grid), p.fp(grid)
     Gp = -(n - 2) * fg ** (1 - n)
@@ -224,8 +247,7 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         b2p=b2p,
         b2pp=b2pp,
         grad_b=grad_b,
-        tail_radius=float(S),
-        tail_constant=float(tail_constant),
+        pieces=tuple(reversed(pieces)),
     )
 
 
@@ -247,6 +269,13 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
     mu_rad = b2pp
     mu_tan = b2p * p.fp(r) / p.f(r)
     return float(mu_rad), float(mu_tan)
+
+
+def hess_b2_eigs_arrays(profile: RadialGreenProfile):
+    """Vectorized (mu_rad, mu_tan) over the whole grid."""
+    p = profile.model.profile
+    mu_tan = profile.b2p * p.fp(profile.grid) / p.f(profile.grid)
+    return np.asarray(profile.b2pp), np.asarray(mu_tan)
 
 
 def check_power_laplacian(profile: RadialGreenProfile, r: float, beta: float) -> float:

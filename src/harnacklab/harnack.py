@@ -21,7 +21,10 @@ import numpy as np
 from scipy import optimize
 
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
-from .green import RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs
+from .green import (
+    RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs,
+    hess_b2_eigs_arrays,
+)
 
 __all__ = [
     "HarnackState",
@@ -67,15 +70,6 @@ def htilde_eigs(profile: RadialGreenProfile, r: float, C: float):
     return float(h_rad), float(h_tan)
 
 
-def hess_b2_eigs_arrays(profile: RadialGreenProfile):
-    """Vectorized (mu_rad, mu_tan) over the whole grid."""
-    n = profile.model.n
-    p = profile.model.profile
-    mu_rad = profile.b2pp
-    mu_tan = profile.b2p * p.fp(profile.grid) / p.f(profile.grid)
-    return np.asarray(mu_rad), np.asarray(mu_tan)
-
-
 @dataclass(frozen=True)
 class HarnackState:
     """Htilde eigenvalue curves over the profile grid at a fixed C."""
@@ -85,7 +79,6 @@ class HarnackState:
     h_rad: np.ndarray
     h_tan: np.ndarray
     lam: np.ndarray
-    b_top: np.ndarray  # top eigenvalue |grad G|^2 / G of B
 
     @classmethod
     def build(cls, profile: RadialGreenProfile, C: float) -> "HarnackState":
@@ -104,7 +97,6 @@ class HarnackState:
             h_rad=h_rad,
             h_tan=h_tan,
             lam=np.minimum(h_rad, h_tan),
-            b_top=Gp**2 / G,
         )
 
 
@@ -157,26 +149,17 @@ class HarnackReport:
     lambda_lower_bound_ok: Optional[bool] = None
 
     def to_json(self) -> str:
-        def enc(x):
-            if isinstance(x, float):
-                return float(format(x, ".17g"))
-            return x
-
         payload = {
             "model": self.model_id,
             "n": self.n,
-            "C": enc(self.C),
+            "C": self.C,
             "pass": self.passed,
             "exploratory": self.exploratory,
-            "worst_margin": enc(self.worst_margin),
-            "minimal_C": enc(self.minimal_C),
-            "violations": [
-                {k: enc(v) for k, v in viol.items()} for viol in self.violations
-            ],
+            "worst_margin": self.worst_margin,
+            "minimal_C": self.minimal_C,
+            "violations": self.violations,
             "hypothesis_flags": self.hypothesis_flags,
-            "boundary_diagnostics": {
-                k: enc(v) for k, v in self.boundary_diagnostics.items()
-            },
+            "boundary_diagnostics": self.boundary_diagnostics,
         }
         if self.lambda_lower_bound_ok is not None:
             payload["lambda_lower_bound_ok"] = self.lambda_lower_bound_ok

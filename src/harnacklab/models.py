@@ -26,11 +26,13 @@ __all__ = [
     "ModelManifold",
     "CurvatureSample",
     "HypothesisReport",
+    "NonParabolicityReport",
     "make_model",
     "model_from_id",
     "curvature_at",
     "volume_growth",
     "hypothesis_report",
+    "nonparabolic_check",
     "sphere_area",
 ]
 
@@ -105,12 +107,12 @@ class WarpingProfile:
         return out if out.ndim else float(out)
 
     def _custom(self, r, order):
-        r_lo, r_top = self.table[0][0], self.table[0][-1]
+        r_top = self.table[0][-1]
         if np.any(r > r_top):
             raise ModelError("custom profile evaluated beyond its table range")
         # below the table the profile is closed off with the linear cone
         # f = (f(r_lo)/r_lo) r, so tip integrals (volumes) stay defined
-        slope = float(self._spline(r_lo)) / r_lo
+        _, r_lo, slope = self.linear_pieces()[0]
         spline_val = np.asarray(self._spline(np.clip(r, r_lo, r_top), order), float)
         tip = (slope * r, np.full_like(r, slope), np.zeros_like(r))[order]
         return np.where(r < r_lo, tip, spline_val)
@@ -154,6 +156,21 @@ class WarpingProfile:
         if self.kind == "smoothed_cone":
             return self.r0
         return math.inf
+
+    def linear_pieces(self):
+        """Intervals [lo, hi) on which f(r) = a*r exactly, as (lo, hi, a).
+
+        Ascending and disjoint; the gaps between them are where f is not
+        linear (the smoothed-cone blend, the custom spline).
+        """
+        if self.kind == "euclidean":
+            return ((0.0, math.inf, 1.0),)
+        if self.kind == "cone":
+            return ((0.0, math.inf, self.c),)
+        if self.kind == "smoothed_cone":
+            return ((0.0, 0.5 * self.r0, 1.0), (self.r0, math.inf, self.c))
+        r_lo = float(self.table[0][0])
+        return ((0.0, r_lo, float(self._spline(r_lo)) / r_lo),)
 
 
 @dataclass(frozen=True)
@@ -217,6 +234,12 @@ class HypothesisReport:
             "euclidean_volume_growth": self.euclidean_volume_growth,
             "nonparabolic": self.nonparabolic,
         }
+
+
+@dataclass(frozen=True)
+class NonParabolicityReport:
+    varopoulos_integral_finite: bool
+    tail_exponent: float
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +313,31 @@ def volume_growth(model: ModelManifold, t: float) -> float:
     return ball_volume(model, t) / t ** model.n
 
 
+def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
+    """Convergence of the volume integral test, via the decay rate of f^{1-n}.
+
+    The integrand t / Vol B(t) behaves like f(t)^{1-n}, so the integral is
+    finite iff the measured log-log slope of f^{1-n} is below -1.
+    """
+    if s <= 0:
+        raise ModelError("nonparabolic_check requires s > 0")
+    p, n = model.profile, model.n
+    if p.kind == "custom":
+        r_hi = p.table[0][-1]
+        r_lo = r_hi / 2.0
+    else:
+        r_lo = max(s, 10.0 * (p.r0 if p.kind == "smoothed_cone" else 1.0))
+        r_hi = 2.0 * r_lo
+    slope = (math.log(p.f(r_hi)) - math.log(p.f(r_lo))) / (
+        math.log(r_hi) - math.log(r_lo)
+    )
+    tail_exponent = (1 - n) * slope
+    return NonParabolicityReport(
+        varopoulos_integral_finite=bool(tail_exponent < -1.0 - 1e-9),
+        tail_exponent=float(tail_exponent),
+    )
+
+
 def hypothesis_report(
     model: ModelManifold,
     r_min: float,
@@ -328,8 +376,6 @@ def hypothesis_report(
 
     ts = np.geomspace(r_min, r_max, probes)
     vg_inf = min(volume_growth(model, t) for t in ts)
-
-    from .green import nonparabolic_check  # local import avoids a cycle
 
     nonpar = nonparabolic_check(model, r_min).varopoulos_integral_finite
 

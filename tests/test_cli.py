@@ -54,6 +54,22 @@ def test_verify_bad_model_is_invalid_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--C", "--tol", "--r-min", "--r-max"])
+def test_non_finite_flag_is_invalid_input(flag, value, capsys):
+    code, _ = run(["verify", "--model", "euclidean", "--n", "4", flag, value],
+                  capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_value_is_invalid_input(value, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"model": "euclidean", "C": %s}' % value)
+    code, _ = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 2
+
+
 def test_verify_determinism_byte_identical():
     argv = [sys.executable, "-m", "harnacklab.cli", "verify",
             "--model", "cone:0.5", "--n", "4", "--C", "10"]
@@ -168,6 +184,13 @@ def test_unknown_command_exit_2():
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", "frob"],
                        capture_output=True)
     assert r.returncode == 2
+
+
+def test_cli_import_does_not_load_sympy():
+    # only the symbolic command and the oracle's test functions need sympy
+    code = "import sys, harnacklab.cli; sys.exit('sympy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_version_flag():

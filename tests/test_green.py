@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from harnacklab.models import ModelError, make_model
+from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import (
     check_power_laplacian, compute_profile, default_grid, hess_b2_eigs,
     nonparabolic_check,
@@ -140,3 +141,101 @@ def _cached_cone3():
         _CONE3 = compute_profile(make_model("cone", 3, c=0.8),
                                  default_grid(1e-2, 1e2, 128))
     return _CONE3
+
+
+# -- piecewise kernel against a full-range quadrature reference ---------------
+
+KERNEL_MODELS = (
+    [("euclidean", n, None, None) for n in (3, 5, 10)]
+    + [("cone", n, c, None) for c in (0.3, 0.7) for n in (3, 5, 10)]
+    + [("smoothed_cone", n, c, r0) for c in (0.2, 0.5, 0.85)
+       for r0 in (0.5, 1.0, 2.0) for n in (3, 5, 10)]
+)
+
+
+def _quad_reference(model, r):
+    """(n-2) int_r^inf f^{1-n} by plain quadrature over the whole range.
+
+    It is only told where f''' jumps (the ends of the smoothed-cone blend)
+    and uses no closed form, so it is independent of the piecewise kernel.
+    """
+    p, n = model.profile, model.n
+    cuts = [r]
+    if p.kind == "smoothed_cone":
+        cuts += [x for x in (0.5 * p.r0, p.r0) if x > r]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:] + [np.inf]):
+        total += integrate.quad(lambda s: p.f(s) ** (1 - n), lo, hi,
+                                epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return (n - 2) * total
+
+
+@pytest.mark.parametrize("kind,n,c,r0", KERNEL_MODELS)
+def test_kernel_matches_full_range_quadrature(kind, n, c, r0):
+    model = make_model(kind, n, c=c, r0=r0)
+    prof = compute_profile(model, default_grid(1e-2, 1e2, 16))
+    ref = np.array([_quad_reference(model, r) for r in prof.grid])
+    assert np.max(np.abs(prof.G / ref - 1.0)) <= 1e-12
+    # off-grid points, some of them inside the blend when there is one
+    radii = list(np.geomspace(0.013, 77.0, 6))
+    if r0 is not None:
+        radii += [0.3 * r0, 0.55 * r0, 0.8 * r0, 0.99 * r0, 1.3 * r0]
+    for r in radii:
+        assert prof.green_at(r) == pytest.approx(_quad_reference(model, r),
+                                                 rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c,r0,n", [(0.2, 1.0, 3), (0.5, 0.5, 5), (0.85, 2.0, 10)])
+def test_kernel_continuous_at_blend_ends(c, r0, n):
+    prof = compute_profile(make_model("smoothed_cone", n, c=c, r0=r0),
+                           default_grid(1e-2, 1e2, 64))
+    for edge in (0.5 * r0, r0):
+        left = prof.green_at(float(np.nextafter(edge, 0.0)))
+        assert left == pytest.approx(prof.green_at(edge), rel=1e-12, abs=0.0)
+
+
+def test_custom_linear_table_reproduces_cone():
+    # a table sampled from f = 0.6 r: the tip piece below the table, the
+    # spline piece on it and the closed tail must all give the cone's G
+    r = np.geomspace(0.5, 50.0, 200)
+    model = make_model("custom", 4, table=(r, 0.6 * r))
+    prof = compute_profile(model, default_grid(0.05, 20.0, 64))
+    assert np.allclose(prof.G, 0.6**-3 * prof.grid**-2.0, rtol=1e-12, atol=0)
+    for x in (0.07, 0.49, 0.51, 3.0, 19.0):
+        assert prof.green_at(x) == pytest.approx(0.6**-3 * x**-2.0, rel=1e-12)
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """Intervals of the scipy.integrate.quad calls made while it is active."""
+    calls = []
+    real = integrate.quad
+
+    def counting(func, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return real(func, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model_id", ["euclidean", "cone:0.3", "cone:0.7"])
+def test_linear_models_make_no_quadrature(model_id, quad_calls):
+    prof = compute_profile(model_from_id(model_id, 5), default_grid(1e-2, 1e2, 512))
+    for r in (1e-3, 0.02, 1.0, 50.0, 1e3):
+        prof.green_at(r)
+    assert quad_calls == []
+
+
+def test_smoothed_cone_quadrature_stays_in_blend(quad_calls):
+    r0 = 1.0
+    prof = compute_profile(make_model("smoothed_cone", 5, c=0.5, r0=r0),
+                           default_grid(1e-2, 1e2, 512))
+    assert quad_calls
+    assert all(0.5 * r0 <= a <= b <= r0 for a, b in quad_calls)
+    del quad_calls[:]
+    for r in (0.01, 0.2, 0.4999, 1.0, 1.5, 99.0, 1e3):
+        prof.green_at(r)
+    assert quad_calls == []
+    prof.green_at(0.7)
+    assert quad_calls == [(0.7, r0)]
