@@ -160,8 +160,12 @@ def cmd_corollary(args) -> int:
     profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
     rows = []
     worst = math.inf
+    misses = 0
     for y, z in _sample_triples(cfg, args.triples):
-        for t in geodesics.corollary_check(model, profile, y, z, cfg.C, cfg.lambdas):
+        triples = geodesics.corollary_check(model, profile, y, z, cfg.C, cfg.lambdas)
+        # every triple of a pair shares one minimizer and its quad misses
+        misses += triples[0].quad_misses if triples else 0
+        for t in triples:
             worst = min(worst, t.slack)
             rows.append(t)
     csv = ["y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip"]
@@ -179,6 +183,7 @@ def cmd_corollary(args) -> int:
     payload = _envelope("corollary", cfg, verdict, {
         "triples": args.triples,
         "worst_slack": float(worst),
+        "quad_misses": misses,
         "hypothesis_flags": hyp.flags(),
     })
     _emit(payload, "corollary", cfg.output_dir)

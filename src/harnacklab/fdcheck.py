@@ -22,8 +22,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import ModelManifold, make_model
-
 __all__ = [
     "CoordinateChart",
     "TestFunction",
@@ -109,14 +107,12 @@ def s2xr2() -> CoordinateChart:
     return CoordinateChart("s2xr2", 4, metric, parallel_ricci_expected=True)
 
 
-def warped_chart(model: ModelManifold) -> CoordinateChart:
+def _warped(name: str, n: int, f) -> CoordinateChart:
     """Chart (r, theta_1, ..., theta_{n-1}) for dr^2 + f(r)^2 g_{S^{n-1}}."""
-    n = model.n
-    prof = model.profile
 
     def metric(x):
         r = x[0]
-        f2 = prof.f(r) ** 2
+        f2 = f(r) ** 2
         diag = [1.0, f2]
         s = 1.0
         for a in range(1, n - 1):
@@ -124,11 +120,20 @@ def warped_chart(model: ModelManifold) -> CoordinateChart:
             diag.append(f2 * s)
         return np.diag(diag)
 
-    return CoordinateChart(f"warped[{model.describe()}]", n, metric)
+    return CoordinateChart(name, n, metric)
+
+
+def warped_chart(model) -> CoordinateChart:
+    """Warped chart of a model manifold; reads only its .n, .profile.f and
+    .describe()."""
+    return _warped(f"warped[{model.describe()}]", model.n, model.profile.f)
 
 
 def cone_chart(c: float, n: int) -> CoordinateChart:
-    return warped_chart(make_model("cone", n, c=c))
+    """Warped chart of the cone f = c r, 0 < c <= 1, n >= 3."""
+    if not (0.0 < c <= 1.0) or int(n) != n or n < 3:
+        raise ChartError("cone chart needs 0 < c <= 1 and an integer n >= 3")
+    return _warped(f"warped[cone:{c:g}]", int(n), lambda r: c * r)
 
 
 def chart_by_name(name: str, **kw) -> CoordinateChart:

@@ -69,6 +69,7 @@ class GeodesicTriple:
     rhs: float
     slack: float
     through_tip_region: bool
+    quad_misses: int  # sweep quadratures of the y-z minimizer that missed tol
 
 
 def _rhs(model: ModelManifold):
@@ -130,8 +131,20 @@ def shoot_geodesic(
 # -- distance by Clairaut quadrature ------------------------------------------
 
 
+def _quad_counted(fun, lo, hi):
+    """(value, 1 if quad missed its tolerance else 0).
+
+    full_output makes quad return its message instead of warning; the
+    value is the same best-available estimate either way.
+    """
+    out = integrate.quad(fun, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-11,
+                         full_output=1)
+    return out[0], int(len(out) > 3)
+
+
 def _sweep_monotone(model, a, r1, r2):
-    """(angle, length) along a radially monotone arc from r1 to r2, r1 < r2."""
+    """(angle, length, quad misses) along a radially monotone arc from r1
+    to r2, r1 < r2."""
     prof = model.profile
 
     def dphi(r):
@@ -142,17 +155,16 @@ def _sweep_monotone(model, a, r1, r2):
         f = prof.f(r)
         return f / math.sqrt(max(f * f - a * a, 0.0))
 
-    # full_output suppresses the roundoff warning near the turning limit
-    # a -> f(r1), where the endpoint integrand sharpens; the returned value
-    # is still the best-available estimate and stays well within tolerance
-    opts = dict(limit=200, epsabs=1e-13, epsrel=1e-11, full_output=1)
-    ang = integrate.quad(dphi, r1, r2, **opts)[0]
-    ln = integrate.quad(ds, r1, r2, **opts)[0]
-    return ang, ln
+    # near the turning limit a -> f(r1) the endpoint integrand sharpens and
+    # quad may report roundoff; the miss is counted, not raised
+    ang, m_ang = _quad_counted(dphi, r1, r2)
+    ln, m_ln = _quad_counted(ds, r1, r2)
+    return ang, ln, m_ang + m_ln
 
 
 def _sweep_from_turn(model, r_t, r_hi):
-    """(angle, length) of the branch climbing from the turning radius r_t.
+    """(angle, length, quad misses) of the branch climbing from the
+    turning radius r_t.
 
     Substitutes r = r_t + u^2 to remove the inverse-square-root endpoint
     singularity at the turning point.
@@ -172,11 +184,10 @@ def _sweep_from_turn(model, r_t, r_hi):
         root = math.sqrt(max(q * (f + a), 1e-300))
         return 2.0 * a / (f * root), 2.0 * f / root
 
-    opts = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
     u_hi = math.sqrt(r_hi - r_t)
-    ang, _ = integrate.quad(lambda u: integrands(u)[0], 0.0, u_hi, **opts)
-    ln, _ = integrate.quad(lambda u: integrands(u)[1], 0.0, u_hi, **opts)
-    return ang, ln
+    ang, m_ang = _quad_counted(lambda u: integrands(u)[0], 0.0, u_hi)
+    ln, m_ln = _quad_counted(lambda u: integrands(u)[1], 0.0, u_hi)
+    return ang, ln, m_ang + m_ln
 
 
 def _closed_form_distance(model, y, z, dphi):
@@ -193,6 +204,7 @@ class _Minimizer:
     length: float
     a: float            # Clairaut constant
     branch: str         # radial | monotone | turning | tip
+    quad_misses: int = 0  # over every sweep the root-find evaluated
 
 
 def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Minimizer:
@@ -203,39 +215,48 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
         return _Minimizer(length=r2 - r1, a=0.0, branch="radial")
 
     f1 = model.profile.f(r1)
+    misses = 0
 
-    def angle_mono(a):
-        ang, _ = _sweep_monotone(model, a, r1, r2)
-        return ang
+    def mono(a):
+        nonlocal misses
+        ang, ln, m = _sweep_monotone(model, a, r1, r2)
+        misses += m
+        return ang, ln
+
+    def turn(r_t, r_hi):
+        nonlocal misses
+        ang, ln, m = _sweep_from_turn(model, r_t, r_hi)
+        misses += m
+        return ang, ln
 
     def angle_turn(r_t):
-        a1, _ = _sweep_from_turn(model, r_t, r1)
-        a2, _ = _sweep_from_turn(model, r_t, r2)
-        return a1 + a2
+        return turn(r_t, r1)[0] + turn(r_t, r2)[0]
 
     ang_star = angle_turn(r1)  # limiting arc that turns exactly at r1
 
     if dphi <= ang_star:
         a = optimize.brentq(
-            lambda a: angle_mono(a) - dphi, 0.0, f1 * (1 - 1e-13),
+            lambda a: mono(a)[0] - dphi, 0.0, f1 * (1 - 1e-13),
             xtol=1e-14, rtol=8.9e-16, maxiter=200,
         )
-        _, length = _sweep_monotone(model, a, r1, r2)
-        return _Minimizer(length=float(length), a=float(a), branch="monotone")
+        _, length = mono(a)
+        return _Minimizer(length=float(length), a=float(a), branch="monotone",
+                          quad_misses=misses)
 
     if angle_turn(R_FLOOR) < dphi:
         # even grazing the tip region does not sweep enough angle:
         # the minimizer runs through the tip
-        return _Minimizer(length=r1 + r2, a=0.0, branch="tip")
+        return _Minimizer(length=r1 + r2, a=0.0, branch="tip", quad_misses=misses)
 
     r_t = optimize.brentq(
         lambda rt: angle_turn(rt) - dphi, R_FLOOR, r1 * (1 - 1e-13),
         xtol=1e-15, rtol=8.9e-16, maxiter=200,
     )
-    _, l1 = _sweep_from_turn(model, r_t, r1)
-    _, l2 = _sweep_from_turn(model, r_t, r2)
+    _, l1 = turn(r_t, r1)
+    _, l2 = turn(r_t, r2)
     return _Minimizer(
-        length=float(l1 + l2), a=float(model.profile.f(r_t)), branch="turning"
+        length=float(l1 + l2), a=float(model.profile.f(r_t)), branch="turning",
+        quad_misses=misses,
     )
 
 
@@ -301,6 +322,7 @@ def corollary_check(
                 y=y, z=z, lam=float(lam), w=w, d_yz=float(d_yz),
                 b2_w=float(b2w), rhs=float(rhs), slack=float(b2w - rhs),
                 through_tip_region=bool(through_tip),
+                quad_misses=mini.quad_misses,
             )
         )
     return out

@@ -93,14 +93,8 @@ def _piece_bounds(model: ModelManifold, r_hint: float):
     S = _tail_split_radius(model, r_hint)
     # a custom profile is linear only below its table: close it with its
     # effectively linear tail from S on
-    linear = [pc for pc in p.linear_pieces() if pc[0] < S]
-    linear.append((S, math.inf, p.asymptotic_slope()))
-    bounds, edge = [], 0.0
-    for lo, hi, a in linear:
-        if lo > edge:
-            bounds.append((edge, lo, None))
-        bounds.append((lo, hi, a))
-        edge = hi
+    bounds = [(lo, min(hi, S), a) for lo, hi, a in p.pieces() if lo < S]
+    bounds.append((S, math.inf, p.asymptotic_slope()))
     return bounds
 
 

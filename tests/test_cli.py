@@ -39,6 +39,39 @@ def test_verify_cone_is_exploratory(capsys):
     assert doc["report"]["hypothesis_flags"]["parallel_ricci"] is False
 
 
+@pytest.mark.parametrize("n", ["9", "10", "12", "40"])
+def test_verify_euclidean_passes_at_every_dimension(n, capsys):
+    code, doc = run_json(["verify", "--model", "euclidean", "--n", n,
+                          "--C", "10"], capsys)
+    assert code == 0
+    assert doc["verdict"] == "pass"
+    assert all(doc["report"]["hypothesis_flags"].values())
+
+
+def test_audit_euclidean_high_dimension_relies_on_parallel_ricci(capsys):
+    _, doc = run_json(["audit", "--model", "euclidean", "--n", "10",
+                       "--C", "12", "--r", "1.0"], capsys)
+    assert "assembled_identity" not in doc["audit"]["hypothesis_flags"]
+
+
+_ALL_HOLD = dict(nonneg_sectional_along_gradG=True, nonneg_ricci=True,
+                 parallel_ricci=False, euclidean_volume_growth=True,
+                 nonparabolic=True)
+
+
+@pytest.mark.parametrize("model,n,flags", [
+    ("cone:0.3", "4", _ALL_HOLD),
+    ("cone:0.7", "7", _ALL_HOLD),
+    ("smoothed-cone:0.8:1", "5", _ALL_HOLD),
+    ("smoothed-cone:0.85:1.5", "9",
+     dict(_ALL_HOLD, nonneg_sectional_along_gradG=False, nonneg_ricci=False)),
+])
+def test_cone_hypothesis_flags(model, n, flags, capsys):
+    code, doc = run_json(["verify", "--model", model, "--n", n, "--C", "10"], capsys)
+    assert code == 3
+    assert doc["report"]["hypothesis_flags"] == flags
+
+
 def test_verify_small_C_requires_exploratory_flag(capsys):
     code, _ = run(["verify", "--model", "euclidean", "--n", "4", "--C", "2"],
                   capsys)
@@ -123,6 +156,15 @@ def test_corollary_writes_csv(tmp_path, capsys):
     lines = (out / "corollary.csv").read_text().strip().splitlines()
     assert lines[0].startswith("y_r,")
     assert len(lines) == 1 + 20 * 5  # header + triples x default lambdas
+
+
+def test_corollary_reports_quad_misses(capsys):
+    argv = ["corollary", "--model", "cone:0.7", "--n", "3", "--C", "10",
+            "--triples", "6", "--seed", "3"]
+    code, first = run(argv, capsys)
+    doc = json.loads(first)
+    assert isinstance(doc["quad_misses"], int) and doc["quad_misses"] >= 0
+    assert run(argv, capsys) == (code, first)  # deterministic, no timings
 
 
 def test_corollary_exploratory_below_C_range(capsys):

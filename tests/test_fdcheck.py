@@ -1,12 +1,17 @@
 """Finite-difference chart oracle: curvature, commutators, cross-checks."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from harnacklab import fdcheck
-from harnacklab.models import curvature_at, make_model
+from harnacklab.models import (
+    DEFAULT_CURV_TOL, ModelManifold, curvature_at, make_model, model_from_id,
+    ricci_gradient_norm,
+)
 from harnacklab.green import compute_profile, hess_b2_eigs
 
 H = fdcheck.DEFAULT_H
@@ -87,6 +92,55 @@ def test_parallel_ricci_values():
     cone = fdcheck.cone_chart(0.5, 4)
     val = fdcheck.check_parallel_ricci(cone, fdcheck.warped_probe_point(4, 1.0), H)
     assert val > 1e-2  # cones are not Ricci-parallel
+
+
+def test_cone_chart_matches_warped_chart_of_cone_model():
+    cone = fdcheck.cone_chart(0.5, 4)
+    ref = fdcheck.warped_chart(make_model("cone", 4, c=0.5))
+    assert cone.name == ref.name == "warped[cone:0.5]"
+    x = fdcheck.warped_probe_point(4, 1.3)
+    assert np.array_equal(cone.g(x), ref.g(x))
+    for c, n in ((0.0, 4), (1.5, 4), (0.5, 2)):
+        with pytest.raises(fdcheck.ChartError):
+            fdcheck.cone_chart(c, n)
+
+
+def test_fdcheck_does_not_import_models():
+    code = ("import sys, harnacklab.fdcheck; "
+            "sys.exit('harnacklab.models' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
+
+
+# radii inside the smoothed-cone blend [r0/2, r0) and beyond it, not at its ends
+PARALLEL_RICCI_CASES = [
+    ("euclidean", (1.5, 2.0, 5.0)),
+    ("cone:0.3", (1.5, 2.0, 5.0)),
+    ("cone:0.7", (1.5, 2.0, 5.0)),
+    ("smoothed-cone:0.5:1", (0.6, 0.75, 0.9, 1.5, 5.0)),
+    ("smoothed-cone:0.8:2", (1.2, 1.5, 1.8, 2.5, 5.0)),
+]
+
+
+@pytest.mark.parametrize("model_id,radii", PARALLEL_RICCI_CASES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_closed_form_grad_ricci_matches_fd_oracle(model_id, radii, n):
+    model = model_from_id(model_id, n)
+    chart = fdcheck.warped_chart(model)
+    chart3 = fdcheck.warped_chart(ModelManifold(3, model.profile))
+    gate = max(DEFAULT_CURV_TOL, 10 * H**2)  # the FD gate of hypothesis_report
+    p = model.profile
+    for r in radii:
+        closed = ricci_gradient_norm(model, r)
+        fd = fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(n, r), H)
+        fd3 = fdcheck.check_parallel_ricci(chart3, fdcheck.warped_probe_point(3, r), H)
+        # the FD error is h^2 times higher derivatives of f, which inside the
+        # blend carry powers of 2/r0: there it reaches about 4e-4 relative
+        in_blend = p.kind == "smoothed_cone" and 0.5 * p.r0 < r < p.r0
+        rel = 1e-3 if in_blend else 1e-4
+        assert abs(closed - fd) <= 10 * H**2 + rel * closed, (r, closed, fd)
+        # the 3-dim chart of the same f reaches the same verdict
+        assert (fd <= gate) == (fd3 <= gate) == (closed <= DEFAULT_CURV_TOL)
 
 
 def test_commutators_flat_chart():

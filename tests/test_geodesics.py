@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from harnacklab.models import make_model
 from harnacklab.green import compute_profile
@@ -148,3 +149,26 @@ def test_unit_speed_and_positivity_property(r1, r2, dphi):
     chord = math.sqrt(r1**2 + r2**2 - 2 * r1 * r2 * math.cos(dphi))
     assert d == pytest.approx(chord, rel=1e-8)
     assert d >= abs(r1 - r2) - 1e-12
+
+
+@pytest.mark.parametrize("z", [SlicePoint(2.0, 0.8), SlicePoint(1.5, 2.9)])
+def test_quad_misses_are_counted_per_minimizer(cone4, z, monkeypatch):
+    # monotone (0.8 rad) and turning (2.9 rad) branches: report every sweep
+    # quadrature as a miss, and the count must equal the number of calls
+    # while the values stay those of the plain quadrature
+    y = SlicePoint(1.0, 0.0)
+    prof = compute_profile(cone4)
+    plain = corollary_check(cone4, prof, y, z, 10.0, [0.0, 0.5, 1.0])
+    calls = []
+    real = integrate.quad
+
+    def missing(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs) + ({"message": "forced miss"},)
+
+    monkeypatch.setattr(integrate, "quad", missing)
+    forced = corollary_check(cone4, prof, y, z, 10.0, [0.0, 0.5, 1.0])
+    assert calls
+    assert [t.quad_misses for t in forced] == [len(calls)] * 3
+    assert [t.slack for t in forced] == [t.slack for t in plain]
+    assert all(t.quad_misses == plain[0].quad_misses for t in plain)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+from harnacklab import fdcheck
 from harnacklab.models import (
     ModelError, ball_volume, curvature_at, hypothesis_report, make_model,
-    model_from_id, sphere_area, volume_growth,
+    model_from_id, ricci_gradient_norm, sphere_area, volume_growth,
 )
 
 
@@ -175,3 +177,133 @@ def test_cone_curvature_closed_form_property(c, n, r):
     s = curvature_at(make_model("cone", n, c=c), r)
     assert s.k_rad == 0.0
     assert s.k_tan == pytest.approx((1 - c * c) / (c * c * r * r), rel=1e-12)
+
+
+# -- third derivative and closed-form |grad Ric| --------------------------------
+
+
+def test_third_derivative_of_profiles():
+    assert make_model("euclidean", 4).profile.fppp(2.0) == 0.0
+    assert make_model("cone", 4, c=0.5).profile.fppp(2.0) == 0.0
+    p = make_model("smoothed_cone", 4, c=0.5, r0=1.0).profile
+    h = 1e-5
+    for r in (0.55, 0.7, 0.85, 0.95):
+        fd = (p.fpp(r + h) - p.fpp(r - h)) / (2 * h)
+        assert p.fppp(r) == pytest.approx(fd, rel=1e-6)
+    assert p.fppp(0.3) == 0.0 and p.fppp(1.5) == 0.0
+    # not-a-knot splines reproduce cubics: f''' = 6 on the table, 0 below it
+    r = np.linspace(0.5, 5.0, 40)
+    q = make_model("custom", 4, table=(r, r**3)).profile
+    assert q.fppp(2.0) == pytest.approx(6.0, rel=1e-8)
+    assert q.fppp(0.2) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 40])
+def test_ricci_gradient_norm_closed_forms(n):
+    for r in (0.01, 1.0, 70.0):
+        assert ricci_gradient_norm(make_model("euclidean", n), r) == 0.0
+    # cone: ric_rad = 0, ric_tan = (n-2)(1-c^2)/(c r)^2, so
+    # |grad Ric| = sqrt(6(n-1)) (n-2)(1-c^2) / (c^2 r^3)
+    for c in (0.3, 0.7):
+        for r in (0.5, 2.0):
+            expect = math.sqrt(6 * (n - 1)) * (n - 2) * (1 - c * c) / (c * c * r**3)
+            got = ricci_gradient_norm(make_model("cone", n, c=c), r)
+            assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("model_id", ["euclidean", "cone:0.5", "smoothed-cone:0.8:1",
+                                      "smoothed-cone:0.5:1"])
+def test_parallel_ricci_flag_does_not_depend_on_n(model_id):
+    for n in (3, 9, 10, 12, 40):
+        rep = hypothesis_report(model_from_id(model_id, n), 1e-2, 1e2)
+        assert rep.parallel_ricci == (model_id == "euclidean"), n
+
+
+def test_parallel_ricci_closed_form_sees_beyond_the_fd_probes():
+    # the FD probes sit at r in [2, 20], where this profile is still flat;
+    # the blend [25, 50) and the cone beyond it are seen only by the closed
+    # form at the probe radii
+    rep = hypothesis_report(make_model("smoothed_cone", 4, c=0.5, r0=50.0), 1e-2, 1e2)
+    assert rep.parallel_ricci_fd_residual <= 1e-5
+    assert rep.parallel_ricci_residual > 1e-3
+    assert not rep.parallel_ricci
+
+
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_parallel_ricci_fd_probe_runs_on_3_dim_chart(n, monkeypatch):
+    seen = []
+    real = fdcheck.check_parallel_ricci
+
+    def spy(chart, x, h=fdcheck.DEFAULT_H):
+        seen.append((chart.dim, len(x)))
+        return real(chart, x, h)
+
+    monkeypatch.setattr(fdcheck, "check_parallel_ricci", spy)
+    rep = hypothesis_report(make_model("euclidean", n), 1e-2, 1e2)
+    assert seen == [(3, 3)] * 3
+    assert rep.parallel_ricci
+    assert rep.parallel_ricci_residual == 0.0
+    assert 0.0 < rep.parallel_ricci_fd_residual <= 1e-5
+
+
+# -- ball volume against a full-range quadrature reference ----------------------
+
+VOLUME_MODELS = (
+    [("euclidean", None, None), ("cone", 0.3, None), ("cone", 0.7, None)]
+    + [("smoothed_cone", c, r0) for c in (0.2, 0.5, 0.85) for r0 in (0.5, 1.0, 2.0)]
+)
+
+
+def _volume_reference(model, t):
+    """Vol B(t) by plain quadrature of f^{n-1} over [0, t].
+
+    It is only told where the smoothed-cone blend starts and ends, and uses
+    no closed form, so it is independent of the piecewise ball_volume.
+    """
+    p, n = model.profile, model.n
+    cuts = [0.0]
+    if p.kind == "smoothed_cone":
+        cuts += [x for x in (0.5 * p.r0, p.r0) if x < t]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:] + [t]):
+        total += integrate.quad(lambda s: p.f(s) ** (n - 1), lo, hi,
+                                epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return sphere_area(n) * total
+
+
+@pytest.mark.parametrize("kind,c,r0", VOLUME_MODELS)
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_ball_volume_matches_full_range_quadrature(kind, c, r0, n):
+    model = make_model(kind, n, c=c, r0=r0)
+    for t in (0.1, 0.3, 0.75, 1.5, 10.0, 90.0):
+        assert ball_volume(model, t) == pytest.approx(_volume_reference(model, t),
+                                                      rel=1e-10, abs=0.0)
+
+
+def test_ball_volume_custom_table():
+    # the tip below the table in closed form, quadrature on the spline
+    r = np.geomspace(0.5, 50.0, 200)
+    model = make_model("custom", 4, table=(r, 0.6 * r))
+    for t in (0.3, 0.5, 2.0, 40.0):
+        assert ball_volume(model, t) == pytest.approx(
+            sphere_area(4) * 0.6**3 * t**4 / 4, rel=1e-10)
+    with pytest.raises(ModelError):
+        ball_volume(model, 60.0)  # beyond the table
+
+
+def test_ball_volume_quadrature_only_in_blend(monkeypatch):
+    calls = []
+    real = integrate.quad
+
+    def counting(func, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return real(func, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counting)
+    for model_id in ("euclidean", "cone:0.4"):
+        ball_volume(model_from_id(model_id, 6), 50.0)
+    assert calls == []
+    ball_volume(model_from_id("smoothed-cone:0.5:1", 6), 0.4)
+    assert calls == []
+    ball_volume(model_from_id("smoothed-cone:0.5:1", 6), 50.0)
+    assert calls == [(0.5, 1.0)]
