@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .models import ModelError, ModelManifold
+from .models import ModelManifold
 from .green import RadialGreenProfile
 
 __all__ = [
@@ -142,29 +142,24 @@ def _quad_counted(fun, lo, hi):
     return out[0], int(len(out) > 3)
 
 
-def _sweep_monotone(model, a, r1, r2):
-    """(angle, length, quad misses) along a radially monotone arc from r1
-    to r2, r1 < r2."""
+def _sweep_monotone(model, a, r1, r2, length=False):
+    """(angle swept, or arclength if `length`, quad misses) along a
+    radially monotone arc from r1 to r2, r1 < r2."""
     prof = model.profile
 
-    def dphi(r):
+    def integrand(r):
         f = prof.f(r)
-        return a / (f * math.sqrt(max(f * f - a * a, 0.0)) )
-
-    def ds(r):
-        f = prof.f(r)
-        return f / math.sqrt(max(f * f - a * a, 0.0))
+        root = math.sqrt(max(f * f - a * a, 0.0))
+        return f / root if length else a / (f * root)
 
     # near the turning limit a -> f(r1) the endpoint integrand sharpens and
     # quad may report roundoff; the miss is counted, not raised
-    ang, m_ang = _quad_counted(dphi, r1, r2)
-    ln, m_ln = _quad_counted(ds, r1, r2)
-    return ang, ln, m_ang + m_ln
+    return _quad_counted(integrand, r1, r2)
 
 
-def _sweep_from_turn(model, r_t, r_hi):
-    """(angle, length, quad misses) of the branch climbing from the
-    turning radius r_t.
+def _sweep_from_turn(model, r_t, r_hi, length=False):
+    """(angle swept, or arclength if `length`, quad misses) of the branch
+    climbing from the turning radius r_t to r_hi.
 
     Substitutes r = r_t + u^2 to remove the inverse-square-root endpoint
     singularity at the turning point.
@@ -172,7 +167,7 @@ def _sweep_from_turn(model, r_t, r_hi):
     prof = model.profile
     a = prof.f(r_t)
 
-    def integrands(u):
+    def integrand(u):
         # f(r)^2 - a^2 = u^2 * q(u) * (f + a) with q = (f(r) - a)/u^2,
         # evaluated by Taylor expansion near u = 0 to dodge cancellation
         r = r_t + u * u
@@ -182,21 +177,9 @@ def _sweep_from_turn(model, r_t, r_hi):
         else:
             q = (f - a) / (u * u)
         root = math.sqrt(max(q * (f + a), 1e-300))
-        return 2.0 * a / (f * root), 2.0 * f / root
+        return 2.0 * f / root if length else 2.0 * a / (f * root)
 
-    u_hi = math.sqrt(r_hi - r_t)
-    ang, m_ang = _quad_counted(lambda u: integrands(u)[0], 0.0, u_hi)
-    ln, m_ln = _quad_counted(lambda u: integrands(u)[1], 0.0, u_hi)
-    return ang, ln, m_ang + m_ln
-
-
-def _closed_form_distance(model, y, z, dphi):
-    """Unrolling formula on cones and flat space (slice metric is a wedge)."""
-    c = 1.0 if model.profile.kind == "euclidean" else model.profile.c
-    ang = c * dphi
-    if ang >= math.pi:
-        return None  # minimizer passes through the tip
-    return math.sqrt(y.r**2 + z.r**2 - 2.0 * y.r * z.r * math.cos(ang))
+    return _quad_counted(integrand, 0.0, math.sqrt(r_hi - r_t))
 
 
 @dataclass(frozen=True)
@@ -214,32 +197,38 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
     if dphi < 1e-14:
         return _Minimizer(length=r2 - r1, a=0.0, branch="radial")
 
-    f1 = model.profile.f(r1)
+    prof = model.profile
+    fp_min = prof.fp_min(R_FLOOR, r2)
+    if not fp_min > 0.0:
+        # the branch logic below needs f increasing on every radius a
+        # sweep can reach: a = f(r_t) is then monotone in r_t, and the
+        # integrands have no zero of f^2 - a^2 inside their range
+        raise GeodesicError(
+            f"Clairaut sweeps need f' > 0 on [{R_FLOOR:g}, {r2:.17g}], "
+            f"but min f' = {fp_min:.17g} there")
+
+    f1 = prof.f(r1)
     misses = 0
 
-    def mono(a):
+    def sweep(fun, *args, length=False):
         nonlocal misses
-        ang, ln, m = _sweep_monotone(model, a, r1, r2)
+        val, m = fun(model, *args, length=length)
         misses += m
-        return ang, ln
-
-    def turn(r_t, r_hi):
-        nonlocal misses
-        ang, ln, m = _sweep_from_turn(model, r_t, r_hi)
-        misses += m
-        return ang, ln
+        return val
 
     def angle_turn(r_t):
-        return turn(r_t, r1)[0] + turn(r_t, r2)[0]
+        return sweep(_sweep_from_turn, r_t, r1) + sweep(_sweep_from_turn, r_t, r2)
 
+    # the root-finds see only the swept angle; the length quadrature runs
+    # once, at the accepted root
     ang_star = angle_turn(r1)  # limiting arc that turns exactly at r1
 
     if dphi <= ang_star:
         a = optimize.brentq(
-            lambda a: mono(a)[0] - dphi, 0.0, f1 * (1 - 1e-13),
+            lambda a: sweep(_sweep_monotone, a, r1, r2) - dphi, 0.0, f1 * (1 - 1e-13),
             xtol=1e-14, rtol=8.9e-16, maxiter=200,
         )
-        _, length = mono(a)
+        length = sweep(_sweep_monotone, a, r1, r2, length=True)
         return _Minimizer(length=float(length), a=float(a), branch="monotone",
                           quad_misses=misses)
 
@@ -252,10 +241,10 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
         lambda rt: angle_turn(rt) - dphi, R_FLOOR, r1 * (1 - 1e-13),
         xtol=1e-15, rtol=8.9e-16, maxiter=200,
     )
-    _, l1 = turn(r_t, r1)
-    _, l2 = turn(r_t, r2)
+    l1 = sweep(_sweep_from_turn, r_t, r1, length=True)
+    l2 = sweep(_sweep_from_turn, r_t, r2, length=True)
     return _Minimizer(
-        length=float(l1 + l2), a=float(model.profile.f(r_t)), branch="turning",
+        length=float(l1 + l2), a=float(prof.f(r_t)), branch="turning",
         quad_misses=misses,
     )
 

@@ -52,15 +52,32 @@ class ModelError(ValueError):
     """Invalid model parameters or evaluation outside the admissible range."""
 
 
+def _clip01(t):
+    """t clipped to [0, 1]: a float for float t, an array otherwise."""
+    if isinstance(t, float):
+        return min(max(t, 0.0), 1.0)
+    return np.clip(t, 0.0, 1.0)
+
+
+def _full(r, value):
+    """value in the shape of r: a float for float r, an array otherwise."""
+    return value if isinstance(r, float) else np.full_like(r, value)
+
+
 def _quintic_blend(t):
     """C^2 smoothstep w with w(0)=0, w(1)=1 and w'=w''=0 at both ends.
 
     w''' jumps at both ends; outside the open interval (0, 1) it is 0.
+    Float t runs in plain float arithmetic, arrays elementwise.
     """
     w = t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
     wp = 30.0 * t**2 * (1.0 - 2.0 * t + t**2)
     wpp = 60.0 * t * (1.0 - 3.0 * t + 2.0 * t**2)
-    wppp = np.where((t > 0.0) & (t < 1.0), 60.0 * (1.0 - 6.0 * t + 6.0 * t**2), 0.0)
+    wppp = 60.0 * (1.0 - 6.0 * t + 6.0 * t**2)
+    if isinstance(t, float):
+        wppp = wppp if 0.0 < t < 1.0 else 0.0
+    else:
+        wppp = np.where((t > 0.0) & (t < 1.0), wppp, 0.0)
     return w, wp, wpp, wppp
 
 
@@ -102,20 +119,28 @@ class WarpingProfile:
     # -- evaluation ------------------------------------------------------
 
     def _eval(self, r, order):
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
+        # a float (np.float64 included) runs the same formulas in plain
+        # float arithmetic: numpy boxing would cost far more than they do
+        scalar = isinstance(r, float)
+        if scalar:
+            r = float(r)
+            ok = r > 0.0
+        else:
+            r = np.asarray(r, dtype=float)
+            ok = bool(np.all(r > 0.0))
+        if not ok:  # NaN fails the comparison too
             raise ModelError("profile is only defined for r > 0")
-        zero = np.zeros_like(r)
+        zero = _full(r, 0.0)
         if self.kind == "euclidean":
-            out = (r, np.ones_like(r), zero, zero)[order]
+            out = (r, _full(r, 1.0), zero, zero)[order]
         elif self.kind == "cone":
             c = self.c
-            out = (c * r, np.full_like(r, c), zero, zero)[order]
+            out = (c * r, _full(r, c), zero, zero)[order]
         elif self.kind == "smoothed_cone":
             out = self._smoothed(r)[order]
         else:
-            out = self._custom(r, order)
-        return out if out.ndim else float(out)
+            out = self._custom(np.asarray(r), order)
+        return float(out) if scalar or out.ndim == 0 else out
 
     def _custom(self, r, order):
         r_top = self.table[0][-1]
@@ -132,8 +157,7 @@ class WarpingProfile:
     def _smoothed(self, r):
         c, r0 = self.c, self.r0
         a, b = 0.5 * r0, r0
-        t = np.clip((r - a) / (b - a), 0.0, 1.0)
-        w, wp, wpp, wppp = _quintic_blend(t)
+        w, wp, wpp, wppp = _quintic_blend(_clip01((r - a) / (b - a)))
         wp = wp / (b - a)
         wpp = wpp / (b - a) ** 2
         wppp = wppp / (b - a) ** 3
@@ -202,6 +226,38 @@ class WarpingProfile:
             out.append((edge, math.inf, None))
         return tuple(out)
 
+    def fp_min(self, lo, hi):
+        """Minimum of f' over [lo, hi], decided piece by piece.
+
+        f' = a on a linear piece.  Elsewhere f' is a polynomial: of degree
+        5 in r on the smoothed-cone blend (f = r (1 + (c-1) w) with w
+        quintic in t, itself linear in r) and quadratic on each interval of
+        the custom spline.  deg + 1 samples of f' fix it, so its minimum is
+        the least value of f' at the ends and at the real critical points.
+        """
+        out = math.inf
+        for p_lo, p_hi, a in self.pieces():
+            u, v = max(lo, p_lo), min(hi, p_hi)
+            if u > v:
+                continue
+            if a is not None:
+                out = min(out, a)
+                continue
+            if self.kind == "smoothed_cone":
+                cuts, deg = [u, v], 5
+            else:
+                knots = np.asarray(self.table[0], float)
+                cuts, deg = [u, *knots[(knots > u) & (knots < v)], v], 2
+            for x0, x1 in zip(cuts[:-1], cuts[1:]):
+                x = [x0, x1]
+                if x1 > x0:
+                    nodes = x0 + (x1 - x0) * np.linspace(0.0, 1.0, deg + 1)
+                    poly = np.polynomial.Polynomial.fit(nodes, self.fp(nodes), deg)
+                    # complex roots add only harmless extra samples
+                    x += [z.real for z in poly.deriv().roots() if x0 < z.real < x1]
+                out = min(out, float(np.min(self.fp(np.array(x)))))
+        return out
+
 
 @dataclass(frozen=True)
 class ModelManifold:
@@ -253,7 +309,8 @@ class HypothesisReport:
     parallel_ricci_fd_residual: float   # FD oracle on the 3-dim chart
     parallel_ricci: bool
     euclidean_volume_growth: bool
-    volume_growth_inf: float
+    volume_growth_inf: float        # Vol B(t) / t^n
+    volume_growth_slope_inf: float  # (Vol B(t) / (|B^n_1| t^n))^{1/(n-1)}, decides the flag
     nonparabolic: bool
     tol: float
 
@@ -346,14 +403,16 @@ def ricci_gradient_norm(model: ModelManifold, r: float) -> float:
     return float(math.sqrt(d_rad**2 + (n - 1) * (d_tan**2 + 2.0 * mixed**2)))
 
 
-def ball_volume(model: ModelManifold, t: float) -> float:
-    """Volume of the geodesic ball of radius t about the tip.
+def _volume_ratio(model: ModelManifold, t: float) -> float:
+    """Vol B(t) / (|B^n_1| t^n) = (n/t) int_0^t (f(s)/t)^{n-1} ds.
 
-    int_0^t f^{n-1} is a^{n-1} (hi^n - lo^n) / n on every piece where
-    f = a r; quadrature runs only where f is not linear.
+    The scaled integrand keeps every term below 1 where f(s) <= s, so
+    nothing overflows or underflows with n.  On every piece where f = a r
+    the integral is a^{n-1} ((hi/t)^n - (lo/t)^n) in closed form;
+    quadrature runs only where f is not linear.
     """
     if t <= 0:
-        raise ModelError("ball_volume requires t > 0")
+        raise ModelError("volume requires t > 0")
     n, p = model.n, model.profile
     total = 0.0
     for lo, hi, a in p.pieces():
@@ -361,23 +420,29 @@ def ball_volume(model: ModelManifold, t: float) -> float:
             break
         hi = min(hi, t)
         if a is not None:
-            total += a ** (n - 1) * (hi**n - lo**n) / n
+            total += a ** (n - 1) * ((hi / t) ** n - (lo / t) ** n)
             continue
         val, err = integrate.quad(
-            lambda s: p.f(s) ** (n - 1), lo, hi, limit=200, epsabs=0.0,
+            lambda s: (p.f(s) / t) ** (n - 1), lo, hi, limit=200, epsabs=0.0,
             epsrel=1e-10, full_output=1,
         )[:2]
         if not math.isfinite(val) or (val > 0 and err / val > 1e-8):
             raise ModelError("ball volume quadrature did not converge")
-        total += val
+        total += n * val / t
     if not math.isfinite(total):
         raise ModelError("ball volume is not finite")
-    return sphere_area(n) * total
+    return total
+
+
+def ball_volume(model: ModelManifold, t: float) -> float:
+    """Volume of the geodesic ball of radius t about the tip."""
+    n = model.n
+    return sphere_area(n) / n * t**n * _volume_ratio(model, t)
 
 
 def volume_growth(model: ModelManifold, t: float) -> float:
     """Vol B(t) / t^n; bounded below by a positive constant means Euclidean growth."""
-    return ball_volume(model, t) / t ** model.n
+    return sphere_area(model.n) / model.n * _volume_ratio(model, t)
 
 
 def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
@@ -446,7 +511,12 @@ def hypothesis_report(
         point = fdcheck.warped_probe_point(3, r)
         fd_residual = max(fd_residual, fdcheck.check_parallel_ricci(chart, point, fd_h))
 
-    vg_inf = min(volume_growth(model, t) for t in radii)
+    # Vol B(t) / t^n = |B^n_1| q carries |B^n_1| -> 0, so the flag is decided
+    # on q^{1/(n-1)}, which is a at every n wherever f = a r on (0, t]
+    # (1 on euclidean, c on cones); both are increasing in q
+    q_inf = min(_volume_ratio(model, t) for t in radii)
+    vg_inf = sphere_area(model.n) / model.n * q_inf
+    slope_inf = q_inf ** (1.0 / (model.n - 1))
 
     nonpar = nonparabolic_check(model, r_min).varopoulos_integral_finite
 
@@ -460,8 +530,9 @@ def hypothesis_report(
         parallel_ricci_residual=float(residual),
         parallel_ricci_fd_residual=float(fd_residual),
         parallel_ricci=bool(residual <= tol and fd_residual <= fd_tol),
-        euclidean_volume_growth=bool(vg_inf >= tol),
+        euclidean_volume_growth=bool(slope_inf >= tol),
         volume_growth_inf=float(vg_inf),
+        volume_growth_slope_inf=float(slope_inf),
         nonparabolic=bool(nonpar),
         tol=float(tol),
     )

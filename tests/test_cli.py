@@ -39,7 +39,7 @@ def test_verify_cone_is_exploratory(capsys):
     assert doc["report"]["hypothesis_flags"]["parallel_ricci"] is False
 
 
-@pytest.mark.parametrize("n", ["9", "10", "12", "40"])
+@pytest.mark.parametrize("n", ["9", "10", "12", "40", "45"])
 def test_verify_euclidean_passes_at_every_dimension(n, capsys):
     code, doc = run_json(["verify", "--model", "euclidean", "--n", n,
                           "--C", "10"], capsys)
@@ -165,6 +165,17 @@ def test_corollary_reports_quad_misses(capsys):
     doc = json.loads(first)
     assert isinstance(doc["quad_misses"], int) and doc["quad_misses"] >= 0
     assert run(argv, capsys) == (code, first)  # deterministic, no timings
+
+
+def test_corollary_non_monotone_profile_is_invalid_input(capsys):
+    # f' < 0 inside the blend of smoothed-cone:0.5:1 breaks the Clairaut
+    # sweeps' precondition: exit 2 with a message, not a traceback
+    code = main(["corollary", "--model", "smoothed-cone:0.5:1", "--n", "4",
+                 "--C", "10", "--triples", "5", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "f' > 0" in captured.err and "Traceback" not in captured.err
 
 
 def test_corollary_exploratory_below_C_range(capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
-from harnacklab.models import make_model
+from harnacklab import geodesics
+from harnacklab.models import make_model, model_from_id
 from harnacklab.green import compute_profile
 from harnacklab.geodesics import (
     GeodesicError, SlicePoint, corollary_check, distance, shoot_geodesic,
@@ -172,3 +173,75 @@ def test_quad_misses_are_counted_per_minimizer(cone4, z, monkeypatch):
     assert [t.quad_misses for t in forced] == [len(calls)] * 3
     assert [t.slack for t in forced] == [t.slack for t in plain]
     assert all(t.quad_misses == plain[0].quad_misses for t in plain)
+
+
+@pytest.mark.parametrize("model_id,z,branch", [
+    ("cone:0.5", SlicePoint(2.0, 0.8), "monotone"),
+    ("cone:0.5", SlicePoint(1.5, 2.9), "turning"),
+    ("smoothed-cone:0.8:1", SlicePoint(2.5, 0.6), "monotone"),
+    ("smoothed-cone:0.8:1", SlicePoint(1.2, 2.5), "turning"),
+])
+def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch):
+    # every quad call is one sweep; the root-find iterates sweep the angle
+    # only, and the length runs once per arc, at the accepted root
+    model = model_from_id(model_id, 4)
+    y = SlicePoint(1.0, 0.0)
+    quads, sweeps, evals = [], [], []
+    real_quad, real_brentq = integrate.quad, optimize.brentq
+
+    def counting_quad(*args, **kwargs):
+        quads.append(1)
+        return real_quad(*args, **kwargs)
+
+    def counting_brentq(fun, *args, **kwargs):
+        def counted(x):
+            evals.append(x)
+            return fun(x)
+        return real_brentq(counted, *args, **kwargs)
+
+    def spy(name):
+        real = getattr(geodesics, name)
+
+        def wrapped(model, *args, length=False):
+            sweeps.append((name, args, length))
+            return real(model, *args, length=length)
+        return wrapped
+
+    monkeypatch.setattr(integrate, "quad", counting_quad)
+    monkeypatch.setattr(optimize, "brentq", counting_brentq)
+    for name in ("_sweep_monotone", "_sweep_from_turn"):
+        monkeypatch.setattr(geodesics, name, spy(name))
+    mini = geodesics._solve_minimizer(model, y, z)
+
+    assert mini.branch == branch
+    angle = [s for s in sweeps if not s[2]]
+    length = [s for s in sweeps if s[2]]
+    assert len(quads) == len(sweeps) == len(angle) + len(length)
+    if branch == "monotone":
+        # limiting turning arc (2 sweeps), then one sweep per iterate
+        assert len(angle) == 2 + len(evals)
+        assert length == [("_sweep_monotone", (mini.a, 1.0, z.r), True)]
+    else:
+        # limiting arc and tip test (2 sweeps each), two per iterate
+        assert len(angle) == 4 + 2 * len(evals)
+        assert [(s[0], s[1][1]) for s in length] == [
+            ("_sweep_from_turn", 1.0), ("_sweep_from_turn", z.r)]
+        r_t = length[0][1][0]
+        assert length[1][1][0] == r_t and model.profile.f(r_t) == mini.a
+
+
+def test_non_monotone_profile_raises_geodesic_error():
+    # f' < 0 inside the blend for c below 1 - 1/(5 - 8/(3 sqrt 3)) ~ 0.711
+    model = model_from_id("smoothed-cone:0.5:1", 4)
+    with pytest.raises(GeodesicError, match="f' > 0"):
+        distance(model, SlicePoint(1.0, 0.0), SlicePoint(2.0, 1.0))
+    with pytest.raises(GeodesicError, match="f' > 0"):
+        distance(model, SlicePoint(0.2, 0.0), SlicePoint(0.8, 1.0))
+    # the range checked is where the sweeps run: below r0/2 f = r, and
+    # f' > 0 up to 0.6; radial pairs need no sweep
+    flat = distance(model, SlicePoint(0.2, 0.0), SlicePoint(0.3, 1.0))
+    assert flat == pytest.approx(math.sqrt(0.13 - 0.12 * math.cos(1.0)), rel=1e-9)
+    assert distance(model, SlicePoint(0.2, 0.0), SlicePoint(0.6, 1.0)) > 0.4
+    assert distance(model, SlicePoint(1.0, 0.5), SlicePoint(2.0, 0.5)) == 1.0
+    ok = model_from_id("smoothed-cone:0.75:1", 4)
+    assert distance(ok, SlicePoint(1.0, 0.0), SlicePoint(2.0, 1.0)) > 1.0

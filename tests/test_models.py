@@ -307,3 +307,118 @@ def test_ball_volume_quadrature_only_in_blend(monkeypatch):
     assert calls == []
     ball_volume(model_from_id("smoothed-cone:0.5:1", 6), 50.0)
     assert calls == [(0.5, 1.0)]
+
+
+# -- float and array evaluation: one set of formulas, two input types -----------
+
+EVAL_MODELS = ("euclidean", "cone:0.3", "cone:0.7", "smoothed-cone:0.5:1",
+               "smoothed-cone:0.8:2", "smoothed-cone:0.2:0.5")
+
+
+def _eval_grid(profile):
+    r = list(np.geomspace(1e-3, 1e3, 61))
+    if profile.kind == "smoothed_cone":
+        a, b = 0.5 * profile.r0, profile.r0
+        r += list(np.linspace(a, b, 41))  # both ends exactly
+        for edge in (a, b):  # just inside and just outside the blend
+            r += [np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+                  edge * (1 - 1e-9), edge * (1 + 1e-9)]
+    return np.array(r)
+
+
+@pytest.mark.parametrize("model_id", EVAL_MODELS)
+def test_float_and_array_evaluation_agree(model_id):
+    p = model_from_id(model_id, 4).profile
+    r = _eval_grid(p)
+    if p.kind == "smoothed_cone":
+        assert {0.5 * p.r0, p.r0} <= set(r.tolist())
+    for fun in (p.f, p.fp, p.fpp, p.fppp):
+        arr = fun(r)
+        assert isinstance(arr, np.ndarray) and arr.shape == r.shape
+        for x, want in zip(r, arr):
+            for arg in (float(x), np.float64(x)):
+                got = fun(arg)
+                assert type(got) is float
+                assert abs(got - want) <= 1e-15 * abs(want), (fun.__name__, x)
+
+
+def test_custom_profile_float_evaluation():
+    r = np.linspace(0.5, 5.0, 40)
+    p = make_model("custom", 4, table=(r, r + 0.1 * np.sin(r))).profile
+    x = np.array([0.1, 0.5, 1.234, 4.9, 5.0])
+    for fun in (p.f, p.fp, p.fpp, p.fppp):
+        arr = fun(x)
+        got = [fun(float(v)) for v in x]
+        assert all(type(g) is float for g in got)
+        assert np.array_equal(got, arr)
+
+
+@pytest.mark.parametrize("model_id", EVAL_MODELS + ("custom",))
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_float_and_array_evaluation_reject_the_same_inputs(model_id, bad):
+    if model_id == "custom":
+        r = np.linspace(0.5, 5.0, 10)
+        p = make_model("custom", 4, table=(r, r)).profile
+    else:
+        p = model_from_id(model_id, 4).profile
+    for arg in (bad, np.float64(bad), np.array(bad), np.array([1.0, bad])):
+        for fun in (p.f, p.fp, p.fpp, p.fppp):
+            with pytest.raises(ModelError, match="only defined for r > 0"):
+                fun(arg)
+
+
+# -- f' minimum: the monotonicity precondition of the Clairaut sweeps -----------
+
+
+def test_fp_min_closed_forms():
+    assert make_model("euclidean", 4).profile.fp_min(1e-4, 50.0) == 1.0
+    assert make_model("cone", 4, c=0.3).profile.fp_min(1e-4, 50.0) == 0.3
+    # on the blend f'(t) = 1 + (c-1) P(t), P = 30t^2 - 20t^3 - 45t^4 + 36t^5,
+    # whose maximum on [0, 1] is P(1/sqrt 3) = 5 - 8/(3 sqrt 3)
+    p_max = 5.0 - 8.0 / (3.0 * math.sqrt(3.0))
+    for c in (0.2, 0.5, 0.75, 0.9):
+        for r0 in (0.5, 1.0, 2.0):
+            p = make_model("smoothed_cone", 4, c=c, r0=r0).profile
+            want = 1.0 + (c - 1.0) * p_max
+            assert p.fp_min(1e-4, 3.0 * r0) == pytest.approx(want, abs=1e-13)
+            # below the critical point f' falls monotonically from 1
+            t = 0.5
+            r_hi = 0.5 * r0 * (1.0 + t)
+            assert p.fp_min(1e-4, r_hi) == pytest.approx(p.fp(r_hi), abs=1e-13)
+            assert p.fp_min(1e-4, 0.4 * r0) == 1.0
+
+
+def test_fp_min_custom_spline_against_dense_samples():
+    r = np.linspace(1.0, 5.0, 9)
+    fvals = np.array([1.0, 1.6, 1.9, 1.7, 1.8, 2.6, 3.0, 3.1, 4.0])
+    p = make_model("custom", 4, table=(r, fvals)).profile
+    dense = p.fp(np.linspace(1.0, 5.0, 200001))
+    assert p.fp_min(1e-4, 5.0) == pytest.approx(dense.min(), abs=1e-8)
+    assert p.fp_min(1e-4, 5.0) <= dense.min()
+    assert p.fp_min(1e-4, 0.5) == pytest.approx(1.0)  # the linear tip
+
+
+# -- volume growth on a scale that does not depend on n -------------------------
+
+
+@pytest.mark.parametrize("model_id,slope", [("euclidean", 1.0), ("cone:0.5", 0.5),
+                                            ("smoothed-cone:0.8:1", 0.8),
+                                            ("smoothed-cone:0.5:1", 0.5)])
+def test_volume_growth_flag_does_not_depend_on_n(model_id, slope):
+    flags = []
+    for n in (3, 10, 40, 45):
+        rep = hypothesis_report(model_from_id(model_id, n), 1e-2, 1e2)
+        flags.append(rep.euclidean_volume_growth)
+        assert rep.volume_growth_slope_inf == pytest.approx(slope, rel=1e-6)
+    assert flags == [True] * 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 45, 400])
+def test_volume_growth_slope_is_the_linear_slope(n):
+    # Vol B(t) / t^n = |B^n_1| c^{n-1} on a cone, which underflows as n grows
+    for model_id, slope in (("euclidean", 1.0), ("cone:0.3", 0.3)):
+        rep = hypothesis_report(model_from_id(model_id, n), 1e-2, 1e2)
+        assert rep.volume_growth_slope_inf == pytest.approx(slope, rel=1e-14)
+        assert rep.euclidean_volume_growth
+        unit_ball = sphere_area(n) / n
+        assert rep.volume_growth_inf == pytest.approx(unit_ball * slope ** (n - 1), rel=1e-12)
