@@ -12,18 +12,15 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import fdcheck, geodesics
-from .green import check_power_laplacian, compute_profile, default_grid
-from .harnack import (
-    INEQ_TOL, HarnackState, audit_proof_terms, consistency_hess_vs_H,
-    minimal_C, verify_theorem,
-)
+from .green import compute_profile, default_grid
+from .harnack import INEQ_TOL, audit_proof_terms, minimal_C, verify_theorem
 from .models import ModelError, hypothesis_report, model_from_id
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_EXPLORATORY = 0, 1, 2, 3
@@ -74,10 +71,12 @@ class RunConfig:
 
 
 def _enc(x):
-    """17-significant-digit floats, recursively; keeps reports byte-stable."""
+    """17-significant-digit floats, recursively (byte-stable); refuses NaN/inf."""
     if isinstance(x, bool):
         return x
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ModelError(f"report holds the non-finite value {x!r}")
         return float(format(x, ".17g"))
     if isinstance(x, dict):
         return {k: _enc(v) for k, v in x.items()}
@@ -129,7 +128,7 @@ def cmd_verify(args) -> int:
         verdict = "exploratory"
     else:
         verdict = "pass"
-    payload = _envelope("verify", cfg, verdict, {"report": json.loads(report.to_json())})
+    payload = _envelope("verify", cfg, verdict, {"report": report.payload()})
     _emit(payload, "verify", cfg.output_dir)
     return EXIT_CODES[verdict]
 
@@ -298,6 +297,13 @@ def cmd_export_profile(args) -> int:
 # -- argument plumbing --------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--model", help="model id (euclidean | cone:<c> | ...)")
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corollary", help="geodesic interpolation bound on b^2")
     _add_common(p)
-    p.add_argument("--triples", type=int, default=100)
+    p.add_argument("--triples", type=_count, default=100)
     p.add_argument("--lambdas", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_corollary)
 
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", default="s2xr2",
                    choices=["euclidean", "round_sphere", "s2xr2", "cone"])
     p.add_argument("--h", type=float, default=fdcheck.DEFAULT_H)
-    p.add_argument("--probes", type=int, default=10)
+    p.add_argument("--probes", type=_count, default=10)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("models", help="list model presets")
@@ -381,6 +387,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ModelError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OverflowError as exc:  # a float power, e.g. G ~ r^{2-n} at large n
+        print(f"error: {exc}: past the float range; lower n or raise r_min", file=sys.stderr)
         return EXIT_INVALID
 
 

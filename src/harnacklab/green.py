@@ -9,7 +9,8 @@ the pole, which pins it up to normalization:
     G''(r) = (n-2)(n-1) * f(r)^{-n} * f'(r)
 
 The constant is chosen so that G = r^{2-n} when f(r) = r.  Everything
-else (b, b^2, |grad b|) is algebra on top of these three.
+else (b, b^2, |grad b|, Hess b^2) is a power of G, worked on floats and
+arrays by `power_jet` in q1 = G'/G and q2 = G''/G: finite wherever G is.
 
 G is computed piecewise.  (0, inf) is cut into pieces on which either
 f = a*r exactly, where
@@ -32,7 +33,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -47,6 +47,9 @@ __all__ = [
     "GreenPiece",
     "NonParabolicityReport",
     "compute_profile",
+    "green_derivs",
+    "power_jet",
+    "radial_laplacian",
     "hess_b2_eigs",
     "hess_b2_eigs_arrays",
     "check_power_laplacian",
@@ -112,6 +115,29 @@ def _quad_f_pow(model: ModelManifold, r: float, s: float, epsrel: float) -> floa
     return (n - 2) * val
 
 
+def green_derivs(n: int, f, fp):
+    """(G', G'') from the warping function f and f' at the same radii."""
+    return -(n - 2) * f ** (1 - n), (n - 2) * (n - 1) * f ** (-n) * fp
+
+
+def power_jet(G, q1, q2, beta: float):
+    """(u, u', u'') of u = G^beta, from q1 = G'/G and q2 = G''/G."""
+    u = G**beta
+    return u, beta * u * q1, beta * u * ((beta - 1) * q1 * q1 + q2)
+
+
+def radial_laplacian(n: int, f, fp, up, upp):
+    """Laplace-Beltrami of a radial function: u'' + (n-1)(f'/f)u'."""
+    return upp + (n - 1) * fp / f * up
+
+
+def _b2_hessian(n: int, G, q1, q2, f, fp):
+    """(b^2, b^2', mu_rad, mu_tan) for b^2 = G^{2/(2-n)}; the Hessian of a
+    radial u is u'' on the radial line and u' f'/f on the sphere."""
+    b2, b2p, b2pp = power_jet(G, q1, q2, 2.0 / (2 - n))
+    return b2, b2p, b2pp, b2p * fp / f
+
+
 @dataclass(frozen=True)
 class RadialGreenProfile:
     """G and its companions sampled on a grid, with exact radial derivatives."""
@@ -121,12 +147,12 @@ class RadialGreenProfile:
     G: np.ndarray
     Gp: np.ndarray
     Gpp: np.ndarray
-    alpha: Fraction
     b: np.ndarray
     b2: np.ndarray
     b2p: np.ndarray
-    b2pp: np.ndarray
     grad_b: np.ndarray
+    mu_rad: np.ndarray      # eigenvalues of Hess b^2 relative to g
+    mu_tan: np.ndarray
     pieces: tuple  # GreenPiece cover of (0, inf), ascending
 
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
@@ -141,37 +167,20 @@ class RadialGreenProfile:
         return piece.G_hi + _quad_f_pow(self.model, r, piece.hi, 1e-12)
 
     def green_derivs_at(self, r: float):
-        """(G, G', G'') at r, the derivatives in closed form."""
-        n, p = self.model.n, self.model.profile
-        G = self.green_at(r)
-        Gp = -(n - 2) * p.f(r) ** (1 - n)
-        Gpp = (n - 2) * (n - 1) * p.f(r) ** (-n) * p.fp(r)
-        return G, Gp, Gpp
-
-    def b_at(self, r: float) -> float:
-        n = self.model.n
-        return self.green_at(r) ** (1.0 / (2 - n))
+        """(G, G', G'', f, f') at r, the derivatives of G in closed form."""
+        p = self.model.profile
+        f, fp = p.f(r), p.fp(r)
+        return (self.green_at(r), *green_derivs(self.model.n, f, fp), f, fp)
 
     def b2_at(self, r: float) -> float:
         n = self.model.n
         return self.green_at(r) ** (2.0 / (2 - n))
 
-    def grad_b_at(self, r: float) -> float:
-        n = self.model.n
-        G, Gp, _ = self.green_derivs_at(r)
-        return abs(Gp) * G ** ((n - 1) / (2.0 - n)) / (n - 2)
-
-    def laplacian_radial(self, r: float, u, up, upp) -> float:
-        """Laplace-Beltrami of a radial function: u'' + (n-1)(f'/f)u'."""
-        p = self.model.profile
-        return upp + (self.model.n - 1) * p.fp(r) / p.f(r) * up
-
     def to_csv(self) -> str:
-        mu_rad, mu_tan = hess_b2_eigs_arrays(self)
         buf = io.StringIO()
         buf.write("r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan\n")
         cols = (self.grid, self.G, self.Gp, self.Gpp, self.b, self.b2,
-                self.grad_b, mu_rad, mu_tan)
+                self.grad_b, self.mu_rad, self.mu_tan)
         for row in zip(*cols):
             buf.write(",".join(format(v, ".17g") for v in row) + "\n")
         return buf.getvalue()
@@ -181,6 +190,7 @@ def default_grid(r_min=1e-2, r_max=1e2, size=512) -> np.ndarray:
     return np.geomspace(r_min, r_max, size)
 
 
+@np.errstate(all="ignore")  # past the float range: refused below, not warned
 def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     """G on the grid, piece by piece from the top down (see module doc)."""
     if grid is None:
@@ -219,57 +229,36 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         G_hi = acc + _quad_f_pow(model, lo, prev, 1e-13) if prev > lo else acc
 
     fg, fpg = p.f(grid), p.fp(grid)
-    Gp = -(n - 2) * fg ** (1 - n)
-    Gpp = (n - 2) * (n - 1) * fg ** (-n) * fpg
-
-    e = 1.0 / (2 - n)
-    b = G**e
-    b2 = G ** (2 * e)
-    b2p = 2 * e * G ** (2 * e - 1) * Gp
-    b2pp = 2 * e * ((2 * e - 1) * G ** (2 * e - 2) * Gp**2 + G ** (2 * e - 1) * Gpp)
-    grad_b = np.abs(e * G ** (e - 1) * Gp)
-
+    Gp, Gpp = green_derivs(n, fg, fpg)
+    q1, q2 = Gp / G, Gpp / G
+    b, bp, _ = power_jet(G, q1, q2, 1.0 / (2 - n))
+    b2, b2p, mu_rad, mu_tan = _b2_hessian(n, G, q1, q2, fg, fpg)
+    columns = dict(G=G, Gp=Gp, Gpp=Gpp, b=b, b2=b2, b2p=b2p, grad_b=np.abs(bp),
+                   mu_rad=mu_rad, mu_tan=mu_tan)
+    tiny = np.finfo(float).tiny
+    for name, col in columns.items():
+        # inf/nan past the top of the float range, subnormal (few digits) below
+        if not np.all(np.isfinite(col) & ((col == 0) | (np.abs(col) >= tiny))):
+            raise ModelError(f"{name} leaves the float range on the grid at n={n}, "
+                             f"r_min={grid[0]:g}, r_max={grid[-1]:g}; lower n "
+                             "or narrow the radii")
     return RadialGreenProfile(
-        model=model,
-        grid=grid,
-        G=G,
-        Gp=Gp,
-        Gpp=Gpp,
-        alpha=Fraction(n, n - 2),
-        b=b,
-        b2=b2,
-        b2p=b2p,
-        b2pp=b2pp,
-        grad_b=grad_b,
-        pieces=tuple(reversed(pieces)),
-    )
+        model=model, grid=grid, pieces=tuple(reversed(pieces)), **columns)
 
 
 def hess_b2_eigs(profile: RadialGreenProfile, r: float):
-    """Eigenvalues (mu_rad, mu_tan) of Hess b^2 relative to g at radius r.
-
-    For a radial function u the Hessian of the warped metric is diagonal
-    with u'' on the radial line and u' f'/f on the sphere directions.
-    """
+    """Eigenvalues (mu_rad, mu_tan) of Hess b^2 relative to g at radius r."""
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    n = profile.model.n
-    p = profile.model.profile
-    G, Gp, Gpp = profile.green_derivs_at(r)
-    e = 2.0 / (2 - n)
-    b2p = e * G ** (e - 1) * Gp
-    b2pp = e * ((e - 1) * G ** (e - 2) * Gp**2 + G ** (e - 1) * Gpp)
-    mu_rad = b2pp
-    mu_tan = b2p * p.fp(r) / p.f(r)
+    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    *_, mu_rad, mu_tan = _b2_hessian(profile.model.n, G, Gp / G, Gpp / G, f, fp)
     return float(mu_rad), float(mu_tan)
 
 
 def hess_b2_eigs_arrays(profile: RadialGreenProfile):
-    """Vectorized (mu_rad, mu_tan) over the whole grid."""
-    p = profile.model.profile
-    mu_tan = profile.b2p * p.fp(profile.grid) / p.f(profile.grid)
-    return np.asarray(profile.b2pp), np.asarray(mu_tan)
+    """(mu_rad, mu_tan) over the whole grid."""
+    return profile.mu_rad, profile.mu_tan
 
 
 def check_power_laplacian(profile: RadialGreenProfile, r: float, beta: float) -> float:
@@ -277,10 +266,9 @@ def check_power_laplacian(profile: RadialGreenProfile, r: float, beta: float) ->
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    G, Gp, Gpp = profile.green_derivs_at(r)
-    u = G**beta
-    up = beta * G ** (beta - 1) * Gp
-    upp = beta * (beta - 1) * G ** (beta - 2) * Gp**2 + beta * G ** (beta - 1) * Gpp
-    lhs = profile.laplacian_radial(r, u, up, upp)
-    rhs = beta * (beta - 1) * G ** (beta - 2) * Gp**2
+    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    q1 = Gp / G
+    u, up, upp = power_jet(G, q1, Gpp / G, beta)
+    lhs = radial_laplacian(profile.model.n, f, fp, up, upp)
+    rhs = beta * (beta - 1) * u * q1 * q1
     return abs(lhs - rhs)

@@ -7,13 +7,12 @@ The curvature-corrected Hessian quantity under test is
 
 On a rotationally symmetric model it is diagonal in the radial frame, so
 its eigenvalues are two explicit radial curves and the whole story can be
-audited pointwise.
+audited pointwise; one kernel, `_htilde`, serves floats and arrays.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +22,7 @@ from scipy import optimize
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
 from .green import (
     RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs,
-    hess_b2_eigs_arrays,
+    hess_b2_eigs_arrays, radial_laplacian,
 )
 
 __all__ = [
@@ -44,15 +43,19 @@ INEQ_TOL = 1e-8
 IDENT_TOL = 1e-9
 
 
+def _htilde(n: int, C: float, G, q1, q2, f, fp):
+    """Eigenvalues (h_rad, h_tan) of Htilde from G, q1 = G'/G, q2 = G''/G.
+
+    Each is G times a sum that stays finite wherever G does: the shift
+    ((n-2)/2) C G^alpha is G * s with s = ((n-2)/2) C G^{2/(n-2)}.
+    """
+    s = 0.5 * (n - 2) * C * G ** (2.0 / (n - 2))
+    return G * (q2 + n / (2.0 - n) * q1 * q1 + s), G * (q1 * fp / f + s)
+
+
 def _htilde_at(profile: RadialGreenProfile, r: float, C: float):
-    n = profile.model.n
-    p = profile.model.profile
-    G, Gp, Gpp = profile.green_derivs_at(r)
-    galpha = G ** (n / (n - 2.0))
-    shift = 0.5 * (n - 2) * C * galpha
-    h_rad = Gpp + n / (2.0 - n) * Gp * Gp / G + shift
-    h_tan = Gp * p.fp(r) / p.f(r) + shift
-    return h_rad, h_tan, G, Gp, galpha
+    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    return _htilde(profile.model.n, C, G, Gp / G, Gpp / G, f, fp)
 
 
 def htilde_eigs(profile: RadialGreenProfile, r: float, C: float):
@@ -66,7 +69,7 @@ def htilde_eigs(profile: RadialGreenProfile, r: float, C: float):
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    h_rad, h_tan, *_ = _htilde_at(profile, r, C)
+    h_rad, h_tan = _htilde_at(profile, r, C)
     return float(h_rad), float(h_tan)
 
 
@@ -84,13 +87,10 @@ class HarnackState:
     def build(cls, profile: RadialGreenProfile, C: float) -> "HarnackState":
         if C < 0:
             raise ModelError("C must be >= 0")
-        n = profile.model.n
-        p = profile.model.profile
-        G, Gp, Gpp = profile.G, profile.Gp, profile.Gpp
-        galpha = G ** (n / (n - 2.0))
-        shift = 0.5 * (n - 2) * C * galpha
-        h_rad = Gpp + n / (2.0 - n) * Gp**2 / G + shift
-        h_tan = Gp * p.fp(profile.grid) / p.f(profile.grid) + shift
+        p, G = profile.model.profile, profile.G
+        h_rad, h_tan = _htilde(profile.model.n, C, G, profile.Gp / G,
+                               profile.Gpp / G, p.f(profile.grid),
+                               p.fp(profile.grid))
         return cls(
             profile=profile,
             C=float(C),
@@ -113,21 +113,18 @@ def lambda_min(state: HarnackState, r: float):
     return float(lam), which
 
 
-def consistency_hess_vs_H(profile: RadialGreenProfile, r: float, C: float = 0.0) -> float:
+def consistency_hess_vs_H(profile: RadialGreenProfile, r: float) -> float:
     """Residual of the eigenvalue-level identity
 
         mu = -(2/(n-2)) * G^{-alpha} * h_H + 2
 
-    where h_H are the eigenvalues of H (Htilde with the C-term replaced
-    by the fixed (n-2) G^alpha shift).  The parameter C is irrelevant to
-    the identity and accepted only for interface uniformity.
+    where h_H are the eigenvalues of H = Htilde at C = 2 (shift (n-2) G^alpha):
+    mu from the b^2 chain rule, h_H from the Hessian of G, both from G, G', G''.
     """
     n = profile.model.n
-    p = profile.model.profile
-    G, Gp, Gpp = profile.green_derivs_at(r)
+    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
     galpha = G ** (n / (n - 2.0))
-    hH_rad = Gpp + n / (2.0 - n) * Gp * Gp / G + (n - 2) * galpha
-    hH_tan = Gp * p.fp(r) / p.f(r) + (n - 2) * galpha
+    hH_rad, hH_tan = _htilde(n, 2.0, G, Gp / G, Gpp / G, f, fp)
     mu_rad, mu_tan = hess_b2_eigs(profile, r)
     pred_rad = -(2.0 / (n - 2)) * hH_rad / galpha + 2.0
     pred_tan = -(2.0 / (n - 2)) * hH_tan / galpha + 2.0
@@ -148,7 +145,7 @@ class HarnackReport:
     boundary_diagnostics: dict
     lambda_lower_bound_ok: Optional[bool] = None
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
         payload = {
             "model": self.model_id,
             "n": self.n,
@@ -163,7 +160,10 @@ class HarnackReport:
         }
         if self.lambda_lower_bound_ok is not None:
             payload["lambda_lower_bound_ok"] = self.lambda_lower_bound_ok
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=2)
 
 
 def _refine_sup(profile: RadialGreenProfile, idx: int) -> float:
@@ -318,12 +318,12 @@ def _lap_radial_curve(profile: RadialGreenProfile, func, r: float) -> float:
     direction, which stay eigendirections along the radial line.
     """
     p = profile.model.profile
-    n = profile.model.n
+    f, fp = p.f(r), p.fp(r)
 
     def lap(h):
         up = (func(r + h) - func(r - h)) / (2 * h)
         upp = (func(r + h) - 2 * func(r) + func(r - h)) / (h * h)
-        return upp + (n - 1) * p.fp(r) / p.f(r) * up
+        return radial_laplacian(profile.model.n, f, fp, up, upp)
 
     h = 1e-4 * r
     l1, l2 = lap(h), lap(h / 2)
@@ -344,7 +344,9 @@ def audit_proof_terms(
     coincide).
     """
     n = model.n
-    h_rad, h_tan, G, Gp, galpha = _htilde_at(profile, r, C)
+    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    h_rad, h_tan = _htilde(n, C, G, Gp / G, Gpp / G, f, fp)
+    galpha = G ** (n / (n - 2.0))
     lam = min(h_rad, h_tan)
     radial_min = h_rad <= h_tan + IDENT_TOL * max(1.0, abs(h_rad), abs(h_tan))
     direction = "radial" if radial_min else "tangential"

@@ -22,7 +22,7 @@ from .engine import (
     ALPHA, BETA, C, N,
     TensorError, TensorExpr,
     commute_and_reduce, dg, gpow, gradG_pairing, kron, laplacian, normalize,
-    ric, riem, scalar,
+    ric, riem,
 )
 
 __all__ = [

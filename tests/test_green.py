@@ -1,8 +1,5 @@
 """Green profile: quadrature vs closed forms, b-function, power rule."""
 
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +8,8 @@ from scipy import integrate
 
 from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import (
-    check_power_laplacian, compute_profile, default_grid, hess_b2_eigs,
-    nonparabolic_check,
+    check_power_laplacian, compute_profile, default_grid, green_derivs,
+    hess_b2_eigs, nonparabolic_check, power_jet, radial_laplacian,
 )
 
 
@@ -29,10 +26,12 @@ def cone4():
 def test_euclidean_green_values(eucl4):
     # G = r^{2-n}: the quadrature must reproduce the power law
     assert eucl4.green_at(2.0) == pytest.approx(0.25, abs=1e-12)
-    G, Gp, Gpp = eucl4.green_derivs_at(2.0)
+    G, Gp, Gpp, f, fp = eucl4.green_derivs_at(2.0)
     assert Gp == pytest.approx(-0.25, abs=1e-14)
-    assert eucl4.b_at(2.0) == pytest.approx(2.0, abs=1e-12)
-    assert eucl4.grad_b_at(2.0) == pytest.approx(1.0, abs=1e-12)
+    assert (f, fp) == (2.0, 1.0)
+    # b = r and |grad b| = 1 over the whole grid
+    assert np.allclose(eucl4.b, eucl4.grid, rtol=1e-12, atol=0)
+    assert np.allclose(eucl4.grad_b, 1.0, rtol=1e-12, atol=0)
 
 
 def test_euclidean_green_power_law_whole_grid(eucl4):
@@ -42,16 +41,20 @@ def test_euclidean_green_power_law_whole_grid(eucl4):
 def test_cone_green_closed_form(cone4):
     # G = c^{1-n} r^{2-n}
     assert cone4.green_at(1.0) == pytest.approx(8.0, rel=1e-12)
-    assert cone4.b_at(1.0) == pytest.approx(1.0 / (2 * math.sqrt(2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("c,n", [(0.5, 4), (0.3, 3), (0.7, 10)])
+def test_cone_b_and_grad_b_closed_form(c, n):
+    # b = G^{1/(2-n)} = c^{(n-1)/(n-2)} r, so |grad b| = c^{(n-1)/(n-2)}
+    prof = compute_profile(make_model("cone", n, c=c))
+    slope = c ** ((n - 1) / (n - 2))
+    assert np.allclose(prof.b, slope * prof.grid, rtol=1e-12, atol=0)
+    assert np.allclose(prof.grad_b, slope, rtol=1e-12, atol=0)
 
 
 def test_cone_c1_equals_euclidean(eucl4):
     prof = compute_profile(make_model("cone", 4, c=1.0))
     assert np.allclose(prof.G, eucl4.G, rtol=1e-12, atol=0)
-
-
-def test_alpha_is_exact_fraction(cone4):
-    assert cone4.alpha == Fraction(4, 2)
 
 
 def test_hess_b2_euclidean(eucl4):
@@ -239,3 +242,60 @@ def test_smoothed_cone_quadrature_stays_in_blend(quad_calls):
     assert quad_calls == []
     prof.green_at(0.7)
     assert quad_calls == [(0.7, r0)]
+
+
+# -- one radial kernel: finite at large n, the same on floats and arrays ------
+
+LARGE_N = (3, 10, 40, 100, 150)
+EPS = np.finfo(float).eps
+# cone:0.5 and cone:0.7 leave the float range at n = 150 on the default grid
+# (G'' ~ (c r)^{-n} at r = 0.01); cone:0.95 stays inside it.  With c = 0.5
+# the product f = c r is exact.  Otherwise it is rounded once, G' carries
+# that rounding to the power 1 - n and G = c^{1-n} r^{2-n} does not, so
+# G'/G is off by about n ulp, and b^2'' = ((beta-1) q1^2 + q2) beta b^2
+# cancels another factor n: the tolerance is 2 n^2 eps there.
+MU_CASES = ([("euclidean", None, n, 1e-12) for n in LARGE_N]
+            + [("cone", 0.5, n, 1e-12) for n in LARGE_N[:-1]]
+            + [("cone", 0.7, n, max(1e-12, 2 * n * n * EPS)) for n in LARGE_N[:-1]]
+            + [("cone", 0.95, n, max(1e-12, 2 * n * n * EPS)) for n in LARGE_N])
+
+
+@pytest.mark.parametrize("kind,c,n,tol", MU_CASES)
+def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
+    # b^2 = c^{2(n-1)/(n-2)} r^2 (c = 1 on euclidean), so Hess b^2 = 2 c^... g
+    prof = compute_profile(make_model(kind, n, c=c))
+    mu = 2.0 * (1.0 if c is None else c) ** (2.0 * (n - 1) / (n - 2))
+    assert np.max(np.abs(prof.mu_rad / mu - 1.0)) <= tol
+    assert np.max(np.abs(prof.mu_tan / mu - 1.0)) <= tol
+    for col in (prof.G, prof.Gp, prof.Gpp, prof.b, prof.b2, prof.grad_b):
+        assert np.all(np.isfinite(col))
+    # the pointwise route (green_at, floats) that refines the sup
+    sample = range(0, prof.grid.size, 29)
+    for i in sample:
+        assert hess_b2_eigs(prof, float(prof.grid[i])) == pytest.approx(
+            (mu, mu), rel=tol, abs=0)
+    # each kernel gives the same values on a float as on an array
+    f, fp = prof.model.profile.f(prof.grid), prof.model.profile.fp(prof.grid)
+    q1, q2 = prof.Gp / prof.G, prof.Gpp / prof.G
+    derivs = green_derivs(n, f, fp)
+    for beta in (2.0 / (2 - n), 1.0 / (2 - n), 1.0):
+        jet = power_jet(prof.G, q1, q2, beta)
+        lap = radial_laplacian(n, f, fp, jet[1], jet[2])
+        for i in sample:
+            args = (float(prof.G[i]), float(q1[i]), float(q2[i]))
+            one = power_jet(*args, beta)
+            assert one == pytest.approx(tuple(u[i] for u in jet), rel=1e-15, abs=0)
+            assert radial_laplacian(n, float(f[i]), float(fp[i]), one[1], one[2]) \
+                == pytest.approx(lap[i], rel=1e-15, abs=1e-15 * abs(one[2]))
+            assert green_derivs(n, float(f[i]), float(fp[i])) == pytest.approx(
+                (derivs[0][i], derivs[1][i]), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("kind,c,n,r_min", [
+    ("euclidean", None, 200, 0.01), ("cone", 0.5, 150, 0.01), ("cone", 0.7, 150, 0.01),
+    # G(100) = 1e-320 is subnormal: G'/G would keep 4 digits and mu_rad read 316
+    ("euclidean", None, 162, 1.0),
+])
+def test_profile_past_the_float_range_is_refused(kind, c, n, r_min):
+    with pytest.raises(ModelError, match=rf"n={n}, r_min={r_min:g}"):
+        compute_profile(make_model(kind, n, c=c), default_grid(r_min, 1e2, 512))

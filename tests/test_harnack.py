@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from harnacklab.models import ModelError, make_model
+from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import compute_profile, default_grid
 from harnacklab.harnack import (
-    HarnackState, audit_proof_terms, consistency_hess_vs_H, htilde_eigs,
+    HarnackState, _htilde, audit_proof_terms, consistency_hess_vs_H, htilde_eigs,
     lambda_min, minimal_C, verify_theorem,
 )
 
@@ -66,6 +66,33 @@ def test_euclidean_htilde_closed_form(eucl4):
             expect = (C - 2.0) * G**2
             assert htilde_eigs(eucl4, r, C) == pytest.approx(
                 (expect, expect), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("model_id,n", [
+    ("euclidean", 4), ("euclidean", 150), ("cone:0.5", 100), ("smoothed-cone:0.8:1", 5),
+])
+def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
+    prof = compute_profile(model_from_id(model_id, n))
+    p = prof.model.profile
+    cols = (prof.G, prof.Gp / prof.G, prof.Gpp / prof.G, p.f(prof.grid),
+            p.fp(prof.grid))
+    for C in (2.0, 12.0):
+        h_rad, h_tan = _htilde(n, C, *cols)
+        state = HarnackState.build(prof, C)
+        assert np.array_equal(state.h_rad, h_rad) and np.array_equal(state.h_tan, h_tan)
+        assert np.all(np.isfinite(h_rad)) and np.all(np.isfinite(h_tan))
+        for i in range(0, prof.grid.size, 29):
+            G, q1, q2 = (float(col[i]) for col in cols[:3])
+            one = _htilde(n, C, *(float(col[i]) for col in cols))
+            # at C = 2 the sums cancel to 0: compare against their terms' size
+            terms = G * (abs(q2) + q1 * q1 + C * G ** (2.0 / (n - 2)) * n)
+            assert one == pytest.approx((h_rad[i], h_tan[i]), rel=1e-15,
+                                        abs=4 * np.finfo(float).eps * terms)
+    if model_id == "euclidean":
+        # h_rad = h_tan = ((n-2)/2)(C-2) G^alpha, finite at every n
+        expect = 0.5 * (n - 2) * 10.0 * prof.G ** (n / (n - 2.0))
+        assert np.allclose(h_rad, expect, rtol=1e-12, atol=0)
+        assert np.allclose(h_tan, expect, rtol=1e-12, atol=0)
 
 
 def test_consistency_examples(eucl4, cone4):

@@ -1,0 +1,84 @@
+"""Static import hygiene of the package, checked on its syntax trees.
+
+Every module-level import must be used in its module or re-exported
+through ``__all__``, and imports inside functions or classes are allowed
+only where they keep sympy out of the numeric commands.
+"""
+
+import ast
+from pathlib import Path
+
+import harnacklab
+
+PACKAGE = Path(harnacklab.__file__).resolve().parent
+
+#: (module, enclosing definition) of the lazy sympy imports
+LAZY_IMPORTS = {("fdcheck", "TestFunction"), ("cli", "cmd_symbolic")}
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).with_suffix("")
+        yield ".".join(rel.parts), ast.parse(path.read_text(), str(path))
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _bound_names(node):
+    """The names an import statement binds."""
+    for alias in node.names:
+        name = alias.asname or alias.name.split(".")[0]
+        yield name
+
+
+def _module_level_imports(tree):
+    """Imports outside any function or class body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not (isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                yield node
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _local_imports(tree):
+    """(top-level definition name, import node) for imports inside definitions."""
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield top.name, node
+
+
+def test_package_has_modules():
+    names = [name for name, _ in _modules()]
+    assert {"cli", "green", "harnack", "models", "symbolic.engine"} <= set(names)
+
+
+def test_every_module_level_import_is_used_or_exported():
+    unused = []
+    for name, tree in _modules():
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = _exported(tree)
+        for node in _module_level_imports(tree):
+            for bound in _bound_names(node):
+                if bound not in loaded and bound not in exported:
+                    unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_no_function_local_imports_but_the_lazy_sympy_ones():
+    local = {(name, where) for name, tree in _modules()
+             for where, _ in _local_imports(tree)}
+    assert local == LAZY_IMPORTS
