@@ -8,22 +8,23 @@ engine, and can arbitrate both.  The curvature sign convention is
 
 pinned by the round sphere having sectional curvature +1.
 
-Test functions carry analytic partial derivatives (generated once with
-sympy), so the only finite differencing is in the covariant corrections;
-residuals of the commutator identities then scale as O(h^2).
+Test functions carry exact first and second partials, propagated in
+order-2 Taylor jets (``Jet``) over floats, so the only finite differencing
+is in the covariant corrections; residuals of the commutator identities
+then scale as O(h^2).  Nothing here uses the symbolic engine's library.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "CoordinateChart",
+    "Jet",
     "TestFunction",
     "euclidean_chart",
     "round_sphere",
@@ -81,8 +82,10 @@ class CoordinateChart:
 
 
 def euclidean_chart(n: int) -> CoordinateChart:
-    eye = np.eye(n)
-    return CoordinateChart("euclidean", n, lambda x: eye,
+    if int(n) != n or n < 2:
+        raise ChartError("euclidean chart needs an integer n >= 2")
+    eye = np.eye(int(n))
+    return CoordinateChart("euclidean", int(n), lambda x: eye,
                            parallel_ricci_expected=True)
 
 
@@ -293,59 +296,119 @@ def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> flo
 # -- test functions -----------------------------------------------------------
 
 
+class Jet:
+    """Order-2 Taylor jet of a scalar at a point: value v, gradient g and
+    Hessian h in the chart coordinates.
+
+    Sums, products and exp/sin/cos propagate exactly by the product and
+    chain rules, so a test function built from them carries exact first
+    and second partials.  Jets are never modified in place.
+    """
+
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v: float, g: np.ndarray, h: np.ndarray):
+        self.v, self.g, self.h = v, g, h
+
+    @staticmethod
+    def coordinate(x, i: int) -> "Jet":
+        """The jet of the i-th coordinate function at the point x."""
+        d = len(x)
+        g = np.zeros(d)
+        g[i] = 1.0
+        return Jet(float(x[i]), g, np.zeros((d, d)))
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+        return Jet(self.v + other, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.v, -self.g, -self.h)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            gg = np.outer(self.g, other.g)
+            return Jet(self.v * other.v,
+                       self.v * other.g + other.v * self.g,
+                       self.v * other.h + other.v * self.h + gg + gg.T)
+        return Jet(self.v * other, self.g * other, self.h * other)
+
+    __rmul__ = __mul__
+
+    def _chain(self, f0: float, f1: float, f2: float) -> "Jet":
+        """phi(self), given phi, phi' and phi'' at self.v."""
+        return Jet(f0, f1 * self.g, f1 * self.h + f2 * np.outer(self.g, self.g))
+
+    def exp(self) -> "Jet":
+        e = math.exp(self.v)
+        return self._chain(e, e, e)
+
+    def sin(self) -> "Jet":
+        s, c = math.sin(self.v), math.cos(self.v)
+        return self._chain(s, c, -s)
+
+    def cos(self) -> "Jet":
+        s, c = math.sin(self.v), math.cos(self.v)
+        return self._chain(c, -s, -c)
+
+
 class TestFunction:
-    """Scalar function with analytic partial derivatives up to 4th order."""
+    """Scalar function with exact partial derivatives up to 2nd order.
 
-    def __init__(self, expr, coords: Sequence[str]):
-        import sympy as sp  # only test functions need sympy; keep it lazy
+    ``func`` maps the list of the ``dim`` coordinate jets at a point to the
+    function's jet there; each point's jet is computed once.
+    """
 
-        self.coords = [sp.Symbol(c) for c in coords]
-        self.expr = sp.sympify(expr)
-        self.dim = len(self.coords)
-        self._lams = {}
-        for order in range(5):
-            for combo in itertools.combinations_with_replacement(
-                range(self.dim), order
-            ):
-                d = self.expr
-                for idx in combo:
-                    d = sp.diff(d, self.coords[idx])
-                self._lams[combo] = sp.lambdify(self.coords, d, "math")
+    def __init__(self, func: Callable[[list], Jet], dim: int):
+        self.func = func
+        self.dim = dim
+        self._jets = {}
 
-    def partial(self, x, combo) -> float:
-        return float(self._lams[tuple(sorted(combo))](*x))
+    def jet(self, x) -> Jet:
+        key = tuple(np.asarray(x, float))
+        out = self._jets.get(key)
+        if out is None:
+            out = self.func([Jet.coordinate(key, i) for i in range(self.dim)])
+            # shared by every caller at this point
+            out.g.setflags(write=False)
+            out.h.setflags(write=False)
+            self._jets[key] = out
+        return out
 
-    def d1(self, x):
-        return np.array([self.partial(x, (i,)) for i in range(self.dim)])
+    def d1(self, x) -> np.ndarray:
+        return self.jet(x).g
 
-    def d2(self, x):
-        d = self.dim
-        return np.array(
-            [[self.partial(x, (i, j)) for j in range(d)] for i in range(d)]
-        )
-
-    def d3(self, x):
-        d = self.dim
-        return np.array(
-            [
-                [[self.partial(x, (i, j, k)) for k in range(d)] for j in range(d)]
-                for i in range(d)
-            ]
-        )
+    def d2(self, x) -> np.ndarray:
+        return self.jet(x).h
 
 
 def default_test_function(chart: CoordinateChart) -> TestFunction:
-    names = [f"x{i}" for i in range(chart.dim)]
     if chart.name == "round_sphere":
-        return TestFunction("cos(x0) + sin(x0)*cos(x1)", names)
-    if chart.name == "s2xr2":
-        return TestFunction("cos(x0)*exp(-x2**2/4) + sin(x0)*cos(x1) + x3*x2", names)
-    if chart.name == "euclidean":
-        expr = "x0**2*x1" if chart.dim <= 2 else "x0**2*x1 + exp(-x1)*cos(x2)"
-        return TestFunction(expr, names)
-    # warped charts
-    expr = "exp(-x0)*cos(x1)" if chart.dim >= 2 else "exp(-x0)"
-    return TestFunction(expr, names)
+        def func(x):
+            return x[0].cos() + x[0].sin() * x[1].cos()
+    elif chart.name == "s2xr2":
+        def func(x):
+            return (x[0].cos() * (-0.25 * x[2] * x[2]).exp()
+                    + x[0].sin() * x[1].cos() + x[3] * x[2])
+    elif chart.name == "euclidean" and chart.dim <= 2:
+        def func(x):
+            return x[0] * x[0] * x[1]
+    elif chart.name == "euclidean":
+        def func(x):
+            return x[0] * x[0] * x[1] + (-x[1]).exp() * x[2].cos()
+    elif chart.dim >= 2:  # warped charts
+        def func(x):
+            return (-x[0]).exp() * x[1].cos()
+    else:
+        def func(x):
+            return (-x[0]).exp()
+    return TestFunction(func, chart.dim)
 
 
 # -- covariant derivatives of a test function ---------------------------------

@@ -270,11 +270,6 @@ class ModelManifold:
         if int(self.n) != self.n or self.n < 3:
             raise ModelError("dimension must be an integer >= 3")
 
-    @property
-    def singular_tip(self) -> bool:
-        """True when the metric has a genuine cone point at r = 0."""
-        return self.profile.kind == "cone" and self.profile.c < 1.0
-
     def describe(self) -> str:
         p = self.profile
         if p.kind == "euclidean":

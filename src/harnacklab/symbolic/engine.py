@@ -23,6 +23,7 @@ are equal iff their reduced canonical forms coincide.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -51,8 +52,29 @@ class TensorError(ValueError):
     pass
 
 
+# The catalogue meets only a few distinct coefficients and G exponents,
+# many times each.  sympy expressions are immutable and hash by structure,
+# so each canonical form below is computed once per distinct input and
+# shared by every caller.
+
+
 def _canon_coeff(expr):
-    return sp.cancel(sp.together(sp.sympify(expr)))
+    return _canon_sympified(sp.sympify(expr))
+
+
+@functools.cache
+def _canon_sympified(expr):
+    return sp.cancel(sp.together(expr))
+
+
+_together = functools.cache(sp.together)
+
+
+@functools.cache
+def _canon_gexp(gexp):
+    """(sortable key, expression) of the cancelled G exponent."""
+    canon = sp.cancel(gexp)
+    return sp.srepr(canon), canon
 
 
 @dataclass(frozen=True)
@@ -126,7 +148,7 @@ class TensorExpr:
                 bb = _freshen_dummies(b)
                 t = Term(
                     _canon_coeff(aa.coeff * bb.coeff),
-                    sp.together(aa.gexp + bb.gexp),
+                    _together(aa.gexp + bb.gexp),
                     aa.factors + bb.factors,
                 )
                 t.validate()
@@ -141,7 +163,10 @@ class TensorExpr:
     def free_indices(self):
         frees = {t.free_indices() for t in normalize(self).terms}
         if len(frees) > 1:
-            raise TensorError(f"inconsistent free indices across terms: {frees}")
+            # sorted, so the message does not depend on the hash seed
+            shown = ", ".join("{" + ",".join(s) + "}"
+                              for s in sorted(tuple(sorted(f)) for f in frees))
+            raise TensorError(f"inconsistent free indices across terms: {shown}")
         return frees.pop() if frees else frozenset()
 
     def __repr__(self):
@@ -296,7 +321,7 @@ def _canon_term_local(term: Term):
             # internal trace -> ricci
             dup = [x for x in set(idx) if idx.count(x) == 2]
             if dup:
-                d0 = dup[0]
+                d0 = min(dup)
                 pos = tuple(p for p, x in enumerate(idx) if x == d0)
                 rest = [x for p, x in enumerate(idx) if p not in pos]
                 sign = {
@@ -323,7 +348,7 @@ def _canon_term_local(term: Term):
             # internal slot trace -> dric
             dup = [x for x in set(slots) if slots.count(x) == 2]
             if dup:
-                d0 = dup[0]
+                d0 = min(dup)
                 pos = tuple(p for p, x in enumerate(slots) if x == d0)
                 rest = [x for p, x in enumerate(slots) if p not in pos]
                 sign = {(1, 3): 1, (0, 2): 1, (0, 3): -1, (1, 2): -1}[pos]
@@ -419,14 +444,15 @@ def _term_key_with_names(term: Term):
 
 
 def _canonical_term(term: Term):
-    """Minimal representation over dummy renamings; returns (key, coeff)."""
+    """Minimal representation over dummy renamings; returns (key, coeff,
+    gexp) with the exponent in the canonical form its key names."""
     census = term.index_census()
     dummies = sorted(k for k, v in census.items() if v == 2)
     best = None
     best_coeff = None
     if len(dummies) > 6:
         raise TensorError("too many dummy indices for brute-force renaming")
-    gkey = sp.srepr(sp.cancel(term.gexp))
+    gkey, gexp = _canon_gexp(term.gexp)
     for perm in itertools.permutations(range(len(dummies))):
         mapping = {d: f"_{p}" for d, p in zip(dummies, perm)}
         renamed = _rename(term, mapping)
@@ -435,26 +461,28 @@ def _canonical_term(term: Term):
         if best is None or key < best:
             best = key
             best_coeff = term.coeff * sign
-    return best, best_coeff
+    return best, best_coeff, gexp
 
 
 def normalize(expr: TensorExpr) -> TensorExpr:
     """Unique canonical form: local symmetries, canonical dummy naming,
     merged like terms, zero coefficients dropped."""
     bucket = {}
+    gexps = {}
     for t in expr.terms:
         t.validate()
         for tt in _canon_local_fixpoint(t):
-            key, coeff = _canonical_term(tt)
+            key, coeff, gexp = _canonical_term(tt)
             bucket[key] = bucket.get(key, _ZERO) + coeff
+            gexps[key[0]] = gexp
     out = []
     for key, coeff in sorted(bucket.items()):
         coeff = _canon_coeff(coeff)
         if coeff == 0:
             continue
-        gexp_repr, facs = key
+        gkey, facs = key
         # rebuild the canonical term from its key
-        out.append(Term(coeff, sp.sympify(gexp_repr), facs))
+        out.append(Term(coeff, gexps[gkey], facs))
     return TensorExpr(out)
 
 
@@ -552,8 +580,8 @@ def commute_and_reduce(expr: TensorExpr) -> TensorExpr:
         # rename dummies canonically before choosing a rewrite, so the
         # reduction path (and hence the normal form) is independent of the
         # incidental dummy names carried by the input
-        key, coeff = _canonical_term(t)
-        t = Term(coeff, sp.sympify(key[0]), key[1])
+        key, coeff, gexp = _canonical_term(t)
+        t = Term(coeff, gexp, key[1])
         step = _dg_reduction_step(t)
         if step is None:
             finished.append(t)
@@ -588,7 +616,7 @@ def gradG_pairing(expr: TensorExpr) -> TensorExpr:
             out.append(
                 Term(
                     _canon_coeff(term.coeff * e),
-                    sp.together(e - 1),
+                    _together(e - 1),
                     tuple(items) + (("dg", (u,)), ("dg", (u,))),
                 )
             )
@@ -646,14 +674,14 @@ def laplacian(expr: TensorExpr) -> TensorExpr:
             out.append(
                 Term(
                     _canon_coeff(term.coeff * e * (e - 1)),
-                    sp.together(e - 2),
+                    _together(e - 2),
                     tuple(items) + (("dg", (u,)), ("dg", (u,))),
                 )
             )
             out.append(
                 Term(
                     _canon_coeff(term.coeff * e),
-                    sp.together(e - 1),
+                    _together(e - 1),
                     tuple(items) + (("dg", (u, u)),),
                 )
             )
@@ -666,7 +694,7 @@ def laplacian(expr: TensorExpr) -> TensorExpr:
                 out.append(
                     Term(
                         _canon_coeff(2 * term.coeff * e),
-                        sp.together(e - 1),
+                        _together(e - 1),
                         tuple(rest) + (da, ("dg", (u,))),
                     )
                 )

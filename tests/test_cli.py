@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -221,6 +222,12 @@ def test_empty_sample_is_invalid_input(argv, capsys):
     assert run(argv, capsys) == (2, "")
 
 
+def test_oracle_on_a_line_is_invalid_input(capsys):
+    # the flat test function needs two coordinates: exit 2, not a traceback
+    argv = ["oracle", "commutators", "--chart", "euclidean", "--n", "1"]
+    assert run(argv, capsys) == (2, "")
+
+
 def test_non_finite_report_value_is_refused(monkeypatch, capsys):
     with pytest.raises(ModelError):
         cli._enc({"a": [1.0, {"b": float("inf")}]})
@@ -299,10 +306,35 @@ def test_unknown_command_exit_2():
 
 
 def test_cli_import_does_not_load_sympy():
-    # only the symbolic command and the oracle's test functions need sympy
+    # only the symbolic command needs sympy; it imports it when it runs
     code = "import sys, harnacklab.cli; sys.exit('sympy' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_oracle_does_not_load_sympy():
+    # the oracle's test functions carry their own jets, so the FD route and
+    # the symbolic engine share no library
+    code = ("import sys\n"
+            "from harnacklab.cli import main\n"
+            "code = main(['oracle', 'commutators', '--chart', 's2xr2', '--probes', '2'])\n"
+            "sys.exit(10 * code + ('sympy' in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["symbolic", "verify-all"],
+    ["symbolic", "verify", "--name", "lap_of_harnack.literal"],
+])
+def test_symbolic_report_does_not_depend_on_hash_seed(argv):
+    runs = [subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
+                           capture_output=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert b"{i,j}, {k,l}" in runs[0].stdout
 
 
 def test_version_flag():

@@ -143,9 +143,54 @@ def test_closed_form_grad_ricci_matches_fd_oracle(model_id, radii, n):
         assert (fd <= gate) == (fd3 <= gate) == (closed <= DEFAULT_CURV_TOL)
 
 
+# every branch of default_test_function, as (chart, the same function in
+# sympy's notation); sympy differentiates it as an independent reference
+JET_CASES = [
+    (fdcheck.euclidean_chart(2), "x0**2*x1"),
+    (fdcheck.euclidean_chart(3), "x0**2*x1 + exp(-x1)*cos(x2)"),
+    (fdcheck.euclidean_chart(5), "x0**2*x1 + exp(-x1)*cos(x2)"),
+    (fdcheck.round_sphere(), "cos(x0) + sin(x0)*cos(x1)"),
+    (fdcheck.s2xr2(), "cos(x0)*exp(-x2**2/4) + sin(x0)*cos(x1) + x3*x2"),
+    (fdcheck.CoordinateChart("warped[line]", 1, lambda x: np.eye(1)), "exp(-x0)"),
+    (fdcheck.cone_chart(0.5, 3), "exp(-x0)*cos(x1)"),
+    (fdcheck.cone_chart(0.7, 5), "exp(-x0)*cos(x1)"),
+]
+
+
+@pytest.mark.parametrize("chart,expr", JET_CASES,
+                         ids=[f"{c.name}-{c.dim}" for c, _ in JET_CASES])
+def test_jet_partials_match_sympy(chart, expr):
+    sp = pytest.importorskip("sympy")
+    xs = sp.symbols(f"x0:{chart.dim}")
+    e = sp.sympify(expr)
+    f = fdcheck.default_test_function(chart)
+    rng = np.random.default_rng(chart.dim)
+    base = fdcheck.default_probe_point(chart) if chart.dim > 1 else np.array([1.0])
+    for _ in range(5):
+        x = base + rng.uniform(-0.5, 0.5, chart.dim)
+        at = dict(zip(xs, x))
+        d1 = [float(sp.diff(e, xs[i]).subs(at)) for i in range(chart.dim)]
+        d2 = [[float(sp.diff(e, xs[i], xs[j]).subs(at)) for j in range(chart.dim)]
+              for i in range(chart.dim)]
+        assert f.jet(x).v == pytest.approx(float(e.subs(at)), abs=1e-13)
+        assert np.max(np.abs(f.d1(x) - d1)) <= 1e-13
+        assert np.max(np.abs(f.d2(x) - d2)) <= 1e-13
+
+
+def test_jet_is_computed_once_per_point():
+    calls = []
+    f = fdcheck.TestFunction(lambda x: calls.append(1) or x[0] * x[1].sin(), 2)
+    x = np.array([0.3, 0.4])
+    assert f.d1(x) is f.d1(x.copy())
+    assert f.d2(x) is f.jet([0.3, 0.4]).h
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        f.d2(x)[0, 0] = 1.0  # shared by every caller: read-only
+
+
 def test_commutators_flat_chart():
     ch = fdcheck.euclidean_chart(3)
-    f = fdcheck.TestFunction("x0**2 * x1 + x2", ["x0", "x1", "x2"])
+    f = fdcheck.TestFunction(lambda x: x[0] * x[0] * x[1] + x[2], 3)
     res = fdcheck.check_lemma31(ch, f, fdcheck.default_probe_point(ch), H)
     assert res.shape == (5,)
     assert np.max(res) < 1e-9
@@ -153,7 +198,7 @@ def test_commutators_flat_chart():
 
 def test_commutators_sphere():
     ch = fdcheck.round_sphere(1.0)
-    f = fdcheck.TestFunction("cos(x0)", ["x0", "x1"])
+    f = fdcheck.TestFunction(lambda x: x[0].cos(), 2)
     res = fdcheck.check_lemma31(ch, f, np.array([math.pi / 3, 0.9]), H)
     assert np.max(res) <= 1e-4
 
@@ -208,5 +253,8 @@ def test_hessian_scalar_matches_profile():
 def test_chart_by_name_and_bad_step():
     ch = fdcheck.chart_by_name("euclidean", n=3)
     assert ch.dim == 3
+    for n in (1, 0):  # the flat test function needs two coordinates
+        with pytest.raises(fdcheck.ChartError):
+            fdcheck.chart_by_name("euclidean", n=n)
     with pytest.raises(fdcheck.ChartError):
         fdcheck.christoffels(ch, np.zeros(3), -1.0)

@@ -2,7 +2,7 @@
 
 Every module-level import must be used in its module or re-exported
 through ``__all__``, and imports inside functions or classes are allowed
-only where they keep sympy out of the numeric commands.
+only where one keeps sympy out of the numeric commands.
 """
 
 import ast
@@ -12,8 +12,8 @@ import harnacklab
 
 PACKAGE = Path(harnacklab.__file__).resolve().parent
 
-#: (module, enclosing definition) of the lazy sympy imports
-LAZY_IMPORTS = {("fdcheck", "TestFunction"), ("cli", "cmd_symbolic")}
+#: (module, enclosing definition) of the lazy sympy import
+LAZY_IMPORTS = {("cli", "cmd_symbolic")}
 
 
 def _modules():

@@ -1,6 +1,9 @@
 """Exact tensor engine: canonicalization, reduction, identity catalogue."""
 
+import json
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,8 +12,8 @@ import sympy as sp
 from harnacklab.symbolic import (
     ALPHA, BETA, N,
     TensorError, TensorExpr,
-    commute_and_reduce, dg, gpow, kron, laplacian, normalize, ric, riem,
-    identity_names, verify_identity,
+    commute_and_reduce, dg, gpow, hessian_shifted, kron, laplacian, normalize,
+    ric, riem, scalar, identity_names, verify_all, verify_identity,
 )
 from harnacklab.symbolic.engine import Term, _rename
 
@@ -253,3 +256,56 @@ def test_reduction_respects_subexpression_splitting():
                                commute_and_reduce(b))
     assert exprs_equal(whole, parts)
     assert exprs_equal(a + b, commute_and_reduce(a) + b)
+
+
+# -- memoized canonical forms -------------------------------------------------
+
+
+def test_canonical_forms_are_keyed_on_the_expression_not_its_printing():
+    # a symbol that prints like n but carries an assumption is another symbol
+    n_pos = sp.Symbol("n", positive=True)
+    assert scalar(N).terms[0].coeff == N
+    assert scalar(n_pos).terms[0].coeff == n_pos != N
+    assert normalize(gpow(N) * dg("i")).terms[0].gexp == N
+    assert normalize(gpow(n_pos) * dg("i")).terms[0].gexp == n_pos
+
+
+_COLD = """
+import json, sys
+from harnacklab.symbolic import hessian_shifted, laplacian, verify_identity
+if sys.argv[1] == "-":
+    print(json.dumps(repr(laplacian(hessian_shifted("i", "j")))))
+else:
+    r = verify_identity(sys.argv[1])
+    print(json.dumps([r.zero, r.ok, r.note, repr(r.residual)]))
+"""
+
+
+def _cold(args):
+    """stdout JSON of each argument run alone in a fresh interpreter, a
+    few interpreters at a time."""
+    out = []
+    for k in range(0, len(args), 4):
+        procs = [subprocess.Popen([sys.executable, "-c", _COLD, a],
+                                  stdout=subprocess.PIPE, text=True)
+                 for a in args[k:k + 4]]
+        for p in procs:
+            stdout, _ = p.communicate(timeout=120)
+            assert p.returncode == 0
+            out.append(json.loads(stdout))
+    return out
+
+
+def test_warm_caches_give_the_cold_results():
+    def fields(r):
+        return [r.zero, r.ok, r.note, repr(r.residual)]
+
+    first = [fields(r) for r in verify_all()]
+    second = [fields(r) for r in verify_all()]
+    assert first == second
+    names = identity_names()
+    *cold, cold_lap = _cold(names + ["-"])
+    assert dict(zip(names, cold)) == dict(zip(names, second))
+    # a non-zero reduced form, whose coefficients and term order show
+    assert cold_lap == repr(laplacian(hessian_shifted("i", "j")))
+    assert "ric(_0,j)" in cold_lap
