@@ -213,7 +213,7 @@ def cmd_symbolic(args) -> int:
     cfg = RunConfig.load(args)
     if args.action != "verify-all" and not args.name:
         raise ModelError("symbolic supports: verify-all, or verify --name <id>")
-    # sympy-backed, so imported here rather than by every numeric command
+    # the exact tensor engine, imported here so numeric commands never load it
     from .symbolic import verify_all, verify_identity
 
     results = [verify_identity(args.name)] if args.name else verify_all()

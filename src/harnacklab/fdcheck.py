@@ -16,6 +16,7 @@ then scale as O(h^2).  Nothing here uses the symbolic engine's library.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -201,26 +202,31 @@ def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
     return gamma
 
 
-def _dchristoffels(chart, x, h):
-    """dGamma[l, k, i, j] = d_l Gamma^k_ij, central differences of FD Gamma."""
-    x = np.asarray(x, float)
-    d = chart.dim
+def _dchristoffels(gamma, x, h):
+    """dGamma[l, k, i, j] = d_l Gamma^k_ij, central differences of the FD
+    Gamma given by the callable gamma(point)."""
+    d = len(x)
     out = np.empty((d, d, d, d))
     for l in range(d):
         e = np.zeros(d)
         e[l] = h
-        out[l] = (christoffels(chart, x + e, h) - christoffels(chart, x - e, h)) / (2 * h)
+        out[l] = (gamma(x + e) - gamma(x - e)) / (2 * h)
     return out
 
 
-def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
-    """R[i, j, k, l] with all indices down, in the pinned sign convention."""
-    gamma = christoffels(chart, x, h)
-    dgamma = _dchristoffels(chart, x, h)
+def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H,
+                  gamma=None) -> np.ndarray:
+    """R[i, j, k, l] with all indices down, in the pinned sign convention;
+    gamma(point), if given, stands in for christoffels(chart, point, h)."""
+    x = np.asarray(x, float)
+    if gamma is None:
+        gamma = functools.partial(christoffels, chart, h=h)
+    dgamma = _dchristoffels(gamma, x, h)
+    gamma0 = gamma(x)
     # R^m_{ijk} = d_j Gamma^m_ik - d_i Gamma^m_jk
     #             + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip
-    prod = np.einsum("pik,mjp->mijk", gamma, gamma) - np.einsum(
-        "pjk,mip->mijk", gamma, gamma
+    prod = np.einsum("pik,mjp->mijk", gamma0, gamma0) - np.einsum(
+        "pjk,mip->mijk", gamma0, gamma0
     )
     up = (
         np.einsum("jmik->mijk", dgamma)
@@ -253,9 +259,9 @@ def _to_frame(T: np.ndarray, E: np.ndarray) -> np.ndarray:
     return T
 
 
-def riemann(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
-    """Curvature components in an orthonormal frame."""
-    return _to_frame(riemann_coord(chart, x, h), orthonormal_frame(chart, x))
+def riemann(chart: CoordinateChart, x, h: float = DEFAULT_H, gamma=None) -> np.ndarray:
+    """Curvature components in an orthonormal frame (gamma as in riemann_coord)."""
+    return _to_frame(riemann_coord(chart, x, h, gamma), orthonormal_frame(chart, x))
 
 
 def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
@@ -414,22 +420,45 @@ def default_test_function(chart: CoordinateChart) -> TestFunction:
 # -- covariant derivatives of a test function ---------------------------------
 
 
+def _per_point(method):
+    """Memoize a stack method per point, keyed on the coordinates' bytes:
+    the nested differences visit each point many times.  The arrays are
+    shared by every caller, so they are read-only."""
+
+    @functools.wraps(method)
+    def cached(self, x):
+        key = (method.__name__, x.tobytes())
+        out = self._memo.get(key)
+        if out is None:
+            out = method(self, x)
+            out.setflags(write=False)
+            self._memo[key] = out
+        return out
+
+    return cached
+
+
 class _CovariantStack:
-    """Nested covariant derivatives of f on a chart, all FD with step h."""
+    """Nested covariant derivatives of f on a chart, all FD with step h;
+    points are float arrays of the chart's dimension."""
 
     def __init__(self, chart: CoordinateChart, f, h: float):
         self.chart = chart
         self.f = f
         self.h = h
         self.d = chart.dim
+        self._memo = {}
 
+    @_per_point
     def gamma(self, x):
         return christoffels(self.chart, x, self.h)
 
+    @_per_point
     def hess(self, x):
         """(grad^2 f)_{ij} in coordinates."""
         return self.f.d2(x) - np.einsum("mij,m->ij", self.gamma(x), self.f.d1(x))
 
+    @_per_point
     def third(self, x):
         """(grad^3 f)_{ijk} = grad_k (grad^2 f)_{ij} in coordinates."""
         d, h = self.d, self.h
@@ -502,7 +531,7 @@ def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
     x = np.asarray(x, float)
     stack = _CovariantStack(chart, f, h)
     E = orthonormal_frame(chart, x)
-    R = riemann(chart, x, h)
+    R = riemann(chart, x, h, stack.gamma)
     ric = np.einsum("acbc->ab", R)
 
     f1 = _to_frame(f.d1(x), E)

@@ -115,9 +115,30 @@ def _quad_f_pow(model: ModelManifold, r: float, s: float, epsrel: float) -> floa
     return (n - 2) * val
 
 
-def green_derivs(n: int, f, fp):
-    """(G', G'') from the warping function f and f' at the same radii."""
-    return -(n - 2) * f ** (1 - n), (n - 2) * (n - 1) * f ** (-n) * fp
+def green_derivs(n: int, x, fp, a=1.0):
+    """(G', G'') where f = a x and f' = fp, at the same radii.
+
+    In general a = 1 and x = f.  Where f = a r exactly, pass the slope a
+    and x = r: the powers f^{1-n} = a^{1-n} r^{1-n} are then taken of a
+    and r apart, as `_closed_G` takes them, and not of the rounded product
+    a r, whose rounding the power would multiply by n.
+    """
+    return (-(n - 2) * a ** (1 - n) * x ** (1 - n),
+            (n - 2) * (n - 1) * a ** (-n) * x ** (-n) * fp)
+
+
+def _linear_split(model: ModelManifold, r, f):
+    """(x, a) with f = a x at the radii r (floats or arrays): (r, slope)
+    where f is exactly linear, (f, 1) elsewhere; see `green_derivs`."""
+    pieces = model.profile.linear_pieces()
+    if isinstance(r, float):
+        return next(((r, a) for lo, hi, a in pieces if lo <= r < hi), (f, 1.0))
+    r = np.asarray(r, dtype=float)
+    x, scale = np.array(f, dtype=float), np.ones_like(r)
+    for lo, hi, a in pieces:
+        inside = (r >= lo) & (r < hi)
+        x[inside], scale[inside] = r[inside], a
+    return x, scale
 
 
 def power_jet(G, q1, q2, beta: float):
@@ -170,7 +191,8 @@ class RadialGreenProfile:
         """(G, G', G'', f, f') at r, the derivatives of G in closed form."""
         p = self.model.profile
         f, fp = p.f(r), p.fp(r)
-        return (self.green_at(r), *green_derivs(self.model.n, f, fp), f, fp)
+        x, a = _linear_split(self.model, r, f)
+        return (self.green_at(r), *green_derivs(self.model.n, x, fp, a), f, fp)
 
     def b2_at(self, r: float) -> float:
         n = self.model.n
@@ -229,7 +251,8 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         G_hi = acc + _quad_f_pow(model, lo, prev, 1e-13) if prev > lo else acc
 
     fg, fpg = p.f(grid), p.fp(grid)
-    Gp, Gpp = green_derivs(n, fg, fpg)
+    x, a = _linear_split(model, grid, fg)
+    Gp, Gpp = green_derivs(n, x, fpg, a)
     q1, q2 = Gp / G, Gpp / G
     b, bp, _ = power_jet(G, q1, q2, 1.0 / (2 - n))
     b2, b2p, mu_rad, mu_tan = _b2_hessian(n, G, q1, q2, fg, fpg)

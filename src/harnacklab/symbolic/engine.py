@@ -1,8 +1,10 @@
 """Exact abstract-index calculus for derivatives of a harmonic function.
 
-Terms are products of index monomials with coefficients in the field of
-rational functions of the dimension symbol n and the constant C (sympy
-rationals throughout; no floating point).  Factor kinds:
+Terms are products of index monomials with coefficients in
+Q[n, C, beta][1/(n-2)], polynomials in the dimension n, the constant C
+and a free exponent beta over the rationals with powers of n - 2 as the
+only denominators (`ring.Coeff`, exact and canonical; no floating
+point).  Factor kinds:
 
     dg(i1...ik)    k-th covariant derivative string of G, innermost first
     riem(i,j,k,l)  curvature, sign convention with the round sphere positive
@@ -11,8 +13,8 @@ rationals throughout; no floating point).  Factor kinds:
     dric(m;i,j)    one covariant derivative of ric
     kron(i,j)      metric/identity in an orthonormal frame
 
-plus one power of G per term, kept as an exponent (a sympy expression,
-e.g. alpha = n/(n-2)).
+plus one power of G per term, kept as an exponent in the same ring
+(e.g. alpha = n/(n-2)).
 
 The rewrite rules are exactly the commutator identities for a normal
 frame with parallel Ricci curvature, the harmonicity of G, and the
@@ -23,12 +25,11 @@ are equal iff their reduced canonical forms coincide.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-import sympy as sp
+from .ring import ALPHA, BETA, C, N, ZERO, Coeff, Module, TensorError, coerce
 
 __all__ = [
     "N", "C", "BETA", "ALPHA",
@@ -37,50 +38,14 @@ __all__ = [
     "normalize", "commute_and_reduce", "laplacian", "gradG_pairing",
 ]
 
-N = sp.Symbol("n")
-C = sp.Symbol("C")
-BETA = sp.Symbol("beta")
-ALPHA = N / (N - 2)
-
-_ZERO = sp.Integer(0)
-
 # factor kinds: ("dg", idx), ("riem", idx), ("ric", idx),
 # ("driem", idx), ("dric", idx), ("kron", idx); idx = tuple of str
 
 
-class TensorError(ValueError):
-    pass
-
-
-# The catalogue meets only a few distinct coefficients and G exponents,
-# many times each.  sympy expressions are immutable and hash by structure,
-# so each canonical form below is computed once per distinct input and
-# shared by every caller.
-
-
-def _canon_coeff(expr):
-    return _canon_sympified(sp.sympify(expr))
-
-
-@functools.cache
-def _canon_sympified(expr):
-    return sp.cancel(sp.together(expr))
-
-
-_together = functools.cache(sp.together)
-
-
-@functools.cache
-def _canon_gexp(gexp):
-    """(sortable key, expression) of the cancelled G exponent."""
-    canon = sp.cancel(gexp)
-    return sp.srepr(canon), canon
-
-
 @dataclass(frozen=True)
 class Term:
-    coeff: object            # sympy expression in n, C, beta
-    gexp: object             # sympy exponent of the G power
+    coeff: Coeff             # canonical ring element in n, C, beta
+    gexp: Coeff              # exponent of the G power, same ring
     factors: tuple           # tuple of (kind, indices)
 
     def index_census(self):
@@ -101,7 +66,7 @@ class Term:
                 )
 
 
-class TensorExpr:
+class TensorExpr(Module):
     """Linear combination of terms; immutable value semantics."""
 
     __slots__ = ("terms",)
@@ -113,7 +78,7 @@ class TensorExpr:
 
     @staticmethod
     def single(coeff, gexp, factors) -> "TensorExpr":
-        t = Term(_canon_coeff(coeff), sp.sympify(gexp), tuple(factors))
+        t = Term(coerce(coeff), coerce(gexp), tuple(factors))
         t.validate()
         return TensorExpr([t])
 
@@ -128,10 +93,8 @@ class TensorExpr:
     def __mul__(self, other):
         if isinstance(other, TensorExpr):
             return self._tensor_mul(other)
-        c = _canon_coeff(other)
-        return TensorExpr(
-            [Term(_canon_coeff(t.coeff * c), t.gexp, t.factors) for t in self.terms]
-        )
+        c = coerce(other)
+        return TensorExpr([Term(t.coeff * c, t.gexp, t.factors) for t in self.terms])
 
     __rmul__ = __mul__
 
@@ -147,8 +110,8 @@ class TensorExpr:
                 aa = _freshen_dummies(a)
                 bb = _freshen_dummies(b)
                 t = Term(
-                    _canon_coeff(aa.coeff * bb.coeff),
-                    _together(aa.gexp + bb.gexp),
+                    aa.coeff * bb.coeff,
+                    aa.gexp + bb.gexp,
                     aa.factors + bb.factors,
                 )
                 t.validate()
@@ -444,24 +407,23 @@ def _term_key_with_names(term: Term):
 
 
 def _canonical_term(term: Term):
-    """Minimal representation over dummy renamings; returns (key, coeff,
-    gexp) with the exponent in the canonical form its key names."""
+    """Minimal representation over dummy renamings: (key, coeff), the key
+    being (exponent sort key, sorted canonical factors)."""
     census = term.index_census()
     dummies = sorted(k for k, v in census.items() if v == 2)
     best = None
-    best_coeff = None
+    best_sign = 1
     if len(dummies) > 6:
         raise TensorError("too many dummy indices for brute-force renaming")
-    gkey, gexp = _canon_gexp(term.gexp)
+    gkey = term.gexp.key
     for perm in itertools.permutations(range(len(dummies))):
         mapping = {d: f"_{p}" for d, p in zip(dummies, perm)}
         renamed = _rename(term, mapping)
         facs, sign = _term_key_with_names(renamed)
         key = (gkey, facs)
         if best is None or key < best:
-            best = key
-            best_coeff = term.coeff * sign
-    return best, best_coeff, gexp
+            best, best_sign = key, sign
+    return best, term.coeff * best_sign
 
 
 def normalize(expr: TensorExpr) -> TensorExpr:
@@ -472,13 +434,12 @@ def normalize(expr: TensorExpr) -> TensorExpr:
     for t in expr.terms:
         t.validate()
         for tt in _canon_local_fixpoint(t):
-            key, coeff, gexp = _canonical_term(tt)
-            bucket[key] = bucket.get(key, _ZERO) + coeff
-            gexps[key[0]] = gexp
+            key, coeff = _canonical_term(tt)
+            bucket[key] = bucket.get(key, ZERO) + coeff
+            gexps[key[0]] = tt.gexp
     out = []
     for key, coeff in sorted(bucket.items()):
-        coeff = _canon_coeff(coeff)
-        if coeff == 0:
+        if not coeff:
             continue
         gkey, facs = key
         # rebuild the canonical term from its key
@@ -580,8 +541,8 @@ def commute_and_reduce(expr: TensorExpr) -> TensorExpr:
         # rename dummies canonically before choosing a rewrite, so the
         # reduction path (and hence the normal form) is independent of the
         # incidental dummy names carried by the input
-        key, coeff, gexp = _canonical_term(t)
-        t = Term(coeff, gexp, key[1])
+        key, coeff = _canonical_term(t)
+        t = Term(coeff, t.gexp, key[1])
         step = _dg_reduction_step(t)
         if step is None:
             finished.append(t)
@@ -615,8 +576,8 @@ def gradG_pairing(expr: TensorExpr) -> TensorExpr:
         if e != 0:
             out.append(
                 Term(
-                    _canon_coeff(term.coeff * e),
-                    _together(e - 1),
+                    term.coeff * e,
+                    e - 1,
                     tuple(items) + (("dg", (u,)), ("dg", (u,))),
                 )
             )
@@ -673,15 +634,15 @@ def laplacian(expr: TensorExpr) -> TensorExpr:
             # G-power contributions
             out.append(
                 Term(
-                    _canon_coeff(term.coeff * e * (e - 1)),
-                    _together(e - 2),
+                    term.coeff * e * (e - 1),
+                    e - 2,
                     tuple(items) + (("dg", (u,)), ("dg", (u,))),
                 )
             )
             out.append(
                 Term(
-                    _canon_coeff(term.coeff * e),
-                    _together(e - 1),
+                    term.coeff * e,
+                    e - 1,
                     tuple(items) + (("dg", (u, u)),),
                 )
             )
@@ -693,8 +654,8 @@ def laplacian(expr: TensorExpr) -> TensorExpr:
                 rest = [it for q, it in enumerate(items) if q != a]
                 out.append(
                     Term(
-                        _canon_coeff(2 * term.coeff * e),
-                        _together(e - 1),
+                        2 * term.coeff * e,
+                        e - 1,
                         tuple(rest) + (da, ("dg", (u,))),
                     )
                 )

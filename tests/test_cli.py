@@ -323,6 +323,30 @@ def test_oracle_does_not_load_sympy():
     assert r.returncode == 0, r.stderr
 
 
+def test_no_command_loads_sympy():
+    # the symbolic engine computes in its own exact ring: sympy is a
+    # test-only reference (the oracle is checked alone above)
+    argvs = [
+        ["symbolic", "verify-all"],
+        ["symbolic", "verify", "--name", "lap_of_harnack"],
+        ["verify", "--model", "euclidean", "--n", "4", "--C", "10"],
+        ["corollary", "--model", "euclidean", "--n", "3", "--C", "2", "--triples", "2"],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "from harnacklab.cli import main\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    seen.append([code, 'sympy' in sys.modules])\n"
+            "print(json.dumps(seen))")
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    # the euclidean corollary is exploratory (exit 3), the rest pass
+    assert json.loads(r.stdout) == [[0, False]] * 3 + [[3, False]]
+
+
 @pytest.mark.parametrize("argv", [
     ["symbolic", "verify-all"],
     ["symbolic", "verify", "--name", "lap_of_harnack.literal"],

@@ -210,6 +210,43 @@ def test_commutators_s2xr2():
     assert np.max(res) <= 1e-4
 
 
+class _Unmemoized(fdcheck._CovariantStack):
+    """The covariant stack with every derivative recomputed on each call."""
+
+    gamma = fdcheck._CovariantStack.gamma.__wrapped__
+    hess = fdcheck._CovariantStack.hess.__wrapped__
+    third = fdcheck._CovariantStack.third.__wrapped__
+
+
+@pytest.mark.parametrize("name", ["s2xr2", "round_sphere", "cone"])
+def test_covariant_stack_computes_each_point_once(name, monkeypatch):
+    ch = fdcheck.chart_by_name(name)
+    f = fdcheck.default_test_function(ch)
+    x = fdcheck.default_probe_point(ch) + 0.01
+    points = []
+    christoffels = fdcheck.christoffels
+
+    def counted(chart, y, h=H):
+        points.append(y.tobytes())
+        return christoffels(chart, y, h)
+
+    monkeypatch.setattr(fdcheck, "christoffels", counted)
+    fdcheck.check_lemma31(ch, f, x, H)
+    # riemann and the nested differences share one memo per point
+    assert len(points) == len(set(points))
+    if name == "s2xr2":
+        assert len(points) == 41
+    monkeypatch.setattr(fdcheck, "christoffels", christoffels)
+    # bit for bit the values of the stack without its memo
+    memo, plain = fdcheck._CovariantStack(ch, f, H), _Unmemoized(ch, f, H)
+    for method in ("gamma", "hess", "third", "fourth"):
+        a, b = getattr(memo, method)(x), getattr(plain, method)(x)
+        assert a.tobytes() == b.tobytes(), method
+    assert not memo.hess(x).flags.writeable
+    R = fdcheck.riemann(ch, x, H, memo.gamma)
+    assert R.tobytes() == fdcheck.riemann(ch, x, H).tobytes()
+
+
 def test_commutator_quadratic_convergence():
     ch = fdcheck.s2xr2()
     f = fdcheck.default_test_function(ch)

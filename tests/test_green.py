@@ -247,17 +247,14 @@ def test_smoothed_cone_quadrature_stays_in_blend(quad_calls):
 # -- one radial kernel: finite at large n, the same on floats and arrays ------
 
 LARGE_N = (3, 10, 40, 100, 150)
-EPS = np.finfo(float).eps
 # cone:0.5 and cone:0.7 leave the float range at n = 150 on the default grid
-# (G'' ~ (c r)^{-n} at r = 0.01); cone:0.95 stays inside it.  With c = 0.5
-# the product f = c r is exact.  Otherwise it is rounded once, G' carries
-# that rounding to the power 1 - n and G = c^{1-n} r^{2-n} does not, so
-# G'/G is off by about n ulp, and b^2'' = ((beta-1) q1^2 + q2) beta b^2
-# cancels another factor n: the tolerance is 2 n^2 eps there.
+# (G'' ~ (c r)^{-n} at r = 0.01); cone:0.95 stays inside it.  G' and G''
+# take the powers of c and r apart, as G = c^{1-n} r^{2-n} does, so an
+# aperture whose product c r rounds meets the same 1e-12 as c = 0.5.
 MU_CASES = ([("euclidean", None, n, 1e-12) for n in LARGE_N]
             + [("cone", 0.5, n, 1e-12) for n in LARGE_N[:-1]]
-            + [("cone", 0.7, n, max(1e-12, 2 * n * n * EPS)) for n in LARGE_N[:-1]]
-            + [("cone", 0.95, n, max(1e-12, 2 * n * n * EPS)) for n in LARGE_N])
+            + [("cone", 0.7, n, 1e-12) for n in LARGE_N[:-1]]
+            + [("cone", 0.95, n, 1e-12) for n in LARGE_N])
 
 
 @pytest.mark.parametrize("kind,c,n,tol", MU_CASES)

@@ -1,8 +1,9 @@
 """Static import hygiene of the package, checked on its syntax trees.
 
 Every module-level import must be used in its module or re-exported
-through ``__all__``, and imports inside functions or classes are allowed
-only where one keeps sympy out of the numeric commands.
+through ``__all__``; imports inside functions or classes are allowed
+only where one keeps the symbolic engine out of the numeric commands;
+and no module imports sympy, which only the tests use, as a reference.
 """
 
 import ast
@@ -12,7 +13,8 @@ import harnacklab
 
 PACKAGE = Path(harnacklab.__file__).resolve().parent
 
-#: (module, enclosing definition) of the lazy sympy import
+#: (module, enclosing definition) of the lazy import of the symbolic
+#: engine, which the numeric commands never load
 LAZY_IMPORTS = {("cli", "cmd_symbolic")}
 
 
@@ -82,3 +84,18 @@ def test_no_function_local_imports_but_the_lazy_sympy_ones():
     local = {(name, where) for name, tree in _modules()
              for where, _ in _local_imports(tree)}
     assert local == LAZY_IMPORTS
+
+
+def test_no_module_imports_sympy():
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            if "sympy" in roots:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+from fractions import Fraction
+
 import pytest
 import sympy as sp
 
@@ -16,6 +18,9 @@ from harnacklab.symbolic import (
     ric, riem, scalar, identity_names, verify_all, verify_identity,
 )
 from harnacklab.symbolic.engine import Term, _rename
+from harnacklab.symbolic.ring import Coeff, coerce
+
+from sympy_ref import to_sympy, n as n_sym
 
 
 def is_zero(expr) -> bool:
@@ -58,11 +63,11 @@ def test_kron_contraction():
     assert exprs_equal(kron("i", "k") * dg("k"), dg("i"))
     # full trace contributes the dimension
     out = normalize(kron("k", "k"))
-    assert len(out.terms) == 1 and sp.cancel(out.terms[0].coeff - N) == 0
+    assert len(out.terms) == 1 and sp.cancel(to_sympy(out.terms[0].coeff) - n_sym) == 0
 
 
 def test_index_multiplicity_gate():
-    bad = Term(sp.Integer(1), sp.Integer(0),
+    bad = Term(coerce(1), coerce(0),
                (("dg", ("i",)), ("dg", ("i",)), ("dg", ("i",))))
     with pytest.raises(TensorError):
         bad.validate()
@@ -117,9 +122,10 @@ def test_power_rule_exact():
     got = laplacian(gpow(BETA))
     want = commute_and_reduce(BETA * (BETA - 1) * gpow(BETA - 2) * dg("k") * dg("k"))
     assert exprs_equal(got, want)
-    # all coefficients are exact sympy expressions, never floats
+    # all coefficients are exact ring elements, never floats
     for t in got.terms:
-        assert not t.coeff.atoms(sp.Float)
+        assert isinstance(t.coeff, Coeff) and isinstance(t.gexp, Coeff)
+        assert not to_sympy(t.coeff).atoms(sp.Float)
 
 
 def test_laplacian_of_gradient_square():
@@ -142,8 +148,8 @@ def test_alpha_power_coefficient():
     got = laplacian(gpow(ALPHA))
     assert len(got.terms) == 1
     t = got.terms[0]
-    assert sp.cancel(t.coeff - 2 * N / (2 - N) ** 2) == 0
-    assert sp.cancel(t.gexp - (ALPHA - 2)) == 0
+    assert sp.cancel(to_sympy(t.coeff) - 2 * n_sym / (2 - n_sym) ** 2) == 0
+    assert sp.cancel(to_sympy(t.gexp) - (n_sym / (n_sym - 2) - 2)) == 0
 
 
 # -- identity catalogue -------------------------------------------------------
@@ -198,11 +204,11 @@ def _random_term(rng: random.Random):
                 factors.append(("ric", tuple(rng.choice(_POOL) for _ in range(2))))
             else:
                 factors.append(("kron", tuple(rng.choice(_POOL) for _ in range(2))))
-        coeff = sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         if coeff == 0:
-            coeff = sp.Integer(1)
+            coeff = Fraction(1)
         gexp = rng.choice([0, -1, 1, ALPHA])
-        term = Term(coeff, sp.sympify(gexp), tuple(factors))
+        term = Term(coerce(coeff), coerce(gexp), tuple(factors))
         try:
             term.validate()
         except TensorError:
@@ -221,8 +227,10 @@ def test_normalize_idempotent_on_random_expressions():
         except TensorError:
             continue  # mixed free-index terms are fine for idempotence only
         twice = normalize(once)
-        assert [(t.factors, sp.cancel(t.coeff), sp.cancel(t.gexp)) for t in once.terms] \
-            == [(t.factors, sp.cancel(t.coeff), sp.cancel(t.gexp)) for t in twice.terms]
+        assert [(t.factors, sp.cancel(to_sympy(t.coeff)), sp.cancel(to_sympy(t.gexp)))
+                for t in once.terms] \
+            == [(t.factors, sp.cancel(to_sympy(t.coeff)), sp.cancel(to_sympy(t.gexp)))
+                for t in twice.terms]
 
 
 def test_reduction_confluence_under_presentation_changes():
@@ -258,16 +266,26 @@ def test_reduction_respects_subexpression_splitting():
     assert exprs_equal(a + b, commute_and_reduce(a) + b)
 
 
-# -- memoized canonical forms -------------------------------------------------
+# -- exact coefficients -------------------------------------------------------
 
 
-def test_canonical_forms_are_keyed_on_the_expression_not_its_printing():
-    # a symbol that prints like n but carries an assumption is another symbol
-    n_pos = sp.Symbol("n", positive=True)
+def test_foreign_symbols_are_refused():
+    # a symbol that prints like n is still not the ring's n, and floats and
+    # bools are not exact: every entry point refuses them
     assert scalar(N).terms[0].coeff == N
-    assert scalar(n_pos).terms[0].coeff == n_pos != N
     assert normalize(gpow(N) * dg("i")).terms[0].gexp == N
-    assert normalize(gpow(n_pos) * dg("i")).terms[0].gexp == n_pos
+    for foreign in (sp.Symbol("n"), sp.Symbol("n", positive=True), sp.Integer(2),
+                    0.5, True):
+        with pytest.raises(TensorError):
+            scalar(foreign)
+        with pytest.raises(TensorError):
+            gpow(foreign)
+        with pytest.raises(TensorError):
+            dg("i") * foreign
+        with pytest.raises(TensorError):
+            foreign * dg("i")
+        with pytest.raises(TensorError):
+            N + foreign
 
 
 _COLD = """
