@@ -270,25 +270,32 @@ def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
     return np.einsum("acbc->ab", R)
 
 
-def _ricci_coord(chart: CoordinateChart, x, h: float) -> np.ndarray:
-    """Ricci with coordinate (lower) indices, for covariant differentiation."""
-    Rc = riemann_coord(chart, x, h)
+def _ricci_coord(chart: CoordinateChart, x, h: float, gamma=None) -> np.ndarray:
+    """Ricci with coordinate (lower) indices, for covariant differentiation
+    (gamma as in riemann_coord)."""
+    Rc = riemann_coord(chart, x, h, gamma)
     ginv = chart.ginv(x)
     # Ric_ij = g^{kl} R_{i k j l}
     return np.einsum("kl,ikjl->ij", ginv, Rc)
 
 
 def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> float:
-    """Frobenius norm of grad Ric in an orthonormal frame."""
+    """Frobenius norm of grad Ric in an orthonormal frame.
+
+    The stencils of the Ricci tensors at x +- h e_k overlap, so the
+    Christoffels are memoized per point, as in _CovariantStack.
+    """
     x = np.asarray(x, float)
     d = chart.dim
-    gamma = christoffels(chart, x, h)
-    ric0 = _ricci_coord(chart, x, h)
+    gamma_at = _CovariantStack(chart, None, h).gamma
+    gamma = gamma_at(x)
+    ric0 = _ricci_coord(chart, x, h, gamma_at)
     dric = np.empty((d, d, d))
     for k in range(d):
         e = np.zeros(d)
         e[k] = h
-        dric[k] = (_ricci_coord(chart, x + e, h) - _ricci_coord(chart, x - e, h)) / (2 * h)
+        dric[k] = (_ricci_coord(chart, x + e, h, gamma_at)
+                   - _ricci_coord(chart, x - e, h, gamma_at)) / (2 * h)
     # (grad Ric)_{ijk} = d_k Ric_ij - Gamma^m_ki Ric_mj - Gamma^m_kj Ric_im
     cov = (
         np.einsum("kij->ijk", dric)
@@ -440,7 +447,8 @@ def _per_point(method):
 
 class _CovariantStack:
     """Nested covariant derivatives of f on a chart, all FD with step h;
-    points are float arrays of the chart's dimension."""
+    points are float arrays of the chart's dimension.  With f = None only
+    the memoized Christoffels are of use."""
 
     def __init__(self, chart: CoordinateChart, f, h: float):
         self.chart = chart

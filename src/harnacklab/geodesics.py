@@ -8,19 +8,27 @@ quantity a = f^2 phi' is conserved; with unit speed,
     r'^2 = 1 - a^2 / f(r)^2,
 
 which also gives closed quadrature formulas for the angle swept and the
-arclength as functions of a.
+arclength as functions of a.  The distance comes from these: each sweep
+runs Gauss-Legendre panels (`quadrature.gauss_legendre`) between the
+knots of f, after a substitution r = r_0 + u^2 at the lower end that
+removes the inverse square root of a turning point, and Brent's root
+finder fixes the Clairaut constant (or the turning radius) from the angle
+alone.  The point at a given arclength is found by shooting: a
+Dormand-Prince 5(4) integration of the geodesic equations in plain
+floats.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .models import ModelManifold
+from . import quadrature
+from .models import ModelError, ModelManifold
 from .green import RadialGreenProfile
 
 __all__ = [
@@ -72,15 +80,106 @@ class GeodesicTriple:
     quad_misses: int  # sweep quadratures of the y-z minimizer that missed tol
 
 
-def _rhs(model: ModelManifold):
-    prof = model.profile
+#: tolerances of the Dormand-Prince shot, on every state component
+DP_RTOL = DP_ATOL = 1e-13
 
-    def fun(s, state):
-        r, phi, rp, php = state
+
+def _geodesic_rhs(prof):
+    """(r', phi', r'', phi'') of a slice geodesic, on a state sequence."""
+
+    def rhs(y):
+        r, _, rp, php = y
         f, fp = prof.f(r), prof.fp(r)
-        return [rp, php, f * fp * php * php, -2.0 * fp / f * rp * php]
+        return (rp, php, f * fp * php * php, -2.0 * fp / f * rp * php)
 
-    return fun
+    return rhs
+
+
+def _dp_step(rhs, y, k1, h):
+    """One Dormand-Prince 5(4) step of size h from y with slope k1:
+    (y_new, slope at y_new, RMS of the 5th-minus-4th-order difference
+    relative to DP_ATOL + DP_RTOL |y|).  The last stage is the slope at
+    y_new, so the next step starts from it."""
+    k2 = rhs([y0 + h * (a / 5) for y0, a in zip(y, k1)])
+    k3 = rhs([y0 + h * (3 / 40 * a + 9 / 40 * b) for y0, a, b in zip(y, k1, k2)])
+    k4 = rhs([y0 + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
+              for y0, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs([y0 + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
+                        - 212 / 729 * d)
+              for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([y0 + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                        + 49 / 176 * d - 5103 / 18656 * e)
+              for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [y0 + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                       - 2187 / 6784 * e + 11 / 84 * f)
+             for y0, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(y_new)
+    norm = sum(
+        (h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
+              + 22 / 525 * f - 1 / 40 * g)
+         / (DP_ATOL + DP_RTOL * max(abs(y0), abs(y1)))) ** 2
+        for y0, y1, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7))
+    return y_new, k7, math.sqrt(norm / len(y))
+
+
+def _crossing(rhs, y, k, step, level):
+    """Length t in [0, step] of the step from y that ends at r = level."""
+    return quadrature.brent_root(lambda t: _dp_step(rhs, y, k, t)[0][0] - level,
+                                 0.0, step, xtol=1e-15, rtol=8.9e-16)
+
+
+def _knot_crossed(knots, r0, r1):
+    """The first knot strictly between r0 and r1 on the way from r0, or None."""
+    if r1 > r0:
+        i = bisect.bisect_right(knots, r0)
+        return knots[i] if i < len(knots) and knots[i] < r1 else None
+    i = bisect.bisect_left(knots, r0)
+    return knots[i - 1] if i > 0 and knots[i - 1] > r1 else None
+
+
+def _dormand_prince(rhs, y0, s_out, r_floor, knots):
+    """(states at the increasing arclengths s_out, s_hit): s_out[0] = 0.
+
+    A step is cut short to land on the next of s_out, or on r = knot when
+    it would cross a knot of f, where the derivatives of f jump and the
+    5th-order error would not hold across.  When r falls below r_floor
+    during a step, integration stops there and s_hit is where r =
+    r_floor, with the states reached so far; otherwise s_hit is None.
+    """
+    y, k, s = y0, rhs(y0), 0.0
+    h = min(0.05 * y0[0], s_out[-1])
+    out = [y0]
+    landed = None  # the knot just landed on, which roundoff may seem to cross
+    for target in s_out[1:]:
+        while s < target:
+            landing = h >= target - s
+            step = target - s if landing else h
+            try:
+                y_new, k_new, err = _dp_step(rhs, y, k, step)
+            except ModelError:  # a stage left r > 0, where f is defined
+                err = math.inf
+            if math.isnan(err):
+                raise GeodesicError("geodesic integration failed: non-finite state")
+            factor = min(10.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 10.0
+            if err > 1.0:  # rejected: retry shorter
+                h = step * factor
+                if h <= 1e-14 * max(1.0, s):
+                    raise GeodesicError("geodesic integration failed: step underflow")
+                continue
+            if y[0] >= r_floor > y_new[0]:
+                return out, s + _crossing(rhs, y, k, step, r_floor)
+            knot = _knot_crossed(knots, y[0], y_new[0])
+            # a step from a knot just landed on may seem to cross it again
+            landed = None if knot == landed else knot
+            if landed is not None:
+                step, landing = _crossing(rhs, y, k, step, knot), False
+                y_new, k_new, _ = _dp_step(rhs, y, k, step)
+            elif not landing:  # a step cut short to land leaves h as it was
+                h = step * factor
+            s = target if landing else s + step
+            y, k = y_new, k_new
+        out.append(y)
+    return out, None
 
 
 def shoot_geodesic(
@@ -93,93 +192,94 @@ def shoot_geodesic(
 ) -> GeodesicPath:
     """Integrate the unit-speed geodesic leaving `start` at `angle`.
 
-    angle = 0 is outward radial, pi/2 purely tangential.
+    angle = 0 is outward radial, pi/2 purely tangential.  The path is
+    sampled at n_samples equally spaced arclengths; if r falls to r_floor
+    first, it is truncated there and sampled up to that point.
     """
     if length <= 0:
         raise GeodesicError("length must be positive")
     prof = model.profile
     f0 = prof.f(start.r)
-    state0 = [start.r, start.phi, math.cos(angle), math.sin(angle) / f0]
-
-    hit = lambda s, y: y[0] - r_floor
-    hit.terminal = True
-    hit.direction = -1
-
-    sol = integrate.solve_ivp(
-        _rhs(model),
-        (0.0, length),
-        state0,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-        dense_output=True,
-        events=hit,
-    )
-    if not sol.success:
-        raise GeodesicError(f"geodesic integration failed: {sol.message}")
-    truncated = sol.status == 1
-    s_end = sol.t[-1]
-    s = np.linspace(0.0, s_end, n_samples)
-    vals = sol.sol(s)
-    r, phi, rp, php = vals
+    y0 = (start.r, start.phi, math.cos(angle), math.sin(angle) / f0)
+    rhs = _geodesic_rhs(prof)
+    knots = prof.cuts(0.0, math.inf)[1:-1].tolist()
+    states, s_hit = _dormand_prince(
+        rhs, y0, np.linspace(0.0, length, n_samples).tolist(), r_floor, knots)
+    truncated = s_hit is not None
+    if truncated:
+        states, _ = _dormand_prince(
+            rhs, y0, np.linspace(0.0, s_hit, n_samples).tolist(), -math.inf, knots)
+    r, phi, rp, php = np.array(states).T
     speed = rp**2 + prof.f(np.maximum(r, r_floor)) ** 2 * php**2
     defect = float(np.max(np.abs(speed - 1.0)))
-    return GeodesicPath(s=s, r=r, phi=phi, truncated=truncated,
-                        unit_speed_defect=defect)
+    return GeodesicPath(s=np.linspace(0.0, s_hit if truncated else length, n_samples),
+                        r=r, phi=phi, truncated=truncated, unit_speed_defect=defect)
 
 
 # -- distance by Clairaut quadrature ------------------------------------------
 
 
-def _quad_counted(fun, lo, hi):
-    """(value, 1 if quad missed its tolerance else 0).
+def _sweep(integrand, prof, r_lo, r_hi):
+    """(int_{r_lo}^{r_hi} of the integrand in u, where r = r_lo + u^2, 1 if
+    its Gauss estimate missed the gate else 0).  The u range is cut where
+    r meets a knot of f, and the integrand maps an array of u to values."""
+    u = np.sqrt(prof.cuts(r_lo, r_hi) - r_lo)
+    val, _, missed = quadrature.gauss_legendre(integrand, u[:-1], u[1:],
+                                               rtol=1e-11, atol=1e-13)
+    return float(np.sum(val)), int(np.any(missed))
 
-    full_output makes quad return its message instead of warning; the
-    value is the same best-available estimate either way.
-    """
-    out = integrate.quad(fun, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-11,
-                         full_output=1)
-    return out[0], int(len(out) > 3)
+
+def _taylor_q(prof, r0):
+    """q(u, f) = (f(r0 + u^2) - f(r0)) / u^2, by Taylor expansion near
+    u = 0 to dodge the cancellation of the difference."""
+    f0, fp0, fpp0 = prof.f(r0), prof.fp(r0), prof.fpp(r0)
+    small = 1e-7 * max(r0, 1e-3)
+
+    def q(u, f):
+        u2 = u * u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(u2 < small, fp0 + 0.5 * fpp0 * u2, (f - f0) / u2)
+
+    return q
 
 
 def _sweep_monotone(model, a, r1, r2, length=False):
     """(angle swept, or arclength if `length`, quad misses) along a
     radially monotone arc from r1 to r2, r1 < r2."""
     prof = model.profile
+    f1 = prof.f(r1)
+    d = (f1 - a) * (f1 + a)
+    q_taylor = _taylor_q(prof, r1)
 
-    def integrand(r):
-        f = prof.f(r)
-        root = math.sqrt(max(f * f - a * a, 0.0))
-        return f / root if length else a / (f * root)
+    def integrand(u):
+        # dr = 2u du and f^2 - a^2 = u^2 q(u) (f + f1) + (f1^2 - a^2), free
+        # of cancellation; near the turning limit a -> f1 the integrand
+        # sharpens at u = 0 and the panels there are halved
+        f = prof.f(r1 + u * u)
+        root = np.sqrt(np.maximum(u * u * q_taylor(u, f) * (f + f1) + d, 0.0))
+        return 2.0 * u * (f / root if length else a / (f * root))
 
-    # near the turning limit a -> f(r1) the endpoint integrand sharpens and
-    # quad may report roundoff; the miss is counted, not raised
-    return _quad_counted(integrand, r1, r2)
+    return _sweep(integrand, prof, r1, r2)
 
 
 def _sweep_from_turn(model, r_t, r_hi, length=False):
     """(angle swept, or arclength if `length`, quad misses) of the branch
     climbing from the turning radius r_t to r_hi.
 
-    Substitutes r = r_t + u^2 to remove the inverse-square-root endpoint
-    singularity at the turning point.
+    The substitution r = r_t + u^2 removes the inverse-square-root
+    endpoint singularity at the turning point.
     """
     prof = model.profile
     a = prof.f(r_t)
+    q_taylor = _taylor_q(prof, r_t)
 
     def integrand(u):
-        # f(r)^2 - a^2 = u^2 * q(u) * (f + a) with q = (f(r) - a)/u^2,
-        # evaluated by Taylor expansion near u = 0 to dodge cancellation
-        r = r_t + u * u
-        f = prof.f(r)
-        if u * u < 1e-7 * max(r_t, 1e-3):
-            q = prof.fp(r_t) + 0.5 * prof.fpp(r_t) * u * u
-        else:
-            q = (f - a) / (u * u)
-        root = math.sqrt(max(q * (f + a), 1e-300))
+        # f(r)^2 - a^2 = u^2 * q(u) * (f + a)
+        f = prof.f(r_t + u * u)
+        root = np.sqrt(np.maximum(q_taylor(u, f) * (f + a), 1e-300))
         return 2.0 * f / root if length else 2.0 * a / (f * root)
 
-    return _quad_counted(integrand, 0.0, math.sqrt(r_hi - r_t))
+    return _sweep(integrand, prof, r_t, r_hi)
 
 
 @dataclass(frozen=True)
@@ -224,7 +324,7 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
     ang_star = angle_turn(r1)  # limiting arc that turns exactly at r1
 
     if dphi <= ang_star:
-        a = optimize.brentq(
+        a = quadrature.brent_root(
             lambda a: sweep(_sweep_monotone, a, r1, r2) - dphi, 0.0, f1 * (1 - 1e-13),
             xtol=1e-14, rtol=8.9e-16, maxiter=200,
         )
@@ -237,7 +337,7 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
         # the minimizer runs through the tip
         return _Minimizer(length=r1 + r2, a=0.0, branch="tip", quad_misses=misses)
 
-    r_t = optimize.brentq(
+    r_t = quadrature.brent_root(
         lambda rt: angle_turn(rt) - dphi, R_FLOOR, r1 * (1 - 1e-13),
         xtol=1e-15, rtol=8.9e-16, maxiter=200,
     )

@@ -17,15 +17,19 @@ f = a*r exactly, where
 
     (n-2) * int_r^s (a t)^{1-n} dt = a^{1-n} (r^{2-n} - s^{2-n})
 
-is closed, or f is not linear and adaptive quadrature integrates it.
-Euclidean space and cones are one linear piece, so G = a^{1-n} r^{2-n}
-with no quadrature at all.  A smoothed cone is linear below r0/2 and from
-r0 on; only its blend [r0/2, r0) is integrated.  A custom profile is
-linear below its table, integrated on its spline, and closed off above
-the radius where it comes within TAIL_MATCH_RTOL of its asymptote.
-The pieces are worked top down, each starting from G at its upper end,
-and G at every piece boundary is kept with the profile, so a pointwise
-G(r) costs at most one quadrature over part of one piece.
+is closed, or f is not linear and Gauss-Legendre panels integrate it
+(`quadrature.gauss_legendre`), one knot interval at a time: between two
+knots f is one polynomial (the smoothed-cone blend, one interval of a
+custom spline), so the rules converge fast there.  Euclidean space and
+cones are one linear piece, so G = a^{1-n} r^{2-n} with no quadrature at
+all.  A smoothed cone is linear below r0/2 and from r0 on; only its blend
+[r0/2, r0) is integrated.  A custom profile is linear below its table,
+integrated on its spline, and closed off above the radius where it comes
+within TAIL_MATCH_RTOL of its asymptote.  The pieces are worked top
+down, each starting from G at its upper end, and G at every knot is kept
+with the profile.  So G(r), on the grid and pointwise alike, is G at the
+next knot above r plus one integral from r to that knot, and an integral
+whose error estimate misses its gate raises ModelError.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate
 
+from . import quadrature
 from .models import (
     ModelError, ModelManifold, NonParabolicityReport, nonparabolic_check,
 )
@@ -61,13 +65,20 @@ __all__ = [
 TAIL_MATCH_RTOL = 1e-6
 
 
+#: gate of the Gauss error estimate on each integral of f^{1-n}, relative
+GREEN_RTOL = 1e-13
+
+
 class GreenPiece(NamedTuple):
-    """G on [lo, hi): closed form when f = slope*r there, else quadrature."""
+    """G on [lo, hi): closed form when f = slope*r there, else quadrature
+    from the next knot up."""
 
     lo: float
     hi: float
     slope: Optional[float]  # None: f is not linear on the piece
     G_hi: float             # G(hi); 0 for the unbounded top piece
+    knots: Optional[np.ndarray] = None    # quadrature piece: lo, knots of f, hi
+    G_knots: Optional[np.ndarray] = None  # G at those knots
 
 
 def _tail_split_radius(model: ModelManifold, r_hint: float) -> float:
@@ -107,12 +118,22 @@ def _closed_G(piece: GreenPiece, n: int, r):
     return piece.G_hi + piece.slope ** (1 - n) * (r ** (2 - n) - piece.hi ** (2 - n))
 
 
-def _quad_f_pow(model: ModelManifold, r: float, s: float, epsrel: float) -> float:
-    """(n-2) * int_r^s f^{1-n} by adaptive quadrature."""
+def _quad_f_pow(model: ModelManifold, r, s):
+    """(n-2) * int_r^s f^{1-n} for each pair (r, s), floats or arrays, each
+    inside one polynomial piece of f; refuses an estimate past GREEN_RTOL."""
     n, p = model.n, model.profile
-    val = integrate.quad(lambda t: p.f(t) ** (1 - n), r, s, limit=200,
-                         epsabs=0.0, epsrel=epsrel, full_output=1)[0]
+    val, _, missed = quadrature.gauss_legendre(lambda t: p.f(t) ** (1 - n), r, s,
+                                               rtol=GREEN_RTOL)
+    if np.any(missed):
+        raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
+                         f"[{np.min(r):.17g}, {np.max(s):.17g}] at n={n}")
     return (n - 2) * val
+
+
+def _knot_G(piece: GreenPiece, model: ModelManifold, r):
+    """G(r) on a quadrature piece: G at the first knot >= r plus one integral."""
+    k = np.searchsorted(piece.knots, r)
+    return piece.G_knots[k] + _quad_f_pow(model, r, piece.knots[k])
 
 
 def green_derivs(n: int, x, fp, a=1.0):
@@ -179,13 +200,13 @@ class RadialGreenProfile:
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
 
     def green_at(self, r: float) -> float:
-        """G(r) for any r > 0: closed form, or quadrature up to its piece's end."""
+        """G(r) for any r > 0: closed form, or quadrature up to the next knot."""
         if r <= 0:
             raise ModelError("green_at requires r > 0")
         piece = next(pc for pc in self.pieces if r < pc.hi)
         if piece.slope is not None:
             return _closed_G(piece, self.model.n, r)
-        return piece.G_hi + _quad_f_pow(self.model, r, piece.hi, 1e-12)
+        return float(_knot_G(piece, self.model, r))
 
     def green_derivs_at(self, r: float):
         """(G, G', G'', f, f') at r, the derivatives of G in closed form."""
@@ -234,21 +255,21 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     pieces = []
     G_hi = 0.0  # G(inf)
     for lo, hi, a in reversed(_piece_bounds(model, grid[-1])):
-        piece = GreenPiece(lo, hi, a, G_hi)
-        pieces.append(piece)
-        inside = np.nonzero((grid >= lo) & (grid < hi))[0]
+        inside = (grid >= lo) & (grid < hi)
         if a is not None:
+            piece = GreenPiece(lo, hi, a, G_hi)
             G[inside] = _closed_G(piece, n, grid[inside])
             if lo > 0:
                 G_hi = _closed_G(piece, n, lo)
-            continue
-        # quadrature piece: one segment per grid interval, accumulated down
-        acc, prev = G_hi, hi
-        for i in inside[::-1]:
-            acc += _quad_f_pow(model, grid[i], prev, 1e-13)
-            G[i] = acc
-            prev = grid[i]
-        G_hi = acc + _quad_f_pow(model, lo, prev, 1e-13) if prev > lo else acc
+        else:
+            # G at the knots, accumulated from the top
+            knots = p.cuts(lo, hi)
+            seg = _quad_f_pow(model, knots[:-1], knots[1:])
+            G_knots = G_hi + np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+            piece = GreenPiece(lo, hi, a, G_hi, knots, G_knots)
+            G[inside] = _knot_G(piece, model, grid[inside])
+            G_hi = float(G_knots[0])
+        pieces.append(piece)
 
     fg, fpg = p.f(grid), p.fp(grid)
     x, a = _linear_split(model, grid, fg)

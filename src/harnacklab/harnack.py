@@ -12,13 +12,12 @@ audited pointwise; one kernel, `_htilde`, serves floats and arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
+from . import quadrature
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
 from .green import (
     RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs,
@@ -162,9 +161,6 @@ class HarnackReport:
             payload["lambda_lower_bound_ok"] = self.lambda_lower_bound_ok
         return payload
 
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2)
-
 
 def _refine_sup(profile: RadialGreenProfile, idx: int) -> float:
     """Sharpen the grid sup of max(mu_rad, mu_tan) with a local 1D search."""
@@ -178,11 +174,8 @@ def _refine_sup(profile: RadialGreenProfile, idx: int) -> float:
     hi = grid[min(idx + 1, grid.size - 1)]
     if lo == hi:
         return -neg_mu(grid[idx])
-    res = optimize.minimize_scalar(
-        neg_mu, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-10 * (hi - lo) + 1e-14},
-    )
-    return max(-res.fun, -neg_mu(grid[idx]))
+    _, fun = quadrature.brent_min(neg_mu, lo, hi, xatol=1e-10 * (hi - lo) + 1e-14)
+    return max(-fun, -neg_mu(grid[idx]))
 
 
 def minimal_C(model: ModelManifold, r_min=1e-2, r_max=1e2, grid_size=512,

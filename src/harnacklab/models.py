@@ -16,15 +16,14 @@ ric_tan = k_rad + (n-2) k_tan.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
-from scipy.interpolate import CubicSpline
 
-from . import fdcheck
+from . import fdcheck, quadrature
 
 __all__ = [
     "WarpingProfile",
@@ -64,21 +63,93 @@ def _full(r, value):
     return value if isinstance(r, float) else np.full_like(r, value)
 
 
-def _quintic_blend(t):
-    """C^2 smoothstep w with w(0)=0, w(1)=1 and w'=w''=0 at both ends.
+def _quintic_blend(t, k):
+    """k-th derivative (k = 0..3) of the C^2 smoothstep w with w(0)=0,
+    w(1)=1 and w'=w''=0 at both ends.
 
     w''' jumps at both ends; outside the open interval (0, 1) it is 0.
     Float t runs in plain float arithmetic, arrays elementwise.
     """
-    w = t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-    wp = 30.0 * t**2 * (1.0 - 2.0 * t + t**2)
-    wpp = 60.0 * t * (1.0 - 3.0 * t + 2.0 * t**2)
+    if k == 0:
+        return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+    if k == 1:
+        return 30.0 * t**2 * (1.0 - 2.0 * t + t**2)
+    if k == 2:
+        return 60.0 * t * (1.0 - 3.0 * t + 2.0 * t**2)
     wppp = 60.0 * (1.0 - 6.0 * t + 6.0 * t**2)
     if isinstance(t, float):
-        wppp = wppp if 0.0 < t < 1.0 else 0.0
-    else:
-        wppp = np.where((t > 0.0) & (t < 1.0), wppp, 0.0)
-    return w, wp, wpp, wppp
+        return wppp if 0.0 < t < 1.0 else 0.0
+    return np.where((t > 0.0) & (t < 1.0), wppp, 0.0)
+
+
+class NotAKnotSpline:
+    """Cubic spline through (x, y) whose third derivative is continuous at
+    x[1] and x[-2] (not-a-knot ends), for >= 4 strictly increasing x.
+
+    The knot slopes solve a tridiagonal system; on [x_i, x_{i+1}] the
+    spline is c0 t^3 + c1 t^2 + c2 t + c3 in t = r - x_i, evaluated (with
+    its derivatives of orders 1-3) by Horner's rule, on floats in plain
+    float arithmetic and on arrays elementwise.  An r outside [x_0, x_-1]
+    takes the polynomial of the nearest end interval.
+    """
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        dx = np.diff(x)
+        m = np.diff(y) / dx
+        # the tridiagonal system for the slopes s: sub, diag, super, rhs
+        sub = np.concatenate([dx[1:], [x[-1] - x[-3]]])
+        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+        sup = np.concatenate([[x[2] - x[0]], dx[:-1]])
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        rhs = np.concatenate([
+            [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0],
+            3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
+            [(dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1],
+        ])
+        s = _solve_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+        t = (s[:-1] + s[1:] - 2.0 * m) / dx
+        self.x = x
+        self.c = np.stack([t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]], axis=1)
+        self._x = x.tolist()
+        self._c = self.c.tolist()
+
+    def __call__(self, r, order: int = 0):
+        if isinstance(r, float):
+            i = min(max(bisect.bisect_right(self._x, r) - 1, 0), len(self._c) - 1)
+            return _horner(self._c[i], r - self._x[i], order)
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self._c) - 1)
+        return _horner(np.moveaxis(self.c[i], -1, 0), r - self.x[i], order)
+
+
+def _solve_tridiagonal(sub, diag, sup, rhs):
+    """x with diag[i] x[i] + sup[i] x[i+1] + sub[i-1] x[i-1] = rhs[i]:
+    elimination without pivoting, stable on the spline system (every
+    pivot after the first exceeds its row's off-diagonal entry)."""
+    n = len(diag)
+    d, b = diag[:], rhs[:]
+    for i in range(1, n):
+        w = sub[i - 1] / d[i - 1]
+        d[i] -= w * sup[i - 1]
+        b[i] -= w * b[i - 1]
+    x = [0.0] * n
+    x[-1] = b[-1] / d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (b[i] - sup[i] * x[i + 1]) / d[i]
+    return np.array(x)
+
+
+def _horner(c, t, order):
+    """Derivative `order` of c0 t^3 + c1 t^2 + c2 t + c3."""
+    c0, c1, c2, c3 = c
+    if order == 0:
+        return ((c0 * t + c1) * t + c2) * t + c3
+    if order == 1:
+        return (3.0 * c0 * t + 2.0 * c1) * t + c2
+    if order == 2:
+        return 6.0 * c0 * t + 2.0 * c1
+    return 6.0 * c0 + 0.0 * t
 
 
 @dataclass(frozen=True)
@@ -114,7 +185,7 @@ class WarpingProfile:
                 raise ModelError("custom table needs >= 4 strictly increasing radii")
             if np.any(r <= 0) or np.any(fvals <= 0):
                 raise ModelError("custom table must have r > 0 and f > 0")
-            object.__setattr__(self, "_spline", CubicSpline(r, fvals))
+            object.__setattr__(self, "_spline", NotAKnotSpline(r, fvals))
 
     # -- evaluation ------------------------------------------------------
 
@@ -137,37 +208,39 @@ class WarpingProfile:
             c = self.c
             out = (c * r, _full(r, c), zero, zero)[order]
         elif self.kind == "smoothed_cone":
-            out = self._smoothed(r)[order]
+            out = self._smoothed(r, order)
         else:
-            out = self._custom(np.asarray(r), order)
+            out = self._custom(r, order)
         return float(out) if scalar or out.ndim == 0 else out
 
     def _custom(self, r, order):
-        r_top = self.table[0][-1]
-        if np.any(r > r_top):
+        if np.any(r > self.table[0][-1]):
             raise ModelError("custom profile evaluated beyond its table range")
         # below the table the profile is closed off with the linear cone
         # f = (f(r_lo)/r_lo) r, so tip integrals (volumes) stay defined
         _, r_lo, slope = self.linear_pieces()[0]
-        spline_val = np.asarray(self._spline(np.clip(r, r_lo, r_top), order), float)
-        zero = np.zeros_like(r)
-        tip = (slope * r, np.full_like(r, slope), zero, zero)[order]
-        return np.where(r < r_lo, tip, spline_val)
+        tip = slope * r if order == 0 else _full(r, slope if order == 1 else 0.0)
+        if isinstance(r, float):
+            return tip if r < r_lo else self._spline(r, order)
+        return np.where(r < r_lo, tip, self._spline(np.maximum(r, r_lo), order))
 
-    def _smoothed(self, r):
+    def _smoothed(self, r, order):
+        """Derivative `order` of f = r * (1 + (c-1) w(t(r))), from only the
+        derivatives of w that it needs."""
         c, r0 = self.c, self.r0
         a, b = 0.5 * r0, r0
-        w, wp, wpp, wppp = _quintic_blend(_clip01((r - a) / (b - a)))
-        wp = wp / (b - a)
-        wpp = wpp / (b - a) ** 2
-        wppp = wppp / (b - a) ** 3
-        # f = r * (1 + (c-1) w(t(r)))
-        s = 1.0 + (c - 1.0) * w
-        f = r * s
-        fp = s + r * (c - 1.0) * wp
-        fpp = 2.0 * (c - 1.0) * wp + r * (c - 1.0) * wpp
-        fppp = 3.0 * (c - 1.0) * wpp + r * (c - 1.0) * wppp
-        return f, fp, fpp, fppp
+        t = _clip01((r - a) / (b - a))
+        if order == 0:
+            return r * (1.0 + (c - 1.0) * _quintic_blend(t, 0))
+        if order == 1:
+            wp = _quintic_blend(t, 1) / (b - a)
+            return 1.0 + (c - 1.0) * _quintic_blend(t, 0) + r * (c - 1.0) * wp
+        wpp = _quintic_blend(t, 2) / (b - a) ** 2
+        if order == 2:
+            wp = _quintic_blend(t, 1) / (b - a)
+            return 2.0 * (c - 1.0) * wp + r * (c - 1.0) * wpp
+        wppp = _quintic_blend(t, 3) / (b - a) ** 3
+        return 3.0 * (c - 1.0) * wpp + r * (c - 1.0) * wppp
 
     def f(self, r):
         return self._eval(r, 0)
@@ -226,6 +299,22 @@ class WarpingProfile:
             out.append((edge, math.inf, None))
         return tuple(out)
 
+    def cuts(self, lo: float, hi: float) -> np.ndarray:
+        """[lo, the knots of f strictly inside (lo, hi), hi], ascending.
+
+        Knots are the radii where f stops being one polynomial: the ends
+        of the smoothed-cone blend and the radii of a custom table.  So
+        between two consecutive cuts f is a single polynomial, on which
+        Gauss rules converge fast.
+        """
+        if self.kind == "smoothed_cone":
+            knots = np.array([0.5 * self.r0, self.r0])
+        elif self.kind == "custom":
+            knots = self._spline.x
+        else:
+            knots = np.empty(0)
+        return np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]])
+
     def fp_min(self, lo, hi):
         """Minimum of f' over [lo, hi], decided piece by piece.
 
@@ -243,11 +332,8 @@ class WarpingProfile:
             if a is not None:
                 out = min(out, a)
                 continue
-            if self.kind == "smoothed_cone":
-                cuts, deg = [u, v], 5
-            else:
-                knots = np.asarray(self.table[0], float)
-                cuts, deg = [u, *knots[(knots > u) & (knots < v)], v], 2
+            deg = 5 if self.kind == "smoothed_cone" else 2
+            cuts = self.cuts(u, v).tolist()
             for x0, x1 in zip(cuts[:-1], cuts[1:]):
                 x = [x0, x1]
                 if x1 > x0:
@@ -373,8 +459,14 @@ def curvature_at(model: ModelManifold, r: float) -> CurvatureSample:
 
 
 def sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / special.gamma(n / 2.0)
+    """Area of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2).
+
+    Gamma(n/2) leaves the float range from n = 344 on; there the ratio is
+    taken in logarithms (it is below 1e-220, and underflows to 0 later).
+    """
+    if n < 344:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return 2.0 * math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
 def ricci_gradient_norm(model: ModelManifold, r: float) -> float:
@@ -403,8 +495,8 @@ def _volume_ratio(model: ModelManifold, t: float) -> float:
 
     The scaled integrand keeps every term below 1 where f(s) <= s, so
     nothing overflows or underflows with n.  On every piece where f = a r
-    the integral is a^{n-1} ((hi/t)^n - (lo/t)^n) in closed form;
-    quadrature runs only where f is not linear.
+    the integral is a^{n-1} ((hi/t)^n - (lo/t)^n) in closed form; Gauss
+    panels run only where f is not linear, one per polynomial piece of f.
     """
     if t <= 0:
         raise ModelError("volume requires t > 0")
@@ -417,22 +509,16 @@ def _volume_ratio(model: ModelManifold, t: float) -> float:
         if a is not None:
             total += a ** (n - 1) * ((hi / t) ** n - (lo / t) ** n)
             continue
-        val, err = integrate.quad(
-            lambda s: (p.f(s) / t) ** (n - 1), lo, hi, limit=200, epsabs=0.0,
-            epsrel=1e-10, full_output=1,
-        )[:2]
+        cuts = p.cuts(lo, hi)
+        vals, errs, _ = quadrature.gauss_legendre(
+            lambda s: (p.f(s) / t) ** (n - 1), cuts[:-1], cuts[1:], rtol=1e-10)
+        val, err = float(np.sum(vals)), float(np.sum(errs))
         if not math.isfinite(val) or (val > 0 and err / val > 1e-8):
             raise ModelError("ball volume quadrature did not converge")
         total += n * val / t
     if not math.isfinite(total):
         raise ModelError("ball volume is not finite")
     return total
-
-
-def ball_volume(model: ModelManifold, t: float) -> float:
-    """Volume of the geodesic ball of radius t about the tip."""
-    n = model.n
-    return sphere_area(n) / n * t**n * _volume_ratio(model, t)
 
 
 def volume_growth(model: ModelManifold, t: float) -> float:

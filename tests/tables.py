@@ -1,0 +1,23 @@
+"""Sampled warping profiles written from a formula, for the custom-table tests."""
+
+import numpy as np
+
+
+def concave_table(size=400, c=0.2):
+    """(r, f) on r in [1e-3, 1e3], geometric, of a concave profile: f = r
+    below 1/2, f' = 1 + (c - 1) w(2r - 1) on [1/2, 1] with w the quintic
+    smoothstep, and affine with slope c after 1."""
+    r = np.geomspace(1e-3, 1e3, size)
+    t = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+    # int_0^t w = t^4 (5/2 - 3t + t^2), and dr = dt / 2
+    blend = 0.5 + 0.5 * (t + (c - 1.0) * t**4 * (2.5 - 3.0 * t + t**2))
+    f = np.where(r < 0.5, r, blend + c * np.maximum(r - 1.0, 0.0))
+    return r, f
+
+
+def write_csv(path, table):
+    """The table as a custom-profile CSV (header r,f) at path."""
+    r, f = table
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(r.tolist(), f.tolist()))
+    path.write_text("r,f\n" + rows)
+    return path

@@ -11,6 +11,7 @@ import pytest
 from harnacklab import cli
 from harnacklab.cli import main
 from harnacklab.models import ModelError
+from tables import concave_table, write_csv
 
 
 def run(argv, capsys):
@@ -345,6 +346,47 @@ def test_no_command_loads_sympy():
     assert r.returncode == 0, r.stderr
     # the euclidean corollary is exploratory (exit 3), the rest pass
     assert json.loads(r.stdout) == [[0, False]] * 3 + [[3, False]]
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is the tests' reference for the numeric core; every command,
+    # the numeric ones included, runs on numpy and the package alone
+    argvs = [
+        ["verify", "--model", "smoothed-cone:0.8:1", "--n", "4", "--C", "10"],
+        ["min-c", "--model", "smoothed-cone:0.8:1", "--n", "5"],
+        ["audit", "--model", "smoothed-cone:0.8:1", "--n", "4", "--C", "12", "--r", "0.7"],
+        ["corollary", "--model", "smoothed-cone:0.8:1", "--n", "4", "--C", "10",
+         "--triples", "2"],
+        ["export-profile", "--model", "smoothed-cone:0.8:1", "--n", "4",
+         "--output-dir", str(tmp_path)],
+        ["symbolic", "verify-all"],
+        ["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"],
+        ["models", "list"],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "from harnacklab.cli import main\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    seen.append([argv[0], code in (0, 1, 3), any(\n"
+            "        m == 'scipy' or m.startswith('scipy.') for m in sys.modules)])\n"
+            "print(json.dumps(seen))")
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[argv[0], True, False] for argv in argvs]
+
+
+@pytest.mark.parametrize("n", ["3", "4", "6", "10"])
+def test_verify_concave_table_is_not_fail(n, tmp_path, capsys):
+    # a silent miss of one quadrature over the whole spline piece once made
+    # G at the refined sup wrong, and verify said fail with minimal_C 5e17
+    path = write_csv(tmp_path / "concave.csv", concave_table())
+    code, doc = run_json(["verify", "--model", f"custom:{path}", "--n", n, "--C", "10",
+                          "--grid-size", "2048"], capsys)
+    assert doc["verdict"] != "fail" and code != 1
+    assert 1.7 < doc["report"]["minimal_C"] < 2.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -295,3 +295,49 @@ def test_chart_by_name_and_bad_step():
             fdcheck.chart_by_name("euclidean", n=n)
     with pytest.raises(fdcheck.ChartError):
         fdcheck.christoffels(ch, np.zeros(3), -1.0)
+
+
+def _parallel_ricci_unmemoized(chart, x, h):
+    """|grad Ric| with the Christoffels recomputed at every visit."""
+    d = chart.dim
+    gamma = fdcheck.christoffels(chart, x, h)
+
+    def ric(y):
+        return np.einsum("kl,ikjl->ij", chart.ginv(y), fdcheck.riemann_coord(chart, y, h))
+
+    ric0 = ric(x)
+    dric = np.empty((d, d, d))
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        dric[k] = (ric(x + e) - ric(x - e)) / (2 * h)
+    cov = (np.einsum("kij->ijk", dric)
+           - np.einsum("mki,mj->ijk", gamma, ric0)
+           - np.einsum("mkj,im->ijk", gamma, ric0))
+    covf = fdcheck._to_frame(cov, fdcheck.orthonormal_frame(chart, x))
+    return float(np.sqrt(np.sum(covf * covf)))
+
+
+@pytest.mark.parametrize("chart,x,distinct", [
+    (fdcheck.s2xr2(), None, 41),
+    (fdcheck.cone_chart(0.5, 5), None, 63),
+    (fdcheck.warped_chart(ModelManifold(3, model_from_id("smoothed-cone:0.8:1", 3).profile)),
+     fdcheck.warped_probe_point(3, 0.75), None),
+])
+def test_parallel_ricci_computes_each_point_once(chart, x, distinct, monkeypatch):
+    x = fdcheck.default_probe_point(chart) if x is None else x
+    points = []
+    christoffels = fdcheck.christoffels
+
+    def counted(ch, y, h=H):
+        points.append(y.tobytes())
+        return christoffels(ch, y, h)
+
+    monkeypatch.setattr(fdcheck, "christoffels", counted)
+    memo = fdcheck.check_parallel_ricci(chart, x, H)
+    assert len(points) == len(set(points))
+    if distinct is not None:
+        assert len(points) == distinct
+    monkeypatch.setattr(fdcheck, "christoffels", christoffels)
+    # bit for bit the norm of the same differences without the memo
+    assert memo == _parallel_ricci_unmemoized(chart, x, H)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from harnacklab import quadrature
 from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import (
     check_power_laplacian, compute_profile, default_grid, green_derivs,
     hess_b2_eigs, nonparabolic_check, power_jet, radial_laplacian,
 )
+from tables import concave_table
 
 
 @pytest.fixture(scope="module")
@@ -208,17 +210,44 @@ def test_custom_linear_table_reproduces_cone():
         assert prof.green_at(x) == pytest.approx(0.6**-3 * x**-2.0, rel=1e-12)
 
 
+def _quad_reference_cuts(model, r):
+    """(n-2) int_r^inf f^{1-n}: quad between the table's radii up to the
+    closed tail the kernel uses (slope f(r_top)/r_top from r_top on)."""
+    p, n = model.profile, model.n
+    knots = np.asarray(p.table[0], float)
+    cuts = [r, *knots[knots > r]]
+    total = sum(integrate.quad(lambda s: p.f(s) ** (1 - n), lo, hi, epsabs=0.0,
+                               epsrel=1e-13, limit=500)[0]
+                for lo, hi in zip(cuts[:-1], cuts[1:]))
+    r_top = cuts[-1]
+    return (n - 2) * total + (p.f(r_top) / r_top) ** (1 - n) * r_top ** (2 - n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 10])
+def test_concave_table_pointwise_G_is_grid_G(n):
+    # one Gauss integral from r up to the next knot, on the grid and off it
+    model = make_model("custom", n, table=concave_table())
+    prof = compute_profile(model, default_grid(1e-2, 1e2, 2048))
+    pointwise = np.array([prof.green_at(r) for r in prof.grid.tolist()])
+    assert np.max(np.abs(pointwise / prof.G - 1.0)) <= 1e-12
+    radii = np.geomspace(1.1e-3, 900.0, 7)
+    ref = np.array([_quad_reference_cuts(model, r) for r in radii])
+    got = np.array([prof.green_at(r) for r in radii.tolist()])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+
 @pytest.fixture
 def quad_calls(monkeypatch):
-    """Intervals of the scipy.integrate.quad calls made while it is active."""
+    """Intervals integrated by quadrature.gauss_legendre while it is active,
+    one (a, b) per integral of a call."""
     calls = []
-    real = integrate.quad
+    real = quadrature.gauss_legendre
 
     def counting(func, a, b, *args, **kwargs):
-        calls.append((a, b))
+        calls.extend(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
         return real(func, a, b, *args, **kwargs)
 
-    monkeypatch.setattr(integrate, "quad", counting)
+    monkeypatch.setattr(quadrature, "gauss_legendre", counting)
     return calls
 
 

@@ -3,7 +3,8 @@
 Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
 only where one keeps the symbolic engine out of the numeric commands;
-and no module imports sympy, which only the tests use, as a reference.
+and no module imports sympy or scipy, which only the tests use, as
+references.
 """
 
 import ast
@@ -86,7 +87,8 @@ def test_no_function_local_imports_but_the_lazy_sympy_ones():
     assert local == LAZY_IMPORTS
 
 
-def test_no_module_imports_sympy():
+def _importers(library):
+    """module:line of every import of the library anywhere in the package."""
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -96,6 +98,14 @@ def test_no_module_imports_sympy():
                 roots = [node.module.split(".")[0]]
             else:
                 continue
-            if "sympy" in roots:
+            if library in roots:
                 found.append(f"{name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def test_no_module_imports_sympy():
+    assert _importers("sympy") == []
+
+
+def test_no_module_imports_scipy():
+    assert _importers("scipy") == []

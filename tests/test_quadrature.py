@@ -1,0 +1,122 @@
+"""The numeric core and the profile spline against scipy, the reference."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import integrate, optimize
+from scipy.interpolate import CubicSpline
+
+from harnacklab import quadrature
+from harnacklab.models import NotAKnotSpline
+from tables import concave_table
+
+
+def _seeded_integrands(seed):
+    """Integrands with seeded parameters: (vectorized f, a, b, the kinks
+    of f inside (a, b), which quad is told of)."""
+    rng = np.random.default_rng(seed)
+    p, q, w = rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(1.0, 8.0)
+    a = rng.uniform(0.05, 1.0)
+    b = a + rng.uniform(0.1, 5.0)
+    kinks = [k * math.pi / w for k in range(math.ceil(a * w / math.pi),
+                                             math.floor(b * w / math.pi) + 1)]
+    return [
+        (lambda x: x ** (-p) * np.exp(q * x), a, b, None),
+        (lambda x: np.cos(w * x) ** 2 + 1.0 / (1.0 + x * x), a, b, None),
+        (lambda x: 1.0 / np.sqrt(x - a + 1e-3), a, b, None),  # sharp near a
+        (lambda x: np.abs(np.sin(w * x)), a, b, kinks or None),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gauss_matches_quad(seed):
+    for fun, a, b, kinks in _seeded_integrands(seed):
+        val, err, missed = quadrature.gauss_legendre(fun, a, b, rtol=1e-12)
+        ref = integrate.quad(fun, a, b, epsabs=0.0, epsrel=1e-13, limit=500,
+                             points=kinks)[0]
+        assert not missed
+        assert isinstance(val, float) and err <= 1e-12 * abs(val)
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_gauss_integrals_are_independent_and_exact_on_polynomials():
+    lo, hi = np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([[1.0, 3.0], [2.0, 0.5]])
+    val, err, missed = quadrature.gauss_legendre(lambda x: 5 * x**4 - 3 * x**2, lo, hi,
+                                                 rtol=1e-14)
+    assert val.shape == err.shape == missed.shape == (2, 2)
+    exact = (hi**5 - hi**3) - (lo**5 - lo**3)
+    assert np.allclose(val, exact, rtol=1e-14, atol=1e-14) and not missed.any()
+    assert val[1, 0] == 0.0  # an empty interval
+
+
+def test_gauss_flags_a_miss_it_cannot_resolve():
+    val, err, missed = quadrature.gauss_legendre(lambda x: 1.0 / x, 0.0, 1.0, rtol=1e-12)
+    assert missed and err > 1e-12 * abs(val)
+    _, _, missed = quadrature.gauss_legendre(lambda x: np.full_like(x, np.nan), 0.0, 1.0,
+                                             rtol=1e-12)
+    assert missed
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brent_root_matches_brentq(seed):
+    rng = np.random.default_rng(seed)
+    c, s = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)
+    funs = [lambda x: math.tanh(s * (x - c)) + 0.1 * (x - c) ** 3,
+            lambda x: math.exp(x) - math.exp(c),
+            lambda x: (x - c) * (1.0 + s * (x - c) ** 2)]
+    for fun in funs:
+        a, b = c - rng.uniform(0.1, 3.0), c + rng.uniform(0.1, 3.0)
+        for xtol, rtol in ((1e-14, 8.9e-16), (1e-6, 1e-10)):
+            got = quadrature.brent_root(fun, a, b, xtol=xtol, rtol=rtol)
+            ref = optimize.brentq(fun, a, b, xtol=xtol, rtol=rtol)
+            # the same algorithm in the same arithmetic: the same iterates
+            assert got == ref
+
+
+def test_brent_root_refuses_a_bracket_without_sign_change():
+    with pytest.raises(quadrature.QuadratureError):
+        quadrature.brent_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
+    assert quadrature.brent_root(lambda x: x, 0.0, 1.0, xtol=1e-12, rtol=1e-15) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brent_min_matches_fminbound(seed):
+    rng = np.random.default_rng(seed)
+    m, s = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)
+    funs = [lambda x: (x - m) ** 2 + 0.3 * math.sin(s * x),
+            lambda x: -math.exp(-s * (x - m) ** 2),
+            lambda x: x]  # the minimum sits at the lower end
+    for fun in funs:
+        lo, hi = m - rng.uniform(0.2, 2.0), m + rng.uniform(0.2, 2.0)
+        xatol = 1e-10 * (hi - lo) + 1e-14
+        x, fx = quadrature.brent_min(fun, lo, hi, xatol=xatol)
+        ref = optimize.minimize_scalar(fun, bounds=(lo, hi), method="bounded",
+                                       options={"xatol": xatol})
+        # the same algorithm in the same arithmetic: the same iterates
+        assert (x, fx) == (ref.x, ref.fun)
+
+
+def _seeded_tables():
+    rng = np.random.default_rng(11)
+    for size in (4, 5, 9, 60):
+        r = np.sort(rng.uniform(0.05, 20.0, size))
+        yield r, np.exp(0.3 * np.sin(r)) * r + rng.normal(0.0, 0.01, size)
+    r = np.geomspace(0.1, 50.0, 200)
+    yield r, 0.6 * r
+
+
+@pytest.mark.parametrize("table", [concave_table(), *_seeded_tables()],
+                         ids=["concave", "4", "5", "9", "60", "linear"])
+def test_spline_matches_scipy_cubic_spline(table):
+    r, f = table
+    ours, ref = NotAKnotSpline(r, f), CubicSpline(r, f)
+    x = np.concatenate([r, np.geomspace(r[0], r[-1], 997)])
+    for order in range(4):
+        want = ref(x, order)
+        got = ours(x, order)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, order
+        # floats take the same polynomial through plain float arithmetic
+        for xi in x[::37].tolist():
+            assert abs(ours(xi, order) - float(ref(xi, order))) <= 1e-12 * scale
