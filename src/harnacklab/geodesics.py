@@ -202,7 +202,7 @@ def shoot_geodesic(
     f0 = prof.f(start.r)
     y0 = (start.r, start.phi, math.cos(angle), math.sin(angle) / f0)
     rhs = _geodesic_rhs(prof)
-    knots = prof.cuts(0.0, math.inf)[1:-1].tolist()
+    knots = prof.knots.tolist()
     states, s_hit = _dormand_prince(
         rhs, y0, np.linspace(0.0, length, n_samples).tolist(), r_floor, knots)
     truncated = s_hit is not None
@@ -223,7 +223,8 @@ def _sweep(integrand, prof, r_lo, r_hi):
     """(int_{r_lo}^{r_hi} of the integrand in u, where r = r_lo + u^2, 1 if
     its Gauss estimate missed the gate else 0).  The u range is cut where
     r meets a knot of f, and the integrand maps an array of u to values."""
-    u = np.sqrt(prof.cuts(r_lo, r_hi) - r_lo)
+    k = prof.knots
+    u = np.sqrt(np.concatenate([[r_lo], k[(k > r_lo) & (k < r_hi)], [r_hi]]) - r_lo)
     val, _, missed = quadrature.gauss_legendre(integrand, u[:-1], u[1:],
                                                rtol=1e-11, atol=1e-13)
     return float(np.sum(val)), int(np.any(missed))

@@ -37,6 +37,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -81,35 +82,23 @@ class GreenPiece(NamedTuple):
     G_knots: Optional[np.ndarray] = None  # G at those knots
 
 
-def _tail_split_radius(model: ModelManifold, r_hint: float) -> float:
-    """Radius S from which G is closed: linear_from() when f is exactly
-    linear from there on, else (custom profile) the smallest probed
-    S >= r_hint with f within TAIL_MATCH_RTOL of a*S."""
+def _tail_split_radius(model: ModelManifold, r_hint: float):
+    """(S, a): G is closed from S on as if f = a r there.  Exactly so when
+    the top piece of f is a r up to infinity (S its lower end); a table
+    profile ends at its top, so there S is the smallest probed radius
+    >= r_hint with f within TAIL_MATCH_RTOL of a S, a = f(top)/top."""
     p = model.profile
-    lin = p.linear_from()
-    if math.isfinite(lin):
-        return lin
-    # custom profile: walk up the table looking for an effectively linear tail
-    a = p.asymptotic_slope()
-    r_top = p.table[0][-1]
-    for s in np.geomspace(max(r_hint, p.table[0][0]), r_top, 64):
+    top = p.pieces[-1]
+    if top.hi == math.inf:
+        return top.lo, top.slope
+    a = p.f(top.hi) / top.hi
+    for s in np.geomspace(max(r_hint, p.knots[0]), top.hi, 64):
         if abs(p.f(s) / (a * s) - 1.0) <= TAIL_MATCH_RTOL:
-            return float(s)
+            return float(s), a
     raise ModelError(
         "custom profile has no linear asymptote in its table range; "
         "the Green tail integral cannot be closed"
     )
-
-
-def _piece_bounds(model: ModelManifold, r_hint: float):
-    """(lo, hi, slope) pieces covering (0, inf) in ascending order."""
-    p = model.profile
-    S = _tail_split_radius(model, r_hint)
-    # a custom profile is linear only below its table: close it with its
-    # effectively linear tail from S on
-    bounds = [(lo, min(hi, S), a) for lo, hi, a in p.pieces() if lo < S]
-    bounds.append((S, math.inf, p.asymptotic_slope()))
-    return bounds
 
 
 def _closed_G(piece: GreenPiece, n: int, r):
@@ -150,15 +139,17 @@ def green_derivs(n: int, x, fp, a=1.0):
 
 def _linear_split(model: ModelManifold, r, f):
     """(x, a) with f = a x at the radii r (floats or arrays): (r, slope)
-    where f is exactly linear, (f, 1) elsewhere; see `green_derivs`."""
-    pieces = model.profile.linear_pieces()
+    on the pieces where f = slope*r, (f, 1) elsewhere; see `green_derivs`."""
+    p = model.profile
     if isinstance(r, float):
-        return next(((r, a) for lo, hi, a in pieces if lo <= r < hi), (f, 1.0))
+        a = p.piece_at(r).slope
+        return (f, 1.0) if a is None else (r, a)
     r = np.asarray(r, dtype=float)
     x, scale = np.array(f, dtype=float), np.ones_like(r)
-    for lo, hi, a in pieces:
-        inside = (r >= lo) & (r < hi)
-        x[inside], scale[inside] = r[inside], a
+    for pc in p.pieces:
+        if pc.slope is not None:
+            inside = (r >= pc.lo) & (r < pc.hi)
+            x[inside], scale[inside] = r[inside], pc.slope
     return x, scale
 
 
@@ -251,10 +242,24 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         )
     n, p = model.n, model.profile
 
+    # (lo, hi, slope, knots) covering (0, inf): each piece of f = slope*r
+    # is closed, each run of other pieces one quadrature piece on its knots
+    S, a_top = _tail_split_radius(model, grid[-1])
+    spans = []
+    below = (pc for pc in p.pieces if pc.lo < S)
+    for linear, run in groupby(below, key=lambda pc: pc.slope is not None):
+        run = list(run)
+        if linear:
+            spans += [(pc.lo, min(pc.hi, S), pc.slope, None) for pc in run]
+        else:
+            hi = min(run[-1].hi, S)
+            spans.append((run[0].lo, hi, None, np.array([pc.lo for pc in run] + [hi])))
+    spans.append((S, math.inf, a_top, None))
+
     G = np.empty_like(grid)
     pieces = []
     G_hi = 0.0  # G(inf)
-    for lo, hi, a in reversed(_piece_bounds(model, grid[-1])):
+    for lo, hi, a, knots in reversed(spans):
         inside = (grid >= lo) & (grid < hi)
         if a is not None:
             piece = GreenPiece(lo, hi, a, G_hi)
@@ -263,7 +268,6 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
                 G_hi = _closed_G(piece, n, lo)
         else:
             # G at the knots, accumulated from the top
-            knots = p.cuts(lo, hi)
             seg = _quad_f_pow(model, knots[:-1], knots[1:])
             G_knots = G_hi + np.append(np.cumsum(seg[::-1])[::-1], 0.0)
             piece = GreenPiece(lo, hi, a, G_hi, knots, G_knots)

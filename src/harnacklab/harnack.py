@@ -286,6 +286,10 @@ class TermAudit:
     lap_assembled sums the raw (unslacked) terms plus the (n-2)C/2 *
     Delta G^alpha contribution; on parallel-Ricci models it must match
     the finite-difference Laplacian of the eigenvalue curve (lap_fd).
+
+    group_scales holds, per group, the sum of the absolute values of the
+    terms it is made of: the size of its rounding, so a group may be
+    gated relative to it.
     """
 
     r: float
@@ -301,6 +305,7 @@ class TermAudit:
     group_mixed_bound: float    # (n-2)(C-4) G^alpha * htilde
     lap_assembled: float        # raw term sum + (n-2)C/2 * Delta G^alpha
     lap_fd: float               # finite differences of the eigenvalue curve
+    group_scales: dict = field(default_factory=dict)
     hypothesis_flags: dict = field(default_factory=dict)
 
 
@@ -347,40 +352,45 @@ def audit_proof_terms(
     curv = curvature_at(model, r)
     k_rad, k_tan = curv.k_rad, curv.k_tan
 
+    # each group is a sum of signed terms, kept apart for the group's scale
     # group 1: 2 R_mkmk (Lambda - lambda_k), m = index of V
     if direction == "radial":
-        g1 = 2.0 * (n - 1) * k_rad * (lam - h_tan)
+        g1_terms = (2.0 * (n - 1) * k_rad * lam, -2.0 * (n - 1) * k_rad * h_tan)
         b_vv = Gp * Gp / G
         sec_vv = 0.0  # R(grad G, V, grad G, V) = 0 for radial V
     else:
-        g1 = 2.0 * (k_rad * (lam - h_rad) + (n - 2) * k_tan * (lam - h_tan))
+        g1_terms = (2.0 * k_rad * lam, -2.0 * k_rad * h_rad,
+                    2.0 * (n - 2) * k_tan * lam, -2.0 * (n - 2) * k_tan * h_tan)
         b_vv = 0.0
         sec_vv = Gp * Gp * k_rad
+    g1 = sum(g1_terms)
 
     g2 = -(2.0 * n / (n - 2)) * sec_vv / G
     g3 = -(2.0 * n / ((n - 2) * G)) * lam * lam
 
     two_am1 = G ** ((n + 2.0) / (n - 2.0))       # G^{2 alpha - 1}
     galpham1 = galpha / G
-    t4 = (
-        -0.5 * n * (n - 2) * C * C * two_am1
-        + (4.0 * n / (n - 2))
-        * (C * galpham1 - 2.0 * Gp * Gp / ((n - 2) ** 2 * G * G))
-        * b_vv
+    t4_terms = (
+        -0.5 * n * (n - 2) * C * C * two_am1,
+        (4.0 * n / (n - 2)) * C * galpham1 * b_vv,
+        -(8.0 * n / (n - 2) ** 3) * Gp * Gp / (G * G) * b_vv,
     )
+    t4 = sum(t4_terms)
     g4_bound = -0.5 * n * (n - 2) * C * (C - 8.0) * two_am1
-    g4 = t4 - g4_bound
+    g4_terms = t4_terms + (-g4_bound,)
+    g4 = sum(g4_terms)
 
     # group 5 bracket: [Htilde M + M Htilde]_VV with
     # M = (2/(2-n)) B + ((n-2)/2) C G^alpha g; diagonal frame, so 2*lam*M_VV
     m_vv = 2.0 / (2.0 - n) * b_vv + 0.5 * (n - 2) * C * galpha
     t5_bracket = 2.0 * lam * m_vv
     g5_bound = (n - 2) * (C - 4.0) * galpha * lam
-    # gradient-estimate remainder term completing the bracket bound
-    grad_slack = (4.0 / ((n - 2) * G)) * (
-        (n - 2) ** 2 * G ** (n / (n - 2.0) + 1.0) - Gp * Gp
-    )
-    g5 = t5_bracket - (g5_bound + grad_slack * lam)
+    # minus the gradient-estimate remainder completing the bracket bound,
+    # (4/((n-2)G)) ((n-2)^2 G^{n/(n-2)+1} - |G'|^2) lam
+    g5_terms = (t5_bracket, -g5_bound,
+                -4.0 * (n - 2) * G ** (n / (n - 2.0)) * lam,
+                4.0 / ((n - 2) * G) * Gp * Gp * lam)
+    g5 = sum(g5_terms)
     t5 = (2.0 * n / ((n - 2) * G)) * t5_bracket
 
     final_bound = -0.5 * n * (n - 2) * C * (C - 10.0) * two_am1
@@ -422,5 +432,8 @@ def audit_proof_terms(
         group_mixed_bound=float(g5_bound),
         lap_assembled=float(assembled),
         lap_fd=float(lap_fd),
+        group_scales={name: float(sum(map(abs, terms))) for name, terms in (
+            ("group_curv1", g1_terms), ("group_curv2", (g2,)), ("group_Hsq", (g3,)),
+            ("group_Csq", g4_terms), ("group_mixed", g5_terms))},
         hypothesis_flags={k: v for k, v in relied.items() if v},
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "sphere_area",
 ]
 
-KINDS = ("euclidean", "cone", "smoothed_cone", "custom")
-
 #: default absolute tolerance on curvature margins for hypothesis booleans
 DEFAULT_CURV_TOL = 1e-9
 
@@ -51,76 +49,51 @@ class ModelError(ValueError):
     """Invalid model parameters or evaluation outside the admissible range."""
 
 
-def _clip01(t):
-    """t clipped to [0, 1]: a float for float t, an array otherwise."""
-    if isinstance(t, float):
-        return min(max(t, 0.0), 1.0)
-    return np.clip(t, 0.0, 1.0)
+class Piece(NamedTuple):
+    """f(r) = sum_k coef[k] (r - x0)^k on [lo, hi).
 
-
-def _full(r, value):
-    """value in the shape of r: a float for float r, an array otherwise."""
-    return value if isinstance(r, float) else np.full_like(r, value)
-
-
-def _quintic_blend(t, k):
-    """k-th derivative (k = 0..3) of the C^2 smoothstep w with w(0)=0,
-    w(1)=1 and w'=w''=0 at both ends.
-
-    w''' jumps at both ends; outside the open interval (0, 1) it is 0.
-    Float t runs in plain float arithmetic, arrays elementwise.
-    """
-    if k == 0:
-        return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-    if k == 1:
-        return 30.0 * t**2 * (1.0 - 2.0 * t + t**2)
-    if k == 2:
-        return 60.0 * t * (1.0 - 3.0 * t + 2.0 * t**2)
-    wppp = 60.0 * (1.0 - 6.0 * t + 6.0 * t**2)
-    if isinstance(t, float):
-        return wppp if 0.0 < t < 1.0 else 0.0
-    return np.where((t > 0.0) & (t < 1.0), wppp, 0.0)
-
-
-class NotAKnotSpline:
-    """Cubic spline through (x, y) whose third derivative is continuous at
-    x[1] and x[-2] (not-a-knot ends), for >= 4 strictly increasing x.
-
-    The knot slopes solve a tridiagonal system; on [x_i, x_{i+1}] the
-    spline is c0 t^3 + c1 t^2 + c2 t + c3 in t = r - x_i, evaluated (with
-    its derivatives of orders 1-3) by Horner's rule, on floats in plain
-    float arithmetic and on arrays elementwise.  An r outside [x_0, x_-1]
-    takes the polynomial of the nearest end interval.
+    x0 = 0 where f = a r, so a r is evaluated as the product itself;
+    elsewhere x0 = lo, which keeps the powers of r - x0 small.
     """
 
-    def __init__(self, x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        dx = np.diff(x)
-        m = np.diff(y) / dx
-        # the tridiagonal system for the slopes s: sub, diag, super, rhs
-        sub = np.concatenate([dx[1:], [x[-1] - x[-3]]])
-        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-        sup = np.concatenate([[x[2] - x[0]], dx[:-1]])
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        rhs = np.concatenate([
-            [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0],
-            3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
-            [(dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1],
-        ])
-        s = _solve_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
-        t = (s[:-1] + s[1:] - 2.0 * m) / dx
-        self.x = x
-        self.c = np.stack([t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]], axis=1)
-        self._x = x.tolist()
-        self._c = self.c.tolist()
+    lo: float
+    hi: float
+    x0: float
+    coef: tuple  # ascending powers of r - x0
 
-    def __call__(self, r, order: int = 0):
-        if isinstance(r, float):
-            i = min(max(bisect.bisect_right(self._x, r) - 1, 0), len(self._c) - 1)
-            return _horner(self._c[i], r - self._x[i], order)
-        r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self._c) - 1)
-        return _horner(np.moveaxis(self.c[i], -1, 0), r - self.x[i], order)
+    @property
+    def slope(self) -> Optional[float]:
+        """a where f = a r exactly on the piece, else None."""
+        if self.x0 == 0.0 and len(self.coef) == 2 and self.coef[0] == 0.0:
+            return self.coef[1]
+        return None
+
+
+def _not_a_knot_rows(x, y):
+    """Ascending coefficients, in t = r - x[i], of the cubic spline through
+    (x, y) on each [x[i], x[i+1]], for >= 4 strictly increasing x, with a
+    third derivative continuous at x[1] and x[-2] (not-a-knot ends).
+
+    The knot slopes s solve a tridiagonal system; row i is
+    (y_i, s_i, (m_i - s_i)/dx_i - u_i, u_i/dx_i) with m_i the secant slope
+    and u_i = (s_i + s_{i+1} - 2 m_i)/dx_i.
+    """
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    # the tridiagonal system for the slopes s: sub, diag, super, rhs
+    sub = np.concatenate([dx[1:], [x[-1] - x[-3]]])
+    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    sup = np.concatenate([[x[2] - x[0]], dx[:-1]])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    rhs = np.concatenate([
+        [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0],
+        3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
+        [(dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1],
+    ])
+    s = _solve_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+    u = (s[:-1] + s[1:] - 2.0 * m) / dx
+    return np.stack([y[:-1], s[:-1], (m - s[:-1]) / dx - u, u / dx], axis=1)
 
 
 def _solve_tridiagonal(sub, diag, sup, rhs):
@@ -140,16 +113,14 @@ def _solve_tridiagonal(sub, diag, sup, rhs):
     return np.array(x)
 
 
-def _horner(c, t, order):
-    """Derivative `order` of c0 t^3 + c1 t^2 + c2 t + c3."""
-    c0, c1, c2, c3 = c
-    if order == 0:
-        return ((c0 * t + c1) * t + c2) * t + c3
-    if order == 1:
-        return (3.0 * c0 * t + 2.0 * c1) * t + c2
-    if order == 2:
-        return 6.0 * c0 * t + 2.0 * c1
-    return 6.0 * c0 + 0.0 * t
+def _smoothstep_blend(c, r0):
+    """f = r (1 + (c-1) w(t)) on [r0/2, r0], in powers of t = r - r0/2,
+    with w the C^2 quintic smoothstep: w(0) = 0, w(1) = 1 and w' = w'' = 0
+    at both ends."""
+    P = np.polynomial.Polynomial
+    h = 0.5 * r0
+    w = P([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])(P([0.0, 1.0 / h]))
+    return tuple((P([h, 1.0]) * (1.0 + (c - 1.0) * w)).coef.tolist())
 
 
 @dataclass(frozen=True)
@@ -159,25 +130,39 @@ class WarpingProfile:
     kind
         one of ``euclidean`` (f = r), ``cone`` (f = c*r), ``smoothed_cone``
         (f = r near the tip, f = c*r beyond r0, C^2 quintic blend on
-        [r0/2, r0]) or ``custom`` (cubic spline through a sampled table).
+        [r0/2, r0]) or ``custom`` (cubic spline through a sampled table,
+        closed off below it by the line f = (f_0/r_0) r).
+
+    Every kind is stored as `pieces`, one polynomial of r per interval,
+    ascending; f and its derivatives of every order come from them alone.
+    `knots` are the radii where f changes polynomial.
     """
 
     kind: str
     c: Optional[float] = None
     r0: Optional[float] = None
     table: Optional[tuple] = None  # (r, f) samples for kind == "custom"
-    _spline: object = field(default=None, repr=False, compare=False)
+    pieces: tuple = field(init=False, repr=False, compare=False)
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ModelError(f"unknown profile kind {self.kind!r}")
         if self.kind in ("cone", "smoothed_cone"):
             if self.c is None or not (0.0 < self.c <= 1.0):
                 raise ModelError("cone aperture c must satisfy 0 < c <= 1")
         if self.kind == "smoothed_cone":
             if self.r0 is None or self.r0 <= 0.0:
                 raise ModelError("smoothed_cone requires r0 > 0")
-        if self.kind == "custom":
+        if self.kind == "euclidean":
+            pieces = [Piece(0.0, math.inf, 0.0, (0.0, 1.0))]
+        elif self.kind == "cone":
+            pieces = [Piece(0.0, math.inf, 0.0, (0.0, self.c))]
+        elif self.kind == "smoothed_cone":
+            a, b = 0.5 * self.r0, self.r0
+            pieces = [Piece(0.0, a, 0.0, (0.0, 1.0)),
+                      Piece(a, b, a, _smoothstep_blend(self.c, self.r0)),
+                      Piece(b, math.inf, 0.0, (0.0, self.c))]
+        elif self.kind == "custom":
             if self.table is None:
                 raise ModelError("custom profile requires a sample table")
             r, fvals = np.asarray(self.table[0], float), np.asarray(self.table[1], float)
@@ -185,62 +170,68 @@ class WarpingProfile:
                 raise ModelError("custom table needs >= 4 strictly increasing radii")
             if np.any(r <= 0) or np.any(fvals <= 0):
                 raise ModelError("custom table must have r > 0 and f > 0")
-            object.__setattr__(self, "_spline", NotAKnotSpline(r, fvals))
+            # the line through the first row closes the table off below,
+            # so tip integrals (volumes) stay defined
+            x = r.tolist()
+            pieces = [Piece(0.0, x[0], 0.0, (0.0, float(fvals[0]) / x[0]))]
+            pieces += [Piece(lo, hi, lo, tuple(row)) for lo, hi, row
+                       in zip(x[:-1], x[1:], _not_a_knot_rows(r, fvals).tolist())]
+        else:
+            raise ModelError(f"unknown profile kind {self.kind!r}")
+        top = pieces[-1].hi
+        knots = [pc.lo for pc in pieces[1:]] + ([top] if top < math.inf else [])
+        object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "knots", np.array(knots))
+        # _rows: per derivative order, the Horner rows (descending powers)
+        # of every piece, as lists for floats and, zero-padded to a common
+        # height, as one array column per piece; with the pieces' lo and x0
+        rows = [[np.polynomial.polynomial.polyder(pc.coef, k)[::-1].tolist()
+                 for pc in pieces] for k in range(4)]
+        height = len(max(rows[0], key=len))
+        cols = [np.array([[0.0] * (height - len(row)) + row for row in order]).T.copy()
+                for order in rows]
+        los, x0s = [pc.lo for pc in pieces], [pc.x0 for pc in pieces]
+        object.__setattr__(self, "_rows", (los, x0s, rows, top,
+                                           np.array(los), np.array(x0s), cols))
 
     # -- evaluation ------------------------------------------------------
 
     def _eval(self, r, order):
-        # a float (np.float64 included) runs the same formulas in plain
-        # float arithmetic: numpy boxing would cost far more than they do
-        scalar = isinstance(r, float)
-        if scalar:
-            r = float(r)
-            ok = r > 0.0
-        else:
-            r = np.asarray(r, dtype=float)
-            ok = bool(np.all(r > 0.0))
-        if not ok:  # NaN fails the comparison too
-            raise ModelError("profile is only defined for r > 0")
-        zero = _full(r, 0.0)
-        if self.kind == "euclidean":
-            out = (r, _full(r, 1.0), zero, zero)[order]
-        elif self.kind == "cone":
-            c = self.c
-            out = (c * r, _full(r, c), zero, zero)[order]
-        elif self.kind == "smoothed_cone":
-            out = self._smoothed(r, order)
-        else:
-            out = self._custom(r, order)
-        return float(out) if scalar or out.ndim == 0 else out
+        """Derivative `order` of f by Horner's rule on the piece holding r.
 
-    def _custom(self, r, order):
-        if np.any(r > self.table[0][-1]):
-            raise ModelError("custom profile evaluated beyond its table range")
-        # below the table the profile is closed off with the linear cone
-        # f = (f(r_lo)/r_lo) r, so tip integrals (volumes) stay defined
-        _, r_lo, slope = self.linear_pieces()[0]
-        tip = slope * r if order == 0 else _full(r, slope if order == 1 else 0.0)
+        A float (np.float64 included) runs in plain float arithmetic, as
+        numpy boxing would cost far more than the polynomial; an array
+        runs the same operations elementwise.
+        """
+        los, x0s, rows, top, lo_arr, x0_arr, cols = self._rows
         if isinstance(r, float):
-            return tip if r < r_lo else self._spline(r, order)
-        return np.where(r < r_lo, tip, self._spline(np.maximum(r, r_lo), order))
+            r = float(r)
+            if not 0.0 < r <= top:  # NaN fails the comparison too
+                self._refuse(r)
+            i = bisect.bisect_right(los, r) - 1
+            t = r - x0s[i]
+            out = 0.0
+            for a in rows[order][i]:
+                out = out * t + a
+            return out
+        r = np.asarray(r, dtype=float)
+        if r.size and not (r.min() > 0.0 and (top == math.inf or r.max() <= top)):
+            self._refuse(r)
+        i = lo_arr.searchsorted(r, side="right") - 1
+        t = r - x0_arr.take(i)
+        coef = cols[order].take(i, axis=1)
+        out = coef[0] * t
+        for a in coef[1:-1]:
+            out += a
+            out *= t
+        out += coef[-1]
+        return float(out) if out.ndim == 0 else out
 
-    def _smoothed(self, r, order):
-        """Derivative `order` of f = r * (1 + (c-1) w(t(r))), from only the
-        derivatives of w that it needs."""
-        c, r0 = self.c, self.r0
-        a, b = 0.5 * r0, r0
-        t = _clip01((r - a) / (b - a))
-        if order == 0:
-            return r * (1.0 + (c - 1.0) * _quintic_blend(t, 0))
-        if order == 1:
-            wp = _quintic_blend(t, 1) / (b - a)
-            return 1.0 + (c - 1.0) * _quintic_blend(t, 0) + r * (c - 1.0) * wp
-        wpp = _quintic_blend(t, 2) / (b - a) ** 2
-        if order == 2:
-            wp = _quintic_blend(t, 1) / (b - a)
-            return 2.0 * (c - 1.0) * wp + r * (c - 1.0) * wpp
-        wppp = _quintic_blend(t, 3) / (b - a) ** 3
-        return 3.0 * (c - 1.0) * wpp + r * (c - 1.0) * wppp
+    def _refuse(self, r):
+        if not np.all(np.asarray(r) > 0.0):
+            raise ModelError("profile is only defined for r > 0")
+        raise ModelError(f"profile is only defined up to r = {self.pieces[-1].hi!r}, "
+                         "the top of its table")
 
     def f(self, r):
         return self._eval(r, 0)
@@ -254,95 +245,38 @@ class WarpingProfile:
     def fppp(self, r):
         return self._eval(r, 3)
 
-    def asymptotic_slope(self, r_ref=None):
-        """Slope a of the linear asymptote f(r) ~ a*r, if one exists."""
-        if self.kind == "euclidean":
-            return 1.0
-        if self.kind in ("cone", "smoothed_cone"):
-            return self.c
-        r_top = self.table[0][-1] if r_ref is None else r_ref
-        return float(self.f(r_top) / r_top)
+    def piece_at(self, r: float) -> Piece:
+        """The piece whose [lo, hi) holds r > 0 (the top piece of a table
+        also holds its top)."""
+        return self.pieces[bisect.bisect_right(self._rows[0], r) - 1]
 
-    def linear_from(self):
-        """Radius beyond which f(r) = asymptotic_slope * r exactly (inf if never)."""
-        if self.kind in ("euclidean", "cone"):
-            return 0.0
-        if self.kind == "smoothed_cone":
-            return self.r0
-        return math.inf
+    def min_ratio(self, lo, hi, numer, power=0):
+        """min over [lo, hi] of N / f^power, where on each piece N =
+        numer(F) for F the piece as a numpy Polynomial in r - x0.
 
-    def linear_pieces(self):
-        """Intervals [lo, hi) on which f(r) = a*r exactly, as (lo, hi, a).
-
-        Ascending and disjoint; the gaps between them are where f is not
-        linear (the smoothed-cone blend, the custom spline).
+        On a piece (N/F^p)' = (N'F - p F'N) / F^(p+1) with F > 0, so the
+        candidates are the ends of the piece's part of [lo, hi] (both
+        one-sided values at a knot) and the real roots of N'F - p F'N
+        inside it.  Complex roots are taken by their real part: they add
+        only values the function takes, never one below its minimum.
         """
-        if self.kind == "euclidean":
-            return ((0.0, math.inf, 1.0),)
-        if self.kind == "cone":
-            return ((0.0, math.inf, self.c),)
-        if self.kind == "smoothed_cone":
-            return ((0.0, 0.5 * self.r0, 1.0), (self.r0, math.inf, self.c))
-        r_lo = float(self.table[0][0])
-        return ((0.0, r_lo, float(self._spline(r_lo)) / r_lo),)
-
-    def pieces(self):
-        """linear_pieces() with the gaps between them filled: (lo, hi, a)
-        covering (0, inf) in ascending order, a = None where f is not linear."""
-        out, edge = [], 0.0
-        for lo, hi, a in self.linear_pieces():
-            if lo > edge:
-                out.append((edge, lo, None))
-            out.append((lo, hi, a))
-            edge = hi
-        if edge < math.inf:
-            out.append((edge, math.inf, None))
-        return tuple(out)
-
-    def cuts(self, lo: float, hi: float) -> np.ndarray:
-        """[lo, the knots of f strictly inside (lo, hi), hi], ascending.
-
-        Knots are the radii where f stops being one polynomial: the ends
-        of the smoothed-cone blend and the radii of a custom table.  So
-        between two consecutive cuts f is a single polynomial, on which
-        Gauss rules converge fast.
-        """
-        if self.kind == "smoothed_cone":
-            knots = np.array([0.5 * self.r0, self.r0])
-        elif self.kind == "custom":
-            knots = self._spline.x
-        else:
-            knots = np.empty(0)
-        return np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]])
+        if not 0.0 < lo <= hi <= self.pieces[-1].hi:
+            raise ModelError(f"minimum over [{lo!r}, {hi!r}] leaves the profile's range")
+        out = math.inf
+        for pc in self.pieces:
+            if pc.hi <= lo or pc.lo > hi:
+                continue
+            F = np.polynomial.Polynomial(pc.coef)
+            N = numer(F)
+            u, v = max(lo, pc.lo) - pc.x0, min(hi, pc.hi) - pc.x0
+            roots = (N.deriv() * F - power * F.deriv() * N).roots().real
+            t = np.concatenate([[u, v], roots[(roots > u) & (roots < v)]])
+            out = min(out, float(np.min(N(t) / F(t) ** power)))
+        return out
 
     def fp_min(self, lo, hi):
-        """Minimum of f' over [lo, hi], decided piece by piece.
-
-        f' = a on a linear piece.  Elsewhere f' is a polynomial: of degree
-        5 in r on the smoothed-cone blend (f = r (1 + (c-1) w) with w
-        quintic in t, itself linear in r) and quadratic on each interval of
-        the custom spline.  deg + 1 samples of f' fix it, so its minimum is
-        the least value of f' at the ends and at the real critical points.
-        """
-        out = math.inf
-        for p_lo, p_hi, a in self.pieces():
-            u, v = max(lo, p_lo), min(hi, p_hi)
-            if u > v:
-                continue
-            if a is not None:
-                out = min(out, a)
-                continue
-            deg = 5 if self.kind == "smoothed_cone" else 2
-            cuts = self.cuts(u, v).tolist()
-            for x0, x1 in zip(cuts[:-1], cuts[1:]):
-                x = [x0, x1]
-                if x1 > x0:
-                    nodes = x0 + (x1 - x0) * np.linspace(0.0, 1.0, deg + 1)
-                    poly = np.polynomial.Polynomial.fit(nodes, self.fp(nodes), deg)
-                    # complex roots add only harmless extra samples
-                    x += [z.real for z in poly.deriv().roots() if x0 < z.real < x1]
-                out = min(out, float(np.min(self.fp(np.array(x)))))
-        return out
+        """Minimum of f' over [lo, hi]."""
+        return self.min_ratio(lo, hi, lambda F: F.deriv())
 
 
 @dataclass(frozen=True)
@@ -498,20 +432,22 @@ def _volume_ratio(model: ModelManifold, t: float) -> float:
     the integral is a^{n-1} ((hi/t)^n - (lo/t)^n) in closed form; Gauss
     panels run only where f is not linear, one per polynomial piece of f.
     """
-    if t <= 0:
-        raise ModelError("volume requires t > 0")
     n, p = model.n, model.profile
-    total = 0.0
-    for lo, hi, a in p.pieces():
-        if lo >= t:
+    if not 0 < t <= p.pieces[-1].hi:
+        raise ModelError(f"volume requires 0 < t <= {p.pieces[-1].hi!r}, got {t!r}")
+    total, lo_q, hi_q = 0.0, [], []
+    for pc in p.pieces:
+        if pc.lo >= t:
             break
-        hi = min(hi, t)
-        if a is not None:
-            total += a ** (n - 1) * ((hi / t) ** n - (lo / t) ** n)
-            continue
-        cuts = p.cuts(lo, hi)
+        hi = min(pc.hi, t)
+        if pc.slope is not None:
+            total += pc.slope ** (n - 1) * ((hi / t) ** n - (pc.lo / t) ** n)
+        else:
+            lo_q.append(pc.lo)
+            hi_q.append(hi)
+    if lo_q:
         vals, errs, _ = quadrature.gauss_legendre(
-            lambda s: (p.f(s) / t) ** (n - 1), cuts[:-1], cuts[1:], rtol=1e-10)
+            lambda s: (p.f(s) / t) ** (n - 1), np.array(lo_q), np.array(hi_q), rtol=1e-10)
         val, err = float(np.sum(vals)), float(np.sum(errs))
         if not math.isfinite(val) or (val > 0 and err / val > 1e-8):
             raise ModelError("ball volume quadrature did not converge")
@@ -535,11 +471,12 @@ def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
     if s <= 0:
         raise ModelError("nonparabolic_check requires s > 0")
     p, n = model.profile, model.n
-    if p.kind == "custom":
-        r_hi = p.table[0][-1]
+    top = p.pieces[-1]
+    if top.hi < math.inf:  # a table ends at its top: measure just below it
+        r_hi = top.hi
         r_lo = r_hi / 2.0
-    else:
-        r_lo = max(s, 10.0 * (p.r0 if p.kind == "smoothed_cone" else 1.0))
+    else:  # well inside the top piece, which reaches to infinity
+        r_lo = max(s, 10.0 * (top.lo or 1.0))
         r_hi = 2.0 * r_lo
     slope = (math.log(p.f(r_hi)) - math.log(p.f(r_lo))) / (
         math.log(r_hi) - math.log(r_lo)
@@ -563,7 +500,9 @@ def hypothesis_report(
     """Probe the curvature/volume hypotheses on [r_min, r_max].
 
     The gradient of the Green function is radial on these models, so
-    nonnegative sectional curvature along it reduces to k_rad >= 0.
+    nonnegative sectional curvature along it reduces to k_rad >= 0.  The
+    sectional and Ricci margins are the exact minima over [r_min, r_max]
+    (see WarpingProfile.min_ratio), so they do not depend on the probes.
 
     Parallel Ricci is decided by the closed form |grad Ric| (see
     ricci_gradient_norm) at the probe radii.  For n >= 3 it vanishes
@@ -575,10 +514,14 @@ def hypothesis_report(
     """
     if not (0 < r_min < r_max) or probes < 2:
         raise ModelError("need 0 < r_min < r_max and probes >= 2")
+    p, n = model.profile, model.n
+    # exact minima over [r_min, r_max]: k_rad = -f''/f, ric_rad = (n-1) k_rad
+    # and ric_tan = (-f f'' + (n-2)(1 - f'^2)) / f^2
+    sec_margin = p.min_ratio(r_min, r_max, lambda F: -F.deriv(2), 1)
+    ric_tan_min = p.min_ratio(
+        r_min, r_max, lambda F: -F * F.deriv(2) + (n - 2) * (1.0 - F.deriv() ** 2), 2)
+    ric_margin = min((n - 1) * sec_margin, ric_tan_min)
     radii = np.geomspace(r_min, r_max, probes)
-    samples = [curvature_at(model, r) for r in radii]
-    sec_margin = min(s.k_rad for s in samples)
-    ric_margin = min(min(s.ric_rad, s.ric_tan) for s in samples)
     residual = max(ricci_gradient_norm(model, r) for r in radii)
 
     chart = fdcheck.warped_chart(ModelManifold(3, model.profile))

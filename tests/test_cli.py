@@ -97,7 +97,9 @@ _ALL_HOLD = dict(nonneg_sectional_along_gradG=True, nonneg_ricci=True,
 @pytest.mark.parametrize("model,n,flags", [
     ("cone:0.3", "4", _ALL_HOLD),
     ("cone:0.7", "7", _ALL_HOLD),
-    ("smoothed-cone:0.8:1", "5", _ALL_HOLD),
+    # f'' > 0 near the top of a smoothed-cone blend with c < 1, so k_rad < 0
+    ("smoothed-cone:0.8:1", "5",
+     dict(_ALL_HOLD, nonneg_sectional_along_gradG=False, nonneg_ricci=False)),
     ("smoothed-cone:0.85:1.5", "9",
      dict(_ALL_HOLD, nonneg_sectional_along_gradG=False, nonneg_ricci=False)),
 ])
@@ -252,13 +254,26 @@ def test_audit_euclidean(capsys):
     assert doc["audit"]["final_bound"] == pytest.approx(-96.0, abs=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "group_mixed is roundoff (+2.8e21) of terms near 1e35 checked against "
-    "the absolute tol 1e-8; the euclidean case meets the proof exactly"))
 def test_audit_euclidean_at_large_G_does_not_fail(capsys):
+    # group_mixed is the roundoff of terms near 1e35, far inside its gate
+    # tol * (sum of their absolute values); euclidean meets the proof exactly
     _, doc = run_json(["audit", "--model", "euclidean", "--n", "30",
                        "--C", "12", "--r", "0.3"], capsys)
     assert doc["verdict"] != "fail"
+    audit = doc["audit"]
+    assert audit["group_scales"]["group_mixed"] > 1e35
+    assert 0.0 < audit["group_mixed"] <= 1e-8 * audit["group_scales"]["group_mixed"]
+
+
+def test_audit_group_past_its_scaled_gate_fails(capsys):
+    # k_rad < 0 on the blend: group_curv1 is a few percent of its terms' size
+    code, doc = run_json(["audit", "--model", "smoothed-cone:0.5:1", "--n", "4",
+                          "--C", "12", "--r", "0.9"], capsys)
+    assert (code, doc["verdict"]) == (1, "fail")
+    audit = doc["audit"]
+    scale = audit["group_scales"]["group_curv1"]
+    assert audit["group_curv1"] > 1e-3 * scale > 1.0
+    assert "group_curv1" in audit["hypothesis_flags"]
 
 
 def test_symbolic_verify_all(capsys):

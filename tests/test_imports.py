@@ -1,10 +1,11 @@
-"""Static import hygiene of the package, checked on its syntax trees.
+"""Static hygiene of the package, checked on its syntax trees.
 
 Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
 only where one keeps the symbolic engine out of the numeric commands;
-and no module imports sympy or scipy, which only the tests use, as
-references.
+no module imports sympy or scipy, which only the tests use, as
+references; and no module but ``models`` reads how a warping profile
+was specified (its kind and parameters) rather than its pieces.
 """
 
 import ast
@@ -109,3 +110,25 @@ def test_no_module_imports_sympy():
 
 def test_no_module_imports_scipy():
     assert _importers("scipy") == []
+
+
+#: what only models.py may touch: the parameters a profile is built from,
+#: and the names of the per-kind helpers its pieces replaced
+PROFILE_FIELDS = {"kind", "table", "r0", "c"}
+REMOVED_PROFILE_CALLS = {"cuts", "linear_from", "asymptotic_slope"}
+
+
+def test_profile_format_stays_inside_models():
+    found = []
+    for name, tree in _modules():
+        if name == "models":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in PROFILE_FIELDS:
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in REMOVED_PROFILE_CALLS:
+                    found.append(f"{name}:{node.lineno} {called}()")
+    assert found == []

@@ -13,6 +13,7 @@ from harnacklab.models import (
     ModelError, curvature_at, hypothesis_report, make_model,
     model_from_id, ricci_gradient_norm, sphere_area, volume_growth,
 )
+from tables import concave_table
 
 
 def ball_volume(model, t):
@@ -371,6 +372,91 @@ def test_float_and_array_evaluation_reject_the_same_inputs(model_id, bad):
         for fun in (p.f, p.fp, p.fpp, p.fppp):
             with pytest.raises(ModelError, match="only defined for r > 0"):
                 fun(arg)
+
+
+def _blend_reference(profile, r):
+    """(f, f', f'', f''') of f = r (1 + (c-1) w(t)), t = (r - r0/2) / (r0/2),
+    w the quintic smoothstep, in closed form; right-continuous at both
+    blend ends, as the pieces are."""
+    c, h = profile.c, 0.5 * profile.r0
+    t = (r - h) / h
+    inside = (t >= 0.0) & (t < 1.0)
+    w0 = np.where(inside, t**3 * (10.0 - 15.0 * t + 6.0 * t**2), (t >= 1.0) * 1.0)
+    w1 = np.where(inside, 30.0 * t**2 * (1.0 - t) ** 2, 0.0) / h
+    w2 = np.where(inside, 60.0 * t * (1.0 - 3.0 * t + 2.0 * t**2), 0.0) / h**2
+    w3 = np.where(inside, 60.0 * (1.0 - 6.0 * t + 6.0 * t**2), 0.0) / h**3
+    return (r * (1.0 + (c - 1.0) * w0),
+            1.0 + (c - 1.0) * (w0 + r * w1),
+            (c - 1.0) * (2.0 * w1 + r * w2),
+            (c - 1.0) * (3.0 * w2 + r * w3))
+
+
+@pytest.mark.parametrize("model_id", [m for m in EVAL_MODELS if m.startswith("smoothed")])
+def test_smoothed_cone_pieces_match_the_closed_blend(model_id):
+    p = model_from_id(model_id, 4).profile
+    r = _eval_grid(p)
+    funs = (p.f, p.fp, p.fpp, p.fppp)
+    for order, (fun, want) in enumerate(zip(funs, _blend_reference(p, r))):
+        got = fun(r)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), order
+    # outside the blend the pieces are f = r and f = c r, exactly
+    below, above = r[r < 0.5 * p.r0], r[r >= p.r0]
+    assert np.array_equal(p.f(below), below) and np.array_equal(p.f(above), p.c * above)
+    assert np.all(p.fp(below) == 1.0) and np.all(p.fp(above) == p.c)
+    for fun in funs[2:]:
+        assert np.all(fun(below) == 0.0) and np.all(fun(above) == 0.0)
+
+
+def _dense_margins(model, r_min, r_max):
+    """(min k_rad, min Ricci) over dense samples of [r_min, r_max] and the
+    knots inside it: the sampled second route to the exact minima."""
+    p, n = model.profile, model.n
+    knots = p.knots[(p.knots >= r_min) & (p.knots <= r_max)]
+    r = np.concatenate([np.geomspace(r_min, r_max, 200001), knots])
+    f, fp, fpp = p.f(r), p.fp(r), p.fpp(r)
+    k_rad = -fpp / f
+    ric_tan = k_rad + (n - 2) * (1.0 - fp * fp) / (f * f)
+    return k_rad.min(), min((n - 1) * k_rad.min(), ric_tan.min())
+
+
+def _margin_model(name):
+    if name == "concave":  # the spline rings a little below f'' = 0
+        return make_model("custom", 6, table=concave_table())
+    if name == "quadratic":  # f = r^2: k_rad = -2/r^2
+        r = np.linspace(0.005, 80.0, 600)
+        return make_model("custom", 4, table=(r, r**2))
+    return model_from_id(name, 4)
+
+
+@pytest.mark.parametrize("name,k_rad_min", [
+    # 16 probes missed these blend minima, and flagged all three as holding
+    ("smoothed-cone:0.5:1", -19.0266),
+    ("smoothed-cone:0.8:1", -4.89674),
+    ("smoothed-cone:0.9:2", -0.547304),
+    ("concave", -0.00647045),
+    ("quadratic", -2e4),
+])
+def test_curvature_margins_are_exact_minima(name, k_rad_min):
+    model = _margin_model(name)
+    rep = hypothesis_report(model, 1e-2, 50.0)
+    k_dense, ric_dense = _dense_margins(model, 1e-2, 50.0)
+    assert rep.sectional_margin == pytest.approx(k_rad_min, rel=1e-5)
+    for exact, dense in ((rep.sectional_margin, k_dense), (rep.ricci_margin, ric_dense)):
+        assert exact <= dense + 1e-12 * abs(dense)
+        assert exact == pytest.approx(dense, rel=1e-6)
+    assert not rep.nonneg_sectional_along_gradG and not rep.nonneg_ricci
+    # the margins do not depend on the probes
+    few = hypothesis_report(model, 1e-2, 50.0, probes=2)
+    assert (few.sectional_margin, few.ricci_margin) == (rep.sectional_margin, rep.ricci_margin)
+
+
+@pytest.mark.parametrize("model_id", ["euclidean", "cone:0.3", "cone:0.9"])
+def test_linear_models_have_zero_sectional_margin(model_id):
+    model = model_from_id(model_id, 5)
+    rep = hypothesis_report(model, 1e-2, 1e2)
+    assert rep.sectional_margin == 0.0
+    assert rep.ricci_margin == pytest.approx(_dense_margins(model, 1e-2, 1e2)[1], abs=1e-15)
+    assert rep.nonneg_sectional_along_gradG and rep.nonneg_ricci
 
 
 # -- f' minimum: the monotonicity precondition of the Clairaut sweeps -----------

@@ -1,4 +1,4 @@
-"""The numeric core and the profile spline against scipy, the reference."""
+"""The numeric core and the custom-profile spline against scipy, the reference."""
 
 import math
 
@@ -8,7 +8,7 @@ from scipy import integrate, optimize
 from scipy.interpolate import CubicSpline
 
 from harnacklab import quadrature
-from harnacklab.models import NotAKnotSpline
+from harnacklab.models import make_model
 from tables import concave_table
 
 
@@ -109,14 +109,16 @@ def _seeded_tables():
 @pytest.mark.parametrize("table", [concave_table(), *_seeded_tables()],
                          ids=["concave", "4", "5", "9", "60", "linear"])
 def test_spline_matches_scipy_cubic_spline(table):
+    # a custom profile's f ... f''' over its table range: one cubic piece per
+    # table interval, the not-a-knot spline that CubicSpline builds
     r, f = table
-    ours, ref = NotAKnotSpline(r, f), CubicSpline(r, f)
+    p, ref = make_model("custom", 4, table=(r, f)).profile, CubicSpline(r, f)
     x = np.concatenate([r, np.geomspace(r[0], r[-1], 997)])
-    for order in range(4):
+    for order, fun in enumerate((p.f, p.fp, p.fpp, p.fppp)):
         want = ref(x, order)
-        got = ours(x, order)
+        got = fun(x)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, order
         # floats take the same polynomial through plain float arithmetic
         for xi in x[::37].tolist():
-            assert abs(ours(xi, order) - float(ref(xi, order))) <= 1e-12 * scale
+            assert abs(fun(xi) - float(ref(xi, order))) <= 1e-12 * scale
