@@ -154,13 +154,23 @@ def cmd_corollary(args) -> int:
     cfg = RunConfig.load(args)
     model = model_from_id(cfg.model, cfg.n)
     profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
+    if not cfg.lambdas:
+        raise ModelError("corollary needs at least one lambda")
     rows = []
     worst = math.inf
     misses = 0
+    branches = dict.fromkeys(("radial", "monotone", "turning", "tip"), 0)
+    shot_gap = None
     for y, z in _sample_triples(cfg, args.triples):
-        triples = geodesics.corollary_check(model, profile, y, z, cfg.C, cfg.lambdas)
-        # every triple of a pair shares one minimizer and its quad misses
-        misses += triples[0].quad_misses if triples else 0
+        # one shot per report: the first pair that can be shot checks the
+        # points found by arclength inversion
+        triples = geodesics.corollary_check(model, profile, y, z, cfg.C, cfg.lambdas,
+                                            shoot=shot_gap is None)
+        # every triple of a pair shares one minimizer, its branch and quad misses
+        misses += triples[0].quad_misses
+        branches[triples[0].branch] += 1
+        if shot_gap is None:
+            shot_gap = triples[0].shot_gap
         for t in triples:
             worst = min(worst, t.slack)
             rows.append(t)
@@ -180,6 +190,8 @@ def cmd_corollary(args) -> int:
         "triples": args.triples,
         "worst_slack": float(worst),
         "quad_misses": misses,
+        "branches": branches,
+        "shot_gap": shot_gap,
         "hypothesis_flags": hyp.flags(),
     })
     _emit(payload, "corollary", cfg.output_dir)

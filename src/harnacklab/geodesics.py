@@ -8,14 +8,18 @@ quantity a = f^2 phi' is conserved; with unit speed,
     r'^2 = 1 - a^2 / f(r)^2,
 
 which also gives closed quadrature formulas for the angle swept and the
-arclength as functions of a.  The distance comes from these: each sweep
-runs Gauss-Legendre panels (`quadrature.gauss_legendre`) between the
-knots of f, after a substitution r = r_0 + u^2 at the lower end that
-removes the inverse square root of a turning point, and Brent's root
-finder fixes the Clairaut constant (or the turning radius) from the angle
-alone.  The point at a given arclength is found by shooting: a
-Dormand-Prince 5(4) integration of the geodesic equations in plain
-floats.
+arclength as functions of a.  The distance comes from these sweeps, summed
+over the pieces of f: where f = m r both are closed (the unrolled wedge of
+a cone), in plain floats; elsewhere they run Gauss-Legendre panels
+(`quadrature.gauss_legendre`) after a substitution r = r_0 + u^2 at the
+lower end that removes the inverse square root of a turning point.
+Brent's root finder fixes the Clairaut constant (or the turning radius)
+from the angle alone.  The point at a given arclength is found by
+inverting the arclength sweep on the branch that holds it (exactly where
+f = m r, by Brent's method on a Gauss length sweep elsewhere) and taking
+phi from the angle sweep.  Shooting, a Dormand-Prince 5(4) integration of
+the geodesic equations in plain floats, is the second route: the
+corollary shoots once per report and records the gap.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +81,9 @@ class GeodesicTriple:
     rhs: float
     slack: float
     through_tip_region: bool
-    quad_misses: int  # sweep quadratures of the y-z minimizer that missed tol
+    branch: str       # of the y-z minimizer: radial | monotone | turning | tip
+    quad_misses: int  # sweep quadratures of the y-z minimizer and its points that missed tol
+    shot_gap: Optional[float] = None  # largest gap between shot and inversion, if shot
 
 
 #: tolerances of the Dormand-Prince shot, on every state component
@@ -189,12 +195,15 @@ def shoot_geodesic(
     length: float,
     r_floor: float = R_FLOOR,
     n_samples: int = 200,
+    at: Optional[Sequence[float]] = None,
 ) -> GeodesicPath:
     """Integrate the unit-speed geodesic leaving `start` at `angle`.
 
     angle = 0 is outward radial, pi/2 purely tangential.  The path is
-    sampled at n_samples equally spaced arclengths; if r falls to r_floor
-    first, it is truncated there and sampled up to that point.
+    sampled at arclength 0 and at the increasing arclengths `at` in (0,
+    length], or by default at n_samples equally spaced arclengths; if r
+    falls to r_floor first, it is truncated there and sampled at n_samples
+    equally spaced arclengths up to that point.
     """
     if length <= 0:
         raise GeodesicError("length must be positive")
@@ -203,31 +212,134 @@ def shoot_geodesic(
     y0 = (start.r, start.phi, math.cos(angle), math.sin(angle) / f0)
     rhs = _geodesic_rhs(prof)
     knots = prof.knots.tolist()
-    states, s_hit = _dormand_prince(
-        rhs, y0, np.linspace(0.0, length, n_samples).tolist(), r_floor, knots)
+    s = np.linspace(0.0, length, n_samples) if at is None else np.array([0.0, *at])
+    states, s_hit = _dormand_prince(rhs, y0, s.tolist(), r_floor, knots)
     truncated = s_hit is not None
     if truncated:
-        states, _ = _dormand_prince(
-            rhs, y0, np.linspace(0.0, s_hit, n_samples).tolist(), -math.inf, knots)
+        s = np.linspace(0.0, s_hit, n_samples)
+        states, _ = _dormand_prince(rhs, y0, s.tolist(), -math.inf, knots)
     r, phi, rp, php = np.array(states).T
     speed = rp**2 + prof.f(np.maximum(r, r_floor)) ** 2 * php**2
     defect = float(np.max(np.abs(speed - 1.0)))
-    return GeodesicPath(s=np.linspace(0.0, s_hit if truncated else length, n_samples),
-                        r=r, phi=phi, truncated=truncated, unit_speed_defect=defect)
+    return GeodesicPath(s=s, r=r, phi=phi, truncated=truncated, unit_speed_defect=defect)
 
 
 # -- distance by Clairaut quadrature ------------------------------------------
 
 
-def _sweep(integrand, prof, r_lo, r_hi):
-    """(int_{r_lo}^{r_hi} of the integrand in u, where r = r_lo + u^2, 1 if
-    its Gauss estimate missed the gate else 0).  The u range is cut where
-    r meets a knot of f, and the integrand maps an array of u to values."""
-    k = prof.knots
-    u = np.sqrt(np.concatenate([[r_lo], k[(k > r_lo) & (k < r_hi)], [r_hi]]) - r_lo)
-    val, _, missed = quadrature.gauss_legendre(integrand, u[:-1], u[1:],
-                                               rtol=1e-11, atol=1e-13)
-    return float(np.sum(val)), int(np.any(missed))
+class _Arc:
+    """A radially monotone arc of the slice geodesic with Clairaut constant
+    k, climbing from its inner radius `base`: the turning radius (where
+    f(base) = k) or the inner end point of a monotone minimizer.
+
+    Its sweeps integrate dphi/dr = k / (f sqrt(f^2 - k^2)) or ds/dr =
+    f / sqrt(f^2 - k^2) piece by piece.  Where f = m r, with D(r) = f^2 -
+    k^2, the angle is [atan2(sqrt D, k)] / m and the arclength [sqrt D] / m;
+    D is taken as D(base) + m^2 (r - base)(r + base) on the piece holding
+    base, so it carries no cancellation at the turning radius.  Other pieces
+    run Gauss panels in u, r = base + u^2.
+    """
+
+    def __init__(self, prof, k, base, turning):
+        self.prof, self.k, self.base, self.turning = prof, k, base, turning
+        self.f0 = f0 = prof.f(base)
+        self.d0 = 0.0 if turning else (f0 - k) * (f0 + k)  # D(base)
+
+    def _root(self, pc, m, r):
+        """sqrt(D(r)) on the linear piece pc, f = m r."""
+        if pc.lo <= self.base:
+            d = self.d0 + m * m * (r - self.base) * (r + self.base)
+        else:
+            d = (m * r - self.k) * (m * r + self.k)
+        return math.sqrt(max(d, 0.0))
+
+    def _integrand(self, length):
+        """The sweep's integrand on Gauss nodes u, r = base + u^2."""
+        prof, k, base, f0, d0 = self.prof, self.k, self.base, self.f0, self.d0
+        q_taylor = _taylor_q(prof, base)
+        if self.turning:
+            def integrand(u):
+                # f(r)^2 - k^2 = u^2 * q(u) * (f + k)
+                f = prof.f(base + u * u)
+                root = np.sqrt(np.maximum(q_taylor(u, f) * (f + k), 1e-300))
+                return 2.0 * f / root if length else 2.0 * k / (f * root)
+        else:
+            def integrand(u):
+                # dr = 2u du and f^2 - k^2 = u^2 q(u) (f + f0) + D(base), free
+                # of cancellation; near the turning limit k -> f0 the
+                # integrand sharpens at u = 0 and the panels there are halved
+                f = prof.f(base + u * u)
+                root = np.sqrt(np.maximum(u * u * q_taylor(u, f) * (f + f0) + d0, 0.0))
+                return 2.0 * u * (f / root if length else k / (f * root))
+        return integrand
+
+    def _parts(self, r_lo, r_hi):
+        """(piece, lo, hi) for each piece of f meeting [r_lo, r_hi]."""
+        for pc in self.prof.pieces:
+            if pc.lo >= r_hi:
+                break
+            lo, hi = max(pc.lo, r_lo), min(pc.hi, r_hi)
+            if lo < hi:
+                yield pc, lo, hi
+
+    def sweep(self, r_lo, r_hi, length=False):
+        """(angle swept, or arclength if `length`, over [r_lo, r_hi], base <=
+        r_lo <= r_hi; 1 if its Gauss estimate missed the gate else 0)."""
+        k, total, u_lo, u_hi = self.k, 0.0, [], []
+        for pc, lo, hi in self._parts(r_lo, r_hi):
+            m = pc.slope
+            if m is None:
+                u_lo.append(math.sqrt(lo - self.base))
+                u_hi.append(math.sqrt(hi - self.base))
+                continue
+            p, q = self._root(pc, m, lo), self._root(pc, m, hi)
+            # the length (q - p) / m without cancellation, as q^2 - p^2 =
+            # m^2 (hi^2 - lo^2), and the difference of the two atan2 in one
+            ds = m * (hi - lo) * (hi + lo) / (p + q)
+            total += ds if length else math.atan2(k * m * ds, k * k + p * q) / m
+        if not u_lo:
+            return total, 0
+        val, _, missed = quadrature.gauss_legendre(
+            self._integrand(length), np.array(u_lo), np.array(u_hi), rtol=1e-11, atol=1e-13)
+        return total + float(np.sum(val)), int(np.any(missed))
+
+    def invert(self, s, r_end):
+        """(r in [base, r_end] at arclength s from base, the angle swept from
+        base to r, Gauss misses).
+
+        On a piece where f = m r, sqrt D(r) = sqrt D(lo) + m s' with s' the
+        arclength left at the piece's start lo, so r^2 = lo^2 + s' (2 sqrt
+        D(lo) / m + s'), and the angle comes from sqrt D(r) as it stands, not
+        from r; on another piece Brent's root finder solves the piece's
+        length sweep for r.
+        """
+        k, misses, done, angle = self.k, 0, 0.0, 0.0
+        for pc, lo, hi in self._parts(self.base, r_end):
+            part, missed = self.sweep(lo, hi, length=True)
+            misses += missed
+            rest = s - done
+            if rest > part and hi < r_end:
+                ang, missed = self.sweep(lo, hi)
+                done, angle, misses = done + part, angle + ang, misses + missed
+                continue
+            m = pc.slope
+            if rest >= part:
+                r = hi
+            elif m is not None:
+                p = self._root(pc, m, lo)
+                r = min(math.sqrt(lo * lo + rest * (2.0 * p / m + rest)), hi)
+                return r, angle + math.atan2(k * m * rest, k * k + p * (p + m * rest)) / m, misses
+            else:
+                def gap(r):
+                    nonlocal misses
+                    val, missed = self.sweep(lo, r, length=True)
+                    misses += missed
+                    return val - rest
+
+                r = quadrature.brent_root(gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            ang, missed = self.sweep(lo, r)
+            return r, angle + ang, misses + missed
+        return r_end, angle, misses
 
 
 def _taylor_q(prof, r0):
@@ -247,40 +359,14 @@ def _taylor_q(prof, r0):
 def _sweep_monotone(model, a, r1, r2, length=False):
     """(angle swept, or arclength if `length`, quad misses) along a
     radially monotone arc from r1 to r2, r1 < r2."""
-    prof = model.profile
-    f1 = prof.f(r1)
-    d = (f1 - a) * (f1 + a)
-    q_taylor = _taylor_q(prof, r1)
-
-    def integrand(u):
-        # dr = 2u du and f^2 - a^2 = u^2 q(u) (f + f1) + (f1^2 - a^2), free
-        # of cancellation; near the turning limit a -> f1 the integrand
-        # sharpens at u = 0 and the panels there are halved
-        f = prof.f(r1 + u * u)
-        root = np.sqrt(np.maximum(u * u * q_taylor(u, f) * (f + f1) + d, 0.0))
-        return 2.0 * u * (f / root if length else a / (f * root))
-
-    return _sweep(integrand, prof, r1, r2)
+    return _Arc(model.profile, a, r1, turning=False).sweep(r1, r2, length)
 
 
 def _sweep_from_turn(model, r_t, r_hi, length=False):
     """(angle swept, or arclength if `length`, quad misses) of the branch
-    climbing from the turning radius r_t to r_hi.
-
-    The substitution r = r_t + u^2 removes the inverse-square-root
-    endpoint singularity at the turning point.
-    """
+    climbing from the turning radius r_t to r_hi."""
     prof = model.profile
-    a = prof.f(r_t)
-    q_taylor = _taylor_q(prof, r_t)
-
-    def integrand(u):
-        # f(r)^2 - a^2 = u^2 * q(u) * (f + a)
-        f = prof.f(r_t + u * u)
-        root = np.sqrt(np.maximum(q_taylor(u, f) * (f + a), 1e-300))
-        return 2.0 * f / root if length else 2.0 * a / (f * root)
-
-    return _sweep(integrand, prof, r_t, r_hi)
+    return _Arc(prof, prof.f(r_t), r_t, turning=True).sweep(r_t, r_hi, length)
 
 
 @dataclass(frozen=True)
@@ -289,6 +375,8 @@ class _Minimizer:
     a: float            # Clairaut constant
     branch: str         # radial | monotone | turning | tip
     quad_misses: int = 0  # over every sweep the root-find evaluated
+    base: float = 0.0   # inner radius: the turning radius, or min(y.r, z.r)
+    leg_y: float = 0.0  # arclength from y to the radius `base`
 
 
 def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Minimizer:
@@ -331,7 +419,8 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
         )
         length = sweep(_sweep_monotone, a, r1, r2, length=True)
         return _Minimizer(length=float(length), a=float(a), branch="monotone",
-                          quad_misses=misses)
+                          quad_misses=misses, base=r1,
+                          leg_y=float(length) if y.r > z.r else 0.0)
 
     if angle_turn(R_FLOOR) < dphi:
         # even grazing the tip region does not sweep enough angle:
@@ -346,7 +435,7 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
     l2 = sweep(_sweep_from_turn, r_t, r2, length=True)
     return _Minimizer(
         length=float(l1 + l2), a=float(prof.f(r_t)), branch="turning",
-        quad_misses=misses,
+        quad_misses=misses, base=r_t, leg_y=float(l1 if y.r <= z.r else l2),
     )
 
 
@@ -356,28 +445,63 @@ def distance(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> float:
 
 
 def _point_along(model, y: SlicePoint, z: SlicePoint, s_target: float,
-                 mini: _Minimizer) -> SlicePoint:
-    """The point at arclength s_target from y along the minimizer to z."""
+                 mini: _Minimizer):
+    """(the point at arclength s_target from y along the minimizer to z,
+    Gauss misses).
+
+    A monotone minimizer is one arc from its inner end point; a turning one
+    runs from y in to the turning radius and out to z.  The arclength is
+    inverted on the arc that holds s_target, and phi is y's plus the angle
+    swept from y, found from the angles swept from the inner radius.
+    """
     if s_target <= 0:
-        return y
+        return y, 0
     if s_target >= mini.length:
-        return z
+        return z, 0
+    if mini.branch == "radial":
+        return SlicePoint(r=y.r + math.copysign(s_target, z.r - y.r), phi=y.phi), 0
     if mini.branch == "tip":
         # polygonal through-tip path; callers see the flag and treat the
         # numbers as indicative only
         if s_target <= y.r:
-            return SlicePoint(r=max(y.r - s_target, R_FLOOR), phi=y.phi)
-        return SlicePoint(r=s_target - y.r, phi=z.phi)
+            return SlicePoint(r=max(y.r - s_target, R_FLOOR), phi=y.phi), 0
+        return SlicePoint(r=s_target - y.r, phi=z.phi), 0
 
-    sgn_phi = 1.0 if math.remainder(z.phi - y.phi, 2.0 * math.pi) >= 0 else -1.0
-    fy = model.profile.f(y.r)
-    sin_t = min(mini.a / fy, 1.0)
+    arc = _Arc(model.profile, mini.a, mini.base, turning=mini.branch == "turning")
+    to_y, misses = arc.sweep(mini.base, y.r)
+    if s_target <= mini.leg_y:  # between y and the inner radius
+        r, to_w, missed = arc.invert(mini.leg_y - s_target, y.r)
+        swept = to_y - to_w
+    else:
+        r, to_w, missed = arc.invert(s_target - mini.leg_y, z.r)
+        swept = to_y + to_w
+    dphi = math.remainder(z.phi - y.phi, 2.0 * math.pi)
+    return SlicePoint(r=r, phi=y.phi + math.copysign(swept, dphi)), misses + missed
+
+
+def _departure(model, y: SlicePoint, z: SlicePoint, mini: _Minimizer) -> float:
+    """The angle at which a monotone or turning minimizer leaves y, as
+    `shoot_geodesic` takes it: sin = a / f(y.r) by Clairaut, inward when
+    the minimizer first runs in to its inner radius."""
+    sin_t = min(mini.a / model.profile.f(y.r), 1.0)
     cos_t = math.sqrt(max(1.0 - sin_t * sin_t, 0.0))
-    if mini.branch == "turning" or y.r > z.r:
-        cos_t = -cos_t  # leave y inward
-    angle = math.atan2(sgn_phi * sin_t, cos_t)
-    path = shoot_geodesic(model, y, angle, s_target, n_samples=2)
-    return SlicePoint(r=float(path.r[-1]), phi=float(path.phi[-1]))
+    if mini.leg_y > 0.0:
+        cos_t = -cos_t
+    sgn = 1.0 if math.remainder(z.phi - y.phi, 2.0 * math.pi) >= 0 else -1.0
+    return math.atan2(sgn * sin_t, cos_t)
+
+
+def _shot_gap(model, y: SlicePoint, z: SlicePoint, mini: _Minimizer, inner) -> float:
+    """Largest |dr| or |dphi| between the points of `inner`, pairs (arclength
+    from y, point) by increasing arclength, and one shot leaving y along
+    the minimizer."""
+    s = [s for s, _ in inner]
+    path = shoot_geodesic(model, y, _departure(model, y, z, mini), s[-1],
+                          r_floor=0.5 * mini.base, at=s)
+    if path.truncated:
+        raise GeodesicError("the check shot fell below half the minimizer's inner radius")
+    return max(max(abs(r - w.r), abs(phi - w.phi))
+               for r, phi, (_, w) in zip(path.r[1:], path.phi[1:], inner))
 
 
 def corollary_check(
@@ -387,32 +511,44 @@ def corollary_check(
     z: SlicePoint,
     C: float,
     lambdas: Sequence[float],
+    shoot: bool = False,
 ) -> list:
     """Interpolation bound along the minimizing geodesic: for each lambda,
 
         b(w)^2 >= (1-lam) b(y)^2 + lam b(z)^2 - (C/2) lam(1-lam) d(y,z)^2
 
     with w at arclength lam * d(y,z) from y.  Returns one triple per
-    lambda with the measured slack.
+    lambda with the measured slack.  With `shoot`, a monotone or turning
+    minimizer is also shot once from y through its interior points, and
+    each triple carries the largest gap between shot and inversion.
     """
+    if not all(0.0 <= lam <= 1.0 for lam in lambdas):
+        raise GeodesicError("lambda must lie in [0, 1]")
     mini = _solve_minimizer(model, y, z)
     d_yz = mini.length
-    through_tip = mini.branch == "tip"
+    misses = mini.quad_misses
+    points = []
+    for lam in lambdas:
+        w, missed = _point_along(model, y, z, lam * d_yz, mini)
+        points.append(w)
+        misses += missed
+    shot_gap = None
+    inner = sorted(((lam * d_yz, w) for lam, w in zip(lambdas, points) if 0.0 < lam < 1.0),
+                   key=lambda sw: sw[0])
+    if shoot and inner and mini.branch in ("monotone", "turning"):
+        shot_gap = _shot_gap(model, y, z, mini, inner)
     b2y = profile.b2_at(y.r)
     b2z = profile.b2_at(z.r)
     out = []
-    for lam in lambdas:
-        if not (0.0 <= lam <= 1.0):
-            raise GeodesicError("lambda must lie in [0, 1]")
-        w = _point_along(model, y, z, lam * d_yz, mini)
+    for lam, w in zip(lambdas, points):
         b2w = profile.b2_at(w.r)
         rhs = (1 - lam) * b2y + lam * b2z - 0.5 * C * lam * (1 - lam) * d_yz**2
         out.append(
             GeodesicTriple(
                 y=y, z=z, lam=float(lam), w=w, d_yz=float(d_yz),
                 b2_w=float(b2w), rhs=float(rhs), slack=float(b2w - rhs),
-                through_tip_region=bool(through_tip),
-                quad_misses=mini.quad_misses,
+                through_tip_region=mini.branch == "tip", branch=mini.branch,
+                quad_misses=misses, shot_gap=shot_gap,
             )
         )
     return out

@@ -69,6 +69,75 @@ class Piece(NamedTuple):
         return None
 
 
+class Poly:
+    """A polynomial as its tuple of ascending coefficients, in plain float
+    arithmetic: sums, products and integer powers with floats and other
+    Polys, derivatives, Horner evaluation at a float, and real roots.
+    The margins of `WarpingProfile.min_ratio` are built from these."""
+
+    __slots__ = ("coef",)
+
+    def __init__(self, coef):
+        self.coef = tuple(coef)
+
+    @staticmethod
+    def _coef(x):
+        return x.coef if isinstance(x, Poly) else (float(x),)
+
+    def __add__(self, other):
+        a, b = self.coef, self._coef(other)
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(-x for x in self.coef)
+
+    def __sub__(self, other):
+        return self + -Poly(self._coef(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        b = self._coef(other)
+        out = [0.0] * (len(self.coef) + len(b) - 1)
+        for i, x in enumerate(self.coef):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = Poly((1.0,))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def deriv(self, m: int = 1) -> "Poly":
+        c = self.coef
+        for _ in range(m):
+            c = tuple(k * x for k, x in enumerate(c))[1:] or (0.0,)
+        return Poly(c)
+
+    def __call__(self, t: float) -> float:
+        out = 0.0
+        for a in reversed(self.coef):
+            out = out * t + a
+        return out
+
+    def roots(self) -> list:
+        """Real parts of the roots (none for a constant), by numpy's
+        `polyroots`: the eigenvalues of the companion matrix."""
+        c = self.coef
+        while len(c) > 1 and c[-1] == 0.0:
+            c = c[:-1]
+        return np.polynomial.polynomial.polyroots(c).real.tolist() if len(c) > 1 else []
+
+
 def _not_a_knot_rows(x, y):
     """Ascending coefficients, in t = r - x[i], of the cubic spline through
     (x, y) on each [x[i], x[i+1]], for >= 4 strictly increasing x, with a
@@ -252,7 +321,7 @@ class WarpingProfile:
 
     def min_ratio(self, lo, hi, numer, power=0):
         """min over [lo, hi] of N / f^power, where on each piece N =
-        numer(F) for F the piece as a numpy Polynomial in r - x0.
+        numer(F) for F the piece as a `Poly` in r - x0.
 
         On a piece (N/F^p)' = (N'F - p F'N) / F^(p+1) with F > 0, so the
         candidates are the ends of the piece's part of [lo, hi] (both
@@ -266,17 +335,17 @@ class WarpingProfile:
         for pc in self.pieces:
             if pc.hi <= lo or pc.lo > hi:
                 continue
-            F = np.polynomial.Polynomial(pc.coef)
+            F = Poly(pc.coef)
             N = numer(F)
             u, v = max(lo, pc.lo) - pc.x0, min(hi, pc.hi) - pc.x0
-            roots = (N.deriv() * F - power * F.deriv() * N).roots().real
-            t = np.concatenate([[u, v], roots[(roots > u) & (roots < v)]])
-            out = min(out, float(np.min(N(t) / F(t) ** power)))
+            roots = (N.deriv() * F - power * F.deriv() * N).roots()
+            for t in (u, v, *(x for x in roots if u < x < v)):
+                out = min(out, N(t) / F(t) ** power)
         return out
 
     def fp_min(self, lo, hi):
         """Minimum of f' over [lo, hi]."""
-        return self.min_ratio(lo, hi, lambda F: F.deriv())
+        return self.min_ratio(lo, hi, Poly.deriv)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,28 @@ def test_corollary_reports_quad_misses(capsys):
     assert run(argv, capsys) == (code, first)  # deterministic, no timings
 
 
+@pytest.mark.parametrize("model", ["cone:0.6", "smoothed-cone:0.8:1"])
+def test_corollary_reports_branches_and_shot_gap(model, capsys):
+    # every pair counts under its minimizer's branch; one shot checks the
+    # points that arclength inversion found on the first shootable pair
+    argv = ["corollary", "--model", model, "--n", "4", "--C", "10",
+            "--triples", "8", "--seed", "11"]
+    code, first = run(argv, capsys)
+    doc = json.loads(first)
+    assert set(doc["branches"]) == {"radial", "monotone", "turning", "tip"}
+    assert sum(doc["branches"].values()) == 8
+    assert 0.0 <= doc["shot_gap"] <= 1e-9
+    assert run(argv, capsys) == (code, first)  # deterministic, no timings
+
+
+def test_corollary_without_lambdas_is_invalid_input(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lambdas": []}))
+    argv = ["corollary", "--config", str(config), "--model", "cone:0.6", "--n", "4",
+            "--triples", "2"]
+    assert run(argv, capsys) == (2, "")
+
+
 def test_corollary_non_monotone_profile_is_invalid_input(capsys):
     # f' < 0 inside the blend of smoothed-cone:0.5:1 breaks the Clairaut
     # sweeps' precondition: exit 2 with a message, not a traceback

@@ -1,6 +1,10 @@
-"""Slice geodesics: shooting, distances vs unrolling, interpolation bound."""
+"""Slice geodesics: shooting, distances and arclength inversion vs unrolling and
+shooting, interpolation bound."""
 
+import json
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from harnacklab import geodesics, quadrature
+from harnacklab import cli, geodesics, models, quadrature
 from harnacklab.models import make_model, model_from_id
 from harnacklab.green import compute_profile
 from harnacklab.geodesics import (
@@ -195,11 +199,13 @@ def test_unit_speed_and_positivity_property(r1, r2, dphi):
     assert d >= abs(r1 - r2) - 1e-12
 
 
-@pytest.mark.parametrize("z", [SlicePoint(2.0, 0.8), SlicePoint(1.5, 2.9)])
-def test_quad_misses_are_counted_per_minimizer(cone4, z, monkeypatch):
-    # monotone (0.8 rad) and turning (2.9 rad) branches: report every sweep
-    # quadrature as a miss, and the count must equal the number of calls
-    # while the values stay those of the plain quadrature
+@pytest.mark.parametrize("z", [SlicePoint(0.6, 0.8), SlicePoint(1.5, 2.9)])
+def test_quad_misses_are_counted_per_minimizer(z, monkeypatch):
+    # monotone (0.8 rad) and turning (2.9 rad) branches across the blend of
+    # a smoothed cone, the only piece that runs Gauss panels: report every
+    # sweep quadrature as a miss, and the count must equal the number of
+    # calls while the values stay those of the plain quadrature
+    cone4 = model_from_id("smoothed-cone:0.8:1", 4)
     y = SlicePoint(1.0, 0.0)
     prof = compute_profile(cone4)
     plain = corollary_check(cone4, prof, y, z, 10.0, [0.0, 0.5, 1.0])
@@ -211,7 +217,10 @@ def test_quad_misses_are_counted_per_minimizer(cone4, z, monkeypatch):
         val, err, _ = real(*args, **kwargs)
         return val, err, np.ones(np.shape(val), dtype=bool)
 
-    monkeypatch.setattr(quadrature, "gauss_legendre", missing)
+    # the geodesic layer's calls only: b2 at a point on the blend runs the
+    # Green kernel's own panels, which refuse a miss
+    monkeypatch.setattr(geodesics, "quadrature", SimpleNamespace(
+        gauss_legendre=missing, brent_root=quadrature.brent_root))
     forced = corollary_check(cone4, prof, y, z, 10.0, [0.0, 0.5, 1.0])
     assert calls
     assert [t.quad_misses for t in forced] == [len(calls)] * 3
@@ -226,7 +235,8 @@ def test_quad_misses_are_counted_per_minimizer(cone4, z, monkeypatch):
     ("smoothed-cone:0.8:1", SlicePoint(1.2, 2.5), "turning"),
 ])
 def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch):
-    # every quad call is one sweep; the root-find iterates sweep the angle
+    # a sweep makes one Gauss call where it meets a curved piece of f and
+    # none on the pieces f = a r; the root-find iterates sweep the angle
     # only, and the length runs once per arc, at the accepted root
     model = model_from_id(model_id, 4)
     y = SlicePoint(1.0, 0.0)
@@ -260,7 +270,13 @@ def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch)
     assert mini.branch == branch
     angle = [s for s in sweeps if not s[2]]
     length = [s for s in sweeps if s[2]]
-    assert len(quads) == len(sweeps) == len(angle) + len(length)
+    assert len(sweeps) == len(angle) + len(length)
+    curved = [s for s in sweeps if any(
+        pc.slope is None and max(pc.lo, s[1][-2]) < min(pc.hi, s[1][-1])
+        for pc in model.profile.pieces)]
+    assert len(quads) == len(curved)
+    if model_id.startswith("cone"):
+        assert not quads
     if branch == "monotone":
         # limiting turning arc (2 sweeps), then one sweep per iterate
         assert len(angle) == 2 + len(evals)
@@ -289,3 +305,126 @@ def test_non_monotone_profile_raises_geodesic_error():
     assert distance(model, SlicePoint(1.0, 0.5), SlicePoint(2.0, 0.5)) == 1.0
     ok = model_from_id("smoothed-cone:0.75:1", 4)
     assert distance(ok, SlicePoint(1.0, 0.0), SlicePoint(2.0, 1.0)) > 1.0
+
+
+# -- closed-form sweeps and arclength inversion ---------------------------------
+
+
+@pytest.mark.parametrize("model_id", ["euclidean", "cone:0.3", "cone:0.7"])
+def test_closed_form_sweeps_match_gauss_panels(model_id, monkeypatch):
+    # on f = a r both sweeps are closed; with the closed form switched off
+    # the same pieces run Gauss panels, which must agree within 1e-12 up to
+    # the near-turning limit k = f(r_lo) (1 - 1e-12) of a monotone arc
+    model = model_from_id(model_id, 4)
+    prof = model.profile
+    a = prof.pieces[0].slope
+    r_lo, r_hi = 0.8, 2.5
+    f_lo = prof.f(r_lo)
+    monotone = [lambda L, k=k: geodesics._sweep_monotone(model, k, r_lo, r_hi, length=L)
+                for k in f_lo * np.array([0.0, 0.3, 0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])]
+    # and from above the arc's inner radius, as the inversion sweeps
+    monotone.append(lambda L: geodesics._Arc(prof, 0.95 * f_lo, r_lo, False).sweep(1.3, r_hi, L))
+    turning = [lambda L, r_t=r_t: geodesics._sweep_from_turn(model, r_t, r_hi, length=L)
+               for r_t in (1e-3, 0.3, r_lo, 2.4)]
+    turning.append(lambda L: geodesics._Arc(prof, f_lo, r_lo, True).sweep(1.3, r_hi, L))
+    closed = [[case(L) for L in (False, True)] for case in monotone + turning]
+    # the turning arcs in the wedge: angle arccos(r_t / r) / a and length
+    # sqrt(r^2 - r_t^2) from r_t, less their values at 1.3 for the last
+    def wedge(r_t, r):
+        return math.acos(r_t / r) / a, math.sqrt(r * r - r_t * r_t)
+
+    exact = [wedge(r_t, r_hi) for r_t in (1e-3, 0.3, r_lo, 2.4)]
+    exact.append(tuple(x - y for x, y in zip(wedge(r_lo, r_hi), wedge(r_lo, 1.3))))
+    for (ang, length), want in zip(closed[len(monotone):], exact):
+        assert ang[0] == pytest.approx(want[0], rel=1e-14)
+        assert length[0] == pytest.approx(want[1], rel=1e-14)
+    monkeypatch.setattr(models.Piece, "slope", property(lambda pc: None))
+    for k, (case, want) in enumerate(zip(monotone + turning, closed)):
+        # turning arcs: the panels' own gate, 1e-11 (sqrt(2.5^2 - 2.4^2) = 0.7
+        # comes out 0.7 + 1.2e-12 on cone:0.7), the closed form is exact above
+        rel = 1e-12 if k < len(monotone) else 1e-11
+        for L, (val, missed) in zip((False, True), want):
+            gauss, gauss_missed = case(L)
+            assert not missed and not gauss_missed
+            assert val == pytest.approx(gauss, rel=rel, abs=1e-12), (L, val, gauss)
+
+
+def _wedge_point(c, y, z, lam):
+    """(r, phi, chord) of the point at lam along the straight chord between
+    y and z in the unrolled wedge of a cone f = c r."""
+    dphi = math.remainder(z.phi - y.phi, 2.0 * math.pi)
+    Y = np.array([y.r, 0.0])
+    Z = z.r * np.array([math.cos(c * dphi), math.sin(c * dphi)])
+    W = Y + lam * (Z - Y)
+    return float(np.hypot(*W)), y.phi + math.atan2(W[1], W[0]) / c, float(np.hypot(*(Z - Y)))
+
+
+@pytest.mark.parametrize("model_id,c", [("euclidean", 1.0), ("cone:0.3", 0.3),
+                                        ("cone:0.5", 0.5), ("cone:0.9", 0.9)])
+def test_inversion_matches_the_wedge(model_id, c):
+    model = model_from_id(model_id, 4)
+    rng = np.random.default_rng(7)
+    branches = Counter()
+    for _ in range(60):
+        r1, r2 = np.exp(rng.uniform(math.log(0.5), math.log(3.0), 2))
+        dphi = rng.uniform(0.05, math.pi) * rng.choice([-1.0, 1.0])
+        if c * abs(dphi) >= math.pi - 1e-3:  # the chord runs through the tip
+            continue
+        y, z = SlicePoint(float(r1), 0.0), SlicePoint(float(r2), float(dphi))
+        mini = geodesics._solve_minimizer(model, y, z)
+        branches[mini.branch] += 1
+        for lam in (0.1, 0.25, 0.5, 0.75, 0.9):
+            w, misses = geodesics._point_along(model, y, z, lam * mini.length, mini)
+            r, phi, chord = _wedge_point(c, y, z, lam)
+            assert misses == 0
+            assert mini.length == pytest.approx(chord, rel=1e-12, abs=0.0)
+            assert w.r == pytest.approx(r, rel=1e-12, abs=0.0), (y, z, lam)
+            assert w.phi == pytest.approx(phi, rel=1e-12, abs=0.0), (y, z, lam)
+    assert branches["monotone"] and branches["turning"]
+
+
+@pytest.mark.parametrize("model_id", ["smoothed-cone:0.8:1", "smoothed-cone:0.75:2"])
+@pytest.mark.parametrize("y,z,branch", [
+    (SlicePoint(0.7, 0.0), SlicePoint(2.5, 0.6), "monotone"),
+    (SlicePoint(2.5, 0.3), SlicePoint(0.7, -0.4), "monotone"),
+    (SlicePoint(1.2, 0.0), SlicePoint(1.6, 2.4), "turning"),
+    (SlicePoint(2.2, 0.0), SlicePoint(0.9, 2.0), "turning"),
+])
+def test_inversion_matches_shot_and_dop853(model_id, y, z, branch):
+    # across the blend, where the inversion solves Gauss length sweeps
+    # with Brent's method; y.r > z.r on the second and fourth pairs
+    model = model_from_id(model_id, 4)
+    mini = geodesics._solve_minimizer(model, y, z)
+    assert mini.branch == branch
+    s = [lam * mini.length for lam in (0.1, 0.25, 0.5, 0.75, 0.9)]
+    points = [geodesics._point_along(model, y, z, si, mini)[0] for si in s]
+    angle = geodesics._departure(model, y, z, mini)
+    path = shoot_geodesic(model, y, angle, s[-1], at=s)
+    r_ref, phi_ref = _dop853_shot(model, y, angle, s[-1], np.array(s))
+    for w, r, phi, rr, pr in zip(points, path.r[1:], path.phi[1:], r_ref, phi_ref):
+        assert abs(w.r - r) <= 1e-9 and abs(w.phi - phi) <= 1e-9
+        assert abs(w.r - rr) <= 1e-9 and abs(w.phi - pr) <= 1e-9
+
+
+@pytest.mark.parametrize("model_id", ["euclidean", "cone:0.6"])
+def test_corollary_on_linear_profiles_runs_no_gauss_panels_and_one_shot(
+        model_id, monkeypatch, capsys):
+    counts = Counter()
+    real_gauss, real_shoot = quadrature.gauss_legendre, geodesics.shoot_geodesic
+
+    def gauss(*args, **kwargs):
+        counts["gauss_legendre"] += 1
+        return real_gauss(*args, **kwargs)
+
+    def shoot(*args, **kwargs):
+        counts["shoot_geodesic"] += 1
+        return real_shoot(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", gauss)
+    monkeypatch.setattr(geodesics, "shoot_geodesic", shoot)
+    code = cli.main(["corollary", "--model", model_id, "--n", "4", "--C", "10",
+                     "--triples", "6", "--seed", "4"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code in (0, 3)
+    assert counts == Counter(shoot_geodesic=1)
+    assert doc["shot_gap"] <= 1e-9
