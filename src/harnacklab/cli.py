@@ -3,6 +3,10 @@
 Exit codes: 0 all checks pass, 1 a verified inequality/identity fails,
 2 invalid input or unmet preconditions, 3 exploratory run (conclusion
 holds but a hypothesis flag is raised; never reported as a clean pass).
+
+Each command imports the engine it runs when it runs, so importing this
+module loads no numpy: ``symbolic``, ``models list``, ``--help`` and
+``--version`` run without it.
 """
 
 from __future__ import annotations
@@ -15,19 +19,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from . import fdcheck, geodesics
-from .green import compute_profile, default_grid
-from .harnack import INEQ_TOL, audit_proof_terms, minimal_C, verify_theorem
-from .models import ModelError, hypothesis_report, model_from_id
+from . import INEQ_TOL, ModelError, __version__
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_EXPLORATORY = 0, 1, 2, 3
 EXIT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
               "exploratory": EXIT_EXPLORATORY}
 
 DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+#: finite-difference steps h with h^2 and the oracle's gate 100 h^2 normal floats
+H_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 100.0))
 
 
 @dataclass
@@ -60,6 +60,16 @@ class RunConfig:
             val = getattr(cfg, key)
             if not isinstance(val, (int, float)) or not math.isfinite(val):
                 raise ModelError(f"{key} must be a finite number, got {val!r}")
+        if not 0.0 < cfg.r_min < cfg.r_max:
+            raise ModelError(f"need 0 < r_min < r_max, got r_min={cfg.r_min!r}, "
+                             f"r_max={cfg.r_max!r}")
+        D = getattr(args, "D", None)
+        if D is not None and not math.isfinite(D):
+            raise ModelError(f"D must be finite, got {D!r}")
+        h = getattr(args, "h", None)
+        if h is not None and not H_RANGE[0] <= h <= H_RANGE[1]:
+            raise ModelError(f"the finite-difference step h must lie in "
+                             f"[{H_RANGE[0]:.3g}, {H_RANGE[1]:.3g}], got {h!r}")
         cfg.n = int(cfg.n)
         cfg.lambdas = tuple(float(x) for x in cfg.lambdas)
         return cfg
@@ -112,6 +122,9 @@ def _envelope(command: str, cfg: RunConfig, verdict: str, body: dict) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .harnack import verify_theorem
+    from .models import model_from_id
+
     cfg = RunConfig.load(args)
     model = model_from_id(cfg.model, cfg.n)
     report = verify_theorem(
@@ -131,6 +144,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_min_c(args) -> int:
+    from .harnack import minimal_C
+    from .models import model_from_id
+
     cfg = RunConfig.load(args)
     model = model_from_id(cfg.model, cfg.n)
     value = minimal_C(model, cfg.r_min, cfg.r_max, cfg.grid_size)
@@ -139,18 +155,24 @@ def cmd_min_c(args) -> int:
     return EXIT_PASS
 
 
-def _sample_triples(cfg: RunConfig, count: int):
-    rng = np.random.default_rng(cfg.seed)
+def _sample_triples(np, point, seed: int, count: int):
+    """count (y, z) pairs of slice points made by point(r, phi), y at phi = 0."""
+    rng = np.random.default_rng(seed)
     r = np.exp(rng.uniform(math.log(0.5), math.log(3.0), size=(count, 2)))
     phi = rng.uniform(0.0, math.pi, size=count)
     return [
-        (geodesics.SlicePoint(float(r[k, 0]), 0.0),
-         geodesics.SlicePoint(float(r[k, 1]), float(phi[k])))
+        (point(float(r[k, 0]), 0.0), point(float(r[k, 1]), float(phi[k])))
         for k in range(count)
     ]
 
 
 def cmd_corollary(args) -> int:
+    import numpy as np
+
+    from . import geodesics
+    from .green import compute_profile, default_grid
+    from .models import hypothesis_report, model_from_id
+
     cfg = RunConfig.load(args)
     model = model_from_id(cfg.model, cfg.n)
     profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
@@ -161,7 +183,7 @@ def cmd_corollary(args) -> int:
     misses = 0
     branches = dict.fromkeys(("radial", "monotone", "turning", "tip"), 0)
     shot_gap = None
-    for y, z in _sample_triples(cfg, args.triples):
+    for y, z in _sample_triples(np, geodesics.SlicePoint, cfg.seed, args.triples):
         # one shot per report: the first pair that can be shot checks the
         # points found by arclength inversion
         triples = geodesics.corollary_check(model, profile, y, z, cfg.C, cfg.lambdas,
@@ -199,6 +221,10 @@ def cmd_corollary(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .green import compute_profile, default_grid
+    from .harnack import audit_proof_terms
+    from .models import model_from_id
+
     cfg = RunConfig.load(args)
     model = model_from_id(cfg.model, cfg.n)
     profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
@@ -238,26 +264,31 @@ def cmd_symbolic(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import numpy as np
+
+    from . import fdcheck
+
     cfg = RunConfig.load(args)
     if args.what != "commutators":
         raise ModelError("oracle supports: commutators")
+    h = fdcheck.DEFAULT_H if args.h is None else args.h
     chart = fdcheck.chart_by_name(args.chart, n=cfg.n)
     f = fdcheck.default_test_function(chart)
     rng = np.random.default_rng(cfg.seed)
     base = fdcheck.default_probe_point(chart)
-    gate = 100.0 * args.h**2
+    gate = 100.0 * h**2
     rows = []
     worst = 0.0
     for k in range(args.probes):
         point = base + rng.uniform(-0.05, 0.05, size=chart.dim)
-        res = fdcheck.check_lemma31(chart, f, point, args.h)
+        res = fdcheck.check_lemma31(chart, f, point, h)
         worst = max(worst, float(np.max(res)))
         rows.append({"probe": k, "point": [float(v) for v in point],
                      "residuals": [float(v) for v in res]})
     ok = worst <= gate
     payload = _envelope("oracle", cfg, "pass" if ok else "fail", {
         "chart": args.chart,
-        "h": args.h,
+        "h": h,
         "gate": gate,
         "worst_residual": worst,
         "probes": rows,
@@ -284,6 +315,9 @@ def cmd_models(args) -> int:
 
 
 def cmd_export_profile(args) -> int:
+    from .green import compute_profile, default_grid
+    from .models import model_from_id
+
     cfg = RunConfig.load(args)
     model = model_from_id(cfg.model, cfg.n)
     profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
@@ -364,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["commutators"])
     p.add_argument("--chart", default="s2xr2",
                    choices=["euclidean", "round_sphere", "s2xr2", "cone"])
-    p.add_argument("--h", type=float, default=fdcheck.DEFAULT_H)
+    p.add_argument("--h", type=float,
+                   help="finite-difference step (default fdcheck.DEFAULT_H)")
     p.add_argument("--probes", type=_count, default=10)
     p.set_defaults(func=cmd_oracle)
 
@@ -381,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the parser is dropped once it has parsed, before the command's engine loads
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help; pass both through
         return int(exc.code or 0)

@@ -58,6 +58,7 @@ __all__ = [
     "hess_b2_eigs",
     "hess_b2_eigs_arrays",
     "check_power_laplacian",
+    "in_float_range",
     "nonparabolic_check",
 ]
 
@@ -191,20 +192,29 @@ class RadialGreenProfile:
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
 
     def green_at(self, r: float) -> float:
-        """G(r) for any r > 0: closed form, or quadrature up to the next knot."""
-        if r <= 0:
-            raise ModelError("green_at requires r > 0")
+        """G(r) for any finite r > 0: closed form, or quadrature up to the next knot."""
+        if not 0.0 < r < math.inf:
+            raise ModelError(f"G is defined for a finite r > 0, got r={r!r}")
         piece = next(pc for pc in self.pieces if r < pc.hi)
         if piece.slope is not None:
             return _closed_G(piece, self.model.n, r)
         return float(_knot_G(piece, self.model, r))
 
     def green_derivs_at(self, r: float):
-        """(G, G', G'', f, f') at r, the derivatives of G in closed form."""
-        p = self.model.profile
+        """(G, G', G'', f, f') at r, the derivatives of G in closed form.
+
+        Refuses an r where G, G' or G'' leaves the float range, as
+        `compute_profile` does on the grid; G > 0, so G = 0 is an underflow.
+        """
+        n, p = self.model.n, self.model.profile
+        G = self.green_at(r)
         f, fp = p.f(r), p.fp(r)
         x, a = _linear_split(self.model, r, f)
-        return (self.green_at(r), *green_derivs(self.model.n, x, fp, a), f, fp)
+        Gp, Gpp = green_derivs(n, x, fp, a)
+        if not (G > 0 and in_float_range(np.array([G, Gp, Gpp]))):
+            raise ModelError(f"G, G' or G'' leaves the float range at n={n}, r={r:g}; "
+                             "lower n or choose another r")
+        return G, Gp, Gpp, f, fp
 
     def b2_at(self, r: float) -> float:
         n = self.model.n
@@ -218,6 +228,12 @@ class RadialGreenProfile:
         for row in zip(*cols):
             buf.write(",".join(format(v, ".17g") for v in row) + "\n")
         return buf.getvalue()
+
+
+def in_float_range(values) -> bool:
+    """Every value finite and 0 or normal: a subnormal keeps few digits."""
+    mag = np.abs(values)
+    return bool(np.all(np.isfinite(mag) & ((mag == 0) | (mag >= np.finfo(float).tiny))))
 
 
 def default_grid(r_min=1e-2, r_max=1e2, size=512) -> np.ndarray:
@@ -283,10 +299,8 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     b2, b2p, mu_rad, mu_tan = _b2_hessian(n, G, q1, q2, fg, fpg)
     columns = dict(G=G, Gp=Gp, Gpp=Gpp, b=b, b2=b2, b2p=b2p, grad_b=np.abs(bp),
                    mu_rad=mu_rad, mu_tan=mu_tan)
-    tiny = np.finfo(float).tiny
     for name, col in columns.items():
-        # inf/nan past the top of the float range, subnormal (few digits) below
-        if not np.all(np.isfinite(col) & ((col == 0) | (np.abs(col) >= tiny))):
+        if not in_float_range(col):
             raise ModelError(f"{name} leaves the float range on the grid at n={n}, "
                              f"r_min={grid[0]:g}, r_max={grid[-1]:g}; lower n "
                              "or narrow the radii")

@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import quadrature
+from . import INEQ_TOL, quadrature
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
 from .green import (
     RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs,
-    hess_b2_eigs_arrays, radial_laplacian,
+    hess_b2_eigs_arrays, in_float_range, radial_laplacian,
 )
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "audit_proof_terms",
 ]
 
-#: default tolerance on inequality margins (one decade above quadrature error)
-INEQ_TOL = 1e-8
 #: default tolerance on identity residuals
 IDENT_TOL = 1e-9
 
@@ -343,6 +341,10 @@ def audit_proof_terms(
     """
     n = model.n
     G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    # the terms divide by G^2 and carry G'^2, so those must stay in range too
+    if not (G * G > 0 and in_float_range(np.array([G * G, Gp * Gp]))):
+        raise ModelError(f"G^2 or G'^2 leaves the float range at n={n}, r={r:g}; "
+                         "lower n or choose another r")
     h_rad, h_tan = _htilde(n, C, G, Gp / G, Gpp / G, f, fp)
     galpha = G ** (n / (n - 2.0))
     lam = min(h_rad, h_tan)

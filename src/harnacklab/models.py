@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import fdcheck, quadrature
+from . import ModelError, fdcheck, quadrature
 
 __all__ = [
     "WarpingProfile",
@@ -43,10 +43,6 @@ __all__ = [
 
 #: default absolute tolerance on curvature margins for hypothesis booleans
 DEFAULT_CURV_TOL = 1e-9
-
-
-class ModelError(ValueError):
-    """Invalid model parameters or evaluation outside the admissible range."""
 
 
 class Piece(NamedTuple):
@@ -220,8 +216,8 @@ class WarpingProfile:
             if self.c is None or not (0.0 < self.c <= 1.0):
                 raise ModelError("cone aperture c must satisfy 0 < c <= 1")
         if self.kind == "smoothed_cone":
-            if self.r0 is None or self.r0 <= 0.0:
-                raise ModelError("smoothed_cone requires r0 > 0")
+            if self.r0 is None or not 0.0 < self.r0 < math.inf:
+                raise ModelError("smoothed_cone requires a finite r0 > 0")
         if self.kind == "euclidean":
             pieces = [Piece(0.0, math.inf, 0.0, (0.0, 1.0))]
         elif self.kind == "cone":

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from harnacklab import cli
+from harnacklab import cli, harnack
 from harnacklab.cli import main
 from harnacklab.models import ModelError
 from tables import concave_table, write_csv
@@ -253,10 +253,44 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
     assert run(argv, capsys) == (2, "")
 
 
+@pytest.mark.parametrize("argv,needle", [
+    # a radius past the float range of G or of the audit's squares
+    (["audit", "--model", "euclidean", "--n", "4", "--C", "12", "--r", "inf"], "r=inf"),
+    (["audit", "--model", "cone:0.5", "--n", "4", "--C", "12", "--r", "1e200"],
+     "n=4, r=1e+200"),
+    (["audit", "--model", "cone:0.5", "--n", "4", "--C", "12", "--r", "1e308"],
+     "n=4, r=1e+308"),
+    (["audit", "--model", "euclidean", "--n", "30", "--C", "12", "--r", "1e10"],
+     "n=30, r=1e+10"),
+    # numeric flags, refused before any engine sees them
+    (["verify", "--model", "euclidean", "--n", "4", "--D", "nan"], "D must be finite"),
+    (["verify", "--model", "euclidean", "--n", "4", "--D", "inf"], "D must be finite"),
+    (["oracle", "commutators", "--h", "nan"], "step h"),
+    (["oracle", "commutators", "--h", "inf"], "step h"),
+    (["oracle", "commutators", "--h", "1e300"], "step h"),
+    (["oracle", "commutators", "--h", "1e-300"], "step h"),
+    (["min-c", "--model", "euclidean", "--r-min", "-1"], "0 < r_min < r_max"),
+    (["min-c", "--model", "euclidean", "--r-min", "0"], "0 < r_min < r_max"),
+    (["min-c", "--model", "euclidean", "--r-min", "10", "--r-max", "1"],
+     "0 < r_min < r_max"),
+    # a smoothing radius that is not a finite positive number
+    (["verify", "--model", "smoothed-cone:0.5:inf", "--n", "4"], "finite r0 > 0"),
+    (["verify", "--model", "smoothed-cone:0.5:nan", "--n", "4"], "finite r0 > 0"),
+])
+def test_out_of_range_input_exits_2_with_one_line(argv, needle):
+    r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert needle in lines[0]
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+
+
 def test_non_finite_report_value_is_refused(monkeypatch, capsys):
     with pytest.raises(ModelError):
         cli._enc({"a": [1.0, {"b": float("inf")}]})
-    monkeypatch.setattr(cli, "minimal_C", lambda *args: float("nan"))
+    monkeypatch.setattr(harnack, "minimal_C", lambda *args: float("nan"))
     assert run(["min-c", "--model", "euclidean", "--n", "4"], capsys) == (2, "")
 
 
@@ -348,6 +382,48 @@ def test_cli_import_does_not_load_sympy():
     code = "import sys, harnacklab.cli; sys.exit('sympy' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    # each command imports the engine it runs; the CLI itself needs none
+    code = "import sys, harnacklab.cli; sys.exit('numpy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
+
+
+_SYMBOLIC = {"harnacklab.symbolic", "harnacklab.symbolic.engine",
+             "harnacklab.symbolic.identities", "harnacklab.symbolic.ring"}
+# models needs numpy, the quadrature core and the FD oracle for its probes
+_MODELS = {"numpy", "harnacklab.models", "harnacklab.quadrature", "harnacklab.fdcheck"}
+
+
+@pytest.mark.parametrize("argv,code,engine", [
+    (["symbolic", "verify-all"], 0, _SYMBOLIC),
+    (["symbolic", "verify", "--name", "lap_of_harnack"], 0, _SYMBOLIC),
+    (["models", "list"], 0, set()),
+    (["--version"], 0, set()),
+    (["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"], 0,
+     {"numpy", "harnacklab.fdcheck"}),
+    (["verify", "--model", "euclidean", "--n", "4", "--C", "10"], 0,
+     _MODELS | {"harnacklab.green", "harnacklab.harnack"}),
+    (["export-profile", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,
+     _MODELS | {"harnacklab.green"}),
+    (["corollary", "--model", "cone:0.5", "--n", "4", "--C", "10", "--triples", "2"], 3,
+     _MODELS | {"harnacklab.green", "harnacklab.geodesics"}),
+])
+def test_each_command_loads_only_its_engine(argv, code, engine):
+    script = ("import contextlib, io, json, sys\n"
+              "from harnacklab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules if m == 'numpy'\n"
+              "                               or m.split('.')[0] == 'harnacklab')]))")
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    ran, loaded = json.loads(r.stdout)
+    assert ran == code
+    assert set(loaded) == {"harnacklab", "harnacklab.cli"} | engine
 
 
 def test_oracle_does_not_load_sympy():

@@ -2,7 +2,7 @@
 
 Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
-only where one keeps the symbolic engine out of the numeric commands;
+only in the CLI's command functions, each of which loads the engine it runs;
 no module imports sympy or scipy, which only the tests use, as
 references; and no module but ``models`` reads how a warping profile
 was specified (its kind and parameters) rather than its pieces.
@@ -15,9 +15,11 @@ import harnacklab
 
 PACKAGE = Path(harnacklab.__file__).resolve().parent
 
-#: (module, enclosing definition) of the lazy import of the symbolic
-#: engine, which the numeric commands never load
-LAZY_IMPORTS = {("cli", "cmd_symbolic")}
+#: (module, enclosing definition) of every function-local import: each
+#: command loads its own engine, so importing the CLI loads none of them
+LAZY_IMPORTS = {("cli", "cmd_symbolic"), ("cli", "cmd_verify"), ("cli", "cmd_min_c"),
+                ("cli", "cmd_corollary"), ("cli", "cmd_audit"), ("cli", "cmd_oracle"),
+                ("cli", "cmd_export_profile")}
 
 
 def _modules():
