@@ -11,6 +11,15 @@ __version__ = "0.1.0"
 #: default tolerance on inequality margins (one decade above quadrature error)
 INEQ_TOL = 1e-8
 
+#: least C of the theorem's range
+THEOREM_C = 10
+
+
+def is_exploratory(C: float, flags: dict) -> bool:
+    """A verdict is hypothesis-faithful only when C is in the theorem's range
+    and every hypothesis flag holds; otherwise it is exploratory."""
+    return bool(C < THEOREM_C or not all(flags.values()))
+
 
 class ModelError(ValueError):
     """Invalid model parameters or evaluation outside the admissible range."""

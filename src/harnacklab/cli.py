@@ -19,11 +19,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import INEQ_TOL, ModelError, __version__
+from . import INEQ_TOL, THEOREM_C, ModelError, __version__, is_exploratory
 
-EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_EXPLORATORY = 0, 1, 2, 3
-EXIT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
-              "exploratory": EXIT_EXPLORATORY}
+EXIT_INVALID = 2
+EXIT_CODES = {"pass": 0, "fail": 1, "exploratory": 3}
 
 DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 #: finite-difference steps h with h^2 and the oracle's gate 100 h^2 normal floats
@@ -108,14 +107,30 @@ def _write_artifact(output_dir: str, name: str, text: str) -> None:
         (out / name).write_text(text)
 
 
-def _envelope(command: str, cfg: RunConfig, verdict: str, body: dict) -> dict:
-    return {
+def _report(command: str, cfg: RunConfig, verdict: str, body: dict) -> int:
+    """Emit the report of a command and return the exit code of its verdict."""
+    payload = {
         "version": __version__,
         "command": command,
         "config": cfg.echo(),
         "verdict": verdict,
         **body,
     }
+    _emit(payload, command, cfg.output_dir)
+    return EXIT_CODES[verdict]
+
+
+def _verdict(ok: bool, exploratory: bool = False) -> str:
+    return "fail" if not ok else ("exploratory" if exploratory else "pass")
+
+
+def _model_profile(cfg: RunConfig):
+    """(model, its Green profile on the configured grid)."""
+    from .green import compute_profile, default_grid
+    from .models import model_from_id
+
+    model = model_from_id(cfg.model, cfg.n)
+    return model, compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
 
 
 # -- commands -----------------------------------------------------------------
@@ -123,36 +138,22 @@ def _envelope(command: str, cfg: RunConfig, verdict: str, body: dict) -> dict:
 
 def cmd_verify(args) -> int:
     from .harnack import verify_theorem
-    from .models import model_from_id
 
     cfg = RunConfig.load(args)
-    model = model_from_id(cfg.model, cfg.n)
-    report = verify_theorem(
-        model, cfg.C, r_min=cfg.r_min, r_max=cfg.r_max,
-        grid_size=cfg.grid_size, tol=cfg.tol,
-        exploratory=bool(args.exploratory), D=args.D,
-    )
-    if not report.passed:
-        verdict = "fail"
-    elif report.exploratory:
-        verdict = "exploratory"
-    else:
-        verdict = "pass"
-    payload = _envelope("verify", cfg, verdict, {"report": report.payload()})
-    _emit(payload, "verify", cfg.output_dir)
-    return EXIT_CODES[verdict]
+    _, profile = _model_profile(cfg)
+    report = verify_theorem(profile, cfg.C, tol=cfg.tol,
+                            exploratory=bool(args.exploratory), D=args.D)
+    return _report("verify", cfg, _verdict(report.passed, report.exploratory),
+                   {"report": report.payload()})
 
 
 def cmd_min_c(args) -> int:
     from .harnack import minimal_C
-    from .models import model_from_id
 
     cfg = RunConfig.load(args)
-    model = model_from_id(cfg.model, cfg.n)
-    value = minimal_C(model, cfg.r_min, cfg.r_max, cfg.grid_size)
-    payload = _envelope("min-c", cfg, "pass", {"minimal_C": value})
-    _emit(payload, "min-c", cfg.output_dir)
-    return EXIT_PASS
+    model, profile = _model_profile(cfg)
+    return _report("min-c", cfg, _verdict(True),
+                   {"minimal_C": minimal_C(model, profile=profile)})
 
 
 def _sample_triples(np, point, seed: int, count: int):
@@ -170,12 +171,11 @@ def cmd_corollary(args) -> int:
     import numpy as np
 
     from . import geodesics
-    from .green import compute_profile, default_grid
-    from .models import hypothesis_report, model_from_id
+    from .green import csv_text
+    from .models import hypothesis_report
 
     cfg = RunConfig.load(args)
-    model = model_from_id(cfg.model, cfg.n)
-    profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
+    model, profile = _model_profile(cfg)
     if not cfg.lambdas:
         raise ModelError("corollary needs at least one lambda")
     rows = []
@@ -195,48 +195,34 @@ def cmd_corollary(args) -> int:
             shot_gap = triples[0].shot_gap
         for t in triples:
             worst = min(worst, t.slack)
-            rows.append(t)
-    csv = ["y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip"]
-    for t in rows:
-        csv.append(",".join(
-            [format(v, ".17g") for v in
-             (t.y.r, t.y.phi, t.z.r, t.z.phi, t.lam, t.d_yz, t.b2_w, t.rhs, t.slack)]
-            + [str(int(t.through_tip_region))]))
-    _write_artifact(cfg.output_dir, "corollary.csv", "\n".join(csv) + "\n")
+            rows.append((t.y.r, t.y.phi, t.z.r, t.z.phi, t.lam, t.d_yz, t.b2_w, t.rhs,
+                         t.slack, int(t.through_tip_region)))
+    _write_artifact(cfg.output_dir, "corollary.csv", csv_text(
+        "y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip", rows))
 
-    hyp = hypothesis_report(model, cfg.r_min, cfg.r_max)
-    ok = worst >= -cfg.tol
-    exploratory = cfg.C < 10 or not all(hyp.flags().values())
-    verdict = "fail" if not ok else ("exploratory" if exploratory else "pass")
-    payload = _envelope("corollary", cfg, verdict, {
-        "triples": args.triples,
-        "worst_slack": float(worst),
-        "quad_misses": misses,
-        "branches": branches,
-        "shot_gap": shot_gap,
-        "hypothesis_flags": hyp.flags(),
-    })
-    _emit(payload, "corollary", cfg.output_dir)
-    return EXIT_CODES[verdict]
+    flags = hypothesis_report(model, profile.grid[0], profile.grid[-1]).flags()
+    return _report("corollary", cfg,
+                   _verdict(worst >= -cfg.tol, is_exploratory(cfg.C, flags)), {
+                       "triples": args.triples,
+                       "worst_slack": float(worst),
+                       "quad_misses": misses,
+                       "branches": branches,
+                       "shot_gap": shot_gap,
+                       "hypothesis_flags": flags,
+                   })
 
 
 def cmd_audit(args) -> int:
-    from .green import compute_profile, default_grid
     from .harnack import audit_proof_terms
-    from .models import model_from_id
 
     cfg = RunConfig.load(args)
-    model = model_from_id(cfg.model, cfg.n)
-    profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
+    model, profile = _model_profile(cfg)
     audit = audit_proof_terms(model, profile, args.r, cfg.C)
     # a group's rounding grows with its terms: gate it relative to their size
     ok = all(getattr(audit, name) <= cfg.tol * max(1.0, scale)
              for name, scale in audit.group_scales.items())
-    exploratory = bool(audit.hypothesis_flags)
-    verdict = "fail" if not ok else ("exploratory" if exploratory else "pass")
-    payload = _envelope("audit", cfg, verdict, {"audit": dataclasses.asdict(audit)})
-    _emit(payload, "audit", cfg.output_dir)
-    return EXIT_CODES[verdict]
+    return _report("audit", cfg, _verdict(ok, bool(audit.hypothesis_flags)),
+                   {"audit": dataclasses.asdict(audit)})
 
 
 def cmd_symbolic(args) -> int:
@@ -253,14 +239,10 @@ def cmd_symbolic(args) -> int:
          "residual": None if r.residual is None else repr(r.residual)}
         for r in results
     ]
-    ok = all(r.ok for r in results)
-    verdict = "pass" if ok else "fail"
-    payload = _envelope("symbolic", cfg, verdict, {
+    return _report("symbolic", cfg, _verdict(all(r.ok for r in results)), {
         "identities": table,
         "zero_count": sum(r.zero for r in results),
     })
-    _emit(payload, "symbolic", cfg.output_dir)
-    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_oracle(args) -> int:
@@ -285,23 +267,20 @@ def cmd_oracle(args) -> int:
         worst = max(worst, float(np.max(res)))
         rows.append({"probe": k, "point": [float(v) for v in point],
                      "residuals": [float(v) for v in res]})
-    ok = worst <= gate
-    payload = _envelope("oracle", cfg, "pass" if ok else "fail", {
+    return _report("oracle", cfg, _verdict(worst <= gate), {
         "chart": args.chart,
         "h": h,
         "gate": gate,
         "worst_residual": worst,
         "probes": rows,
     })
-    _emit(payload, "oracle", cfg.output_dir)
-    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_models(args) -> int:
     cfg = RunConfig.load(args)
     if args.action != "list":
         raise ModelError("models supports: list")
-    payload = _envelope("models", cfg, "pass", {
+    return _report("models", cfg, _verdict(True), {
         "presets": [
             {"id": "euclidean", "description": "flat space, f(r) = r"},
             {"id": "cone:<c>", "description": "metric cone, f(r) = c r, 0 < c <= 1"},
@@ -310,26 +289,19 @@ def cmd_models(args) -> int:
             {"id": "custom:<path>", "description": "CSV table with header r,f"},
         ],
     })
-    _emit(payload, "models", cfg.output_dir)
-    return EXIT_PASS
 
 
 def cmd_export_profile(args) -> int:
-    from .green import compute_profile, default_grid
-    from .models import model_from_id
-
     cfg = RunConfig.load(args)
-    model = model_from_id(cfg.model, cfg.n)
-    profile = compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
+    _, profile = _model_profile(cfg)
     csv = profile.to_csv()
-    if cfg.output_dir:
-        _write_artifact(cfg.output_dir, "profile.csv", csv)
-        payload = _envelope("export-profile", cfg, "pass", {
-            "rows": cfg.grid_size, "artifact": "profile.csv"})
-        _emit(payload, "export-profile", cfg.output_dir)
-    else:
+    verdict = _verdict(True)
+    if not cfg.output_dir:
         sys.stdout.write(csv)
-    return EXIT_PASS
+        return EXIT_CODES[verdict]
+    _write_artifact(cfg.output_dir, "profile.csv", csv)
+    return _report("export-profile", cfg, verdict,
+                   {"rows": cfg.grid_size, "artifact": "profile.csv"})
 
 
 # -- argument plumbing --------------------------------------------------------
@@ -367,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check Hess b^2 <= C g over the grid")
     _add_common(p)
     p.add_argument("--exploratory", action="store_true",
-                   help="allow C < 10 / unmet hypotheses (exit 3 on success)")
+                   help=f"allow C < {THEOREM_C} / unmet hypotheses (exit 3 on success)")
     p.add_argument("--D", type=float, default=None,
                    help="also check the eigenvalue lower bound for Hess b^2 <= D g")
     p.set_defaults(func=cmd_verify)

@@ -174,16 +174,22 @@ def warped_probe_point(n: int, r: float) -> np.ndarray:
 # -- finite-difference geometry ----------------------------------------------
 
 
-def metric_partials(chart: CoordinateChart, x, h: float) -> np.ndarray:
-    """dg[k, i, j] = d g_ij / d x^k by central differences."""
-    x = np.asarray(x, float)
-    d = chart.dim
-    dg = np.empty((d, d, d))
+def _central(F, x: np.ndarray, h: float) -> np.ndarray:
+    """out[k] = (F(x + h e_k) - F(x - h e_k)) / 2h over the axes k.
+
+    Refuses an h that leaves a coordinate of x where it is: every
+    difference would then be 0 and check nothing.
+    """
+    if any(v + h == v or v - h == v for v in x.tolist()):
+        raise ChartError(f"the finite-difference step h={h!r} does not move the "
+                         f"point {x.tolist()}: x + h or x - h rounds back to x")
+    d = len(x)
+    out = []
     for k in range(d):
         e = np.zeros(d)
         e[k] = h
-        dg[k] = (chart.g(x + e) - chart.g(x - e)) / (2 * h)
-    return dg
+        out.append((F(x + e) - F(x - e)) / (2 * h))
+    return np.array(out)
 
 
 def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
@@ -191,7 +197,7 @@ def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
     if h <= 0:
         raise ChartError("step h must be positive")
     ginv = chart.ginv(x)
-    dg = metric_partials(chart, x, h)
+    dg = _central(chart.g, np.asarray(x, float), h)  # dg[k, i, j] = d_k g_ij
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     d = chart.dim
     gamma = np.empty((d, d, d))
@@ -202,18 +208,6 @@ def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
     return gamma
 
 
-def _dchristoffels(gamma, x, h):
-    """dGamma[l, k, i, j] = d_l Gamma^k_ij, central differences of the FD
-    Gamma given by the callable gamma(point)."""
-    d = len(x)
-    out = np.empty((d, d, d, d))
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = h
-        out[l] = (gamma(x + e) - gamma(x - e)) / (2 * h)
-    return out
-
-
 def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H,
                   gamma=None) -> np.ndarray:
     """R[i, j, k, l] with all indices down, in the pinned sign convention;
@@ -221,7 +215,7 @@ def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H,
     x = np.asarray(x, float)
     if gamma is None:
         gamma = functools.partial(christoffels, chart, h=h)
-    dgamma = _dchristoffels(gamma, x, h)
+    dgamma = _central(gamma, x, h)  # dGamma[l, k, i, j] = d_l Gamma^k_ij
     gamma0 = gamma(x)
     # R^m_{ijk} = d_j Gamma^m_ik - d_i Gamma^m_jk
     #             + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip
@@ -286,16 +280,10 @@ def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> flo
     Christoffels are memoized per point, as in _CovariantStack.
     """
     x = np.asarray(x, float)
-    d = chart.dim
     gamma_at = _CovariantStack(chart, None, h).gamma
     gamma = gamma_at(x)
     ric0 = _ricci_coord(chart, x, h, gamma_at)
-    dric = np.empty((d, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        dric[k] = (_ricci_coord(chart, x + e, h, gamma_at)
-                   - _ricci_coord(chart, x - e, h, gamma_at)) / (2 * h)
+    dric = _central(lambda y: _ricci_coord(chart, y, h, gamma_at), x, h)
     # (grad Ric)_{ijk} = d_k Ric_ij - Gamma^m_ki Ric_mj - Gamma^m_kj Ric_im
     cov = (
         np.einsum("kij->ijk", dric)
@@ -469,12 +457,7 @@ class _CovariantStack:
     @_per_point
     def third(self, x):
         """(grad^3 f)_{ijk} = grad_k (grad^2 f)_{ij} in coordinates."""
-        d, h = self.d, self.h
-        dT2 = np.empty((d, d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            dT2[k] = (self.hess(x + e) - self.hess(x - e)) / (2 * h)
+        dT2 = _central(self.hess, x, self.h)
         gamma = self.gamma(x)
         T2 = self.hess(x)
         return (
@@ -485,12 +468,7 @@ class _CovariantStack:
 
     def fourth(self, x):
         """(grad^4 f)_{ijkl} in coordinates."""
-        d, h = self.d, self.h
-        dT3 = np.empty((d, d, d, d))
-        for l in range(d):
-            e = np.zeros(d)
-            e[l] = h
-            dT3[l] = (self.third(x + e) - self.third(x - e)) / (2 * h)
+        dT3 = _central(self.third, x, self.h)
         gamma = self.gamma(x)
         T3 = self.third(x)
         out = np.einsum("lijk->ijkl", dT3)
@@ -501,15 +479,6 @@ class _CovariantStack:
 
     def laplacian(self, x) -> float:
         return float(np.einsum("ij,ij->", self.chart.ginv(x), self.hess(x)))
-
-    def grad_scalar(self, func, x):
-        d, h = self.d, self.h
-        out = np.empty(d)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            out[k] = (func(x + e) - func(x - e)) / (2 * h)
-        return out
 
     def hess_scalar(self, func, x):
         """Covariant Hessian of a numerically-defined scalar field."""
@@ -529,7 +498,7 @@ class _CovariantStack:
                     - func(x - ei + ej)
                     + func(x - ei - ej)
                 ) / (4 * h * h)
-        grad = self.grad_scalar(func, x)
+        grad = _central(func, x, h)
         return hess - np.einsum("mij,m->ij", self.gamma(x), grad)
 
 
@@ -556,7 +525,7 @@ def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
 
     # 3. Delta f_i - (Delta f)_i = R_ik f_k
     lap_i = np.einsum("ikk->i", T3)
-    dlap = _to_frame(stack.grad_scalar(stack.laplacian, x), E)
+    dlap = _to_frame(_central(stack.laplacian, x, h), E)
     r3 = np.max(np.abs(lap_i - dlap - ric @ f1))
 
     # 4. f_ijkl - f_ijlk = R_{klmj} f_im + R_{klmi} f_jm

@@ -60,6 +60,7 @@ __all__ = [
     "check_power_laplacian",
     "in_float_range",
     "nonparabolic_check",
+    "csv_text",
 ]
 
 #: relative deviation from the linear asymptote below which the closed-form
@@ -207,11 +208,15 @@ class RadialGreenProfile:
         `compute_profile` does on the grid; G > 0, so G = 0 is an underflow.
         """
         n, p = self.model.n, self.model.profile
-        G = self.green_at(r)
-        f, fp = p.f(r), p.fp(r)
-        x, a = _linear_split(self.model, r, f)
-        Gp, Gpp = green_derivs(n, x, fp, a)
-        if not (G > 0 and in_float_range(np.array([G, Gp, Gpp]))):
+        try:
+            G = self.green_at(r)
+            f, fp = p.f(r), p.fp(r)
+            x, a = _linear_split(self.model, r, f)
+            Gp, Gpp = green_derivs(n, x, fp, a)
+            ok = G > 0 and in_float_range(np.array([G, Gp, Gpp]))
+        except OverflowError:  # a float power past the range, e.g. r^{-n}
+            ok = False
+        if not ok:
             raise ModelError(f"G, G' or G'' leaves the float range at n={n}, r={r:g}; "
                              "lower n or choose another r")
         return G, Gp, Gpp, f, fp
@@ -221,13 +226,18 @@ class RadialGreenProfile:
         return self.green_at(r) ** (2.0 / (2 - n))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan\n")
-        cols = (self.grid, self.G, self.Gp, self.Gpp, self.b, self.b2,
-                self.grad_b, self.mu_rad, self.mu_tan)
-        for row in zip(*cols):
-            buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-        return buf.getvalue()
+        return csv_text("r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan", zip(
+            self.grid, self.G, self.Gp, self.Gpp, self.b, self.b2,
+            self.grad_b, self.mu_rad, self.mu_tan))
+
+
+def csv_text(header: str, rows) -> str:
+    """A header line, then one line per row of numbers in 17 significant digits."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    for row in rows:
+        buf.write(",".join(format(v, ".17g") for v in row) + "\n")
+    return buf.getvalue()
 
 
 def in_float_range(values) -> bool:

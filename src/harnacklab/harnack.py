@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import INEQ_TOL, quadrature
+from . import INEQ_TOL, THEOREM_C, is_exploratory, quadrature
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
 from .green import (
     RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs,
@@ -25,11 +25,9 @@ from .green import (
 )
 
 __all__ = [
-    "HarnackState",
     "TermAudit",
     "HarnackReport",
     "htilde_eigs",
-    "lambda_min",
     "consistency_hess_vs_H",
     "verify_theorem",
     "minimal_C",
@@ -68,46 +66,6 @@ def htilde_eigs(profile: RadialGreenProfile, r: float, C: float):
         raise ModelError(f"r={r} outside profile grid range")
     h_rad, h_tan = _htilde_at(profile, r, C)
     return float(h_rad), float(h_tan)
-
-
-@dataclass(frozen=True)
-class HarnackState:
-    """Htilde eigenvalue curves over the profile grid at a fixed C."""
-
-    profile: RadialGreenProfile
-    C: float
-    h_rad: np.ndarray
-    h_tan: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def build(cls, profile: RadialGreenProfile, C: float) -> "HarnackState":
-        if C < 0:
-            raise ModelError("C must be >= 0")
-        p, G = profile.model.profile, profile.G
-        h_rad, h_tan = _htilde(profile.model.n, C, G, profile.Gp / G,
-                               profile.Gpp / G, p.f(profile.grid),
-                               p.fp(profile.grid))
-        return cls(
-            profile=profile,
-            C=float(C),
-            h_rad=h_rad,
-            h_tan=h_tan,
-            lam=np.minimum(h_rad, h_tan),
-        )
-
-
-def lambda_min(state: HarnackState, r: float):
-    """Lowest eigenvalue of Htilde at r, and which direction attains it."""
-    h_rad, h_tan = htilde_eigs(state.profile, r, state.C)
-    lam = min(h_rad, h_tan)
-    if abs(h_rad - h_tan) <= IDENT_TOL * max(1.0, abs(h_rad), abs(h_tan)):
-        which = "degenerate"
-    elif h_rad < h_tan:
-        which = "radial"
-    else:
-        which = "tangential"
-    return float(lam), which
 
 
 def consistency_hess_vs_H(profile: RadialGreenProfile, r: float) -> float:
@@ -160,20 +118,22 @@ class HarnackReport:
         return payload
 
 
-def _refine_sup(profile: RadialGreenProfile, idx: int) -> float:
-    """Sharpen the grid sup of max(mu_rad, mu_tan) with a local 1D search."""
+def _sup_mu(profile: RadialGreenProfile):
+    """(mu, sup): mu = max(mu_rad, mu_tan) on the grid, and its sup over the
+    range, the grid's largest value sharpened by a local 1D search."""
     grid = profile.grid
+    mu = np.maximum(*hess_b2_eigs_arrays(profile))
+    idx = int(np.argmax(mu))
 
     def neg_mu(r):
-        mu = hess_b2_eigs(profile, float(r))
-        return -max(mu)
+        return -max(hess_b2_eigs(profile, float(r)))
 
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, grid.size - 1)]
     if lo == hi:
-        return -neg_mu(grid[idx])
+        return mu, float(-neg_mu(grid[idx]))
     _, fun = quadrature.brent_min(neg_mu, lo, hi, xatol=1e-10 * (hi - lo) + 1e-14)
-    return max(-fun, -neg_mu(grid[idx]))
+    return mu, float(max(-fun, -neg_mu(grid[idx])))
 
 
 def minimal_C(model: ModelManifold, r_min=1e-2, r_max=1e2, grid_size=512,
@@ -181,70 +141,54 @@ def minimal_C(model: ModelManifold, r_min=1e-2, r_max=1e2, grid_size=512,
     """Sup over the range of the largest eigenvalue of Hess b^2."""
     if profile is None:
         profile = compute_profile(model, default_grid(r_min, r_max, grid_size))
-    mu_rad, mu_tan = hess_b2_eigs_arrays(profile)
-    mu = np.maximum(mu_rad, mu_tan)
-    idx = int(np.argmax(mu))
-    return float(_refine_sup(profile, idx))
+    return _sup_mu(profile)[1]
 
 
 def verify_theorem(
-    model: ModelManifold,
+    profile: RadialGreenProfile,
     C: float,
-    r_min: float = 1e-2,
-    r_max: float = 1e2,
-    grid_size: int = 512,
     tol: float = INEQ_TOL,
     exploratory: bool = False,
     D: Optional[float] = None,
-    profile: Optional[RadialGreenProfile] = None,
-    hypotheses=None,
 ) -> HarnackReport:
-    """Check Hess b^2 <= C g over the grid and report margins.
+    """Check Hess b^2 <= C g over the profile's grid and report margins.
 
     A run is hypothesis-faithful only when C >= 10 and the model meets
-    the curvature/volume assumptions; otherwise the verdict is labeled
-    exploratory (never silently mixed with clean passes).
+    the curvature/volume assumptions over the grid's range; otherwise the
+    verdict is labeled exploratory (never silently mixed with clean passes).
     """
-    if C < 10 and not exploratory:
-        raise ModelError("C < 10 requires exploratory=True")
-    if profile is None:
-        profile = compute_profile(model, default_grid(r_min, r_max, grid_size))
-    if hypotheses is None:
-        hypotheses = hypothesis_report(model, r_min, r_max)
-    flags = hypotheses.flags()
+    if C < THEOREM_C and not exploratory:
+        raise ModelError(f"C < {THEOREM_C} requires exploratory=True")
+    model, grid = profile.model, profile.grid
+    flags = hypothesis_report(model, grid[0], grid[-1]).flags()
 
-    mu_rad, mu_tan = hess_b2_eigs_arrays(profile)
-    mu = np.maximum(mu_rad, mu_tan)
-    idx = int(np.argmax(mu))
-    min_C = float(_refine_sup(profile, idx))
+    mu, min_C = _sup_mu(profile)
     worst_margin = C - min_C
     passed = worst_margin >= -tol
 
     viol_idx = np.nonzero(mu > C + tol)[0]
     violations = [
-        {"r": float(profile.grid[i]), "mu_rad": float(mu_rad[i]),
-         "mu_tan": float(mu_tan[i])}
+        {"r": float(grid[i]), "mu_rad": float(profile.mu_rad[i]),
+         "mu_tan": float(profile.mu_tan[i])}
         for i in viol_idx[:32]
     ]
-
-    hyp_ok = all(flags.values())
-    is_exploratory = (C < 10) or not hyp_ok
 
     lam_ok = None
     if D is not None:
         # Hess b^2 <= D g should force Lambda >= (n-2)/2 (C-D) G^alpha
-        n = model.n
-        state = HarnackState.build(profile, C)
-        galpha = profile.G ** (n / (n - 2.0))
+        n, p, G = model.n, model.profile, profile.G
+        lam = np.minimum(*_htilde(n, C, G, profile.Gp / G, profile.Gpp / G,
+                                  p.f(grid), p.fp(grid)))
+        galpha = G ** (n / (n - 2.0))
         bound = 0.5 * (n - 2) * (C - D) * galpha
         # tolerance must track the G^alpha scale, which spans many decades
-        lam_ok = bool(np.all(state.lam >= bound - tol * np.maximum(1.0, galpha)))
+        lam_ok = bool(np.all(lam >= bound - tol * np.maximum(1.0, galpha)))
 
     boundary = {
         "mu_max_at_r_min": float(mu[0]),
         "mu_max_at_r_max": float(mu[-1]),
-        "lambda_at_r_min": float(min(htilde_eigs(profile, profile.grid[0], C))),
-        "lambda_at_r_max": float(min(htilde_eigs(profile, profile.grid[-1], C))),
+        "lambda_at_r_min": float(min(htilde_eigs(profile, grid[0], C))),
+        "lambda_at_r_max": float(min(htilde_eigs(profile, grid[-1], C))),
     }
 
     return HarnackReport(
@@ -252,7 +196,7 @@ def verify_theorem(
         n=model.n,
         C=float(C),
         passed=bool(passed),
-        exploratory=bool(is_exploratory),
+        exploratory=is_exploratory(C, flags),
         worst_margin=float(worst_margin),
         minimal_C=min_C,
         violations=violations,
@@ -331,7 +275,6 @@ def audit_proof_terms(
     profile: RadialGreenProfile,
     r: float,
     C: float,
-    hypotheses=None,
 ) -> TermAudit:
     """Evaluate every term group of the pointwise estimate at radius r.
 
@@ -405,11 +348,7 @@ def audit_proof_terms(
     curve = lambda s: _htilde_at(profile, s, C)[which]
     lap_fd = _lap_radial_curve(profile, curve, r)
 
-    if hypotheses is None:
-        hypotheses = hypothesis_report(
-            model, profile.grid[0], profile.grid[-1], probes=8
-        )
-    flags = hypotheses.flags()
+    flags = hypothesis_report(model, profile.grid[0], profile.grid[-1]).flags()
     relied = {
         "group_curv1": not flags["nonneg_sectional_along_gradG"],
         "group_curv2": not flags["nonneg_sectional_along_gradG"],

@@ -41,8 +41,12 @@ __all__ = [
     "sphere_area",
 ]
 
-#: default absolute tolerance on curvature margins for hypothesis booleans
+#: absolute tolerance on curvature margins for hypothesis booleans
 DEFAULT_CURV_TOL = 1e-9
+#: radii, geometric over the range, where |grad Ric| and ball volumes are probed
+HYPOTHESIS_PROBES = 16
+#: radii where the FD chart oracle cross-checks parallel Ricci
+FD_PROBES = 3
 
 
 class Piece(NamedTuple):
@@ -69,7 +73,8 @@ class Poly:
     """A polynomial as its tuple of ascending coefficients, in plain float
     arithmetic: sums, products and integer powers with floats and other
     Polys, derivatives, Horner evaluation at a float, and real roots.
-    The margins of `WarpingProfile.min_ratio` are built from these."""
+    The smoothed-cone blend, the derivative rows of every profile and the
+    margins of `WarpingProfile.min_ratio` are built from these."""
 
     __slots__ = ("coef",)
 
@@ -182,10 +187,10 @@ def _smoothstep_blend(c, r0):
     """f = r (1 + (c-1) w(t)) on [r0/2, r0], in powers of t = r - r0/2,
     with w the C^2 quintic smoothstep: w(0) = 0, w(1) = 1 and w' = w'' = 0
     at both ends."""
-    P = np.polynomial.Polynomial
-    h = 0.5 * r0
-    w = P([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])(P([0.0, 1.0 / h]))
-    return tuple((P([h, 1.0]) * (1.0 + (c - 1.0) * w)).coef.tolist())
+    t = Poly((0.0, 1.0 / (0.5 * r0)))
+    # Horner in t, the order in which numpy composes polynomials
+    w = (((6.0 * t - 15.0) * t + 10.0) * t) * t * t
+    return (Poly((0.5 * r0, 1.0)) * (1.0 + (c - 1.0) * w)).coef
 
 
 @dataclass(frozen=True)
@@ -250,8 +255,8 @@ class WarpingProfile:
         # _rows: per derivative order, the Horner rows (descending powers)
         # of every piece, as lists for floats and, zero-padded to a common
         # height, as one array column per piece; with the pieces' lo and x0
-        rows = [[np.polynomial.polynomial.polyder(pc.coef, k)[::-1].tolist()
-                 for pc in pieces] for k in range(4)]
+        rows = [[list(Poly(pc.coef).deriv(k).coef[::-1]) for pc in pieces]
+                for k in range(4)]
         height = len(max(rows[0], key=len))
         cols = [np.array([[0.0] * (height - len(row)) + row for row in order]).T.copy()
                 for order in rows]
@@ -553,15 +558,7 @@ def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
     )
 
 
-def hypothesis_report(
-    model: ModelManifold,
-    r_min: float,
-    r_max: float,
-    probes: int = 16,
-    tol: float = DEFAULT_CURV_TOL,
-    fd_probes: int = 3,
-    fd_h: float = 1e-3,
-) -> HypothesisReport:
+def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> HypothesisReport:
     """Probe the curvature/volume hypotheses on [r_min, r_max].
 
     The gradient of the Green function is radial on these models, so
@@ -577,16 +574,16 @@ def hypothesis_report(
     the same f, and the flag holds only when both routes pass.  Neither
     route's cost grows with n.
     """
-    if not (0 < r_min < r_max) or probes < 2:
-        raise ModelError("need 0 < r_min < r_max and probes >= 2")
-    p, n = model.profile, model.n
+    if not 0 < r_min < r_max:
+        raise ModelError("need 0 < r_min < r_max")
+    p, n, tol = model.profile, model.n, DEFAULT_CURV_TOL
     # exact minima over [r_min, r_max]: k_rad = -f''/f, ric_rad = (n-1) k_rad
     # and ric_tan = (-f f'' + (n-2)(1 - f'^2)) / f^2
     sec_margin = p.min_ratio(r_min, r_max, lambda F: -F.deriv(2), 1)
     ric_tan_min = p.min_ratio(
         r_min, r_max, lambda F: -F * F.deriv(2) + (n - 2) * (1.0 - F.deriv() ** 2), 2)
     ric_margin = min((n - 1) * sec_margin, ric_tan_min)
-    radii = np.geomspace(r_min, r_max, probes)
+    radii = np.geomspace(r_min, r_max, HYPOTHESIS_PROBES)
     residual = max(ricci_gradient_norm(model, r) for r in radii)
 
     chart = fdcheck.warped_chart(ModelManifold(3, model.profile))
@@ -594,11 +591,10 @@ def hypothesis_report(
     # the nested differences to see the geometry instead of noise
     fd_lo = min(max(r_min, 2.0), r_max)
     fd_hi = max(min(r_max, 20.0), fd_lo)
-    sub = np.geomspace(fd_lo, fd_hi, fd_probes)
     fd_residual = 0.0
-    for r in sub:
+    for r in np.geomspace(fd_lo, fd_hi, FD_PROBES):
         point = fdcheck.warped_probe_point(3, r)
-        fd_residual = max(fd_residual, fdcheck.check_parallel_ricci(chart, point, fd_h))
+        fd_residual = max(fd_residual, fdcheck.check_parallel_ricci(chart, point))
 
     # Vol B(t) / t^n = |B^n_1| q carries |B^n_1| -> 0, so the flag is decided
     # on q^{1/(n-1)}, which is a at every n wherever f = a r on (0, t]
@@ -610,7 +606,7 @@ def hypothesis_report(
     nonpar = nonparabolic_check(model, r_min).varopoulos_integral_finite
 
     # the fd residual carries O(h^2) noise, so its boolean gets a looser gate
-    fd_tol = max(tol, 10.0 * fd_h**2)
+    fd_tol = max(tol, 10.0 * fdcheck.DEFAULT_H**2)
     return HypothesisReport(
         nonneg_sectional_along_gradG=bool(sec_margin >= -tol),
         sectional_margin=float(sec_margin),

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from harnacklab import cli, harnack
+from harnacklab import cli, green, harnack, models
 from harnacklab.cli import main
 from harnacklab.models import ModelError
 from tables import concave_table, write_csv
@@ -276,6 +276,11 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
     # a smoothing radius that is not a finite positive number
     (["verify", "--model", "smoothed-cone:0.5:inf", "--n", "4"], "finite r0 > 0"),
     (["verify", "--model", "smoothed-cone:0.5:nan", "--n", "4"], "finite r0 > 0"),
+    # a step below the probe point's resolution: x + h == x, every difference 0
+    (["oracle", "commutators", "--h", "1e-20", "--probes", "2"], "h=1e-20"),
+    # r^{-n} overflows at a tiny radius: the radius at fault is named
+    (["audit", "--model", "cone:0.5", "--n", "4", "--C", "12", "--r", "1e-100"],
+     "n=4, r=1e-100"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
@@ -290,7 +295,7 @@ def test_out_of_range_input_exits_2_with_one_line(argv, needle):
 def test_non_finite_report_value_is_refused(monkeypatch, capsys):
     with pytest.raises(ModelError):
         cli._enc({"a": [1.0, {"b": float("inf")}]})
-    monkeypatch.setattr(harnack, "minimal_C", lambda *args: float("nan"))
+    monkeypatch.setattr(harnack, "minimal_C", lambda *args, **kwargs: float("nan"))
     assert run(["min-c", "--model", "euclidean", "--n", "4"], capsys) == (2, "")
 
 
@@ -299,6 +304,60 @@ def test_corollary_exploratory_below_C_range(capsys):
                           "--C", "0.25", "--triples", "10"], capsys)
     assert code == 3
     assert doc["worst_slack"] >= -1e-6
+
+
+# -- one verdict path -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "cone:0.5", "--n", "4", "--C", "10", "--grid-size", "64"],
+    ["audit", "--model", "smoothed-cone:0.8:1", "--n", "5", "--C", "12", "--r", "0.7",
+     "--r-min", "0.05", "--r-max", "40"],
+    ["corollary", "--model", "cone:0.6", "--n", "4", "--C", "10", "--triples", "2",
+     "--r-min", "0.2", "--r-max", "30"],
+])
+def test_hypotheses_are_decided_once_over_the_profile_range(argv, monkeypatch, capsys):
+    grids, calls = [], []
+    compute_profile, hypothesis_report = green.compute_profile, models.hypothesis_report
+
+    def profile_spy(model, grid=None):
+        grids.append(grid)
+        return compute_profile(model, grid)
+
+    def hypothesis_spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return hypothesis_report(*args, **kwargs)
+
+    monkeypatch.setattr(green, "compute_profile", profile_spy)
+    for module in (models, harnack):
+        monkeypatch.setattr(module, "hypothesis_report", hypothesis_spy)
+    code, doc = run_json(argv, capsys)
+    assert code == cli.EXIT_CODES[doc["verdict"]]
+    assert len(grids) == 1 and len(calls) == 1
+    (model, r_min, r_max), kwargs = calls[0]
+    assert (model.describe(), model.n) == (argv[2], int(argv[4]))
+    assert (r_min, r_max, kwargs) == (grids[0][0], grids[0][-1], {})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "euclidean", "--n", "4", "--C", "10"],
+    ["verify", "--model", "cone:0.5", "--n", "4", "--C", "10"],
+    ["verify", "--model", "euclidean", "--n", "4", "--C", "2", "--exploratory"],
+    ["min-c", "--model", "cone:0.5", "--n", "4"],
+    ["audit", "--model", "euclidean", "--n", "4", "--C", "12"],
+    ["audit", "--model", "smoothed-cone:0.5:1", "--n", "4", "--C", "12", "--r", "0.9"],
+    ["corollary", "--model", "cone:0.6", "--n", "4", "--C", "10", "--triples", "2"],
+    ["symbolic", "verify", "--name", "power_rule"],
+    ["oracle", "commutators", "--chart", "euclidean", "--probes", "1"],
+    ["oracle", "commutators", "--chart", "s2xr2", "--probes", "1", "--h", "1e-7"],
+    ["models", "list"],
+    ["export-profile", "--model", "euclidean", "--n", "4", "--grid-size", "8",
+     "--output-dir", "{out}"],
+])
+def test_exit_code_is_the_code_of_the_printed_verdict(argv, tmp_path, capsys):
+    argv = [str(tmp_path) if a == "{out}" else a for a in argv]
+    code, doc = run_json(argv, capsys)
+    assert code == cli.EXIT_CODES[doc["verdict"]]
 
 
 # -- remaining commands -------------------------------------------------------

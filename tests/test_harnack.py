@@ -9,8 +9,8 @@ import pytest
 from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import compute_profile, default_grid
 from harnacklab.harnack import (
-    HarnackState, _htilde, audit_proof_terms, consistency_hess_vs_H, htilde_eigs,
-    lambda_min, minimal_C, verify_theorem,
+    _htilde, audit_proof_terms, consistency_hess_vs_H, htilde_eigs, minimal_C,
+    verify_theorem,
 )
 
 
@@ -38,15 +38,6 @@ def test_htilde_rejects_bad_args(eucl4):
         htilde_eigs(eucl4, 2.0, -1.0)
     with pytest.raises(ModelError):
         htilde_eigs(eucl4, 1e5, 2.0)
-
-
-def test_lambda_min_euclidean(eucl4):
-    state = HarnackState.build(eucl4, 10.0)
-    lam, which = lambda_min(state, 2.0)
-    assert lam == pytest.approx(0.5, abs=1e-10)
-    assert which == "degenerate"
-    lam2, _ = lambda_min(HarnackState.build(eucl4, 2.0), 1.3)
-    assert lam2 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_lambda_monotone_in_C(cone4):
@@ -79,8 +70,6 @@ def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
             p.fp(prof.grid))
     for C in (2.0, 12.0):
         h_rad, h_tan = _htilde(n, C, *cols)
-        state = HarnackState.build(prof, C)
-        assert np.array_equal(state.h_rad, h_rad) and np.array_equal(state.h_tan, h_tan)
         assert np.all(np.isfinite(h_rad)) and np.all(np.isfinite(h_tan))
         for i in range(0, prof.grid.size, 29):
             G, q1, q2 = (float(col[i]) for col in cols[:3])
@@ -104,7 +93,7 @@ def test_consistency_examples(eucl4, cone4):
 
 
 def test_verify_theorem_euclidean(eucl4):
-    rep = verify_theorem(make_model("euclidean", 4), 10.0, profile=eucl4)
+    rep = verify_theorem(eucl4, 10.0)
     assert rep.passed and not rep.exploratory
     assert rep.worst_margin == pytest.approx(8.0, abs=1e-6)
     assert rep.minimal_C == pytest.approx(2.0, abs=1e-6)
@@ -112,22 +101,21 @@ def test_verify_theorem_euclidean(eucl4):
 
 
 def test_verify_theorem_cone_exploratory(cone4):
-    rep = verify_theorem(make_model("cone", 4, c=0.5), 10.0, profile=cone4)
+    rep = verify_theorem(cone4, 10.0)
     assert rep.passed and rep.exploratory
     assert rep.minimal_C == pytest.approx(0.25, abs=1e-6)
     assert not rep.hypothesis_flags["parallel_ricci"]
 
 
 def test_verify_theorem_lambda_lower_bound(eucl4):
-    rep = verify_theorem(make_model("euclidean", 4), 10.0, profile=eucl4, D=2.0)
+    rep = verify_theorem(eucl4, 10.0, D=2.0)
     assert rep.lambda_lower_bound_ok is True
 
 
 def test_verify_theorem_gate_on_small_C(eucl4):
     with pytest.raises(ModelError):
-        verify_theorem(make_model("euclidean", 4), 2.0, profile=eucl4)
-    rep = verify_theorem(make_model("euclidean", 4), 2.0, profile=eucl4,
-                         exploratory=True)
+        verify_theorem(eucl4, 2.0)
+    rep = verify_theorem(eucl4, 2.0, exploratory=True)
     assert rep.passed and rep.exploratory
 
 
@@ -137,7 +125,7 @@ def test_verify_theorem_failure_detected():
     f = r * (1.0 + 2.0 * np.exp(-((r - 3.0) ** 2)))
     model = make_model("custom", 4, table=(r, f))
     profile = compute_profile(model, default_grid(0.1, 10.0, 256))
-    rep = verify_theorem(model, 10.0, r_min=0.1, r_max=10.0, profile=profile)
+    rep = verify_theorem(profile, 10.0)
     assert not rep.passed and rep.exploratory
     assert rep.minimal_C > 10.0
     assert rep.violations  # offending radii are located and reported
@@ -157,11 +145,12 @@ def test_pointwise_equivalence_lambda_vs_margin(cone4):
     galpha = cone4.G**2  # n = 4, alpha = 2
     mu_rad, mu_tan = hess_b2_eigs_arrays(cone4)
     mu = np.maximum(mu_rad, mu_tan)
+    G, f = cone4.G, cone4.model.profile
     for C in (0.2, 0.25, 1.0):
-        state = HarnackState.build(cone4, C)
+        lam = np.minimum(*_htilde(4, C, G, cone4.Gp / G, cone4.Gpp / G,
+                                  f.f(cone4.grid), f.fp(cone4.grid)))
         expect = galpha * (C - mu)
-        assert np.allclose(state.lam, expect, rtol=1e-9,
-                           atol=1e-12 * galpha.max())
+        assert np.allclose(lam, expect, rtol=1e-9, atol=1e-12 * galpha.max())
 
 
 def test_audit_euclidean_C10(eucl4):
@@ -201,6 +190,6 @@ def _to_json(rep) -> str:
 
 
 def test_report_json_stable(eucl4):
-    rep = verify_theorem(make_model("euclidean", 4), 10.0, profile=eucl4)
+    rep = verify_theorem(eucl4, 10.0)
     assert _to_json(rep) == _to_json(rep)
     assert '"worst_margin"' in _to_json(rep)

@@ -19,7 +19,7 @@ PACKAGE = Path(harnacklab.__file__).resolve().parent
 #: command loads its own engine, so importing the CLI loads none of them
 LAZY_IMPORTS = {("cli", "cmd_symbolic"), ("cli", "cmd_verify"), ("cli", "cmd_min_c"),
                 ("cli", "cmd_corollary"), ("cli", "cmd_audit"), ("cli", "cmd_oracle"),
-                ("cli", "cmd_export_profile")}
+                ("cli", "_model_profile")}
 
 
 def _modules():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from harnacklab import fdcheck, quadrature
+from harnacklab import fdcheck, models, quadrature
 from harnacklab.models import (
     ModelError, curvature_at, hypothesis_report, make_model,
     model_from_id, ricci_gradient_norm, sphere_area, volume_growth,
@@ -436,7 +436,7 @@ def _margin_model(name):
     ("concave", -0.00647045),
     ("quadratic", -2e4),
 ])
-def test_curvature_margins_are_exact_minima(name, k_rad_min):
+def test_curvature_margins_are_exact_minima(name, k_rad_min, monkeypatch):
     model = _margin_model(name)
     rep = hypothesis_report(model, 1e-2, 50.0)
     k_dense, ric_dense = _dense_margins(model, 1e-2, 50.0)
@@ -446,7 +446,8 @@ def test_curvature_margins_are_exact_minima(name, k_rad_min):
         assert exact == pytest.approx(dense, rel=1e-6)
     assert not rep.nonneg_sectional_along_gradG and not rep.nonneg_ricci
     # the margins do not depend on the probes
-    few = hypothesis_report(model, 1e-2, 50.0, probes=2)
+    monkeypatch.setattr(models, "HYPOTHESIS_PROBES", 2)
+    few = hypothesis_report(model, 1e-2, 50.0)
     assert (few.sectional_margin, few.ricci_margin) == (rep.sectional_margin, rep.ricci_margin)
 
 
@@ -460,6 +461,18 @@ def test_linear_models_have_zero_sectional_margin(model_id):
 
 
 # -- f' minimum: the monotonicity precondition of the Clairaut sweeps -----------
+
+
+def test_smoothstep_blend_is_numpy_composition():
+    # numpy's Polynomial composition is the reference: the blend, composed
+    # on Poly in the same Horner order, has its coefficients bit for bit
+    P = np.polynomial.Polynomial
+    rng = np.random.default_rng(15)
+    for c, r0 in zip(rng.uniform(0.05, 1.0, 300).tolist(), rng.uniform(0.3, 4.0, 300).tolist()):
+        h = 0.5 * r0
+        w = P([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])(P([0.0, 1.0 / h]))
+        expect = tuple((P([h, 1.0]) * (1.0 + (c - 1.0) * w)).coef.tolist())
+        assert models._smoothstep_blend(c, r0) == expect
 
 
 def test_fp_min_closed_forms():
