@@ -23,3 +23,9 @@ def is_exploratory(C: float, flags: dict) -> bool:
 
 class ModelError(ValueError):
     """Invalid model parameters or evaluation outside the admissible range."""
+
+
+def require_theorem_C(C: float, exploratory: bool) -> None:
+    """Refuse a C below the theorem's range unless the run is exploratory."""
+    if C < THEOREM_C and not exploratory:
+        raise ModelError(f"C < {THEOREM_C} requires exploratory=True")

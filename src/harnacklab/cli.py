@@ -19,7 +19,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import INEQ_TOL, THEOREM_C, ModelError, __version__, is_exploratory
+from . import (INEQ_TOL, THEOREM_C, ModelError, __version__, is_exploratory,
+               require_theorem_C)
 
 EXIT_INVALID = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "exploratory": 3}
@@ -69,7 +70,10 @@ class RunConfig:
         if h is not None and not H_RANGE[0] <= h <= H_RANGE[1]:
             raise ModelError(f"the finite-difference step h must lie in "
                              f"[{H_RANGE[0]:.3g}, {H_RANGE[1]:.3g}], got {h!r}")
-        cfg.n = int(cfg.n)
+        for key in ("n", "grid_size", "seed"):
+            val = getattr(cfg, key)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ModelError(f"{key} must be an integer, got {val!r}")
         cfg.lambdas = tuple(float(x) for x in cfg.lambdas)
         return cfg
 
@@ -140,9 +144,10 @@ def cmd_verify(args) -> int:
     from .harnack import verify_theorem
 
     cfg = RunConfig.load(args)
+    exploratory = bool(args.exploratory)
+    require_theorem_C(cfg.C, exploratory)  # before the profile, which may refuse n
     _, profile = _model_profile(cfg)
-    report = verify_theorem(profile, cfg.C, tol=cfg.tol,
-                            exploratory=bool(args.exploratory), D=args.D)
+    report = verify_theorem(profile, cfg.C, tol=cfg.tol, exploratory=exploratory, D=args.D)
     return _report("verify", cfg, _verdict(report.passed, report.exploratory),
                    {"report": report.payload()})
 
@@ -156,25 +161,25 @@ def cmd_min_c(args) -> int:
                    {"minimal_C": minimal_C(model, profile=profile)})
 
 
-def _sample_triples(np, point, seed: int, count: int):
-    """count (y, z) pairs of slice points made by point(r, phi), y at phi = 0."""
-    rng = np.random.default_rng(seed)
-    r = np.exp(rng.uniform(math.log(0.5), math.log(3.0), size=(count, 2)))
-    phi = rng.uniform(0.0, math.pi, size=count)
-    return [
-        (point(float(r[k, 0]), 0.0), point(float(r[k, 1]), float(phi[k])))
-        for k in range(count)
-    ]
+def _sample_triples(point, rng, count: int):
+    """count (y, z) pairs of slice points made by point(r, phi), y at phi = 0.
+
+    rng draws in numpy's order for ``uniform(size=(count, 2))`` radii in
+    log scale, then ``uniform(size=count)`` angles.
+    """
+    r = [math.exp(rng.uniform(math.log(0.5), math.log(3.0))) for _ in range(2 * count)]
+    phi = [rng.uniform(0.0, math.pi) for _ in range(count)]
+    return [(point(r[2 * k], 0.0), point(r[2 * k + 1], phi[k])) for k in range(count)]
 
 
 def cmd_corollary(args) -> int:
-    import numpy as np
-
     from . import geodesics
     from .green import csv_text
     from .models import hypothesis_report
+    from .sampling import Sampler
 
     cfg = RunConfig.load(args)
+    rng = Sampler(cfg.seed)
     model, profile = _model_profile(cfg)
     if not cfg.lambdas:
         raise ModelError("corollary needs at least one lambda")
@@ -183,7 +188,7 @@ def cmd_corollary(args) -> int:
     misses = 0
     branches = dict.fromkeys(("radial", "monotone", "turning", "tip"), 0)
     shot_gap = None
-    for y, z in _sample_triples(np, geodesics.SlicePoint, cfg.seed, args.triples):
+    for y, z in _sample_triples(geodesics.SlicePoint, rng, args.triples):
         # one shot per report: the first pair that can be shot checks the
         # points found by arclength inversion
         triples = geodesics.corollary_check(model, profile, y, z, cfg.C, cfg.lambdas,
@@ -249,6 +254,7 @@ def cmd_oracle(args) -> int:
     import numpy as np
 
     from . import fdcheck
+    from .sampling import Sampler
 
     cfg = RunConfig.load(args)
     if args.what != "commutators":
@@ -256,13 +262,13 @@ def cmd_oracle(args) -> int:
     h = fdcheck.DEFAULT_H if args.h is None else args.h
     chart = fdcheck.chart_by_name(args.chart, n=cfg.n)
     f = fdcheck.default_test_function(chart)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Sampler(cfg.seed)
     base = fdcheck.default_probe_point(chart)
     gate = 100.0 * h**2
     rows = []
     worst = 0.0
     for k in range(args.probes):
-        point = base + rng.uniform(-0.05, 0.05, size=chart.dim)
+        point = base + np.array([rng.uniform(-0.05, 0.05) for _ in range(chart.dim)])
         res = fdcheck.check_lemma31(chart, f, point, h)
         worst = max(worst, float(np.max(res)))
         rows.append({"probe": k, "point": [float(v) for v in point],

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import INEQ_TOL, THEOREM_C, is_exploratory, quadrature
+from . import INEQ_TOL, is_exploratory, quadrature, require_theorem_C
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
 from .green import (
     RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs,
@@ -157,8 +157,7 @@ def verify_theorem(
     the curvature/volume assumptions over the grid's range; otherwise the
     verdict is labeled exploratory (never silently mixed with clean passes).
     """
-    if C < THEOREM_C and not exploratory:
-        raise ModelError(f"C < {THEOREM_C} requires exploratory=True")
+    require_theorem_C(C, exploratory)
     model, grid = profile.model, profile.grid
     flags = hypothesis_report(model, grid[0], grid[-1]).flags()
 

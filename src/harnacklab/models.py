@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import ModelError, fdcheck, quadrature
+from . import ModelError, quadrature
 
 __all__ = [
     "WarpingProfile",
@@ -391,7 +391,8 @@ class HypothesisReport:
     nonneg_ricci: bool
     ricci_margin: float
     parallel_ricci_residual: float      # closed form, max over the probes
-    parallel_ricci_fd_residual: float   # FD oracle on the 3-dim chart
+    parallel_ricci_fd_residual: Optional[float]  # FD oracle on the 3-dim chart;
+                                                 # None where the closed form fails
     parallel_ricci: bool
     euclidean_volume_growth: bool
     volume_growth_inf: float        # Vol B(t) / t^n
@@ -571,8 +572,10 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     exactly when k_rad' = k_tan' = 0 and (k_rad - k_tan) f' = 0: conditions
     on f alone, the same at every n.  So the finite-difference chart
     oracle, the independent route, cross-checks it on the 3-dim chart of
-    the same f, and the flag holds only when both routes pass.  Neither
-    route's cost grows with n.
+    the same f, and the flag holds only when both routes pass.  The oracle
+    runs only where the closed form passes (elsewhere the flag is False
+    whatever it reads, and its residual is None).  Neither route's cost
+    grows with n.
     """
     if not 0 < r_min < r_max:
         raise ModelError("need 0 < r_min < r_max")
@@ -586,15 +589,21 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     radii = np.geomspace(r_min, r_max, HYPOTHESIS_PROBES)
     residual = max(ricci_gradient_norm(model, r) for r in radii)
 
-    chart = fdcheck.warped_chart(ModelManifold(3, model.profile))
-    # keep fd probes at moderate radii: the step must stay well below r for
-    # the nested differences to see the geometry instead of noise
-    fd_lo = min(max(r_min, 2.0), r_max)
-    fd_hi = max(min(r_max, 20.0), fd_lo)
-    fd_residual = 0.0
-    for r in np.geomspace(fd_lo, fd_hi, FD_PROBES):
-        point = fdcheck.warped_probe_point(3, r)
-        fd_residual = max(fd_residual, fdcheck.check_parallel_ricci(chart, point))
+    parallel_ricci, fd_residual = residual <= tol, None
+    if parallel_ricci:
+        # the FD oracle can only overturn a True, so only a True loads it
+        from . import fdcheck
+
+        chart = fdcheck.warped_chart(ModelManifold(3, model.profile))
+        # keep fd probes at moderate radii: the step must stay well below r for
+        # the nested differences to see the geometry instead of noise
+        fd_lo = min(max(r_min, 2.0), r_max)
+        fd_hi = max(min(r_max, 20.0), fd_lo)
+        fd_residual = max(
+            fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
+            for r in np.geomspace(fd_lo, fd_hi, FD_PROBES))
+        # the fd residual carries O(h^2) noise, so its boolean gets a looser gate
+        parallel_ricci = fd_residual <= max(tol, 10.0 * fdcheck.DEFAULT_H**2)
 
     # Vol B(t) / t^n = |B^n_1| q carries |B^n_1| -> 0, so the flag is decided
     # on q^{1/(n-1)}, which is a at every n wherever f = a r on (0, t]
@@ -605,16 +614,14 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
 
     nonpar = nonparabolic_check(model, r_min).varopoulos_integral_finite
 
-    # the fd residual carries O(h^2) noise, so its boolean gets a looser gate
-    fd_tol = max(tol, 10.0 * fdcheck.DEFAULT_H**2)
     return HypothesisReport(
         nonneg_sectional_along_gradG=bool(sec_margin >= -tol),
         sectional_margin=float(sec_margin),
         nonneg_ricci=bool(ric_margin >= -tol),
         ricci_margin=float(ric_margin),
         parallel_ricci_residual=float(residual),
-        parallel_ricci_fd_residual=float(fd_residual),
-        parallel_ricci=bool(residual <= tol and fd_residual <= fd_tol),
+        parallel_ricci_fd_residual=fd_residual,
+        parallel_ricci=bool(parallel_ricci),
         euclidean_volume_growth=bool(slope_inf >= tol),
         volume_growth_inf=float(vg_inf),
         volume_growth_slope_inf=float(slope_inf),

@@ -120,9 +120,6 @@ class TensorExpr(Module):
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return len(normalize(self).terms) == 0
-
     def free_indices(self):
         frees = {t.free_indices() for t in normalize(self).terms}
         if len(frees) > 1:

@@ -281,6 +281,9 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
     # r^{-n} overflows at a tiny radius: the radius at fault is named
     (["audit", "--model", "cone:0.5", "--n", "4", "--C", "12", "--r", "1e-100"],
      "n=4, r=1e-100"),
+    # C is refused before the profile is built, so the profile cannot blame n
+    (["verify", "--model", "euclidean", "--n", "200", "--C", "2"],
+     "C < 10 requires exploratory"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
@@ -290,6 +293,34 @@ def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
     assert needle in lines[0]
     assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["corollary", "--model", "cone:0.5", "--n", "4", "--triples", "2", "--seed", "-1"],
+    ["oracle", "commutators", "--probes", "2", "--seed", "-1"],
+    ["oracle", "commutators", "--probes", "2", "--seed", str(-(2**70))],
+])
+def test_negative_seed_exits_2_with_one_line(argv):
+    # a seed's 32-bit words are taken by shifting it right, which never
+    # ends on a negative seed: the sampler refuses it first
+    r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
+                       capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.splitlines() == [f"error: seed must be non-negative, got {argv[-1]}"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.5), ("seed", "7"), ("seed", True), ("seed", 7.0),
+    ("grid_size", 3.5), ("grid_size", "512"), ("grid_size", False),
+    ("n", 4.5), ("n", "4"), ("n", True),
+])
+def test_config_integer_field_must_be_an_integer(key, value, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "euclidean", key: value}))
+    r = subprocess.run([sys.executable, "-m", "harnacklab.cli", "min-c", "--config", str(cfg)],
+                       capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.splitlines() == [f"error: {key} must be an integer, got {value!r}"]
 
 
 def test_non_finite_report_value_is_refused(monkeypatch, capsys):
@@ -452,8 +483,9 @@ def test_cli_import_does_not_load_numpy():
 
 _SYMBOLIC = {"harnacklab.symbolic", "harnacklab.symbolic.engine",
              "harnacklab.symbolic.identities", "harnacklab.symbolic.ring"}
-# models needs numpy, the quadrature core and the FD oracle for its probes
-_MODELS = {"numpy", "harnacklab.models", "harnacklab.quadrature", "harnacklab.fdcheck"}
+# models needs numpy and the quadrature core; it loads the FD oracle only to
+# confirm a closed-form parallel Ricci, so only euclidean verify brings it
+_MODELS = {"numpy", "harnacklab.models", "harnacklab.quadrature"}
 
 
 @pytest.mark.parametrize("argv,code,engine", [
@@ -462,20 +494,24 @@ _MODELS = {"numpy", "harnacklab.models", "harnacklab.quadrature", "harnacklab.fd
     (["models", "list"], 0, set()),
     (["--version"], 0, set()),
     (["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"], 0,
-     {"numpy", "harnacklab.fdcheck"}),
+     {"numpy", "harnacklab.fdcheck", "harnacklab.sampling"}),
     (["verify", "--model", "euclidean", "--n", "4", "--C", "10"], 0,
-     _MODELS | {"harnacklab.green", "harnacklab.harnack"}),
+     _MODELS | {"harnacklab.green", "harnacklab.harnack", "harnacklab.fdcheck"}),
     (["export-profile", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,
      _MODELS | {"harnacklab.green"}),
     (["corollary", "--model", "cone:0.5", "--n", "4", "--C", "10", "--triples", "2"], 3,
-     _MODELS | {"harnacklab.green", "harnacklab.geodesics"}),
+     _MODELS | {"harnacklab.green", "harnacklab.geodesics", "harnacklab.sampling"}),
+    (["min-c", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,
+     _MODELS | {"harnacklab.green", "harnacklab.harnack"}),
 ])
 def test_each_command_loads_only_its_engine(argv, code, engine):
+    # numpy.random is listed when loaded: the samplers draw from harnacklab.sampling
     script = ("import contextlib, io, json, sys\n"
               "from harnacklab.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(json.loads(sys.argv[1]))\n"
-              "print(json.dumps([code, sorted(m for m in sys.modules if m == 'numpy'\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m in ('numpy', 'numpy.random')\n"
               "                               or m.split('.')[0] == 'harnacklab')]))")
     r = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                        capture_output=True, text=True)

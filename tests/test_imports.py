@@ -2,8 +2,9 @@
 
 Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
-only in the CLI's command functions, each of which loads the engine it runs;
-no module imports sympy or scipy, which only the tests use, as
+only in the CLI's command functions, each of which loads the engine it runs,
+and in ``models.hypothesis_report``, which loads the FD oracle only where
+the closed form finds Ricci parallel; no module imports sympy or scipy, which only the tests use, as
 references; and no module but ``models`` reads how a warping profile
 was specified (its kind and parameters) rather than its pieces.
 """
@@ -16,10 +17,11 @@ import harnacklab
 PACKAGE = Path(harnacklab.__file__).resolve().parent
 
 #: (module, enclosing definition) of every function-local import: each
-#: command loads its own engine, so importing the CLI loads none of them
+#: command loads its own engine, so importing the CLI loads none of them,
+#: and the FD oracle is loaded only to confirm a closed-form parallel Ricci
 LAZY_IMPORTS = {("cli", "cmd_symbolic"), ("cli", "cmd_verify"), ("cli", "cmd_min_c"),
                 ("cli", "cmd_corollary"), ("cli", "cmd_audit"), ("cli", "cmd_oracle"),
-                ("cli", "_model_profile")}
+                ("cli", "_model_profile"), ("models", "hypothesis_report")}
 
 
 def _modules():

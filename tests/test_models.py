@@ -230,10 +230,31 @@ def test_parallel_ricci_closed_form_sees_beyond_the_fd_probes():
     # the FD probes sit at r in [2, 20], where this profile is still flat;
     # the blend [25, 50) and the cone beyond it are seen only by the closed
     # form at the probe radii
-    rep = hypothesis_report(make_model("smoothed_cone", 4, c=0.5, r0=50.0), 1e-2, 1e2)
-    assert rep.parallel_ricci_fd_residual <= 1e-5
+    model = make_model("smoothed_cone", 4, c=0.5, r0=50.0)
+    chart = fdcheck.warped_chart(models.ModelManifold(3, model.profile))
+    fd = [fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
+          for r in np.geomspace(2.0, 20.0, models.FD_PROBES)]
+    assert max(fd) <= 1e-5
+    rep = hypothesis_report(model, 1e-2, 1e2)
     assert rep.parallel_ricci_residual > 1e-3
     assert not rep.parallel_ricci
+    # the oracle could not have turned the closed form's False, so it never ran
+    assert rep.parallel_ricci_fd_residual is None
+
+
+@pytest.mark.parametrize("model_id,runs", [
+    ("euclidean", 3), ("cone:0.5", 0), ("cone:0.9", 0),
+    ("smoothed-cone:0.8:1", 0), ("smoothed-cone:0.5:50", 0),
+])
+def test_fd_oracle_runs_only_where_the_closed_form_passes(model_id, runs, monkeypatch):
+    seen = []
+    real = fdcheck.check_parallel_ricci
+    monkeypatch.setattr(fdcheck, "check_parallel_ricci",
+                        lambda chart, x: seen.append(x) or real(chart, x))
+    rep = hypothesis_report(model_from_id(model_id, 4), 1e-2, 1e2)
+    assert len(seen) == runs
+    assert rep.parallel_ricci == (runs > 0)
+    assert (rep.parallel_ricci_fd_residual is None) == (runs == 0)
 
 
 @pytest.mark.parametrize("n", [3, 10, 40])
