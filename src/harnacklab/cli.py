@@ -56,10 +56,24 @@ class RunConfig:
             val = getattr(args, key, None)
             if val is not None:
                 setattr(cfg, key, val)
+        # the type of every field, whether a config file or a flag set it
+        for key in ("model", "output_dir"):
+            val = getattr(cfg, key)
+            if not isinstance(val, str):
+                raise ModelError(f"{key} must be a string, got {val!r}")
+        for key in ("n", "grid_size", "seed"):
+            val = getattr(cfg, key)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ModelError(f"{key} must be an integer, got {val!r}")
         for key in ("C", "tol", "r_min", "r_max"):
             val = getattr(cfg, key)
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
+            if not _finite_number(val):
                 raise ModelError(f"{key} must be a finite number, got {val!r}")
+        if not isinstance(cfg.lambdas, (list, tuple)) or not all(
+                map(_finite_number, cfg.lambdas)):
+            raise ModelError(f"lambdas must be a list of finite numbers, got {cfg.lambdas!r}")
+        if cfg.tol < 0:
+            raise ModelError(f"tol must be >= 0, got {cfg.tol!r}")
         if not 0.0 < cfg.r_min < cfg.r_max:
             raise ModelError(f"need 0 < r_min < r_max, got r_min={cfg.r_min!r}, "
                              f"r_max={cfg.r_max!r}")
@@ -70,10 +84,6 @@ class RunConfig:
         if h is not None and not H_RANGE[0] <= h <= H_RANGE[1]:
             raise ModelError(f"the finite-difference step h must lie in "
                              f"[{H_RANGE[0]:.3g}, {H_RANGE[1]:.3g}], got {h!r}")
-        for key in ("n", "grid_size", "seed"):
-            val = getattr(cfg, key)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ModelError(f"{key} must be an integer, got {val!r}")
         cfg.lambdas = tuple(float(x) for x in cfg.lambdas)
         return cfg
 
@@ -81,6 +91,11 @@ class RunConfig:
         d = dataclasses.asdict(self)
         d["lambdas"] = list(d["lambdas"])
         return d
+
+
+def _finite_number(x) -> bool:
+    """A finite int or float; a bool is never a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _enc(x):

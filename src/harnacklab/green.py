@@ -88,19 +88,17 @@ def _tail_split_radius(model: ModelManifold, r_hint: float):
     """(S, a): G is closed from S on as if f = a r there.  Exactly so when
     the top piece of f is a r up to infinity (S its lower end); a table
     profile ends at its top, so there S is the smallest probed radius
-    >= r_hint with f within TAIL_MATCH_RTOL of a S, a = f(top)/top."""
+    >= r_hint with f within TAIL_MATCH_RTOL of a S.  In both, a is the
+    profile's tail_slope."""
     p = model.profile
-    top = p.pieces[-1]
+    top, a = p.pieces[-1], p.tail_slope
     if top.hi == math.inf:
-        return top.lo, top.slope
-    a = p.f(top.hi) / top.hi
+        return top.lo, a
+    # the last probe is the top itself, where f = a S up to rounding
     for s in np.geomspace(max(r_hint, p.knots[0]), top.hi, 64):
         if abs(p.f(s) / (a * s) - 1.0) <= TAIL_MATCH_RTOL:
-            return float(s), a
-    raise ModelError(
-        "custom profile has no linear asymptote in its table range; "
-        "the Green tail integral cannot be closed"
-    )
+            break
+    return float(s), a
 
 
 def _closed_G(piece: GreenPiece, n: int, r):

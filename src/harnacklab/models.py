@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import ModelError, quadrature
+from . import ModelError
 
 __all__ = [
     "WarpingProfile",
@@ -35,16 +35,12 @@ __all__ = [
     "model_from_id",
     "curvature_at",
     "ricci_gradient_norm",
-    "volume_growth",
     "hypothesis_report",
     "nonparabolic_check",
-    "sphere_area",
 ]
 
 #: absolute tolerance on curvature margins for hypothesis booleans
 DEFAULT_CURV_TOL = 1e-9
-#: radii, geometric over the range, where |grad Ric| and ball volumes are probed
-HYPOTHESIS_PROBES = 16
 #: radii where the FD chart oracle cross-checks parallel Ricci
 FD_PROBES = 3
 
@@ -348,6 +344,16 @@ class WarpingProfile:
         """Minimum of f' over [lo, hi]."""
         return self.min_ratio(lo, hi, Poly.deriv)
 
+    @property
+    def tail_slope(self) -> float:
+        """a of the end f ~ a r: the top piece's slope where it reaches to
+        infinity, f(top)/top at a table's top (G is closed beyond it as if
+        f = a r there)."""
+        top = self.pieces[-1]
+        if top.hi == math.inf:
+            return top.slope
+        return self.f(top.hi) / top.hi
+
 
 @dataclass(frozen=True)
 class ModelManifold:
@@ -390,13 +396,12 @@ class HypothesisReport:
     sectional_margin: float
     nonneg_ricci: bool
     ricci_margin: float
-    parallel_ricci_residual: float      # closed form, max over the probes
+    parallel_ricci_residual: float      # exact max |f'(1 - f'^2)| over the range
     parallel_ricci_fd_residual: Optional[float]  # FD oracle on the 3-dim chart;
-                                                 # None where the closed form fails
+                                                 # None where the exact route fails
     parallel_ricci: bool
     euclidean_volume_growth: bool
-    volume_growth_inf: float        # Vol B(t) / t^n
-    volume_growth_slope_inf: float  # (Vol B(t) / (|B^n_1| t^n))^{1/(n-1)}, decides the flag
+    tail_slope: float  # a of the end f ~ a r, decides the flag
     nonparabolic: bool
     tol: float
 
@@ -463,17 +468,6 @@ def curvature_at(model: ModelManifold, r: float) -> CurvatureSample:
     )
 
 
-def sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2).
-
-    Gamma(n/2) leaves the float range from n = 344 on; there the ratio is
-    taken in logarithms (it is below 1e-220, and underflows to 0 later).
-    """
-    if n < 344:
-        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    return 2.0 * math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0))
-
-
 def ricci_gradient_norm(model: ModelManifold, r: float) -> float:
     """|grad Ric| at radius r, the Frobenius norm in an orthonormal frame.
 
@@ -493,44 +487,6 @@ def ricci_gradient_norm(model: ModelManifold, r: float) -> float:
     d_tan = dk_rad + (n - 2) * dk_tan
     mixed = fp / f * (s.ric_rad - s.ric_tan)
     return float(math.sqrt(d_rad**2 + (n - 1) * (d_tan**2 + 2.0 * mixed**2)))
-
-
-def _volume_ratio(model: ModelManifold, t: float) -> float:
-    """Vol B(t) / (|B^n_1| t^n) = (n/t) int_0^t (f(s)/t)^{n-1} ds.
-
-    The scaled integrand keeps every term below 1 where f(s) <= s, so
-    nothing overflows or underflows with n.  On every piece where f = a r
-    the integral is a^{n-1} ((hi/t)^n - (lo/t)^n) in closed form; Gauss
-    panels run only where f is not linear, one per polynomial piece of f.
-    """
-    n, p = model.n, model.profile
-    if not 0 < t <= p.pieces[-1].hi:
-        raise ModelError(f"volume requires 0 < t <= {p.pieces[-1].hi!r}, got {t!r}")
-    total, lo_q, hi_q = 0.0, [], []
-    for pc in p.pieces:
-        if pc.lo >= t:
-            break
-        hi = min(pc.hi, t)
-        if pc.slope is not None:
-            total += pc.slope ** (n - 1) * ((hi / t) ** n - (pc.lo / t) ** n)
-        else:
-            lo_q.append(pc.lo)
-            hi_q.append(hi)
-    if lo_q:
-        vals, errs, _ = quadrature.gauss_legendre(
-            lambda s: (p.f(s) / t) ** (n - 1), np.array(lo_q), np.array(hi_q), rtol=1e-10)
-        val, err = float(np.sum(vals)), float(np.sum(errs))
-        if not math.isfinite(val) or (val > 0 and err / val > 1e-8):
-            raise ModelError("ball volume quadrature did not converge")
-        total += n * val / t
-    if not math.isfinite(total):
-        raise ModelError("ball volume is not finite")
-    return total
-
-
-def volume_growth(model: ModelManifold, t: float) -> float:
-    """Vol B(t) / t^n; bounded below by a positive constant means Euclidean growth."""
-    return sphere_area(model.n) / model.n * _volume_ratio(model, t)
 
 
 def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
@@ -560,22 +516,26 @@ def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
 
 
 def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> HypothesisReport:
-    """Probe the curvature/volume hypotheses on [r_min, r_max].
+    """Decide the curvature/volume hypotheses on [r_min, r_max].
 
     The gradient of the Green function is radial on these models, so
     nonnegative sectional curvature along it reduces to k_rad >= 0.  The
     sectional and Ricci margins are the exact minima over [r_min, r_max]
-    (see WarpingProfile.min_ratio), so they do not depend on the probes.
+    (see WarpingProfile.min_ratio).
 
-    Parallel Ricci is decided by the closed form |grad Ric| (see
-    ricci_gradient_norm) at the probe radii.  For n >= 3 it vanishes
-    exactly when k_rad' = k_tan' = 0 and (k_rad - k_tan) f' = 0: conditions
-    on f alone, the same at every n.  So the finite-difference chart
-    oracle, the independent route, cross-checks it on the 3-dim chart of
-    the same f, and the flag holds only when both routes pass.  The oracle
-    runs only where the closed form passes (elsewhere the flag is False
-    whatever it reads, and its residual is None).  Neither route's cost
-    grows with n.
+    Parallel Ricci: the mixed term of |grad Ric| (see ricci_gradient_norm)
+    vanishes where f' = 0 or k_rad = k_tan, and then ric_rad' = 0 makes
+    k_rad a constant K with f'' = -K f and f'^2 + K f^2 = 1.  A polynomial
+    piece meets that only as a cylinder (f' = 0) or flat (K = 0, f'^2 = 1),
+    so grad Ric = 0 on the range iff f'(1 - f'^2) vanishes there, the same
+    at every n; the residual is its exact maximum modulus.  The
+    finite-difference chart oracle, the independent route, cross-checks a
+    True on the 3-dim chart of the same f, and the flag holds only when
+    both routes pass; on a False it does not run, and its residual is None.
+
+    Euclidean volume growth: Vol B(t) / (|B^n_1| t^n) is continuous and
+    positive on (0, inf) and tends to a^{n-1} as t -> inf, a the tail
+    slope, so the hypothesis holds iff a > 0.
     """
     if not 0 < r_min < r_max:
         raise ModelError("need 0 < r_min < r_max")
@@ -586,8 +546,14 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     ric_tan_min = p.min_ratio(
         r_min, r_max, lambda F: -F * F.deriv(2) + (n - 2) * (1.0 - F.deriv() ** 2), 2)
     ric_margin = min((n - 1) * sec_margin, ric_tan_min)
-    radii = np.geomspace(r_min, r_max, HYPOTHESIS_PROBES)
-    residual = max(ricci_gradient_norm(model, r) for r in radii)
+
+    def flatness(F):  # f'(1 - f'^2): zero only on cylinders and flat pieces
+        d = F.deriv()
+        return d * (1.0 - d ** 2)
+
+    # max |q| = max(|min q|, |min -q|)
+    residual = max(abs(p.min_ratio(r_min, r_max, flatness)),
+                   abs(p.min_ratio(r_min, r_max, lambda F: -flatness(F))))
 
     parallel_ricci, fd_residual = residual <= tol, None
     if parallel_ricci:
@@ -605,14 +571,8 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         # the fd residual carries O(h^2) noise, so its boolean gets a looser gate
         parallel_ricci = fd_residual <= max(tol, 10.0 * fdcheck.DEFAULT_H**2)
 
-    # Vol B(t) / t^n = |B^n_1| q carries |B^n_1| -> 0, so the flag is decided
-    # on q^{1/(n-1)}, which is a at every n wherever f = a r on (0, t]
-    # (1 on euclidean, c on cones); both are increasing in q
-    q_inf = min(_volume_ratio(model, t) for t in radii)
-    vg_inf = sphere_area(model.n) / model.n * q_inf
-    slope_inf = q_inf ** (1.0 / (model.n - 1))
-
     nonpar = nonparabolic_check(model, r_min).varopoulos_integral_finite
+    tail_slope = p.tail_slope
 
     return HypothesisReport(
         nonneg_sectional_along_gradG=bool(sec_margin >= -tol),
@@ -622,9 +582,8 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         parallel_ricci_residual=float(residual),
         parallel_ricci_fd_residual=fd_residual,
         parallel_ricci=bool(parallel_ricci),
-        euclidean_volume_growth=bool(slope_inf >= tol),
-        volume_growth_inf=float(vg_inf),
-        volume_growth_slope_inf=float(slope_inf),
+        euclidean_volume_growth=bool(tail_slope >= tol),
+        tail_slope=float(tail_slope),
         nonparabolic=bool(nonpar),
         tol=float(tol),
     )

@@ -266,7 +266,6 @@ def _canon_term_local(term: Term):
                 sub = {drop: keep}
                 work = [(k2, tuple(sub.get(x, x) for x in ix)) for k2, ix in work]
                 out = [(k2, tuple(sub.get(x, x) for x in ix)) for k2, ix in out]
-                census = None  # recompute below
                 census = {}
                 for _, ix in itertools.chain(out, work):
                     for nm in ix:
@@ -319,7 +318,6 @@ def _canon_term_local(term: Term):
             if m in slots:
                 # contracted second Bianchi:
                 #   grad_m R_{a m c d} = grad_d Ric_{a c} - grad_c Ric_{a d}
-                best, sign = _riem_min(slots)
                 # bring the contracted slot into position 1 via symmetries
                 cand = None
                 for perm, s in _RIEM_SYMS:

@@ -15,6 +15,29 @@ def concave_table(size=400, c=0.2):
     return r, f
 
 
+def line_table(size=400, slope=1.0):
+    """(r, slope * r) on r in [1e-3, 1e3], geometric: flat space at slope 1,
+    the cone of aperture `slope` otherwise."""
+    r = np.geomspace(1e-3, 1e3, size)
+    return r, slope * r
+
+
+def cylinder_table(size=400):
+    """(r, 1) on r in [1e-3, 1e3], geometric: the cylinder R x S^{n-1}."""
+    r = np.geomspace(1e-3, 1e3, size)
+    return r, np.ones_like(r)
+
+
+def bump_table(size=4000):
+    """(r, f) on r in [1e-3, 1e3], geometric, of f = r + 0.3 * 14 W((r - 34)/14)
+    with W(t) = int_0^t 64 s^3 (1 - s)^3 ds on [0, 1], constant outside: flat
+    but for a bump of f' up to 1.3 on [34, 48]."""
+    r = np.geomspace(1e-3, 1e3, size)
+    t = np.clip((r - 34.0) / 14.0, 0.0, 1.0)
+    w = 64.0 * t**4 * (1.0 / 4.0 - 3.0 * t / 5.0 + t**2 / 2.0 - t**3 / 7.0)
+    return r, r + 0.3 * 14.0 * w
+
+
 def write_csv(path, table):
     """The table as a custom-profile CSV (header r,f) at path."""
     r, f = table

@@ -11,14 +11,45 @@ from scipy import integrate
 from harnacklab import fdcheck, models, quadrature
 from harnacklab.models import (
     ModelError, curvature_at, hypothesis_report, make_model,
-    model_from_id, ricci_gradient_norm, sphere_area, volume_growth,
+    model_from_id, ricci_gradient_norm,
 )
-from tables import concave_table
+from tables import bump_table, concave_table, cylinder_table, line_table
+
+
+def sphere_area(n):
+    """Area of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2), in logarithms
+    (Gamma(n/2) leaves the float range from n = 344 on)."""
+    return 2.0 * math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0))
+
+
+def volume_ratio(model, t):
+    """Vol B(t) / (|B^n_1| t^n) = (n/t) int_0^t (f(s)/t)^{n-1} ds, piece by
+    piece: a^{n-1} ((hi/t)^n - (lo/t)^n) in closed form wherever f = a r,
+    scipy's quad on the other pieces."""
+    n, p = model.n, model.profile
+    if not 0 < t <= p.pieces[-1].hi:
+        raise ModelError(f"volume requires 0 < t <= {p.pieces[-1].hi!r}, got {t!r}")
+    total = 0.0
+    for pc in p.pieces:
+        if pc.lo >= t:
+            break
+        hi = min(pc.hi, t)
+        if pc.slope is not None:
+            total += pc.slope ** (n - 1) * ((hi / t) ** n - (pc.lo / t) ** n)
+        else:
+            total += n / t * integrate.quad(lambda s: (p.f(s) / t) ** (n - 1), pc.lo, hi,
+                                            epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return total
+
+
+def volume_growth(model, t):
+    """Vol B(t) / t^n."""
+    return sphere_area(model.n) / model.n * volume_ratio(model, t)
 
 
 def ball_volume(model, t):
     """Volume of the geodesic ball of radius t about the tip, by the
-    package's piecewise volume ratio."""
+    piecewise volume ratio."""
     return volume_growth(model, t) * t ** model.n
 
 
@@ -228,8 +259,8 @@ def test_parallel_ricci_flag_does_not_depend_on_n(model_id):
 
 def test_parallel_ricci_closed_form_sees_beyond_the_fd_probes():
     # the FD probes sit at r in [2, 20], where this profile is still flat;
-    # the blend [25, 50) and the cone beyond it are seen only by the closed
-    # form at the probe radii
+    # the blend [25, 50) and the cone beyond it are seen only by the exact
+    # route on the pieces
     model = make_model("smoothed_cone", 4, c=0.5, r0=50.0)
     chart = fdcheck.warped_chart(models.ModelManifold(3, model.profile))
     fd = [fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
@@ -272,6 +303,49 @@ def test_parallel_ricci_fd_probe_runs_on_3_dim_chart(n, monkeypatch):
     assert rep.parallel_ricci
     assert rep.parallel_ricci_residual == 0.0
     assert 0.0 < rep.parallel_ricci_fd_residual <= 1e-5
+
+
+# -- parallel Ricci decided on sampled tables ------------------------------------
+
+
+@pytest.mark.parametrize("size", [50, 400, 4000, 6000])
+def test_flat_table_has_parallel_ricci_at_every_size(size):
+    rep = hypothesis_report(make_model("custom", 4, table=line_table(size)), 1e-2, 1e2)
+    assert rep.parallel_ricci
+    assert rep.parallel_ricci_residual <= 1e-14
+    assert rep.euclidean_volume_growth and rep.tail_slope == pytest.approx(1.0, rel=1e-15)
+
+
+def test_cone_table_has_the_flags_of_the_cone():
+    table = hypothesis_report(make_model("custom", 4, table=line_table(400, 0.5)), 1e-2, 1e2)
+    cone = hypothesis_report(model_from_id("cone:0.5", 4), 1e-2, 1e2)
+    assert table.flags() == cone.flags()
+    assert not table.parallel_ricci
+    # |f'(1 - f'^2)| = 0.5 * 0.75 on the whole range
+    assert table.parallel_ricci_residual == pytest.approx(0.375, rel=1e-12)
+    assert cone.parallel_ricci_residual == 0.375
+
+
+def test_bump_table_fails_parallel_ricci_on_the_bump():
+    rep = hypothesis_report(make_model("custom", 4, table=bump_table()), 1e-2, 1e2)
+    assert not rep.parallel_ricci and rep.parallel_ricci_fd_residual is None
+    # f' = 1.3 at the bump's middle, r = 41: |1.3 (1 - 1.69)| = 0.897
+    assert rep.parallel_ricci_residual == pytest.approx(0.897, rel=1e-6)
+    assert rep.sectional_margin == pytest.approx(-1.94e-3, rel=1e-2)
+    assert not rep.nonneg_sectional_along_gradG and not rep.nonneg_ricci
+
+
+def test_cylinder_table_has_parallel_ricci():
+    model = make_model("custom", 4, table=cylinder_table())
+    rep = hypothesis_report(model, 1e-2, 1e2)
+    assert rep.parallel_ricci and rep.parallel_ricci_residual == 0.0
+    assert all(ricci_gradient_norm(model, r) == 0.0 for r in (1e-2, 1.0, 1e2))
+    assert not rep.nonparabolic  # f = 1 has no Green function
+
+
+def test_concave_table_fails_parallel_ricci():
+    rep = hypothesis_report(make_model("custom", 6, table=concave_table()), 1e-2, 1e2)
+    assert not rep.parallel_ricci and rep.parallel_ricci_residual > 0.1
 
 
 # -- ball volume against a full-range quadrature reference ----------------------
@@ -319,22 +393,28 @@ def test_ball_volume_custom_table():
         ball_volume(model, 60.0)  # beyond the table
 
 
-def test_ball_volume_quadrature_only_in_blend(monkeypatch):
+def test_hypothesis_report_makes_no_quadrature(monkeypatch):
     calls = []
     real = quadrature.gauss_legendre
-
-    def counting(func, a, b, *args, **kwargs):
-        calls.extend(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
-        return real(func, a, b, *args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "gauss_legendre", counting)
-    for model_id in ("euclidean", "cone:0.4"):
-        ball_volume(model_from_id(model_id, 6), 50.0)
+    monkeypatch.setattr(quadrature, "gauss_legendre",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for model_id in ("euclidean", "cone:0.4", "smoothed-cone:0.8:1", "smoothed-cone:0.5:50"):
+        hypothesis_report(model_from_id(model_id, 6), 1e-2, 1e2)
+    hypothesis_report(make_model("custom", 6, table=concave_table()), 1e-2, 1e2)
     assert calls == []
-    ball_volume(model_from_id("smoothed-cone:0.5:1", 6), 0.4)
-    assert calls == []
-    ball_volume(model_from_id("smoothed-cone:0.5:1", 6), 50.0)
-    assert calls == [(0.5, 1.0)]
+
+
+@pytest.mark.parametrize("kind,c,r0", VOLUME_MODELS)
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_tail_slope_is_the_limit_of_the_volume_ratio(kind, c, r0, n):
+    # Vol B(t) / (|B^n_1| t^n) -> a^{n-1}: the flag's hypothesis holds iff a > 0
+    model = make_model(kind, n, c=c, r0=r0)
+    a = model.profile.tail_slope
+    t = 1e4 * (r0 or 1.0)
+    ratio = _volume_reference(model, t) / (sphere_area(n) / n * t**n)
+    assert a ** (n - 1) == pytest.approx(ratio, rel=1e-8)
+    assert a == (c or 1.0)
+    assert hypothesis_report(model, 1e-2, 1e2).tail_slope == a
 
 
 # -- float and array evaluation: one set of formulas, two input types -----------
@@ -450,14 +530,14 @@ def _margin_model(name):
 
 
 @pytest.mark.parametrize("name,k_rad_min", [
-    # 16 probes missed these blend minima, and flagged all three as holding
+    # 16 probe radii missed these blend minima, and flagged all three as holding
     ("smoothed-cone:0.5:1", -19.0266),
     ("smoothed-cone:0.8:1", -4.89674),
     ("smoothed-cone:0.9:2", -0.547304),
     ("concave", -0.00647045),
     ("quadratic", -2e4),
 ])
-def test_curvature_margins_are_exact_minima(name, k_rad_min, monkeypatch):
+def test_curvature_margins_are_exact_minima(name, k_rad_min):
     model = _margin_model(name)
     rep = hypothesis_report(model, 1e-2, 50.0)
     k_dense, ric_dense = _dense_margins(model, 1e-2, 50.0)
@@ -466,10 +546,6 @@ def test_curvature_margins_are_exact_minima(name, k_rad_min, monkeypatch):
         assert exact <= dense + 1e-12 * abs(dense)
         assert exact == pytest.approx(dense, rel=1e-6)
     assert not rep.nonneg_sectional_along_gradG and not rep.nonneg_ricci
-    # the margins do not depend on the probes
-    monkeypatch.setattr(models, "HYPOTHESIS_PROBES", 2)
-    few = hypothesis_report(model, 1e-2, 50.0)
-    assert (few.sectional_margin, few.ricci_margin) == (rep.sectional_margin, rep.ricci_margin)
 
 
 @pytest.mark.parametrize("model_id", ["euclidean", "cone:0.3", "cone:0.9"])
@@ -535,7 +611,7 @@ def test_volume_growth_flag_does_not_depend_on_n(model_id, slope):
     for n in (3, 10, 40, 45):
         rep = hypothesis_report(model_from_id(model_id, n), 1e-2, 1e2)
         flags.append(rep.euclidean_volume_growth)
-        assert rep.volume_growth_slope_inf == pytest.approx(slope, rel=1e-6)
+        assert rep.tail_slope == slope
     assert flags == [True] * 4
 
 
@@ -543,8 +619,11 @@ def test_volume_growth_flag_does_not_depend_on_n(model_id, slope):
 def test_volume_growth_slope_is_the_linear_slope(n):
     # Vol B(t) / t^n = |B^n_1| c^{n-1} on a cone, which underflows as n grows
     for model_id, slope in (("euclidean", 1.0), ("cone:0.3", 0.3)):
-        rep = hypothesis_report(model_from_id(model_id, n), 1e-2, 1e2)
-        assert rep.volume_growth_slope_inf == pytest.approx(slope, rel=1e-14)
+        model = model_from_id(model_id, n)
+        rep = hypothesis_report(model, 1e-2, 1e2)
+        assert rep.tail_slope == slope
         assert rep.euclidean_volume_growth
         unit_ball = sphere_area(n) / n
-        assert rep.volume_growth_inf == pytest.approx(unit_ball * slope ** (n - 1), rel=1e-12)
+        for t in (1e-2, 1.0, 1e2):
+            assert volume_growth(model, t) == pytest.approx(
+                unit_ball * rep.tail_slope ** (n - 1), rel=1e-12)
