@@ -1,4 +1,4 @@
-"""Finite-difference coordinate-chart oracle.
+"""Finite-difference coordinate-chart oracle, in plain Python floats.
 
 Everything geometric here is differenced from metric components alone,
 so it is independent of the closed-form curvature and of the symbolic
@@ -12,16 +12,24 @@ Test functions carry exact first and second partials, propagated in
 order-2 Taylor jets (``Jet``) over floats, so the only finite differencing
 is in the covariant corrections; residuals of the commutator identities
 then scale as O(h^2).  Nothing here uses the symbolic engine's library.
+
+No array library is loaded: the tensors have at most d^4 entries.  Points
+are tuples of floats; the public functions return tensors as nested
+tuples indexed ``T[i][j]...``, and inside, a tensor is one row-major tuple
+of floats.  The contractions skip the zero entries of the metric, its
+inverse, the Christoffels, the curvature and the frame, which keeps the
+diagonal charts cheap and leaves a generic metric exact.  A NaN entry is
+never skipped, so it reaches the residuals.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "CoordinateChart",
@@ -42,6 +50,7 @@ __all__ = [
     "check_lemma31",
     "check_parallel_ricci",
     "hessian_scalar",
+    "max_residual",
 ]
 
 DEFAULT_H = 1e-3
@@ -51,32 +60,120 @@ class ChartError(ValueError):
     pass
 
 
+def max_residual(values) -> float:
+    """The largest of some residuals, 0.0 for none and NaN if any is NaN.
+
+    Python's ``max`` keeps a NaN only when it comes first, so a NaN probe
+    could otherwise pass a gate.
+    """
+    out = 0.0
+    for v in values:
+        if v != v:
+            return math.nan
+        if v > out:
+            out = v
+    return out
+
+
+# -- tensors: nested tuples outside, flat row-major tuples inside --------------
+
+
+def _point(x) -> tuple:
+    return tuple(map(float, x))
+
+
+def _flat(T) -> list:
+    """The entries of a nested tuple in row-major order."""
+    while T and isinstance(T[0], tuple):
+        T = [v for row in T for v in row]
+    return list(T)
+
+
+def _nest(flat, d: int, rank: int) -> tuple:
+    """The nested tuple of a flat rank-r tensor with every axis of length d."""
+    out = tuple(flat)
+    for _ in range(rank - 1):
+        out = tuple([out[i:i + d] for i in range(0, len(out), d)])
+    return out
+
+
+def _entries(flat, d: int, rank: int) -> list:
+    """(i_1, ..., i_r, value) of every nonzero entry of a flat tensor, in
+    row-major order; NaN counts as nonzero."""
+    out = []
+    for p in itertools.compress(range(len(flat)), flat):
+        idx, q = [flat[p]], p
+        for _ in range(rank):
+            q, i = divmod(q, d)
+            idx.append(i)
+        out.append(tuple(reversed(idx)))
+    return out
+
+
+def _diag(values) -> list:
+    d = len(values)
+    return [[0.0] * i + [v] + [0.0] * (d - i - 1) for i, v in enumerate(values)]
+
+
+def _inverse(a, x) -> tuple:
+    """Gauss-Jordan inverse with partial pivoting; zero entries off a pivot
+    cost nothing, so a diagonal matrix costs O(d^2)."""
+    d = len(a)
+    rows = [list(row) + e for row, e in zip(a, _diag((1.0,) * d))]
+    for c in range(d):
+        p = max(range(c, d), key=lambda r: abs(rows[r][c]))
+        if rows[p][c] == 0.0:
+            raise ChartError(f"metric singular at {list(x)}")
+        rows[c], rows[p] = rows[p], rows[c]
+        piv = rows[c][c]
+        pivot = rows[c] = [v / piv for v in rows[c]]
+        for r, row in enumerate(rows):
+            m = row[c]
+            if m and r != c:
+                rows[r] = [u - m * v for u, v in zip(row, pivot)]
+    return tuple(tuple(row[d:]) for row in rows)
+
+
 @dataclass
 class CoordinateChart:
-    """A metric given by its component matrix as a function of the point."""
+    """A metric given by its component matrix as a function of the point
+    (a tuple of floats); any d x d nested sequence of numbers will do."""
 
     name: str
     dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
+    metric: Callable[[tuple], object]
     parallel_ricci_expected: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
+    _inv_cache: dict = field(default_factory=dict, repr=False)
 
-    def g(self, x) -> np.ndarray:
-        key = tuple(np.asarray(x, float))
+    def _flat_g(self, x) -> tuple:
+        """g_ij at x as one row-major tuple, checked and cached per point."""
+        key = _point(x)
         out = self._cache.get(key)
         if out is None:
-            out = np.asarray(self.metric(np.asarray(x, float)), dtype=float)
-            if out.shape != (self.dim, self.dim):
+            m, d = self.metric(key), self.dim
+            try:
+                square = len(m) == d and all(len(row) == d for row in m)
+            except TypeError:
+                square = False
+            if not square:
                 raise ChartError("metric callable returned a wrong shape")
-            self._cache[key] = out
+            out = self._cache[key] = tuple(map(float, itertools.chain.from_iterable(m)))
         return out
 
-    def ginv(self, x) -> np.ndarray:
-        g = self.g(x)
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise ChartError(f"metric singular at {x}") from exc
+    def _ginv_entries(self, x) -> list:
+        """(k, l, g^kl) of the nonzero entries of the inverse metric at x."""
+        key = _point(x)
+        out = self._inv_cache.get(key)
+        if out is None:
+            out = self._inv_cache[key] = _entries(_flat(self.ginv(key)), self.dim, 2)
+        return out
+
+    def g(self, x) -> tuple:
+        return _nest(self._flat_g(x), self.dim, 2)
+
+    def ginv(self, x) -> tuple:
+        return _inverse(self.g(x), x)
 
 
 # -- presets ----------------------------------------------------------------
@@ -85,7 +182,7 @@ class CoordinateChart:
 def euclidean_chart(n: int) -> CoordinateChart:
     if int(n) != n or n < 2:
         raise ChartError("euclidean chart needs an integer n >= 2")
-    eye = np.eye(int(n))
+    eye = _diag((1.0,) * int(n))
     return CoordinateChart("euclidean", int(n), lambda x: eye,
                            parallel_ricci_expected=True)
 
@@ -95,7 +192,7 @@ def round_sphere(radius: float = 1.0) -> CoordinateChart:
 
     def metric(x):
         theta = x[0]
-        return np.diag([R2, R2 * math.sin(theta) ** 2])
+        return _diag((R2, R2 * math.sin(theta) ** 2))
 
     return CoordinateChart("round_sphere", 2, metric,
                            parallel_ricci_expected=True)
@@ -106,7 +203,7 @@ def s2xr2() -> CoordinateChart:
 
     def metric(x):
         theta = x[0]
-        return np.diag([1.0, math.sin(theta) ** 2, 1.0, 1.0])
+        return _diag((1.0, math.sin(theta) ** 2, 1.0, 1.0))
 
     return CoordinateChart("s2xr2", 4, metric, parallel_ricci_expected=True)
 
@@ -122,7 +219,7 @@ def _warped(name: str, n: int, f) -> CoordinateChart:
         for a in range(1, n - 1):
             s *= math.sin(x[a]) ** 2
             diag.append(f2 * s)
-        return np.diag(diag)
+        return _diag(diag)
 
     return CoordinateChart(name, n, metric)
 
@@ -152,125 +249,264 @@ def chart_by_name(name: str, **kw) -> CoordinateChart:
     raise ChartError(f"unknown chart {name!r}")
 
 
-def default_probe_point(chart: CoordinateChart) -> np.ndarray:
+def default_probe_point(chart: CoordinateChart) -> tuple:
     """A probe away from coordinate degeneracies of each preset."""
     if chart.name == "euclidean":
-        return 0.1 + 0.2 * np.arange(chart.dim)
+        return tuple(0.1 + 0.2 * i for i in range(chart.dim))
     if chart.name == "round_sphere":
-        return np.array([1.1, 0.7])
+        return (1.1, 0.7)
     if chart.name == "s2xr2":
-        return np.array([1.1, 0.7, 0.3, -0.4])
+        return (1.1, 0.7, 0.3, -0.4)
     # warped charts: r = 1, angles in the safe band
     return warped_probe_point(chart.dim, 1.0)
 
 
-def warped_probe_point(n: int, r: float) -> np.ndarray:
-    point = np.empty(n)
-    point[0] = r
-    point[1:] = np.linspace(1.0, 1.6, n - 1)
-    return point
+def warped_probe_point(n: int, r: float) -> tuple:
+    """(r, then n - 1 angles spaced evenly over [1, 1.6] as numpy's linspace
+    spaces them)."""
+    if n == 2:
+        return (float(r), 1.0)
+    step = (1.6 - 1.0) / (n - 2)
+    return (float(r),) + tuple(i * step + 1.0 for i in range(n - 2)) + (1.6,)
 
 
 # -- finite-difference geometry ----------------------------------------------
 
 
-def _central(F, x: np.ndarray, h: float) -> np.ndarray:
-    """out[k] = (F(x + h e_k) - F(x - h e_k)) / 2h over the axes k.
+def _central(F, x: tuple, h: float) -> tuple:
+    """out[k] = (F(x + h e_k) - F(x - h e_k)) / 2h over the axes k, for F
+    giving a float or a flat tensor.
 
     Refuses an h that leaves a coordinate of x where it is: every
     difference would then be 0 and check nothing.
     """
-    if any(v + h == v or v - h == v for v in x.tolist()):
+    if any(v + h == v or v - h == v for v in x):
         raise ChartError(f"the finite-difference step h={h!r} does not move the "
-                         f"point {x.tolist()}: x + h or x - h rounds back to x")
-    d = len(x)
+                         f"point {list(x)}: x + h or x - h rounds back to x")
+    two_h = 2 * h
     out = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        out.append((F(x + e) - F(x - e)) / (2 * h))
-    return np.array(out)
+    for k, v in enumerate(x):
+        plus = F(x[:k] + (v + h,) + x[k + 1:])
+        minus = F(x[:k] + (v - h,) + x[k + 1:])
+        if isinstance(plus, (tuple, list)):
+            # entries zero at both points difference to zero
+            positions = range(len(plus))
+            diff = [0.0] * len(plus)
+            for p in {*itertools.compress(positions, plus),
+                      *itertools.compress(positions, minus)}:
+                diff[p] = (plus[p] - minus[p]) / two_h
+            out.append(tuple(diff))
+        else:
+            out.append((plus - minus) / two_h)
+    return tuple(out)
 
 
-def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
-    """Gamma[k, i, j] = Gamma^k_ij with O(h^2) error."""
+def _christoffel_terms(chart: CoordinateChart, x, h: float) -> tuple:
+    """(k, i, j, Gamma^k_ij) for the nonzero Christoffels, in row-major
+    order, with O(h^2) error."""
     if h <= 0:
         raise ChartError("step h must be positive")
-    ginv = chart.ginv(x)
-    dg = _central(chart.g, np.asarray(x, float), h)  # dg[k, i, j] = d_k g_ij
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    x = _point(x)
     d = chart.dim
-    gamma = np.empty((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            v = dg[i, j, :] + dg[j, i, :] - dg[:, i, j]
-            gamma[:, i, j] = 0.5 * ginv @ v
-    return gamma
+    dg = _central(chart._flat_g, x, h)  # dg[k][i * d + j] = d_k g_ij
+    # Gamma^k_ij = 1/2 g^{kl} v_lij, v_lij = (d_i g_jl + d_j g_il) - d_l g_ij,
+    # keyed (l d + i) d + j: a nonzero d_k g_ab is the first term of v at
+    # (l, i, j) = (b, k, a), the second at (b, a, k) and the third at (k, a, b)
+    d2 = d * d
+    ab, c = {}, {}
+    for k, row in enumerate(dg):
+        for p in itertools.compress(range(d2), row):  # p = a d + b
+            a, b = divmod(p, d)
+            for q in ((b * d + k) * d + a, (b * d + a) * d + k):
+                ab[q] = ab.get(q, 0.0) + row[p]
+            c[k * d2 + p] = row[p]
+    columns = [[] for _ in range(d)]
+    for k, l, w in chart._ginv_entries(x):
+        columns[l].append((k, w))
+    sums = {}
+    for q in sorted(ab.keys() | c.keys()):  # ascending l for each (i, j)
+        l, ij = divmod(q, d2)
+        v = ab.get(q, 0.0) - c.get(q, 0.0)
+        for k, w in columns[l]:
+            p = k * d2 + ij
+            sums[p] = sums.get(p, 0.0) + w * v
+    terms = []
+    for p in sorted(sums):
+        k, ij = divmod(p, d2)
+        terms.append((k, *divmod(ij, d), 0.5 * sums[p]))
+    return tuple(terms)
+
+
+def _gamma_flat(terms, d: int) -> list:
+    """The flat Gamma[(k d + i) d + j] of its nonzero terms."""
+    out = [0.0] * d ** 3
+    for k, i, j, v in terms:
+        out[(k * d + i) * d + j] = v
+    return out
+
+
+def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
+    """Gamma[k][i][j] = Gamma^k_ij with O(h^2) error."""
+    return _nest(_gamma_flat(_christoffel_terms(chart, x, h), chart.dim), chart.dim, 3)
+
+
+def _covariant(dT, T, terms, rank: int) -> tuple:
+    """grad T, flat, for a covariant rank-r tensor T (flat) given its
+    partials dT[k] = d_k T (flat) and the nonzero Christoffels as terms
+    (m, k, i, Gamma^m_ki):
+
+        (grad T)_{i_1..i_r k} = d_k T_{i_1..i_r} - sum_s Gamma^m_{k i_s} T_{..m..},
+
+    with m in slot s; each slot's sum is formed before it is subtracted.
+    """
+    d, size = len(dT), len(T)
+    out = [v for vals in zip(*dT) for v in vals]
+    for slot in range(rank):
+        stride = d ** (rank - 1 - slot)
+        # at[i]: the flat indices of T whose index in this slot is i
+        at = [[lo + r for lo in range(i * stride, size, d * stride) for r in range(stride)]
+              for i in range(d)]
+        corr = [0.0] * (size * d)
+        for m, k, i, v in terms:
+            shift = (m - i) * stride
+            for idx in at[i]:
+                corr[idx * d + k] += v * T[idx + shift]
+        out = [a - b for a, b in zip(out, corr)]
+    return tuple(out)
+
+
+def _riemann_flat(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tuple:
+    """R_ijkl, flat, in the pinned sign convention; gamma(point), if given,
+    stands in for _christoffel_terms(chart, point, h)."""
+    if gamma is None:
+        gamma = functools.partial(_christoffel_terms, chart, h=h)
+    d = chart.dim
+    rng = range(d)
+    dgamma = _central(lambda y: _gamma_flat(gamma(y), d), x, h)  # dgamma[l] = d_l Gamma
+    terms = gamma(x)
+    # A^m_ijk = Gamma^p_ik Gamma^m_jp, the sum over p ascending
+    by_upper = [[] for _ in rng]
+    for p, i, k, v in terms:
+        by_upper[p].append((i, k, v))
+    A = [0.0] * d ** 4
+    for m, j, p, v in terms:
+        for i, k, w in by_upper[p]:
+            A[((m * d + i) * d + j) * d + k] += w * v
+    g_rows = [[] for _ in rng]
+    for m, l, a in _entries(chart._flat_g(x), d, 2):
+        g_rows[m].append((l, a))
+    # R^m_ijk = d_j Gamma^m_ik - d_i Gamma^m_jk
+    #           + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip,
+    # lowered as R_ijkl = R^m_ijk g_ml
+    R = [0.0] * d ** 4
+    for m in rng:
+        if not g_rows[m]:
+            continue
+        for i in rng:
+            dgi, mi = dgamma[i], (m * d + i) * d
+            for j in rng:
+                dgj, mj = dgamma[j], (m * d + j) * d
+                mij, mji = (mi + j) * d, (mj + i) * d
+                up = [dgj[mi + k] - dgi[mj + k] + (A[mij + k] - A[mji + k]) for k in rng]
+                base = (i * d + j) * d * d
+                for l, a in g_rows[m]:
+                    for k, u in enumerate(up):
+                        R[base + k * d + l] += u * a
+    return tuple(R)
 
 
 def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H,
-                  gamma=None) -> np.ndarray:
-    """R[i, j, k, l] with all indices down, in the pinned sign convention;
-    gamma(point), if given, stands in for christoffels(chart, point, h)."""
-    x = np.asarray(x, float)
-    if gamma is None:
-        gamma = functools.partial(christoffels, chart, h=h)
-    dgamma = _central(gamma, x, h)  # dGamma[l, k, i, j] = d_l Gamma^k_ij
-    gamma0 = gamma(x)
-    # R^m_{ijk} = d_j Gamma^m_ik - d_i Gamma^m_jk
-    #             + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip
-    prod = np.einsum("pik,mjp->mijk", gamma0, gamma0) - np.einsum(
-        "pjk,mip->mijk", gamma0, gamma0
-    )
-    up = (
-        np.einsum("jmik->mijk", dgamma)
-        - np.einsum("imjk->mijk", dgamma)
-        + prod
-    )
-    g = chart.g(x)
-    return np.einsum("mijk,ml->ijkl", up, g)
+                  gamma=None) -> tuple:
+    """R[i][j][k][l] with all indices down (gamma as in _riemann_flat)."""
+    return _nest(_riemann_flat(chart, _point(x), h, gamma), chart.dim, 4)
 
 
-def orthonormal_frame(chart: CoordinateChart, x) -> np.ndarray:
-    """E[:, a] = coordinate components of the a-th Gram-Schmidt frame vector."""
-    g = chart.g(x)
+def _inner(g: tuple, u, v) -> float:
+    """u @ g @ v for a flat g, skipping the zero components of u."""
+    d = len(u)
+    w = [0.0] * d
+    for i, ui in enumerate(u):
+        if ui:
+            for j, gij in enumerate(g[i * d:(i + 1) * d]):
+                w[j] += ui * gij
+    return sum([a * b for a, b in zip(w, v)])
+
+
+def orthonormal_frame(chart: CoordinateChart, x) -> tuple:
+    """E[i][a] = i-th coordinate component of the a-th Gram-Schmidt frame
+    vector."""
+    g = chart._flat_g(x)
     d = chart.dim
-    E = np.eye(d)
+    frame = []
     for a in range(d):
-        v = E[:, a]
-        for b in range(a):
-            v = v - (E[:, b] @ g @ v) * E[:, b]
-        norm = math.sqrt(v @ g @ v)
-        if norm <= 0:
+        v = [0.0] * a + [1.0] + [0.0] * (d - a - 1)
+        for e in frame:
+            c = _inner(g, e, v)
+            v = [vi - c * ei for vi, ei in zip(v, e)]
+        norm2 = _inner(g, v, v)
+        if norm2 <= 0:
             raise ChartError("metric not positive-definite at probe point")
-        E[:, a] = v / norm
-    return E
+        norm = math.sqrt(norm2)
+        frame.append([vi / norm for vi in v])
+    return tuple(zip(*frame))
 
 
-def _to_frame(T: np.ndarray, E: np.ndarray) -> np.ndarray:
-    for axis in range(T.ndim):
-        T = np.tensordot(T, E, axes=([0], [0]))
-    return T
+def _to_frame(T, E, rank: int) -> tuple:
+    """A flat rank-r tensor in the frame E: each index contracted with
+    E[i][a], the zero frame components skipped.  Each step contracts the
+    leading axis and appends the frame axis, so r steps restore the
+    order."""
+    d = len(E)
+    columns = [[(i, row[a]) for i, row in enumerate(E) if row[a]] for a in range(d)]
+    for _ in range(rank):
+        rest = len(T) // d
+        rows = [T[i * rest:(i + 1) * rest] for i in range(d)]
+        parts = []
+        for (i0, e0), *more in columns:
+            acc = [e0 * t for t in rows[i0]]
+            for i, e in more:
+                acc = [s + e * t for s, t in zip(acc, rows[i])]
+            parts.append(acc)
+        T = [v for vals in zip(*parts) for v in vals]
+    return tuple(T)
 
 
-def riemann(chart: CoordinateChart, x, h: float = DEFAULT_H, gamma=None) -> np.ndarray:
-    """Curvature components in an orthonormal frame (gamma as in riemann_coord)."""
-    return _to_frame(riemann_coord(chart, x, h, gamma), orthonormal_frame(chart, x))
+def _ricci_of(R: tuple, d: int) -> tuple:
+    """Ric_ab = sum_c R_acbc, flat."""
+    return tuple([sum([R[((a * d + c) * d + b) * d + c] for c in range(d)])
+                  for a in range(d) for b in range(d)])
 
 
-def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> np.ndarray:
+def _riemann_frame(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tuple:
+    """R_abcd in an orthonormal frame, flat (gamma as in _riemann_flat)."""
+    return _to_frame(_riemann_flat(chart, x, h, gamma), orthonormal_frame(chart, x), 4)
+
+
+def riemann(chart: CoordinateChart, x, h: float = DEFAULT_H, gamma=None) -> tuple:
+    """Curvature components in an orthonormal frame (gamma as in _riemann_flat)."""
+    return _nest(_riemann_frame(chart, _point(x), h, gamma), chart.dim, 4)
+
+
+def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
     """Ric_ab = sum_c R(e_a, e_c, e_b, e_c) in an orthonormal frame."""
-    R = riemann(chart, x, h)
-    return np.einsum("acbc->ab", R)
+    return _nest(_ricci_of(_riemann_frame(chart, _point(x), h), chart.dim), chart.dim, 2)
 
 
-def _ricci_coord(chart: CoordinateChart, x, h: float, gamma=None) -> np.ndarray:
-    """Ricci with coordinate (lower) indices, for covariant differentiation
-    (gamma as in riemann_coord)."""
-    Rc = riemann_coord(chart, x, h, gamma)
-    ginv = chart.ginv(x)
+def _ricci_coord(chart: CoordinateChart, x: tuple, h: float, gamma) -> tuple:
+    """Ricci with coordinate (lower) indices, flat, for covariant
+    differentiation (gamma as in _riemann_flat)."""
+    R = _riemann_flat(chart, x, h, gamma)
+    d = chart.dim
+    ginv = chart._ginv_entries(x)
     # Ric_ij = g^{kl} R_{i k j l}
-    return np.einsum("kl,ikjl->ij", ginv, Rc)
+    out = []
+    for i in range(d):
+        for j in range(d):
+            s = 0.0
+            for k, l, a in ginv:
+                s += a * R[((i * d + k) * d + j) * d + l]
+            out.append(s)
+    return tuple(out)
 
 
 def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> float:
@@ -279,19 +515,13 @@ def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> flo
     The stencils of the Ricci tensors at x +- h e_k overlap, so the
     Christoffels are memoized per point, as in _CovariantStack.
     """
-    x = np.asarray(x, float)
-    gamma_at = _CovariantStack(chart, None, h).gamma
-    gamma = gamma_at(x)
-    ric0 = _ricci_coord(chart, x, h, gamma_at)
-    dric = _central(lambda y: _ricci_coord(chart, y, h, gamma_at), x, h)
+    x = _point(x)
+    stack = _CovariantStack(chart, None, h)
+    ric0 = _ricci_coord(chart, x, h, stack.gamma)
+    dric = _central(lambda y: _ricci_coord(chart, y, h, stack.gamma), x, h)
     # (grad Ric)_{ijk} = d_k Ric_ij - Gamma^m_ki Ric_mj - Gamma^m_kj Ric_im
-    cov = (
-        np.einsum("kij->ijk", dric)
-        - np.einsum("mki,mj->ijk", gamma, ric0)
-        - np.einsum("mkj,im->ijk", gamma, ric0)
-    )
-    covf = _to_frame(cov, orthonormal_frame(chart, x))
-    return float(np.sqrt(np.sum(covf * covf)))
+    cov = _covariant(dric, ric0, stack.gamma(x), 2)
+    return math.hypot(*_to_frame(cov, orthonormal_frame(chart, x), 3))
 
 
 # -- test functions -----------------------------------------------------------
@@ -299,52 +529,59 @@ def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> flo
 
 class Jet:
     """Order-2 Taylor jet of a scalar at a point: value v, gradient g and
-    Hessian h in the chart coordinates.
+    Hessian h (flat, h[i d + j]) in the chart coordinates, as tuples.
 
     Sums, products and exp/sin/cos propagate exactly by the product and
     chain rules, so a test function built from them carries exact first
-    and second partials.  Jets are never modified in place.
+    and second partials.  Jets are immutable.
     """
 
     __slots__ = ("v", "g", "h")
 
-    def __init__(self, v: float, g: np.ndarray, h: np.ndarray):
+    def __init__(self, v: float, g: tuple, h: tuple):
         self.v, self.g, self.h = v, g, h
 
     @staticmethod
     def coordinate(x, i: int) -> "Jet":
         """The jet of the i-th coordinate function at the point x."""
         d = len(x)
-        g = np.zeros(d)
-        g[i] = 1.0
-        return Jet(float(x[i]), g, np.zeros((d, d)))
+        return Jet(float(x[i]), (0.0,) * i + (1.0,) + (0.0,) * (d - i - 1), (0.0,) * (d * d))
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+            return Jet(self.v + other.v, tuple(map(operator.add, self.g, other.g)),
+                       tuple(map(operator.add, self.h, other.h)))
         return Jet(self.v + other, self.g, self.h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.v, -self.g, -self.h)
+        return Jet(-self.v, tuple(map(operator.neg, self.g)), tuple(map(operator.neg, self.h)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            gg = np.outer(self.g, other.g)
-            return Jet(self.v * other.v,
-                       self.v * other.g + other.v * self.g,
-                       self.v * other.h + other.v * self.h + gg + gg.T)
-        return Jet(self.v * other, self.g * other, self.h * other)
+            u, v, g, og = self.v, other.v, self.g, other.g
+            gg = [a * b for a in g for b in og]  # g og^T
+            gg_t = [b * a for b in og for a in g]  # og g^T
+            return Jet(u * v,
+                       tuple([u * b + v * a for a, b in zip(g, og)]),
+                       tuple([u * p + v * q + s + t
+                              for p, q, s, t in zip(other.h, self.h, gg, gg_t)]))
+        c = itertools.repeat(other)
+        return Jet(self.v * other, tuple(map(operator.mul, self.g, c)),
+                   tuple(map(operator.mul, self.h, c)))
 
     __rmul__ = __mul__
 
     def _chain(self, f0: float, f1: float, f2: float) -> "Jet":
         """phi(self), given phi, phi' and phi'' at self.v."""
-        return Jet(f0, f1 * self.g, f1 * self.h + f2 * np.outer(self.g, self.g))
+        g = self.g
+        gg = [a * b for a in g for b in g]
+        return Jet(f0, tuple([f1 * a for a in g]),
+                   tuple([f1 * p + f2 * q for p, q in zip(self.h, gg)]))
 
     def exp(self) -> "Jet":
         e = math.exp(self.v)
@@ -372,21 +609,19 @@ class TestFunction:
         self._jets = {}
 
     def jet(self, x) -> Jet:
-        key = tuple(np.asarray(x, float))
+        key = _point(x)
         out = self._jets.get(key)
         if out is None:
             out = self.func([Jet.coordinate(key, i) for i in range(self.dim)])
-            # shared by every caller at this point
-            out.g.setflags(write=False)
-            out.h.setflags(write=False)
             self._jets[key] = out
         return out
 
-    def d1(self, x) -> np.ndarray:
+    def d1(self, x) -> tuple:
         return self.jet(x).g
 
-    def d2(self, x) -> np.ndarray:
-        return self.jet(x).h
+    def d2(self, x) -> tuple:
+        """The Hessian as a tuple of rows."""
+        return _nest(self.jet(x).h, self.dim, 2)
 
 
 def default_test_function(chart: CoordinateChart) -> TestFunction:
@@ -416,18 +651,16 @@ def default_test_function(chart: CoordinateChart) -> TestFunction:
 
 
 def _per_point(method):
-    """Memoize a stack method per point, keyed on the coordinates' bytes:
-    the nested differences visit each point many times.  The arrays are
-    shared by every caller, so they are read-only."""
+    """Memoize a stack method per point: the nested differences visit each
+    point many times.  The results are tuples, so every caller may share
+    them."""
 
     @functools.wraps(method)
     def cached(self, x):
-        key = (method.__name__, x.tobytes())
+        key = (method.__name__, x)
         out = self._memo.get(key)
         if out is None:
-            out = method(self, x)
-            out.setflags(write=False)
-            self._memo[key] = out
+            out = self._memo[key] = method(self, x)
         return out
 
     return cached
@@ -435,7 +668,8 @@ def _per_point(method):
 
 class _CovariantStack:
     """Nested covariant derivatives of f on a chart, all FD with step h;
-    points are float arrays of the chart's dimension.  With f = None only
+    points are tuples of floats of the chart's dimension, the tensors are
+    flat and the Christoffels are their nonzero terms.  With f = None only
     the memoized Christoffels are of use."""
 
     def __init__(self, chart: CoordinateChart, f, h: float):
@@ -447,107 +681,130 @@ class _CovariantStack:
 
     @_per_point
     def gamma(self, x):
-        return christoffels(self.chart, x, self.h)
+        """(m, k, i, Gamma^m_ki) for the nonzero Christoffels."""
+        return _christoffel_terms(self.chart, x, self.h)
 
     @_per_point
     def hess(self, x):
         """(grad^2 f)_{ij} in coordinates."""
-        return self.f.d2(x) - np.einsum("mij,m->ij", self.gamma(x), self.f.d1(x))
+        jet, d = self.f.jet(x), self.d
+        rows = [jet.h[k * d:(k + 1) * d] for k in range(d)]  # d_k (d f)
+        return _covariant(rows, jet.g, self.gamma(x), 1)
 
     @_per_point
     def third(self, x):
         """(grad^3 f)_{ijk} = grad_k (grad^2 f)_{ij} in coordinates."""
-        dT2 = _central(self.hess, x, self.h)
-        gamma = self.gamma(x)
-        T2 = self.hess(x)
-        return (
-            np.einsum("kij->ijk", dT2)
-            - np.einsum("mki,mj->ijk", gamma, T2)
-            - np.einsum("mkj,im->ijk", gamma, T2)
-        )
+        return _covariant(_central(self.hess, x, self.h), self.hess(x),
+                          self.gamma(x), 2)
 
     def fourth(self, x):
         """(grad^4 f)_{ijkl} in coordinates."""
-        dT3 = _central(self.third, x, self.h)
-        gamma = self.gamma(x)
-        T3 = self.third(x)
-        out = np.einsum("lijk->ijkl", dT3)
-        out -= np.einsum("mli,mjk->ijkl", gamma, T3)
-        out -= np.einsum("mlj,imk->ijkl", gamma, T3)
-        out -= np.einsum("mlk,ijm->ijkl", gamma, T3)
-        return out
+        return _covariant(_central(self.third, x, self.h), self.third(x),
+                          self.gamma(x), 3)
 
     def laplacian(self, x) -> float:
-        return float(np.einsum("ij,ij->", self.chart.ginv(x), self.hess(x)))
+        hess, d = self.hess(x), self.d
+        s = 0.0
+        for i, j, a in self.chart._ginv_entries(x):
+            s += a * hess[i * d + j]
+        return s
 
     def hess_scalar(self, func, x):
         """Covariant Hessian of a numerically-defined scalar field."""
         d, h = self.d, self.h
         f0 = func(x)
-        hess = np.empty((d, d))
+
+        def at(*steps):  # x moved by s along axis k, for each (k, s)
+            y = list(x)
+            for k, s in steps:
+                y[k] += s
+            return func(tuple(y))
+
+        hess = [[0.0] * d for _ in range(d)]
         for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = h
-            hess[i, i] = (func(x + ei) - 2 * f0 + func(x - ei)) / (h * h)
+            hess[i][i] = (at((i, h)) - 2 * f0 + at((i, -h))) / (h * h)
             for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    func(x + ei + ej)
-                    - func(x + ei - ej)
-                    - func(x - ei + ej)
-                    + func(x - ei - ej)
+                hess[i][j] = hess[j][i] = (
+                    at((i, h), (j, h))
+                    - at((i, h), (j, -h))
+                    - at((i, -h), (j, h))
+                    + at((i, -h), (j, -h))
                 ) / (4 * h * h)
-        grad = _central(func, x, h)
-        return hess - np.einsum("mij,m->ij", self.gamma(x), grad)
+        return _covariant(hess, _central(func, x, h), self.gamma(x), 1)
+
+
+def _max_abs(values) -> float:
+    return max_residual(abs(v) for v in values)
+
+
+def _swap_last(T, d: int) -> list:
+    """A flat tensor with its last two indices exchanged."""
+    return [v for b in range(0, len(T), d * d) for k in range(d) for v in T[b + k:b + d * d:d]]
+
+
+def _trace_last(T, d: int) -> list:
+    """sum_k T_{..kk}, flat."""
+    return [sum(T[b:b + d * d:d + 1]) for b in range(0, len(T), d * d)]
 
 
 def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
-                  h: float = DEFAULT_H) -> np.ndarray:
-    """Residuals (max abs component) of the five commutator identities."""
-    x = np.asarray(x, float)
+                  h: float = DEFAULT_H) -> tuple:
+    """Residuals (max abs component, NaN if any component is NaN) of the
+    five commutator identities."""
+    x = _point(x)
+    d = chart.dim
     stack = _CovariantStack(chart, f, h)
     E = orthonormal_frame(chart, x)
-    R = riemann(chart, x, h, stack.gamma)
-    ric = np.einsum("acbc->ab", R)
+    R = _to_frame(_riemann_flat(chart, x, h, stack.gamma), E, 4)
+    ric = _ricci_of(R, d)
+    R_terms = _entries(R, d, 4)
 
-    f1 = _to_frame(f.d1(x), E)
-    T2 = _to_frame(stack.hess(x), E)
-    T3 = _to_frame(stack.third(x), E)
-    T4 = _to_frame(stack.fourth(x), E)
+    # flat in the frame: T2[i d + j], T3[(i d + j) d + k], and so on
+    f1 = _to_frame(f.d1(x), E, 1)
+    T2 = _to_frame(stack.hess(x), E, 2)
+    T3 = _to_frame(stack.third(x), E, 3)
+    T4 = _to_frame(stack.fourth(x), E, 4)
+    ric_rows = [ric[p:p + d] for p in range(0, d * d, d)]
+    T2_rows = [T2[p:p + d] for p in range(0, d * d, d)]
 
     # 1. symmetry of the Hessian
-    r1 = np.max(np.abs(T2 - T2.T))
+    r1 = _max_abs(a - b for a, b in zip(T2, _swap_last(T2, d)))
 
     # 2. f_ijk - f_ikj = R_{jkli} f_l
-    rhs2 = np.einsum("jkli,l->ijk", R, f1)
-    r2 = np.max(np.abs(T3 - T3.transpose(0, 2, 1) - rhs2))
+    rhs2 = [0.0] * d ** 3
+    for j, k, l, i, v in R_terms:
+        rhs2[(i * d + j) * d + k] += v * f1[l]
+    r2 = _max_abs(a - b - c for a, b, c in zip(T3, _swap_last(T3, d), rhs2))
 
     # 3. Delta f_i - (Delta f)_i = R_ik f_k
-    lap_i = np.einsum("ikk->i", T3)
-    dlap = _to_frame(_central(stack.laplacian, x, h), E)
-    r3 = np.max(np.abs(lap_i - dlap - ric @ f1))
+    dlap = _to_frame(_central(stack.laplacian, x, h), E, 1)
+    ric_f1 = [sum([a * b for a, b in zip(row, f1)]) for row in ric_rows]
+    r3 = _max_abs(a - b - c for a, b, c in zip(_trace_last(T3, d), dlap, ric_f1))
 
     # 4. f_ijkl - f_ijlk = R_{klmj} f_im + R_{klmi} f_jm
-    rhs4 = np.einsum("klmj,im->ijkl", R, T2) + np.einsum("klmi,jm->ijkl", R, T2)
-    r4 = np.max(np.abs(T4 - T4.transpose(0, 1, 3, 2) - rhs4))
+    first, second = [0.0] * d ** 4, [0.0] * d ** 4
+    for k, l, m, a, v in R_terms:
+        for b in range(d):
+            first[((b * d + a) * d + k) * d + l] += v * T2[b * d + m]
+            second[((a * d + b) * d + k) * d + l] += v * T2[b * d + m]
+    r4 = _max_abs(a - b - (c + e) for a, b, c, e in zip(T4, _swap_last(T4, d), first, second))
 
-    # 5. Delta f_ij - (Delta f)_ij = R_jk f_ik + R_ik f_jk - 2 R_ikjl f_kl
-    lap_ij = np.einsum("ijkk->ij", T4)
-    hess_lap = _to_frame(stack.hess_scalar(stack.laplacian, x), E)
-    rhs5 = (
-        np.einsum("jk,ik->ij", ric, T2)
-        + np.einsum("ik,jk->ij", ric, T2)
-        - 2.0 * np.einsum("ikjl,kl->ij", R, T2)
-    )
-    r5 = np.max(np.abs(lap_ij - hess_lap - rhs5))
+    # 5. Delta f_ij - (Delta f)_ij = R_jk f_ik + R_ik f_jk - 2 R_ikjl f_kl,
+    # the second term the transpose of the first
+    hess_lap = _to_frame(stack.hess_scalar(stack.laplacian, x), E, 2)
+    ric_T2 = [sum([a * b for a, b in zip(r, t)]) for t in T2_rows for r in ric_rows]
+    curv = [0.0] * d * d
+    for i, k, j, l, v in R_terms:
+        curv[i * d + j] += v * T2[k * d + l]
+    r5 = _max_abs(a - b - ((c + e) - 2.0 * g) for a, b, c, e, g in zip(
+        _trace_last(T4, d), hess_lap, ric_T2, _swap_last(ric_T2, d), curv))
 
-    return np.array([r1, r2, r3, r4, r5])
+    return (r1, r2, r3, r4, r5)
 
 
-def hessian_scalar(chart: CoordinateChart, func, x, h: float = DEFAULT_H):
+def hessian_scalar(chart: CoordinateChart, func, x, h: float = DEFAULT_H) -> tuple:
     """Covariant Hessian (orthonormal frame) of a scalar given numerically."""
-    x = np.asarray(x, float)
+    x = _point(x)
     stack = _CovariantStack(chart, None, h)
     hess = stack.hess_scalar(func, x)
-    return _to_frame(hess, orthonormal_frame(chart, x))
+    return _nest(_to_frame(hess, orthonormal_frame(chart, x), 2), chart.dim, 2)

@@ -565,7 +565,8 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         # the nested differences to see the geometry instead of noise
         fd_lo = min(max(r_min, 2.0), r_max)
         fd_hi = max(min(r_max, 20.0), fd_lo)
-        fd_residual = max(
+        # NaN if any probe is NaN, so the flag needs every probe finite
+        fd_residual = fdcheck.max_residual(
             fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
             for r in np.geomspace(fd_lo, fd_hi, FD_PROBES))
         # the fd residual carries O(h^2) noise, so its boolean gets a looser gate

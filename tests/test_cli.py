@@ -461,6 +461,24 @@ def test_oracle_commutators(capsys):
     assert doc["worst_residual"] <= doc["gate"]
 
 
+def test_oracle_nan_residual_in_a_later_probe_never_passes(monkeypatch, capsys):
+    # Python's max keeps a NaN only when it comes first; a NaN residual in the
+    # second probe must not pass, and a report cannot hold it: exit 2
+    from harnacklab import fdcheck
+
+    real, calls = fdcheck.check_lemma31, []
+
+    def nan_in_second_probe(chart, f, x, h):
+        calls.append(x)
+        res = real(chart, f, x, h)
+        return res if len(calls) != 2 else (res[0], math.nan) + res[2:]
+
+    monkeypatch.setattr(fdcheck, "check_lemma31", nan_in_second_probe)
+    code, out = run(["oracle", "commutators", "--chart", "round_sphere", "--probes", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert len(calls) == 3
+
+
 def test_models_list(capsys):
     code, doc = run_json(["models", "list"], capsys)
     assert code == 0
@@ -510,7 +528,7 @@ _MODELS = {"numpy", "harnacklab.models", "harnacklab.quadrature"}
     (["models", "list"], 0, set()),
     (["--version"], 0, set()),
     (["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"], 0,
-     {"numpy", "harnacklab.fdcheck", "harnacklab.sampling"}),
+     {"harnacklab.fdcheck", "harnacklab.sampling"}),
     (["verify", "--model", "euclidean", "--n", "4", "--C", "10"], 0,
      _MODELS | {"harnacklab.green", "harnacklab.harnack", "harnacklab.fdcheck"}),
     (["export-profile", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,

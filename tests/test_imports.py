@@ -136,3 +136,14 @@ def test_profile_format_stays_inside_models():
                 if called in REMOVED_PROFILE_CALLS:
                     found.append(f"{name}:{node.lineno} {called}()")
     assert found == []
+
+
+def test_fd_oracle_imports_no_numpy():
+    # the oracle is plain floats, so `oracle` runs without numpy
+    tree = dict(_modules())["fdcheck"]
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported == {"__future__", "dataclasses", "functools", "itertools", "math", "operator",
+                        "typing"}

@@ -288,6 +288,18 @@ def test_fd_oracle_runs_only_where_the_closed_form_passes(model_id, runs, monkey
     assert (rep.parallel_ricci_fd_residual is None) == (runs == 0)
 
 
+@pytest.mark.parametrize("probes", [[1e-12, math.nan, 1e-12], [math.nan, 1e-12, 1e-12],
+                                    [1e-12, 1e-12, math.nan]])
+def test_nan_fd_probe_fails_parallel_ricci(probes, monkeypatch):
+    # Python's max drops a NaN that is not first: the flag needs every probe
+    # finite and within the gate, and a NaN probe is reported as the residual
+    values = iter(probes)
+    monkeypatch.setattr(fdcheck, "check_parallel_ricci", lambda chart, x: next(values))
+    rep = hypothesis_report(make_model("euclidean", 4), 1e-2, 1e2)
+    assert not rep.parallel_ricci
+    assert math.isnan(rep.parallel_ricci_fd_residual)
+
+
 @pytest.mark.parametrize("n", [3, 10, 40])
 def test_parallel_ricci_fd_probe_runs_on_3_dim_chart(n, monkeypatch):
     seen = []
