@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 DEFAULT_H = 1e-3
+#: largest dimension of a preset chart: one commutator probe costs about
+#: d^4 float operations and its caches hold about d^5 entries
+MAX_CHART_DIM = 12
 
 
 class ChartError(ValueError):
@@ -142,7 +145,6 @@ class CoordinateChart:
     name: str
     dim: int
     metric: Callable[[tuple], object]
-    parallel_ricci_expected: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
     _inv_cache: dict = field(default_factory=dict, repr=False)
 
@@ -180,11 +182,10 @@ class CoordinateChart:
 
 
 def euclidean_chart(n: int) -> CoordinateChart:
-    if int(n) != n or n < 2:
-        raise ChartError("euclidean chart needs an integer n >= 2")
+    if int(n) != n or not 2 <= n <= MAX_CHART_DIM:
+        raise ChartError(f"euclidean chart needs an integer 2 <= n <= {MAX_CHART_DIM}, got {n}")
     eye = _diag((1.0,) * int(n))
-    return CoordinateChart("euclidean", int(n), lambda x: eye,
-                           parallel_ricci_expected=True)
+    return CoordinateChart("euclidean", int(n), lambda x: eye)
 
 
 def round_sphere(radius: float = 1.0) -> CoordinateChart:
@@ -194,8 +195,7 @@ def round_sphere(radius: float = 1.0) -> CoordinateChart:
         theta = x[0]
         return _diag((R2, R2 * math.sin(theta) ** 2))
 
-    return CoordinateChart("round_sphere", 2, metric,
-                           parallel_ricci_expected=True)
+    return CoordinateChart("round_sphere", 2, metric)
 
 
 def s2xr2() -> CoordinateChart:
@@ -205,7 +205,7 @@ def s2xr2() -> CoordinateChart:
         theta = x[0]
         return _diag((1.0, math.sin(theta) ** 2, 1.0, 1.0))
 
-    return CoordinateChart("s2xr2", 4, metric, parallel_ricci_expected=True)
+    return CoordinateChart("s2xr2", 4, metric)
 
 
 def _warped(name: str, n: int, f) -> CoordinateChart:
@@ -231,9 +231,10 @@ def warped_chart(model) -> CoordinateChart:
 
 
 def cone_chart(c: float, n: int) -> CoordinateChart:
-    """Warped chart of the cone f = c r, 0 < c <= 1, n >= 3."""
-    if not (0.0 < c <= 1.0) or int(n) != n or n < 3:
-        raise ChartError("cone chart needs 0 < c <= 1 and an integer n >= 3")
+    """Warped chart of the cone f = c r, 0 < c <= 1, 3 <= n <= MAX_CHART_DIM."""
+    if not (0.0 < c <= 1.0) or int(n) != n or not 3 <= n <= MAX_CHART_DIM:
+        raise ChartError(f"cone chart needs 0 < c <= 1 and an integer 3 <= n <= "
+                         f"{MAX_CHART_DIM}, got c={c:g}, n={n}")
     return _warped(f"warped[cone:{c:g}]", int(n), lambda r: c * r)
 
 

@@ -237,11 +237,13 @@ class _Arc:
     k^2, the angle is [atan2(sqrt D, k)] / m and the arclength [sqrt D] / m;
     D is taken as D(base) + m^2 (r - base)(r + base) on the piece holding
     base, so it carries no cancellation at the turning radius.  Other pieces
-    run Gauss panels in u, r = base + u^2.
+    run Gauss panels in u, r = base + u^2.  `misses` counts the sweeps whose
+    Gauss estimate missed its gate.
     """
 
     def __init__(self, prof, k, base, turning):
         self.prof, self.k, self.base, self.turning = prof, k, base, turning
+        self.misses = 0
         self.f0 = f0 = prof.f(base)
         self.d0 = 0.0 if turning else (f0 - k) * (f0 + k)  # D(base)
 
@@ -283,8 +285,8 @@ class _Arc:
                 yield pc, lo, hi
 
     def sweep(self, r_lo, r_hi, length=False):
-        """(angle swept, or arclength if `length`, over [r_lo, r_hi], base <=
-        r_lo <= r_hi; 1 if its Gauss estimate missed the gate else 0)."""
+        """Angle swept, or arclength if `length`, over [r_lo, r_hi], base <=
+        r_lo <= r_hi."""
         k, total, u_lo, u_hi = self.k, 0.0, [], []
         for pc, lo, hi in self._parts(r_lo, r_hi):
             m = pc.slope
@@ -298,14 +300,15 @@ class _Arc:
             ds = m * (hi - lo) * (hi + lo) / (p + q)
             total += ds if length else math.atan2(k * m * ds, k * k + p * q) / m
         if not u_lo:
-            return total, 0
+            return total
         val, _, missed = quadrature.gauss_legendre(
             self._integrand(length), np.array(u_lo), np.array(u_hi), rtol=1e-11, atol=1e-13)
-        return total + float(np.sum(val)), int(np.any(missed))
+        self.misses += int(np.any(missed))
+        return total + float(np.sum(val))
 
     def invert(self, s, r_end):
         """(r in [base, r_end] at arclength s from base, the angle swept from
-        base to r, Gauss misses).
+        base to r).
 
         On a piece where f = m r, sqrt D(r) = sqrt D(lo) + m s' with s' the
         arclength left at the piece's start lo, so r^2 = lo^2 + s' (2 sqrt
@@ -313,14 +316,12 @@ class _Arc:
         from r; on another piece Brent's root finder solves the piece's
         length sweep for r.
         """
-        k, misses, done, angle = self.k, 0, 0.0, 0.0
+        k, done, angle = self.k, 0.0, 0.0
         for pc, lo, hi in self._parts(self.base, r_end):
-            part, missed = self.sweep(lo, hi, length=True)
-            misses += missed
+            part = self.sweep(lo, hi, length=True)
             rest = s - done
             if rest > part and hi < r_end:
-                ang, missed = self.sweep(lo, hi)
-                done, angle, misses = done + part, angle + ang, misses + missed
+                done, angle = done + part, angle + self.sweep(lo, hi)
                 continue
             m = pc.slope
             if rest >= part:
@@ -328,18 +329,12 @@ class _Arc:
             elif m is not None:
                 p = self._root(pc, m, lo)
                 r = min(math.sqrt(lo * lo + rest * (2.0 * p / m + rest)), hi)
-                return r, angle + math.atan2(k * m * rest, k * k + p * (p + m * rest)) / m, misses
+                return r, angle + math.atan2(k * m * rest, k * k + p * (p + m * rest)) / m
             else:
-                def gap(r):
-                    nonlocal misses
-                    val, missed = self.sweep(lo, r, length=True)
-                    misses += missed
-                    return val - rest
-
-                r = quadrature.brent_root(gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-            ang, missed = self.sweep(lo, r)
-            return r, angle + ang, misses + missed
-        return r_end, angle, misses
+                r = quadrature.brent_root(lambda r: self.sweep(lo, r, length=True) - rest,
+                                          lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            return r, angle + self.sweep(lo, r)
+        return r_end, angle
 
 
 def _taylor_q(prof, r0):
@@ -356,27 +351,20 @@ def _taylor_q(prof, r0):
     return q
 
 
-def _sweep_monotone(model, a, r1, r2, length=False):
-    """(angle swept, or arclength if `length`, quad misses) along a
-    radially monotone arc from r1 to r2, r1 < r2."""
-    return _Arc(model.profile, a, r1, turning=False).sweep(r1, r2, length)
-
-
-def _sweep_from_turn(model, r_t, r_hi, length=False):
-    """(angle swept, or arclength if `length`, quad misses) of the branch
-    climbing from the turning radius r_t to r_hi."""
-    prof = model.profile
-    return _Arc(prof, prof.f(r_t), r_t, turning=True).sweep(r_t, r_hi, length)
-
-
 @dataclass(frozen=True)
 class _Minimizer:
     length: float
-    a: float            # Clairaut constant
     branch: str         # radial | monotone | turning | tip
-    quad_misses: int = 0  # over every sweep the root-find evaluated
-    base: float = 0.0   # inner radius: the turning radius, or min(y.r, z.r)
-    leg_y: float = 0.0  # arclength from y to the radius `base`
+    # monotone and turning: the arc, with the Clairaut constant k, from the
+    # inner radius `base` (the turning radius, or min(y.r, z.r))
+    arc: Optional[_Arc] = None
+    leg_y: float = 0.0  # arclength from y to the arc's base
+    search_misses: int = 0  # Gauss misses of the root-find's trial arcs
+
+    @property
+    def quad_misses(self) -> int:
+        """Gauss misses of the root-find and of every sweep on the arc so far."""
+        return self.search_misses + (self.arc.misses if self.arc else 0)
 
 
 def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Minimizer:
@@ -384,7 +372,7 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
     dphi = abs(math.remainder(z.phi - y.phi, 2.0 * math.pi))
     r1, r2 = min(y.r, z.r), max(y.r, z.r)
     if dphi < 1e-14:
-        return _Minimizer(length=r2 - r1, a=0.0, branch="radial")
+        return _Minimizer(length=r2 - r1, branch="radial")
 
     prof = model.profile
     fp_min = prof.fp_min(R_FLOOR, r2)
@@ -399,44 +387,44 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
     f1 = prof.f(r1)
     misses = 0
 
-    def sweep(fun, *args, length=False):
+    def angle(arc, *ends):
+        """The angle `arc` sweeps from its inner radius to each end, summed."""
         nonlocal misses
-        val, m = fun(model, *args, length=length)
-        misses += m
-        return val
+        total = sum(arc.sweep(arc.base, r) for r in ends)
+        misses += arc.misses
+        return total
 
-    def angle_turn(r_t):
-        return sweep(_sweep_from_turn, r_t, r1) + sweep(_sweep_from_turn, r_t, r2)
+    def turn(r_t):
+        return _Arc(prof, prof.f(r_t), r_t, turning=True)
 
     # the root-finds see only the swept angle; the length quadrature runs
-    # once, at the accepted root
-    ang_star = angle_turn(r1)  # limiting arc that turns exactly at r1
+    # once, on the arc of the accepted root
+    ang_star = angle(turn(r1), r1, r2)  # limiting arc that turns exactly at r1
 
     if dphi <= ang_star:
         a = quadrature.brent_root(
-            lambda a: sweep(_sweep_monotone, a, r1, r2) - dphi, 0.0, f1 * (1 - 1e-13),
-            xtol=1e-14, rtol=8.9e-16, maxiter=200,
+            lambda a: angle(_Arc(prof, a, r1, turning=False), r2) - dphi,
+            0.0, f1 * (1 - 1e-13), xtol=1e-14, rtol=8.9e-16, maxiter=200,
         )
-        length = sweep(_sweep_monotone, a, r1, r2, length=True)
-        return _Minimizer(length=float(length), a=float(a), branch="monotone",
-                          quad_misses=misses, base=r1,
-                          leg_y=float(length) if y.r > z.r else 0.0)
+        arc = _Arc(prof, a, r1, turning=False)
+        length = arc.sweep(r1, r2, length=True)
+        return _Minimizer(length=float(length), branch="monotone", arc=arc,
+                          leg_y=float(length) if y.r > z.r else 0.0, search_misses=misses)
 
-    if angle_turn(R_FLOOR) < dphi:
+    if angle(turn(R_FLOOR), r1, r2) < dphi:
         # even grazing the tip region does not sweep enough angle:
         # the minimizer runs through the tip
-        return _Minimizer(length=r1 + r2, a=0.0, branch="tip", quad_misses=misses)
+        return _Minimizer(length=r1 + r2, branch="tip", search_misses=misses)
 
     r_t = quadrature.brent_root(
-        lambda rt: angle_turn(rt) - dphi, R_FLOOR, r1 * (1 - 1e-13),
+        lambda rt: angle(turn(rt), r1, r2) - dphi, R_FLOOR, r1 * (1 - 1e-13),
         xtol=1e-15, rtol=8.9e-16, maxiter=200,
     )
-    l1 = sweep(_sweep_from_turn, r_t, r1, length=True)
-    l2 = sweep(_sweep_from_turn, r_t, r2, length=True)
-    return _Minimizer(
-        length=float(l1 + l2), a=float(prof.f(r_t)), branch="turning",
-        quad_misses=misses, base=r_t, leg_y=float(l1 if y.r <= z.r else l2),
-    )
+    arc = turn(r_t)
+    l1 = arc.sweep(r_t, r1, length=True)
+    l2 = arc.sweep(r_t, r2, length=True)
+    return _Minimizer(length=float(l1 + l2), branch="turning", arc=arc,
+                      leg_y=float(l1 if y.r <= z.r else l2), search_misses=misses)
 
 
 def distance(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> float:
@@ -444,46 +432,50 @@ def distance(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> float:
     return _solve_minimizer(model, y, z).length
 
 
-def _point_along(model, y: SlicePoint, z: SlicePoint, s_target: float,
-                 mini: _Minimizer):
-    """(the point at arclength s_target from y along the minimizer to z,
-    Gauss misses).
+def _points_along(y: SlicePoint, z: SlicePoint, mini: _Minimizer, s_targets) -> list:
+    """The points at the arclengths s_targets from y along the minimizer to z.
 
     A monotone minimizer is one arc from its inner end point; a turning one
-    runs from y in to the turning radius and out to z.  The arclength is
-    inverted on the arc that holds s_target, and phi is y's plus the angle
-    swept from y, found from the angles swept from the inner radius.
+    runs from y in to the turning radius and out to z.  Each arclength is
+    inverted on the part of the arc that holds it, and phi is y's plus the
+    angle swept from y, found from the angles swept from the inner radius;
+    the one from the inner radius to y is swept once for all points.
     """
-    if s_target <= 0:
-        return y, 0
-    if s_target >= mini.length:
-        return z, 0
-    if mini.branch == "radial":
-        return SlicePoint(r=y.r + math.copysign(s_target, z.r - y.r), phi=y.phi), 0
-    if mini.branch == "tip":
-        # polygonal through-tip path; callers see the flag and treat the
-        # numbers as indicative only
-        if s_target <= y.r:
-            return SlicePoint(r=max(y.r - s_target, R_FLOOR), phi=y.phi), 0
-        return SlicePoint(r=s_target - y.r, phi=z.phi), 0
-
-    arc = _Arc(model.profile, mini.a, mini.base, turning=mini.branch == "turning")
-    to_y, misses = arc.sweep(mini.base, y.r)
-    if s_target <= mini.leg_y:  # between y and the inner radius
-        r, to_w, missed = arc.invert(mini.leg_y - s_target, y.r)
-        swept = to_y - to_w
-    else:
-        r, to_w, missed = arc.invert(s_target - mini.leg_y, z.r)
-        swept = to_y + to_w
+    arc, leg = mini.arc, mini.leg_y
     dphi = math.remainder(z.phi - y.phi, 2.0 * math.pi)
-    return SlicePoint(r=r, phi=y.phi + math.copysign(swept, dphi)), misses + missed
+    to_y = None
+    out = []
+    for s in s_targets:
+        if s <= 0:
+            w = y
+        elif s >= mini.length:
+            w = z
+        elif mini.branch == "radial":
+            w = SlicePoint(r=y.r + math.copysign(s, z.r - y.r), phi=y.phi)
+        elif mini.branch == "tip":
+            # polygonal through-tip path; callers see the flag and treat the
+            # numbers as indicative only
+            w = (SlicePoint(r=max(y.r - s, R_FLOOR), phi=y.phi) if s <= y.r
+                 else SlicePoint(r=s - y.r, phi=z.phi))
+        else:
+            if to_y is None:
+                to_y = arc.sweep(arc.base, y.r)
+            if s <= leg:  # between y and the inner radius
+                r, to_w = arc.invert(leg - s, y.r)
+                swept = to_y - to_w
+            else:
+                r, to_w = arc.invert(s - leg, z.r)
+                swept = to_y + to_w
+            w = SlicePoint(r=r, phi=y.phi + math.copysign(swept, dphi))
+        out.append(w)
+    return out
 
 
 def _departure(model, y: SlicePoint, z: SlicePoint, mini: _Minimizer) -> float:
     """The angle at which a monotone or turning minimizer leaves y, as
     `shoot_geodesic` takes it: sin = a / f(y.r) by Clairaut, inward when
     the minimizer first runs in to its inner radius."""
-    sin_t = min(mini.a / model.profile.f(y.r), 1.0)
+    sin_t = min(mini.arc.k / model.profile.f(y.r), 1.0)
     cos_t = math.sqrt(max(1.0 - sin_t * sin_t, 0.0))
     if mini.leg_y > 0.0:
         cos_t = -cos_t
@@ -497,7 +489,7 @@ def _shot_gap(model, y: SlicePoint, z: SlicePoint, mini: _Minimizer, inner) -> f
     the minimizer."""
     s = [s for s, _ in inner]
     path = shoot_geodesic(model, y, _departure(model, y, z, mini), s[-1],
-                          r_floor=0.5 * mini.base, at=s)
+                          r_floor=0.5 * mini.arc.base, at=s)
     if path.truncated:
         raise GeodesicError("the check shot fell below half the minimizer's inner radius")
     return max(max(abs(r - w.r), abs(phi - w.phi))
@@ -526,12 +518,7 @@ def corollary_check(
         raise GeodesicError("lambda must lie in [0, 1]")
     mini = _solve_minimizer(model, y, z)
     d_yz = mini.length
-    misses = mini.quad_misses
-    points = []
-    for lam in lambdas:
-        w, missed = _point_along(model, y, z, lam * d_yz, mini)
-        points.append(w)
-        misses += missed
+    points = _points_along(y, z, mini, [lam * d_yz for lam in lambdas])
     shot_gap = None
     inner = sorted(((lam * d_yz, w) for lam, w in zip(lambdas, points) if 0.0 < lam < 1.0),
                    key=lambda sw: sw[0])
@@ -548,7 +535,7 @@ def corollary_check(
                 y=y, z=z, lam=float(lam), w=w, d_yz=float(d_yz),
                 b2_w=float(b2w), rhs=float(rhs), slack=float(b2w - rhs),
                 through_tip_region=mini.branch == "tip", branch=mini.branch,
-                quad_misses=misses, shot_gap=shot_gap,
+                quad_misses=mini.quad_misses, shot_gap=shot_gap,
             )
         )
     return out

@@ -24,8 +24,9 @@ custom spline), so the rules converge fast there.  Euclidean space and
 cones are one linear piece, so G = a^{1-n} r^{2-n} with no quadrature at
 all.  A smoothed cone is linear below r0/2 and from r0 on; only its blend
 [r0/2, r0) is integrated.  A custom profile is linear below its table,
-integrated on its spline, and closed off above the radius where it comes
-within TAIL_MATCH_RTOL of its asymptote.  The pieces are worked top
+integrated on its spline up to its top, and closed off above the top as
+if f = (f(top)/top) r there (`WarpingProfile.tail_start` and
+`tail_slope`, where every kind's end is decided).  The pieces are worked top
 down, each starting from G at its upper end, and G at every knot is kept
 with the profile.  So G(r), on the grid and pointwise alike, is G at the
 next knot above r plus one integral from r to that knot, and an integral
@@ -43,14 +44,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import quadrature
-from .models import (
-    ModelError, ModelManifold, NonParabolicityReport, nonparabolic_check,
-)
+from .models import ModelError, ModelManifold, nonparabolic_check
 
 __all__ = [
     "RadialGreenProfile",
     "GreenPiece",
-    "NonParabolicityReport",
     "compute_profile",
     "green_derivs",
     "power_jet",
@@ -59,14 +57,8 @@ __all__ = [
     "hess_b2_eigs_arrays",
     "check_power_laplacian",
     "in_float_range",
-    "nonparabolic_check",
     "csv_text",
 ]
-
-#: relative deviation from the linear asymptote below which the closed-form
-#: tail integral takes over
-TAIL_MATCH_RTOL = 1e-6
-
 
 #: gate of the Gauss error estimate on each integral of f^{1-n}, relative
 GREEN_RTOL = 1e-13
@@ -82,23 +74,6 @@ class GreenPiece(NamedTuple):
     G_hi: float             # G(hi); 0 for the unbounded top piece
     knots: Optional[np.ndarray] = None    # quadrature piece: lo, knots of f, hi
     G_knots: Optional[np.ndarray] = None  # G at those knots
-
-
-def _tail_split_radius(model: ModelManifold, r_hint: float):
-    """(S, a): G is closed from S on as if f = a r there.  Exactly so when
-    the top piece of f is a r up to infinity (S its lower end); a table
-    profile ends at its top, so there S is the smallest probed radius
-    >= r_hint with f within TAIL_MATCH_RTOL of a S.  In both, a is the
-    profile's tail_slope."""
-    p = model.profile
-    top, a = p.pieces[-1], p.tail_slope
-    if top.hi == math.inf:
-        return top.lo, a
-    # the last probe is the top itself, where f = a S up to rounding
-    for s in np.geomspace(max(r_hint, p.knots[0]), top.hi, 64):
-        if abs(p.f(s) / (a * s) - 1.0) <= TAIL_MATCH_RTOL:
-            break
-    return float(s), a
 
 
 def _closed_G(piece: GreenPiece, n: int, r):
@@ -258,7 +233,7 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         raise ModelError("grid must be strictly increasing with >= 2 points")
     if grid[0] <= 0:
         raise ModelError("grid must stay inside (0, inf); G has a pole at r = 0")
-    rep = nonparabolic_check(model, grid[0])
+    rep = nonparabolic_check(model)
     if not rep.varopoulos_integral_finite:
         raise ModelError(
             f"model is parabolic (tail exponent {rep.tail_exponent:.3g} >= -1); "
@@ -268,15 +243,15 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
 
     # (lo, hi, slope, knots) covering (0, inf): each piece of f = slope*r
     # is closed, each run of other pieces one quadrature piece on its knots
-    S, a_top = _tail_split_radius(model, grid[-1])
+    S, a_top = p.tail_start, p.tail_slope
     spans = []
     below = (pc for pc in p.pieces if pc.lo < S)
     for linear, run in groupby(below, key=lambda pc: pc.slope is not None):
         run = list(run)
         if linear:
-            spans += [(pc.lo, min(pc.hi, S), pc.slope, None) for pc in run]
+            spans += [(pc.lo, pc.hi, pc.slope, None) for pc in run]
         else:
-            hi = min(run[-1].hi, S)
+            hi = run[-1].hi
             spans.append((run[0].lo, hi, None, np.array([pc.lo for pc in run] + [hi])))
     spans.append((S, math.inf, a_top, None))
 

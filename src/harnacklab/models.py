@@ -345,10 +345,17 @@ class WarpingProfile:
         return self.min_ratio(lo, hi, Poly.deriv)
 
     @property
+    def tail_start(self) -> float:
+        """S from which the end is f = tail_slope * r: the lower end of a top
+        piece that reaches to infinity, a table's top (f is undefined above
+        it, and G is closed beyond it as if f = a r there)."""
+        top = self.pieces[-1]
+        return top.lo if top.hi == math.inf else top.hi
+
+    @property
     def tail_slope(self) -> float:
-        """a of the end f ~ a r: the top piece's slope where it reaches to
-        infinity, f(top)/top at a table's top (G is closed beyond it as if
-        f = a r there)."""
+        """a of the end f ~ a r from `tail_start` on: the top piece's slope
+        where it reaches to infinity, f(top)/top at a table's top."""
         top = self.pieces[-1]
         if top.hi == math.inf:
             return top.slope
@@ -489,25 +496,20 @@ def ricci_gradient_norm(model: ModelManifold, r: float) -> float:
     return float(math.sqrt(d_rad**2 + (n - 1) * (d_tan**2 + 2.0 * mixed**2)))
 
 
-def nonparabolic_check(model: ModelManifold, s: float) -> NonParabolicityReport:
+def nonparabolic_check(model: ModelManifold) -> NonParabolicityReport:
     """Convergence of the volume integral test, via the decay rate of f^{1-n}.
 
     The integrand t / Vol B(t) behaves like f(t)^{1-n}, so the integral is
-    finite iff the measured log-log slope of f^{1-n} is below -1.
+    finite iff the tail exponent of f^{1-n} is below -1.  On an end f = a r
+    it is exactly 1 - n; a table ends at its top, so there it is (1 - n)
+    times the log-log secant of f over [top/2, top].
     """
-    if s <= 0:
-        raise ModelError("nonparabolic_check requires s > 0")
     p, n = model.profile, model.n
-    top = p.pieces[-1]
-    if top.hi < math.inf:  # a table ends at its top: measure just below it
-        r_hi = top.hi
-        r_lo = r_hi / 2.0
-    else:  # well inside the top piece, which reaches to infinity
-        r_lo = max(s, 10.0 * (top.lo or 1.0))
-        r_hi = 2.0 * r_lo
-    slope = (math.log(p.f(r_hi)) - math.log(p.f(r_lo))) / (
-        math.log(r_hi) - math.log(r_lo)
-    )
+    top = p.pieces[-1].hi
+    if top == math.inf:
+        slope = 1.0
+    else:
+        slope = (math.log(p.f(top)) - math.log(p.f(top / 2.0))) / math.log(2.0)
     tail_exponent = (1 - n) * slope
     return NonParabolicityReport(
         varopoulos_integral_finite=bool(tail_exponent < -1.0 - 1e-9),
@@ -572,7 +574,7 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         # the fd residual carries O(h^2) noise, so its boolean gets a looser gate
         parallel_ricci = fd_residual <= max(tol, 10.0 * fdcheck.DEFAULT_H**2)
 
-    nonpar = nonparabolic_check(model, r_min).varopoulos_integral_finite
+    nonpar = nonparabolic_check(model).varopoulos_integral_finite
     tail_slope = p.tail_slope
 
     return HypothesisReport(

@@ -238,14 +238,12 @@ def _canon_term_local(term: Term):
     census = term.index_census()
     work = list(term.factors)
     out = []
-    changed = False
     while work:
         kind, idx = work.pop(0)
         if kind == "kron":
             i, j = idx
             if i == j:
                 coeff = coeff * N
-                changed = True
                 continue
             # contract into any other factor sharing an index
             target = None
@@ -270,7 +268,6 @@ def _canon_term_local(term: Term):
                 for _, ix in itertools.chain(out, work):
                     for nm in ix:
                         census[nm] = census.get(nm, 0) + 1
-                changed = True
                 continue
             out.append((kind, idx))
         elif kind == "riem":
@@ -291,14 +288,10 @@ def _canon_term_local(term: Term):
                 }[pos]
                 coeff = coeff * sign
                 work.insert(0, ("ric", tuple(rest)))
-                changed = True
                 continue
             out.append((kind, idx))
         elif kind == "ric":
-            i, j = idx
             out.append((kind, tuple(sorted(idx))))
-            if (i, j) != tuple(sorted(idx)):
-                changed = True
         elif kind == "driem":
             m, i, j, k, l = idx
             if i == j or k == l:
@@ -313,7 +306,6 @@ def _canon_term_local(term: Term):
                 sign = {(1, 3): 1, (0, 2): 1, (0, 3): -1, (1, 2): -1}[pos]
                 coeff = coeff * sign
                 work.insert(0, ("dric", (m,) + tuple(rest)))
-                changed = True
                 continue
             if m in slots:
                 # contracted second Bianchi:
@@ -335,14 +327,11 @@ def _canon_term_local(term: Term):
         elif kind == "dric":
             m, i, j = idx
             out.append((kind, (m,) + tuple(sorted((i, j)))))
-            if (i, j) != tuple(sorted((i, j))):
-                changed = True
         elif kind == "dg":
             # innermost pair is symmetric; leave traced strings alone so the
             # reduction can park the trace pair at the front
             if len(idx) >= 2 and idx[1] < idx[0] and len(set(idx)) == len(idx):
                 idx = (idx[1], idx[0]) + idx[2:]
-                changed = True
             out.append((kind, idx))
         else:
             raise TensorError(f"unknown factor kind {kind!r}")

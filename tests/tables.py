@@ -38,6 +38,15 @@ def bump_table(size=4000):
     return r, r + 0.3 * 14.0 * w
 
 
+def late_bump_table(size=2000):
+    """(r, f) on r in [1e-3, 1e3], geometric, of f = r + 100 sin^4(pi t),
+    t = (r - 300)/200 clipped to [0, 1]: flat below 300 and above 500, so f
+    meets the line f(top)/top r again well below the top."""
+    r = np.geomspace(1e-3, 1e3, size)
+    t = np.clip((r - 300.0) / 200.0, 0.0, 1.0)
+    return r, r + 100.0 * np.sin(np.pi * t) ** 4
+
+
 def write_csv(path, table):
     """The table as a custom-profile CSV (header r,f) at path."""
     r, f = table

@@ -284,6 +284,10 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
     # C is refused before the profile is built, so the profile cannot blame n
     (["verify", "--model", "euclidean", "--n", "200", "--C", "2"],
      "C < 10 requires exploratory"),
+    # a probe costs about n^4 and its caches hold about n^5 floats: the
+    # preset charts stop at n = 12
+    (["oracle", "commutators", "--chart", "euclidean", "--n", "13"], "2 <= n <= 12, got 13"),
+    (["oracle", "commutators", "--chart", "cone", "--n", "13"], "3 <= n <= 12"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],

@@ -100,7 +100,7 @@ def test_cone_chart_matches_warped_chart_of_cone_model():
     assert cone.name == ref.name == "warped[cone:0.5]"
     x = fdcheck.warped_probe_point(4, 1.3)
     assert np.array_equal(cone.g(x), ref.g(x))
-    for c, n in ((0.0, 4), (1.5, 4), (0.5, 2)):
+    for c, n in ((0.0, 4), (1.5, 4), (0.5, 2), (0.5, 13)):
         with pytest.raises(fdcheck.ChartError):
             fdcheck.cone_chart(c, n)
 
@@ -290,7 +290,8 @@ def test_hessian_scalar_matches_profile():
 def test_chart_by_name_and_bad_step():
     ch = fdcheck.chart_by_name("euclidean", n=3)
     assert ch.dim == 3
-    for n in (1, 0):  # the flat test function needs two coordinates
+    # the flat test function needs two coordinates; a probe's cost grows as n^4
+    for n in (1, 0, 13):
         with pytest.raises(fdcheck.ChartError):
             fdcheck.chart_by_name("euclidean", n=n)
     with pytest.raises(fdcheck.ChartError):

@@ -253,18 +253,17 @@ def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch)
             return fun(x)
         return real_brentq(counted, *args, **kwargs)
 
-    def spy(name):
-        real = getattr(geodesics, name)
+    real_sweep = geodesics._Arc.sweep
 
-        def wrapped(model, *args, length=False):
-            sweeps.append((name, args, length))
-            return real(model, *args, length=length)
-        return wrapped
+    def spy(arc, r_lo, r_hi, length=False):
+        # a monotone arc by its Clairaut constant, a turning one by its base
+        args = (r_lo, r_hi) if arc.turning else (arc.k, r_lo, r_hi)
+        sweeps.append(("turning" if arc.turning else "monotone", args, length))
+        return real_sweep(arc, r_lo, r_hi, length)
 
     monkeypatch.setattr(quadrature, "gauss_legendre", counting_quad)
     monkeypatch.setattr(quadrature, "brent_root", counting_brentq)
-    for name in ("_sweep_monotone", "_sweep_from_turn"):
-        monkeypatch.setattr(geodesics, name, spy(name))
+    monkeypatch.setattr(geodesics._Arc, "sweep", spy)
     mini = geodesics._solve_minimizer(model, y, z)
 
     assert mini.branch == branch
@@ -280,14 +279,13 @@ def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch)
     if branch == "monotone":
         # limiting turning arc (2 sweeps), then one sweep per iterate
         assert len(angle) == 2 + len(evals)
-        assert length == [("_sweep_monotone", (mini.a, 1.0, z.r), True)]
+        assert length == [("monotone", (mini.arc.k, 1.0, z.r), True)]
     else:
         # limiting arc and tip test (2 sweeps each), two per iterate
         assert len(angle) == 4 + 2 * len(evals)
-        assert [(s[0], s[1][1]) for s in length] == [
-            ("_sweep_from_turn", 1.0), ("_sweep_from_turn", z.r)]
+        assert [(s[0], s[1][1]) for s in length] == [("turning", 1.0), ("turning", z.r)]
         r_t = length[0][1][0]
-        assert length[1][1][0] == r_t and model.profile.f(r_t) == mini.a
+        assert length[1][1][0] == r_t and model.profile.f(r_t) == mini.arc.k
 
 
 def test_non_monotone_profile_raises_geodesic_error():
@@ -320,13 +318,19 @@ def test_closed_form_sweeps_match_gauss_panels(model_id, monkeypatch):
     a = prof.pieces[0].slope
     r_lo, r_hi = 0.8, 2.5
     f_lo = prof.f(r_lo)
-    monotone = [lambda L, k=k: geodesics._sweep_monotone(model, k, r_lo, r_hi, length=L)
+    def swept(k, base, turning, lo):
+        """(sweep of the arc over [lo, r_hi], its Gauss misses), per `length`."""
+        def case(L):
+            arc = geodesics._Arc(prof, k, base, turning)
+            return arc.sweep(lo, r_hi, L), arc.misses
+        return case
+
+    monotone = [swept(k, r_lo, False, r_lo)
                 for k in f_lo * np.array([0.0, 0.3, 0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])]
     # and from above the arc's inner radius, as the inversion sweeps
-    monotone.append(lambda L: geodesics._Arc(prof, 0.95 * f_lo, r_lo, False).sweep(1.3, r_hi, L))
-    turning = [lambda L, r_t=r_t: geodesics._sweep_from_turn(model, r_t, r_hi, length=L)
-               for r_t in (1e-3, 0.3, r_lo, 2.4)]
-    turning.append(lambda L: geodesics._Arc(prof, f_lo, r_lo, True).sweep(1.3, r_hi, L))
+    monotone.append(swept(0.95 * f_lo, r_lo, False, 1.3))
+    turning = [swept(prof.f(r_t), r_t, True, r_t) for r_t in (1e-3, 0.3, r_lo, 2.4)]
+    turning.append(swept(f_lo, r_lo, True, 1.3))
     closed = [[case(L) for L in (False, True)] for case in monotone + turning]
     # the turning arcs in the wedge: angle arccos(r_t / r) / a and length
     # sqrt(r^2 - r_t^2) from r_t, less their values at 1.3 for the last
@@ -373,10 +377,11 @@ def test_inversion_matches_the_wedge(model_id, c):
         y, z = SlicePoint(float(r1), 0.0), SlicePoint(float(r2), float(dphi))
         mini = geodesics._solve_minimizer(model, y, z)
         branches[mini.branch] += 1
-        for lam in (0.1, 0.25, 0.5, 0.75, 0.9):
-            w, misses = geodesics._point_along(model, y, z, lam * mini.length, mini)
+        lams = (0.1, 0.25, 0.5, 0.75, 0.9)
+        points = geodesics._points_along(y, z, mini, [lam * mini.length for lam in lams])
+        for lam, w in zip(lams, points):
             r, phi, chord = _wedge_point(c, y, z, lam)
-            assert misses == 0
+            assert mini.quad_misses == 0
             assert mini.length == pytest.approx(chord, rel=1e-12, abs=0.0)
             assert w.r == pytest.approx(r, rel=1e-12, abs=0.0), (y, z, lam)
             assert w.phi == pytest.approx(phi, rel=1e-12, abs=0.0), (y, z, lam)
@@ -397,7 +402,7 @@ def test_inversion_matches_shot_and_dop853(model_id, y, z, branch):
     mini = geodesics._solve_minimizer(model, y, z)
     assert mini.branch == branch
     s = [lam * mini.length for lam in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    points = [geodesics._point_along(model, y, z, si, mini)[0] for si in s]
+    points = geodesics._points_along(y, z, mini, s)
     angle = geodesics._departure(model, y, z, mini)
     path = shoot_geodesic(model, y, angle, s[-1], at=s)
     r_ref, phi_ref = _dop853_shot(model, y, angle, s[-1], np.array(s))

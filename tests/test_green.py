@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from harnacklab import quadrature
-from harnacklab.models import ModelError, make_model, model_from_id
+from harnacklab.models import ModelError, make_model, model_from_id, nonparabolic_check
 from harnacklab.green import (
     check_power_laplacian, compute_profile, default_grid, green_derivs,
-    hess_b2_eigs, nonparabolic_check, power_jet, radial_laplacian,
+    hess_b2_eigs, power_jet, radial_laplacian,
 )
-from tables import concave_table
+from tables import concave_table, late_bump_table
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +102,15 @@ def test_gradient_derivative_cross_check(eucl4):
 
 
 def test_nonparabolic_examples():
-    assert nonparabolic_check(make_model("euclidean", 4), 1.0).varopoulos_integral_finite
-    assert nonparabolic_check(make_model("cone", 3, c=0.5), 1.0).varopoulos_integral_finite
+    # an end f = a r decays as r^{1-n} exactly
+    for model in (make_model("euclidean", 4), make_model("cone", 3, c=0.5),
+                  model_from_id("smoothed-cone:0.8:1", 5)):
+        rep = nonparabolic_check(model)
+        assert rep.varopoulos_integral_finite and rep.tail_exponent == 1 - model.n
     # sublinear growth is parabolic and must be rejected outright
     r = np.linspace(0.05, 80, 500)
     slow = make_model("custom", 3, table=(r, r ** (1.0 / 3)))
-    rep = nonparabolic_check(slow, 1.0)
+    rep = nonparabolic_check(slow)
     assert not rep.varopoulos_integral_finite
     with pytest.raises(ModelError):
         compute_profile(slow, default_grid(0.1, 50, 64))
@@ -234,6 +237,16 @@ def test_concave_table_pointwise_G_is_grid_G(n):
     ref = np.array([_quad_reference_cuts(model, r) for r in radii])
     got = np.array([prof.green_at(r) for r in radii.tolist()])
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+
+def test_table_is_integrated_up_to_its_top():
+    # f = r below 300 and above 500, so it equals the closing line f(top)/top r
+    # at radii below the bump: G must still integrate the bump
+    model = make_model("custom", 4, table=late_bump_table())
+    assert model.profile.tail_start == 1e3 and model.profile.tail_slope == 1.0
+    prof = compute_profile(model)
+    ref = _quad_reference_cuts(model, float(prof.grid[-1]))
+    assert prof.G[-1] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.fixture

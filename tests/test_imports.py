@@ -6,7 +6,8 @@ only in the CLI's command functions, each of which loads the engine it runs,
 and in ``models.hypothesis_report``, which loads the FD oracle only where
 the closed form finds Ricci parallel; no module imports sympy or scipy, which only the tests use, as
 references; and no module but ``models`` reads how a warping profile
-was specified (its kind and parameters) rather than its pieces.
+was specified (its kind and parameters) rather than its pieces, or
+decides its end from its top piece.
 """
 
 import ast
@@ -122,6 +123,14 @@ PROFILE_FIELDS = {"kind", "table", "r0", "c"}
 REMOVED_PROFILE_CALLS = {"cuts", "linear_from", "asymptotic_slope"}
 
 
+def _is_last(index):
+    """Whether a subscript's index is the literal -1."""
+    try:
+        return ast.literal_eval(index) == -1
+    except ValueError:
+        return False
+
+
 def test_profile_format_stays_inside_models():
     found = []
     for name, tree in _modules():
@@ -130,6 +139,10 @@ def test_profile_format_stays_inside_models():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in PROFILE_FIELDS:
                 found.append(f"{name}:{node.lineno} .{node.attr}")
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "pieces" and _is_last(node.slice)):
+                # the top piece decides the profile's end: tail_start, tail_slope
+                found.append(f"{name}:{node.lineno} .pieces[-1]")
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
