@@ -2,8 +2,7 @@
 Harnack inequality on rotationally symmetric model manifolds.
 
 The package root holds the names the command line needs before it loads
-an engine, so that importing ``harnacklab.cli`` loads neither numpy nor
-any numeric module.
+an engine, so that importing ``harnacklab.cli`` loads no numeric module.
 """
 
 __version__ = "0.1.0"
@@ -13,6 +12,10 @@ INEQ_TOL = 1e-8
 
 #: least C of the theorem's range
 THEOREM_C = 10
+
+#: most radii a profile grid may hold: each costs about 10 us of plain-float
+#: kernel, so a run stays bounded in grid size
+MAX_GRID_SIZE = 65536
 
 
 def is_exploratory(C: float, flags: dict) -> bool:

@@ -5,22 +5,23 @@ Exit codes: 0 all checks pass, 1 a verified inequality/identity fails,
 holds but a hypothesis flag is raised; never reported as a clean pass).
 
 Each command imports the engine it runs when it runs, so importing this
-module loads no numpy: ``symbolic``, ``oracle`` (the plain-float FD chart
-oracle), ``models list``, ``--help`` and ``--version`` run without it.
+module loads none of them.  Every engine computes in plain Python floats:
+no command loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import (INEQ_TOL, THEOREM_C, ModelError, __version__, is_exploratory,
-               require_theorem_C)
+from . import (INEQ_TOL, MAX_GRID_SIZE, THEOREM_C, ModelError, __version__,
+               is_exploratory, require_theorem_C)
 
 EXIT_INVALID = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "exploratory": 3}
@@ -72,6 +73,9 @@ class RunConfig:
         if not isinstance(cfg.lambdas, (list, tuple)) or not all(
                 map(_finite_number, cfg.lambdas)):
             raise ModelError(f"lambdas must be a list of finite numbers, got {cfg.lambdas!r}")
+        if not 2 <= cfg.grid_size <= MAX_GRID_SIZE:
+            raise ModelError(f"grid_size must lie in [2, {MAX_GRID_SIZE}], "
+                             f"got {cfg.grid_size!r}")
         if cfg.tol < 0:
             raise ModelError(f"tol must be >= 0, got {cfg.tol!r}")
         if not 0.0 < cfg.r_min < cfg.r_max:
@@ -417,10 +421,14 @@ def main(argv=None) -> int:
     except (ModelError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OverflowError as exc:  # a float power, e.g. G ~ r^{2-n} at large n
+    except ArithmeticError as exc:  # a float power, e.g. G ~ r^{2-n} at large n
         print(f"error: {exc}: past the float range; lower n or raise r_min", file=sys.stderr)
         return EXIT_INVALID
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # the objects left are freed with the process: exit without a last
+    # collection walking them
+    gc.freeze()
+    sys.exit(code)

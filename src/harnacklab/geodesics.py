@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import quadrature
 from .models import ModelError, ModelManifold
 from .green import RadialGreenProfile
@@ -63,9 +61,11 @@ class SlicePoint:
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    s: np.ndarray
-    r: np.ndarray
-    phi: np.ndarray
+    """The shot sampled at the arclengths s: tuples of floats."""
+
+    s: tuple
+    r: tuple
+    phi: tuple
     truncated: bool
     unit_speed_defect: float
 
@@ -211,17 +211,24 @@ def shoot_geodesic(
     f0 = prof.f(start.r)
     y0 = (start.r, start.phi, math.cos(angle), math.sin(angle) / f0)
     rhs = _geodesic_rhs(prof)
-    knots = prof.knots.tolist()
-    s = np.linspace(0.0, length, n_samples) if at is None else np.array([0.0, *at])
-    states, s_hit = _dormand_prince(rhs, y0, s.tolist(), r_floor, knots)
+    knots = prof.knots
+    s = _linspace(length, n_samples) if at is None else (0.0, *map(float, at))
+    states, s_hit = _dormand_prince(rhs, y0, s, r_floor, knots)
     truncated = s_hit is not None
     if truncated:
-        s = np.linspace(0.0, s_hit, n_samples)
-        states, _ = _dormand_prince(rhs, y0, s.tolist(), -math.inf, knots)
-    r, phi, rp, php = np.array(states).T
-    speed = rp**2 + prof.f(np.maximum(r, r_floor)) ** 2 * php**2
-    defect = float(np.max(np.abs(speed - 1.0)))
+        s = _linspace(s_hit, n_samples)
+        states, _ = _dormand_prince(rhs, y0, s, -math.inf, knots)
+    r, phi, rp, php = zip(*states)
+    defect = max(abs(a * a + prof.f(max(x, r_floor)) ** 2 * b * b - 1.0)
+                 for x, a, b in zip(r, rp, php))
     return GeodesicPath(s=s, r=r, phi=phi, truncated=truncated, unit_speed_defect=defect)
+
+
+def _linspace(stop: float, num: int) -> tuple:
+    """num >= 2 arclengths from 0 to stop, evenly spaced, both ends exact,
+    as numpy's linspace lays them."""
+    step = stop / (num - 1)
+    return (*(i * step for i in range(num - 1)), float(stop))
 
 
 # -- distance by Clairaut quadrature ------------------------------------------
@@ -263,7 +270,7 @@ class _Arc:
             def integrand(u):
                 # f(r)^2 - k^2 = u^2 * q(u) * (f + k)
                 f = prof.f(base + u * u)
-                root = np.sqrt(np.maximum(q_taylor(u, f) * (f + k), 1e-300))
+                root = math.sqrt(max(q_taylor(u, f) * (f + k), 1e-300))
                 return 2.0 * f / root if length else 2.0 * k / (f * root)
         else:
             def integrand(u):
@@ -271,7 +278,7 @@ class _Arc:
                 # of cancellation; near the turning limit k -> f0 the
                 # integrand sharpens at u = 0 and the panels there are halved
                 f = prof.f(base + u * u)
-                root = np.sqrt(np.maximum(u * u * q_taylor(u, f) * (f + f0) + d0, 0.0))
+                root = math.sqrt(max(u * u * q_taylor(u, f) * (f + f0) + d0, 0.0))
                 return 2.0 * u * (f / root if length else k / (f * root))
         return integrand
 
@@ -302,9 +309,9 @@ class _Arc:
         if not u_lo:
             return total
         val, _, missed = quadrature.gauss_legendre(
-            self._integrand(length), np.array(u_lo), np.array(u_hi), rtol=1e-11, atol=1e-13)
-        self.misses += int(np.any(missed))
-        return total + float(np.sum(val))
+            self._integrand(length), u_lo, u_hi, rtol=1e-11, atol=1e-13)
+        self.misses += int(any(missed))
+        return total + sum(val)
 
     def invert(self, s, r_end):
         """(r in [base, r_end] at arclength s from base, the angle swept from
@@ -345,8 +352,7 @@ def _taylor_q(prof, r0):
 
     def q(u, f):
         u2 = u * u
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(u2 < small, fp0 + 0.5 * fpp0 * u2, (f - f0) / u2)
+        return fp0 + 0.5 * fpp0 * u2 if u2 < small else (f - f0) / u2
 
     return q
 

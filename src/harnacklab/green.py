@@ -9,8 +9,11 @@ the pole, which pins it up to normalization:
     G''(r) = (n-2)(n-1) * f(r)^{-n} * f'(r)
 
 The constant is chosen so that G = r^{2-n} when f(r) = r.  Everything
-else (b, b^2, |grad b|, Hess b^2) is a power of G, worked on floats and
-arrays by `power_jet` in q1 = G'/G and q2 = G''/G: finite wherever G is.
+else (b, b^2, |grad b|, Hess b^2) is a power of G, worked by `power_jet`
+in q1 = G'/G and q2 = G''/G: finite wherever G is.  One kernel,
+`_derivs_at`, gives G' and G'' at a radius, on the grid and pointwise
+alike, in plain floats; a power past the float range is inf there, so
+that the range checks name what left it.
 
 G is computed piecewise.  (0, inf) is cut into pieces on which either
 f = a*r exactly, where
@@ -35,13 +38,13 @@ whose error estimate misses its gate raises ModelError.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from . import quadrature
 from .models import ModelError, ModelManifold, nonparabolic_check
@@ -72,32 +75,43 @@ class GreenPiece(NamedTuple):
     hi: float
     slope: Optional[float]  # None: f is not linear on the piece
     G_hi: float             # G(hi); 0 for the unbounded top piece
-    knots: Optional[np.ndarray] = None    # quadrature piece: lo, knots of f, hi
-    G_knots: Optional[np.ndarray] = None  # G at those knots
+    knots: Optional[tuple] = None    # quadrature piece: lo, knots of f, hi
+    G_knots: Optional[tuple] = None  # G at those knots
 
 
-def _closed_G(piece: GreenPiece, n: int, r):
-    """G(r) = G(hi) + a^{1-n} (r^{2-n} - hi^{2-n}) on a linear piece
-    (hi = inf contributes hi^{2-n} = 0)."""
-    return piece.G_hi + piece.slope ** (1 - n) * (r ** (2 - n) - piece.hi ** (2 - n))
+def _pow(x, y):
+    """x ** y, inf where it overflows or x = 0 < -y: a value past the float
+    range is refused by `in_float_range`, not raised on the way."""
+    try:
+        return x ** y
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
-def _quad_f_pow(model: ModelManifold, r, s):
-    """(n-2) * int_r^s f^{1-n} for each pair (r, s), floats or arrays, each
-    inside one polynomial piece of f; refuses an estimate past GREEN_RTOL."""
+def _closed_G(piece: GreenPiece, n: int, r_pow: float) -> float:
+    """G(r) = G(hi) + a^{1-n} (r^{2-n} - hi^{2-n}) on a linear piece, from
+    r_pow = r^{2-n} (hi = inf contributes hi^{2-n} = 0)."""
+    return piece.G_hi + piece.slope ** (1 - n) * (r_pow - piece.hi ** (2 - n))
+
+
+def _quad_f_pow(model: ModelManifold, r: list, s: list) -> list:
+    """(n-2) * int_r^s f^{1-n} for each pair (r, s), each inside one
+    polynomial piece of f; refuses an estimate past GREEN_RTOL."""
     n, p = model.n, model.profile
-    val, _, missed = quadrature.gauss_legendre(lambda t: p.f(t) ** (1 - n), r, s,
+    val, _, missed = quadrature.gauss_legendre(lambda t: _pow(p.f(t), 1 - n), r, s,
                                                rtol=GREEN_RTOL)
-    if np.any(missed):
+    if any(missed):
         raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
-                         f"[{np.min(r):.17g}, {np.max(s):.17g}] at n={n}")
-    return (n - 2) * val
+                         f"[{min(r):.17g}, {max(s):.17g}] at n={n}")
+    return [(n - 2) * v for v in val]
 
 
-def _knot_G(piece: GreenPiece, model: ModelManifold, r):
-    """G(r) on a quadrature piece: G at the first knot >= r plus one integral."""
-    k = np.searchsorted(piece.knots, r)
-    return piece.G_knots[k] + _quad_f_pow(model, r, piece.knots[k])
+def _knot_G(piece: GreenPiece, model: ModelManifold, r: list) -> list:
+    """G at each radius of r on a quadrature piece: G at the first knot >= r
+    plus one integral."""
+    k = [bisect.bisect_left(piece.knots, x) for x in r]
+    seg = _quad_f_pow(model, r, [piece.knots[i] for i in k])
+    return [piece.G_knots[i] + v for i, v in zip(k, seg)]
 
 
 def green_derivs(n: int, x, fp, a=1.0):
@@ -108,29 +122,23 @@ def green_derivs(n: int, x, fp, a=1.0):
     and r apart, as `_closed_G` takes them, and not of the rounded product
     a r, whose rounding the power would multiply by n.
     """
-    return (-(n - 2) * a ** (1 - n) * x ** (1 - n),
-            (n - 2) * (n - 1) * a ** (-n) * x ** (-n) * fp)
+    return (-(n - 2) * _pow(a, 1 - n) * _pow(x, 1 - n),
+            (n - 2) * (n - 1) * _pow(a, -n) * _pow(x, -n) * fp)
 
 
-def _linear_split(model: ModelManifold, r, f):
-    """(x, a) with f = a x at the radii r (floats or arrays): (r, slope)
-    on the pieces where f = slope*r, (f, 1) elsewhere; see `green_derivs`."""
-    p = model.profile
-    if isinstance(r, float):
-        a = p.piece_at(r).slope
-        return (f, 1.0) if a is None else (r, a)
-    r = np.asarray(r, dtype=float)
-    x, scale = np.array(f, dtype=float), np.ones_like(r)
-    for pc in p.pieces:
-        if pc.slope is not None:
-            inside = (r >= pc.lo) & (r < pc.hi)
-            x[inside], scale[inside] = r[inside], pc.slope
-    return x, scale
+def _derivs_at(model: ModelManifold, r: float):
+    """(G', G'', f, f') at r by `green_derivs`, with x = r and the slope a
+    where f = a r exactly."""
+    n, p = model.n, model.profile
+    f, fp = p.f(r), p.fp(r)
+    a = p.piece_at(r).slope
+    Gp, Gpp = green_derivs(n, f, fp) if a is None else green_derivs(n, r, fp, a)
+    return Gp, Gpp, f, fp
 
 
 def power_jet(G, q1, q2, beta: float):
     """(u, u', u'') of u = G^beta, from q1 = G'/G and q2 = G''/G."""
-    u = G**beta
+    u = _pow(G, beta)
     return u, beta * u * q1, beta * u * ((beta - 1) * q1 * q1 + q2)
 
 
@@ -146,21 +154,26 @@ def _b2_hessian(n: int, G, q1, q2, f, fp):
     return b2, b2p, b2pp, b2p * fp / f
 
 
+#: the columns of a profile, in the order their float range is checked
+COLUMNS = ("G", "Gp", "Gpp", "b", "b2", "b2p", "grad_b", "mu_rad", "mu_tan")
+
+
 @dataclass(frozen=True)
 class RadialGreenProfile:
-    """G and its companions sampled on a grid, with exact radial derivatives."""
+    """G and its companions sampled on a grid, with exact radial derivatives;
+    each column is a tuple of floats, one per grid radius."""
 
     model: ModelManifold
-    grid: np.ndarray
-    G: np.ndarray
-    Gp: np.ndarray
-    Gpp: np.ndarray
-    b: np.ndarray
-    b2: np.ndarray
-    b2p: np.ndarray
-    grad_b: np.ndarray
-    mu_rad: np.ndarray      # eigenvalues of Hess b^2 relative to g
-    mu_tan: np.ndarray
+    grid: tuple
+    G: tuple
+    Gp: tuple
+    Gpp: tuple
+    b: tuple
+    b2: tuple
+    b2p: tuple
+    grad_b: tuple
+    mu_rad: tuple      # eigenvalues of Hess b^2 relative to g
+    mu_tan: tuple
     pieces: tuple  # GreenPiece cover of (0, inf), ascending
 
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
@@ -171,8 +184,8 @@ class RadialGreenProfile:
             raise ModelError(f"G is defined for a finite r > 0, got r={r!r}")
         piece = next(pc for pc in self.pieces if r < pc.hi)
         if piece.slope is not None:
-            return _closed_G(piece, self.model.n, r)
-        return float(_knot_G(piece, self.model, r))
+            return _closed_G(piece, self.model.n, r ** (2 - self.model.n))
+        return _knot_G(piece, self.model, [r])[0]
 
     def green_derivs_at(self, r: float):
         """(G, G', G'', f, f') at r, the derivatives of G in closed form.
@@ -180,23 +193,24 @@ class RadialGreenProfile:
         Refuses an r where G, G' or G'' leaves the float range, as
         `compute_profile` does on the grid; G > 0, so G = 0 is an underflow.
         """
-        n, p = self.model.n, self.model.profile
         try:
             G = self.green_at(r)
-            f, fp = p.f(r), p.fp(r)
-            x, a = _linear_split(self.model, r, f)
-            Gp, Gpp = green_derivs(n, x, fp, a)
-            ok = G > 0 and in_float_range(np.array([G, Gp, Gpp]))
-        except OverflowError:  # a float power past the range, e.g. r^{-n}
-            ok = False
-        if not ok:
-            raise ModelError(f"G, G' or G'' leaves the float range at n={n}, r={r:g}; "
-                             "lower n or choose another r")
+        except OverflowError:  # r^{2-n} past the range
+            G = math.inf
+        Gp, Gpp, f, fp = _derivs_at(self.model, r)
+        if not (G > 0 and in_float_range((G, Gp, Gpp))):
+            raise ModelError(f"G, G' or G'' leaves the float range at n={self.model.n}, "
+                             f"r={r:g}; lower n or choose another r")
         return G, Gp, Gpp, f, fp
 
     def b2_at(self, r: float) -> float:
         n = self.model.n
-        return self.green_at(r) ** (2.0 / (2 - n))
+        G = self.green_at(r)
+        b2 = _pow(G, 2.0 / (2 - n))
+        if not (G > 0 and in_float_range((G, b2))):
+            raise ModelError(f"G or b^2 leaves the float range at n={n}, r={r:g}; "
+                             "lower n or choose another r")
+        return b2
 
     def to_csv(self) -> str:
         return csv_text("r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan", zip(
@@ -213,23 +227,24 @@ def csv_text(header: str, rows) -> str:
     return buf.getvalue()
 
 
+_TINY = sys.float_info.min
+
+
 def in_float_range(values) -> bool:
     """Every value finite and 0 or normal: a subnormal keeps few digits."""
-    mag = np.abs(values)
-    return bool(np.all(np.isfinite(mag) & ((mag == 0) | (mag >= np.finfo(float).tiny))))
+    return all(_TINY <= abs(v) < math.inf or v == 0.0 for v in values)
 
 
-def default_grid(r_min=1e-2, r_max=1e2, size=512) -> np.ndarray:
-    return np.geomspace(r_min, r_max, size)
+def default_grid(r_min=1e-2, r_max=1e2, size=512) -> tuple:
+    return quadrature.geomspace(r_min, r_max, size)
 
 
-@np.errstate(all="ignore")  # past the float range: refused below, not warned
 def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     """G on the grid, piece by piece from the top down (see module doc)."""
     if grid is None:
         grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+    grid = tuple(map(float, grid))
+    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ModelError("grid must be strictly increasing with >= 2 points")
     if grid[0] <= 0:
         raise ModelError("grid must stay inside (0, inf); G has a pole at r = 0")
@@ -252,43 +267,48 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
             spans += [(pc.lo, pc.hi, pc.slope, None) for pc in run]
         else:
             hi = run[-1].hi
-            spans.append((run[0].lo, hi, None, np.array([pc.lo for pc in run] + [hi])))
+            spans.append((run[0].lo, hi, None, tuple([pc.lo for pc in run] + [hi])))
     spans.append((S, math.inf, a_top, None))
 
-    G = np.empty_like(grid)
+    G = []
     pieces = []
     G_hi = 0.0  # G(inf)
     for lo, hi, a, knots in reversed(spans):
-        inside = (grid >= lo) & (grid < hi)
+        inside = [r for r in grid if lo <= r < hi]
         if a is not None:
             piece = GreenPiece(lo, hi, a, G_hi)
-            G[inside] = _closed_G(piece, n, grid[inside])
+            # r^{2-n} is inf past the range, so the G column is refused whole
+            G = [_closed_G(piece, n, _pow(r, 2 - n)) for r in inside] + G
             if lo > 0:
-                G_hi = _closed_G(piece, n, lo)
+                G_hi = _closed_G(piece, n, lo ** (2 - n))
         else:
             # G at the knots, accumulated from the top
-            seg = _quad_f_pow(model, knots[:-1], knots[1:])
-            G_knots = G_hi + np.append(np.cumsum(seg[::-1])[::-1], 0.0)
-            piece = GreenPiece(lo, hi, a, G_hi, knots, G_knots)
-            G[inside] = _knot_G(piece, model, grid[inside])
-            G_hi = float(G_knots[0])
+            seg = _quad_f_pow(model, list(knots[:-1]), list(knots[1:]))
+            above = [0.0]  # the integral from each knot to hi, from the top
+            for v in reversed(seg):
+                above.append(above[-1] + v)
+            piece = GreenPiece(lo, hi, a, G_hi, knots,
+                               tuple(G_hi + v for v in reversed(above)))
+            G = _knot_G(piece, model, inside) + G
+            G_hi = piece.G_knots[0]
         pieces.append(piece)
 
-    fg, fpg = p.f(grid), p.fp(grid)
-    x, a = _linear_split(model, grid, fg)
-    Gp, Gpp = green_derivs(n, x, fpg, a)
-    q1, q2 = Gp / G, Gpp / G
-    b, bp, _ = power_jet(G, q1, q2, 1.0 / (2 - n))
-    b2, b2p, mu_rad, mu_tan = _b2_hessian(n, G, q1, q2, fg, fpg)
-    columns = dict(G=G, Gp=Gp, Gpp=Gpp, b=b, b2=b2, b2p=b2p, grad_b=np.abs(bp),
-                   mu_rad=mu_rad, mu_tan=mu_tan)
+    rows = []
+    for r, g in zip(grid, G):
+        Gp, Gpp, f, fp = _derivs_at(model, r)
+        # G = 0 is an underflow: q = inf makes b = inf, which is refused
+        q1, q2 = (Gp / g, Gpp / g) if g else (math.inf, math.inf)
+        b, bp, _ = power_jet(g, q1, q2, 1.0 / (2 - n))
+        b2, b2p, mu_rad, mu_tan = _b2_hessian(n, g, q1, q2, f, fp)
+        rows.append((g, Gp, Gpp, b, b2, b2p, abs(bp), mu_rad, mu_tan))
+    columns = dict(zip(COLUMNS, zip(*rows)))
     for name, col in columns.items():
         if not in_float_range(col):
             raise ModelError(f"{name} leaves the float range on the grid at n={n}, "
                              f"r_min={grid[0]:g}, r_max={grid[-1]:g}; lower n "
                              "or narrow the radii")
-    return RadialGreenProfile(
-        model=model, grid=grid, pieces=tuple(reversed(pieces)), **columns)
+    return RadialGreenProfile(model=model, grid=grid, pieces=tuple(reversed(pieces)),
+                              **columns)
 
 
 def hess_b2_eigs(profile: RadialGreenProfile, r: float):
@@ -302,7 +322,7 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
 
 
 def hess_b2_eigs_arrays(profile: RadialGreenProfile):
-    """(mu_rad, mu_tan) over the whole grid."""
+    """(mu_rad, mu_tan) over the whole grid, a tuple each."""
     return profile.mu_rad, profile.mu_tan
 
 

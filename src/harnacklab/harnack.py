@@ -7,15 +7,13 @@ The curvature-corrected Hessian quantity under test is
 
 On a rotationally symmetric model it is diagonal in the radial frame, so
 its eigenvalues are two explicit radial curves and the whole story can be
-audited pointwise; one kernel, `_htilde`, serves floats and arrays.
+audited pointwise; one kernel, `_htilde`, serves every radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from . import INEQ_TOL, is_exploratory, quadrature, require_theorem_C
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
@@ -122,14 +120,14 @@ def _sup_mu(profile: RadialGreenProfile):
     """(mu, sup): mu = max(mu_rad, mu_tan) on the grid, and its sup over the
     range, the grid's largest value sharpened by a local 1D search."""
     grid = profile.grid
-    mu = np.maximum(*hess_b2_eigs_arrays(profile))
-    idx = int(np.argmax(mu))
+    mu = [max(pair) for pair in zip(*hess_b2_eigs_arrays(profile))]
+    idx = mu.index(max(mu))
 
     def neg_mu(r):
         return -max(hess_b2_eigs(profile, float(r)))
 
     lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, grid.size - 1)]
+    hi = grid[min(idx + 1, len(grid) - 1)]
     if lo == hi:
         return mu, float(-neg_mu(grid[idx]))
     _, fun = quadrature.brent_min(neg_mu, lo, hi, xatol=1e-10 * (hi - lo) + 1e-14)
@@ -165,23 +163,23 @@ def verify_theorem(
     worst_margin = C - min_C
     passed = worst_margin >= -tol
 
-    viol_idx = np.nonzero(mu > C + tol)[0]
+    viol_idx = [i for i, m in enumerate(mu) if m > C + tol]
     violations = [
-        {"r": float(grid[i]), "mu_rad": float(profile.mu_rad[i]),
-         "mu_tan": float(profile.mu_tan[i])}
+        {"r": grid[i], "mu_rad": profile.mu_rad[i], "mu_tan": profile.mu_tan[i]}
         for i in viol_idx[:32]
     ]
 
     lam_ok = None
     if D is not None:
         # Hess b^2 <= D g should force Lambda >= (n-2)/2 (C-D) G^alpha
-        n, p, G = model.n, model.profile, profile.G
-        lam = np.minimum(*_htilde(n, C, G, profile.Gp / G, profile.Gpp / G,
-                                  p.f(grid), p.fp(grid)))
-        galpha = G ** (n / (n - 2.0))
-        bound = 0.5 * (n - 2) * (C - D) * galpha
-        # tolerance must track the G^alpha scale, which spans many decades
-        lam_ok = bool(np.all(lam >= bound - tol * np.maximum(1.0, galpha)))
+        n, p = model.n, model.profile
+        lam_ok = True
+        for r, G, Gp, Gpp in zip(grid, profile.G, profile.Gp, profile.Gpp):
+            lam = min(_htilde(n, C, G, Gp / G, Gpp / G, p.f(r), p.fp(r)))
+            galpha = G ** (n / (n - 2.0))
+            bound = 0.5 * (n - 2) * (C - D) * galpha
+            # tolerance must track the G^alpha scale, which spans many decades
+            lam_ok = lam_ok and lam >= bound - tol * max(1.0, galpha)
 
     boundary = {
         "mu_max_at_r_min": float(mu[0]),
@@ -284,7 +282,7 @@ def audit_proof_terms(
     n = model.n
     G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
     # the terms divide by G^2 and carry G'^2, so those must stay in range too
-    if not (G * G > 0 and in_float_range(np.array([G * G, Gp * Gp]))):
+    if not (G * G > 0 and in_float_range((G * G, Gp * Gp))):
         raise ModelError(f"G^2 or G'^2 leaves the float range at n={n}, r={r:g}; "
                          "lower n or choose another r")
     h_rad, h_tan = _htilde(n, C, G, Gp / G, Gpp / G, f, fp)

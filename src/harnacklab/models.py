@@ -17,13 +17,13 @@ ric_tan = k_rad + (n-2) k_tan.
 from __future__ import annotations
 
 import bisect
+import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from . import ModelError
+from . import ModelError, quadrature
 
 __all__ = [
     "WarpingProfile",
@@ -68,7 +68,8 @@ class Piece(NamedTuple):
 class Poly:
     """A polynomial as its tuple of ascending coefficients, in plain float
     arithmetic: sums, products and integer powers with floats and other
-    Polys, derivatives, Horner evaluation at a float, and real roots.
+    Polys, derivatives, Horner evaluation at a float, and the real roots
+    in an interval.
     The smoothed-cone blend, the derivative rows of every profile and the
     margins of `WarpingProfile.min_ratio` are built from these."""
 
@@ -85,12 +86,12 @@ class Poly:
         a, b = self.coef, self._coef(other)
         if len(a) < len(b):
             a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(-x for x in self.coef)
+        return Poly([-x for x in self.coef])
 
     def __sub__(self, other):
         return self + -Poly(self._coef(other))
@@ -100,6 +101,9 @@ class Poly:
 
     def __mul__(self, other):
         b = self._coef(other)
+        if len(b) == 1:
+            y = b[0]
+            return Poly([x * y for x in self.coef])
         out = [0.0] * (len(self.coef) + len(b) - 1)
         for i, x in enumerate(self.coef):
             for j, y in enumerate(b):
@@ -117,7 +121,7 @@ class Poly:
     def deriv(self, m: int = 1) -> "Poly":
         c = self.coef
         for _ in range(m):
-            c = tuple(k * x for k, x in enumerate(c))[1:] or (0.0,)
+            c = [k * x for k, x in enumerate(c)][1:] or [0.0]
         return Poly(c)
 
     def __call__(self, t: float) -> float:
@@ -126,13 +130,97 @@ class Poly:
             out = out * t + a
         return out
 
-    def roots(self) -> list:
-        """Real parts of the roots (none for a constant), by numpy's
-        `polyroots`: the eigenvalues of the companion matrix."""
+    def real_roots(self, u: float, v: float) -> list:
+        """The real roots in [u, v], ascending (none for a constant, or
+        where u >= v).
+
+        The Bernstein coefficients of the polynomial on a part of [u, v]
+        have at least as many sign changes as it has roots there (Descartes'
+        rule in the Bernstein basis), so a part without sign change holds
+        none.  Parts are halved by de Casteljau's algorithm until each has
+        one sign change between ends of clear opposite signs, and Brent's
+        method finds that simple root.  Rounding is judged by Horner's error
+        bound on [u, v]: a part whose coefficients all sit within it is zero
+        to rounding, and the midpoint of each run of such parts stands for
+        the multiple root or cluster of roots there; a part without sign
+        change is dropped only where its coefficients, and so the
+        polynomial, keep clear of that bound.
+        """
         c = self.coef
         while len(c) > 1 and c[-1] == 0.0:
             c = c[:-1]
-        return np.polynomial.polynomial.polyroots(c).real.tolist() if len(c) > 1 else []
+        if len(c) == 1 or not u < v:
+            return []
+        reach = max(abs(u), abs(v))
+        noise = 4.0 * len(c) * _EPS * sum(abs(a) * reach ** k for k, a in enumerate(c))
+        xtol = 4.0 * _EPS * (v - u)
+        roots, zero = [], []  # simple roots, and the parts zero to rounding
+        parts = [(u, v, _bernstein(c, u, v))]
+        while parts:
+            a, b, bern = parts.pop()
+            mid = 0.5 * (a + b)
+            size = [abs(x) for x in bern]
+            if max(size) <= noise or not a < mid < b:
+                zero.append((a, b))
+                continue
+            changes = _sign_changes(bern)
+            if changes == 0 and min(size) > noise:
+                continue
+            fa, fb = self(a), self(b)
+            if changes == 1 and fa * fb < 0.0 and min(abs(fa), abs(fb)) > noise:
+                roots.append(quadrature.brent_root(self, a, b, xtol=xtol, rtol=_EPS))
+                continue
+            left, right = _halves(bern)
+            parts += [(mid, b, right), (a, mid, left)]
+        # parts are popped left to right, so touching runs are consecutive
+        runs = []
+        for a, b in zero:
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        roots += [0.5 * (a + b) for a, b in runs]
+        return sorted(roots)
+
+
+#: the gap between 1 and the next float
+_EPS = 2.0 ** -52
+
+
+def _bernstein(c, u, v):
+    """Bernstein coefficients on [u, v] of the polynomial with ascending
+    coefficients c: shift to u, scale to s in [0, 1], then
+    b_j = sum_k C(j, k) / C(d, k) a_k."""
+    a = list(c)
+    d = len(a) - 1
+    for i in range(d):  # Taylor shift by u, repeated synthetic division
+        for k in range(d - 1, i - 1, -1):
+            a[k] += u * a[k + 1]
+    w = v - u
+    a = [x * w ** k for k, x in enumerate(a)]
+    return [sum(r * x for r, x in zip(row, a)) for row in _binomial_ratios(d)]
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_ratios(d: int) -> tuple:
+    """Row j holds C(j, k) / C(d, k) for k <= j."""
+    return tuple(tuple(math.comb(j, k) / math.comb(d, k) for k in range(j + 1))
+                 for j in range(d + 1))
+
+
+def _halves(bern):
+    """Bernstein coefficients of the two halves of the part (de Casteljau)."""
+    left, right, row = [bern[0]], [bern[-1]], list(bern)
+    while len(row) > 1:
+        row = [0.5 * (x + y) for x, y in zip(row, row[1:])]
+        left.append(row[0])
+        right.append(row[-1])
+    return left, right[::-1]
+
+
+def _sign_changes(values) -> int:
+    signs = [x > 0.0 for x in values if x != 0.0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _not_a_knot_rows(x, y):
@@ -144,22 +232,22 @@ def _not_a_knot_rows(x, y):
     (y_i, s_i, (m_i - s_i)/dx_i - u_i, u_i/dx_i) with m_i the secant slope
     and u_i = (s_i + s_{i+1} - 2 m_i)/dx_i.
     """
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    dx = np.diff(x)
-    m = np.diff(y) / dx
+    dx = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
     # the tridiagonal system for the slopes s: sub, diag, super, rhs
-    sub = np.concatenate([dx[1:], [x[-1] - x[-3]]])
-    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-    sup = np.concatenate([[x[2] - x[0]], dx[:-1]])
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    rhs = np.concatenate([
-        [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0],
-        3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
-        [(dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1],
-    ])
-    s = _solve_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
-    u = (s[:-1] + s[1:] - 2.0 * m) / dx
-    return np.stack([y[:-1], s[:-1], (m - s[:-1]) / dx - u, u / dx], axis=1)
+    sub = dx[1:] + [d1]
+    diag = [dx[1]] + [2.0 * (a + b) for a, b in zip(dx, dx[1:])] + [dx[-2]]
+    sup = [d0] + dx[:-1]
+    rhs = ([((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0]
+           + [3.0 * (h1 * m0 + h0 * m1) for h0, h1, m0, m1 in zip(dx, dx[1:], m, m[1:])]
+           + [(dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1])
+    s = _solve_tridiagonal(sub, diag, sup, rhs)
+    rows = []
+    for yi, s0, s1, mi, h in zip(y, s, s[1:], m, dx):
+        u = (s0 + s1 - 2.0 * mi) / h
+        rows.append((yi, s0, (mi - s0) / h - u, u / h))
+    return rows
 
 
 def _solve_tridiagonal(sub, diag, sup, rhs):
@@ -176,7 +264,7 @@ def _solve_tridiagonal(sub, diag, sup, rhs):
     x[-1] = b[-1] / d[-1]
     for i in range(n - 2, -1, -1):
         x[i] = (b[i] - sup[i] * x[i + 1]) / d[i]
-    return np.array(x)
+    return x
 
 
 def _smoothstep_blend(c, r0):
@@ -209,7 +297,7 @@ class WarpingProfile:
     r0: Optional[float] = None
     table: Optional[tuple] = None  # (r, f) samples for kind == "custom"
     pieces: tuple = field(init=False, repr=False, compare=False)
-    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    knots: tuple = field(init=False, repr=False, compare=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -231,70 +319,49 @@ class WarpingProfile:
         elif self.kind == "custom":
             if self.table is None:
                 raise ModelError("custom profile requires a sample table")
-            r, fvals = np.asarray(self.table[0], float), np.asarray(self.table[1], float)
-            if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0):
+            r, fvals = (list(map(float, col)) for col in self.table)
+            if len(r) != len(fvals):
+                raise ModelError("custom table needs as many f values as radii")
+            if not all(map(math.isfinite, r + fvals)):
+                raise ModelError("custom table must hold finite numbers")
+            if len(r) < 4 or any(b <= a for a, b in zip(r, r[1:])):
                 raise ModelError("custom table needs >= 4 strictly increasing radii")
-            if np.any(r <= 0) or np.any(fvals <= 0):
+            if r[0] <= 0 or min(fvals) <= 0:
                 raise ModelError("custom table must have r > 0 and f > 0")
             # the line through the first row closes the table off below,
             # so tip integrals (volumes) stay defined
-            x = r.tolist()
-            pieces = [Piece(0.0, x[0], 0.0, (0.0, float(fvals[0]) / x[0]))]
-            pieces += [Piece(lo, hi, lo, tuple(row)) for lo, hi, row
-                       in zip(x[:-1], x[1:], _not_a_knot_rows(r, fvals).tolist())]
+            pieces = [Piece(0.0, r[0], 0.0, (0.0, fvals[0] / r[0]))]
+            pieces += [Piece(lo, hi, lo, row) for lo, hi, row
+                       in zip(r[:-1], r[1:], _not_a_knot_rows(r, fvals))]
         else:
             raise ModelError(f"unknown profile kind {self.kind!r}")
         top = pieces[-1].hi
         knots = [pc.lo for pc in pieces[1:]] + ([top] if top < math.inf else [])
         object.__setattr__(self, "pieces", tuple(pieces))
-        object.__setattr__(self, "knots", np.array(knots))
-        # _rows: per derivative order, the Horner rows (descending powers)
-        # of every piece, as lists for floats and, zero-padded to a common
-        # height, as one array column per piece; with the pieces' lo and x0
-        rows = [[list(Poly(pc.coef).deriv(k).coef[::-1]) for pc in pieces]
-                for k in range(4)]
-        height = len(max(rows[0], key=len))
-        cols = [np.array([[0.0] * (height - len(row)) + row for row in order]).T.copy()
-                for order in rows]
+        object.__setattr__(self, "knots", tuple(knots))
+        # _rows: the pieces' lo and x0, and per derivative order the Horner
+        # rows (descending powers) of every piece
+        rows = [[Poly(pc.coef).deriv(k).coef[::-1] for pc in pieces] for k in range(4)]
         los, x0s = [pc.lo for pc in pieces], [pc.x0 for pc in pieces]
-        object.__setattr__(self, "_rows", (los, x0s, rows, top,
-                                           np.array(los), np.array(x0s), cols))
+        object.__setattr__(self, "_rows", (los, x0s, rows, top))
 
     # -- evaluation ------------------------------------------------------
 
     def _eval(self, r, order):
-        """Derivative `order` of f by Horner's rule on the piece holding r.
-
-        A float (np.float64 included) runs in plain float arithmetic, as
-        numpy boxing would cost far more than the polynomial; an array
-        runs the same operations elementwise.
-        """
-        los, x0s, rows, top, lo_arr, x0_arr, cols = self._rows
-        if isinstance(r, float):
-            r = float(r)
-            if not 0.0 < r <= top:  # NaN fails the comparison too
-                self._refuse(r)
-            i = bisect.bisect_right(los, r) - 1
-            t = r - x0s[i]
-            out = 0.0
-            for a in rows[order][i]:
-                out = out * t + a
-            return out
-        r = np.asarray(r, dtype=float)
-        if r.size and not (r.min() > 0.0 and (top == math.inf or r.max() <= top)):
+        """Derivative `order` of f at r by Horner's rule on the piece holding r."""
+        los, x0s, rows, top = self._rows
+        r = float(r)
+        if not 0.0 < r <= top:  # NaN fails the comparison too
             self._refuse(r)
-        i = lo_arr.searchsorted(r, side="right") - 1
-        t = r - x0_arr.take(i)
-        coef = cols[order].take(i, axis=1)
-        out = coef[0] * t
-        for a in coef[1:-1]:
-            out += a
-            out *= t
-        out += coef[-1]
-        return float(out) if out.ndim == 0 else out
+        i = bisect.bisect_right(los, r) - 1
+        t = r - x0s[i]
+        out = 0.0
+        for a in rows[order][i]:
+            out = out * t + a
+        return out
 
     def _refuse(self, r):
-        if not np.all(np.asarray(r) > 0.0):
+        if not r > 0.0:
             raise ModelError("profile is only defined for r > 0")
         raise ModelError(f"profile is only defined up to r = {self.pieces[-1].hi!r}, "
                          "the top of its table")
@@ -323,8 +390,7 @@ class WarpingProfile:
         On a piece (N/F^p)' = (N'F - p F'N) / F^(p+1) with F > 0, so the
         candidates are the ends of the piece's part of [lo, hi] (both
         one-sided values at a knot) and the real roots of N'F - p F'N
-        inside it.  Complex roots are taken by their real part: they add
-        only values the function takes, never one below its minimum.
+        inside it (`Poly.real_roots`).
         """
         if not 0.0 < lo <= hi <= self.pieces[-1].hi:
             raise ModelError(f"minimum over [{lo!r}, {hi!r}] leaves the profile's range")
@@ -335,8 +401,10 @@ class WarpingProfile:
             F = Poly(pc.coef)
             N = numer(F)
             u, v = max(lo, pc.lo) - pc.x0, min(hi, pc.hi) - pc.x0
-            roots = (N.deriv() * F - power * F.deriv() * N).roots()
-            for t in (u, v, *(x for x in roots if u < x < v)):
+            # with F > 0, N' alone where power = 0
+            D = N.deriv() * F - power * F.deriv() * N if power else N.deriv()
+            roots = D.real_roots(u, v)
+            for t in (u, v, *roots):
                 out = min(out, N(t) / F(t) ** power)
         return out
 
@@ -452,10 +520,38 @@ def model_from_id(model_id: str, n: int) -> ModelManifold:
     if head in ("smoothed-cone", "smoothed_cone") and len(parts) == 3:
         return make_model("smoothed_cone", n, c=float(parts[1]), r0=float(parts[2]))
     if head == "custom" and len(parts) >= 2:
-        path = ":".join(parts[1:])
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        return make_model("custom", n, table=(data["r"], data["f"]))
+        return make_model("custom", n, table=_read_table(":".join(parts[1:])))
     raise ModelError(f"unrecognized model id {model_id!r}")
+
+
+def _read_table(path: str):
+    """(r, f) of a CSV table whose header names the columns r and f (others
+    are ignored, as are blank lines); a cell that is missing or not a
+    finite number is refused with its line and column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+    if not rows:
+        raise ModelError(f"custom table {path} is empty")
+    names = [name.strip() for name in rows[0][1]]
+    columns = {}
+    for name in ("r", "f"):
+        if name not in names:
+            raise ModelError(f"custom table {path}: its header names no column {name!r}")
+        columns[name] = names.index(name)
+    table = {"r": [], "f": []}
+    for line, row in rows[1:]:
+        for name, j in columns.items():
+            cell = row[j].strip() if j < len(row) else ""
+            try:
+                x = float(cell)
+            except ValueError:
+                x = math.nan
+            if not math.isfinite(x):
+                raise ModelError(f"custom table {path}: line {line}, column {name}: "
+                                 f"{cell!r} is not a finite number")
+            table[name].append(x)
+    return table["r"], table["f"]
 
 
 def curvature_at(model: ModelManifold, r: float) -> CurvatureSample:
@@ -570,7 +666,7 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         # NaN if any probe is NaN, so the flag needs every probe finite
         fd_residual = fdcheck.max_residual(
             fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
-            for r in np.geomspace(fd_lo, fd_hi, FD_PROBES))
+            for r in quadrature.geomspace(fd_lo, fd_hi, FD_PROBES))
         # the fd residual carries O(h^2) noise, so its boolean gets a looser gate
         parallel_ricci = fd_residual <= max(tol, 10.0 * fdcheck.DEFAULT_H**2)
 

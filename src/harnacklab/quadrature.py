@@ -1,33 +1,60 @@
-"""Numeric core in numpy: Gauss-Legendre panels and Brent's two methods.
+"""Numeric core in plain floats: Gauss-Legendre panels and Brent's two methods.
 
 `gauss_legendre` integrates on panels with the k- and 2k-point Gauss
 rules.  The 2k-point value is kept and |Q_2k - Q_k| is its error
 estimate; panels are halved, level by level, until each integral meets
-its gate or a fixed cap is reached.  The integrand is evaluated on whole
-arrays of nodes, so many independent integrals (one per grid point, one
-per knot interval) cost one numpy call per level.
+its gate or a fixed cap is reached.  Many independent integrals (one per
+knot interval, one per piece of a sweep) run level by level together.
 
 `brent_root` is Brent's bracketing root finder and `brent_min` his
 bounded minimizer (Brent, *Algorithms for Minimization without
-Derivatives*, 1973, chapters 4 and 5).  Both run in plain floats.
+Derivatives*, 1973, chapters 4 and 5).  `geomspace` lays out the radial
+grids.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = ["gauss_legendre", "brent_root", "brent_min", "QuadratureError"]
+__all__ = ["gauss_legendre", "brent_root", "brent_min", "geomspace", "QuadratureError"]
 
 #: nodes of the k-point rule
 GAUSS_K = 12
-_X1, _W1 = np.polynomial.legendre.leggauss(GAUSS_K)
-_X2, _W2 = np.polynomial.legendre.leggauss(2 * GAUSS_K)
-#: nodes of both rules on [-1, 1], and their weights as two columns
-_NODES = np.concatenate([_X1, _X2])
-_WEIGHTS = np.zeros((3 * GAUSS_K, 2))
-_WEIGHTS[:GAUSS_K, 0], _WEIGHTS[GAUSS_K:, 1] = _W1, _W2
+#: (node, weight) of the k- and 2k-point rules on [0, 1], the positive half
+#: of numpy's ``leggauss(12)`` and ``leggauss(24)`` bit for bit (both rules
+#: are symmetric about 0)
+_HALF_K = (
+    (0.1252334085114689, 0.2491470458134027),
+    (0.3678314989981802, 0.2334925365383546),
+    (0.5873179542866175, 0.20316742672306573),
+    (0.7699026741943047, 0.16007832854334642),
+    (0.9041172563704748, 0.10693932599531907),
+    (0.9815606342467192, 0.04717533638651141),
+)
+_HALF_2K = (
+    (0.06405689286260563, 0.12793819534675202),
+    (0.1911188674736163, 0.12583745634682825),
+    (0.3150426796961634, 0.1216704729278033),
+    (0.4337935076260451, 0.11550566805372552),
+    (0.5454214713888396, 0.10744427011596556),
+    (0.6480936519369755, 0.09761865210411393),
+    (0.7401241915785544, 0.0861901615319532),
+    (0.820001985973903, 0.07334648141108016),
+    (0.8864155270044011, 0.05929858491543636),
+    (0.9382745520027328, 0.04427743881741941),
+    (0.9747285559713095, 0.02853138862893356),
+    (0.9951872199970213, 0.01234122979998869),
+)
+
+
+def _rule(half):
+    """(nodes, weights) of a symmetric rule on [-1, 1], ascending."""
+    pairs = [(-x, w) for x, w in reversed(half)] + list(half)
+    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
+
+
+_X1, _W1 = _rule(_HALF_K)
+_X2, _W2 = _rule(_HALF_2K)
 #: halvings of one integral's range before a miss is declared
 MAX_LEVELS = 50
 #: the most panels one level may hold; past it the misses stand
@@ -38,12 +65,33 @@ class QuadratureError(ValueError):
     """A bracket without a sign change, or a non-finite function value."""
 
 
+def _panel(fun, lo, hi):
+    """(Q_k, Q_2k) of fun on [lo, hi]."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    q1 = q2 = 0.0
+    for x, w in zip(_X1, _W1):
+        q1 += w * fun(mid + half * x)
+    for x, w in zip(_X2, _W2):
+        q2 += w * fun(mid + half * x)
+    return half * q1, half * q2
+
+
+def _owner_sums(size, pairs):
+    """(sum of Q_2k, sum of |Q_2k - Q_k|) over each integral's panels, from
+    pairs ((owner, lo, hi), (Q_k, Q_2k))."""
+    q_sum, e_sum = [0.0] * size, [0.0] * size
+    for (i, _, _), (q1, q2) in pairs:
+        q_sum[i] += q2
+        e_sum[i] += abs(q2 - q1)
+    return q_sum, e_sum
+
+
 def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
     """(value, error estimate, missed) of int_a^b fun for each pair a <= b.
 
-    `a` and `b` are floats or arrays of one shape; the results have that
-    shape (floats and a bool for float input).  `fun` maps an array of
-    nodes to the array of integrand values.
+    `a` and `b` are floats, or sequences of one length; the results are
+    floats and a bool, or lists of them.  `fun` maps a node to the
+    integrand's value there.
 
     An integral is done when the sum of its panels' |Q_2k - Q_k| is within
     its gate max(rtol |Q|, atol), Q its current value.  Until then a panel
@@ -52,39 +100,42 @@ def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
     with panels left after MAX_LEVELS halvings, or when the next level
     would hold more than MAX_PANELS panels, is flagged as missed.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-    shape = a.shape
-    lo, hi = a.ravel(), b.ravel()
-    size = lo.size
-    owner = np.arange(size)
-    width = np.where(hi > lo, hi - lo, 1.0)
-    value, err = np.zeros(size), np.zeros(size)
-    missed = np.zeros(size, dtype=bool)
+    scalar = not isinstance(a, (list, tuple))
+    los, his = ([float(a)], [float(b)]) if scalar else (list(a), list(b))
+    size = len(los)
+    width = [hi - lo if hi > lo else 1.0 for lo, hi in zip(los, his)]
+    value, err, missed = [0.0] * size, [0.0] * size, [False] * size
+    # the panels of this level: (owner, lo, hi)
+    panels = list(zip(range(size), los, his))
     for level in range(MAX_LEVELS + 1):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        q = half[:, None] * (fun(mid[:, None] + half[:, None] * _NODES) @ _WEIGHTS)
-        q1, q2 = q[:, 0], q[:, 1]
-        e = np.abs(q2 - q1)
+        quads = [_panel(fun, lo, hi) for _, lo, hi in panels]
         # each integral's current value, error estimate and gate
-        gate = np.maximum(rtol * np.abs(value + np.bincount(owner, q2, size)), atol)
-        done = err + np.bincount(owner, e, size) <= gate
-        share = (2.0 * half) / width[owner]
-        ok = done[owner] | (e <= np.maximum(rtol * np.abs(q2), gate[owner] * share))
-        last = level == MAX_LEVELS or 2 * np.count_nonzero(~ok) > MAX_PANELS
+        q_sum, e_sum = _owner_sums(size, zip(panels, quads))
+        gate = [max(rtol * abs(v + q), atol) for v, q in zip(value, q_sum)]
+        done = [r + e <= g for r, e, g in zip(err, e_sum, gate)]
+        ok, halve = [], []
+        for panel, (q1, q2) in zip(panels, quads):
+            i, lo, hi = panel
+            e = abs(q2 - q1)
+            if done[i] or e <= max(rtol * abs(q2), gate[i] * ((hi - lo) / width[i])):
+                ok.append((panel, (q1, q2)))
+            else:
+                halve.append((panel, (q1, q2)))
+        last = level == MAX_LEVELS or 2 * len(halve) > MAX_PANELS
         if last:
-            missed[owner[~ok]] = True
-            ok[:] = True
-        value += np.bincount(owner[ok], q2[ok], size)
-        err += np.bincount(owner[ok], e[ok], size)
-        if last or ok.all():
+            for (i, _, _), _ in halve:
+                missed[i] = True
+            ok += halve
+        q_sum, e_sum = _owner_sums(size, ok)
+        value = [v + q for v, q in zip(value, q_sum)]
+        err = [r + e for r, e in zip(err, e_sum)]
+        if last or not halve:
             break
-        bad = ~ok
-        lo, mid, hi, owner = lo[bad], mid[bad], hi[bad], owner[bad]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        owner = np.concatenate([owner, owner])
-    if not shape:
-        return float(value[0]), float(err[0]), bool(missed[0])
-    return value.reshape(shape), err.reshape(shape), missed.reshape(shape)
+        panels = [(i, lo, 0.5 * (lo + hi)) for (i, lo, hi), _ in halve]
+        panels += [(i, 0.5 * (lo + hi), hi) for (i, lo, hi), _ in halve]
+    if scalar:
+        return value[0], err[0], missed[0]
+    return value, err, missed
 
 
 def brent_root(fun, a: float, b: float, xtol: float, rtol: float,
@@ -204,3 +255,13 @@ def brent_min(fun, lo: float, hi: float, xatol: float, maxiter: int = 500):
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     return x, fx
+
+
+def geomspace(start: float, stop: float, num: int) -> tuple:
+    """num >= 1 points from start to stop (both > 0), evenly spaced in log
+    scale, as numpy's geomspace lays them: 10 to the power of the evenly
+    spaced log10s, with both ends exact."""
+    lo, hi = math.log10(start), math.log10(stop)
+    step = (hi - lo) / (num - 1) if num > 1 else 0.0
+    inner = [10.0 ** (i * step + lo) for i in range(1, num - 1)]
+    return (float(start), *inner, float(stop)) if num > 1 else (float(start),)

@@ -40,7 +40,7 @@ def test_01_euclidean_exactness():
     for n in (3, 4, 5, 6):
         model = make_model("euclidean", n)
         profile = compute_profile(model, GRID)
-        mu_rad, mu_tan = hess_b2_eigs_arrays(profile)
+        mu_rad, mu_tan = map(np.asarray, hess_b2_eigs_arrays(profile))
         assert np.max(np.abs(mu_rad - 2.0)) < 1e-6
         assert np.max(np.abs(mu_tan - 2.0)) < 1e-6
         assert minimal_C(model, profile=profile) == pytest.approx(2.0, abs=1e-6)

@@ -521,9 +521,9 @@ def test_cli_import_does_not_load_numpy():
 
 _SYMBOLIC = {"harnacklab.symbolic", "harnacklab.symbolic.engine",
              "harnacklab.symbolic.identities", "harnacklab.symbolic.ring"}
-# models needs numpy and the quadrature core; it loads the FD oracle only to
-# confirm a closed-form parallel Ricci, so only euclidean verify brings it
-_MODELS = {"numpy", "harnacklab.models", "harnacklab.quadrature"}
+# models needs the quadrature core; it loads the FD oracle only to confirm a
+# closed-form parallel Ricci, so only euclidean verify brings it
+_MODELS = {"harnacklab.models", "harnacklab.quadrature"}
 
 
 @pytest.mark.parametrize("argv,code,engine", [
@@ -594,10 +594,10 @@ def test_no_command_loads_sympy():
     assert json.loads(r.stdout) == [[0, False]] * 3 + [[3, False]]
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # scipy is the tests' reference for the numeric core; every command,
-    # the numeric ones included, runs on numpy and the package alone
-    argvs = [
+def _each_command(tmp_path):
+    """One argv of each of the eight commands, the numeric ones on the
+    smoothed cone, where the Green kernel and the sweeps run quadrature."""
+    return [
         ["verify", "--model", "smoothed-cone:0.8:1", "--n", "4", "--C", "10"],
         ["min-c", "--model", "smoothed-cone:0.8:1", "--n", "5"],
         ["audit", "--model", "smoothed-cone:0.8:1", "--n", "4", "--C", "12", "--r", "0.7"],
@@ -609,6 +609,11 @@ def test_no_command_loads_scipy(tmp_path):
         ["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"],
         ["models", "list"],
     ]
+
+
+def _loaded_after_each(argvs, library):
+    """[command, ran to a verdict, library loaded] after each argv, all run
+    in turn in one child process."""
     code = ("import contextlib, io, json, sys\n"
             "from harnacklab.cli import main\n"
             "seen = []\n"
@@ -616,12 +621,81 @@ def test_no_command_loads_scipy(tmp_path):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = main(argv)\n"
             "    seen.append([argv[0], code in (0, 1, 3), any(\n"
-            "        m == 'scipy' or m.startswith('scipy.') for m in sys.modules)])\n"
+            "        m == sys.argv[2] or m.startswith(sys.argv[2] + '.') for m in sys.modules)])\n"
             "print(json.dumps(seen))")
-    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs), library],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout) == [[argv[0], True, False] for argv in argvs]
+    return json.loads(r.stdout)
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is the tests' reference for the numeric core; every command,
+    # the numeric ones included, runs on the package alone
+    argvs = _each_command(tmp_path)
+    assert _loaded_after_each(argvs, "scipy") == [[argv[0], True, False] for argv in argvs]
+
+
+def test_no_command_loads_numpy(tmp_path):
+    # numpy is a test-only reference too: every engine computes in plain floats
+    argvs = _each_command(tmp_path)
+    assert _loaded_after_each(argvs, "numpy") == [[argv[0], True, False] for argv in argvs]
+
+
+@pytest.mark.parametrize("size", ["1", "0", "-5", str(cli.MAX_GRID_SIZE + 1), "100000000000"])
+def test_grid_size_out_of_range_exits_2_before_any_grid(size):
+    # the bound is checked with the config: a grid is never laid out
+    code = ("import contextlib, io, sys\n"
+            "from harnacklab import quadrature\n"
+            "from harnacklab.cli import main\n"
+            "laid = []\n"
+            "quadrature.geomspace = lambda *args: laid.append(args)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['min-c', '--model', 'euclidean', '--n', '4',\n"
+            "                 '--grid-size', sys.argv[1]])\n"
+            "sys.exit(10 * code + len(laid))")
+    r = subprocess.run([sys.executable, "-c", code, size], capture_output=True, text=True)
+    assert r.returncode == 20, r.stderr
+    assert r.stderr.splitlines() == [
+        f"error: grid_size must lie in [2, {cli.MAX_GRID_SIZE}], got {size}"]
+
+
+def test_grid_size_at_its_bounds_runs(capsys):
+    code, doc = run_json(["min-c", "--model", "cone:0.5", "--n", "4", "--grid-size", "2"],
+                         capsys)
+    assert code == 0 and doc["minimal_C"] == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("cell,shown", [("", "''"), ("abc", "'abc'"), ("nan", "'nan'"),
+                                        ("inf", "'inf'"), ("-inf", "'-inf'")])
+@pytest.mark.parametrize("command", [["verify", "--C", "10"], ["min-c"],
+                                     ["corollary", "--triples", "2"], ["export-profile"]])
+def test_custom_table_bad_cell_exits_2_naming_its_place(cell, shown, command, tmp_path):
+    # a missing or non-numeric cell once read as NaN, which passed every
+    # check and was refused only as a parabolic model
+    path = tmp_path / "table.csv"
+    rows = [f"{r!r},{r!r}" for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    rows[3] = f"4.0,{cell}"
+    path.write_text("r,f\n" + "\n".join(rows) + "\n")
+    r = subprocess.run([sys.executable, "-m", "harnacklab.cli", command[0], "--model",
+                        f"custom:{path}", "--n", "4", *command[1:]],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.splitlines() == [
+        f"error: custom table {path}: line 5, column f: {shown} is not a finite number"]
+
+
+def test_custom_table_columns_by_name(tmp_path, capsys):
+    # the header names the columns, in any order, beside others
+    r = [0.5, 1.0, 2.0, 4.0, 8.0]
+    path = tmp_path / "table.csv"
+    path.write_text("f, note ,r\n" + "".join(f"{0.5 * x!r},x,{x!r}\n" for x in r) + "\n")
+    code, doc = run_json(["min-c", "--model", f"custom:{path}", "--n", "4",
+                          "--r-min", "0.6", "--r-max", "7", "--grid-size", "16"], capsys)
+    assert code == 0 and doc["minimal_C"] == pytest.approx(0.25, rel=1e-9)
+    path.write_text("r,g\n1,1\n")
+    assert main(["min-c", "--model", f"custom:{path}"]) == 2
+    assert "names no column 'f'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["3", "4", "6", "10"])

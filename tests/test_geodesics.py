@@ -3,6 +3,7 @@ shooting, interpolation bound."""
 
 import json
 import math
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -101,7 +102,7 @@ def test_shot_truncates_at_r_floor(eucl4):
                           n_samples=10)
     assert path.truncated
     assert path.s[-1] == pytest.approx(0.9, abs=1e-12)
-    assert np.allclose(path.r, 1.0 - path.s, rtol=0.0, atol=1e-12)
+    assert np.allclose(path.r, 1.0 - np.asarray(path.s), rtol=0.0, atol=1e-12)
     assert np.allclose(path.phi, 0.3, rtol=0.0, atol=1e-12)
 
 
@@ -248,6 +249,10 @@ def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch)
         return real_quad(*args, **kwargs)
 
     def counting_brentq(fun, *args, **kwargs):
+        # the Clairaut root-finds only, not the root isolation of fp_min
+        if sys._getframe(1).f_globals["__name__"] != "harnacklab.geodesics":
+            return real_brentq(fun, *args, **kwargs)
+
         def counted(x):
             evals.append(x)
             return fun(x)

@@ -37,7 +37,7 @@ def test_euclidean_green_values(eucl4):
 
 
 def test_euclidean_green_power_law_whole_grid(eucl4):
-    assert np.allclose(eucl4.G, eucl4.grid**-2.0, rtol=1e-11, atol=0)
+    assert np.allclose(eucl4.G, np.asarray(eucl4.grid)**-2.0, rtol=1e-11, atol=0)
 
 
 def test_cone_green_closed_form(cone4):
@@ -50,7 +50,7 @@ def test_cone_b_and_grad_b_closed_form(c, n):
     # b = G^{1/(2-n)} = c^{(n-1)/(n-2)} r, so |grad b| = c^{(n-1)/(n-2)}
     prof = compute_profile(make_model("cone", n, c=c))
     slope = c ** ((n - 1) / (n - 2))
-    assert np.allclose(prof.b, slope * prof.grid, rtol=1e-12, atol=0)
+    assert np.allclose(prof.b, slope * np.asarray(prof.grid), rtol=1e-12, atol=0)
     assert np.allclose(prof.grad_b, slope, rtol=1e-12, atol=0)
 
 
@@ -91,7 +91,7 @@ def test_power_laplacian_examples(eucl4, cone4):
 
 def test_gradient_derivative_cross_check(eucl4):
     # numerically differentiating G reproduces the closed-form Gp
-    g, G = eucl4.grid, eucl4.G
+    g, G = np.asarray(eucl4.grid), np.asarray(eucl4.G)
     dG = np.gradient(G, g)
     mid = slice(10, -10)
     assert np.allclose(dG[mid], eucl4.Gp[mid], rtol=5e-3)
@@ -119,7 +119,7 @@ def test_nonparabolic_examples():
 def test_profile_csv_shape(cone4):
     lines = cone4.to_csv().strip().split("\n")
     assert lines[0] == "r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan"
-    assert len(lines) == cone4.grid.size + 1
+    assert len(lines) == len(cone4.grid) + 1
 
 
 def test_grid_validation():
@@ -183,7 +183,7 @@ def test_kernel_matches_full_range_quadrature(kind, n, c, r0):
     model = make_model(kind, n, c=c, r0=r0)
     prof = compute_profile(model, default_grid(1e-2, 1e2, 16))
     ref = np.array([_quad_reference(model, r) for r in prof.grid])
-    assert np.max(np.abs(prof.G / ref - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.asarray(prof.G) / ref - 1.0)) <= 1e-12
     # off-grid points, some of them inside the blend when there is one
     radii = list(np.geomspace(0.013, 77.0, 6))
     if r0 is not None:
@@ -208,7 +208,7 @@ def test_custom_linear_table_reproduces_cone():
     r = np.geomspace(0.5, 50.0, 200)
     model = make_model("custom", 4, table=(r, 0.6 * r))
     prof = compute_profile(model, default_grid(0.05, 20.0, 64))
-    assert np.allclose(prof.G, 0.6**-3 * prof.grid**-2.0, rtol=1e-12, atol=0)
+    assert np.allclose(prof.G, 0.6**-3 * np.asarray(prof.grid)**-2.0, rtol=1e-12, atol=0)
     for x in (0.07, 0.49, 0.51, 3.0, 19.0):
         assert prof.green_at(x) == pytest.approx(0.6**-3 * x**-2.0, rel=1e-12)
 
@@ -231,8 +231,8 @@ def test_concave_table_pointwise_G_is_grid_G(n):
     # one Gauss integral from r up to the next knot, on the grid and off it
     model = make_model("custom", n, table=concave_table())
     prof = compute_profile(model, default_grid(1e-2, 1e2, 2048))
-    pointwise = np.array([prof.green_at(r) for r in prof.grid.tolist()])
-    assert np.max(np.abs(pointwise / prof.G - 1.0)) <= 1e-12
+    pointwise = np.array([prof.green_at(r) for r in prof.grid])
+    assert np.max(np.abs(pointwise / np.asarray(prof.G) - 1.0)) <= 1e-12
     radii = np.geomspace(1.1e-3, 900.0, 7)
     ref = np.array([_quad_reference_cuts(model, r) for r in radii])
     got = np.array([prof.green_at(r) for r in radii.tolist()])
@@ -304,21 +304,23 @@ def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
     # b^2 = c^{2(n-1)/(n-2)} r^2 (c = 1 on euclidean), so Hess b^2 = 2 c^... g
     prof = compute_profile(make_model(kind, n, c=c))
     mu = 2.0 * (1.0 if c is None else c) ** (2.0 * (n - 1) / (n - 2))
-    assert np.max(np.abs(prof.mu_rad / mu - 1.0)) <= tol
-    assert np.max(np.abs(prof.mu_tan / mu - 1.0)) <= tol
+    assert np.max(np.abs(np.asarray(prof.mu_rad) / mu - 1.0)) <= tol
+    assert np.max(np.abs(np.asarray(prof.mu_tan) / mu - 1.0)) <= tol
     for col in (prof.G, prof.Gp, prof.Gpp, prof.b, prof.b2, prof.grad_b):
         assert np.all(np.isfinite(col))
     # the pointwise route (green_at, floats) that refines the sup
-    sample = range(0, prof.grid.size, 29)
+    sample = range(0, len(prof.grid), 29)
     for i in sample:
         assert hess_b2_eigs(prof, float(prof.grid[i])) == pytest.approx(
             (mu, mu), rel=tol, abs=0)
     # each kernel gives the same values on a float as on an array
-    f, fp = prof.model.profile.f(prof.grid), prof.model.profile.fp(prof.grid)
-    q1, q2 = prof.Gp / prof.G, prof.Gpp / prof.G
+    p = prof.model.profile
+    f, fp = (np.vectorize(fun, otypes=[float])(prof.grid) for fun in (p.f, p.fp))
+    G = np.asarray(prof.G)
+    q1, q2 = np.asarray(prof.Gp) / G, np.asarray(prof.Gpp) / G
     derivs = green_derivs(n, f, fp)
     for beta in (2.0 / (2 - n), 1.0 / (2 - n), 1.0):
-        jet = power_jet(prof.G, q1, q2, beta)
+        jet = power_jet(G, q1, q2, beta)
         lap = radial_laplacian(n, f, fp, jet[1], jet[2])
         for i in sample:
             args = (float(prof.G[i]), float(q1[i]), float(q2[i]))

@@ -66,12 +66,14 @@ def test_euclidean_htilde_closed_form(eucl4):
 def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
     prof = compute_profile(model_from_id(model_id, n))
     p = prof.model.profile
-    cols = (prof.G, prof.Gp / prof.G, prof.Gpp / prof.G, p.f(prof.grid),
-            p.fp(prof.grid))
+    Gs = np.asarray(prof.G)
+    cols = (Gs, np.asarray(prof.Gp) / Gs, np.asarray(prof.Gpp) / Gs,
+            np.vectorize(p.f, otypes=[float])(prof.grid),
+            np.vectorize(p.fp, otypes=[float])(prof.grid))
     for C in (2.0, 12.0):
         h_rad, h_tan = _htilde(n, C, *cols)
         assert np.all(np.isfinite(h_rad)) and np.all(np.isfinite(h_tan))
-        for i in range(0, prof.grid.size, 29):
+        for i in range(0, len(prof.grid), 29):
             G, q1, q2 = (float(col[i]) for col in cols[:3])
             one = _htilde(n, C, *(float(col[i]) for col in cols))
             # at C = 2 the sums cancel to 0: compare against their terms' size
@@ -80,7 +82,7 @@ def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
                                         abs=4 * np.finfo(float).eps * terms)
     if model_id == "euclidean":
         # h_rad = h_tan = ((n-2)/2)(C-2) G^alpha, finite at every n
-        expect = 0.5 * (n - 2) * 10.0 * prof.G ** (n / (n - 2.0))
+        expect = 0.5 * (n - 2) * 10.0 * Gs ** (n / (n - 2.0))
         assert np.allclose(h_rad, expect, rtol=1e-12, atol=0)
         assert np.allclose(h_tan, expect, rtol=1e-12, atol=0)
 
@@ -142,13 +144,14 @@ def test_pointwise_equivalence_lambda_vs_margin(cone4):
     # Hess b^2 <= C g at a point <=> lowest Htilde eigenvalue >= 0 there,
     # via the exact linear relation lam = ((n-2)/2) G^alpha (C - mu_max)
     from harnacklab.harnack import hess_b2_eigs_arrays
-    galpha = cone4.G**2  # n = 4, alpha = 2
+    G, f = np.asarray(cone4.G), cone4.model.profile
+    galpha = G**2  # n = 4, alpha = 2
     mu_rad, mu_tan = hess_b2_eigs_arrays(cone4)
     mu = np.maximum(mu_rad, mu_tan)
-    G, f = cone4.G, cone4.model.profile
     for C in (0.2, 0.25, 1.0):
-        lam = np.minimum(*_htilde(4, C, G, cone4.Gp / G, cone4.Gpp / G,
-                                  f.f(cone4.grid), f.fp(cone4.grid)))
+        lam = np.minimum(*_htilde(4, C, G, np.asarray(cone4.Gp) / G, np.asarray(cone4.Gpp) / G,
+                                  np.vectorize(f.f, otypes=[float])(cone4.grid),
+                                  np.vectorize(f.fp, otypes=[float])(cone4.grid)))
         expect = galpha * (C - mu)
         assert np.allclose(lam, expect, rtol=1e-9, atol=1e-12 * galpha.max())
 

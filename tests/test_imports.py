@@ -4,8 +4,8 @@ Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
 only in the CLI's command functions, each of which loads the engine it runs,
 and in ``models.hypothesis_report``, which loads the FD oracle only where
-the closed form finds Ricci parallel; no module imports sympy or scipy, which only the tests use, as
-references; and no module but ``models`` reads how a warping profile
+the closed form finds Ricci parallel; no module imports sympy, scipy or
+numpy, which only the tests use, as references; and no module but ``models`` reads how a warping profile
 was specified (its kind and parameters) rather than its pieces, or
 decides its end from its top piece.
 """
@@ -115,6 +115,11 @@ def test_no_module_imports_sympy():
 
 def test_no_module_imports_scipy():
     assert _importers("scipy") == []
+
+
+def test_no_module_imports_numpy():
+    # numpy is a reference of the tests, like scipy and sympy
+    assert _importers("numpy") == []
 
 
 #: what only models.py may touch: the parameters a profile is built from,

@@ -1,6 +1,7 @@
 """Model manifolds: warping profiles, closed-form curvature, hypotheses."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -429,7 +430,23 @@ def test_tail_slope_is_the_limit_of_the_volume_ratio(kind, c, r0, n):
     assert hypothesis_report(model, 1e-2, 1e2).tail_slope == a
 
 
-# -- float and array evaluation: one set of formulas, two input types -----------
+# -- float evaluation against the pieces' Horner rows in numpy ------------------
+
+
+def array_eval(profile, order, r):
+    """Derivative `order` of f at the radii r, each piece's Horner rows run
+    by numpy's polyval: the array path the profile kept before it became
+    float-only, now the reference for the float path."""
+    r = np.asarray(r, dtype=float)
+    los = np.array([pc.lo for pc in profile.pieces])
+    idx = los.searchsorted(r, side="right") - 1
+    out = np.empty_like(r)
+    for i, pc in enumerate(profile.pieces):
+        inside = idx == i
+        coef = models.Poly(pc.coef).deriv(order).coef
+        out[inside] = np.polynomial.polynomial.polyval(r[inside] - pc.x0, coef)
+    return out
+
 
 EVAL_MODELS = ("euclidean", "cone:0.3", "cone:0.7", "smoothed-cone:0.5:1",
                "smoothed-cone:0.8:2", "smoothed-cone:0.2:0.5")
@@ -452,9 +469,8 @@ def test_float_and_array_evaluation_agree(model_id):
     r = _eval_grid(p)
     if p.kind == "smoothed_cone":
         assert {0.5 * p.r0, p.r0} <= set(r.tolist())
-    for fun in (p.f, p.fp, p.fpp, p.fppp):
-        arr = fun(r)
-        assert isinstance(arr, np.ndarray) and arr.shape == r.shape
+    for order, fun in enumerate((p.f, p.fp, p.fpp, p.fppp)):
+        arr = array_eval(p, order, r)
         for x, want in zip(r, arr):
             for arg in (float(x), np.float64(x)):
                 got = fun(arg)
@@ -466,8 +482,8 @@ def test_custom_profile_float_evaluation():
     r = np.linspace(0.5, 5.0, 40)
     p = make_model("custom", 4, table=(r, r + 0.1 * np.sin(r))).profile
     x = np.array([0.1, 0.5, 1.234, 4.9, 5.0])
-    for fun in (p.f, p.fp, p.fpp, p.fppp):
-        arr = fun(x)
+    for order, fun in enumerate((p.f, p.fp, p.fpp, p.fppp)):
+        arr = array_eval(p, order, x)
         got = [fun(float(v)) for v in x]
         assert all(type(g) is float for g in got)
         assert np.array_equal(got, arr)
@@ -481,7 +497,7 @@ def test_float_and_array_evaluation_reject_the_same_inputs(model_id, bad):
         p = make_model("custom", 4, table=(r, r)).profile
     else:
         p = model_from_id(model_id, 4).profile
-    for arg in (bad, np.float64(bad), np.array(bad), np.array([1.0, bad])):
+    for arg in (bad, np.float64(bad), np.array(bad)):
         for fun in (p.f, p.fp, p.fpp, p.fppp):
             with pytest.raises(ModelError, match="only defined for r > 0"):
                 fun(arg)
@@ -508,14 +524,14 @@ def _blend_reference(profile, r):
 def test_smoothed_cone_pieces_match_the_closed_blend(model_id):
     p = model_from_id(model_id, 4).profile
     r = _eval_grid(p)
-    funs = (p.f, p.fp, p.fpp, p.fppp)
+    funs = [np.vectorize(fun, otypes=[float]) for fun in (p.f, p.fp, p.fpp, p.fppp)]
     for order, (fun, want) in enumerate(zip(funs, _blend_reference(p, r))):
         got = fun(r)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), order
     # outside the blend the pieces are f = r and f = c r, exactly
     below, above = r[r < 0.5 * p.r0], r[r >= p.r0]
-    assert np.array_equal(p.f(below), below) and np.array_equal(p.f(above), p.c * above)
-    assert np.all(p.fp(below) == 1.0) and np.all(p.fp(above) == p.c)
+    assert np.array_equal(funs[0](below), below) and np.array_equal(funs[0](above), p.c * above)
+    assert np.all(funs[1](below) == 1.0) and np.all(funs[1](above) == p.c)
     for fun in funs[2:]:
         assert np.all(fun(below) == 0.0) and np.all(fun(above) == 0.0)
 
@@ -524,9 +540,10 @@ def _dense_margins(model, r_min, r_max):
     """(min k_rad, min Ricci) over dense samples of [r_min, r_max] and the
     knots inside it: the sampled second route to the exact minima."""
     p, n = model.profile, model.n
-    knots = p.knots[(p.knots >= r_min) & (p.knots <= r_max)]
+    knots = np.asarray(p.knots)
+    knots = knots[(knots >= r_min) & (knots <= r_max)]
     r = np.concatenate([np.geomspace(r_min, r_max, 200001), knots])
-    f, fp, fpp = p.f(r), p.fp(r), p.fpp(r)
+    f, fp, fpp = (array_eval(p, order, r) for order in range(3))
     k_rad = -fpp / f
     ric_tan = k_rad + (n - 2) * (1.0 - fp * fp) / (f * f)
     return k_rad.min(), min((n - 1) * k_rad.min(), ric_tan.min())
@@ -569,6 +586,76 @@ def test_linear_models_have_zero_sectional_margin(model_id):
     assert rep.nonneg_sectional_along_gradG and rep.nonneg_ricci
 
 
+# -- real roots of a polynomial in an interval ----------------------------------
+
+
+def _seeded_polys(seed):
+    """(ascending coefficients, u, v, [(root, multiplicity)] in [u, v]) of
+    products of seeded linear and quadratic factors of degree <= 9: simple
+    roots, double roots, complex pairs, and roots at the interval's ends.
+    Every root, end and coefficient is a multiple of a power of 2 small
+    enough for the products to be exact in floats, so the roots are known."""
+    rng = np.random.default_rng(seed)
+    P = np.polynomial.Polynomial
+    for _ in range(40):
+        lo, hi = sorted(rng.choice(np.arange(-12, 13), 2, replace=False).tolist())
+        poly = P([rng.choice([-1.0, 1.0]) * rng.integers(1, 5) / 2.0])
+        roots = Counter()
+        while poly.degree() < 9:
+            kind = rng.integers(4)
+            if kind == 2 and poly.degree() <= 7:  # a complex pair
+                re, im = rng.integers(-12, 13) / 4.0, rng.integers(1, 9) / 4.0
+                poly *= P([re * re + im * im, -2.0 * re, 1.0])
+                continue
+            if kind == 3:  # at an end, or outside
+                x = rng.choice([lo, hi, lo - rng.integers(1, 4), hi + rng.integers(1, 4)]) / 4.0
+            else:
+                x = rng.integers(lo, hi + 1) / 4.0
+            m = 2 if kind == 1 and poly.degree() <= 7 else 1
+            poly *= P([-x, 1.0]) ** m
+            if lo <= 4.0 * x <= hi:
+                roots[float(x)] += m
+        yield poly.coef.tolist(), lo / 4.0, hi / 4.0, sorted(roots.items())
+
+
+def _root_tolerance(coef, u, v, root, m):
+    """How far rounding may move a root of multiplicity m: the polynomial's
+    values carry Horner's error bound on [u, v], and near the root it grows
+    as |p^(m)(root)/m!| |x - root|^m."""
+    reach = max(abs(u), abs(v))
+    noise = 4.0 * len(coef) * 2.0**-52 * sum(abs(a) * reach**k for k, a in enumerate(coef))
+    lead = abs(np.polynomial.polynomial.polyval(
+        root, np.polynomial.polynomial.polyder(coef, m))) / math.factorial(m)
+    return 2.0 * (noise / lead) ** (1.0 / m) + 1e-15 * reach
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_real_roots_match_polyroots(seed):
+    for coef, u, v, roots in _seeded_polys(seed):
+        got = models.Poly(coef).real_roots(u, v)
+        assert got == sorted(got) and all(u <= x <= v for x in got)
+        assert len(got) <= sum(m for _, m in roots)
+        tol = [_root_tolerance(coef, u, v, x, m) for x, m in roots]
+        # every root found is one the polynomial was made of, to rounding
+        for x in got:
+            assert any(abs(x - want) <= t for (want, _), t in zip(roots, tol)), (coef, u, v, x)
+        # numpy's companion-matrix roots, the real ones among them, in [u, v],
+        # are found too: the rounded coefficients may turn a double root into
+        # two real roots, or into a complex pair with no real root to find
+        for z in np.polynomial.polynomial.polyroots(coef):
+            if z.imag == 0.0 and u <= z.real <= v:
+                i = min(range(len(roots)), key=lambda i: abs(roots[i][0] - z.real))
+                assert min(abs(x - roots[i][0]) for x in got) <= tol[i], (coef, u, v, z)
+
+
+def test_real_roots_of_constants_and_lines():
+    assert models.Poly((0.0,)).real_roots(-1.0, 1.0) == []
+    assert models.Poly((2.0, 0.0, 0.0)).real_roots(-1.0, 1.0) == []
+    assert models.Poly((-0.5, 1.0)).real_roots(0.0, 1.0) == [0.5]
+    assert models.Poly((-0.5, 1.0)).real_roots(0.6, 1.0) == []
+    assert models.Poly((0.0, 1.0)).real_roots(0.0, 1.0) == pytest.approx([0.0], abs=1e-14)
+
+
 # -- f' minimum: the monotonicity precondition of the Clairaut sweeps -----------
 
 
@@ -606,7 +693,7 @@ def test_fp_min_custom_spline_against_dense_samples():
     r = np.linspace(1.0, 5.0, 9)
     fvals = np.array([1.0, 1.6, 1.9, 1.7, 1.8, 2.6, 3.0, 3.1, 4.0])
     p = make_model("custom", 4, table=(r, fvals)).profile
-    dense = p.fp(np.linspace(1.0, 5.0, 200001))
+    dense = array_eval(p, 1, np.linspace(1.0, 5.0, 200001))
     assert p.fp_min(1e-4, 5.0) == pytest.approx(dense.min(), abs=1e-8)
     assert p.fp_min(1e-4, 5.0) <= dense.min()
     assert p.fp_min(1e-4, 0.5) == pytest.approx(1.0)  # the linear tip

@@ -1,4 +1,5 @@
-"""The numeric core and the custom-profile spline against scipy, the reference."""
+"""The numeric core and the custom-profile spline against scipy and numpy,
+the references."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy.interpolate import CubicSpline
 
+import quad_reference
 from harnacklab import quadrature
 from harnacklab.models import make_model
 from tables import concave_table
@@ -41,13 +43,53 @@ def test_gauss_matches_quad(seed):
 
 
 def test_gauss_integrals_are_independent_and_exact_on_polynomials():
-    lo, hi = np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([[1.0, 3.0], [2.0, 0.5]])
+    lo, hi = [0.0, 1.0, 2.0, -1.0], [1.0, 3.0, 2.0, 0.5]
     val, err, missed = quadrature.gauss_legendre(lambda x: 5 * x**4 - 3 * x**2, lo, hi,
                                                  rtol=1e-14)
-    assert val.shape == err.shape == missed.shape == (2, 2)
-    exact = (hi**5 - hi**3) - (lo**5 - lo**3)
-    assert np.allclose(val, exact, rtol=1e-14, atol=1e-14) and not missed.any()
-    assert val[1, 0] == 0.0  # an empty interval
+    assert len(val) == len(err) == len(missed) == 4
+    exact = [(b**5 - b**3) - (a**5 - a**3) for a, b in zip(lo, hi)]
+    assert np.allclose(val, exact, rtol=1e-14, atol=1e-14) and not any(missed)
+    assert val[2] == 0.0  # an empty interval
+
+
+def test_gauss_rules_are_numpys_leggauss():
+    for nodes, weights, k in ((quadrature._X1, quadrature._W1, quadrature.GAUSS_K),
+                              (quadrature._X2, quadrature._W2, 2 * quadrature.GAUSS_K)):
+        want_x, want_w = np.polynomial.legendre.leggauss(k)
+        for got, want in zip(nodes + weights, want_x.tolist() + want_w.tolist()):
+            assert abs(got - want) <= math.ulp(want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gauss_matches_the_numpy_panels(seed):
+    # the same panels and gates as the array form: the same values to the
+    # rounding of the sums, the same misses, and the same integrals at once
+    for fun, a, b, _ in _seeded_integrands(seed):
+        for rtol in (1e-12, 1e-6):
+            got = quadrature.gauss_legendre(fun, a, b, rtol=rtol)
+            want = quad_reference.gauss_legendre(fun, a, b, rtol=rtol)
+            assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
+            assert got[1] == pytest.approx(want[1], rel=1e-6, abs=1e-15 * abs(want[0]))
+            assert got[2] == want[2]
+    def fun(x):
+        return 1.0 / np.sqrt(x) + np.cos(7.0 * x)
+
+    lo, hi = [0.0, 0.5, 1e-3], [1.0, 3.0, 1.0]
+    got = quadrature.gauss_legendre(fun, lo, hi, rtol=1e-12)
+    want = quad_reference.gauss_legendre(fun, np.array(lo), np.array(hi), rtol=1e-12)
+    assert got[0] == pytest.approx(want[0].tolist(), rel=1e-14, abs=0.0)
+    assert got[2] == want[2].tolist()
+
+
+def test_geomspace_is_numpys_with_exact_ends():
+    # numpy's power is its own SIMD routine, which differs from libm's by an
+    # ulp at about 5 % of the points
+    for start, stop, num in ((1e-2, 1e2, 512), (1e-2, 1e2, 4096), (1e-3, 1e3, 4000),
+                             (0.5, 3.0, 7), (2.0, 2.0, 3), (1e-4, 1e4, 65536)):
+        got = quadrature.geomspace(start, stop, num)
+        want = np.geomspace(start, stop, num).tolist()
+        assert len(got) == num and (got[0], got[-1]) == (start, stop)
+        assert all(abs(x - y) <= math.ulp(y) for x, y in zip(got, want))
 
 
 def test_gauss_flags_a_miss_it_cannot_resolve():
@@ -116,7 +158,7 @@ def test_spline_matches_scipy_cubic_spline(table):
     x = np.concatenate([r, np.geomspace(r[0], r[-1], 997)])
     for order, fun in enumerate((p.f, p.fp, p.fpp, p.fppp)):
         want = ref(x, order)
-        got = fun(x)
+        got = np.vectorize(fun, otypes=[float])(x)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, order
         # floats take the same polynomial through plain float arithmetic

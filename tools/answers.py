@@ -1,7 +1,8 @@
 """Answers digest: what every benchmark argv exits with, prints and writes.
 
     PYTHONPATH=<checkout>/src python tools/answers.py --seeds 101-105 > A.json
-    python tools/answers.py --diff A.json B.json
+    PYTHONPATH=<checkout>/src python tools/answers.py --values > A.json
+    python tools/answers.py --diff A.json B.json [--rtol 1e-12]
 
 The first form takes every argv of the benchmark workloads, timed cycle
 and known-defect probes alike, from ``perfbench/workloads.py`` (imported
@@ -10,8 +11,21 @@ only), gives each its own ``--output-dir`` and runs it in-process through
 a sha256 of stdout, the first line of stderr and a sha256 of each
 artifact.  The output directories are relative paths inside a temporary
 working directory, so the config a report echoes is the same for every
-checkout.  The second form lists each entry whose digests differ; it
-prints nothing, and exits 0, when the two digests agree.
+checkout.
+
+With ``--values`` it records the values instead of their digests: the
+parsed JSON report, and each artifact parsed (a JSON report as such, a
+CSV table as its header and one list of numbers per column).  A move of
+one ulp changes a sha but not a value, so this form can tell rounding
+from a wrong answer.
+
+``--diff`` lists each entry and field that differ between two digests of
+one form; it prints nothing, and exits 0, when they agree.  Exit codes,
+strings, booleans, integers and the shape of every report must agree
+exactly.  A float may move by ``--rtol`` relative (0, exact, by default):
+each field past it is listed once, with how many of its values moved
+past it and its largest relative move (list entries and CSV rows count
+as one field).
 """
 
 from __future__ import annotations
@@ -49,7 +63,22 @@ def _argvs(names, seeds):
                     yield f"{name}:{seed}:{kind}{i}", argv
 
 
-def _answer(main, argv, out_dir: str) -> dict:
+def _parsed(name: str, text: str):
+    """A JSON text as its value, a CSV table as {header, columns}; else the text."""
+    if name.endswith(".json") or name == "stdout":
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text
+    if name.endswith(".csv"):
+        header, *rows = text.splitlines()
+        cols = zip(*(map(float, row.split(",")) for row in rows))
+        return {"header": header,
+                "columns": {h: list(c) for h, c in zip(header.split(","), cols)}}
+    return text
+
+
+def _answer(main, argv, out_dir: str, values: bool) -> dict:
     argv = workloads.fill(argv, out_dir)
     if "--output-dir" not in argv:
         argv = [*argv, "--output-dir", out_dir]
@@ -60,36 +89,67 @@ def _answer(main, argv, out_dir: str) -> dict:
         except Exception as exc:  # a crash is an answer too
             code = f"raised {type(exc).__name__}: {exc}"
     files = sorted(Path(out_dir).glob("*")) if Path(out_dir).is_dir() else []
+    if values:
+        stdout = _parsed("stdout", out.getvalue())
+        artifacts = {p.name: _parsed(p.name, p.read_text()) for p in files}
+    else:
+        stdout = _sha(out.getvalue().encode())
+        artifacts = {p.name: _sha(p.read_bytes()) for p in files}
     return {
         "argv": argv,
         "exit": code,
-        "stdout": _sha(out.getvalue().encode()),
+        "stdout": stdout,
         "stderr": (err.getvalue().splitlines() or [""])[0],
-        "artifacts": {p.name: _sha(p.read_bytes()) for p in files},
+        "artifacts": artifacts,
     }
 
 
-def digest(names, seeds) -> dict:
+def digest(names, seeds, values: bool = False) -> dict:
     from harnacklab.cli import main
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            return {key: _answer(main, argv, f"out/{key.replace(':', '-')}")
+            return {key: _answer(main, argv, f"out/{key.replace(':', '-')}", values)
                     for key, argv in _argvs(names, seeds)}
         finally:
             os.chdir(home)
 
 
-def diff(a: dict, b: dict) -> list:
+def _compare(x, y, path: str, exact: list, moves: dict, rtol: float) -> None:
+    """Walk two values side by side: exact mismatches go to `exact`, float
+    moves past rtol to moves[path] = [count, largest move, x, y]."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for k in sorted(set(x) | set(y)):
+            if k in x and k in y:
+                _compare(x[k], y[k], f"{path}/{k}", exact, moves, rtol)
+            else:
+                exact.append(f"{path}/{k}: {x.get(k)!r} != {y.get(k)!r}")
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        for a, b in zip(x, y):
+            _compare(a, b, f"{path}/[]", exact, moves, rtol)
+    elif type(x) is float and type(y) is float:
+        move = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+        if move > rtol:
+            entry = moves.setdefault(path, [0, 0.0, x, y])
+            entry[0] += 1
+            if move > entry[1]:
+                entry[1:] = [move, x, y]
+    elif x != y:
+        exact.append(f"{path}: {x!r} != {y!r}")
+
+
+def diff(a: dict, b: dict, rtol: float = 0.0) -> list:
     """One line per entry and field that differ between two digests."""
     lines = []
     for key in sorted(set(a) | set(b)):
-        x, y = a.get(key, {}), b.get(key, {})
-        for field in sorted(set(x) | set(y)):
-            if x.get(field) != y.get(field):
-                lines.append(f"{key} {field}: {x.get(field)!r} != {y.get(field)!r}")
+        exact, moves = [], {}
+        _compare(a.get(key, {}), b.get(key, {}), "", exact, moves, rtol)
+        lines += [f"{key} {line.lstrip('/')}" for line in exact]
+        lines += [f"{key} {path.lstrip('/')}: {count} moved past rtol, largest "
+                  f"relative move {move:.3g} ({x!r} -> {y!r})"
+                  for path, (count, move, x, y) in moves.items()]
     return lines
 
 
@@ -98,15 +158,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="101-105", help="a seed or a range lo-hi")
     parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
                         choices=workloads.WORKLOADS)
+    parser.add_argument("--values", action="store_true",
+                        help="record parsed reports and artifacts, not their sha256")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
                         help="list what differs between two digests")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative move a float may make in --diff (default 0)")
     args = parser.parse_args(argv)
     if args.diff:
         a, b = (json.loads(Path(p).read_text()) for p in args.diff)
-        lines = diff(a, b)
+        lines = diff(a, b, args.rtol)
         print("\n".join(lines), end="\n" if lines else "")
         return 1 if lines else 0
-    print(json.dumps(digest(args.workloads, _seeds(args.seeds)), indent=1, sort_keys=True))
+    print(json.dumps(digest(args.workloads, _seeds(args.seeds), args.values),
+                     indent=1, sort_keys=True))
     return 0
 
 
