@@ -10,30 +10,29 @@ the pole, which pins it up to normalization:
 
 The constant is chosen so that G = r^{2-n} when f(r) = r.  Everything
 else (b, b^2, |grad b|, Hess b^2) is a power of G, worked by `power_jet`
-in q1 = G'/G and q2 = G''/G: finite wherever G is.  One kernel,
-`_derivs_at`, gives G' and G'' at a radius, on the grid and pointwise
-alike, in plain floats; a power past the float range is inf there, so
-that the range checks name what left it.
+in q1 = G'/G and q2 = G''/G: finite wherever G is.
 
-G is computed piecewise.  (0, inf) is cut into pieces on which either
-f = a*r exactly, where
+G is computed on the warping profile's own pieces (`models.Piece`), on
+each of which f is one polynomial of r.  Where f = a*r exactly
 
     (n-2) * int_r^s (a t)^{1-n} dt = a^{1-n} (r^{2-n} - s^{2-n})
 
-is closed, or f is not linear and Gauss-Legendre panels integrate it
-(`quadrature.gauss_legendre`), one knot interval at a time: between two
-knots f is one polynomial (the smoothed-cone blend, one interval of a
-custom spline), so the rules converge fast there.  Euclidean space and
-cones are one linear piece, so G = a^{1-n} r^{2-n} with no quadrature at
-all.  A smoothed cone is linear below r0/2 and from r0 on; only its blend
-[r0/2, r0) is integrated.  A custom profile is linear below its table,
-integrated on its spline up to its top, and closed off above the top as
-if f = (f(top)/top) r there (`WarpingProfile.tail_start` and
-`tail_slope`, where every kind's end is decided).  The pieces are worked top
-down, each starting from G at its upper end, and G at every knot is kept
-with the profile.  So G(r), on the grid and pointwise alike, is G at the
-next knot above r plus one integral from r to that knot, and an integral
-whose error estimate misses its gate raises ModelError.
+is closed; on any other piece (the smoothed-cone blend, one interval of a
+custom spline) Gauss-Legendre panels (`quadrature.gauss_legendre`)
+integrate the piece's own polynomial, on which the rules converge fast.
+Euclidean space and cones are one linear piece, so G = a^{1-n} r^{2-n}
+with no quadrature at all; a smoothed cone integrates only its blend
+[r0/2, r0).  The pieces below `WarpingProfile.tail_start` are followed by
+one closed end, f = `tail_slope` * r from there on (where every kind's
+end is decided): the top piece of a profile that reaches to infinity, or
+the closure of a table above its top, so a table is integrated up to its
+top.  G at each piece's upper end (`G_hi`) is worked top down, so G(r),
+on the grid and pointwise alike, is `G_hi` of the piece holding r plus the
+closed form or one integral up to the piece's top, and an integral whose
+error estimate misses its gate raises ModelError.  One kernel, `_kernel`,
+gives G' and G'' from f and f' on the same piece (a table's top radius
+takes them from the table's top piece), in plain floats; a power past
+the float range is inf there, so that the range checks name what left it.
 """
 
 from __future__ import annotations
@@ -43,15 +42,12 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from itertools import groupby
-from typing import NamedTuple, Optional
 
 from . import quadrature
-from .models import ModelError, ModelManifold, nonparabolic_check
+from .models import ModelError, ModelManifold, Piece, Poly, nonparabolic_check
 
 __all__ = [
     "RadialGreenProfile",
-    "GreenPiece",
     "compute_profile",
     "green_derivs",
     "power_jet",
@@ -67,18 +63,6 @@ __all__ = [
 GREEN_RTOL = 1e-13
 
 
-class GreenPiece(NamedTuple):
-    """G on [lo, hi): closed form when f = slope*r there, else quadrature
-    from the next knot up."""
-
-    lo: float
-    hi: float
-    slope: Optional[float]  # None: f is not linear on the piece
-    G_hi: float             # G(hi); 0 for the unbounded top piece
-    knots: Optional[tuple] = None    # quadrature piece: lo, knots of f, hi
-    G_knots: Optional[tuple] = None  # G at those knots
-
-
 def _pow(x, y):
     """x ** y, inf where it overflows or x = 0 < -y: a value past the float
     range is refused by `in_float_range`, not raised on the way."""
@@ -88,30 +72,26 @@ def _pow(x, y):
         return math.inf
 
 
-def _closed_G(piece: GreenPiece, n: int, r_pow: float) -> float:
-    """G(r) = G(hi) + a^{1-n} (r^{2-n} - hi^{2-n}) on a linear piece, from
-    r_pow = r^{2-n} (hi = inf contributes hi^{2-n} = 0)."""
-    return piece.G_hi + piece.slope ** (1 - n) * (r_pow - piece.hi ** (2 - n))
+def _piece_G(n: int, pc: Piece, G_hi: float, radii: list, power=pow) -> list:
+    """G at radii inside the piece pc, from G_hi = G(pc.hi).
 
-
-def _quad_f_pow(model: ModelManifold, r: list, s: list) -> list:
-    """(n-2) * int_r^s f^{1-n} for each pair (r, s), each inside one
-    polynomial piece of f; refuses an estimate past GREEN_RTOL."""
-    n, p = model.n, model.profile
-    val, _, missed = quadrature.gauss_legendre(lambda t: _pow(p.f(t), 1 - n), r, s,
+    Where f = a*r it is closed, G(r) = G_hi + a^{1-n} (r^{2-n} - hi^{2-n})
+    with r^{2-n} = power(r, 2 - n) (hi = inf contributes 0); elsewhere it is
+    G_hi plus one Gauss integral of the piece's polynomial up to pc.hi, and
+    an estimate past GREEN_RTOL is refused.
+    """
+    a = pc.slope
+    if a is not None:
+        scale, top = a ** (1 - n), pc.hi ** (2 - n)
+        return [G_hi + scale * (power(r, 2 - n) - top) for r in radii]
+    F, x0 = Poly(pc.coef), pc.x0
+    val, _, missed = quadrature.gauss_legendre(lambda t: _pow(F(t - x0), 1 - n),
+                                               radii, [pc.hi] * len(radii),
                                                rtol=GREEN_RTOL)
     if any(missed):
         raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
-                         f"[{min(r):.17g}, {max(s):.17g}] at n={n}")
-    return [(n - 2) * v for v in val]
-
-
-def _knot_G(piece: GreenPiece, model: ModelManifold, r: list) -> list:
-    """G at each radius of r on a quadrature piece: G at the first knot >= r
-    plus one integral."""
-    k = [bisect.bisect_left(piece.knots, x) for x in r]
-    seg = _quad_f_pow(model, r, [piece.knots[i] for i in k])
-    return [piece.G_knots[i] + v for i, v in zip(k, seg)]
+                         f"[{min(radii):.17g}, {pc.hi:.17g}] at n={n}")
+    return [G_hi + (n - 2) * v for v in val]
 
 
 def green_derivs(n: int, x, fp, a=1.0):
@@ -119,21 +99,41 @@ def green_derivs(n: int, x, fp, a=1.0):
 
     In general a = 1 and x = f.  Where f = a r exactly, pass the slope a
     and x = r: the powers f^{1-n} = a^{1-n} r^{1-n} are then taken of a
-    and r apart, as `_closed_G` takes them, and not of the rounded product
+    and r apart, as `_piece_G` takes them, and not of the rounded product
     a r, whose rounding the power would multiply by n.
     """
     return (-(n - 2) * _pow(a, 1 - n) * _pow(x, 1 - n),
             (n - 2) * (n - 1) * _pow(a, -n) * _pow(x, -n) * fp)
 
 
-def _derivs_at(model: ModelManifold, r: float):
-    """(G', G'', f, f') at r by `green_derivs`, with x = r and the slope a
-    where f = a r exactly."""
+def _kernel(model: ModelManifold, pc: Piece, r_top: float):
+    """derivs(r) = (G', G'', f, f') at the radii r <= r_top of the piece pc,
+    by `green_derivs`, with x = r and the slope a where f = a*r exactly.
+
+    f and f' come from the profile's piece at pc.lo: pc itself, or at the
+    closed end of a table the table's top piece, which holds the top radius
+    only; above it the profile refuses r_top.  Their Horner rows are built
+    once, with the coefficients `Poly.deriv` gives f'.
+    """
     n, p = model.n, model.profile
-    f, fp = p.f(r), p.fp(r)
-    a = p.piece_at(r).slope
-    Gp, Gpp = green_derivs(n, f, fp) if a is None else green_derivs(n, r, fp, a)
-    return Gp, Gpp, f, fp
+    fpc = p.piece_at(pc.lo)
+    if r_top > fpc.hi:
+        p.f(r_top)  # raises: f stops at a table's top
+    a, x0 = fpc.slope, fpc.x0
+    row = fpc.coef[::-1]  # descending powers of r - x0
+    drow = [k * c for k, c in enumerate(fpc.coef)][:0:-1]
+
+    def derivs(r):
+        t = r - x0
+        f = fp = 0.0
+        for c in row:
+            f = f * t + c
+        for c in drow:
+            fp = fp * t + c
+        Gp, Gpp = green_derivs(n, f, fp) if a is None else green_derivs(n, r, fp, a)
+        return Gp, Gpp, f, fp
+
+    return derivs
 
 
 def power_jet(G, q1, q2, beta: float):
@@ -174,18 +174,22 @@ class RadialGreenProfile:
     grad_b: tuple
     mu_rad: tuple      # eigenvalues of Hess b^2 relative to g
     mu_tan: tuple
-    pieces: tuple  # GreenPiece cover of (0, inf), ascending
+    pieces: tuple  # models.Piece cover of (0, inf), ascending, the last the closed end
+    G_hi: tuple    # G at each piece's upper end
 
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
 
-    def green_at(self, r: float) -> float:
-        """G(r) for any finite r > 0: closed form, or quadrature up to the next knot."""
+    def _piece_index(self, r: float) -> int:
+        """Index of the piece whose [lo, hi) holds a finite r > 0."""
         if not 0.0 < r < math.inf:
             raise ModelError(f"G is defined for a finite r > 0, got r={r!r}")
-        piece = next(pc for pc in self.pieces if r < pc.hi)
-        if piece.slope is not None:
-            return _closed_G(piece, self.model.n, r ** (2 - self.model.n))
-        return _knot_G(piece, self.model, [r])[0]
+        return bisect.bisect_right(self.pieces, r, key=lambda pc: pc.lo) - 1
+
+    def green_at(self, r: float) -> float:
+        """G(r) for any finite r > 0: closed form, or quadrature up to the
+        top of its piece."""
+        k = self._piece_index(r)
+        return _piece_G(self.model.n, self.pieces[k], self.G_hi[k], [r])[0]
 
     def green_derivs_at(self, r: float):
         """(G, G', G'', f, f') at r, the derivatives of G in closed form.
@@ -193,13 +197,14 @@ class RadialGreenProfile:
         Refuses an r where G, G' or G'' leaves the float range, as
         `compute_profile` does on the grid; G > 0, so G = 0 is an underflow.
         """
+        n = self.model.n
         try:
             G = self.green_at(r)
         except OverflowError:  # r^{2-n} past the range
             G = math.inf
-        Gp, Gpp, f, fp = _derivs_at(self.model, r)
+        Gp, Gpp, f, fp = _kernel(self.model, self.pieces[self._piece_index(r)], r)(r)
         if not (G > 0 and in_float_range((G, Gp, Gpp))):
-            raise ModelError(f"G, G' or G'' leaves the float range at n={self.model.n}, "
+            raise ModelError(f"G, G' or G'' leaves the float range at n={n}, "
                              f"r={r:g}; lower n or choose another r")
         return G, Gp, Gpp, f, fp
 
@@ -240,10 +245,13 @@ def default_grid(r_min=1e-2, r_max=1e2, size=512) -> tuple:
 
 
 def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
-    """G on the grid, piece by piece from the top down (see module doc)."""
+    """G on the grid, piece by piece (see module doc)."""
     if grid is None:
         grid = default_grid()
     grid = tuple(map(float, grid))
+    for r in grid:
+        if not math.isfinite(r):
+            raise ModelError(f"grid radius {r!r} is not finite")
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ModelError("grid must be strictly increasing with >= 2 points")
     if grid[0] <= 0:
@@ -255,60 +263,36 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
             "no positive Green function"
         )
     n, p = model.n, model.profile
-
-    # (lo, hi, slope, knots) covering (0, inf): each piece of f = slope*r
-    # is closed, each run of other pieces one quadrature piece on its knots
-    S, a_top = p.tail_start, p.tail_slope
-    spans = []
-    below = (pc for pc in p.pieces if pc.lo < S)
-    for linear, run in groupby(below, key=lambda pc: pc.slope is not None):
-        run = list(run)
-        if linear:
-            spans += [(pc.lo, pc.hi, pc.slope, None) for pc in run]
-        else:
-            hi = run[-1].hi
-            spans.append((run[0].lo, hi, None, tuple([pc.lo for pc in run] + [hi])))
-    spans.append((S, math.inf, a_top, None))
-
-    G = []
-    pieces = []
-    G_hi = 0.0  # G(inf)
-    for lo, hi, a, knots in reversed(spans):
-        inside = [r for r in grid if lo <= r < hi]
-        if a is not None:
-            piece = GreenPiece(lo, hi, a, G_hi)
-            # r^{2-n} is inf past the range, so the G column is refused whole
-            G = [_closed_G(piece, n, _pow(r, 2 - n)) for r in inside] + G
-            if lo > 0:
-                G_hi = _closed_G(piece, n, lo ** (2 - n))
-        else:
-            # G at the knots, accumulated from the top
-            seg = _quad_f_pow(model, list(knots[:-1]), list(knots[1:]))
-            above = [0.0]  # the integral from each knot to hi, from the top
-            for v in reversed(seg):
-                above.append(above[-1] + v)
-            piece = GreenPiece(lo, hi, a, G_hi, knots,
-                               tuple(G_hi + v for v in reversed(above)))
-            G = _knot_G(piece, model, inside) + G
-            G_hi = piece.G_knots[0]
-        pieces.append(piece)
+    S = p.tail_start
+    pieces = (*(pc for pc in p.pieces if pc.lo < S),
+              Piece(S, math.inf, 0.0, (0.0, p.tail_slope)))
+    # G at each upper end, from the top down; the lowest piece starts at 0
+    G_hi = [0.0]  # G(inf)
+    for pc in reversed(pieces[1:]):
+        G_hi += _piece_G(n, pc, G_hi[-1], [pc.lo])
+    G_hi = tuple(reversed(G_hi))
 
     rows = []
-    for r, g in zip(grid, G):
-        Gp, Gpp, f, fp = _derivs_at(model, r)
-        # G = 0 is an underflow: q = inf makes b = inf, which is refused
-        q1, q2 = (Gp / g, Gpp / g) if g else (math.inf, math.inf)
-        b, bp, _ = power_jet(g, q1, q2, 1.0 / (2 - n))
-        b2, b2p, mu_rad, mu_tan = _b2_hessian(n, g, q1, q2, f, fp)
-        rows.append((g, Gp, Gpp, b, b2, b2p, abs(bp), mu_rad, mu_tan))
+    for pc, g_hi in zip(pieces, G_hi):
+        radii = grid[bisect.bisect_left(grid, pc.lo):bisect.bisect_left(grid, pc.hi)]
+        if not radii:
+            continue
+        derivs = _kernel(model, pc, radii[-1])
+        # r^{2-n} is inf past the range, so the G column is refused whole
+        for r, g in zip(radii, _piece_G(n, pc, g_hi, radii, _pow)):
+            Gp, Gpp, f, fp = derivs(r)
+            # G = 0 is an underflow: q = inf makes b = inf, which is refused
+            q1, q2 = (Gp / g, Gpp / g) if g else (math.inf, math.inf)
+            b, bp, _ = power_jet(g, q1, q2, 1.0 / (2 - n))
+            b2, b2p, mu_rad, mu_tan = _b2_hessian(n, g, q1, q2, f, fp)
+            rows.append((g, Gp, Gpp, b, b2, b2p, abs(bp), mu_rad, mu_tan))
     columns = dict(zip(COLUMNS, zip(*rows)))
     for name, col in columns.items():
         if not in_float_range(col):
             raise ModelError(f"{name} leaves the float range on the grid at n={n}, "
                              f"r_min={grid[0]:g}, r_max={grid[-1]:g}; lower n "
                              "or narrow the radii")
-    return RadialGreenProfile(model=model, grid=grid, pieces=tuple(reversed(pieces)),
-                              **columns)
+    return RadialGreenProfile(model=model, grid=grid, pieces=pieces, G_hi=G_hi, **columns)
 
 
 def hess_b2_eigs(profile: RadialGreenProfile, r: float):
@@ -318,7 +302,7 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
         raise ModelError(f"r={r} outside profile grid range")
     G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
     *_, mu_rad, mu_tan = _b2_hessian(profile.model.n, G, Gp / G, Gpp / G, f, fp)
-    return float(mu_rad), float(mu_tan)
+    return mu_rad, mu_tan
 
 
 def hess_b2_eigs_arrays(profile: RadialGreenProfile):

@@ -63,7 +63,7 @@ def htilde_eigs(profile: RadialGreenProfile, r: float, C: float):
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
     h_rad, h_tan = _htilde_at(profile, r, C)
-    return float(h_rad), float(h_tan)
+    return h_rad, h_tan
 
 
 def consistency_hess_vs_H(profile: RadialGreenProfile, r: float) -> float:
@@ -124,14 +124,14 @@ def _sup_mu(profile: RadialGreenProfile):
     idx = mu.index(max(mu))
 
     def neg_mu(r):
-        return -max(hess_b2_eigs(profile, float(r)))
+        return -max(hess_b2_eigs(profile, r))
 
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, len(grid) - 1)]
     if lo == hi:
-        return mu, float(-neg_mu(grid[idx]))
+        return mu, -neg_mu(grid[idx])
     _, fun = quadrature.brent_min(neg_mu, lo, hi, xatol=1e-10 * (hi - lo) + 1e-14)
-    return mu, float(max(-fun, -neg_mu(grid[idx])))
+    return mu, max(-fun, -neg_mu(grid[idx]))
 
 
 def minimal_C(model: ModelManifold, r_min=1e-2, r_max=1e2, grid_size=512,
@@ -182,19 +182,19 @@ def verify_theorem(
             lam_ok = lam_ok and lam >= bound - tol * max(1.0, galpha)
 
     boundary = {
-        "mu_max_at_r_min": float(mu[0]),
-        "mu_max_at_r_max": float(mu[-1]),
-        "lambda_at_r_min": float(min(htilde_eigs(profile, grid[0], C))),
-        "lambda_at_r_max": float(min(htilde_eigs(profile, grid[-1], C))),
+        "mu_max_at_r_min": mu[0],
+        "mu_max_at_r_max": mu[-1],
+        "lambda_at_r_min": min(htilde_eigs(profile, grid[0], C)),
+        "lambda_at_r_max": min(htilde_eigs(profile, grid[-1], C)),
     }
 
     return HarnackReport(
         model_id=model.describe(),
         n=model.n,
         C=float(C),
-        passed=bool(passed),
+        passed=passed,
         exploratory=is_exploratory(C, flags),
-        worst_margin=float(worst_margin),
+        worst_margin=worst_margin,
         minimal_C=min_C,
         violations=violations,
         hypothesis_flags=flags,
@@ -360,17 +360,17 @@ def audit_proof_terms(
         r=float(r),
         C=float(C),
         direction=direction,
-        group_curv1=float(g1),
-        group_curv2=float(g2),
-        group_Hsq=float(g3),
-        group_Csq=float(g4),
-        group_mixed=float(g5),
-        final_bound=float(final_bound),
-        group_Csq_bound=float(g4_bound),
-        group_mixed_bound=float(g5_bound),
-        lap_assembled=float(assembled),
-        lap_fd=float(lap_fd),
-        group_scales={name: float(sum(map(abs, terms))) for name, terms in (
+        group_curv1=g1,
+        group_curv2=g2,
+        group_Hsq=g3,
+        group_Csq=g4,
+        group_mixed=g5,
+        final_bound=final_bound,
+        group_Csq_bound=g4_bound,
+        group_mixed_bound=g5_bound,
+        lap_assembled=assembled,
+        lap_fd=lap_fd,
+        group_scales={name: sum(map(abs, terms)) for name, terms in (
             ("group_curv1", g1_terms), ("group_curv2", (g2,)), ("group_Hsq", (g3,)),
             ("group_Csq", g4_terms), ("group_mixed", g5_terms))},
         hypothesis_flags={k: v for k, v in relied.items() if v},

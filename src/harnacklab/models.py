@@ -564,10 +564,10 @@ def curvature_at(model: ModelManifold, r: float) -> CurvatureSample:
     k_tan = (1.0 - fp * fp) / (f * f)
     return CurvatureSample(
         r=float(r),
-        k_rad=float(k_rad),
-        k_tan=float(k_tan),
-        ric_rad=float((n - 1) * k_rad),
-        ric_tan=float(k_rad + (n - 2) * k_tan),
+        k_rad=k_rad,
+        k_tan=k_tan,
+        ric_rad=(n - 1) * k_rad,
+        ric_tan=k_rad + (n - 2) * k_tan,
     )
 
 
@@ -589,7 +589,7 @@ def ricci_gradient_norm(model: ModelManifold, r: float) -> float:
     d_rad = (n - 1) * dk_rad
     d_tan = dk_rad + (n - 2) * dk_tan
     mixed = fp / f * (s.ric_rad - s.ric_tan)
-    return float(math.sqrt(d_rad**2 + (n - 1) * (d_tan**2 + 2.0 * mixed**2)))
+    return math.sqrt(d_rad**2 + (n - 1) * (d_tan**2 + 2.0 * mixed**2))
 
 
 def nonparabolic_check(model: ModelManifold) -> NonParabolicityReport:
@@ -608,8 +608,8 @@ def nonparabolic_check(model: ModelManifold) -> NonParabolicityReport:
         slope = (math.log(p.f(top)) - math.log(p.f(top / 2.0))) / math.log(2.0)
     tail_exponent = (1 - n) * slope
     return NonParabolicityReport(
-        varopoulos_integral_finite=bool(tail_exponent < -1.0 - 1e-9),
-        tail_exponent=float(tail_exponent),
+        varopoulos_integral_finite=tail_exponent < -1.0 - 1e-9,
+        tail_exponent=tail_exponent,
     )
 
 
@@ -674,15 +674,15 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     tail_slope = p.tail_slope
 
     return HypothesisReport(
-        nonneg_sectional_along_gradG=bool(sec_margin >= -tol),
-        sectional_margin=float(sec_margin),
-        nonneg_ricci=bool(ric_margin >= -tol),
-        ricci_margin=float(ric_margin),
-        parallel_ricci_residual=float(residual),
+        nonneg_sectional_along_gradG=sec_margin >= -tol,
+        sectional_margin=sec_margin,
+        nonneg_ricci=ric_margin >= -tol,
+        ricci_margin=ric_margin,
+        parallel_ricci_residual=residual,
         parallel_ricci_fd_residual=fd_residual,
-        parallel_ricci=bool(parallel_ricci),
-        euclidean_volume_growth=bool(tail_slope >= tol),
-        tail_slope=float(tail_slope),
-        nonparabolic=bool(nonpar),
-        tol=float(tol),
+        parallel_ricci=parallel_ricci,
+        euclidean_volume_growth=tail_slope >= tol,
+        tail_slope=float(tail_slope),  # a cone's c, which a caller may give as an int
+        nonparabolic=nonpar,
+        tol=tol,
     )

@@ -87,10 +87,8 @@ def _owner_sums(size, pairs):
 
 
 def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
-    """(value, error estimate, missed) of int_a^b fun for each pair a <= b.
-
-    `a` and `b` are floats, or sequences of one length; the results are
-    floats and a bool, or lists of them.  `fun` maps a node to the
+    """(value, error estimate, missed) of int_a^b fun for each pair a <= b
+    of the sequences a and b, as three lists.  `fun` maps a node to the
     integrand's value there.
 
     An integral is done when the sum of its panels' |Q_2k - Q_k| is within
@@ -100,8 +98,7 @@ def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
     with panels left after MAX_LEVELS halvings, or when the next level
     would hold more than MAX_PANELS panels, is flagged as missed.
     """
-    scalar = not isinstance(a, (list, tuple))
-    los, his = ([float(a)], [float(b)]) if scalar else (list(a), list(b))
+    los, his = list(a), list(b)
     size = len(los)
     width = [hi - lo if hi > lo else 1.0 for lo, hi in zip(los, his)]
     value, err, missed = [0.0] * size, [0.0] * size, [False] * size
@@ -133,8 +130,6 @@ def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
             break
         panels = [(i, lo, 0.5 * (lo + hi)) for (i, lo, hi), _ in halve]
         panels += [(i, 0.5 * (lo + hi), hi) for (i, lo, hi), _ in halve]
-    if scalar:
-        return value[0], err[0], missed[0]
     return value, err, missed
 
 

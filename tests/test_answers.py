@@ -1,5 +1,6 @@
 """tools/answers.py, the digest of what every benchmark argv answers."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,3 +26,20 @@ def test_digest_diffed_against_itself_is_empty(tmp_path):
     r = subprocess.run([sys.executable, str(TOOL), "--diff", str(digest), str(digest)],
                        capture_output=True, text=True)
     assert (r.returncode, r.stdout) == (0, ""), r.stderr
+
+
+def test_tables_workload_answers_a_custom_table(tmp_path, monkeypatch):
+    # the concave table only, to keep the test cheap
+    spec = importlib.util.spec_from_file_location("answers", TOOL)
+    answers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(answers)
+    monkeypatch.setattr(answers, "TABLES", {"concave": answers.TABLES["concave"]})
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["tables"], answers._seeds("101"), values=True)
+    assert {key: e["exit"] for key, e in entries.items()} == {
+        "tables:concave:verify": 3, "tables:concave:min-c": 0,
+        "tables:concave:export-profile": 0}
+    assert entries["tables:concave:verify"]["stdout"]["verdict"] == "exploratory"
+    csv = entries["tables:concave:export-profile"]["artifacts"]["profile.csv"]
+    assert len(csv["columns"]["G"]) == 512
+    assert answers.diff(entries, entries) == []

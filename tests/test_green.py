@@ -1,5 +1,7 @@
 """Green profile: quadrature vs closed forms, b-function, power rule."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from scipy import integrate
 from harnacklab import quadrature
 from harnacklab.models import ModelError, make_model, model_from_id, nonparabolic_check
 from harnacklab.green import (
-    check_power_laplacian, compute_profile, default_grid, green_derivs,
+    COLUMNS, check_power_laplacian, compute_profile, default_grid, green_derivs,
     hess_b2_eigs, power_jet, radial_laplacian,
 )
 from tables import concave_table, late_bump_table
@@ -130,6 +132,17 @@ def test_grid_validation():
         compute_profile(m, np.array([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_non_finite_grid_radius_is_refused(bad, where):
+    # an inf at the end used to fall out of the columns, which then held
+    # one radius fewer than the grid; a NaN passed both grid checks
+    grid = [0.1, 0.5, 1.0, 5.0, 10.0]
+    grid[where] = bad
+    with pytest.raises(ModelError, match=rf"grid radius {bad!r} is not finite"):
+        compute_profile(make_model("euclidean", 4), grid)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.05, 40.0), st.floats(0.05, 40.0))
 def test_green_is_decreasing_property(r1, r2):
@@ -247,6 +260,28 @@ def test_table_is_integrated_up_to_its_top():
     prof = compute_profile(model)
     ref = _quad_reference_cuts(model, float(prof.grid[-1]))
     assert prof.G[-1] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+EXACT_MODELS = [(model_from_id(mid, n), mid) for mid, n in (
+    ("euclidean", 5), ("cone:0.4", 6), ("smoothed-cone:0.8:1", 4),
+    ("smoothed-cone:0.5:2", 7))] + [
+    (make_model("custom", n, table=table), name) for table, n, name in (
+        (concave_table(), 4, "concave"), (late_bump_table(), 6, "late-bump"))]
+
+
+@pytest.mark.parametrize("model,name", EXACT_MODELS, ids=[name for _, name in EXACT_MODELS])
+def test_pointwise_G_is_grid_G_exactly(model, name):
+    # one G function and one derivative kernel per piece serve the grid and
+    # every pointwise call, so the two agree bit for bit, on the knots too
+    knots = model.profile.knots
+    radii = set(default_grid(1e-2, 1e2, 256)) | set(knots[:-1:len(knots) // 10 or 1])
+    if knots and knots[-1] < math.inf:
+        radii.add(knots[-1])  # a smoothed cone's r0, a table's top
+    prof = compute_profile(model, sorted(radii))
+    assert all(len(getattr(prof, col)) == len(prof.grid) for col in COLUMNS)
+    for i, r in enumerate(prof.grid):
+        assert prof.green_at(r) == prof.G[i]
+        assert prof.green_derivs_at(r)[:3] == (prof.G[i], prof.Gp[i], prof.Gpp[i])
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from harnacklab.models import ModelError, make_model, model_from_id
-from harnacklab.green import compute_profile, default_grid
+from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
 from harnacklab.harnack import (
     _htilde, audit_proof_terms, consistency_hess_vs_H, htilde_eigs, minimal_C,
     verify_theorem,
@@ -138,6 +138,19 @@ def test_minimal_C_examples():
     assert minimal_C(make_model("cone", 4, c=0.5)) == pytest.approx(0.25, abs=1e-6)
     assert minimal_C(make_model("cone", 3, c=0.8)) == pytest.approx(
         2 * 0.8**4, abs=1e-6)
+
+
+def test_minimal_C_refines_the_grid_maximum():
+    # on this blend the largest grid value (2.04376) is 2e-3 below the sup
+    # between its neighbours (2.04603), which only the local search finds
+    model = model_from_id("smoothed-cone:0.8:1", 4)
+    prof = compute_profile(model)
+    mu = [max(pair) for pair in zip(prof.mu_rad, prof.mu_tan)]
+    i = mu.index(max(mu))
+    lo, hi = prof.grid[i - 1], prof.grid[i + 1]
+    dense = max(max(hess_b2_eigs(prof, lo + (hi - lo) * k / 4000)) for k in range(4001))
+    got = minimal_C(model, profile=prof)
+    assert abs(got - dense) <= 1e-8 and got >= dense - 1e-12
 
 
 def test_pointwise_equivalence_lambda_vs_margin(cone4):

@@ -7,11 +7,14 @@
 The first form takes every argv of the benchmark workloads, timed cycle
 and known-defect probes alike, from ``perfbench/workloads.py`` (imported
 only), gives each its own ``--output-dir`` and runs it in-process through
-``harnacklab.cli.main``.  It prints JSON holding, per argv, the exit code,
-a sha256 of stdout, the first line of stderr and a sha256 of each
-artifact.  The output directories are relative paths inside a temporary
-working directory, so the config a report echoes is the same for every
-checkout.
+``harnacklab.cli.main``.  The benchmark runs presets only, so the
+``tables`` workload adds custom profiles: it writes the tables of
+``tests/tables.py`` (``TABLES``) as CSV files and answers ``verify --C 10``,
+``min-c`` and ``export-profile`` at n = 4 on each, whatever the seeds.  It
+prints JSON holding, per argv, the exit code, a sha256 of stdout, the first
+line of stderr and a sha256 of each artifact.  The output directories are
+relative paths inside a temporary working directory, so the config a
+report echoes is the same for every checkout.
 
 With ``--values`` it records the values instead of their digests: the
 parsed JSON report, and each artifact parsed (a JSON report as such, a
@@ -40,8 +43,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench is not a package)
+
+#: the custom tables of the ``tables`` workload: name -> tests/tables.py call
+TABLES = {
+    "concave": ("concave_table", ()),
+    "flat": ("line_table", (4000,)),
+    "bump": ("bump_table", ()),
+    "late-bump": ("late_bump_table", ()),
+}
+TABLE_COMMANDS = (("verify", "--C", "10"), ("min-c",), ("export-profile",))
+CHOICES = (*workloads.WORKLOADS, "tables")
 
 
 def _sha(data: bytes) -> str:
@@ -53,9 +67,26 @@ def _seeds(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
+def _write_tables(directory: Path) -> None:
+    """Each table of TABLES as the CSV file <directory>/<name>.csv."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import tables  # the formulas the custom-table tests sample
+
+    directory.mkdir()
+    for name, (maker, args) in TABLES.items():
+        tables.write_csv(directory / f"{name}.csv", getattr(tables, maker)(*args))
+
+
 def _argvs(names, seeds):
-    """(key, argv) of every cycle slot and probe of the workloads at the seeds."""
+    """(key, argv) of every cycle slot and probe of the workloads at the
+    seeds, and of every table command."""
     for name in names:
+        if name == "tables":
+            for table in TABLES:
+                for cmd, *opts in TABLE_COMMANDS:
+                    yield f"tables:{table}:{cmd}", [
+                        cmd, "--model", f"custom:tables/{table}.csv", "--n", "4", *opts]
+            continue
         for seed in seeds:
             cycle, probes = workloads.build(name, seed)
             for kind, argvs in (("cycle", cycle), ("probe", probes)):
@@ -111,6 +142,8 @@ def digest(names, seeds, values: bool = False) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            if "tables" in names:
+                _write_tables(Path("tables"))
             return {key: _answer(main, argv, f"out/{key.replace(':', '-')}", values)
                     for key, argv in _argvs(names, seeds)}
         finally:
@@ -156,8 +189,8 @@ def diff(a: dict, b: dict, rtol: float = 0.0) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="101-105", help="a seed or a range lo-hi")
-    parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
-                        choices=workloads.WORKLOADS)
+    parser.add_argument("--workloads", nargs="+", default=list(CHOICES),
+                        choices=CHOICES)
     parser.add_argument("--values", action="store_true",
                         help="record parsed reports and artifacts, not their sha256")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
