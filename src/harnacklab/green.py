@@ -28,11 +28,13 @@ end is decided): the top piece of a profile that reaches to infinity, or
 the closure of a table above its top, so a table is integrated up to its
 top.  G at each piece's upper end (`G_hi`) is worked top down, so G(r),
 on the grid and pointwise alike, is `G_hi` of the piece holding r plus the
-closed form or one integral up to the piece's top, and an integral whose
-error estimate misses its gate raises ModelError.  One kernel, `_kernel`,
-gives G' and G'' from f and f' on the same piece (a table's top radius
-takes them from the table's top piece), in plain floats; a power past
-the float range is inf there, so that the range checks name what left it.
+closed form or one integral up to the piece's top, and a finite integral
+whose error estimate misses its gate raises ModelError.  One kernel,
+`_kernel`, gives G' and G'' from f and f' on the same piece (a table's top
+radius takes them from the table's top piece), in plain floats.  A power
+past the float range is inf, in G (a knot below the grid may have one) as
+in the kernel, so that the range checks refuse only the radii that need
+it and name what left the range.
 """
 
 from __future__ import annotations
@@ -72,26 +74,30 @@ def _pow(x, y):
         return math.inf
 
 
-def _piece_G(n: int, pc: Piece, G_hi: float, radii: list, power=pow) -> list:
+def _piece_G(n: int, pc: Piece, G_hi: float, radii: list) -> list:
     """G at radii inside the piece pc, from G_hi = G(pc.hi).
 
     Where f = a*r it is closed, G(r) = G_hi + a^{1-n} (r^{2-n} - hi^{2-n})
-    with r^{2-n} = power(r, 2 - n) (hi = inf contributes 0); elsewhere it is
-    G_hi plus one Gauss integral of the piece's polynomial up to pc.hi, and
-    an estimate past GREEN_RTOL is refused.
+    (hi = inf contributes 0); elsewhere it is G_hi plus one Gauss integral
+    of the piece's polynomial up to pc.hi.  Every power is taken by `_pow`,
+    and a G that is not finite is inf, which the range checks refuse where
+    a radius needs it; a finite integral whose estimate misses GREEN_RTOL
+    is refused here.
     """
     a = pc.slope
     if a is not None:
-        scale, top = a ** (1 - n), pc.hi ** (2 - n)
-        return [G_hi + scale * (power(r, 2 - n) - top) for r in radii]
-    F, x0 = Poly(pc.coef), pc.x0
-    val, _, missed = quadrature.gauss_legendre(lambda t: _pow(F(t - x0), 1 - n),
-                                               radii, [pc.hi] * len(radii),
-                                               rtol=GREEN_RTOL)
-    if any(missed):
-        raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
-                         f"[{min(radii):.17g}, {pc.hi:.17g}] at n={n}")
-    return [G_hi + (n - 2) * v for v in val]
+        scale, top = _pow(a, 1 - n), _pow(pc.hi, 2 - n)
+        G = [G_hi + scale * (_pow(r, 2 - n) - top) for r in radii]
+    else:
+        F, x0 = Poly(pc.coef), pc.x0
+        val, _, missed = quadrature.gauss_legendre(lambda t: _pow(F(t - x0), 1 - n),
+                                                   radii, [pc.hi] * len(radii),
+                                                   rtol=GREEN_RTOL)
+        if any(m and math.isfinite(v) for v, m in zip(val, missed)):
+            raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
+                             f"[{min(radii):.17g}, {pc.hi:.17g}] at n={n}")
+        G = [G_hi + (n - 2) * v for v in val]
+    return [g if math.isfinite(g) else math.inf for g in G]
 
 
 def green_derivs(n: int, x, fp, a=1.0):
@@ -198,11 +204,9 @@ class RadialGreenProfile:
         `compute_profile` does on the grid; G > 0, so G = 0 is an underflow.
         """
         n = self.model.n
-        try:
-            G = self.green_at(r)
-        except OverflowError:  # r^{2-n} past the range
-            G = math.inf
-        Gp, Gpp, f, fp = _kernel(self.model, self.pieces[self._piece_index(r)], r)(r)
+        k = self._piece_index(r)
+        G = _piece_G(n, self.pieces[k], self.G_hi[k], [r])[0]
+        Gp, Gpp, f, fp = _kernel(self.model, self.pieces[k], r)(r)
         if not (G > 0 and in_float_range((G, Gp, Gpp))):
             raise ModelError(f"G, G' or G'' leaves the float range at n={n}, "
                              f"r={r:g}; lower n or choose another r")
@@ -278,8 +282,7 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         if not radii:
             continue
         derivs = _kernel(model, pc, radii[-1])
-        # r^{2-n} is inf past the range, so the G column is refused whole
-        for r, g in zip(radii, _piece_G(n, pc, g_hi, radii, _pow)):
+        for r, g in zip(radii, _piece_G(n, pc, g_hi, radii)):
             Gp, Gpp, f, fp = derivs(r)
             # G = 0 is an underflow: q = inf makes b = inf, which is refused
             q1, q2 = (Gp / g, Gpp / g) if g else (math.inf, math.inf)

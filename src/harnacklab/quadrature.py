@@ -96,7 +96,9 @@ def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
     is kept when its own estimate is within rtol of its value or within
     its width's share of the gate, and halved otherwise.  An integral
     with panels left after MAX_LEVELS halvings, or when the next level
-    would hold more than MAX_PANELS panels, is flagged as missed.
+    would hold more than MAX_PANELS panels, is flagged as missed; so is
+    one whose value or estimate is not finite, which stops at the level
+    where it is found, as no halving makes it finite.
     """
     los, his = list(a), list(b)
     size = len(los)
@@ -109,7 +111,9 @@ def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
         # each integral's current value, error estimate and gate
         q_sum, e_sum = _owner_sums(size, zip(panels, quads))
         gate = [max(rtol * abs(v + q), atol) for v, q in zip(value, q_sum)]
-        done = [r + e <= g for r, e, g in zip(err, e_sum, gate)]
+        # a sum that is not finite stays so: it stops here, as a miss
+        done = [r + e <= g or not math.isfinite(q + e)
+                for r, e, g, q in zip(err, e_sum, gate, q_sum)]
         ok, halve = [], []
         for panel, (q1, q2) in zip(panels, quads):
             i, lo, hi = panel
@@ -130,6 +134,7 @@ def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
             break
         panels = [(i, lo, 0.5 * (lo + hi)) for (i, lo, hi), _ in halve]
         panels += [(i, 0.5 * (lo + hi), hi) for (i, lo, hi), _ in halve]
+    missed = [m or not math.isfinite(v + r) for m, v, r in zip(missed, value, err)]
     return value, err, missed
 
 

@@ -19,8 +19,15 @@ plus one power of G per term, kept as an exponent in the same ring
 The rewrite rules are exactly the commutator identities for a normal
 frame with parallel Ricci curvature, the harmonicity of G, and the
 contracted second Bianchi identity; reduction sorts every derivative
-string while emitting the curvature correction terms, so two expressions
-are equal iff their reduced canonical forms coincide.
+string while emitting the curvature correction terms.  Every rewrite is
+an identity, so equal reduced forms prove two expressions equal.  The
+converse can fail: a term that is its own negative under a renaming of
+dummies, or a product of two long derivative strings, can keep a
+non-zero reduced form.
+
+`laplacian` and `gradG_pairing` are one covariant derivative,
+`_derivative` (the Leibniz rule over dg strings, kron and the G power),
+applied twice or contracted with grad G, then reduced.
 """
 
 from __future__ import annotations
@@ -230,9 +237,27 @@ def _riem_min(idx):
     return best, best_sign
 
 
+#: sign of a 4-slot curvature traced over the slot pair, against the Ricci
+#: of the two slots left: R_{akbk} = R_{kakb} = Ric_ab = -R_{kabk} = -R_{akkb}
+_TRACE_SIGN = {(1, 3): 1, (0, 2): 1, (0, 3): -1, (1, 2): -1}
+
+
+def _trace(slots):
+    """(sign, the two slots left) of a 4-slot curvature with an internal
+    trace, the least repeated index taken; None without one."""
+    dup = [x for x in set(slots) if slots.count(x) == 2]
+    if not dup:
+        return None
+    d0 = min(dup)
+    pos = tuple(p for p, x in enumerate(slots) if x == d0)
+    return _TRACE_SIGN[pos], tuple(x for x in slots if x != d0)
+
+
 def _canon_term_local(term: Term):
-    """Canonicalize factor-internal structure; may return None (zero term)
-    or a list of replacement terms (Bianchi splits a driem contraction)."""
+    """Rewrite factor-internal structure: kron contractions, curvature
+    traces, contracted driem (second Bianchi) and the innermost dg swap.
+    Returns a list of replacement terms, empty for a zero term; slot
+    symmetries are left to the canonical key."""
     coeff = term.coeff
     gexp = term.gexp
     census = term.index_census()
@@ -245,93 +270,54 @@ def _canon_term_local(term: Term):
             if i == j:
                 coeff = coeff * N
                 continue
-            # contract into any other factor sharing an index
-            target = None
-            for w, (k2, idx2) in enumerate(work):
-                if i in idx2 or j in idx2:
-                    target = w
-                    break
-            if target is None:
-                for w, (k2, idx2) in enumerate(out):
-                    if i in idx2 or j in idx2:
-                        target = -1 - w
-                        break
-            if target is not None:
-                keep, drop = (i, j) if census.get(j, 0) == 2 else (j, i)
-                if census.get(drop, 0) != 2:
-                    out.append((kind, idx))
-                    continue
-                sub = {drop: keep}
-                work = [(k2, tuple(sub.get(x, x) for x in ix)) for k2, ix in work]
-                out = [(k2, tuple(sub.get(x, x) for x in ix)) for k2, ix in out]
-                census = {}
-                for _, ix in itertools.chain(out, work):
-                    for nm in ix:
-                        census[nm] = census.get(nm, 0) + 1
+            # i != j: an index counted twice occurs once outside the kron
+            keep, drop = (i, j) if census.get(j, 0) == 2 else (j, i)
+            if census.get(drop, 0) != 2:
+                out.append((kind, idx))
                 continue
-            out.append((kind, idx))
+            sub = {drop: keep}
+            work = [(k2, tuple(sub.get(x, x) for x in ix)) for k2, ix in work]
+            out = [(k2, tuple(sub.get(x, x) for x in ix)) for k2, ix in out]
+            del census[drop]
         elif kind == "riem":
-            i, j, k, l = idx
-            if i == j or k == l:
+            if idx[0] == idx[1] or idx[2] == idx[3]:
                 return []  # antisymmetric slots contracted: zero
-            # internal trace -> ricci
-            dup = [x for x in set(idx) if idx.count(x) == 2]
-            if dup:
-                d0 = min(dup)
-                pos = tuple(p for p, x in enumerate(idx) if x == d0)
-                rest = [x for p, x in enumerate(idx) if p not in pos]
-                sign = {
-                    (1, 3): 1,   # R_{a k b k} = Ric_ab
-                    (0, 2): 1,   # R_{k a k b} = Ric_ab
-                    (0, 3): -1,  # R_{k a b k} = -Ric_ab
-                    (1, 2): -1,  # R_{a k k b} = -Ric_ab
-                }[pos]
+            traced = _trace(idx)
+            if traced:
+                sign, rest = traced
                 coeff = coeff * sign
-                work.insert(0, ("ric", tuple(rest)))
+                work.insert(0, ("ric", rest))
                 continue
             out.append((kind, idx))
-        elif kind == "ric":
-            out.append((kind, tuple(sorted(idx))))
         elif kind == "driem":
-            m, i, j, k, l = idx
-            if i == j or k == l:
+            m, *slots = idx
+            if slots[0] == slots[1] or slots[2] == slots[3]:
                 return []
-            slots = (i, j, k, l)
-            # internal slot trace -> dric
-            dup = [x for x in set(slots) if slots.count(x) == 2]
-            if dup:
-                d0 = min(dup)
-                pos = tuple(p for p, x in enumerate(slots) if x == d0)
-                rest = [x for p, x in enumerate(slots) if p not in pos]
-                sign = {(1, 3): 1, (0, 2): 1, (0, 3): -1, (1, 2): -1}[pos]
+            traced = _trace(slots)
+            if traced:
+                sign, rest = traced
                 coeff = coeff * sign
-                work.insert(0, ("dric", (m,) + tuple(rest)))
+                work.insert(0, ("dric", (m,) + rest))
                 continue
             if m in slots:
                 # contracted second Bianchi:
                 #   grad_m R_{a m c d} = grad_d Ric_{a c} - grad_c Ric_{a d}
                 # bring the contracted slot into position 1 via symmetries
-                cand = None
-                for perm, s in _RIEM_SYMS:
-                    arr = tuple(slots[p] for p in perm)
-                    if arr[1] == m:
-                        cand, csign = arr, s
+                for perm, csign in _RIEM_SYMS:
+                    a, b, c, d = (slots[p] for p in perm)
+                    if b == m:
                         break
-                a, _, c, d = cand
-                t1 = Term(coeff * csign, gexp,
-                          tuple(out) + tuple(work) + (("dric", (d, a, c)),))
-                t2 = Term(-coeff * csign, gexp,
-                          tuple(out) + tuple(work) + (("dric", (c, a, d)),))
-                return [t1, t2]
+                rest = tuple(out) + tuple(work)
+                return [Term(coeff * csign, gexp, rest + (("dric", (d, a, c)),)),
+                        Term(-coeff * csign, gexp, rest + (("dric", (c, a, d)),))]
             out.append((kind, idx))
-        elif kind == "dric":
-            m, i, j = idx
-            out.append((kind, (m,) + tuple(sorted((i, j)))))
         elif kind == "dg":
             # innermost pair is symmetric; leave traced strings alone so the
             # reduction can park the trace pair at the front
             if len(idx) >= 2 and idx[1] < idx[0] and len(set(idx)) == len(idx):
                 idx = (idx[1], idx[0]) + idx[2:]
+            out.append((kind, idx))
+        elif kind in ("ric", "dric"):
             out.append((kind, idx))
         else:
             raise TensorError(f"unknown factor kind {kind!r}")
@@ -378,12 +364,10 @@ def _term_key_with_names(term: Term):
                 and len(set(idx)) == len(idx)):
             idx = (idx[1], idx[0]) + idx[2:]
         (kind, idx), s = _riem_sorted_factor(kind, idx)
-        if kind in ("ric",):
+        if kind in ("ric", "kron"):
             idx = tuple(sorted(idx))
         if kind == "dric":
             idx = (idx[0],) + tuple(sorted(idx[1:]))
-        if kind == "kron":
-            idx = tuple(sorted(idx))
         sign *= s
         facs.append((kind, idx))
     facs.sort()
@@ -535,112 +519,50 @@ def commute_and_reduce(expr: TensorExpr) -> TensorExpr:
     return normalize(TensorExpr(finished))
 
 
-def gradG_pairing(expr: TensorExpr) -> TensorExpr:
-    """g(grad G, grad expr): one appended derivative with a fresh dummy,
-    contracted against the gradient of G, then reduced."""
-    out = []
+def _in_fragment(expr: TensorExpr, longest: int, message: str) -> None:
+    """Refuse what the derivative rule cannot take, term by term and factor
+    by factor: a curvature factor (with `message`), or a dg string longer
+    than `longest`, so that every string it makes stays within length 4."""
     for term in expr.terms:
-        u = _fresh_name()
-        items = list(term.factors)
-        e = term.gexp
-        for a, (kind, idx) in enumerate(items):
+        for kind, idx in term.factors:
             if kind == "kron":
                 continue
             if kind != "dg":
-                raise TensorError(
-                    "gradient pairing of curvature factors is outside the fragment"
-                )
-            if len(idx) >= 4:
+                raise TensorError(message)
+            if len(idx) > longest:
                 raise TensorError("derivative string length cap exceeded")
-            rest = items[:a] + items[a + 1:]
-            out.append(
-                Term(term.coeff, e,
-                     tuple(rest) + (("dg", idx + (u,)), ("dg", (u,))))
-            )
+
+
+def _derivative(expr: TensorExpr, u: str) -> TensorExpr:
+    """grad_u of products of dg and kron factors times a power of G, by the
+    Leibniz rule, unreduced: each dg string in turn gets the outer index u,
+    kron is parallel, and G^e gives e G^(e-1) dg(u)."""
+    out = []
+    for term in expr.terms:
+        items, e = term.factors, term.gexp
+        for a, (kind, idx) in enumerate(items):
+            if kind == "dg":
+                out.append(Term(term.coeff, e,
+                                items[:a] + items[a + 1:] + (("dg", idx + (u,)),)))
         if e != 0:
-            out.append(
-                Term(
-                    term.coeff * e,
-                    e - 1,
-                    tuple(items) + (("dg", (u,)), ("dg", (u,))),
-                )
-            )
-    return commute_and_reduce(TensorExpr(out))
+            out.append(Term(term.coeff * e, e - 1, items + (("dg", (u,)),)))
+    return TensorExpr(out)
+
+
+def gradG_pairing(expr: TensorExpr) -> TensorExpr:
+    """g(grad G, grad expr) = grad_u expr * G_u, reduced: one `_derivative`
+    with a fresh u, contracted against the gradient of G.  Takes products
+    of kron and dg strings up to length 3 times a power of G."""
+    _in_fragment(expr, 3, "gradient pairing of curvature factors is outside the fragment")
+    u = _fresh_name()
+    return commute_and_reduce(_derivative(expr, u) * dg(u))
 
 
 def laplacian(expr: TensorExpr) -> TensorExpr:
-    """Formal Laplacian: two appended derivatives with a fresh dummy,
-    Leibniz over all factors and the G power, then full reduction."""
-    out = []
-    for term in expr.terms:
-        u = _fresh_name()
-        items = list(term.factors)
-        e = term.gexp
-
-        def d1(kind, idx):
-            if kind == "dg":
-                if len(idx) >= 4:
-                    raise TensorError("derivative string length cap exceeded")
-                return ("dg", idx + (u,))
-            if kind == "riem":
-                return ("driem", (u,) + idx)
-            if kind == "ric":
-                return ("dric", (u,) + idx)
-            if kind == "kron":
-                return None  # metric is parallel
-            raise TensorError(f"cannot differentiate factor kind {kind!r}")
-
-        npos = len(items)
-        # second derivatives of a single factor
-        for a in range(npos):
-            kind, idx = items[a]
-            if kind == "dg":
-                if len(idx) > 2:
-                    raise TensorError("derivative string length cap exceeded")
-                rest = items[:a] + items[a + 1:]
-                out.append(Term(term.coeff, e, tuple(rest) + (("dg", idx + (u, u)),)))
-            elif kind == "kron":
-                continue
-            else:
-                raise TensorError(
-                    f"Laplacian of curvature factors is outside the fragment"
-                )
-        # cross terms between distinct factors
-        for a in range(npos):
-            for b in range(a + 1, npos):
-                da = d1(*items[a])
-                db = d1(*items[b])
-                if da is None or db is None:
-                    continue
-                rest = [it for q, it in enumerate(items) if q not in (a, b)]
-                out.append(Term(2 * term.coeff, e, tuple(rest) + (da, db)))
-        if e != 0:
-            # G-power contributions
-            out.append(
-                Term(
-                    term.coeff * e * (e - 1),
-                    e - 2,
-                    tuple(items) + (("dg", (u,)), ("dg", (u,))),
-                )
-            )
-            out.append(
-                Term(
-                    term.coeff * e,
-                    e - 1,
-                    tuple(items) + (("dg", (u, u)),),
-                )
-            )
-            # cross terms between the G power and each factor
-            for a in range(npos):
-                da = d1(*items[a])
-                if da is None:
-                    continue
-                rest = [it for q, it in enumerate(items) if q != a]
-                out.append(
-                    Term(
-                        2 * term.coeff * e,
-                        e - 1,
-                        tuple(rest) + (da, ("dg", (u,))),
-                    )
-                )
-    return commute_and_reduce(TensorExpr(out))
+    """Formal Laplacian grad_u grad_u expr, reduced: `_derivative` twice
+    with one fresh u, so the Leibniz rule gives the cross terms and the
+    G-power terms.  Takes products of kron and dg strings up to length 2
+    times a power of G."""
+    _in_fragment(expr, 2, "Laplacian of curvature factors is outside the fragment")
+    u = _fresh_name()
+    return commute_and_reduce(_derivative(_derivative(expr, u), u))

@@ -1,7 +1,7 @@
 """Catalogue of tensor identities verified by exact reduction.
 
 Each entry builds LHS - RHS with the constructors from `engine`; an
-identity holds iff the reduced difference has no terms.  All identities
+identity is verified when the reduced difference has no terms.  All identities
 are stated in an orthonormal normal frame, for a positive harmonic G on
 a manifold with parallel Ricci curvature, with free indices i, j and
 exact coefficients in n (dimension) and C.
@@ -21,8 +21,7 @@ from typing import Callable, Optional
 from .engine import (
     ALPHA, BETA, C, N,
     TensorError, TensorExpr,
-    commute_and_reduce, dg, gpow, gradG_pairing, kron, laplacian, normalize,
-    ric, riem,
+    commute_and_reduce, dg, gpow, gradG_pairing, kron, laplacian, ric, riem,
 )
 
 __all__ = [
@@ -46,7 +45,7 @@ def hessian_shifted(i, j) -> TensorExpr:
 
 def htilde(i, j) -> TensorExpr:
     """The shifted Harnack tensor G_ij + n/(2-n) B_ij + (n-2)/2 C G^a g_ij."""
-    return hessian_shifted(i, j) + ((N - 2) / 2 * C) * gpow(ALPHA) * kron(i, j)
+    return hessian_shifted(i, j) + _metric_shift(i, j)
 
 
 def _metric_shift(i, j) -> TensorExpr:
@@ -286,7 +285,7 @@ def verify_identity(name: str) -> IdentityResult:
     except KeyError:
         raise TensorError(f"unknown identity {name!r}") from None
     try:
-        residual = normalize(commute_and_reduce(entry.builder()))
+        residual = commute_and_reduce(entry.builder())
     except TensorError as exc:
         return IdentityResult(
             name=name, zero=False, residual=None,

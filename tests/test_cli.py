@@ -11,7 +11,7 @@ import pytest
 from harnacklab import cli, green, harnack, models
 from harnacklab.cli import main
 from harnacklab.models import ModelError
-from tables import concave_table, line_table, write_csv
+from tables import concave_table, late_bump_table, line_table, write_csv
 
 
 def run(argv, capsys):
@@ -64,7 +64,7 @@ def test_min_c_euclidean_at_large_dimension(n, capsys):
     ["verify", "--model", "euclidean", "--n", "200", "--C", "10"],
     ["min-c", "--model", "euclidean", "--n", "200"],
     ["export-profile", "--model", "euclidean", "--n", "200"],
-    # G(r0) = c^{1-n} r0^{2-n} overflows a Python float before any grid work
+    # G(r0) = c^{1-n} r0^{2-n} is past the float range, so G is inf on the grid
     ["min-c", "--model", "smoothed-cone:0.3:1", "--n", "600"],
 ])
 def test_past_the_float_range_is_invalid_input(argv, capsys):
@@ -707,6 +707,34 @@ def test_verify_concave_table_is_not_fail(n, tmp_path, capsys):
                           "--grid-size", "2048"], capsys)
     assert doc["verdict"] != "fail" and code != 1
     assert 1.7 < doc["report"]["minimal_C"] < 2.0
+
+
+@pytest.mark.parametrize("table,n,message", [
+    (concave_table, 152, "Gpp leaves the float range on the grid at n=152"),
+    (concave_table, 700, "G leaves the float range on the grid at n=700"),
+    (late_bump_table, 200, "G leaves the float range on the grid at n=200"),
+])
+def test_table_past_the_float_range_names_the_column(table, n, message, tmp_path):
+    # G overflows at the knots below r_min first: each such G is inf, and
+    # the grid's range checks name what left the range (once a quadrature
+    # miss, or an OverflowError)
+    path = write_csv(tmp_path / "table.csv", table())
+    r = subprocess.run([sys.executable, "-m", "harnacklab.cli", "verify", "--model",
+                        f"custom:{path}", "--n", str(n), "--C", "10"],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), r.stderr
+
+
+def test_table_is_verified_where_only_knots_below_r_min_overflow(tmp_path, capsys):
+    # at n = 150 G overflows at the knots below 0.0083 only, under r_min = 0.01
+    path = write_csv(tmp_path / "concave.csv", concave_table())
+    code, doc = run_json(["verify", "--model", f"custom:{path}", "--n", "150",
+                          "--C", "10"], capsys)
+    assert code == 3 and doc["verdict"] == "exploratory"
+    assert doc["report"]["pass"]
+    assert 2.0 < doc["report"]["minimal_C"] < 2.001
 
 
 @pytest.mark.parametrize("argv", [

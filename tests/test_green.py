@@ -252,6 +252,16 @@ def test_concave_table_pointwise_G_is_grid_G(n):
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
 
 
+def test_G_past_the_float_range_below_the_grid_is_inf_there_only():
+    # at n = 150 f^{1-n} overflows on the concave table's knots below 0.0083:
+    # G is inf there, a miss no more, and the grid from 0.01 stays in range
+    prof = compute_profile(make_model("custom", 150, table=concave_table()))
+    assert prof.G_hi[0] == math.inf and math.isfinite(prof.G_hi[-2])
+    assert all(math.isfinite(g) for g in prof.G) and prof.green_at(0.005) == math.inf
+    with pytest.raises(ModelError, match="leaves the float range at n=150, r=0.005"):
+        prof.green_derivs_at(0.005)
+
+
 def test_table_is_integrated_up_to_its_top():
     # f = r below 300 and above 500, so it equals the closing line f(top)/top r
     # at radii below the bump: G must still integrate the bump

@@ -7,10 +7,12 @@ and in ``models.hypothesis_report``, which loads the FD oracle only where
 the closed form finds Ricci parallel; no module imports sympy, scipy or
 numpy, which only the tests use, as references; and no module but ``models`` reads how a warping profile
 was specified (its kind and parameters) rather than its pieces, or
-decides its end from its top piece.
+decides its end from its top piece.  The benchmark's tracer wraps
+package functions by name: each of them must exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import harnacklab
@@ -165,3 +167,32 @@ def test_fd_oracle_imports_no_numpy():
                  if isinstance(node, ast.ImportFrom) and node.module}
     assert imported == {"__future__", "dataclasses", "functools", "itertools", "math", "operator",
                         "typing"}
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_targets():
+    """FUNCTIONS, METHODS and COUNTED of the tracer, read from its syntax tree."""
+    found = {}
+    for node in ast.parse(TRACER.read_text(), str(TRACER)).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in (
+                        "FUNCTIONS", "METHODS", "COUNTED"):
+                    found[target.id] = ast.literal_eval(node.value)
+    return found
+
+
+def test_every_function_the_tracer_wraps_exists():
+    # a renamed one would crash every traced benchmark run
+    targets = _tracer_targets()
+    counted = [m for group in targets["COUNTED"].values() for m in group]
+    assert targets["FUNCTIONS"] and targets["METHODS"] and counted
+    missing = [f"{module}.{attr}" for module, attr in targets["FUNCTIONS"]
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    for module, cls, attr in (*targets["METHODS"], *counted):
+        owner = getattr(importlib.import_module(module), cls, None)
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{module}.{cls}.{attr}")
+    assert missing == []

@@ -93,6 +93,22 @@ def test_geomspace_is_numpys_with_exact_ends():
         assert all(abs(x - y) <= math.ulp(y) for x, y in zip(got, want))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_gauss_stops_at_a_sum_that_is_not_finite(bad):
+    # no halving makes a non-finite sum finite: one level of panels, then a
+    # miss, while the finite integral beside it is resolved
+    nodes = []
+
+    def fun(x):
+        nodes.append(x)
+        return bad if x < 1.0 else x
+
+    val, _, missed = quadrature.gauss_legendre(fun, [0.0, 1.0], [1.0, 2.0], rtol=1e-12)
+    assert missed == [True, False]
+    assert not math.isfinite(val[0]) and val[1] == pytest.approx(1.5, rel=1e-14)
+    assert sum(x < 1.0 for x in nodes) == quadrature.GAUSS_K + 2 * quadrature.GAUSS_K
+
+
 def test_gauss_flags_a_miss_it_cannot_resolve():
     val, err, missed = (x[0] for x in quadrature.gauss_legendre(
         lambda x: 1.0 / x, [0.0], [1.0], rtol=1e-12))
