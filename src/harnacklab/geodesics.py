@@ -294,24 +294,24 @@ class _Arc:
     def sweep(self, r_lo, r_hi, length=False):
         """Angle swept, or arclength if `length`, over [r_lo, r_hi], base <=
         r_lo <= r_hi."""
-        k, total, u_lo, u_hi = self.k, 0.0, [], []
+        k, total, curved, missed, integrand = self.k, 0.0, [], False, None
         for pc, lo, hi in self._parts(r_lo, r_hi):
             m = pc.slope
             if m is None:
-                u_lo.append(math.sqrt(lo - self.base))
-                u_hi.append(math.sqrt(hi - self.base))
+                integrand = integrand or self._integrand(length)
+                val, _, miss = quadrature.gauss_legendre(
+                    integrand, math.sqrt(lo - self.base), math.sqrt(hi - self.base),
+                    rtol=1e-11, atol=1e-13)
+                curved.append(val)
+                missed |= miss
                 continue
             p, q = self._root(pc, m, lo), self._root(pc, m, hi)
             # the length (q - p) / m without cancellation, as q^2 - p^2 =
             # m^2 (hi^2 - lo^2), and the difference of the two atan2 in one
             ds = m * (hi - lo) * (hi + lo) / (p + q)
             total += ds if length else math.atan2(k * m * ds, k * k + p * q) / m
-        if not u_lo:
-            return total
-        val, _, missed = quadrature.gauss_legendre(
-            self._integrand(length), u_lo, u_hi, rtol=1e-11, atol=1e-13)
-        self.misses += int(any(missed))
-        return total + sum(val)
+        self.misses += missed
+        return total + sum(curved)
 
     def invert(self, s, r_end):
         """(r in [base, r_end] at arclength s from base, the angle swept from

@@ -19,7 +19,9 @@ each of which f is one polynomial of r.  Where f = a*r exactly
 
 is closed; on any other piece (the smoothed-cone blend, one interval of a
 custom spline) Gauss-Legendre panels (`quadrature.gauss_legendre`)
-integrate the piece's own polynomial, on which the rules converge fast.
+integrate the piece's own polynomial, on which the rules converge fast:
+one integral per radius, whose caps bound it alone, so how many grid
+radii a piece holds does not decide whether G converges.
 Euclidean space and cones are one linear piece, so G = a^{1-n} r^{2-n}
 with no quadrature at all; a smoothed cone integrates only its blend
 [r0/2, r0).  The pieces below `WarpingProfile.tail_start` are followed by
@@ -55,7 +57,6 @@ __all__ = [
     "power_jet",
     "radial_laplacian",
     "hess_b2_eigs",
-    "hess_b2_eigs_arrays",
     "check_power_laplacian",
     "in_float_range",
     "csv_text",
@@ -74,8 +75,8 @@ def _pow(x, y):
         return math.inf
 
 
-def _piece_G(n: int, pc: Piece, G_hi: float, radii: list) -> list:
-    """G at radii inside the piece pc, from G_hi = G(pc.hi).
+def _piece_G(n: int, pc: Piece, G_hi: float, r: float) -> float:
+    """G at a radius r inside the piece pc, from G_hi = G(pc.hi).
 
     Where f = a*r it is closed, G(r) = G_hi + a^{1-n} (r^{2-n} - hi^{2-n})
     (hi = inf contributes 0); elsewhere it is G_hi plus one Gauss integral
@@ -86,18 +87,16 @@ def _piece_G(n: int, pc: Piece, G_hi: float, radii: list) -> list:
     """
     a = pc.slope
     if a is not None:
-        scale, top = _pow(a, 1 - n), _pow(pc.hi, 2 - n)
-        G = [G_hi + scale * (_pow(r, 2 - n) - top) for r in radii]
+        G = G_hi + _pow(a, 1 - n) * (_pow(r, 2 - n) - _pow(pc.hi, 2 - n))
     else:
         F, x0 = Poly(pc.coef), pc.x0
         val, _, missed = quadrature.gauss_legendre(lambda t: _pow(F(t - x0), 1 - n),
-                                                   radii, [pc.hi] * len(radii),
-                                                   rtol=GREEN_RTOL)
-        if any(m and math.isfinite(v) for v, m in zip(val, missed)):
+                                                   r, pc.hi, rtol=GREEN_RTOL)
+        if missed and math.isfinite(val):
             raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
-                             f"[{min(radii):.17g}, {pc.hi:.17g}] at n={n}")
-        G = [G_hi + (n - 2) * v for v in val]
-    return [g if math.isfinite(g) else math.inf for g in G]
+                             f"[{r:.17g}, {pc.hi:.17g}] at n={n}")
+        G = G_hi + (n - 2) * val
+    return G if math.isfinite(G) else math.inf
 
 
 def green_derivs(n: int, x, fp, a=1.0):
@@ -195,7 +194,7 @@ class RadialGreenProfile:
         """G(r) for any finite r > 0: closed form, or quadrature up to the
         top of its piece."""
         k = self._piece_index(r)
-        return _piece_G(self.model.n, self.pieces[k], self.G_hi[k], [r])[0]
+        return _piece_G(self.model.n, self.pieces[k], self.G_hi[k], r)
 
     def green_derivs_at(self, r: float):
         """(G, G', G'', f, f') at r, the derivatives of G in closed form.
@@ -205,7 +204,7 @@ class RadialGreenProfile:
         """
         n = self.model.n
         k = self._piece_index(r)
-        G = _piece_G(n, self.pieces[k], self.G_hi[k], [r])[0]
+        G = _piece_G(n, self.pieces[k], self.G_hi[k], r)
         Gp, Gpp, f, fp = _kernel(self.model, self.pieces[k], r)(r)
         if not (G > 0 and in_float_range((G, Gp, Gpp))):
             raise ModelError(f"G, G' or G'' leaves the float range at n={n}, "
@@ -273,7 +272,7 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     # G at each upper end, from the top down; the lowest piece starts at 0
     G_hi = [0.0]  # G(inf)
     for pc in reversed(pieces[1:]):
-        G_hi += _piece_G(n, pc, G_hi[-1], [pc.lo])
+        G_hi.append(_piece_G(n, pc, G_hi[-1], pc.lo))
     G_hi = tuple(reversed(G_hi))
 
     rows = []
@@ -282,7 +281,8 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         if not radii:
             continue
         derivs = _kernel(model, pc, radii[-1])
-        for r, g in zip(radii, _piece_G(n, pc, g_hi, radii)):
+        for r in radii:
+            g = _piece_G(n, pc, g_hi, r)
             Gp, Gpp, f, fp = derivs(r)
             # G = 0 is an underflow: q = inf makes b = inf, which is refused
             q1, q2 = (Gp / g, Gpp / g) if g else (math.inf, math.inf)
@@ -306,11 +306,6 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
     G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
     *_, mu_rad, mu_tan = _b2_hessian(profile.model.n, G, Gp / G, Gpp / G, f, fp)
     return mu_rad, mu_tan
-
-
-def hess_b2_eigs_arrays(profile: RadialGreenProfile):
-    """(mu_rad, mu_tan) over the whole grid, a tuple each."""
-    return profile.mu_rad, profile.mu_tan
 
 
 def check_power_laplacian(profile: RadialGreenProfile, r: float, beta: float) -> float:

@@ -18,8 +18,8 @@ from typing import Optional
 from . import INEQ_TOL, is_exploratory, quadrature, require_theorem_C
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
 from .green import (
-    RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs,
-    hess_b2_eigs_arrays, in_float_range, radial_laplacian,
+    RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs, in_float_range,
+    radial_laplacian,
 )
 
 __all__ = [
@@ -120,7 +120,7 @@ def _sup_mu(profile: RadialGreenProfile):
     """(mu, sup): mu = max(mu_rad, mu_tan) on the grid, and its sup over the
     range, the grid's largest value sharpened by a local 1D search."""
     grid = profile.grid
-    mu = [max(pair) for pair in zip(*hess_b2_eigs_arrays(profile))]
+    mu = [max(pair) for pair in zip(profile.mu_rad, profile.mu_tan)]
     idx = mu.index(max(mu))
 
     def neg_mu(r):

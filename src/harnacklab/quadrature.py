@@ -1,10 +1,10 @@
 """Numeric core in plain floats: Gauss-Legendre panels and Brent's two methods.
 
-`gauss_legendre` integrates on panels with the k- and 2k-point Gauss
-rules.  The 2k-point value is kept and |Q_2k - Q_k| is its error
-estimate; panels are halved, level by level, until each integral meets
-its gate or a fixed cap is reached.  Many independent integrals (one per
-knot interval, one per piece of a sweep) run level by level together.
+`gauss_legendre` integrates one interval on panels with the k- and
+2k-point Gauss rules.  The 2k-point value is kept and |Q_2k - Q_k| is its
+error estimate; panels are halved, level by level, until the integral
+meets its gate or reaches a cap: MAX_LEVELS halvings or MAX_PANELS panels
+a level, which bound each integral on its own.
 
 `brent_root` is Brent's bracketing root finder and `brent_min` his
 bounded minimizer (Brent, *Algorithms for Minimization without
@@ -55,9 +55,9 @@ def _rule(half):
 
 _X1, _W1 = _rule(_HALF_K)
 _X2, _W2 = _rule(_HALF_2K)
-#: halvings of one integral's range before a miss is declared
+#: halvings of an integral's range before a miss is declared
 MAX_LEVELS = 50
-#: the most panels one level may hold; past it the misses stand
+#: the most panels one level of an integral may hold; past it the miss stands
 MAX_PANELS = 8192
 
 
@@ -76,66 +76,56 @@ def _panel(fun, lo, hi):
     return half * q1, half * q2
 
 
-def _owner_sums(size, pairs):
-    """(sum of Q_2k, sum of |Q_2k - Q_k|) over each integral's panels, from
-    pairs ((owner, lo, hi), (Q_k, Q_2k))."""
-    q_sum, e_sum = [0.0] * size, [0.0] * size
-    for (i, _, _), (q1, q2) in pairs:
-        q_sum[i] += q2
-        e_sum[i] += abs(q2 - q1)
+def _sums(quads):
+    """(sum of Q_2k, sum of |Q_2k - Q_k|) over quads (lo, hi, Q_k, Q_2k), in order."""
+    q_sum = e_sum = 0.0
+    for _, _, q1, q2 in quads:
+        q_sum += q2
+        e_sum += abs(q2 - q1)
     return q_sum, e_sum
 
 
-def gauss_legendre(fun, a, b, rtol: float, atol: float = 0.0):
-    """(value, error estimate, missed) of int_a^b fun for each pair a <= b
-    of the sequences a and b, as three lists.  `fun` maps a node to the
-    integrand's value there.
+def gauss_legendre(fun, a: float, b: float, rtol: float, atol: float = 0.0):
+    """(value, error estimate, missed) of int_a^b fun, a <= b.  `fun` maps
+    a node to the integrand's value there.
 
-    An integral is done when the sum of its panels' |Q_2k - Q_k| is within
+    The integral is done when the sum of its panels' |Q_2k - Q_k| is within
     its gate max(rtol |Q|, atol), Q its current value.  Until then a panel
     is kept when its own estimate is within rtol of its value or within
-    its width's share of the gate, and halved otherwise.  An integral
-    with panels left after MAX_LEVELS halvings, or when the next level
-    would hold more than MAX_PANELS panels, is flagged as missed; so is
-    one whose value or estimate is not finite, which stops at the level
-    where it is found, as no halving makes it finite.
+    its width's share of the gate, and halved otherwise.  With panels left
+    after MAX_LEVELS halvings, or when the next level would hold more than
+    MAX_PANELS panels, the integral is flagged as missed; so is one whose
+    value or estimate is not finite, which stops at the level where it is
+    found, as no halving makes it finite.
     """
-    los, his = list(a), list(b)
-    size = len(los)
-    width = [hi - lo if hi > lo else 1.0 for lo, hi in zip(los, his)]
-    value, err, missed = [0.0] * size, [0.0] * size, [False] * size
-    # the panels of this level: (owner, lo, hi)
-    panels = list(zip(range(size), los, his))
+    width = b - a if b > a else 1.0
+    value = err = 0.0
+    missed = False
+    panels = [(a, b)]
     for level in range(MAX_LEVELS + 1):
-        quads = [_panel(fun, lo, hi) for _, lo, hi in panels]
-        # each integral's current value, error estimate and gate
-        q_sum, e_sum = _owner_sums(size, zip(panels, quads))
-        gate = [max(rtol * abs(v + q), atol) for v, q in zip(value, q_sum)]
+        quads = [(lo, hi, *_panel(fun, lo, hi)) for lo, hi in panels]
+        q_sum, e_sum = _sums(quads)
+        gate = max(rtol * abs(value + q_sum), atol)
         # a sum that is not finite stays so: it stops here, as a miss
-        done = [r + e <= g or not math.isfinite(q + e)
-                for r, e, g, q in zip(err, e_sum, gate, q_sum)]
+        done = err + e_sum <= gate or not math.isfinite(q_sum + e_sum)
         ok, halve = [], []
-        for panel, (q1, q2) in zip(panels, quads):
-            i, lo, hi = panel
-            e = abs(q2 - q1)
-            if done[i] or e <= max(rtol * abs(q2), gate[i] * ((hi - lo) / width[i])):
-                ok.append((panel, (q1, q2)))
+        for quad in quads:
+            lo, hi, q1, q2 = quad
+            if done or abs(q2 - q1) <= max(rtol * abs(q2), gate * ((hi - lo) / width)):
+                ok.append(quad)
             else:
-                halve.append((panel, (q1, q2)))
+                halve.append(quad)
         last = level == MAX_LEVELS or 2 * len(halve) > MAX_PANELS
         if last:
-            for (i, _, _), _ in halve:
-                missed[i] = True
+            missed = bool(halve)
             ok += halve
-        q_sum, e_sum = _owner_sums(size, ok)
-        value = [v + q for v, q in zip(value, q_sum)]
-        err = [r + e for r, e in zip(err, e_sum)]
+        q_sum, e_sum = _sums(ok)
+        value, err = value + q_sum, err + e_sum
         if last or not halve:
             break
-        panels = [(i, lo, 0.5 * (lo + hi)) for (i, lo, hi), _ in halve]
-        panels += [(i, 0.5 * (lo + hi), hi) for (i, lo, hi), _ in halve]
-    missed = [m or not math.isfinite(v + r) for m, v, r in zip(missed, value, err)]
-    return value, err, missed
+        panels = [(lo, 0.5 * (lo + hi)) for lo, hi, _, _ in halve]
+        panels += [(0.5 * (lo + hi), hi) for lo, hi, _, _ in halve]
+    return value, err, missed or not math.isfinite(value + err)
 
 
 def brent_root(fun, a: float, b: float, xtol: float, rtol: float,

@@ -21,9 +21,9 @@ frame with parallel Ricci curvature, the harmonicity of G, and the
 contracted second Bianchi identity; reduction sorts every derivative
 string while emitting the curvature correction terms.  Every rewrite is
 an identity, so equal reduced forms prove two expressions equal.  The
-converse can fail: a term that is its own negative under a renaming of
-dummies, or a product of two long derivative strings, can keep a
-non-zero reduced form.
+converse can fail for a product of two long derivative strings, which can
+keep a non-zero reduced form; a term that is its own negative under a
+renaming of dummies reduces to zero.
 
 `laplacian` and `gradG_pairing` are one covariant derivative,
 `_derivative` (the Leibniz rule over dg strings, kron and the G power),
@@ -376,7 +376,8 @@ def _term_key_with_names(term: Term):
 
 def _canonical_term(term: Term):
     """Minimal representation over dummy renamings: (key, coeff), the key
-    being (exponent sort key, sorted canonical factors)."""
+    being (exponent sort key, sorted canonical factors).  A key reached with
+    both signs belongs to a term that is its own negative: its coeff is 0."""
     census = term.index_census()
     dummies = sorted(k for k, v in census.items() if v == 2)
     best = None
@@ -391,6 +392,8 @@ def _canonical_term(term: Term):
         key = (gkey, facs)
         if best is None or key < best:
             best, best_sign = key, sign
+        elif key == best and sign != best_sign:
+            best_sign = 0
     return best, term.coeff * best_sign
 
 

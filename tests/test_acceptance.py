@@ -14,9 +14,7 @@ from harnacklab.fdcheck import (
 )
 from harnacklab.geodesics import SlicePoint, corollary_check
 from harnacklab.green import check_power_laplacian, compute_profile, default_grid
-from harnacklab.harnack import (
-    audit_proof_terms, consistency_hess_vs_H, hess_b2_eigs_arrays, minimal_C,
-)
+from harnacklab.harnack import audit_proof_terms, consistency_hess_vs_H, minimal_C
 from harnacklab.models import make_model
 from harnacklab.symbolic import verify_identity
 
@@ -40,7 +38,7 @@ def test_01_euclidean_exactness():
     for n in (3, 4, 5, 6):
         model = make_model("euclidean", n)
         profile = compute_profile(model, GRID)
-        mu_rad, mu_tan = map(np.asarray, hess_b2_eigs_arrays(profile))
+        mu_rad, mu_tan = np.asarray(profile.mu_rad), np.asarray(profile.mu_tan)
         assert np.max(np.abs(mu_rad - 2.0)) < 1e-6
         assert np.max(np.abs(mu_tan - 2.0)) < 1e-6
         assert minimal_C(model, profile=profile) == pytest.approx(2.0, abs=1e-6)

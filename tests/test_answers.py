@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "answers.py"
 
@@ -28,11 +30,16 @@ def test_digest_diffed_against_itself_is_empty(tmp_path):
     assert (r.returncode, r.stdout) == (0, ""), r.stderr
 
 
-def test_tables_workload_answers_a_custom_table(tmp_path, monkeypatch):
-    # the concave table only, to keep the test cheap
+def _answers():
     spec = importlib.util.spec_from_file_location("answers", TOOL)
     answers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(answers)
+    return answers
+
+
+def test_tables_workload_answers_a_custom_table(tmp_path, monkeypatch):
+    # the concave table only, to keep the test cheap
+    answers = _answers()
     monkeypatch.setattr(answers, "TABLES", {"concave": answers.TABLES["concave"]})
     monkeypatch.chdir(tmp_path)
     entries = answers.digest(["tables"], answers._seeds("101"), values=True)
@@ -43,3 +50,18 @@ def test_tables_workload_answers_a_custom_table(tmp_path, monkeypatch):
     csv = entries["tables:concave:export-profile"]["artifacts"]["profile.csv"]
     assert len(csv["columns"]["G"]) == 512
     assert answers.diff(entries, entries) == []
+
+
+def test_edges_workload_answers_min_c_on_each_blend(tmp_path, monkeypatch):
+    # the 512-point grid only, to keep the test cheap
+    answers = _answers()
+    assert "edges" in answers.CHOICES
+    monkeypatch.setattr(answers, "EDGE_GRID_SIZES", ("512",))
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["edges"], answers._seeds("101"), values=True)
+    want = {"edges:smoothed-cone:0.3:1:n30:grid512": 2.364743624953019,
+            "edges:smoothed-cone:0.1:100:n12:grid512": 2.0000000000000107}
+    assert sorted(entries) == sorted(want)
+    for key, minimal_C in want.items():
+        assert entries[key]["exit"] == 0
+        assert entries[key]["stdout"]["minimal_C"] == pytest.approx(minimal_C, rel=1e-12)

@@ -216,7 +216,7 @@ def test_quad_misses_are_counted_per_minimizer(z, monkeypatch):
     def missing(*args, **kwargs):
         calls.append(1)
         val, err, _ = real(*args, **kwargs)
-        return val, err, np.ones(np.shape(val), dtype=bool)
+        return val, err, True
 
     # the geodesic layer's calls only: b2 at a point on the blend runs the
     # Green kernel's own panels, which refuse a miss

@@ -297,12 +297,12 @@ def test_pointwise_G_is_grid_G_exactly(model, name):
 @pytest.fixture
 def quad_calls(monkeypatch):
     """Intervals integrated by quadrature.gauss_legendre while it is active,
-    one (a, b) per integral of a call."""
+    one (a, b) per call."""
     calls = []
     real = quadrature.gauss_legendre
 
     def counting(func, a, b, *args, **kwargs):
-        calls.extend(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
+        calls.append((a, b))
         return real(func, a, b, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "gauss_legendre", counting)
@@ -329,6 +329,18 @@ def test_smoothed_cone_quadrature_stays_in_blend(quad_calls):
     assert quad_calls == []
     prof.green_at(0.7)
     assert quad_calls == [(0.7, r0)]
+
+
+def test_each_blend_radius_is_its_own_integral_on_a_fine_grid():
+    # 4932 of the 65536 radii lie on the blend [r0/2, r0); each integral is
+    # capped on its own, so their number does not decide whether G converges,
+    # and G there is green_at's bit for bit
+    prof = compute_profile(model_from_id("smoothed-cone:0.3:1", 30),
+                           default_grid(1e-2, 1e2, 65536))
+    blend = [i for i, r in enumerate(prof.grid) if 0.5 <= r < 1.0]
+    assert len(blend) == 4932
+    for i in (*blend[::1000], blend[-1]):
+        assert prof.green_at(prof.grid[i]) == prof.G[i]
 
 
 # -- one radial kernel: finite at large n, the same on floats and arrays ------

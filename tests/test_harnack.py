@@ -156,11 +156,9 @@ def test_minimal_C_refines_the_grid_maximum():
 def test_pointwise_equivalence_lambda_vs_margin(cone4):
     # Hess b^2 <= C g at a point <=> lowest Htilde eigenvalue >= 0 there,
     # via the exact linear relation lam = ((n-2)/2) G^alpha (C - mu_max)
-    from harnacklab.harnack import hess_b2_eigs_arrays
     G, f = np.asarray(cone4.G), cone4.model.profile
     galpha = G**2  # n = 4, alpha = 2
-    mu_rad, mu_tan = hess_b2_eigs_arrays(cone4)
-    mu = np.maximum(mu_rad, mu_tan)
+    mu = np.maximum(cone4.mu_rad, cone4.mu_tan)
     for C in (0.2, 0.25, 1.0):
         lam = np.minimum(*_htilde(4, C, G, np.asarray(cone4.Gp) / G, np.asarray(cone4.Gpp) / G,
                                   np.vectorize(f.f, otypes=[float])(cone4.grid),

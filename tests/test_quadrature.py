@@ -34,8 +34,7 @@ def _seeded_integrands(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_gauss_matches_quad(seed):
     for fun, a, b, kinks in _seeded_integrands(seed):
-        val, err, missed = (x[0] for x in quadrature.gauss_legendre(fun, [a], [b],
-                                                                    rtol=1e-12))
+        val, err, missed = quadrature.gauss_legendre(fun, a, b, rtol=1e-12)
         ref = integrate.quad(fun, a, b, epsabs=0.0, epsrel=1e-13, limit=500,
                              points=kinks)[0]
         assert not missed
@@ -44,13 +43,15 @@ def test_gauss_matches_quad(seed):
 
 
 def test_gauss_integrals_are_independent_and_exact_on_polynomials():
-    lo, hi = [0.0, 1.0, 2.0, -1.0], [1.0, 3.0, 2.0, 0.5]
-    val, err, missed = quadrature.gauss_legendre(lambda x: 5 * x**4 - 3 * x**2, lo, hi,
-                                                 rtol=1e-14)
-    assert len(val) == len(err) == len(missed) == 4
-    exact = [(b**5 - b**3) - (a**5 - a**3) for a, b in zip(lo, hi)]
-    assert np.allclose(val, exact, rtol=1e-14, atol=1e-14) and not any(missed)
-    assert val[2] == 0.0  # an empty interval
+    # one interval a call, its value, estimate and flag as plain floats
+    for a, b in ((0.0, 1.0), (1.0, 3.0), (2.0, 2.0), (-1.0, 0.5)):
+        val, err, missed = quadrature.gauss_legendre(lambda x: 5 * x**4 - 3 * x**2, a, b,
+                                                     rtol=1e-14)
+        assert type(val) is float and type(err) is float and missed is False
+        exact = (b**5 - b**3) - (a**5 - a**3)
+        assert abs(val - exact) <= 1e-14 + 1e-14 * abs(exact)
+        if a == b:
+            assert val == 0.0  # an empty interval
 
 
 def test_gauss_rules_are_numpys_leggauss():
@@ -67,7 +68,7 @@ def test_gauss_matches_the_numpy_panels(seed):
     # rounding of the sums, the same misses, and the same integrals at once
     for fun, a, b, _ in _seeded_integrands(seed):
         for rtol in (1e-12, 1e-6):
-            got = [x[0] for x in quadrature.gauss_legendre(fun, [a], [b], rtol=rtol)]
+            got = quadrature.gauss_legendre(fun, a, b, rtol=rtol)
             want = quad_reference.gauss_legendre(fun, a, b, rtol=rtol)
             assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
             assert got[1] == pytest.approx(want[1], rel=1e-6, abs=1e-15 * abs(want[0]))
@@ -75,11 +76,13 @@ def test_gauss_matches_the_numpy_panels(seed):
     def fun(x):
         return 1.0 / np.sqrt(x) + np.cos(7.0 * x)
 
+    # the array form runs these three at once; each alone gives its entry
     lo, hi = [0.0, 0.5, 1e-3], [1.0, 3.0, 1.0]
-    got = quadrature.gauss_legendre(fun, lo, hi, rtol=1e-12)
     want = quad_reference.gauss_legendre(fun, np.array(lo), np.array(hi), rtol=1e-12)
-    assert got[0] == pytest.approx(want[0].tolist(), rel=1e-14, abs=0.0)
-    assert got[2] == want[2].tolist()
+    for a, b, want_val, want_missed in zip(lo, hi, want[0].tolist(), want[2].tolist()):
+        val, _, missed = quadrature.gauss_legendre(fun, a, b, rtol=1e-12)
+        assert val == pytest.approx(want_val, rel=1e-14, abs=0.0)
+        assert missed == want_missed
 
 
 def test_geomspace_is_numpys_with_exact_ends():
@@ -96,25 +99,24 @@ def test_geomspace_is_numpys_with_exact_ends():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_gauss_stops_at_a_sum_that_is_not_finite(bad):
     # no halving makes a non-finite sum finite: one level of panels, then a
-    # miss, while the finite integral beside it is resolved
+    # miss, while the finite integral of the same function beside it is resolved
     nodes = []
 
     def fun(x):
         nodes.append(x)
         return bad if x < 1.0 else x
 
-    val, _, missed = quadrature.gauss_legendre(fun, [0.0, 1.0], [1.0, 2.0], rtol=1e-12)
-    assert missed == [True, False]
-    assert not math.isfinite(val[0]) and val[1] == pytest.approx(1.5, rel=1e-14)
-    assert sum(x < 1.0 for x in nodes) == quadrature.GAUSS_K + 2 * quadrature.GAUSS_K
+    val, _, missed = quadrature.gauss_legendre(fun, 0.0, 1.0, rtol=1e-12)
+    assert missed and not math.isfinite(val)
+    assert len(nodes) == quadrature.GAUSS_K + 2 * quadrature.GAUSS_K
+    val, _, missed = quadrature.gauss_legendre(fun, 1.0, 2.0, rtol=1e-12)
+    assert not missed and val == pytest.approx(1.5, rel=1e-14)
 
 
 def test_gauss_flags_a_miss_it_cannot_resolve():
-    val, err, missed = (x[0] for x in quadrature.gauss_legendre(
-        lambda x: 1.0 / x, [0.0], [1.0], rtol=1e-12))
+    val, err, missed = quadrature.gauss_legendre(lambda x: 1.0 / x, 0.0, 1.0, rtol=1e-12)
     assert missed and err > 1e-12 * abs(val)
-    _, _, missed = (x[0] for x in quadrature.gauss_legendre(
-        lambda x: np.full_like(x, np.nan), [0.0], [1.0], rtol=1e-12))
+    _, _, missed = quadrature.gauss_legendre(lambda x: math.nan, 0.0, 1.0, rtol=1e-12)
     assert missed
 
 

@@ -10,9 +10,13 @@ only), gives each its own ``--output-dir`` and runs it in-process through
 ``harnacklab.cli.main``.  The benchmark runs presets only, so the
 ``tables`` workload adds custom profiles: it writes the tables of
 ``tests/tables.py`` (``TABLES``) as CSV files and answers ``verify --C 10``,
-``min-c`` and ``export-profile`` at n = 4 on each, whatever the seeds.  It
-prints JSON holding, per argv, the exit code, a sha256 of stdout, the first
-line of stderr and a sha256 of each artifact.  The output directories are
+``min-c`` and ``export-profile`` at n = 4 on each, whatever the seeds.  The
+``edges`` workload, also seed-free, answers ``min-c`` on two smoothed cones
+whose blend holds thousands of radii of a fine grid (``EDGES``), at 512
+and 65536 points, so that an answer that depends on the grid's size shows
+as a difference between the two.  It prints JSON holding, per argv, the
+exit code, a sha256 of stdout, the first line of stderr and a sha256 of
+each artifact.  The output directories are
 relative paths inside a temporary working directory, so the config a
 report echoes is the same for every checkout.
 
@@ -55,7 +59,10 @@ TABLES = {
     "late-bump": ("late_bump_table", ()),
 }
 TABLE_COMMANDS = (("verify", "--C", "10"), ("min-c",), ("export-profile",))
-CHOICES = (*workloads.WORKLOADS, "tables")
+#: the ``edges`` workload: (model, n) answered by min-c at each grid size
+EDGES = (("smoothed-cone:0.3:1", "30"), ("smoothed-cone:0.1:100", "12"))
+EDGE_GRID_SIZES = ("512", "65536")
+CHOICES = (*workloads.WORKLOADS, "tables", "edges")
 
 
 def _sha(data: bytes) -> str:
@@ -79,13 +86,19 @@ def _write_tables(directory: Path) -> None:
 
 def _argvs(names, seeds):
     """(key, argv) of every cycle slot and probe of the workloads at the
-    seeds, and of every table command."""
+    seeds, of every table command and of every edge argv."""
     for name in names:
         if name == "tables":
             for table in TABLES:
                 for cmd, *opts in TABLE_COMMANDS:
                     yield f"tables:{table}:{cmd}", [
                         cmd, "--model", f"custom:tables/{table}.csv", "--n", "4", *opts]
+            continue
+        if name == "edges":
+            for model, n in EDGES:
+                for size in EDGE_GRID_SIZES:
+                    yield f"edges:{model}:n{n}:grid{size}", [
+                        "min-c", "--model", model, "--n", n, "--grid-size", size]
             continue
         for seed in seeds:
             cycle, probes = workloads.build(name, seed)
