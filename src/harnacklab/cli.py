@@ -12,12 +12,10 @@ no command loads numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import (INEQ_TOL, MAX_GRID_SIZE, THEOREM_C, ModelError, __version__,
@@ -31,8 +29,9 @@ DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 H_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 100.0))
 
 
-@dataclass
 class RunConfig:
+    """A run's settings: these defaults, then a config file, then the flags."""
+
     model: str = "euclidean"
     n: int = 4
     C: float = 10.0
@@ -43,17 +42,23 @@ class RunConfig:
     lambdas: tuple = DEFAULT_LAMBDAS
     seed: int = 0
     output_dir: str = ""
+    #: the settings above: what a config file may set and a report echoes
+    FIELDS = ("model", "n", "C", "r_min", "r_max", "grid_size", "tol", "lambdas", "seed",
+              "output_dir")
 
     @classmethod
     def load(cls, args) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
             data = json.loads(Path(args.config).read_text())
+            if not isinstance(data, dict):
+                raise ModelError(f"config file {args.config} must hold a JSON object, "
+                                 f"got {type(data).__name__}")
             for key, val in data.items():
-                if not hasattr(cfg, key):
+                if key not in cls.FIELDS:
                     raise ModelError(f"unknown config key {key!r}")
                 setattr(cfg, key, val)
-        for key in dataclasses.asdict(cfg):
+        for key in cls.FIELDS:
             val = getattr(args, key, None)
             if val is not None:
                 setattr(cfg, key, val)
@@ -92,7 +97,7 @@ class RunConfig:
         return cfg
 
     def echo(self) -> dict:
-        d = dataclasses.asdict(self)
+        d = {key: getattr(self, key) for key in self.FIELDS}
         d["lambdas"] = list(d["lambdas"])
         return d
 
@@ -246,7 +251,7 @@ def cmd_audit(args) -> int:
     ok = all(getattr(audit, name) <= cfg.tol * max(1.0, scale)
              for name, scale in audit.group_scales.items())
     return _report("audit", cfg, _verdict(ok, bool(audit.hypothesis_flags)),
-                   {"audit": dataclasses.asdict(audit)})
+                   {"audit": audit._asdict()})
 
 
 def cmd_symbolic(args) -> int:

@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
@@ -137,16 +136,15 @@ def _inverse(a, x) -> tuple:
     return tuple(tuple(row[d:]) for row in rows)
 
 
-@dataclass
 class CoordinateChart:
     """A metric given by its component matrix as a function of the point
     (a tuple of floats); any d x d nested sequence of numbers will do."""
 
-    name: str
-    dim: int
-    metric: Callable[[tuple], object]
-    _cache: dict = field(default_factory=dict, repr=False)
-    _inv_cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("name", "dim", "metric", "_cache", "_inv_cache")
+
+    def __init__(self, name: str, dim: int, metric: Callable[[tuple], object]):
+        self.name, self.dim, self.metric = name, dim, metric
+        self._cache, self._inv_cache = {}, {}
 
     def _flat_g(self, x) -> tuple:
         """g_ij at x as one row-major tuple, checked and cached per point."""

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import quadrature
 from .models import ModelError, ModelManifold
@@ -49,18 +48,16 @@ class GeodesicError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SlicePoint:
-    r: float
-    phi: float
+    __slots__ = ("r", "phi")
 
-    def __post_init__(self):
-        if self.r <= 0:
+    def __init__(self, r: float, phi: float):
+        if r <= 0:
             raise GeodesicError("slice points need r > 0")
+        self.r, self.phi = r, phi
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
+class GeodesicPath(NamedTuple):
     """The shot sampled at the arclengths s: tuples of floats."""
 
     s: tuple
@@ -70,8 +67,7 @@ class GeodesicPath:
     unit_speed_defect: float
 
 
-@dataclass(frozen=True)
-class GeodesicTriple:
+class GeodesicTriple(NamedTuple):
     y: SlicePoint
     z: SlicePoint
     lam: float
@@ -357,8 +353,7 @@ def _taylor_q(prof, r0):
     return q
 
 
-@dataclass(frozen=True)
-class _Minimizer:
+class _Minimizer(NamedTuple):
     length: float
     branch: str         # radial | monotone | turning | tip
     # monotone and turning: the arc, with the Clairaut constant k, from the

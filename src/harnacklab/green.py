@@ -45,7 +45,7 @@ import bisect
 import io
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import quadrature
 from .models import ModelError, ModelManifold, Piece, Poly, nonparabolic_check
@@ -163,8 +163,7 @@ def _b2_hessian(n: int, G, q1, q2, f, fp):
 COLUMNS = ("G", "Gp", "Gpp", "b", "b2", "b2p", "grad_b", "mu_rad", "mu_tan")
 
 
-@dataclass(frozen=True)
-class RadialGreenProfile:
+class RadialGreenProfile(NamedTuple):
     """G and its companions sampled on a grid, with exact radial derivatives;
     each column is a tuple of floats, one per grid radius."""
 

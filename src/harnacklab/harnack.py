@@ -12,8 +12,7 @@ audited pointwise; one kernel, `_htilde`, serves every radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import INEQ_TOL, is_exploratory, quadrature, require_theorem_C
 from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
@@ -84,8 +83,7 @@ def consistency_hess_vs_H(profile: RadialGreenProfile, r: float) -> float:
     return max(abs(mu_rad - pred_rad), abs(mu_tan - pred_tan))
 
 
-@dataclass(frozen=True)
-class HarnackReport:
+class HarnackReport(NamedTuple):
     model_id: str
     n: int
     C: float
@@ -207,8 +205,7 @@ def verify_theorem(
 # proof-term audit
 
 
-@dataclass(frozen=True)
-class TermAudit:
+class TermAudit(NamedTuple):
     """Signed slack of every estimate in the pointwise Laplacian bound.
 
     Each group value is (term as evaluated) minus (its claimed upper
@@ -244,8 +241,8 @@ class TermAudit:
     group_mixed_bound: float    # (n-2)(C-4) G^alpha * htilde
     lap_assembled: float        # raw term sum + (n-2)C/2 * Delta G^alpha
     lap_fd: float               # finite differences of the eigenvalue curve
-    group_scales: dict = field(default_factory=dict)
-    hypothesis_flags: dict = field(default_factory=dict)
+    group_scales: dict
+    hypothesis_flags: dict
 
 
 def _lap_radial_curve(profile: RadialGreenProfile, func, r: float) -> float:

@@ -20,7 +20,6 @@ import bisect
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import ModelError, quadrature
@@ -277,7 +276,6 @@ def _smoothstep_blend(c, r0):
     return (Poly((0.5 * r0, 1.0)) * (1.0 + (c - 1.0) * w)).coef
 
 
-@dataclass(frozen=True)
 class WarpingProfile:
     """Warping function f(r) of a rotationally symmetric metric.
 
@@ -292,15 +290,11 @@ class WarpingProfile:
     `knots` are the radii where f changes polynomial.
     """
 
-    kind: str
-    c: Optional[float] = None
-    r0: Optional[float] = None
-    table: Optional[tuple] = None  # (r, f) samples for kind == "custom"
-    pieces: tuple = field(init=False, repr=False, compare=False)
-    knots: tuple = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "c", "r0", "table", "pieces", "knots", "_rows")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, c: Optional[float] = None, r0: Optional[float] = None,
+                 table: Optional[tuple] = None):  # (r, f) samples for kind == "custom"
+        self.kind, self.c, self.r0, self.table = kind, c, r0, table
         if self.kind in ("cone", "smoothed_cone"):
             if self.c is None or not (0.0 < self.c <= 1.0):
                 raise ModelError("cone aperture c must satisfy 0 < c <= 1")
@@ -337,13 +331,13 @@ class WarpingProfile:
             raise ModelError(f"unknown profile kind {self.kind!r}")
         top = pieces[-1].hi
         knots = [pc.lo for pc in pieces[1:]] + ([top] if top < math.inf else [])
-        object.__setattr__(self, "pieces", tuple(pieces))
-        object.__setattr__(self, "knots", tuple(knots))
+        self.pieces = tuple(pieces)
+        self.knots = tuple(knots)
         # _rows: the pieces' lo and x0, and per derivative order the Horner
         # rows (descending powers) of every piece
         rows = [[Poly(pc.coef).deriv(k).coef[::-1] for pc in pieces] for k in range(4)]
         los, x0s = [pc.lo for pc in pieces], [pc.x0 for pc in pieces]
-        object.__setattr__(self, "_rows", (los, x0s, rows, top))
+        self._rows = (los, x0s, rows, top)
 
     # -- evaluation ------------------------------------------------------
 
@@ -430,16 +424,15 @@ class WarpingProfile:
         return self.f(top.hi) / top.hi
 
 
-@dataclass(frozen=True)
 class ModelManifold:
     """Dimension n >= 3 together with a warping profile."""
 
-    n: int
-    profile: WarpingProfile
+    __slots__ = ("n", "profile")
 
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
+    def __init__(self, n: int, profile: WarpingProfile):
+        if int(n) != n or n < 3:
             raise ModelError("dimension must be an integer >= 3")
+        self.n, self.profile = n, profile
 
     def describe(self) -> str:
         p = self.profile
@@ -452,8 +445,7 @@ class ModelManifold:
         return "custom"
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     """Sectional and Ricci curvature of the warped metric at one radius."""
 
     r: float
@@ -463,8 +455,7 @@ class CurvatureSample:
     ric_tan: float
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Where the model stands with respect to the curvature/volume hypotheses."""
 
     nonneg_sectional_along_gradG: bool
@@ -490,8 +481,7 @@ class HypothesisReport:
         }
 
 
-@dataclass(frozen=True)
-class NonParabolicityReport:
+class NonParabolicityReport(NamedTuple):
     varopoulos_integral_finite: bool
     tail_exponent: float
 

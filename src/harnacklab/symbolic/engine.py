@@ -33,8 +33,7 @@ applied twice or contracted with grad G, then reduced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ring import ALPHA, BETA, C, N, ZERO, Coeff, Module, TensorError, coerce
 
@@ -49,8 +48,7 @@ __all__ = [
 # ("driem", idx), ("dric", idx), ("kron", idx); idx = tuple of str
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: Coeff             # canonical ring element in n, C, beta
     gexp: Coeff              # exponent of the G power, same ring
     factors: tuple           # tuple of (kind, indices)

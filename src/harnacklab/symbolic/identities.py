@@ -15,8 +15,7 @@ malformed, as a non-zero entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .engine import (
     ALPHA, BETA, C, N,
@@ -231,8 +230,7 @@ def _lap_literal():
     return diff
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     builder: Callable[[], TensorExpr]
     expect_zero: bool
     note: str = ""
@@ -261,8 +259,7 @@ IDENTITIES = {
 }
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     zero: bool
     residual: Optional[TensorExpr]

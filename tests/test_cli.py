@@ -172,6 +172,23 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("config,message", [
+    # attributes of RunConfig that are not settings
+    ({"echo": 1}, "unknown config key 'echo'"),
+    ({"__class__": 1}, "unknown config key '__class__'"),
+    ({"load": 1}, "unknown config key 'load'"),
+    ([1, 2], "config file {path} must hold a JSON object, got list"),
+])
+def test_config_that_names_no_setting_exits_2_with_one_line(config, message, tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["min-c", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message.format(path=cfg)}"]
+
+
 # -- artifacts ----------------------------------------------------------------
 
 
@@ -420,6 +437,15 @@ def test_audit_euclidean(capsys):
     assert doc["audit"]["final_bound"] == pytest.approx(-96.0, abs=1e-6)
 
 
+def test_audit_report_keeps_every_field_of_the_audit(capsys):
+    _, doc = run_json(["audit", "--model", "euclidean", "--n", "4",
+                       "--C", "12", "--r", "1.0"], capsys)
+    assert set(doc["audit"]) == {
+        "r", "C", "direction", "group_curv1", "group_curv2", "group_Hsq", "group_Csq",
+        "group_mixed", "final_bound", "group_Csq_bound", "group_mixed_bound",
+        "lap_assembled", "lap_fd", "group_scales", "hypothesis_flags"}
+
+
 def test_audit_euclidean_at_large_G_does_not_fail(capsys):
     # group_mixed is the roundoff of terms near 1e35, far inside its gate
     # tol * (sum of their absolute values); euclidean meets the proof exactly
@@ -557,6 +583,26 @@ def test_each_command_loads_only_its_engine(argv, code, engine):
     ran, loaded = json.loads(r.stdout)
     assert ran == code
     assert set(loaded) == {"harnacklab", "harnacklab.cli"} | engine
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "euclidean", "--n", "4", "--C", "10", "--grid-size", "8"],
+    # euclidean loads the FD oracle, which confirms its parallel Ricci
+    ["corollary", "--model", "euclidean", "--n", "4", "--C", "10", "--triples", "2"],
+    ["symbolic", "verify", "--name", "misc.1"],
+    ["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"],
+])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    # each would cost every command its import time
+    script = ("import contextlib, io, json, sys\n"
+              "from harnacklab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))")
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [0, []]
 
 
 def test_oracle_does_not_load_sympy():

@@ -36,6 +36,11 @@ def test_slice_point_validation():
         SlicePoint(r=-1.0, phi=0.0)
 
 
+def test_slice_point_at_the_tip_is_refused():
+    with pytest.raises(GeodesicError, match=r"^slice points need r > 0$"):
+        SlicePoint(r=0.0, phi=0.0)
+
+
 def test_radial_shot_is_straight(eucl4):
     path = shoot_geodesic(eucl4, SlicePoint(1.0, 0.0), 0.0, 3.0)
     assert path.r[-1] == pytest.approx(4.0, abs=1e-9)

@@ -5,7 +5,8 @@ through ``__all__``; imports inside functions or classes are allowed
 only in the CLI's command functions, each of which loads the engine it runs,
 and in ``models.hypothesis_report``, which loads the FD oracle only where
 the closed form finds Ricci parallel; no module imports sympy, scipy or
-numpy, which only the tests use, as references; and no module but ``models`` reads how a warping profile
+numpy, which only the tests use, as references, nor dataclasses, whose
+import every command would pay for; and no module but ``models`` reads how a warping profile
 was specified (its kind and parameters) rather than its pieces, or
 decides its end from its top piece.  The benchmark's tracer wraps
 package functions by name: each of them must exist.
@@ -124,6 +125,12 @@ def test_no_module_imports_numpy():
     assert _importers("numpy") == []
 
 
+def test_no_module_imports_dataclasses():
+    # importing it loads inspect, ast, dis and tokenize, and each class it
+    # decorates compiles generated code: every command would pay for both
+    assert _importers("dataclasses") == []
+
+
 #: what only models.py may touch: the parameters a profile is built from,
 #: and the names of the per-kind helpers its pieces replaced
 PROFILE_FIELDS = {"kind", "table", "r0", "c"}
@@ -165,8 +172,7 @@ def test_fd_oracle_imports_no_numpy():
                 if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module}
-    assert imported == {"__future__", "dataclasses", "functools", "itertools", "math", "operator",
-                        "typing"}
+    assert imported == {"__future__", "functools", "itertools", "math", "operator", "typing"}
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -75,6 +75,14 @@ def test_dimension_gate():
         make_model("euclidean", 3.5)
 
 
+@pytest.mark.parametrize("n", [2, 3.5])
+def test_model_manifold_refuses_a_dimension_itself(n):
+    # hypothesis_report and the FD tests build it directly, past make_model
+    profile = make_model("euclidean", 4).profile
+    with pytest.raises(ModelError, match=r"^dimension must be an integer >= 3$"):
+        models.ModelManifold(n, profile)
+
+
 def test_cone_aperture_gate():
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(ModelError):
