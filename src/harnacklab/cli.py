@@ -354,7 +354,61 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", dest="output_dir")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--exploratory", action="store_true",
+                   help=f"allow C < {THEOREM_C} / unmet hypotheses (exit 3 on success)")
+    p.add_argument("--D", type=float, default=None,
+                   help="also check the eigenvalue lower bound for Hess b^2 <= D g")
+
+
+def _corollary_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--triples", type=_count, default=100)
+    p.add_argument("--lambdas", type=float, nargs="+", default=None)
+
+
+def _audit_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=float, default=1.0, help="radius to audit")
+
+
+def _symbolic_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["verify-all", "verify"])
+    p.add_argument("--name", help="single identity to verify")
+
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("what", choices=["commutators"])
+    p.add_argument("--chart", default="s2xr2",
+                   choices=["euclidean", "round_sphere", "s2xr2", "cone"])
+    p.add_argument("--h", type=float,
+                   help="finite-difference step (default fdcheck.DEFAULT_H)")
+    p.add_argument("--probes", type=_count, default=10)
+
+
+def _models_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["list"])
+
+
+def _no_args(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+#: (name, help, the arguments past the common ones, command) of each subcommand
+_SUBCOMMANDS = (
+    ("verify", "check Hess b^2 <= C g over the grid", _verify_args, cmd_verify),
+    ("min-c", "measure the least C with Hess b^2 <= C g", _no_args, cmd_min_c),
+    ("corollary", "geodesic interpolation bound on b^2", _corollary_args, cmd_corollary),
+    ("audit", "sign audit of the pointwise estimate", _audit_args, cmd_audit),
+    ("symbolic", "exact tensor identity catalogue", _symbolic_args, cmd_symbolic),
+    ("oracle", "finite-difference commutator residuals", _oracle_args, cmd_oracle),
+    ("models", "list model presets", _models_args, cmd_models),
+    ("export-profile", "dump the Green profile as CSV", _no_args, cmd_export_profile),
+)
+
+
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered under its help, and the
+    arguments of `command` alone: the top-level help, a usage error and the
+    command's own help read as if every subcommand had its arguments."""
     parser = argparse.ArgumentParser(
         prog="harnacklab",
         description="Verification lab for the matrix bound Hess b^2 <= C g "
@@ -362,62 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check Hess b^2 <= C g over the grid")
-    _add_common(p)
-    p.add_argument("--exploratory", action="store_true",
-                   help=f"allow C < {THEOREM_C} / unmet hypotheses (exit 3 on success)")
-    p.add_argument("--D", type=float, default=None,
-                   help="also check the eigenvalue lower bound for Hess b^2 <= D g")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("min-c", help="measure the least C with Hess b^2 <= C g")
-    _add_common(p)
-    p.set_defaults(func=cmd_min_c)
-
-    p = sub.add_parser("corollary", help="geodesic interpolation bound on b^2")
-    _add_common(p)
-    p.add_argument("--triples", type=_count, default=100)
-    p.add_argument("--lambdas", type=float, nargs="+", default=None)
-    p.set_defaults(func=cmd_corollary)
-
-    p = sub.add_parser("audit", help="sign audit of the pointwise estimate")
-    _add_common(p)
-    p.add_argument("--r", type=float, default=1.0, help="radius to audit")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("symbolic", help="exact tensor identity catalogue")
-    _add_common(p)
-    p.add_argument("action", choices=["verify-all", "verify"])
-    p.add_argument("--name", help="single identity to verify")
-    p.set_defaults(func=cmd_symbolic)
-
-    p = sub.add_parser("oracle", help="finite-difference commutator residuals")
-    _add_common(p)
-    p.add_argument("what", choices=["commutators"])
-    p.add_argument("--chart", default="s2xr2",
-                   choices=["euclidean", "round_sphere", "s2xr2", "cone"])
-    p.add_argument("--h", type=float,
-                   help="finite-difference step (default fdcheck.DEFAULT_H)")
-    p.add_argument("--probes", type=_count, default=10)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("models", help="list model presets")
-    _add_common(p)
-    p.add_argument("action", choices=["list"])
-    p.set_defaults(func=cmd_models)
-
-    p = sub.add_parser("export-profile", help="dump the Green profile as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_export_profile)
-
+    for name, text, add_args, func in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            _add_common(p)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so its first word that is
+    # not an option names the subcommand, the only one whose arguments are built
+    command = next((word for word in argv if not word.startswith("-")), "")
     try:
         # the parser is dropped once it has parsed, before the command's engine loads
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help; pass both through
         return int(exc.code or 0)

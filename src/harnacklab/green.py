@@ -8,9 +8,11 @@ the pole, which pins it up to normalization:
     G'(r) = -(n-2) * f(r)^{1-n}
     G''(r) = (n-2)(n-1) * f(r)^{-n} * f'(r)
 
-The constant is chosen so that G = r^{2-n} when f(r) = r.  Everything
-else (b, b^2, |grad b|, Hess b^2) is a power of G, worked by `power_jet`
-in q1 = G'/G and q2 = G''/G: finite wherever G is.
+The constant is chosen so that G = r^{2-n} when f(r) = r.  b = G^{1/(2-n)}
+and b^2 = G^{2/(2-n)} are powers of G, differentiated through
+q1 = G'/G and q2 = G''/G, which stay finite wherever G does:
+|grad b| = |b q1/(2-n)|, and Hess b^2 has the eigenvalues
+mu_rad = (b^2)'' on the radial line and mu_tan = (b^2)' f'/f on the sphere.
 
 G is computed on the warping profile's own pieces (`models.Piece`), on
 each of which f is one polynomial of r.  Where f = a*r exactly
@@ -28,15 +30,20 @@ with no quadrature at all; a smoothed cone integrates only its blend
 one closed end, f = `tail_slope` * r from there on (where every kind's
 end is decided): the top piece of a profile that reaches to infinity, or
 the closure of a table above its top, so a table is integrated up to its
-top.  G at each piece's upper end (`G_hi`) is worked top down, so G(r),
-on the grid and pointwise alike, is `G_hi` of the piece holding r plus the
-closed form or one integral up to the piece's top, and a finite integral
-whose error estimate misses its gate raises ModelError.  One kernel,
-`_kernel`, gives G' and G'' from f and f' on the same piece (a table's top
-radius takes them from the table's top piece), in plain floats.  A power
-past the float range is inf, in G (a knot below the grid may have one) as
-in the kernel, so that the range checks refuse only the radii that need
-it and name what left the range.
+top.  G at each piece's upper end, G_hi, is worked top down.
+
+Two kernels per piece do all of this, each with the piece's constants
+taken once: `_piece_green` gives G(r) on the piece from its G_hi (the
+closed form, or one integral of a Horner-row integrand up to the piece's
+top), and `_piece_columns` gives, for a run of radii on the piece, every
+column of the profile there, and f and f' at the last one for the
+pointwise calls (a table's top radius takes f and f' from the table's
+top piece).  The grid and every pointwise call (`green_at`,
+`green_derivs_at`, `b2_at`, `hess_b2_eigs`) go through them, so they
+agree bit for bit, and a finite integral whose error estimate misses its
+gate raises ModelError.  A power past the float range is inf, in G (a
+knot below the grid may have one) as in the columns, so that the range
+checks refuse only the radii that need it and name what left the range.
 """
 
 from __future__ import annotations
@@ -44,20 +51,18 @@ from __future__ import annotations
 import bisect
 import io
 import math
+import operator
 import sys
 from typing import NamedTuple
 
 from . import quadrature
-from .models import ModelError, ModelManifold, Piece, Poly, nonparabolic_check
+from .models import ModelError, ModelManifold, Piece, nonparabolic_check
 
 __all__ = [
     "RadialGreenProfile",
     "compute_profile",
-    "green_derivs",
-    "power_jet",
     "radial_laplacian",
     "hess_b2_eigs",
-    "check_power_laplacian",
     "in_float_range",
     "csv_text",
 ]
@@ -75,76 +80,116 @@ def _pow(x, y):
         return math.inf
 
 
-def _piece_G(n: int, pc: Piece, G_hi: float, r: float) -> float:
-    """G at a radius r inside the piece pc, from G_hi = G(pc.hi).
+def _piece_green(n: int, pc: Piece, G_hi: float):
+    """G(r) at the radii r inside the piece pc, from G_hi = G(pc.hi).
 
     Where f = a*r it is closed, G(r) = G_hi + a^{1-n} (r^{2-n} - hi^{2-n})
-    (hi = inf contributes 0); elsewhere it is G_hi plus one Gauss integral
-    of the piece's polynomial up to pc.hi.  Every power is taken by `_pow`,
-    and a G that is not finite is inf, which the range checks refuse where
-    a radius needs it; a finite integral whose estimate misses GREEN_RTOL
-    is refused here.
+    (hi = inf contributes 0), with a^{1-n} and hi^{2-n} taken once;
+    elsewhere it is G_hi plus one Gauss integral of f^{1-n} up to pc.hi,
+    f by Horner's rule on the piece's coefficients.  Every power is inf
+    past the float range, as `_pow` takes it, and a G that is not finite
+    is inf, which the range checks refuse where a radius needs it; a finite
+    integral whose estimate misses GREEN_RTOL is refused here.
     """
+    isfinite, inf, hi = math.isfinite, math.inf, pc.hi
     a = pc.slope
     if a is not None:
-        G = G_hi + _pow(a, 1 - n) * (_pow(r, 2 - n) - _pow(pc.hi, 2 - n))
-    else:
-        F, x0 = Poly(pc.coef), pc.x0
-        val, _, missed = quadrature.gauss_legendre(lambda t: _pow(F(t - x0), 1 - n),
-                                                   r, pc.hi, rtol=GREEN_RTOL)
-        if missed and math.isfinite(val):
-            raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
-                             f"[{r:.17g}, {pc.hi:.17g}] at n={n}")
-        G = G_hi + (n - 2) * val
-    return G if math.isfinite(G) else math.inf
+        scale, e, top = _pow(a, 1 - n), 2 - n, _pow(hi, 2 - n)
 
+        def green(r):
+            G = G_hi + scale * (_pow(r, e) - top)
+            return G if isfinite(G) else inf
 
-def green_derivs(n: int, x, fp, a=1.0):
-    """(G', G'') where f = a x and f' = fp, at the same radii.
+        return green
 
-    In general a = 1 and x = f.  Where f = a r exactly, pass the slope a
-    and x = r: the powers f^{1-n} = a^{1-n} r^{1-n} are then taken of a
-    and r apart, as `_piece_G` takes them, and not of the rounded product
-    a r, whose rounding the power would multiply by n.
-    """
-    return (-(n - 2) * _pow(a, 1 - n) * _pow(x, 1 - n),
-            (n - 2) * (n - 1) * _pow(a, -n) * _pow(x, -n) * fp)
+    row, x0, e = pc.coef[::-1], pc.x0, float(1 - n)  # descending powers of t - x0
 
-
-def _kernel(model: ModelManifold, pc: Piece, r_top: float):
-    """derivs(r) = (G', G'', f, f') at the radii r <= r_top of the piece pc,
-    by `green_derivs`, with x = r and the slope a where f = a*r exactly.
-
-    f and f' come from the profile's piece at pc.lo: pc itself, or at the
-    closed end of a table the table's top piece, which holds the top radius
-    only; above it the profile refuses r_top.  Their Horner rows are built
-    once, with the coefficients `Poly.deriv` gives f'.
-    """
-    n, p = model.n, model.profile
-    fpc = p.piece_at(pc.lo)
-    if r_top > fpc.hi:
-        p.f(r_top)  # raises: f stops at a table's top
-    a, x0 = fpc.slope, fpc.x0
-    row = fpc.coef[::-1]  # descending powers of r - x0
-    drow = [k * c for k, c in enumerate(fpc.coef)][:0:-1]
-
-    def derivs(r):
-        t = r - x0
-        f = fp = 0.0
+    def integrand(t):
+        t -= x0
+        f = 0.0
         for c in row:
             f = f * t + c
-        for c in drow:
-            fp = fp * t + c
-        Gp, Gpp = green_derivs(n, f, fp) if a is None else green_derivs(n, r, fp, a)
-        return Gp, Gpp, f, fp
+        try:
+            return f ** e
+        except (OverflowError, ZeroDivisionError):
+            return inf
 
-    return derivs
+    def green(r):
+        val, _, missed = quadrature.gauss_legendre(integrand, r, hi, rtol=GREEN_RTOL)
+        if missed and isfinite(val):
+            raise ModelError(f"Green quadrature missed its gate {GREEN_RTOL:g} on "
+                             f"[{r:.17g}, {hi:.17g}] at n={n}")
+        G = G_hi + (n - 2) * val
+        return G if isfinite(G) else inf
+
+    return green
 
 
-def power_jet(G, q1, q2, beta: float):
-    """(u, u', u'') of u = G^beta, from q1 = G'/G and q2 = G''/G."""
-    u = _pow(G, beta)
-    return u, beta * u * q1, beta * u * ((beta - 1) * q1 * q1 + q2)
+def _piece_columns(model: ModelManifold, pc: Piece, green, radii):
+    """(rows, f, f'): one row per radius of radii (ascending, inside the
+    piece pc, at least one) holding the values of `COLUMNS` there, and f
+    and f' at the last radius, the one radius of a pointwise call.
+
+    G is green(r); f and f' come from the profile's piece at pc.lo: pc
+    itself, or at the closed end of a table the table's top piece, which
+    holds the top radius only; above it the profile refuses radii[-1].  The
+    powers are taken by the built-in pow, and a piece where one leaves the
+    float range is taken again by `_pow`, whose inf the range checks refuse.
+    """
+    p = model.profile
+    fpc = p.piece_at(pc.lo)
+    if radii[-1] > fpc.hi:
+        p.f(radii[-1])  # raises: f stops at a table's top
+    Gs = list(map(green, radii))
+    try:
+        return _fill_columns(model.n, fpc, radii, Gs, pow)
+    except (OverflowError, ZeroDivisionError):
+        return _fill_columns(model.n, fpc, radii, Gs, _pow)
+
+
+def _fill_columns(n: int, fpc: Piece, radii, Gs, pw):
+    """`_piece_columns`' (rows, f, f'), every power taken by pw.
+
+    G' = -(n-2) f^{1-n} and G'' = (n-2)(n-1) f^{-n} f'.  Where f = a r
+    exactly the powers are taken of a and r apart, as G = a^{1-n} r^{2-n}
+    takes them, and not of the rounded product a r, whose rounding the
+    power would multiply by n.  Of u = G^beta, u' = beta u q1 and
+    u'' = beta u ((beta-1) q1^2 + q2): b = G^{1/(2-n)}, |grad b| = |b'|,
+    b^2 = G^{2/(2-n)}, mu_rad = (b^2)'' and mu_tan = (b^2)' f'/f.
+    """
+    a, x0 = fpc.slope, fpc.x0
+    slope = None if a is None else float(a)
+    row = fpc.coef[::-1]  # descending powers of r - x0
+    drow = [k * c for k, c in enumerate(fpc.coef)][:0:-1]
+    e1, e0 = float(1 - n), float(-n)  # the powers of 1 - n and -n, taken sooner
+    base = 1.0 if a is None else a
+    c1 = -(n - 2) * pw(base, e1)
+    c2 = (n - 2) * (n - 1) * pw(base, e0)
+    beta_b, beta = 1.0 / (2 - n), 2.0 / (2 - n)
+    beta_m1, inf = beta - 1, math.inf
+    rows = []
+    append = rows.append
+    for r, G in zip(radii, Gs):
+        if a is None:
+            t = r - x0
+            f = fp = 0.0
+            for c in row:
+                f = f * t + c
+            for c in drow:
+                fp = fp * t + c
+            x = f
+        else:
+            f, fp, x = a * r, slope, r  # what Horner's rule gives on (a, 0) and (a,)
+        Gp = c1 * pw(x, e1)
+        Gpp = c2 * pw(x, e0) * fp
+        # G = 0 is an underflow: q = inf makes b = inf, which is refused
+        q1, q2 = (Gp / G, Gpp / G) if G else (inf, inf)
+        b, b2 = pw(G, beta_b), pw(G, beta)
+        s = beta * b2
+        b2p = s * q1
+        append((G, Gp, Gpp, b, b2, b2p, abs(beta_b * b * q1),
+                s * (beta_m1 * q1 * q1 + q2), b2p * fp / f))
+    return rows, f, fp
 
 
 def radial_laplacian(n: int, f, fp, up, upp):
@@ -152,15 +197,9 @@ def radial_laplacian(n: int, f, fp, up, upp):
     return upp + (n - 1) * fp / f * up
 
 
-def _b2_hessian(n: int, G, q1, q2, f, fp):
-    """(b^2, b^2', mu_rad, mu_tan) for b^2 = G^{2/(2-n)}; the Hessian of a
-    radial u is u'' on the radial line and u' f'/f on the sphere."""
-    b2, b2p, b2pp = power_jet(G, q1, q2, 2.0 / (2 - n))
-    return b2, b2p, b2pp, b2p * fp / f
-
-
 #: the columns of a profile, in the order their float range is checked
 COLUMNS = ("G", "Gp", "Gpp", "b", "b2", "b2p", "grad_b", "mu_rad", "mu_tan")
+_LO = operator.attrgetter("lo")
 
 
 class RadialGreenProfile(NamedTuple):
@@ -179,7 +218,7 @@ class RadialGreenProfile(NamedTuple):
     mu_rad: tuple      # eigenvalues of Hess b^2 relative to g
     mu_tan: tuple
     pieces: tuple  # models.Piece cover of (0, inf), ascending, the last the closed end
-    G_hi: tuple    # G at each piece's upper end
+    green: tuple   # G(r) on each piece, from `_piece_green`
 
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
 
@@ -187,27 +226,27 @@ class RadialGreenProfile(NamedTuple):
         """Index of the piece whose [lo, hi) holds a finite r > 0."""
         if not 0.0 < r < math.inf:
             raise ModelError(f"G is defined for a finite r > 0, got r={r!r}")
-        return bisect.bisect_right(self.pieces, r, key=lambda pc: pc.lo) - 1
+        return bisect.bisect_right(self.pieces, r, key=_LO) - 1
 
     def green_at(self, r: float) -> float:
         """G(r) for any finite r > 0: closed form, or quadrature up to the
         top of its piece."""
+        return self.green[self._piece_index(r)](r)
+
+    def _row_at(self, r: float):
+        """`_piece_columns`' (row, f, f') at r, refused where G, G' or G''
+        leaves the float range, as `compute_profile` refuses it on the grid;
+        G > 0, so G = 0 is an underflow."""
         k = self._piece_index(r)
-        return _piece_G(self.model.n, self.pieces[k], self.G_hi[k], r)
+        (row,), f, fp = _piece_columns(self.model, self.pieces[k], self.green[k], (r,))
+        if not (row[0] > 0 and in_float_range(row[:3])):
+            raise ModelError(f"G, G' or G'' leaves the float range at n={self.model.n}, "
+                             f"r={r:g}; lower n or choose another r")
+        return row, f, fp
 
     def green_derivs_at(self, r: float):
-        """(G, G', G'', f, f') at r, the derivatives of G in closed form.
-
-        Refuses an r where G, G' or G'' leaves the float range, as
-        `compute_profile` does on the grid; G > 0, so G = 0 is an underflow.
-        """
-        n = self.model.n
-        k = self._piece_index(r)
-        G = _piece_G(n, self.pieces[k], self.G_hi[k], r)
-        Gp, Gpp, f, fp = _kernel(self.model, self.pieces[k], r)(r)
-        if not (G > 0 and in_float_range((G, Gp, Gpp))):
-            raise ModelError(f"G, G' or G'' leaves the float range at n={n}, "
-                             f"r={r:g}; lower n or choose another r")
+        """(G, G', G'', f, f') at r, the derivatives of G in closed form."""
+        (G, Gp, Gpp, *_), f, fp = self._row_at(r)
         return G, Gp, Gpp, f, fp
 
     def b2_at(self, r: float) -> float:
@@ -238,7 +277,18 @@ _TINY = sys.float_info.min
 
 
 def in_float_range(values) -> bool:
-    """Every value finite and 0 or normal: a subnormal keeps few digits."""
+    """Every value finite and 0 or normal: a subnormal keeps few digits.
+
+    Scans at C speed pass the common case: a finite sum (an inf or a NaN
+    makes it inf or NaN) of values none nearer 0 than the least normal,
+    seen from the least value when all are positive, else from the least
+    magnitude.  Anything else (a zero, a value out of range, a sum that
+    overflows) is decided value by value.
+    """
+    values = tuple(values)
+    if math.isfinite(sum(values)) and (min(values, default=1.0) >= _TINY
+                                       or min(map(abs, values)) >= _TINY):
+        return True
     return all(_TINY <= abs(v) < math.inf or v == 0.0 for v in values)
 
 
@@ -251,10 +301,10 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     if grid is None:
         grid = default_grid()
     grid = tuple(map(float, grid))
-    for r in grid:
-        if not math.isfinite(r):
-            raise ModelError(f"grid radius {r!r} is not finite")
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(map(math.isfinite, grid)):
+        bad = next(r for r in grid if not math.isfinite(r))
+        raise ModelError(f"grid radius {bad!r} is not finite")
+    if len(grid) < 2 or not all(map(operator.lt, grid, grid[1:])):
         raise ModelError("grid must be strictly increasing with >= 2 points")
     if grid[0] <= 0:
         raise ModelError("grid must stay inside (0, inf); G has a pole at r = 0")
@@ -269,32 +319,26 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     pieces = (*(pc for pc in p.pieces if pc.lo < S),
               Piece(S, math.inf, 0.0, (0.0, p.tail_slope)))
     # G at each upper end, from the top down; the lowest piece starts at 0
-    G_hi = [0.0]  # G(inf)
-    for pc in reversed(pieces[1:]):
-        G_hi.append(_piece_G(n, pc, G_hi[-1], pc.lo))
-    G_hi = tuple(reversed(G_hi))
+    green = [None] * len(pieces)
+    g_hi = 0.0  # G(inf)
+    for k in reversed(range(len(pieces))):
+        green[k] = _piece_green(n, pieces[k], g_hi)
+        if k:
+            g_hi = green[k](pieces[k].lo)
 
     rows = []
-    for pc, g_hi in zip(pieces, G_hi):
+    for pc, g in zip(pieces, green):
         radii = grid[bisect.bisect_left(grid, pc.lo):bisect.bisect_left(grid, pc.hi)]
-        if not radii:
-            continue
-        derivs = _kernel(model, pc, radii[-1])
-        for r in radii:
-            g = _piece_G(n, pc, g_hi, r)
-            Gp, Gpp, f, fp = derivs(r)
-            # G = 0 is an underflow: q = inf makes b = inf, which is refused
-            q1, q2 = (Gp / g, Gpp / g) if g else (math.inf, math.inf)
-            b, bp, _ = power_jet(g, q1, q2, 1.0 / (2 - n))
-            b2, b2p, mu_rad, mu_tan = _b2_hessian(n, g, q1, q2, f, fp)
-            rows.append((g, Gp, Gpp, b, b2, b2p, abs(bp), mu_rad, mu_tan))
+        if radii:
+            rows += _piece_columns(model, pc, g, radii)[0]
     columns = dict(zip(COLUMNS, zip(*rows)))
     for name, col in columns.items():
         if not in_float_range(col):
             raise ModelError(f"{name} leaves the float range on the grid at n={n}, "
                              f"r_min={grid[0]:g}, r_max={grid[-1]:g}; lower n "
                              "or narrow the radii")
-    return RadialGreenProfile(model=model, grid=grid, pieces=pieces, G_hi=G_hi, **columns)
+    return RadialGreenProfile(model=model, grid=grid, pieces=pieces, green=tuple(green),
+                              **columns)
 
 
 def hess_b2_eigs(profile: RadialGreenProfile, r: float):
@@ -302,19 +346,4 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
-    *_, mu_rad, mu_tan = _b2_hessian(profile.model.n, G, Gp / G, Gpp / G, f, fp)
-    return mu_rad, mu_tan
-
-
-def check_power_laplacian(profile: RadialGreenProfile, r: float, beta: float) -> float:
-    """| Delta(G^beta) - beta(beta-1) G^{beta-2} |grad G|^2 | at radius r."""
-    grid = profile.grid
-    if not (grid[0] <= r <= grid[-1]):
-        raise ModelError(f"r={r} outside profile grid range")
-    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
-    q1 = Gp / G
-    u, up, upp = power_jet(G, q1, Gpp / G, beta)
-    lhs = radial_laplacian(profile.model.n, f, fp, up, upp)
-    rhs = beta * (beta - 1) * u * q1 * q1
-    return abs(lhs - rhs)
+    return profile._row_at(r)[0][7:9]

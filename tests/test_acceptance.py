@@ -13,10 +13,11 @@ from harnacklab.fdcheck import (
     default_probe_point, default_test_function,
 )
 from harnacklab.geodesics import SlicePoint, corollary_check
-from harnacklab.green import check_power_laplacian, compute_profile, default_grid
+from harnacklab.green import compute_profile, default_grid
 from harnacklab.harnack import audit_proof_terms, consistency_hess_vs_H, minimal_C
 from harnacklab.models import make_model
 from harnacklab.symbolic import verify_identity
+from green_reference import check_power_laplacian
 
 
 GRID = default_grid(0.1, 50.0, 512)

@@ -428,6 +428,50 @@ def test_exit_code_is_the_code_of_the_printed_verdict(argv, tmp_path, capsys):
     assert code == cli.EXIT_CODES[doc["verdict"]]
 
 
+# -- argument parsing -----------------------------------------------------------
+
+COMMON_OPTIONS = ("--config", "--model", "--n", "--C", "--r-min", "--r-max", "--grid-size",
+                  "--tol", "--seed", "--output-dir")
+#: each subcommand's own arguments, past the common ones
+OWN_ARGUMENTS = {
+    "verify": ("--exploratory", "--D"),
+    "min-c": (),
+    "corollary": ("--triples", "--lambdas"),
+    "audit": ("--r",),
+    "symbolic": ("{verify-all,verify}", "--name"),
+    "oracle": ("{commutators}", "--chart", "--h", "--probes"),
+    "models": ("{list}",),
+    "export-profile": (),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_ARGUMENTS))
+def test_each_subcommand_help_lists_its_arguments(command, capsys):
+    # the parser builds the invoked subcommand's arguments only: its help
+    # must still list every one of them
+    code, out = run([command, "--help"], capsys)
+    assert code == 0
+    assert out.startswith(f"usage: harnacklab {command} [-h]")
+    for arg in COMMON_OPTIONS + OWN_ARGUMENTS[command]:
+        assert f"  {arg}" in out or f" [{arg}" in out, (command, arg)
+
+
+def test_top_level_help_and_usage_errors_name_every_subcommand(capsys):
+    choices = "{" + ",".join(OWN_ARGUMENTS) + "}"
+    code, out = run(["--help"], capsys)
+    assert code == 0 and choices in out
+    for command in OWN_ARGUMENTS:
+        assert f"    {command} " in out
+    assert main(["no-such-command"]) == 2
+    err = capsys.readouterr().err
+    assert "argument command: invalid choice: 'no-such-command'" in err
+    assert all(f"'{command}'" in err for command in OWN_ARGUMENTS)
+    assert main([]) == 2 and main(["verify", "--no-such-option"]) == 2
+    # main takes argv's first word that is not an option as the subcommand,
+    # which holds while the top level has no option that takes a value
+    assert set(cli.build_parser("")._option_string_actions) == {"-h", "--help", "--version"}
+
+
 # -- remaining commands -------------------------------------------------------
 
 

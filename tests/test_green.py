@@ -1,6 +1,7 @@
 """Green profile: quadrature vs closed forms, b-function, power rule."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from scipy import integrate
 from harnacklab import quadrature
 from harnacklab.models import ModelError, make_model, model_from_id, nonparabolic_check
 from harnacklab.green import (
-    COLUMNS, check_power_laplacian, compute_profile, default_grid, green_derivs,
-    hess_b2_eigs, power_jet, radial_laplacian,
+    COLUMNS, compute_profile, default_grid, hess_b2_eigs, in_float_range,
 )
+from green_reference import check_power_laplacian, reference_G_hi, reference_rows
 from tables import concave_table, late_bump_table
 
 
@@ -256,7 +257,8 @@ def test_G_past_the_float_range_below_the_grid_is_inf_there_only():
     # at n = 150 f^{1-n} overflows on the concave table's knots below 0.0083:
     # G is inf there, a miss no more, and the grid from 0.01 stays in range
     prof = compute_profile(make_model("custom", 150, table=concave_table()))
-    assert prof.G_hi[0] == math.inf and math.isfinite(prof.G_hi[-2])
+    G_hi = reference_G_hi(prof)
+    assert G_hi[0] == math.inf and math.isfinite(G_hi[-2])
     assert all(math.isfinite(g) for g in prof.G) and prof.green_at(0.005) == math.inf
     with pytest.raises(ModelError, match="leaves the float range at n=150, r=0.005"):
         prof.green_derivs_at(0.005)
@@ -279,15 +281,21 @@ EXACT_MODELS = [(model_from_id(mid, n), mid) for mid, n in (
         (concave_table(), 4, "concave"), (late_bump_table(), 6, "late-bump"))]
 
 
+def _grid_with_knots(model):
+    """The default radii, some of the model's knots and its top knot (a
+    smoothed cone's r0, a table's top), ascending."""
+    knots = model.profile.knots
+    radii = set(default_grid(1e-2, 1e2, 256)) | set(knots[:-1:len(knots) // 10 or 1])
+    if knots and knots[-1] < math.inf:
+        radii.add(knots[-1])
+    return sorted(radii)
+
+
 @pytest.mark.parametrize("model,name", EXACT_MODELS, ids=[name for _, name in EXACT_MODELS])
 def test_pointwise_G_is_grid_G_exactly(model, name):
     # one G function and one derivative kernel per piece serve the grid and
     # every pointwise call, so the two agree bit for bit, on the knots too
-    knots = model.profile.knots
-    radii = set(default_grid(1e-2, 1e2, 256)) | set(knots[:-1:len(knots) // 10 or 1])
-    if knots and knots[-1] < math.inf:
-        radii.add(knots[-1])  # a smoothed cone's r0, a table's top
-    prof = compute_profile(model, sorted(radii))
+    prof = compute_profile(model, _grid_with_knots(model))
     assert all(len(getattr(prof, col)) == len(prof.grid) for col in COLUMNS)
     for i, r in enumerate(prof.grid):
         assert prof.green_at(r) == prof.G[i]
@@ -370,23 +378,6 @@ def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
     for i in sample:
         assert hess_b2_eigs(prof, float(prof.grid[i])) == pytest.approx(
             (mu, mu), rel=tol, abs=0)
-    # each kernel gives the same values on a float as on an array
-    p = prof.model.profile
-    f, fp = (np.vectorize(fun, otypes=[float])(prof.grid) for fun in (p.f, p.fp))
-    G = np.asarray(prof.G)
-    q1, q2 = np.asarray(prof.Gp) / G, np.asarray(prof.Gpp) / G
-    derivs = green_derivs(n, f, fp)
-    for beta in (2.0 / (2 - n), 1.0 / (2 - n), 1.0):
-        jet = power_jet(G, q1, q2, beta)
-        lap = radial_laplacian(n, f, fp, jet[1], jet[2])
-        for i in sample:
-            args = (float(prof.G[i]), float(q1[i]), float(q2[i]))
-            one = power_jet(*args, beta)
-            assert one == pytest.approx(tuple(u[i] for u in jet), rel=1e-15, abs=0)
-            assert radial_laplacian(n, float(f[i]), float(fp[i]), one[1], one[2]) \
-                == pytest.approx(lap[i], rel=1e-15, abs=1e-15 * abs(one[2]))
-            assert green_derivs(n, float(f[i]), float(fp[i])) == pytest.approx(
-                (derivs[0][i], derivs[1][i]), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("kind,c,n,r_min", [
@@ -397,3 +388,60 @@ def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
 def test_profile_past_the_float_range_is_refused(kind, c, n, r_min):
     with pytest.raises(ModelError, match=rf"n={n}, r_min={r_min:g}"):
         compute_profile(make_model(kind, n, c=c), default_grid(r_min, 1e2, 512))
+
+
+# -- one kernel per piece: the grid and the pointwise calls, bit for bit ------
+
+KERNEL_EQUALITY_MODELS = ("euclidean", "cone:0.3", "smoothed-cone:0.8:1", "concave")
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 10])
+@pytest.mark.parametrize("name", KERNEL_EQUALITY_MODELS)
+def test_every_column_is_the_per_radius_path_and_the_pointwise_calls(name, n):
+    # the earlier per-radius path (G per radius, green_derivs, power_jet,
+    # b2_hessian) against the per-piece kernels, with ==, at every radius
+    # (blend radii, knots and a table's top included), and every column
+    # against the pointwise calls there
+    if name == "concave":
+        model = make_model("custom", n, table=concave_table())
+    else:
+        model = model_from_id(name, n)
+    prof = compute_profile(model, _grid_with_knots(model))
+    # G at each piece's upper end: the next piece's G at its lower end, 0 at inf
+    G_hi = (*(g(pc.lo) for g, pc in zip(prof.green[1:], prof.pieces[1:])), 0.0)
+    assert G_hi == reference_G_hi(prof)
+    ref = reference_rows(prof)
+    assert [row[0] for row in ref] == list(prof.grid)
+    for k, col in enumerate(COLUMNS, start=1):
+        assert list(getattr(prof, col)) == [row[k] for row in ref], col
+    for i, r in enumerate(prof.grid):
+        f, fp = ref[i][-2:]
+        assert prof.green_derivs_at(r) == (prof.G[i], prof.Gp[i], prof.Gpp[i], f, fp)
+        assert hess_b2_eigs(prof, r) == (prof.mu_rad[i], prof.mu_tan[i])
+        assert prof.b2_at(r) == prof.b2[i]
+        assert prof.green_at(r) == prof.G[i]
+
+
+# -- the float-range test: its fast scans decide as the value-by-value rule ---
+
+_TINY = sys.float_info.min
+
+
+def _in_range_by_value(values):
+    return all(_TINY <= abs(v) < math.inf or v == 0.0 for v in values)
+
+
+_SPECIAL = st.sampled_from([
+    0.0, -0.0, _TINY, -_TINY, 5e-324, -5e-324, _TINY / 2, -_TINY / 3,
+    sys.float_info.max, -sys.float_info.max, 1e308, -1e308,
+    math.inf, -math.inf, math.nan, 1.0, -2.5])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True),
+                          st.floats(min_value=-1e-300, max_value=1e-300)), max_size=12))
+def test_in_float_range_is_the_value_by_value_rule(values):
+    # zeros of both signs, subnormals, the least normals, finite values whose
+    # sum overflows, infinities and NaN, mixed
+    assert in_float_range(values) is _in_range_by_value(values)
+    assert in_float_range(iter(values)) is _in_range_by_value(values)
