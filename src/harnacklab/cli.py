@@ -125,14 +125,15 @@ def _enc(x):
 def _emit(payload: dict, command: str, output_dir: str) -> None:
     text = json.dumps(_enc(payload), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
-    _write_artifact(output_dir, f"{command.replace(' ', '_')}.json", text)
-
-
-def _write_artifact(output_dir: str, name: str, text: str) -> None:
     if output_dir:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
+        _artifact(output_dir, f"{command.replace(' ', '_')}.json").write_text(text)
+
+
+def _artifact(output_dir: str, name: str) -> Path:
+    """The path of an artifact in output_dir, the directory made if need be."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _report(command: str, cfg: RunConfig, verdict: str, body: dict) -> int:
@@ -198,7 +199,7 @@ def _sample_triples(point, rng, count: int):
 
 def cmd_corollary(args) -> int:
     from . import geodesics
-    from .green import csv_text
+    from .green import write_csv
     from .models import hypothesis_report
     from .sampling import Sampler
 
@@ -226,8 +227,10 @@ def cmd_corollary(args) -> int:
             worst = min(worst, t.slack)
             rows.append((t.y.r, t.y.phi, t.z.r, t.z.phi, t.lam, t.d_yz, t.b2_w, t.rhs,
                          t.slack, int(t.through_tip_region)))
-    _write_artifact(cfg.output_dir, "corollary.csv", csv_text(
-        "y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip", rows))
+    if cfg.output_dir:
+        with _artifact(cfg.output_dir, "corollary.csv").open("w") as out:
+            write_csv(out, "y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip",
+                      rows)
 
     flags = hypothesis_report(model, profile.grid[0], profile.grid[-1]).flags()
     return _report("corollary", cfg,
@@ -321,12 +324,12 @@ def cmd_models(args) -> int:
 def cmd_export_profile(args) -> int:
     cfg = RunConfig.load(args)
     _, profile = _model_profile(cfg)
-    csv = profile.to_csv()
     verdict = _verdict(True)
     if not cfg.output_dir:
-        sys.stdout.write(csv)
+        profile.to_csv(sys.stdout)
         return EXIT_CODES[verdict]
-    _write_artifact(cfg.output_dir, "profile.csv", csv)
+    with _artifact(cfg.output_dir, "profile.csv").open("w") as out:
+        profile.to_csv(out)
     return _report("export-profile", cfg, verdict,
                    {"rows": cfg.grid_size, "artifact": "profile.csv"})
 

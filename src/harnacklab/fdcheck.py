@@ -8,10 +8,12 @@ engine, and can arbitrate both.  The curvature sign convention is
 
 pinned by the round sphere having sectional curvature +1.
 
-Test functions carry exact first and second partials, propagated in
-order-2 Taylor jets (``Jet``) over floats, so the only finite differencing
-is in the covariant corrections; residuals of the commutator identities
-then scale as O(h^2).  Nothing here uses the symbolic engine's library.
+The commutator oracle (``Jet``, ``TestFunction``, ``default_test_function``,
+``check_lemma31``, ``hessian_scalar``) lives in `harnacklab.commutators`
+and is reached through this module's names as well: it is imported on the
+first use of one, so a check of parallel Ricci, which every euclidean
+verdict makes, compiles only the geometry.  Nothing here uses the
+symbolic engine's library.
 
 No array library is loaded: the tensors have at most d^4 entries.  Points
 are tuples of floats; the public functions return tensors as nested
@@ -27,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import Callable
 
 __all__ = [
@@ -508,151 +509,9 @@ def _ricci_coord(chart: CoordinateChart, x: tuple, h: float, gamma) -> tuple:
     return tuple(out)
 
 
-def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> float:
-    """Frobenius norm of grad Ric in an orthonormal frame.
-
-    The stencils of the Ricci tensors at x +- h e_k overlap, so the
-    Christoffels are memoized per point, as in _CovariantStack.
-    """
-    x = _point(x)
-    stack = _CovariantStack(chart, None, h)
-    ric0 = _ricci_coord(chart, x, h, stack.gamma)
-    dric = _central(lambda y: _ricci_coord(chart, y, h, stack.gamma), x, h)
-    # (grad Ric)_{ijk} = d_k Ric_ij - Gamma^m_ki Ric_mj - Gamma^m_kj Ric_im
-    cov = _covariant(dric, ric0, stack.gamma(x), 2)
-    return math.hypot(*_to_frame(cov, orthonormal_frame(chart, x), 3))
-
-
-# -- test functions -----------------------------------------------------------
-
-
-class Jet:
-    """Order-2 Taylor jet of a scalar at a point: value v, gradient g and
-    Hessian h (flat, h[i d + j]) in the chart coordinates, as tuples.
-
-    Sums, products and exp/sin/cos propagate exactly by the product and
-    chain rules, so a test function built from them carries exact first
-    and second partials.  Jets are immutable.
-    """
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v: float, g: tuple, h: tuple):
-        self.v, self.g, self.h = v, g, h
-
-    @staticmethod
-    def coordinate(x, i: int) -> "Jet":
-        """The jet of the i-th coordinate function at the point x."""
-        d = len(x)
-        return Jet(float(x[i]), (0.0,) * i + (1.0,) + (0.0,) * (d - i - 1), (0.0,) * (d * d))
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.v + other.v, tuple(map(operator.add, self.g, other.g)),
-                       tuple(map(operator.add, self.h, other.h)))
-        return Jet(self.v + other, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.v, tuple(map(operator.neg, self.g)), tuple(map(operator.neg, self.h)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            u, v, g, og = self.v, other.v, self.g, other.g
-            gg = [a * b for a in g for b in og]  # g og^T
-            gg_t = [b * a for b in og for a in g]  # og g^T
-            return Jet(u * v,
-                       tuple([u * b + v * a for a, b in zip(g, og)]),
-                       tuple([u * p + v * q + s + t
-                              for p, q, s, t in zip(other.h, self.h, gg, gg_t)]))
-        c = itertools.repeat(other)
-        return Jet(self.v * other, tuple(map(operator.mul, self.g, c)),
-                   tuple(map(operator.mul, self.h, c)))
-
-    __rmul__ = __mul__
-
-    def _chain(self, f0: float, f1: float, f2: float) -> "Jet":
-        """phi(self), given phi, phi' and phi'' at self.v."""
-        g = self.g
-        gg = [a * b for a in g for b in g]
-        return Jet(f0, tuple([f1 * a for a in g]),
-                   tuple([f1 * p + f2 * q for p, q in zip(self.h, gg)]))
-
-    def exp(self) -> "Jet":
-        e = math.exp(self.v)
-        return self._chain(e, e, e)
-
-    def sin(self) -> "Jet":
-        s, c = math.sin(self.v), math.cos(self.v)
-        return self._chain(s, c, -s)
-
-    def cos(self) -> "Jet":
-        s, c = math.sin(self.v), math.cos(self.v)
-        return self._chain(c, -s, -c)
-
-
-class TestFunction:
-    """Scalar function with exact partial derivatives up to 2nd order.
-
-    ``func`` maps the list of the ``dim`` coordinate jets at a point to the
-    function's jet there; each point's jet is computed once.
-    """
-
-    def __init__(self, func: Callable[[list], Jet], dim: int):
-        self.func = func
-        self.dim = dim
-        self._jets = {}
-
-    def jet(self, x) -> Jet:
-        key = _point(x)
-        out = self._jets.get(key)
-        if out is None:
-            out = self.func([Jet.coordinate(key, i) for i in range(self.dim)])
-            self._jets[key] = out
-        return out
-
-    def d1(self, x) -> tuple:
-        return self.jet(x).g
-
-    def d2(self, x) -> tuple:
-        """The Hessian as a tuple of rows."""
-        return _nest(self.jet(x).h, self.dim, 2)
-
-
-def default_test_function(chart: CoordinateChart) -> TestFunction:
-    if chart.name == "round_sphere":
-        def func(x):
-            return x[0].cos() + x[0].sin() * x[1].cos()
-    elif chart.name == "s2xr2":
-        def func(x):
-            return (x[0].cos() * (-0.25 * x[2] * x[2]).exp()
-                    + x[0].sin() * x[1].cos() + x[3] * x[2])
-    elif chart.name == "euclidean" and chart.dim <= 2:
-        def func(x):
-            return x[0] * x[0] * x[1]
-    elif chart.name == "euclidean":
-        def func(x):
-            return x[0] * x[0] * x[1] + (-x[1]).exp() * x[2].cos()
-    elif chart.dim >= 2:  # warped charts
-        def func(x):
-            return (-x[0]).exp() * x[1].cos()
-    else:
-        def func(x):
-            return (-x[0]).exp()
-    return TestFunction(func, chart.dim)
-
-
-# -- covariant derivatives of a test function ---------------------------------
-
-
 def _per_point(method):
-    """Memoize a stack method per point: the nested differences visit each
-    point many times.  The results are tuples, so every caller may share
-    them."""
+    """Memoize a method per point: the nested differences visit each point
+    many times.  The results are tuples, so every caller may share them."""
 
     @functools.wraps(method)
     def cached(self, x):
@@ -665,17 +524,14 @@ def _per_point(method):
     return cached
 
 
-class _CovariantStack:
-    """Nested covariant derivatives of f on a chart, all FD with step h;
-    points are tuples of floats of the chart's dimension, the tensors are
-    flat and the Christoffels are their nonzero terms.  With f = None only
-    the memoized Christoffels are of use."""
+class _ChristoffelMemo:
+    """The Christoffels of a chart with step h, memoized per point; points
+    are tuples of floats of the chart's dimension.  The commutator oracle's
+    covariant derivatives extend it, sharing its memo."""
 
-    def __init__(self, chart: CoordinateChart, f, h: float):
+    def __init__(self, chart: CoordinateChart, h: float):
         self.chart = chart
-        self.f = f
         self.h = h
-        self.d = chart.dim
         self._memo = {}
 
     @_per_point
@@ -683,127 +539,35 @@ class _CovariantStack:
         """(m, k, i, Gamma^m_ki) for the nonzero Christoffels."""
         return _christoffel_terms(self.chart, x, self.h)
 
-    @_per_point
-    def hess(self, x):
-        """(grad^2 f)_{ij} in coordinates."""
-        jet, d = self.f.jet(x), self.d
-        rows = [jet.h[k * d:(k + 1) * d] for k in range(d)]  # d_k (d f)
-        return _covariant(rows, jet.g, self.gamma(x), 1)
 
-    @_per_point
-    def third(self, x):
-        """(grad^3 f)_{ijk} = grad_k (grad^2 f)_{ij} in coordinates."""
-        return _covariant(_central(self.hess, x, self.h), self.hess(x),
-                          self.gamma(x), 2)
+def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> float:
+    """Frobenius norm of grad Ric in an orthonormal frame.
 
-    def fourth(self, x):
-        """(grad^4 f)_{ijkl} in coordinates."""
-        return _covariant(_central(self.third, x, self.h), self.third(x),
-                          self.gamma(x), 3)
-
-    def laplacian(self, x) -> float:
-        hess, d = self.hess(x), self.d
-        s = 0.0
-        for i, j, a in self.chart._ginv_entries(x):
-            s += a * hess[i * d + j]
-        return s
-
-    def hess_scalar(self, func, x):
-        """Covariant Hessian of a numerically-defined scalar field."""
-        d, h = self.d, self.h
-        f0 = func(x)
-
-        def at(*steps):  # x moved by s along axis k, for each (k, s)
-            y = list(x)
-            for k, s in steps:
-                y[k] += s
-            return func(tuple(y))
-
-        hess = [[0.0] * d for _ in range(d)]
-        for i in range(d):
-            hess[i][i] = (at((i, h)) - 2 * f0 + at((i, -h))) / (h * h)
-            for j in range(i + 1, d):
-                hess[i][j] = hess[j][i] = (
-                    at((i, h), (j, h))
-                    - at((i, h), (j, -h))
-                    - at((i, -h), (j, h))
-                    + at((i, -h), (j, -h))
-                ) / (4 * h * h)
-        return _covariant(hess, _central(func, x, h), self.gamma(x), 1)
-
-
-def _max_abs(values) -> float:
-    return max_residual(abs(v) for v in values)
-
-
-def _swap_last(T, d: int) -> list:
-    """A flat tensor with its last two indices exchanged."""
-    return [v for b in range(0, len(T), d * d) for k in range(d) for v in T[b + k:b + d * d:d]]
-
-
-def _trace_last(T, d: int) -> list:
-    """sum_k T_{..kk}, flat."""
-    return [sum(T[b:b + d * d:d + 1]) for b in range(0, len(T), d * d)]
-
-
-def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
-                  h: float = DEFAULT_H) -> tuple:
-    """Residuals (max abs component, NaN if any component is NaN) of the
-    five commutator identities."""
+    The stencils of the Ricci tensors at x +- h e_k overlap, so the
+    Christoffels are memoized per point (`_ChristoffelMemo`).
+    """
     x = _point(x)
-    d = chart.dim
-    stack = _CovariantStack(chart, f, h)
-    E = orthonormal_frame(chart, x)
-    R = _to_frame(_riemann_flat(chart, x, h, stack.gamma), E, 4)
-    ric = _ricci_of(R, d)
-    R_terms = _entries(R, d, 4)
-
-    # flat in the frame: T2[i d + j], T3[(i d + j) d + k], and so on
-    f1 = _to_frame(f.d1(x), E, 1)
-    T2 = _to_frame(stack.hess(x), E, 2)
-    T3 = _to_frame(stack.third(x), E, 3)
-    T4 = _to_frame(stack.fourth(x), E, 4)
-    ric_rows = [ric[p:p + d] for p in range(0, d * d, d)]
-    T2_rows = [T2[p:p + d] for p in range(0, d * d, d)]
-
-    # 1. symmetry of the Hessian
-    r1 = _max_abs(a - b for a, b in zip(T2, _swap_last(T2, d)))
-
-    # 2. f_ijk - f_ikj = R_{jkli} f_l
-    rhs2 = [0.0] * d ** 3
-    for j, k, l, i, v in R_terms:
-        rhs2[(i * d + j) * d + k] += v * f1[l]
-    r2 = _max_abs(a - b - c for a, b, c in zip(T3, _swap_last(T3, d), rhs2))
-
-    # 3. Delta f_i - (Delta f)_i = R_ik f_k
-    dlap = _to_frame(_central(stack.laplacian, x, h), E, 1)
-    ric_f1 = [sum([a * b for a, b in zip(row, f1)]) for row in ric_rows]
-    r3 = _max_abs(a - b - c for a, b, c in zip(_trace_last(T3, d), dlap, ric_f1))
-
-    # 4. f_ijkl - f_ijlk = R_{klmj} f_im + R_{klmi} f_jm
-    first, second = [0.0] * d ** 4, [0.0] * d ** 4
-    for k, l, m, a, v in R_terms:
-        for b in range(d):
-            first[((b * d + a) * d + k) * d + l] += v * T2[b * d + m]
-            second[((a * d + b) * d + k) * d + l] += v * T2[b * d + m]
-    r4 = _max_abs(a - b - (c + e) for a, b, c, e in zip(T4, _swap_last(T4, d), first, second))
-
-    # 5. Delta f_ij - (Delta f)_ij = R_jk f_ik + R_ik f_jk - 2 R_ikjl f_kl,
-    # the second term the transpose of the first
-    hess_lap = _to_frame(stack.hess_scalar(stack.laplacian, x), E, 2)
-    ric_T2 = [sum([a * b for a, b in zip(r, t)]) for t in T2_rows for r in ric_rows]
-    curv = [0.0] * d * d
-    for i, k, j, l, v in R_terms:
-        curv[i * d + j] += v * T2[k * d + l]
-    r5 = _max_abs(a - b - ((c + e) - 2.0 * g) for a, b, c, e, g in zip(
-        _trace_last(T4, d), hess_lap, ric_T2, _swap_last(ric_T2, d), curv))
-
-    return (r1, r2, r3, r4, r5)
+    gamma = _ChristoffelMemo(chart, h).gamma
+    ric0 = _ricci_coord(chart, x, h, gamma)
+    dric = _central(lambda y: _ricci_coord(chart, y, h, gamma), x, h)
+    # (grad Ric)_{ijk} = d_k Ric_ij - Gamma^m_ki Ric_mj - Gamma^m_kj Ric_im
+    cov = _covariant(dric, ric0, gamma(x), 2)
+    return math.hypot(*_to_frame(cov, orthonormal_frame(chart, x), 3))
 
 
-def hessian_scalar(chart: CoordinateChart, func, x, h: float = DEFAULT_H) -> tuple:
-    """Covariant Hessian (orthonormal frame) of a scalar given numerically."""
-    x = _point(x)
-    stack = _CovariantStack(chart, None, h)
-    hess = stack.hess_scalar(func, x)
-    return _nest(_to_frame(hess, orthonormal_frame(chart, x), 2), chart.dim, 2)
+# -- the commutator oracle, on demand ------------------------------------------
+
+#: the names of `harnacklab.commutators` that this module gives too
+_COMMUTATOR_NAMES = frozenset(
+    {"Jet", "TestFunction", "default_test_function", "check_lemma31", "hessian_scalar"})
+
+
+def __getattr__(name: str):
+    """One of the commutator oracle's names: its module is imported on the
+    first use of one, and the name is kept here from then on."""
+    if name not in _COMMUTATOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import commutators
+
+    value = globals()[name] = getattr(commutators, name)
+    return value

@@ -49,7 +49,6 @@ checks refuse only the radii that need it and name what left the range.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 import operator
 import sys
@@ -64,7 +63,7 @@ __all__ = [
     "radial_laplacian",
     "hess_b2_eigs",
     "in_float_range",
-    "csv_text",
+    "write_csv",
 ]
 
 #: gate of the Gauss error estimate on each integral of f^{1-n}, relative
@@ -258,19 +257,22 @@ class RadialGreenProfile(NamedTuple):
                              "lower n or choose another r")
         return b2
 
-    def to_csv(self) -> str:
-        return csv_text("r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan", zip(
+    def to_csv(self, out) -> None:
+        """Write the profile as CSV to the text stream out (see `write_csv`)."""
+        write_csv(out, "r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan", zip(
             self.grid, self.G, self.Gp, self.Gpp, self.b, self.b2,
             self.grad_b, self.mu_rad, self.mu_tan))
 
 
-def csv_text(header: str, rows) -> str:
-    """A header line, then one line per row of numbers in 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in rows:
-        buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-    return buf.getvalue()
+def write_csv(out, header: str, rows) -> None:
+    """Write a header line, then one line per row (a tuple of numbers, one
+    per column of the header) in 17 significant digits, to the text stream
+    out, each line as it is formatted: no text of the whole table is built.
+    One `%` template serves every row; "%.17g" gives what format(v, ".17g")
+    gives, on ints, signed zeros, subnormals, infs and NaN alike."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    out.write(header + "\n")
+    out.writelines(map(line.__mod__, rows))
 
 
 _TINY = sys.float_info.min

@@ -377,18 +377,18 @@ class WarpingProfile:
         also holds its top)."""
         return self.pieces[bisect.bisect_right(self._rows[0], r) - 1]
 
-    def min_ratio(self, lo, hi, numer, power=0):
-        """min over [lo, hi] of N / f^power, where on each piece N =
+    def ratio_range(self, lo, hi, numer, power=0):
+        """(min, max) over [lo, hi] of N / f^power, where on each piece N =
         numer(F) for F the piece as a `Poly` in r - x0.
 
         On a piece (N/F^p)' = (N'F - p F'N) / F^(p+1) with F > 0, so the
         candidates are the ends of the piece's part of [lo, hi] (both
         one-sided values at a knot) and the real roots of N'F - p F'N
-        inside it (`Poly.real_roots`).
+        inside it (`Poly.real_roots`), which serve both extrema.
         """
         if not 0.0 < lo <= hi <= self.pieces[-1].hi:
             raise ModelError(f"minimum over [{lo!r}, {hi!r}] leaves the profile's range")
-        out = math.inf
+        least, most = math.inf, -math.inf
         for pc in self.pieces:
             if pc.hi <= lo or pc.lo > hi:
                 continue
@@ -399,8 +399,13 @@ class WarpingProfile:
             D = N.deriv() * F - power * F.deriv() * N if power else N.deriv()
             roots = D.real_roots(u, v)
             for t in (u, v, *roots):
-                out = min(out, N(t) / F(t) ** power)
-        return out
+                value = N(t) / F(t) ** power
+                least, most = min(least, value), max(most, value)
+        return least, most
+
+    def min_ratio(self, lo, hi, numer, power=0):
+        """min over [lo, hi] of N / f^power (see `ratio_range`)."""
+        return self.ratio_range(lo, hi, numer, power)[0]
 
     def fp_min(self, lo, hi):
         """Minimum of f' over [lo, hi]."""
@@ -639,9 +644,8 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         d = F.deriv()
         return d * (1.0 - d ** 2)
 
-    # max |q| = max(|min q|, |min -q|)
-    residual = max(abs(p.min_ratio(r_min, r_max, flatness)),
-                   abs(p.min_ratio(r_min, r_max, lambda F: -flatness(F))))
+    # max |q| = max(|min q|, |max q|), both from one root-find per piece
+    residual = max(map(abs, p.ratio_range(r_min, r_max, flatness)))
 
     parallel_ricci, fd_residual = residual <= tol, None
     if parallel_ricci:

@@ -372,6 +372,10 @@ def _term_key_with_names(term: Term):
     return tuple(facs), sign
 
 
+#: most dummies of a term that `_canonical_term` renames: 6! = 720 renamings
+_MAX_DUMMIES = 6
+
+
 def _canonical_term(term: Term):
     """Minimal representation over dummy renamings: (key, coeff), the key
     being (exponent sort key, sorted canonical factors).  A key reached with
@@ -380,8 +384,9 @@ def _canonical_term(term: Term):
     dummies = sorted(k for k, v in census.items() if v == 2)
     best = None
     best_sign = 1
-    if len(dummies) > 6:
-        raise TensorError("too many dummy indices for brute-force renaming")
+    if len(dummies) > _MAX_DUMMIES:
+        raise TensorError(f"too many dummy indices for brute-force renaming: a term "
+                          f"has {len(dummies)}, the limit is {_MAX_DUMMIES}")
     gkey = term.gexp.key
     for perm in itertools.permutations(range(len(dummies))):
         mapping = {d: f"_{p}" for d, p in zip(dummies, perm)}
@@ -396,8 +401,13 @@ def _canonical_term(term: Term):
 
 
 def normalize(expr: TensorExpr) -> TensorExpr:
-    """Unique canonical form: local symmetries, canonical dummy naming,
-    merged like terms, zero coefficients dropped."""
+    """A reduced form: local symmetries, canonical dummy naming, merged like
+    terms, zero coefficients dropped.
+
+    It is not unique: equal expressions can keep different forms (two long
+    derivative strings whose sorted forms differ by curvature), so equal
+    forms prove equality but different forms do not disprove it.  A term
+    with more than `_MAX_DUMMIES` dummies raises TensorError."""
     bucket = {}
     gexps = {}
     for t in expr.terms:

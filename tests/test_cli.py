@@ -212,6 +212,22 @@ def test_corollary_writes_csv(tmp_path, capsys):
     assert len(lines) == 1 + 20 * 5  # header + triples x default lambdas
 
 
+def test_corollary_formats_its_csv_only_for_an_output_dir(tmp_path, capsys, monkeypatch):
+    tables, write_csv = [], green.write_csv
+
+    def recorded(out, header, rows):
+        tables.append(header)
+        write_csv(out, header, rows)
+
+    monkeypatch.setattr(green, "write_csv", recorded)
+    argv = ["corollary", "--model", "cone:0.5", "--n", "4", "--C", "10", "--triples", "2"]
+    code = run(argv, capsys)[0]
+    assert code == 3 and tables == []
+    assert run(argv + ["--output-dir", str(tmp_path)], capsys)[0] == code
+    assert tables == ["y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip"]
+    assert len((tmp_path / "corollary.csv").read_text().splitlines()) == 1 + 2 * 5
+
+
 def test_corollary_reports_quad_misses(capsys):
     argv = ["corollary", "--model", "cone:0.7", "--n", "3", "--C", "10",
             "--triples", "6", "--seed", "3"]
@@ -569,6 +585,16 @@ def test_export_profile(tmp_path, capsys):
     assert len(csv) == 65
 
 
+def test_export_profile_stdout_is_its_artifact(tmp_path):
+    # without --output-dir the CSV goes to stdout: the same bytes as the file
+    argv = [sys.executable, "-m", "harnacklab.cli", "export-profile", "--model",
+            "smoothed-cone:0.8:1", "--n", "4", "--grid-size", "300"]
+    streamed = subprocess.run(argv, capture_output=True, check=True).stdout
+    subprocess.run(argv + ["--output-dir", str(tmp_path)], capture_output=True, check=True)
+    assert streamed == (tmp_path / "profile.csv").read_bytes()
+    assert streamed.count(b"\n") == 301
+
+
 def test_unknown_command_exit_2():
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", "frob"],
                        capture_output=True)
@@ -602,7 +628,7 @@ _MODELS = {"harnacklab.models", "harnacklab.quadrature"}
     (["models", "list"], 0, set()),
     (["--version"], 0, set()),
     (["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"], 0,
-     {"harnacklab.fdcheck", "harnacklab.sampling"}),
+     {"harnacklab.fdcheck", "harnacklab.commutators", "harnacklab.sampling"}),
     (["verify", "--model", "euclidean", "--n", "4", "--C", "10"], 0,
      _MODELS | {"harnacklab.green", "harnacklab.harnack", "harnacklab.fdcheck"}),
     (["export-profile", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from harnacklab import fdcheck
+from harnacklab import commutators, fdcheck
 from harnacklab.models import (
     DEFAULT_CURV_TOL, ModelManifold, curvature_at, make_model, model_from_id,
     ricci_gradient_norm,
@@ -112,6 +112,23 @@ def test_fdcheck_does_not_import_models():
     assert r.returncode == 0, r.stderr
 
 
+def test_parallel_ricci_loads_no_commutator_oracle():
+    # every euclidean verdict checks parallel Ricci: it compiles the geometry only
+    code = ("import sys, harnacklab.fdcheck as fd; "
+            "fd.check_parallel_ricci(fd.euclidean_chart(3), (1.0, 1.2, 1.4)); "
+            "sys.exit('harnacklab.commutators' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_commutator_names_of_fdcheck_are_the_oracle_module_s():
+    assert fdcheck._COMMUTATOR_NAMES == set(commutators.__all__)
+    for name in commutators.__all__:
+        assert getattr(fdcheck, name) is getattr(commutators, name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fdcheck.no_such_name
+
+
 # radii inside the smoothed-cone blend [r0/2, r0) and beyond it, not at its ends
 PARALLEL_RICCI_CASES = [
     ("euclidean", (1.5, 2.0, 5.0)),
@@ -210,12 +227,18 @@ def test_commutators_s2xr2():
     assert np.max(res) <= 1e-4
 
 
-class _Unmemoized(fdcheck._CovariantStack):
+class _Unmemoized(commutators._CovariantStack):
     """The covariant stack with every derivative recomputed on each call."""
 
-    gamma = fdcheck._CovariantStack.gamma.__wrapped__
-    hess = fdcheck._CovariantStack.hess.__wrapped__
-    third = fdcheck._CovariantStack.third.__wrapped__
+    gamma = fdcheck._ChristoffelMemo.gamma.__wrapped__
+    hess = commutators._CovariantStack.hess.__wrapped__
+    third = commutators._CovariantStack.third.__wrapped__
+
+
+class _UnmemoizedChristoffels(fdcheck._ChristoffelMemo):
+    """The Christoffel memo recomputing them on each call."""
+
+    gamma = fdcheck._ChristoffelMemo.gamma.__wrapped__
 
 
 @pytest.mark.parametrize("name", ["s2xr2", "round_sphere", "cone"])
@@ -238,7 +261,7 @@ def test_covariant_stack_computes_each_point_once(name, monkeypatch):
         assert len(points) == 41
     monkeypatch.setattr(fdcheck, "_christoffel_terms", terms)
     # bit for bit the values of the stack without its memo
-    memo, plain = fdcheck._CovariantStack(ch, f, H), _Unmemoized(ch, f, H)
+    memo, plain = commutators._CovariantStack(ch, f, H), _Unmemoized(ch, f, H)
     for method in ("gamma", "hess", "third", "fourth"):
         a, b = getattr(memo, method)(x), getattr(plain, method)(x)
         assert a == b, method
@@ -320,7 +343,7 @@ def test_parallel_ricci_computes_each_point_once(chart, x, distinct, monkeypatch
         assert len(points) == distinct
     monkeypatch.setattr(fdcheck, "_christoffel_terms", terms)
     # bit for bit the norm of the same differences without the memo
-    monkeypatch.setattr(fdcheck, "_CovariantStack", _Unmemoized)
+    monkeypatch.setattr(fdcheck, "_ChristoffelMemo", _UnmemoizedChristoffels)
     assert memo == fdcheck.check_parallel_ricci(chart, x, H)
 
 

@@ -1,7 +1,10 @@
 """Green profile: quadrature vs closed forms, b-function, power rule."""
 
+import io
 import math
+import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from scipy import integrate
 from harnacklab import quadrature
 from harnacklab.models import ModelError, make_model, model_from_id, nonparabolic_check
 from harnacklab.green import (
-    COLUMNS, compute_profile, default_grid, hess_b2_eigs, in_float_range,
+    COLUMNS, compute_profile, default_grid, hess_b2_eigs, in_float_range, write_csv,
 )
 from green_reference import check_power_laplacian, reference_G_hi, reference_rows
 from tables import concave_table, late_bump_table
@@ -120,9 +123,35 @@ def test_nonparabolic_examples():
 
 
 def test_profile_csv_shape(cone4):
-    lines = cone4.to_csv().strip().split("\n")
+    out = io.StringIO()
+    cone4.to_csv(out)
+    lines = out.getvalue().strip().split("\n")
     assert lines[0] == "r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan"
     assert len(lines) == len(cone4.grid) + 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                   2.2250738585072014e-308, 1e308, -0.1, 0, 1])
+def test_csv_line_is_each_value_in_17_digits(value):
+    # the ints 0 and 1 are the corollary's through_tip column
+    out = io.StringIO()
+    write_csv(out, "a,b,c", [(value, -value, 1.5)])
+    assert out.getvalue() == (f"a,b,c\n{format(value, '.17g')},{format(-value, '.17g')},"
+                              "1.5\n")
+
+
+def test_to_csv_streams_row_by_row():
+    # no text of the whole table is built: the writer's own memory stays that
+    # of a row, where a 4096-row table's text is about 1.5 MB
+    profile = compute_profile(make_model("euclidean", 6), default_grid(size=4096))
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            profile.to_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_grid_validation():

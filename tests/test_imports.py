@@ -3,9 +3,11 @@
 Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
 only in the CLI's command functions, each of which loads the engine it runs,
-and in ``models.hypothesis_report``, which loads the FD oracle only where
-the closed form finds Ricci parallel; no module imports sympy, scipy or
-numpy, which only the tests use, as references, nor dataclasses, whose
+in ``models.hypothesis_report``, which loads the FD oracle only where
+the closed form finds Ricci parallel, and in ``fdcheck.__getattr__``, which
+loads the commutator oracle on the first use of one of its names; no
+module imports sympy, scipy or numpy, which only the tests use, as
+references, nor dataclasses, whose
 import every command would pay for; and no module but ``models`` reads how a warping profile
 was specified (its kind and parameters) rather than its pieces, or
 decides its end from its top piece.  The benchmark's tracer wraps
@@ -22,10 +24,12 @@ PACKAGE = Path(harnacklab.__file__).resolve().parent
 
 #: (module, enclosing definition) of every function-local import: each
 #: command loads its own engine, so importing the CLI loads none of them,
-#: and the FD oracle is loaded only to confirm a closed-form parallel Ricci
+#: the FD oracle is loaded only to confirm a closed-form parallel Ricci,
+#: and its commutator half only where one of its names is used
 LAZY_IMPORTS = {("cli", "cmd_symbolic"), ("cli", "cmd_verify"), ("cli", "cmd_min_c"),
                 ("cli", "cmd_corollary"), ("cli", "cmd_audit"), ("cli", "cmd_oracle"),
-                ("cli", "_model_profile"), ("models", "hypothesis_report")}
+                ("cli", "_model_profile"), ("models", "hypothesis_report"),
+                ("fdcheck", "__getattr__")}
 
 
 def _modules():
@@ -167,12 +171,17 @@ def test_profile_format_stays_inside_models():
 
 def test_fd_oracle_imports_no_numpy():
     # the oracle is plain floats, so `oracle` runs without numpy
-    tree = dict(_modules())["fdcheck"]
-    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module}
-    assert imported == {"__future__", "functools", "itertools", "math", "operator", "typing"}
+    modules = dict(_modules())
+    for module, expected in (
+            ("fdcheck", {"__future__", "functools", "itertools", "math", "typing"}),
+            ("commutators", {"__future__", "itertools", "math", "operator", "typing",
+                             "fdcheck"})):
+        tree = modules[module]
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert imported == expected, module
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -266,6 +266,38 @@ def test_parallel_ricci_flag_does_not_depend_on_n(model_id):
         assert rep.parallel_ricci == (model_id == "euclidean"), n
 
 
+def _flatness(F):
+    d = F.deriv()
+    return d * (1.0 - d ** 2)
+
+
+_FLATNESS_CASES = [
+    *((model_id, model_id, window) for model_id in (
+        "euclidean", "cone:0.3", "cone:0.7", "smoothed-cone:0.5:1", "smoothed-cone:0.8:2",
+        "smoothed-cone:0.75:0.5", "smoothed-cone:0.9:1.5")
+      for window in ((1e-2, 1e2), (0.3, 0.9), (0.7, 5.0))),
+    *((name, table, window) for name, table in (
+        ("concave", concave_table), ("bump", bump_table), ("line", line_table))
+      for window in ((1e-2, 1e2), (0.6, 0.9), (40.0, 400.0))),
+]
+
+
+@pytest.mark.parametrize("name,model,window", _FLATNESS_CASES,
+                         ids=[f"{c[0]}-{c[2][0]:g}-{c[2][1]:g}" for c in _FLATNESS_CASES])
+def test_flatness_residual_takes_both_extrema_from_one_root_find(name, model, window):
+    # the residual max |f'(1 - f'^2)| once took max(|min q|, |min -q|), two
+    # root-finds of the same polynomial: one now serves both, with == values
+    n = 5
+    m = model_from_id(model, n) if isinstance(model, str) else make_model(
+        "custom", n, table=model())
+    p, (lo, hi) = m.profile, window
+    least, most = p.ratio_range(lo, hi, _flatness)
+    negated = p.min_ratio(lo, hi, lambda F: -_flatness(F))  # roots of -q' found anew
+    assert -most == negated
+    two_calls = max(abs(least), abs(negated))
+    assert hypothesis_report(m, lo, hi).parallel_ricci_residual == two_calls
+
+
 def test_parallel_ricci_closed_form_sees_beyond_the_fd_probes():
     # the FD probes sit at r in [2, 20], where this profile is still flat;
     # the blend [25, 50) and the cone beyond it are seen only by the exact

@@ -201,6 +201,15 @@ def test_first_factor_outside_the_fragment_names_the_error(op, long_dg, curvatur
             op(expr)
 
 
+def test_too_many_dummies_names_the_count_and_the_limit():
+    # the pairing's u and the curvature terms of the string swaps take this
+    # product of four dummies past the brute-force renaming's limit
+    expr = dg("l", "a") * dg("a", "k") * dg("l", "k", "b") * dg("b")
+    with pytest.raises(TensorError, match=r"brute-force renaming: a term has 7, "
+                                          r"the limit is 6$"):
+        gradG_pairing(expr)
+
+
 # -- laplacian ----------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Alternated A/B wall time of CLI commands between two checkouts.
+"""Alternated A/B wall time and peak RSS of CLI commands between two checkouts.
 
     python tools/abcmd.py --parent A --change B \\
         --argv "verify --model cone:0.3 --n 7 --grid-size 4096" \\
@@ -14,8 +14,10 @@ machine's load reaches both sides alike.  There are `REPS` reps, after
 
 It prints JSON: per argv, the exit codes of each side, the median and
 quartiles of each side's wall time in ms, the median saving (parent minus
-change) and in how many reps the change was the faster of the pair.
-Timings include interpreter start-up, as a user of the CLI sees them.
+change), in how many reps the change was the faster of the pair, and the
+median of each side's peak resident set size in MB (``ru_maxrss`` of the
+child, from ``os.wait4``).  Timings include interpreter start-up, as a
+user of the CLI sees them.
 """
 
 from __future__ import annotations
@@ -37,14 +39,18 @@ WARMUP = 1   # uncounted runs of each side per argv, before the reps
 
 
 def run_once(checkout: Path, argv: list) -> tuple:
-    """(exit code, wall seconds) of one CLI run from the checkout's source."""
+    """(exit code, wall seconds, peak RSS in MB) of one CLI run from the
+    checkout's source."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as cwd:
         start = time.perf_counter()
-        code = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv], cwd=cwd,
-                              env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL).returncode
-        return code, time.perf_counter() - start
+        proc = subprocess.Popen([sys.executable, "-m", "harnacklab.cli", *argv], cwd=cwd,
+                                env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        return proc.returncode, wall, usage.ru_maxrss / 1024.0  # kB on Linux
 
 
 def summary(seconds: list) -> dict:
@@ -60,13 +66,15 @@ def compare(checkouts: dict, argvs: list) -> dict:
             for _ in range(WARMUP):
                 run_once(checkouts[side], argv)
     times = [{side: [] for side in SIDES} for _ in argvs]
+    rss = [{side: [] for side in SIDES} for _ in argvs]
     codes = [{side: set() for side in SIDES} for _ in argvs]
     for rep in range(REPS):
         order = SIDES if rep % 2 == 0 else SIDES[::-1]
         for k, argv in enumerate(argvs):
             for side in order:
-                code, wall = run_once(checkouts[side], argv)
+                code, wall, peak = run_once(checkouts[side], argv)
                 times[k][side].append(wall)
+                rss[k][side].append(peak)
                 codes[k][side].add(code)
     commands = {}
     for k, argv in enumerate(argvs):
@@ -77,9 +85,11 @@ def compare(checkouts: dict, argvs: list) -> dict:
         entry["median_saving_ms"] = round(
             (statistics.median(par) - statistics.median(chg)) * 1e3, 1)
         entry["change_faster_in"] = f"{sum(c < p for p, c in zip(par, chg))}/{REPS}"
+        entry["peak_rss_mb"] = {side: round(statistics.median(rss[k][side]), 2)
+                                for side in SIDES}
         commands[shlex.join(argv)] = entry
-    return {"what": "wall time of `python -m harnacklab.cli <argv>` as a subprocess, "
-                    f"{REPS} alternated pairs per argv, stdout discarded",
+    return {"what": "wall time and peak RSS of `python -m harnacklab.cli <argv>` as a "
+                    f"subprocess, {REPS} alternated pairs per argv, stdout discarded",
             "reps": REPS, "warmup": WARMUP, "python": sys.version.split()[0],
             "commands": commands}
 
