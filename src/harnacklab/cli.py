@@ -15,6 +15,7 @@ import argparse
 import gc
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -78,6 +79,8 @@ class RunConfig:
         if not isinstance(cfg.lambdas, (list, tuple)) or not all(
                 map(_finite_number, cfg.lambdas)):
             raise ModelError(f"lambdas must be a list of finite numbers, got {cfg.lambdas!r}")
+        if cfg.seed < 0:
+            raise ModelError(f"seed must be non-negative, got {cfg.seed!r}")
         if not 2 <= cfg.grid_size <= MAX_GRID_SIZE:
             raise ModelError(f"grid_size must lie in [2, {MAX_GRID_SIZE}], "
                              f"got {cfg.grid_size!r}")
@@ -189,22 +192,22 @@ def cmd_min_c(args) -> int:
 def _sample_triples(point, rng, count: int):
     """count (y, z) pairs of slice points made by point(r, phi), y at phi = 0.
 
-    rng draws in numpy's order for ``uniform(size=(count, 2))`` radii in
-    log scale, then ``uniform(size=count)`` angles.
+    Pair by pair, rng draws the radii of y and z, uniform in log scale on
+    [0.5, 3], then the angle of z, uniform on [0, pi].
     """
-    r = [math.exp(rng.uniform(math.log(0.5), math.log(3.0))) for _ in range(2 * count)]
-    phi = [rng.uniform(0.0, math.pi) for _ in range(count)]
-    return [(point(r[2 * k], 0.0), point(r[2 * k + 1], phi[k])) for k in range(count)]
+    lo, hi = math.log(0.5), math.log(3.0)
+    return [(point(math.exp(rng.uniform(lo, hi)), 0.0),
+             point(math.exp(rng.uniform(lo, hi)), rng.uniform(0.0, math.pi)))
+            for _ in range(count)]
 
 
 def cmd_corollary(args) -> int:
     from . import geodesics
     from .green import write_csv
     from .models import hypothesis_report
-    from .sampling import Sampler
 
     cfg = RunConfig.load(args)
-    rng = Sampler(cfg.seed)
+    rng = random.Random(cfg.seed)
     model, profile = _model_profile(cfg)
     if not cfg.lambdas:
         raise ModelError("corollary needs at least one lambda")
@@ -279,7 +282,6 @@ def cmd_symbolic(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import fdcheck
-    from .sampling import Sampler
 
     cfg = RunConfig.load(args)
     if args.what != "commutators":
@@ -287,7 +289,7 @@ def cmd_oracle(args) -> int:
     h = fdcheck.DEFAULT_H if args.h is None else args.h
     chart = fdcheck.chart_by_name(args.chart, n=cfg.n)
     f = fdcheck.default_test_function(chart)
-    rng = Sampler(cfg.seed)
+    rng = random.Random(cfg.seed)
     base = fdcheck.default_probe_point(chart)
     gate = 100.0 * h**2
     rows = []

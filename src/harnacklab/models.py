@@ -437,7 +437,7 @@ class ModelManifold:
     def __init__(self, n: int, profile: WarpingProfile):
         if int(n) != n or n < 3:
             raise ModelError("dimension must be an integer >= 3")
-        self.n, self.profile = n, profile
+        self.n, self.profile = int(n), profile
 
     def describe(self) -> str:
         p = self.profile
@@ -496,12 +496,7 @@ class NonParabolicityReport(NamedTuple):
 
 def make_model(kind, n, c=None, r0=None, table=None) -> ModelManifold:
     """Build a model manifold, validating dimension and profile parameters."""
-    if int(n) != n or n < 3:
-        raise ModelError(
-            f"dimension n={n} rejected: need n >= 3 for non-parabolicity"
-        )
-    profile = WarpingProfile(kind=kind, c=c, r0=r0, table=table)
-    return ModelManifold(n=int(n), profile=profile)
+    return ModelManifold(n, WarpingProfile(kind=kind, c=c, r0=r0, table=table))
 
 
 def model_from_id(model_id: str, n: int) -> ModelManifold:

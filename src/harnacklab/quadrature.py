@@ -21,29 +21,29 @@ __all__ = ["gauss_legendre", "brent_root", "brent_min", "geomspace", "Quadrature
 #: nodes of the k-point rule
 GAUSS_K = 12
 #: (node, weight) of the k- and 2k-point rules on [0, 1], the positive half
-#: of numpy's ``leggauss(12)`` and ``leggauss(24)`` bit for bit (both rules
-#: are symmetric about 0)
+#: of each (both are symmetric about 0): mpmath's 12- and 24-point Gauss-
+#: Legendre rules at 50 digits, correctly rounded to floats
 _HALF_K = (
-    (0.1252334085114689, 0.2491470458134027),
-    (0.3678314989981802, 0.2334925365383546),
-    (0.5873179542866175, 0.20316742672306573),
-    (0.7699026741943047, 0.16007832854334642),
-    (0.9041172563704748, 0.10693932599531907),
-    (0.9815606342467192, 0.04717533638651141),
+    (0.1252334085114689, 0.24914704581340277),
+    (0.3678314989981802, 0.2334925365383548),
+    (0.5873179542866175, 0.20316742672306592),
+    (0.7699026741943047, 0.16007832854334622),
+    (0.9041172563704749, 0.10693932599531843),
+    (0.9815606342467192, 0.04717533638651183),
 )
 _HALF_2K = (
-    (0.06405689286260563, 0.12793819534675202),
-    (0.1911188674736163, 0.12583745634682825),
-    (0.3150426796961634, 0.1216704729278033),
-    (0.4337935076260451, 0.11550566805372552),
-    (0.5454214713888396, 0.10744427011596556),
-    (0.6480936519369755, 0.09761865210411393),
-    (0.7401241915785544, 0.0861901615319532),
-    (0.820001985973903, 0.07334648141108016),
-    (0.8864155270044011, 0.05929858491543636),
-    (0.9382745520027328, 0.04427743881741941),
-    (0.9747285559713095, 0.02853138862893356),
-    (0.9951872199970213, 0.01234122979998869),
+    (0.06405689286260563, 0.12793819534675216),
+    (0.1911188674736163, 0.1258374563468283),
+    (0.3150426796961634, 0.12167047292780339),
+    (0.4337935076260451, 0.1155056680537256),
+    (0.5454214713888396, 0.10744427011596563),
+    (0.6480936519369755, 0.09761865210411388),
+    (0.7401241915785544, 0.08619016153195327),
+    (0.820001985973903, 0.0733464814110803),
+    (0.8864155270044011, 0.05929858491543678),
+    (0.9382745520027328, 0.04427743881741981),
+    (0.9747285559713095, 0.028531388628933663),
+    (0.9951872199970213, 0.0123412297999872),
 )
 
 

@@ -5,15 +5,28 @@ The same 12/24-point panels, gates, level cap, panel cap and miss flag,
 with every panel of a level evaluated in one array call and the sums per
 integral taken by ``bincount``: the form the package ran in before its
 numeric core moved to plain floats.  `fun` maps an array of nodes to the
-array of integrand values.
+array of integrand values.  The nodes and weights come from mpmath's
+50-digit rules (`mpmath_rule`).
 """
 
 import numpy as np
+from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
 
 from harnacklab.quadrature import GAUSS_K, MAX_LEVELS, MAX_PANELS
 
-_X1, _W1 = np.polynomial.legendre.leggauss(GAUSS_K)
-_X2, _W2 = np.polynomial.legendre.leggauss(2 * GAUSS_K)
+
+def mpmath_rule(k):
+    """(nodes, weights) of the k-point Gauss-Legendre rule, k = 12 or 24,
+    computed by mpmath at 50 digits and rounded to floats, nodes ascending."""
+    with mp.workdps(50):
+        degree = {12: 3, 24: 4}[k]
+        rule = sorted(GaussLegendre(mp).calc_nodes(degree, mp.prec))
+        return [float(x) for x, _ in rule], [float(w) for _, w in rule]
+
+
+_X1, _W1 = map(np.array, mpmath_rule(GAUSS_K))
+_X2, _W2 = map(np.array, mpmath_rule(2 * GAUSS_K))
 _NODES = np.concatenate([_X1, _X2])
 _WEIGHTS = np.zeros((3 * GAUSS_K, 2))
 _WEIGHTS[:GAUSS_K, 0], _WEIGHTS[GAUSS_K:, 1] = _W1, _W2

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,18 @@ def test_corollary_formats_its_csv_only_for_an_output_dir(tmp_path, capsys, monk
     assert len((tmp_path / "corollary.csv").read_text().splitlines()) == 1 + 2 * 5
 
 
+def test_corollary_draws_each_pair_in_turn(tmp_path, capsys):
+    # a pair's radii and angle are drawn together, so fewer triples at one
+    # seed are the leading rows of more
+    rows = {}
+    for count in (3, 6):
+        out = tmp_path / str(count)
+        run(["corollary", "--model", "cone:0.6", "--n", "4", "--C", "10",
+             "--triples", str(count), "--seed", "7", "--output-dir", str(out)], capsys)
+        rows[count] = (out / "corollary.csv").read_text().splitlines()[1:]
+    assert len(rows[3]) == 3 * 5 and rows[3] == rows[6][:15]
+
+
 def test_corollary_reports_quad_misses(capsys):
     argv = ["corollary", "--model", "cone:0.7", "--n", "3", "--C", "10",
             "--triples", "6", "--seed", "3"]
@@ -338,8 +351,8 @@ def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     ["oracle", "commutators", "--probes", "2", "--seed", str(-(2**70))],
 ])
 def test_negative_seed_exits_2_with_one_line(argv):
-    # a seed's 32-bit words are taken by shifting it right, which never
-    # ends on a negative seed: the sampler refuses it first
+    # random.Random would take a negative seed as its absolute value:
+    # RunConfig.load refuses it first
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
                        capture_output=True, text=True, timeout=60)
     assert (r.returncode, r.stdout) == (2, "")
@@ -620,39 +633,48 @@ _SYMBOLIC = {"harnacklab.symbolic", "harnacklab.symbolic.engine",
 # models needs the quadrature core; it loads the FD oracle only to confirm a
 # closed-form parallel Ricci, so only euclidean verify brings it
 _MODELS = {"harnacklab.models", "harnacklab.quadrature"}
-
-
-@pytest.mark.parametrize("argv,code,engine", [
+#: (argv, exit code, the package modules it loads beyond the root and the CLI)
+_ENGINES = [
     (["symbolic", "verify-all"], 0, _SYMBOLIC),
     (["symbolic", "verify", "--name", "lap_of_harnack"], 0, _SYMBOLIC),
     (["models", "list"], 0, set()),
     (["--version"], 0, set()),
     (["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"], 0,
-     {"harnacklab.fdcheck", "harnacklab.commutators", "harnacklab.sampling"}),
+     {"harnacklab.fdcheck", "harnacklab.commutators"}),
     (["verify", "--model", "euclidean", "--n", "4", "--C", "10"], 0,
      _MODELS | {"harnacklab.green", "harnacklab.harnack", "harnacklab.fdcheck"}),
     (["export-profile", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,
      _MODELS | {"harnacklab.green"}),
     (["corollary", "--model", "cone:0.5", "--n", "4", "--C", "10", "--triples", "2"], 3,
-     _MODELS | {"harnacklab.green", "harnacklab.geodesics", "harnacklab.sampling"}),
+     _MODELS | {"harnacklab.green", "harnacklab.geodesics"}),
     (["min-c", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,
      _MODELS | {"harnacklab.green", "harnacklab.harnack"}),
-])
+]
+
+
+@pytest.mark.parametrize("argv,code,engine", _ENGINES)
 def test_each_command_loads_only_its_engine(argv, code, engine):
-    # numpy.random is listed when loaded: the samplers draw from harnacklab.sampling
     script = ("import contextlib, io, json, sys\n"
               "from harnacklab.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(json.loads(sys.argv[1]))\n"
               "print(json.dumps([code, sorted(m for m in sys.modules\n"
-              "                               if m in ('numpy', 'numpy.random')\n"
-              "                               or m.split('.')[0] == 'harnacklab')]))")
+              "                               if m.split('.')[0] == 'harnacklab')]))")
     r = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     ran, loaded = json.loads(r.stdout)
     assert ran == code
     assert set(loaded) == {"harnacklab", "harnacklab.cli"} | engine
+
+
+def test_every_module_is_some_command_s_engine():
+    # a module that no command loads is dead code
+    root = Path(cli.__file__).resolve().parent
+    modules = {".".join(("harnacklab", *path.relative_to(root).with_suffix("").parts))
+               .removesuffix(".__init__") for path in root.rglob("*.py")}
+    loaded = {"harnacklab", "harnacklab.cli"}.union(*(engine for _, _, engine in _ENGINES))
+    assert modules == loaded
 
 
 @pytest.mark.parametrize("argv", [
