@@ -35,15 +35,18 @@ top.  G at each piece's upper end, G_hi, is worked top down.
 Two kernels per piece do all of this, each with the piece's constants
 taken once: `_piece_green` gives G(r) on the piece from its G_hi (the
 closed form, or one integral of a Horner-row integrand up to the piece's
-top), and `_piece_columns` gives, for a run of radii on the piece, every
-column of the profile there, and f and f' at the last one for the
-pointwise calls (a table's top radius takes f and f' from the table's
-top piece).  The grid and every pointwise call (`green_at`,
-`green_derivs_at`, `b2_at`, `hess_b2_eigs`) go through them, so they
-agree bit for bit, and a finite integral whose error estimate misses its
-gate raises ModelError.  A power past the float range is inf, in G (a
-knot below the grid may have one) as in the columns, so that the range
-checks refuse only the radii that need it and name what left the range.
+top), and `_piece_columns` appends, for a run of radii on the piece, the
+value of every column of the profile there to that column, and gives f
+and f' at the last one for the pointwise calls (a table's top radius
+takes f and f' from the table's top piece).  The grid fills nine
+`array('d')` columns, one per entry of `COLUMNS`, so the profile holds
+8 bytes per value and no float object; a pointwise call (`green_at`,
+`green_derivs_at`, `b2_at`, `hess_b2_eigs`) fills one row through the
+same kernels, so they agree bit for bit, and a finite integral whose
+error estimate misses its gate raises ModelError.  A power past the float
+range is inf, in G (a knot below the grid may have one) as in the
+columns, so that the range checks refuse only the radii that need it and
+name what left the range.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import bisect
 import math
 import operator
 import sys
+from array import array
 from typing import NamedTuple
 
 from . import quadrature
@@ -124,37 +128,43 @@ def _piece_green(n: int, pc: Piece, G_hi: float):
     return green
 
 
-def _piece_columns(model: ModelManifold, pc: Piece, green, radii):
-    """(rows, f, f'): one row per radius of radii (ascending, inside the
-    piece pc, at least one) holding the values of `COLUMNS` there, and f
-    and f' at the last radius, the one radius of a pointwise call.
+def _piece_columns(model: ModelManifold, pc: Piece, green, radii, cols, puts):
+    """Put the values of `COLUMNS` at the radii (ascending, inside the piece
+    pc, at least one) through puts, one append per column, and give (f, f')
+    at the last radius, the one radius of a pointwise call.
 
     G is green(r); f and f' come from the profile's piece at pc.lo: pc
     itself, or at the closed end of a table the table's top piece, which
     holds the top radius only; above it the profile refuses radii[-1].  The
     powers are taken by the built-in pow, and a piece where one leaves the
-    float range is taken again by `_pow`, whose inf the range checks refuse.
+    float range is taken again by `_pow`, whose inf the range checks refuse,
+    once each of cols, the sequences that puts append to, is cut back to
+    the piece's first row.
     """
     p = model.profile
     fpc = p.piece_at(pc.lo)
     if radii[-1] > fpc.hi:
         p.f(radii[-1])  # raises: f stops at a table's top
-    Gs = list(map(green, radii))
+    start = len(cols[0])
     try:
-        return _fill_columns(model.n, fpc, radii, Gs, pow)
+        return _fill_columns(model.n, fpc, green, radii, pow, puts)
     except (OverflowError, ZeroDivisionError):
-        return _fill_columns(model.n, fpc, radii, Gs, _pow)
+        for col in cols:
+            del col[start:]
+        return _fill_columns(model.n, fpc, green, radii, _pow, puts)
 
 
-def _fill_columns(n: int, fpc: Piece, radii, Gs, pw):
-    """`_piece_columns`' (rows, f, f'), every power taken by pw.
+def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
+    """`_piece_columns`' puts and (f, f'), every power taken by pw.
 
     G' = -(n-2) f^{1-n} and G'' = (n-2)(n-1) f^{-n} f'.  Where f = a r
     exactly the powers are taken of a and r apart, as G = a^{1-n} r^{2-n}
     takes them, and not of the rounded product a r, whose rounding the
     power would multiply by n.  Of u = G^beta, u' = beta u q1 and
     u'' = beta u ((beta-1) q1^2 + q2): b = G^{1/(2-n)}, |grad b| = |b'|,
-    b^2 = G^{2/(2-n)}, mu_rad = (b^2)'' and mu_tan = (b^2)' f'/f.
+    b^2 = G^{2/(2-n)}, mu_rad = (b^2)'' and mu_tan = (b^2)' f'/f.  The
+    values go out in the order of `COLUMNS`, so nine times one list's
+    append collects one row.
     """
     a, x0 = fpc.slope, fpc.x0
     slope = None if a is None else float(a)
@@ -166,9 +176,9 @@ def _fill_columns(n: int, fpc: Piece, radii, Gs, pw):
     c2 = (n - 2) * (n - 1) * pw(base, e0)
     beta_b, beta = 1.0 / (2 - n), 2.0 / (2 - n)
     beta_m1, inf = beta - 1, math.inf
-    rows = []
-    append = rows.append
-    for r, G in zip(radii, Gs):
+    put_G, put_Gp, put_Gpp, put_b, put_b2, put_b2p, put_grad_b, put_mu_rad, put_mu_tan = puts
+    for r in radii:
+        G = green(r)
         if a is None:
             t = r - x0
             f = fp = 0.0
@@ -186,9 +196,16 @@ def _fill_columns(n: int, fpc: Piece, radii, Gs, pw):
         b, b2 = pw(G, beta_b), pw(G, beta)
         s = beta * b2
         b2p = s * q1
-        append((G, Gp, Gpp, b, b2, b2p, abs(beta_b * b * q1),
-                s * (beta_m1 * q1 * q1 + q2), b2p * fp / f))
-    return rows, f, fp
+        put_G(G)
+        put_Gp(Gp)
+        put_Gpp(Gpp)
+        put_b(b)
+        put_b2(b2)
+        put_b2p(b2p)
+        put_grad_b(abs(beta_b * b * q1))
+        put_mu_rad(s * (beta_m1 * q1 * q1 + q2))
+        put_mu_tan(b2p * fp / f)
+    return f, fp
 
 
 def radial_laplacian(n: int, f, fp, up, upp):
@@ -203,19 +220,20 @@ _LO = operator.attrgetter("lo")
 
 class RadialGreenProfile(NamedTuple):
     """G and its companions sampled on a grid, with exact radial derivatives;
-    each column is a tuple of floats, one per grid radius."""
+    the grid and each column are an `array('d')`, one float64 per grid
+    radius."""
 
     model: ModelManifold
-    grid: tuple
-    G: tuple
-    Gp: tuple
-    Gpp: tuple
-    b: tuple
-    b2: tuple
-    b2p: tuple
-    grad_b: tuple
-    mu_rad: tuple      # eigenvalues of Hess b^2 relative to g
-    mu_tan: tuple
+    grid: array
+    G: array
+    Gp: array
+    Gpp: array
+    b: array
+    b2: array
+    b2p: array
+    grad_b: array
+    mu_rad: array      # eigenvalues of Hess b^2 relative to g
+    mu_tan: array
     pieces: tuple  # models.Piece cover of (0, inf), ascending, the last the closed end
     green: tuple   # G(r) on each piece, from `_piece_green`
 
@@ -233,11 +251,14 @@ class RadialGreenProfile(NamedTuple):
         return self.green[self._piece_index(r)](r)
 
     def _row_at(self, r: float):
-        """`_piece_columns`' (row, f, f') at r, refused where G, G' or G''
-        leaves the float range, as `compute_profile` refuses it on the grid;
-        G > 0, so G = 0 is an underflow."""
+        """(row, f, f') at r, the row a list of the values of `COLUMNS`,
+        refused where G, G' or G'' leaves the float range, as
+        `compute_profile` refuses it on the grid; G > 0, so G = 0 is an
+        underflow."""
         k = self._piece_index(r)
-        (row,), f, fp = _piece_columns(self.model, self.pieces[k], self.green[k], (r,))
+        row = []
+        f, fp = _piece_columns(self.model, self.pieces[k], self.green[k], (r,), (row,),
+                               (row.append,) * len(COLUMNS))
         if not (row[0] > 0 and in_float_range(row[:3])):
             raise ModelError(f"G, G' or G'' leaves the float range at n={self.model.n}, "
                              f"r={r:g}; lower n or choose another r")
@@ -285,9 +306,11 @@ def in_float_range(values) -> bool:
     makes it inf or NaN) of values none nearer 0 than the least normal,
     seen from the least value when all are positive, else from the least
     magnitude.  Anything else (a zero, a value out of range, a sum that
-    overflows) is decided value by value.
+    overflows) is decided value by value.  A tuple, list or array is
+    scanned as it stands; any other iterable is taken into a tuple first.
     """
-    values = tuple(values)
+    if not isinstance(values, (tuple, list, array)):
+        values = tuple(values)
     if math.isfinite(sum(values)) and (min(values, default=1.0) >= _TINY
                                        or min(map(abs, values)) >= _TINY):
         return True
@@ -302,6 +325,8 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
     """G on the grid, piece by piece (see module doc)."""
     if grid is None:
         grid = default_grid()
+    # a tuple while the columns fill, whose radii are read without boxing a
+    # float each; the profile keeps the grid as an array
     grid = tuple(map(float, grid))
     if not all(map(math.isfinite, grid)):
         bad = next(r for r in grid if not math.isfinite(r))
@@ -328,19 +353,20 @@ def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
         if k:
             g_hi = green[k](pieces[k].lo)
 
-    rows = []
+    cols = tuple(array("d") for _ in COLUMNS)
+    puts = [col.append for col in cols]
     for pc, g in zip(pieces, green):
         radii = grid[bisect.bisect_left(grid, pc.lo):bisect.bisect_left(grid, pc.hi)]
         if radii:
-            rows += _piece_columns(model, pc, g, radii)[0]
-    columns = dict(zip(COLUMNS, zip(*rows)))
+            _piece_columns(model, pc, g, radii, cols, puts)
+    columns = dict(zip(COLUMNS, cols))
     for name, col in columns.items():
         if not in_float_range(col):
             raise ModelError(f"{name} leaves the float range on the grid at n={n}, "
                              f"r_min={grid[0]:g}, r_max={grid[-1]:g}; lower n "
                              "or narrow the radii")
-    return RadialGreenProfile(model=model, grid=grid, pieces=pieces, green=tuple(green),
-                              **columns)
+    return RadialGreenProfile(model=model, grid=array("d", grid), pieces=pieces,
+                              green=tuple(green), **columns)
 
 
 def hess_b2_eigs(profile: RadialGreenProfile, r: float):
@@ -348,4 +374,5 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    return profile._row_at(r)[0][7:9]
+    row = profile._row_at(r)[0]
+    return row[7], row[8]

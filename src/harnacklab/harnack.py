@@ -12,6 +12,8 @@ audited pointwise; one kernel, `_htilde`, serves every radius.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import INEQ_TOL, is_exploratory, quadrature, require_theorem_C
@@ -118,7 +120,7 @@ def _sup_mu(profile: RadialGreenProfile):
     """(mu, sup): mu = max(mu_rad, mu_tan) on the grid, and its sup over the
     range, the grid's largest value sharpened by a local 1D search."""
     grid = profile.grid
-    mu = [max(pair) for pair in zip(profile.mu_rad, profile.mu_tan)]
+    mu = array("d", map(max, profile.mu_rad, profile.mu_tan))
     idx = mu.index(max(mu))
 
     def neg_mu(r):
@@ -161,10 +163,10 @@ def verify_theorem(
     worst_margin = C - min_C
     passed = worst_margin >= -tol
 
-    viol_idx = [i for i, m in enumerate(mu) if m > C + tol]
+    viol_idx = (i for i, m in enumerate(mu) if m > C + tol)
     violations = [
         {"r": grid[i], "mu_rad": profile.mu_rad[i], "mu_tan": profile.mu_tan[i]}
-        for i in viol_idx[:32]
+        for i in islice(viol_idx, 32)
     ]
 
     lam_ok = None

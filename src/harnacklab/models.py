@@ -384,7 +384,10 @@ class WarpingProfile:
         On a piece (N/F^p)' = (N'F - p F'N) / F^(p+1) with F > 0, so the
         candidates are the ends of the piece's part of [lo, hi] (both
         one-sided values at a knot) and the real roots of N'F - p F'N
-        inside it (`Poly.real_roots`), which serve both extrema.
+        inside it, which serve both extrema.  `Poly.real_roots` isolates
+        them on the whole of a finite piece, so that a root, and the
+        extremum there, reads the same on every window that holds it; on
+        the top piece, which reaches to infinity, on the window's part.
         """
         if not 0.0 < lo <= hi <= self.pieces[-1].hi:
             raise ModelError(f"minimum over [{lo!r}, {hi!r}] leaves the profile's range")
@@ -397,7 +400,11 @@ class WarpingProfile:
             u, v = max(lo, pc.lo) - pc.x0, min(hi, pc.hi) - pc.x0
             # with F > 0, N' alone where power = 0
             D = N.deriv() * F - power * F.deriv() * N if power else N.deriv()
-            roots = D.real_roots(u, v)
+            if pc.hi < math.inf:
+                roots = [t for t in D.real_roots(pc.lo - pc.x0, pc.hi - pc.x0)
+                         if u <= t <= v]
+            else:
+                roots = D.real_roots(u, v)
             for t in (u, v, *roots):
                 value = N(t) / F(t) ** power
                 least, most = min(least, value), max(most, value)

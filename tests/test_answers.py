@@ -61,7 +61,13 @@ def test_edges_workload_answers_min_c_on_each_blend(tmp_path, monkeypatch):
     entries = answers.digest(["edges"], answers._seeds("101"), values=True)
     want = {"edges:smoothed-cone:0.3:1:n30:grid512": 2.364743624953019,
             "edges:smoothed-cone:0.1:100:n12:grid512": 2.0000000000000107}
-    assert sorted(entries) == sorted(want)
+    assert sorted(entries) == sorted([*want, *(f"{key}:verify" for key in want)])
     for key, minimal_C in want.items():
         assert entries[key]["exit"] == 0
         assert entries[key]["stdout"]["minimal_C"] == pytest.approx(minimal_C, rel=1e-12)
+        # at C = 1 verify fails, with the sup min-c gives and 32 violations
+        verify = entries[f"{key}:verify"]
+        assert verify["exit"] == 1 and verify["stdout"]["verdict"] == "fail"
+        report = verify["stdout"]["report"]
+        assert report["minimal_C"] == pytest.approx(minimal_C, rel=1e-12)
+        assert len(report["violations"]) == 32

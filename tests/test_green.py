@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ def test_to_csv_streams_row_by_row():
         finally:
             tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("model_id,n", [("euclidean", 6), ("smoothed-cone:0.3:1", 30)])
+def test_profile_memory_is_its_columns(model_id, n):
+    # the grid and nine float64 columns are 80 bytes a radius; no row tuple,
+    # transposed copy or float object per value is held on the way
+    model, size = model_from_id(model_id, n), 65536
+    grid = default_grid(size=size)
+    tracemalloc.start()
+    try:
+        profile = compute_profile(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * size
+    assert profile.grid.typecode == "d" and len(profile.grid) == size
+    assert all(getattr(profile, col).typecode == "d" for col in COLUMNS)
 
 
 def test_grid_validation():
@@ -474,3 +492,5 @@ def test_in_float_range_is_the_value_by_value_rule(values):
     # sum overflows, infinities and NaN, mixed
     assert in_float_range(values) is _in_range_by_value(values)
     assert in_float_range(iter(values)) is _in_range_by_value(values)
+    # an array, as a profile's columns are, is scanned as it stands
+    assert in_float_range(array("d", values)) is in_float_range(tuple(values))

@@ -729,6 +729,19 @@ def test_fp_min_closed_forms():
             assert p.fp_min(1e-4, 0.4 * r0) == 1.0
 
 
+def test_interior_minimum_reads_the_same_on_every_window_holding_it():
+    # the critical points of a finite piece are isolated on the whole piece,
+    # not on the window's part of it, so where the window's upper end falls
+    # cannot move them by an ulp; the blend is [0.5, 1), its minima near 0.9
+    p = model_from_id("smoothed-cone:0.5:1", 4).profile
+    his = (0.9376, 0.999, 0.8474, 1.0, 1.2, 2.47)
+    assert len({p.fp_min(1e-4, hi) for hi in his}) == 1
+    assert p.fp_min(1e-4, 2.47) == pytest.approx(
+        1.0 - 0.5 * (5.0 - 8.0 / (3.0 * math.sqrt(3.0))), abs=1e-13)
+    sectional = {hi: p.min_ratio(1e-4, hi, lambda F: -F.deriv(2), 1) for hi in his}
+    assert len({sectional[hi] for hi in his if hi != 0.8474}) == 1
+
+
 def test_fp_min_custom_spline_against_dense_samples():
     r = np.linspace(1.0, 5.0, 9)
     fvals = np.array([1.0, 1.6, 1.9, 1.7, 1.8, 2.6, 3.0, 3.1, 4.0])

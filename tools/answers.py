@@ -11,12 +11,14 @@ only), gives each its own ``--output-dir`` and runs it in-process through
 ``tables`` workload adds custom profiles: it writes the tables of
 ``tests/tables.py`` (``TABLES``) as CSV files and answers ``verify --C 10``,
 ``min-c`` and ``export-profile`` at n = 4 on each, whatever the seeds.  The
-``edges`` workload, also seed-free, answers ``min-c`` on two smoothed cones
-whose blend holds thousands of radii of a fine grid (``EDGES``), at 512
-and 65536 points, so that an answer that depends on the grid's size shows
-as a difference between the two.  It prints JSON holding, per argv, the
-exit code, a sha256 of stdout, the first line of stderr and a sha256 of
-each artifact.  The output directories are
+``edges`` workload, also seed-free, answers ``min-c`` and a failing
+``verify --exploratory --C 1`` on two smoothed cones whose blend holds
+thousands of radii of a fine grid (``EDGES``), at 512 and 65536 points, so
+that an answer that depends on the grid's size shows as a difference
+between the two, and a failing verify's capped list of violations, its
+sup and its boundary values are pinned on the largest grid.  It prints
+JSON holding, per argv, the exit code, a sha256 of stdout, the first line
+of stderr and a sha256 of each artifact.  The output directories are
 relative paths inside a temporary working directory, so the config a
 report echoes is the same for every checkout.
 
@@ -59,9 +61,12 @@ TABLES = {
     "late-bump": ("late_bump_table", ()),
 }
 TABLE_COMMANDS = (("verify", "--C", "10"), ("min-c",), ("export-profile",))
-#: the ``edges`` workload: (model, n) answered by min-c at each grid size
+#: the ``edges`` workload: (model, n) answered by each of EDGE_COMMANDS at
+#: each grid size
 EDGES = (("smoothed-cone:0.3:1", "30"), ("smoothed-cone:0.1:100", "12"))
 EDGE_GRID_SIZES = ("512", "65536")
+#: key suffix -> command and options; min-c's key has none
+EDGE_COMMANDS = (("", ("min-c",)), (":verify", ("verify", "--exploratory", "--C", "1")))
 CHOICES = (*workloads.WORKLOADS, "tables", "edges")
 
 
@@ -97,8 +102,9 @@ def _argvs(names, seeds):
         if name == "edges":
             for model, n in EDGES:
                 for size in EDGE_GRID_SIZES:
-                    yield f"edges:{model}:n{n}:grid{size}", [
-                        "min-c", "--model", model, "--n", n, "--grid-size", size]
+                    for suffix, (cmd, *opts) in EDGE_COMMANDS:
+                        yield f"edges:{model}:n{n}:grid{size}{suffix}", [
+                            cmd, "--model", model, "--n", n, "--grid-size", size, *opts]
             continue
         for seed in seeds:
             cycle, probes = workloads.build(name, seed)
