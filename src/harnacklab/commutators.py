@@ -4,8 +4,13 @@ Test functions carry exact first and second partials, propagated in
 order-2 Taylor jets (``Jet``) over floats, so the only finite differencing
 is in the covariant corrections; residuals of the commutator identities
 then scale as O(h^2).  The charts, the differenced geometry and the
-Christoffel memo are `fdcheck`'s, which gives this module's public names
+per-point memo are `fdcheck`'s, which gives this module's public names
 too; nothing here uses the symbolic engine's library.
+
+A test function keeps nothing between calls.  Each `check_lemma31` call
+memoizes the metric, the Christoffels, the jets and the covariant
+derivatives of its probe's stencil points in one `_CovariantStack`, and
+drops it on return.
 """
 
 from __future__ import annotations
@@ -99,21 +104,18 @@ class TestFunction:
     """Scalar function with exact partial derivatives up to 2nd order.
 
     ``func`` maps the list of the ``dim`` coordinate jets at a point to the
-    function's jet there; each point's jet is computed once.
+    function's jet there; each call evaluates it afresh.
     """
+
+    __slots__ = ("func", "dim")
 
     def __init__(self, func: Callable[[list], Jet], dim: int):
         self.func = func
         self.dim = dim
-        self._jets = {}
 
     def jet(self, x) -> Jet:
-        key = _point(x)
-        out = self._jets.get(key)
-        if out is None:
-            out = self.func([Jet.coordinate(key, i) for i in range(self.dim)])
-            self._jets[key] = out
-        return out
+        x = _point(x)
+        return self.func([Jet.coordinate(x, i) for i in range(self.dim)])
 
     def d1(self, x) -> tuple:
         return self.jet(x).g
@@ -151,18 +153,22 @@ def default_test_function(chart: CoordinateChart) -> TestFunction:
 
 class _CovariantStack(_ChristoffelMemo):
     """Nested covariant derivatives of f on a chart, all FD with step h,
-    memoized per point with the Christoffels; the tensors are flat and the
-    Christoffels are their nonzero terms.  `hess_scalar` needs no f."""
+    memoized per point with the metric, the Christoffels and f's jets; the
+    tensors are flat and the Christoffels are their nonzero terms.
+    `hess_scalar` needs no f."""
 
     def __init__(self, chart: CoordinateChart, f, h: float):
         super().__init__(chart, h)
         self.f = f
-        self.d = chart.dim
+
+    @_per_point
+    def jet(self, x):
+        return self.f.jet(x)
 
     @_per_point
     def hess(self, x):
         """(grad^2 f)_{ij} in coordinates."""
-        jet, d = self.f.jet(x), self.d
+        jet, d = self.jet(x), self.dim
         rows = [jet.h[k * d:(k + 1) * d] for k in range(d)]  # d_k (d f)
         return _covariant(rows, jet.g, self.gamma(x), 1)
 
@@ -178,15 +184,15 @@ class _CovariantStack(_ChristoffelMemo):
                           self.gamma(x), 3)
 
     def laplacian(self, x) -> float:
-        hess, d = self.hess(x), self.d
+        hess, d = self.hess(x), self.dim
         s = 0.0
-        for i, j, a in self.chart._ginv_entries(x):
+        for i, j, a in self._ginv_entries(x):
             s += a * hess[i * d + j]
         return s
 
     def hess_scalar(self, func, x):
         """Covariant Hessian of a numerically-defined scalar field."""
-        d, h = self.d, self.h
+        d, h = self.dim, self.h
         f0 = func(x)
 
         def at(*steps):  # x moved by s along axis k, for each (k, s)
@@ -229,13 +235,13 @@ def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
     x = _point(x)
     d = chart.dim
     stack = _CovariantStack(chart, f, h)
-    E = orthonormal_frame(chart, x)
-    R = _to_frame(_riemann_flat(chart, x, h, stack.gamma), E, 4)
+    E = orthonormal_frame(stack, x)
+    R = _to_frame(_riemann_flat(stack, x, h, stack.gamma), E, 4)
     ric = _ricci_of(R, d)
     R_terms = _entries(R, d, 4)
 
     # flat in the frame: T2[i d + j], T3[(i d + j) d + k], and so on
-    f1 = _to_frame(f.d1(x), E, 1)
+    f1 = _to_frame(stack.jet(x).g, E, 1)
     T2 = _to_frame(stack.hess(x), E, 2)
     T3 = _to_frame(stack.third(x), E, 3)
     T4 = _to_frame(stack.fourth(x), E, 4)
@@ -282,4 +288,4 @@ def hessian_scalar(chart: CoordinateChart, func, x, h: float = DEFAULT_H) -> tup
     x = _point(x)
     stack = _CovariantStack(chart, None, h)
     hess = stack.hess_scalar(func, x)
-    return _nest(_to_frame(hess, orthonormal_frame(chart, x), 2), chart.dim, 2)
+    return _nest(_to_frame(hess, orthonormal_frame(stack, x), 2), chart.dim, 2)

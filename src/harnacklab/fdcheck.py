@@ -22,6 +22,13 @@ of floats.  The contractions skip the zero entries of the metric, its
 inverse, the Christoffels, the curvature and the frame, which keeps the
 diagonal charts cheap and leaves a generic metric exact.  A NaN entry is
 never skipped, so it reaches the residuals.
+
+Charts and test functions keep nothing between calls.  The only cache is
+the per-point memo of one probe (`_ChristoffelMemo`): the metric, the
+inverse metric, the Christoffels and, in the commutator oracle, the test
+function's jets and covariant derivatives at each stencil point.  Each
+`check_parallel_ricci` or `check_lemma31` call builds its own and drops
+it on return, so memory does not grow with the number of probes.
 """
 
 from __future__ import annotations
@@ -55,7 +62,8 @@ __all__ = [
 
 DEFAULT_H = 1e-3
 #: largest dimension of a preset chart: one commutator probe costs about
-#: d^4 float operations and its caches hold about d^5 entries
+#: d^4 float operations, and its per-point memo, dropped when the probe
+#: returns, holds about d^5 entries
 MAX_CHART_DIM = 12
 
 
@@ -139,36 +147,27 @@ def _inverse(a, x) -> tuple:
 
 class CoordinateChart:
     """A metric given by its component matrix as a function of the point
-    (a tuple of floats); any d x d nested sequence of numbers will do."""
+    (a tuple of floats); any d x d nested sequence of numbers will do.
 
-    __slots__ = ("name", "dim", "metric", "_cache", "_inv_cache")
+    A chart keeps nothing: each call evaluates the metric afresh.  The
+    checks memoize per point for the length of one probe
+    (`_ChristoffelMemo`), and stand the memo in for the chart."""
+
+    __slots__ = ("name", "dim", "metric")
 
     def __init__(self, name: str, dim: int, metric: Callable[[tuple], object]):
         self.name, self.dim, self.metric = name, dim, metric
-        self._cache, self._inv_cache = {}, {}
 
     def _flat_g(self, x) -> tuple:
-        """g_ij at x as one row-major tuple, checked and cached per point."""
-        key = _point(x)
-        out = self._cache.get(key)
-        if out is None:
-            m, d = self.metric(key), self.dim
-            try:
-                square = len(m) == d and all(len(row) == d for row in m)
-            except TypeError:
-                square = False
-            if not square:
-                raise ChartError("metric callable returned a wrong shape")
-            out = self._cache[key] = tuple(map(float, itertools.chain.from_iterable(m)))
-        return out
-
-    def _ginv_entries(self, x) -> list:
-        """(k, l, g^kl) of the nonzero entries of the inverse metric at x."""
-        key = _point(x)
-        out = self._inv_cache.get(key)
-        if out is None:
-            out = self._inv_cache[key] = _entries(_flat(self.ginv(key)), self.dim, 2)
-        return out
+        """g_ij at x as one row-major tuple, checked."""
+        m, d = self.metric(_point(x)), self.dim
+        try:
+            square = len(m) == d and all(len(row) == d for row in m)
+        except TypeError:
+            square = False
+        if not square:
+            raise ChartError("metric callable returned a wrong shape")
+        return tuple(map(float, itertools.chain.from_iterable(m)))
 
     def g(self, x) -> tuple:
         return _nest(self._flat_g(x), self.dim, 2)
@@ -301,14 +300,14 @@ def _central(F, x: tuple, h: float) -> tuple:
     return tuple(out)
 
 
-def _christoffel_terms(chart: CoordinateChart, x, h: float) -> tuple:
+def _christoffel_terms(memo: "_ChristoffelMemo", x, h: float) -> tuple:
     """(k, i, j, Gamma^k_ij) for the nonzero Christoffels, in row-major
-    order, with O(h^2) error."""
+    order, with O(h^2) error, from the metric memoized by `memo`."""
     if h <= 0:
         raise ChartError("step h must be positive")
     x = _point(x)
-    d = chart.dim
-    dg = _central(chart._flat_g, x, h)  # dg[k][i * d + j] = d_k g_ij
+    d = memo.dim
+    dg = _central(memo._flat_g, x, h)  # dg[k][i * d + j] = d_k g_ij
     # Gamma^k_ij = 1/2 g^{kl} v_lij, v_lij = (d_i g_jl + d_j g_il) - d_l g_ij,
     # keyed (l d + i) d + j: a nonzero d_k g_ab is the first term of v at
     # (l, i, j) = (b, k, a), the second at (b, a, k) and the third at (k, a, b)
@@ -321,7 +320,7 @@ def _christoffel_terms(chart: CoordinateChart, x, h: float) -> tuple:
                 ab[q] = ab.get(q, 0.0) + row[p]
             c[k * d2 + p] = row[p]
     columns = [[] for _ in range(d)]
-    for k, l, w in chart._ginv_entries(x):
+    for k, l, w in memo._ginv_entries(x):
         columns[l].append((k, w))
     sums = {}
     for q in sorted(ab.keys() | c.keys()):  # ascending l for each (i, j)
@@ -347,7 +346,8 @@ def _gamma_flat(terms, d: int) -> list:
 
 def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
     """Gamma[k][i][j] = Gamma^k_ij with O(h^2) error."""
-    return _nest(_gamma_flat(_christoffel_terms(chart, x, h), chart.dim), chart.dim, 3)
+    terms = _christoffel_terms(_ChristoffelMemo(chart, h), x, h)
+    return _nest(_gamma_flat(terms, chart.dim), chart.dim, 3)
 
 
 def _covariant(dT, T, terms, rank: int) -> tuple:
@@ -377,9 +377,11 @@ def _covariant(dT, T, terms, rank: int) -> tuple:
 
 def _riemann_flat(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tuple:
     """R_ijkl, flat, in the pinned sign convention; gamma(point), if given,
-    stands in for _christoffel_terms(chart, point, h)."""
+    gives the Christoffel terms at a point, and otherwise a
+    `_ChristoffelMemo` for this call gives them and the metric."""
     if gamma is None:
-        gamma = functools.partial(_christoffel_terms, chart, h=h)
+        chart = _ChristoffelMemo(chart, h)
+        gamma = chart.gamma
     d = chart.dim
     rng = range(d)
     dgamma = _central(lambda y: _gamma_flat(gamma(y), d), x, h)  # dgamma[l] = d_l Gamma
@@ -492,12 +494,12 @@ def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
     return _nest(_ricci_of(_riemann_frame(chart, _point(x), h), chart.dim), chart.dim, 2)
 
 
-def _ricci_coord(chart: CoordinateChart, x: tuple, h: float, gamma) -> tuple:
+def _ricci_coord(memo: "_ChristoffelMemo", x: tuple) -> tuple:
     """Ricci with coordinate (lower) indices, flat, for covariant
-    differentiation (gamma as in _riemann_flat)."""
-    R = _riemann_flat(chart, x, h, gamma)
-    d = chart.dim
-    ginv = chart._ginv_entries(x)
+    differentiation."""
+    R = _riemann_flat(memo, x, memo.h, memo.gamma)
+    d = memo.dim
+    ginv = memo._ginv_entries(x)
     # Ric_ij = g^{kl} R_{i k j l}
     out = []
     for i in range(d):
@@ -525,34 +527,53 @@ def _per_point(method):
 
 
 class _ChristoffelMemo:
-    """The Christoffels of a chart with step h, memoized per point; points
-    are tuples of floats of the chart's dimension.  The commutator oracle's
-    covariant derivatives extend it, sharing its memo."""
+    """The metric, the inverse metric and the Christoffels (step h) of a
+    chart, memoized per point; points are tuples of floats of the chart's
+    dimension.  It offers the chart's `dim` and `_flat_g`, and
+    `_ginv_entries`, so the geometry takes it where it takes a chart.
+
+    This is the one per-point cache of the oracle.  A check builds one per
+    probe and drops it when it returns: the stencils of two probes share
+    no point, so what a probe memoizes is never read again.  The
+    commutator oracle's covariant derivatives extend it, sharing its memo.
+    """
 
     def __init__(self, chart: CoordinateChart, h: float):
         self.chart = chart
+        self.dim = chart.dim
         self.h = h
         self._memo = {}
 
     @_per_point
+    def _flat_g(self, x):
+        return self.chart._flat_g(x)
+
+    @_per_point
+    def _ginv_entries(self, x):
+        """(k, l, g^kl) of the nonzero entries of the inverse metric at x."""
+        d = self.dim
+        return _entries(_flat(_inverse(_nest(self._flat_g(x), d, 2), x)), d, 2)
+
+    @_per_point
     def gamma(self, x):
         """(m, k, i, Gamma^m_ki) for the nonzero Christoffels."""
-        return _christoffel_terms(self.chart, x, self.h)
+        return _christoffel_terms(self, x, self.h)
 
 
 def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> float:
     """Frobenius norm of grad Ric in an orthonormal frame.
 
     The stencils of the Ricci tensors at x +- h e_k overlap, so the
-    Christoffels are memoized per point (`_ChristoffelMemo`).
+    metric and the Christoffels are memoized per point for this call
+    (`_ChristoffelMemo`).
     """
     x = _point(x)
-    gamma = _ChristoffelMemo(chart, h).gamma
-    ric0 = _ricci_coord(chart, x, h, gamma)
-    dric = _central(lambda y: _ricci_coord(chart, y, h, gamma), x, h)
+    memo = _ChristoffelMemo(chart, h)
+    ric0 = _ricci_coord(memo, x)
+    dric = _central(lambda y: _ricci_coord(memo, y), x, h)
     # (grad Ric)_{ijk} = d_k Ric_ij - Gamma^m_ki Ric_mj - Gamma^m_kj Ric_im
-    cov = _covariant(dric, ric0, gamma(x), 2)
-    return math.hypot(*_to_frame(cov, orthonormal_frame(chart, x), 3))
+    cov = _covariant(dric, ric0, memo.gamma(x), 2)
+    return math.hypot(*_to_frame(cov, orthonormal_frame(memo, x), 3))
 
 
 # -- the commutator oracle, on demand ------------------------------------------

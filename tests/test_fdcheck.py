@@ -1,8 +1,11 @@
 """Finite-difference chart oracle: curvature, commutators, cross-checks."""
 
+import gc
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,14 +198,65 @@ def test_jet_partials_match_sympy(chart, expr):
 
 
 def test_jet_is_computed_once_per_point():
-    calls = []
-    f = fdcheck.TestFunction(lambda x: calls.append(1) or x[0] * x[1].sin(), 2)
-    x = np.array([0.3, 0.4])
-    assert f.d1(x) is f.d1(x.copy())
-    assert f.jet(x) is f.jet([0.3, 0.4])
-    assert len(calls) == 1
+    # within one probe each distinct stencil point's jet and metric are
+    # evaluated exactly once: 129 metric points and 41 jets on s2xr2
+    s2 = fdcheck.s2xr2()
+    metric_at, jet_at = [], []
+
+    def metric(y):
+        metric_at.append(tuple(y))
+        return s2.metric(y)
+
+    def func(x):
+        jet_at.append(tuple(j.v for j in x))
+        return fdcheck.default_test_function(s2).func(x)
+
+    chart = fdcheck.CoordinateChart(s2.name, 4, metric)
+    f = fdcheck.TestFunction(func, 4)
+    x = tuple(v + 0.01 for v in fdcheck.default_probe_point(s2))
+    res = fdcheck.check_lemma31(chart, f, x, H)
+    assert len(metric_at) == len(set(metric_at)) == 129
+    assert len(jet_at) == len(set(jet_at)) == 41
+    assert res == fdcheck.check_lemma31(s2, fdcheck.default_test_function(s2), x, H)
+    metric_at.clear()
+    fdcheck.check_parallel_ricci(chart, x, H)
+    assert len(metric_at) == len(set(metric_at)) == 129
+    stack = commutators._CovariantStack(chart, f, H)
+    assert stack.jet(x) is stack.jet(x)
     with pytest.raises(TypeError):
-        f.d2(x)[0][0] = 1.0  # shared by every caller: immutable
+        stack.jet(x).g[0] = 1.0  # shared by every caller in the probe: immutable
+    with pytest.raises(TypeError):
+        f.d2(x)[0][0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["s2xr2", "euclidean"])
+def test_oracle_memory_is_flat_in_the_probe_count(name):
+    # the oracle's probe loop, with its chart and test function alive from
+    # the first probe to the last: what it still holds after the loop must
+    # not grow with the number of probes
+    chart = fdcheck.chart_by_name(name, n=4)
+    f = fdcheck.default_test_function(chart)
+    base = fdcheck.default_probe_point(chart)
+    fdcheck.check_lemma31(chart, f, base, H)  # the first probe's one-time allocations
+
+    def held_after(probes):
+        rng = random.Random(probes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = [fdcheck.check_lemma31(
+                chart, f, [b + rng.uniform(-0.05, 0.05) for b in base], H)
+                for _ in range(probes)]
+            # a full collection also empties the interpreter's free lists,
+            # which would otherwise count the freed tuples as held
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == probes
+        return held
+
+    assert held_after(12) - held_after(3) < 32 * 1024
 
 
 def test_commutators_flat_chart():
@@ -466,13 +520,17 @@ def test_metric_nan_at_one_stencil_point_fails_every_check():
     eye = np.eye(3)
 
     def metric(y):
+        visited.append(tuple(y))
         return np.full((3, 3), math.nan) if tuple(y) == bad else eye
 
     chart = fdcheck.CoordinateChart("flat-with-a-nan", 3, metric)
     f = fdcheck.TestFunction(lambda x: x[0] * x[0] * x[1] + x[2].cos(), 3)
+    visited = []
     assert math.isnan(fdcheck.max_residual(fdcheck.check_lemma31(chart, f, x, H)))
+    assert bad in visited  # the NaN point was visited
+    visited = []
     assert math.isnan(fdcheck.check_parallel_ricci(chart, x, H))
-    assert bad in chart._cache  # the NaN point was visited
+    assert bad in visited
 
 
 def test_probe_points_are_numpys_bit_for_bit():

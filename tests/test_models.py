@@ -742,6 +742,35 @@ def test_interior_minimum_reads_the_same_on_every_window_holding_it():
     assert len({sectional[hi] for hi in his if hi != 0.8474}) == 1
 
 
+@pytest.mark.parametrize("model_id,values", [
+    ("smoothed-cone:0.8:1", (1.0, 0.3079201435678002, 0.3079201435678002,
+                             0.3079201435678002, 0.3079201435678002)),
+    ("smoothed-cone:0.75:2", (1.0, 1.0, 0.13490017945975052, 0.13490017945975052,
+                              0.13490017945975052)),
+    ("smoothed-cone:0.9:0.5", (0.9020480000000001, 0.6539600717839, 0.6539600717839,
+                               0.9, 0.6539600717839)),
+])
+def test_fp_min_isolates_each_finite_piece_once(model_id, values, monkeypatch):
+    # the roots on a whole finite piece do not depend on the window, so a
+    # profile isolates them once; the minima are those of a fresh isolation
+    # on every call, bit for bit
+    p = model_from_id(model_id, 4).profile
+    spans = []
+    real_roots = models.Poly.real_roots
+
+    def counted(poly, u, v):
+        spans.append((u, v))
+        return real_roots(poly, u, v)
+
+    monkeypatch.setattr(models.Poly, "real_roots", counted)
+    windows = ((1e-4, 0.3), (1e-4, 0.9), (1e-4, 1.7), (0.6, 3.0), (1e-4, 50.0))
+    for _ in range(3):
+        assert tuple(p.fp_min(lo, hi) for lo, hi in windows) == values
+    finite = [(pc.lo - pc.x0, pc.hi - pc.x0) for pc in p.pieces if pc.hi < math.inf]
+    # each finite piece once; the top piece, on the window's part, each time
+    assert sorted(s for s in spans if s in finite) == sorted(finite)
+
+
 def test_fp_min_custom_spline_against_dense_samples():
     r = np.linspace(1.0, 5.0, 9)
     fvals = np.array([1.0, 1.6, 1.9, 1.7, 1.8, 2.6, 3.0, 3.1, 4.0])

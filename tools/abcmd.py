@@ -7,6 +7,10 @@
 Each argv runs as ``python -m harnacklab.cli <argv>`` with ``PYTHONPATH``
 set to ``<checkout>/src``, in a fresh temporary working directory, with
 stdout and stderr discarded, so a relative ``--output-dir`` lands there.
+``PYTHONPYCACHEPREFIX`` points every run at a fresh, empty bytecode
+directory and ``PYTHONDONTWRITEBYTECODE=1`` keeps it empty, so both sides
+compile from source on every run: a ``__pycache__`` left in one checkout
+cannot bias a pair.
 A rep runs every argv once on each side, back to back: the parent first
 in even reps and the change first in odd ones, so a drift in the
 machine's load reaches both sides alike.  There are `REPS` reps, after
@@ -41,8 +45,9 @@ WARMUP = 1   # uncounted runs of each side per argv, before the reps
 def run_once(checkout: Path, argv: list) -> tuple:
     """(exit code, wall seconds, peak RSS in MB) of one CLI run from the
     checkout's source."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    with tempfile.TemporaryDirectory() as cwd:
+    with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+                   PYTHONPYCACHEPREFIX=pycache, PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "harnacklab.cli", *argv], cwd=cwd,
                                 env=env, stdout=subprocess.DEVNULL,
