@@ -3,9 +3,16 @@
 Test functions carry exact first and second partials, propagated in
 order-2 Taylor jets (``Jet``) over floats, so the only finite differencing
 is in the covariant corrections; residuals of the commutator identities
-then scale as O(h^2).  The charts, the differenced geometry and the
-per-point memo are `fdcheck`'s, which gives this module's public names
-too; nothing here uses the symbolic engine's library.
+then scale as O(h^2).  The differenced geometry and the per-point memo
+are `fdcheck`'s, which gives this module's public names too; nothing here
+uses the symbolic engine's library.
+
+Beside the oracle, this module holds what only the ``oracle`` command and
+the tests use of the chart geometry: the preset charts (``euclidean_chart``,
+``round_sphere``, ``s2xr2``, ``cone_chart``, ``chart_by_name``) with their
+probe points, and the curvature as nested tuples indexed ``T[i][j]...``
+(``christoffels``, ``riemann_coord``, ``riemann``, ``ricci``).  A check of
+parallel Ricci needs none of it, so a numeric command never compiles it.
 
 A test function keeps nothing between calls.  Each `check_lemma31` call
 memoizes the metric, the Christoffels, the jets and the covariant
@@ -20,12 +27,118 @@ import math
 import operator
 from typing import Callable
 
-from .fdcheck import (DEFAULT_H, CoordinateChart, _central, _ChristoffelMemo, _covariant,
-                      _entries, _nest, _per_point, _point, _ricci_of, _riemann_flat,
-                      _to_frame, max_residual, orthonormal_frame)
+from .fdcheck import (DEFAULT_H, ChartError, CoordinateChart, _central, _christoffel_terms,
+                      _ChristoffelMemo, _covariant, _diag, _entries, _gamma_flat, _nest,
+                      _per_point, _point, _riemann_flat, _to_frame, _warped, max_residual,
+                      orthonormal_frame, warped_probe_point)
 
 __all__ = ["Jet", "TestFunction", "default_test_function", "check_lemma31",
-           "hessian_scalar"]
+           "hessian_scalar", "MAX_CHART_DIM", "euclidean_chart", "round_sphere", "s2xr2",
+           "cone_chart", "chart_by_name", "default_probe_point", "christoffels",
+           "riemann_coord", "riemann", "ricci"]
+
+#: largest dimension of a preset chart: one commutator probe costs about
+#: d^4 float operations, and its per-point memo, dropped when the probe
+#: returns, holds about d^5 entries
+MAX_CHART_DIM = 12
+
+
+# -- preset charts ------------------------------------------------------------
+
+
+def euclidean_chart(n: int) -> CoordinateChart:
+    if int(n) != n or not 2 <= n <= MAX_CHART_DIM:
+        raise ChartError(f"euclidean chart needs an integer 2 <= n <= {MAX_CHART_DIM}, got {n}")
+    eye = _diag((1.0,) * int(n))
+    return CoordinateChart("euclidean", int(n), lambda x: eye)
+
+
+def round_sphere(radius: float = 1.0) -> CoordinateChart:
+    R2 = radius * radius
+
+    def metric(x):
+        theta = x[0]
+        return _diag((R2, R2 * math.sin(theta) ** 2))
+
+    return CoordinateChart("round_sphere", 2, metric)
+
+
+def s2xr2() -> CoordinateChart:
+    """Unit round 2-sphere times a flat plane; symmetric, parallel Ricci."""
+
+    def metric(x):
+        theta = x[0]
+        return _diag((1.0, math.sin(theta) ** 2, 1.0, 1.0))
+
+    return CoordinateChart("s2xr2", 4, metric)
+
+
+def cone_chart(c: float, n: int) -> CoordinateChart:
+    """Warped chart of the cone f = c r, 0 < c <= 1, 3 <= n <= MAX_CHART_DIM."""
+    if not (0.0 < c <= 1.0) or int(n) != n or not 3 <= n <= MAX_CHART_DIM:
+        raise ChartError(f"cone chart needs 0 < c <= 1 and an integer 3 <= n <= "
+                         f"{MAX_CHART_DIM}, got c={c:g}, n={n}")
+    return _warped(f"warped[cone:{c:g}]", int(n), lambda r: c * r)
+
+
+def chart_by_name(name: str, **kw) -> CoordinateChart:
+    if name == "euclidean":
+        return euclidean_chart(int(kw.get("n", 4)))
+    if name == "round_sphere":
+        return round_sphere(float(kw.get("radius", 1.0)))
+    if name == "s2xr2":
+        return s2xr2()
+    if name == "cone":
+        return cone_chart(float(kw.get("c", 0.5)), int(kw.get("n", 4)))
+    raise ChartError(f"unknown chart {name!r}")
+
+
+def default_probe_point(chart: CoordinateChart) -> tuple:
+    """A probe away from coordinate degeneracies of each preset."""
+    if chart.name == "euclidean":
+        return tuple(0.1 + 0.2 * i for i in range(chart.dim))
+    if chart.name == "round_sphere":
+        return (1.1, 0.7)
+    if chart.name == "s2xr2":
+        return (1.1, 0.7, 0.3, -0.4)
+    # warped charts: r = 1, angles in the safe band
+    return warped_probe_point(chart.dim, 1.0)
+
+
+# -- curvature as nested tuples -----------------------------------------------
+
+
+def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
+    """Gamma[k][i][j] = Gamma^k_ij with O(h^2) error."""
+    terms = _christoffel_terms(_ChristoffelMemo(chart, h), x, h)
+    return _nest(_gamma_flat(terms, chart.dim), chart.dim, 3)
+
+
+def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H,
+                  gamma=None) -> tuple:
+    """R[i][j][k][l] with all indices down (gamma as in _riemann_flat)."""
+    return _nest(_riemann_flat(chart, _point(x), h, gamma), chart.dim, 4)
+
+
+def _ricci_of(R: tuple, d: int) -> tuple:
+    """Ric_ab = sum_c R_acbc, flat."""
+    return tuple([sum([R[((a * d + c) * d + b) * d + c] for c in range(d)])
+                  for a in range(d) for b in range(d)])
+
+
+def _riemann_frame(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tuple:
+    """R_abcd in an orthonormal frame, flat (gamma as in _riemann_flat)."""
+    return _to_frame(_riemann_flat(chart, x, h, gamma), orthonormal_frame(chart, x), 4)
+
+
+def riemann(chart: CoordinateChart, x, h: float = DEFAULT_H, gamma=None) -> tuple:
+    """Curvature components in an orthonormal frame (gamma as in _riemann_flat)."""
+    return _nest(_riemann_frame(chart, _point(x), h, gamma), chart.dim, 4)
+
+
+def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
+    """Ric_ab = sum_c R(e_a, e_c, e_b, e_c) in an orthonormal frame."""
+    return _nest(_ricci_of(_riemann_frame(chart, _point(x), h), chart.dim), chart.dim, 2)
 
 
 # -- test functions -----------------------------------------------------------

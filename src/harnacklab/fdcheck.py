@@ -8,17 +8,24 @@ engine, and can arbitrate both.  The curvature sign convention is
 
 pinned by the round sphere having sectional curvature +1.
 
-The commutator oracle (``Jet``, ``TestFunction``, ``default_test_function``,
-``check_lemma31``, ``hessian_scalar``) lives in `harnacklab.commutators`
-and is reached through this module's names as well: it is imported on the
-first use of one, so a check of parallel Ricci, which every euclidean
-verdict makes, compiles only the geometry.  Nothing here uses the
-symbolic engine's library.
+This module holds what `check_parallel_ricci` runs, which every
+euclidean verdict does: charts, warped charts of a model, the central
+differences, the Christoffels, the curvature, the orthonormal frame and
+the per-point memo.  Everything else lives in `harnacklab.commutators`:
+the commutator oracle (``Jet``, ``TestFunction``, ``default_test_function``,
+``check_lemma31``, ``hessian_scalar``), the preset charts of the ``oracle``
+command (``euclidean_chart``, ``round_sphere``, ``s2xr2``, ``cone_chart``,
+``chart_by_name``, ``default_probe_point``) and the curvature as nested
+tuples (``christoffels``, ``riemann_coord``, ``riemann``, ``ricci``).
+Those names are reached through this module as well: `commutators` is
+imported on the first use of one, so a check of parallel Ricci compiles
+only the geometry, and each module stays under the parser's 4096-token
+step.  Nothing here uses the symbolic engine's library.
 
 No array library is loaded: the tensors have at most d^4 entries.  Points
-are tuples of floats; the public functions return tensors as nested
-tuples indexed ``T[i][j]...``, and inside, a tensor is one row-major tuple
-of floats.  The contractions skip the zero entries of the metric, its
+are tuples of floats, and inside, a tensor is one row-major tuple of
+floats (`commutators` gives the nested tuples indexed ``T[i][j]...``).
+The contractions skip the zero entries of the metric, its
 inverse, the Christoffels, the curvature and the frame, which keeps the
 diagonal charts cheap and leaves a generic metric exact.  A NaN entry is
 never skipped, so it reaches the residuals.
@@ -40,31 +47,14 @@ from typing import Callable
 
 __all__ = [
     "CoordinateChart",
-    "Jet",
-    "TestFunction",
-    "euclidean_chart",
-    "round_sphere",
-    "s2xr2",
-    "cone_chart",
     "warped_chart",
-    "chart_by_name",
     "warped_probe_point",
-    "default_probe_point",
-    "christoffels",
-    "riemann",
-    "ricci",
     "orthonormal_frame",
-    "check_lemma31",
     "check_parallel_ricci",
-    "hessian_scalar",
     "max_residual",
 ]
 
 DEFAULT_H = 1e-3
-#: largest dimension of a preset chart: one commutator probe costs about
-#: d^4 float operations, and its per-point memo, dropped when the probe
-#: returns, holds about d^5 entries
-MAX_CHART_DIM = 12
 
 
 class ChartError(ValueError):
@@ -176,34 +166,7 @@ class CoordinateChart:
         return _inverse(self.g(x), x)
 
 
-# -- presets ----------------------------------------------------------------
-
-
-def euclidean_chart(n: int) -> CoordinateChart:
-    if int(n) != n or not 2 <= n <= MAX_CHART_DIM:
-        raise ChartError(f"euclidean chart needs an integer 2 <= n <= {MAX_CHART_DIM}, got {n}")
-    eye = _diag((1.0,) * int(n))
-    return CoordinateChart("euclidean", int(n), lambda x: eye)
-
-
-def round_sphere(radius: float = 1.0) -> CoordinateChart:
-    R2 = radius * radius
-
-    def metric(x):
-        theta = x[0]
-        return _diag((R2, R2 * math.sin(theta) ** 2))
-
-    return CoordinateChart("round_sphere", 2, metric)
-
-
-def s2xr2() -> CoordinateChart:
-    """Unit round 2-sphere times a flat plane; symmetric, parallel Ricci."""
-
-    def metric(x):
-        theta = x[0]
-        return _diag((1.0, math.sin(theta) ** 2, 1.0, 1.0))
-
-    return CoordinateChart("s2xr2", 4, metric)
+# -- warped charts -----------------------------------------------------------
 
 
 def _warped(name: str, n: int, f) -> CoordinateChart:
@@ -226,38 +189,6 @@ def warped_chart(model) -> CoordinateChart:
     """Warped chart of a model manifold; reads only its .n, .profile.f and
     .describe()."""
     return _warped(f"warped[{model.describe()}]", model.n, model.profile.f)
-
-
-def cone_chart(c: float, n: int) -> CoordinateChart:
-    """Warped chart of the cone f = c r, 0 < c <= 1, 3 <= n <= MAX_CHART_DIM."""
-    if not (0.0 < c <= 1.0) or int(n) != n or not 3 <= n <= MAX_CHART_DIM:
-        raise ChartError(f"cone chart needs 0 < c <= 1 and an integer 3 <= n <= "
-                         f"{MAX_CHART_DIM}, got c={c:g}, n={n}")
-    return _warped(f"warped[cone:{c:g}]", int(n), lambda r: c * r)
-
-
-def chart_by_name(name: str, **kw) -> CoordinateChart:
-    if name == "euclidean":
-        return euclidean_chart(int(kw.get("n", 4)))
-    if name == "round_sphere":
-        return round_sphere(float(kw.get("radius", 1.0)))
-    if name == "s2xr2":
-        return s2xr2()
-    if name == "cone":
-        return cone_chart(float(kw.get("c", 0.5)), int(kw.get("n", 4)))
-    raise ChartError(f"unknown chart {name!r}")
-
-
-def default_probe_point(chart: CoordinateChart) -> tuple:
-    """A probe away from coordinate degeneracies of each preset."""
-    if chart.name == "euclidean":
-        return tuple(0.1 + 0.2 * i for i in range(chart.dim))
-    if chart.name == "round_sphere":
-        return (1.1, 0.7)
-    if chart.name == "s2xr2":
-        return (1.1, 0.7, 0.3, -0.4)
-    # warped charts: r = 1, angles in the safe band
-    return warped_probe_point(chart.dim, 1.0)
 
 
 def warped_probe_point(n: int, r: float) -> tuple:
@@ -344,12 +275,6 @@ def _gamma_flat(terms, d: int) -> list:
     return out
 
 
-def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
-    """Gamma[k][i][j] = Gamma^k_ij with O(h^2) error."""
-    terms = _christoffel_terms(_ChristoffelMemo(chart, h), x, h)
-    return _nest(_gamma_flat(terms, chart.dim), chart.dim, 3)
-
-
 def _covariant(dT, T, terms, rank: int) -> tuple:
     """grad T, flat, for a covariant rank-r tensor T (flat) given its
     partials dT[k] = d_k T (flat) and the nonzero Christoffels as terms
@@ -417,12 +342,6 @@ def _riemann_flat(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tup
     return tuple(R)
 
 
-def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H,
-                  gamma=None) -> tuple:
-    """R[i][j][k][l] with all indices down (gamma as in _riemann_flat)."""
-    return _nest(_riemann_flat(chart, _point(x), h, gamma), chart.dim, 4)
-
-
 def _inner(g: tuple, u, v) -> float:
     """u @ g @ v for a flat g, skipping the zero components of u."""
     d = len(u)
@@ -471,27 +390,6 @@ def _to_frame(T, E, rank: int) -> tuple:
             parts.append(acc)
         T = [v for vals in zip(*parts) for v in vals]
     return tuple(T)
-
-
-def _ricci_of(R: tuple, d: int) -> tuple:
-    """Ric_ab = sum_c R_acbc, flat."""
-    return tuple([sum([R[((a * d + c) * d + b) * d + c] for c in range(d)])
-                  for a in range(d) for b in range(d)])
-
-
-def _riemann_frame(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tuple:
-    """R_abcd in an orthonormal frame, flat (gamma as in _riemann_flat)."""
-    return _to_frame(_riemann_flat(chart, x, h, gamma), orthonormal_frame(chart, x), 4)
-
-
-def riemann(chart: CoordinateChart, x, h: float = DEFAULT_H, gamma=None) -> tuple:
-    """Curvature components in an orthonormal frame (gamma as in _riemann_flat)."""
-    return _nest(_riemann_frame(chart, _point(x), h, gamma), chart.dim, 4)
-
-
-def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
-    """Ric_ab = sum_c R(e_a, e_c, e_b, e_c) in an orthonormal frame."""
-    return _nest(_ricci_of(_riemann_frame(chart, _point(x), h), chart.dim), chart.dim, 2)
 
 
 def _ricci_coord(memo: "_ChristoffelMemo", x: tuple) -> tuple:
@@ -578,9 +476,14 @@ def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> flo
 
 # -- the commutator oracle, on demand ------------------------------------------
 
-#: the names of `harnacklab.commutators` that this module gives too
+#: the names of `harnacklab.commutators` that this module gives too; the
+#: `oracle` command calls them here, so a wrapper set on one of them here
+#: (the benchmark's tracer sets one on `check_lemma31`) sees every call
 _COMMUTATOR_NAMES = frozenset(
-    {"Jet", "TestFunction", "default_test_function", "check_lemma31", "hessian_scalar"})
+    {"Jet", "TestFunction", "default_test_function", "check_lemma31", "hessian_scalar",
+     "MAX_CHART_DIM", "euclidean_chart", "round_sphere", "s2xr2", "cone_chart",
+     "chart_by_name", "default_probe_point", "christoffels", "riemann_coord", "riemann",
+     "ricci"})
 
 
 def __getattr__(name: str):

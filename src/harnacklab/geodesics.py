@@ -19,12 +19,14 @@ inverting the arclength sweep on the branch that holds it (exactly where
 f = m r, by Brent's method on a Gauss length sweep elsewhere) and taking
 phi from the angle sweep.  Shooting, a Dormand-Prince 5(4) integration of
 the geodesic equations in plain floats, is the second route: the
-corollary shoots once per report and records the gap.
+corollary shoots once per report and records the gap.  The stepper, its
+tolerances and its knot and level crossings are `quadrature`'s
+(`quadrature.dp_step`); the adaptive loop here cuts steps at the
+profile's knots and at the radius floor.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -82,10 +84,6 @@ class GeodesicTriple(NamedTuple):
     shot_gap: Optional[float] = None  # largest gap between shot and inversion, if shot
 
 
-#: tolerances of the Dormand-Prince shot, on every state component
-DP_RTOL = DP_ATOL = 1e-13
-
-
 def _geodesic_rhs(prof):
     """(r', phi', r'', phi'') of a slice geodesic, on a state sequence."""
 
@@ -95,48 +93,6 @@ def _geodesic_rhs(prof):
         return (rp, php, f * fp * php * php, -2.0 * fp / f * rp * php)
 
     return rhs
-
-
-def _dp_step(rhs, y, k1, h):
-    """One Dormand-Prince 5(4) step of size h from y with slope k1:
-    (y_new, slope at y_new, RMS of the 5th-minus-4th-order difference
-    relative to DP_ATOL + DP_RTOL |y|).  The last stage is the slope at
-    y_new, so the next step starts from it."""
-    k2 = rhs([y0 + h * (a / 5) for y0, a in zip(y, k1)])
-    k3 = rhs([y0 + h * (3 / 40 * a + 9 / 40 * b) for y0, a, b in zip(y, k1, k2)])
-    k4 = rhs([y0 + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
-              for y0, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs([y0 + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
-                        - 212 / 729 * d)
-              for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([y0 + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                        + 49 / 176 * d - 5103 / 18656 * e)
-              for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [y0 + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                       - 2187 / 6784 * e + 11 / 84 * f)
-             for y0, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(y_new)
-    norm = sum(
-        (h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
-              + 22 / 525 * f - 1 / 40 * g)
-         / (DP_ATOL + DP_RTOL * max(abs(y0), abs(y1)))) ** 2
-        for y0, y1, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7))
-    return y_new, k7, math.sqrt(norm / len(y))
-
-
-def _crossing(rhs, y, k, step, level):
-    """Length t in [0, step] of the step from y that ends at r = level."""
-    return quadrature.brent_root(lambda t: _dp_step(rhs, y, k, t)[0][0] - level,
-                                 0.0, step, xtol=1e-15, rtol=8.9e-16)
-
-
-def _knot_crossed(knots, r0, r1):
-    """The first knot strictly between r0 and r1 on the way from r0, or None."""
-    if r1 > r0:
-        i = bisect.bisect_right(knots, r0)
-        return knots[i] if i < len(knots) and knots[i] < r1 else None
-    i = bisect.bisect_left(knots, r0)
-    return knots[i - 1] if i > 0 and knots[i - 1] > r1 else None
 
 
 def _dormand_prince(rhs, y0, s_out, r_floor, knots):
@@ -157,7 +113,7 @@ def _dormand_prince(rhs, y0, s_out, r_floor, knots):
             landing = h >= target - s
             step = target - s if landing else h
             try:
-                y_new, k_new, err = _dp_step(rhs, y, k, step)
+                y_new, k_new, err = quadrature.dp_step(rhs, y, k, step)
             except ModelError:  # a stage left r > 0, where f is defined
                 err = math.inf
             if math.isnan(err):
@@ -169,13 +125,13 @@ def _dormand_prince(rhs, y0, s_out, r_floor, knots):
                     raise GeodesicError("geodesic integration failed: step underflow")
                 continue
             if y[0] >= r_floor > y_new[0]:
-                return out, s + _crossing(rhs, y, k, step, r_floor)
-            knot = _knot_crossed(knots, y[0], y_new[0])
+                return out, s + quadrature.dp_crossing(rhs, y, k, step, r_floor)
+            knot = quadrature.knot_crossed(knots, y[0], y_new[0])
             # a step from a knot just landed on may seem to cross it again
             landed = None if knot == landed else knot
             if landed is not None:
-                step, landing = _crossing(rhs, y, k, step, knot), False
-                y_new, k_new, _ = _dp_step(rhs, y, k, step)
+                step, landing = quadrature.dp_crossing(rhs, y, k, step, knot), False
+                y_new, k_new, _ = quadrature.dp_step(rhs, y, k, step)
             elif not landing:  # a step cut short to land leaves h as it was
                 h = step * factor
             s = target if landing else s + step

@@ -12,17 +12,19 @@ f.  Closed-form curvature of such metrics:
 
 and Ric = ric_rad dr^2 + ric_tan (g - dr^2) with ric_rad = (n-1) k_rad,
 ric_tan = k_rad + (n-2) k_tan.
+
+The pieces of f are polynomials (`harnacklab.poly`).  A custom table is
+read and splined by `harnacklab.tables`, which only a custom profile loads.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
-import functools
 import math
 from typing import NamedTuple, Optional
 
 from . import ModelError, quadrature
+from .poly import Poly
 
 __all__ = [
     "WarpingProfile",
@@ -62,208 +64,6 @@ class Piece(NamedTuple):
         if self.x0 == 0.0 and len(self.coef) == 2 and self.coef[0] == 0.0:
             return self.coef[1]
         return None
-
-
-class Poly:
-    """A polynomial as its tuple of ascending coefficients, in plain float
-    arithmetic: sums, products and integer powers with floats and other
-    Polys, derivatives, Horner evaluation at a float, and the real roots
-    in an interval.
-    The smoothed-cone blend, the derivative rows of every profile and the
-    margins of `WarpingProfile.min_ratio` are built from these."""
-
-    __slots__ = ("coef",)
-
-    def __init__(self, coef):
-        self.coef = tuple(coef)
-
-    @staticmethod
-    def _coef(x):
-        return x.coef if isinstance(x, Poly) else (float(x),)
-
-    def __add__(self, other):
-        a, b = self.coef, self._coef(other)
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-x for x in self.coef])
-
-    def __sub__(self, other):
-        return self + -Poly(self._coef(other))
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        b = self._coef(other)
-        if len(b) == 1:
-            y = b[0]
-            return Poly([x * y for x in self.coef])
-        out = [0.0] * (len(self.coef) + len(b) - 1)
-        for i, x in enumerate(self.coef):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = Poly((1.0,))
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def deriv(self, m: int = 1) -> "Poly":
-        c = self.coef
-        for _ in range(m):
-            c = [k * x for k, x in enumerate(c)][1:] or [0.0]
-        return Poly(c)
-
-    def __call__(self, t: float) -> float:
-        out = 0.0
-        for a in reversed(self.coef):
-            out = out * t + a
-        return out
-
-    def real_roots(self, u: float, v: float) -> list:
-        """The real roots in [u, v], ascending (none for a constant, or
-        where u >= v).
-
-        The Bernstein coefficients of the polynomial on a part of [u, v]
-        have at least as many sign changes as it has roots there (Descartes'
-        rule in the Bernstein basis), so a part without sign change holds
-        none.  Parts are halved by de Casteljau's algorithm until each has
-        one sign change between ends of clear opposite signs, and Brent's
-        method finds that simple root.  Rounding is judged by Horner's error
-        bound on [u, v]: a part whose coefficients all sit within it is zero
-        to rounding, and the midpoint of each run of such parts stands for
-        the multiple root or cluster of roots there; a part without sign
-        change is dropped only where its coefficients, and so the
-        polynomial, keep clear of that bound.
-        """
-        c = self.coef
-        while len(c) > 1 and c[-1] == 0.0:
-            c = c[:-1]
-        if len(c) == 1 or not u < v:
-            return []
-        reach = max(abs(u), abs(v))
-        noise = 4.0 * len(c) * _EPS * sum(abs(a) * reach ** k for k, a in enumerate(c))
-        xtol = 4.0 * _EPS * (v - u)
-        roots, zero = [], []  # simple roots, and the parts zero to rounding
-        parts = [(u, v, _bernstein(c, u, v))]
-        while parts:
-            a, b, bern = parts.pop()
-            mid = 0.5 * (a + b)
-            size = [abs(x) for x in bern]
-            if max(size) <= noise or not a < mid < b:
-                zero.append((a, b))
-                continue
-            changes = _sign_changes(bern)
-            if changes == 0 and min(size) > noise:
-                continue
-            fa, fb = self(a), self(b)
-            if changes == 1 and fa * fb < 0.0 and min(abs(fa), abs(fb)) > noise:
-                roots.append(quadrature.brent_root(self, a, b, xtol=xtol, rtol=_EPS))
-                continue
-            left, right = _halves(bern)
-            parts += [(mid, b, right), (a, mid, left)]
-        # parts are popped left to right, so touching runs are consecutive
-        runs = []
-        for a, b in zero:
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-        roots += [0.5 * (a + b) for a, b in runs]
-        return sorted(roots)
-
-
-#: the gap between 1 and the next float
-_EPS = 2.0 ** -52
-
-
-def _bernstein(c, u, v):
-    """Bernstein coefficients on [u, v] of the polynomial with ascending
-    coefficients c: shift to u, scale to s in [0, 1], then
-    b_j = sum_k C(j, k) / C(d, k) a_k."""
-    a = list(c)
-    d = len(a) - 1
-    for i in range(d):  # Taylor shift by u, repeated synthetic division
-        for k in range(d - 1, i - 1, -1):
-            a[k] += u * a[k + 1]
-    w = v - u
-    a = [x * w ** k for k, x in enumerate(a)]
-    return [sum(r * x for r, x in zip(row, a)) for row in _binomial_ratios(d)]
-
-
-@functools.lru_cache(maxsize=None)
-def _binomial_ratios(d: int) -> tuple:
-    """Row j holds C(j, k) / C(d, k) for k <= j."""
-    return tuple(tuple(math.comb(j, k) / math.comb(d, k) for k in range(j + 1))
-                 for j in range(d + 1))
-
-
-def _halves(bern):
-    """Bernstein coefficients of the two halves of the part (de Casteljau)."""
-    left, right, row = [bern[0]], [bern[-1]], list(bern)
-    while len(row) > 1:
-        row = [0.5 * (x + y) for x, y in zip(row, row[1:])]
-        left.append(row[0])
-        right.append(row[-1])
-    return left, right[::-1]
-
-
-def _sign_changes(values) -> int:
-    signs = [x > 0.0 for x in values if x != 0.0]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
-
-
-def _not_a_knot_rows(x, y):
-    """Ascending coefficients, in t = r - x[i], of the cubic spline through
-    (x, y) on each [x[i], x[i+1]], for >= 4 strictly increasing x, with a
-    third derivative continuous at x[1] and x[-2] (not-a-knot ends).
-
-    The knot slopes s solve a tridiagonal system; row i is
-    (y_i, s_i, (m_i - s_i)/dx_i - u_i, u_i/dx_i) with m_i the secant slope
-    and u_i = (s_i + s_{i+1} - 2 m_i)/dx_i.
-    """
-    dx = [b - a for a, b in zip(x, x[1:])]
-    m = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
-    # the tridiagonal system for the slopes s: sub, diag, super, rhs
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    sub = dx[1:] + [d1]
-    diag = [dx[1]] + [2.0 * (a + b) for a, b in zip(dx, dx[1:])] + [dx[-2]]
-    sup = [d0] + dx[:-1]
-    rhs = ([((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0]
-           + [3.0 * (h1 * m0 + h0 * m1) for h0, h1, m0, m1 in zip(dx, dx[1:], m, m[1:])]
-           + [(dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1])
-    s = _solve_tridiagonal(sub, diag, sup, rhs)
-    rows = []
-    for yi, s0, s1, mi, h in zip(y, s, s[1:], m, dx):
-        u = (s0 + s1 - 2.0 * mi) / h
-        rows.append((yi, s0, (mi - s0) / h - u, u / h))
-    return rows
-
-
-def _solve_tridiagonal(sub, diag, sup, rhs):
-    """x with diag[i] x[i] + sup[i] x[i+1] + sub[i-1] x[i-1] = rhs[i]:
-    elimination without pivoting, stable on the spline system (every
-    pivot after the first exceeds its row's off-diagonal entry)."""
-    n = len(diag)
-    d, b = diag[:], rhs[:]
-    for i in range(1, n):
-        w = sub[i - 1] / d[i - 1]
-        d[i] -= w * sup[i - 1]
-        b[i] -= w * b[i - 1]
-    x = [0.0] * n
-    x[-1] = b[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - sup[i] * x[i + 1]) / d[i]
-    return x
 
 
 def _smoothstep_blend(c, r0):
@@ -322,11 +122,13 @@ class WarpingProfile:
                 raise ModelError("custom table needs >= 4 strictly increasing radii")
             if r[0] <= 0 or min(fvals) <= 0:
                 raise ModelError("custom table must have r > 0 and f > 0")
+            from .tables import not_a_knot_rows
+
             # the line through the first row closes the table off below,
             # so tip integrals (volumes) stay defined
             pieces = [Piece(0.0, r[0], 0.0, (0.0, fvals[0] / r[0]))]
             pieces += [Piece(lo, hi, lo, row) for lo, hi, row
-                       in zip(r[:-1], r[1:], _not_a_knot_rows(r, fvals))]
+                       in zip(r[:-1], r[1:], not_a_knot_rows(r, fvals))]
         else:
             raise ModelError(f"unknown profile kind {self.kind!r}")
         top = pieces[-1].hi
@@ -528,38 +330,10 @@ def model_from_id(model_id: str, n: int) -> ModelManifold:
     if head in ("smoothed-cone", "smoothed_cone") and len(parts) == 3:
         return make_model("smoothed_cone", n, c=float(parts[1]), r0=float(parts[2]))
     if head == "custom" and len(parts) >= 2:
-        return make_model("custom", n, table=_read_table(":".join(parts[1:])))
+        from .tables import read_table
+
+        return make_model("custom", n, table=read_table(":".join(parts[1:])))
     raise ModelError(f"unrecognized model id {model_id!r}")
-
-
-def _read_table(path: str):
-    """(r, f) of a CSV table whose header names the columns r and f (others
-    are ignored, as are blank lines); a cell that is missing or not a
-    finite number is refused with its line and column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
-    if not rows:
-        raise ModelError(f"custom table {path} is empty")
-    names = [name.strip() for name in rows[0][1]]
-    columns = {}
-    for name in ("r", "f"):
-        if name not in names:
-            raise ModelError(f"custom table {path}: its header names no column {name!r}")
-        columns[name] = names.index(name)
-    table = {"r": [], "f": []}
-    for line, row in rows[1:]:
-        for name, j in columns.items():
-            cell = row[j].strip() if j < len(row) else ""
-            try:
-                x = float(cell)
-            except ValueError:
-                x = math.nan
-            if not math.isfinite(x):
-                raise ModelError(f"custom table {path}: line {line}, column {name}: "
-                                 f"{cell!r} is not a finite number")
-            table[name].append(x)
-    return table["r"], table["f"]
 
 
 def curvature_at(model: ModelManifold, r: float) -> CurvatureSample:

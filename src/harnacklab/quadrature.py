@@ -1,4 +1,5 @@
-"""Numeric core in plain floats: Gauss-Legendre panels and Brent's two methods.
+"""Numeric core in plain floats: Gauss-Legendre panels, Brent's two methods
+and a Dormand-Prince stepper.
 
 `gauss_legendre` integrates one interval on panels with the k- and
 2k-point Gauss rules.  The 2k-point value is kept and |Q_2k - Q_k| is its
@@ -10,13 +11,22 @@ a level, which bound each integral on its own.
 bounded minimizer (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, chapters 4 and 5).  `geomspace` lays out the radial
 grids.
+
+`dp_step` is one Dormand-Prince 5(4) step with its error norm against
+DP_ATOL + DP_RTOL |y|, on a state whose first component is r:
+`dp_crossing` shortens a step to end on a given r, and `knot_crossed`
+finds the knot of a piecewise profile that a step would cross.  The
+adaptive loop that uses them, `geodesics._dormand_prince`, shoots the
+slice geodesics.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
-__all__ = ["gauss_legendre", "brent_root", "brent_min", "geomspace", "QuadratureError"]
+__all__ = ["gauss_legendre", "brent_root", "brent_min", "geomspace", "dp_step",
+           "dp_crossing", "knot_crossed", "QuadratureError"]
 
 #: nodes of the k-point rule
 GAUSS_K = 12
@@ -255,3 +265,51 @@ def geomspace(start: float, stop: float, num: int) -> tuple:
     step = (hi - lo) / (num - 1) if num > 1 else 0.0
     inner = [10.0 ** (i * step + lo) for i in range(1, num - 1)]
     return (float(start), *inner, float(stop)) if num > 1 else (float(start),)
+
+
+# -- the Dormand-Prince stepper -----------------------------------------------
+
+#: tolerances of the Dormand-Prince shot, on every state component
+DP_RTOL = DP_ATOL = 1e-13
+
+
+def dp_step(rhs, y, k1, h):
+    """One Dormand-Prince 5(4) step of size h from y with slope k1:
+    (y_new, slope at y_new, RMS of the 5th-minus-4th-order difference
+    relative to DP_ATOL + DP_RTOL |y|).  The last stage is the slope at
+    y_new, so the next step starts from it."""
+    k2 = rhs([y0 + h * (a / 5) for y0, a in zip(y, k1)])
+    k3 = rhs([y0 + h * (3 / 40 * a + 9 / 40 * b) for y0, a, b in zip(y, k1, k2)])
+    k4 = rhs([y0 + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
+              for y0, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs([y0 + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
+                        - 212 / 729 * d)
+              for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([y0 + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                        + 49 / 176 * d - 5103 / 18656 * e)
+              for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [y0 + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                       - 2187 / 6784 * e + 11 / 84 * f)
+             for y0, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(y_new)
+    norm = sum(
+        (h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e
+              + 22 / 525 * f - 1 / 40 * g)
+         / (DP_ATOL + DP_RTOL * max(abs(y0), abs(y1)))) ** 2
+        for y0, y1, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7))
+    return y_new, k7, math.sqrt(norm / len(y))
+
+
+def dp_crossing(rhs, y, k, step, level):
+    """Length t in [0, step] of the step from y that ends at r = level."""
+    return brent_root(lambda t: dp_step(rhs, y, k, t)[0][0] - level,
+                                 0.0, step, xtol=1e-15, rtol=8.9e-16)
+
+
+def knot_crossed(knots, r0, r1):
+    """The first knot strictly between r0 and r1 on the way from r0, or None."""
+    if r1 > r0:
+        i = bisect.bisect_right(knots, r0)
+        return knots[i] if i < len(knots) and knots[i] < r1 else None
+    i = bisect.bisect_left(knots, r0)
+    return knots[i - 1] if i > 0 and knots[i - 1] > r1 else None

@@ -1,5 +1,5 @@
 """The finite-difference chart oracle in numpy einsum form, a test-only
-reference for ``harnacklab.fdcheck``.
+reference for ``harnacklab.fdcheck`` and ``harnacklab.commutators``.
 
 The same central differences, Christoffels, curvature, Gram-Schmidt frame
 and covariant stack, on dense arrays: every contraction is an einsum over

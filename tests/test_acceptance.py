@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from harnacklab.fdcheck import (
-    DEFAULT_H, chart_by_name, check_lemma31, check_parallel_ricci,
-    default_probe_point, default_test_function,
+from harnacklab.commutators import (
+    chart_by_name, check_lemma31, default_probe_point, default_test_function,
 )
+from harnacklab.fdcheck import DEFAULT_H, check_parallel_ricci
 from harnacklab.geodesics import SlicePoint, corollary_check
 from harnacklab.green import compute_profile, default_grid
 from harnacklab.harnack import audit_proof_terms, consistency_hess_vs_H, minimal_C

@@ -630,9 +630,12 @@ def test_cli_import_does_not_load_numpy():
 
 _SYMBOLIC = {"harnacklab.symbolic", "harnacklab.symbolic.engine",
              "harnacklab.symbolic.identities", "harnacklab.symbolic.ring"}
-# models needs the quadrature core; it loads the FD oracle only to confirm a
-# closed-form parallel Ricci, so only euclidean verify brings it
-_MODELS = {"harnacklab.models", "harnacklab.quadrature"}
+# models needs the quadrature core and its polynomials; it loads the FD oracle
+# only to confirm a closed-form parallel Ricci, so only euclidean verify brings
+# it, and the table reader only for a custom profile
+_MODELS = {"harnacklab.models", "harnacklab.poly", "harnacklab.quadrature"}
+#: a CSV table of flat space, whose path stands in for TABLE in an argv
+_FLAT_TABLE = "r,f\n" + "".join(f"{r:g},{r:g}\n" for r in (1e-3, 1e-2, 0.1, 1, 10, 100, 1e3))
 #: (argv, exit code, the package modules it loads beyond the root and the CLI)
 _ENGINES = [
     (["symbolic", "verify-all"], 0, _SYMBOLIC),
@@ -649,11 +652,16 @@ _ENGINES = [
      _MODELS | {"harnacklab.green", "harnacklab.geodesics"}),
     (["min-c", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,
      _MODELS | {"harnacklab.green", "harnacklab.harnack"}),
+    (["export-profile", "--model", "custom:TABLE", "--n", "4", "--grid-size", "8"], 0,
+     _MODELS | {"harnacklab.green", "harnacklab.tables"}),
 ]
 
 
 @pytest.mark.parametrize("argv,code,engine", _ENGINES)
-def test_each_command_loads_only_its_engine(argv, code, engine):
+def test_each_command_loads_only_its_engine(argv, code, engine, tmp_path):
+    table = tmp_path / "flat.csv"
+    table.write_text(_FLAT_TABLE)
+    argv = [a.replace("TABLE", str(table)) for a in argv]
     script = ("import contextlib, io, json, sys\n"
               "from harnacklab.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -4,7 +4,9 @@ Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
 only in the CLI's command functions, each of which loads the engine it runs,
 in ``models.hypothesis_report``, which loads the FD oracle only where
-the closed form finds Ricci parallel, and in ``fdcheck.__getattr__``, which
+the closed form finds Ricci parallel, in ``models.WarpingProfile`` and
+``models.model_from_id``, which load the table reader only for a custom
+profile, and in ``fdcheck.__getattr__``, which
 loads the commutator oracle on the first use of one of its names; no
 module imports sympy, scipy or numpy, which only the tests use, as
 references, nor dataclasses, whose
@@ -12,10 +14,17 @@ import every command would pay for; and no module but ``models`` reads how a war
 was specified (its kind and parameters) rather than its pieces, or
 decides its end from its top piece.  The benchmark's tracer wraps
 package functions by name: each of them must exist.
+
+Every module that a numeric or ``oracle`` command compiles stays at most
+4096 parser tokens, and a command loads no module it does not run.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
+import tokenize
 from pathlib import Path
 
 import harnacklab
@@ -25,10 +34,12 @@ PACKAGE = Path(harnacklab.__file__).resolve().parent
 #: (module, enclosing definition) of every function-local import: each
 #: command loads its own engine, so importing the CLI loads none of them,
 #: the FD oracle is loaded only to confirm a closed-form parallel Ricci,
-#: and its commutator half only where one of its names is used
+#: its commutator half only where one of its names is used, and the table
+#: reader only where a custom profile is read or splined
 LAZY_IMPORTS = {("cli", "cmd_symbolic"), ("cli", "cmd_verify"), ("cli", "cmd_min_c"),
                 ("cli", "cmd_corollary"), ("cli", "cmd_audit"), ("cli", "cmd_oracle"),
                 ("cli", "_model_profile"), ("models", "hypothesis_report"),
+                ("models", "WarpingProfile"), ("models", "model_from_id"),
                 ("fdcheck", "__getattr__")}
 
 
@@ -211,3 +222,58 @@ def test_every_function_the_tracer_wraps_exists():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{module}.{cls}.{attr}")
     assert missing == []
+
+
+#: the modules that a numeric command (verify, min-c, audit, export-profile,
+#: corollary) or ``oracle`` may compile
+NUMERIC_MODULES = ("cli", "models", "poly", "tables", "quadrature", "green", "harnack",
+                   "geodesics", "fdcheck", "commutators")
+#: the parser's token array doubles past this many tokens (see the test below)
+TOKEN_STEP = 4096
+
+
+def _parser_tokens(path):
+    """Tokens of a module as the parser reads them: all but comments and
+    non-logical newlines."""
+    with open(path) as fh:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+                   for tok in tokenize.generate_tokens(fh.readline))
+
+
+def test_numeric_modules_stay_under_the_parser_token_step():
+    """Bytecode caching is off where commands are measured, so each command
+    compiles the package from source, and a numeric command reaches its
+    peak RSS during that compile, not while it computes.  CPython 3.11's
+    parser grows its token array by doubling, one token record per slot,
+    so a module past 4096 tokens costs a step of 0.3-0.6 MB of peak RSS:
+    padding ``fdcheck`` from 3,986 to 4,234 tokens moved ``verify
+    euclidean --n 4`` from 16.32 to 16.70 MB, and trimming ``models`` from
+    5,150 to 4,012 moved the other numeric commands from 16.21-16.23 to
+    15.62-15.95 MB."""
+    counts = {name: _parser_tokens(PACKAGE / f"{name}.py") for name in NUMERIC_MODULES}
+    assert {name: n for name, n in counts.items() if n > TOKEN_STEP} == {}
+
+
+def _loaded_after(argv, names):
+    """Which of `names` a fresh interpreter holds in sys.modules after the
+    command argv."""
+    script = ("import contextlib, io, json, sys\n"
+              "from harnacklab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps(sorted(set(json.loads(sys.argv[2])) & set(sys.modules))))")
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(argv), json.dumps(names)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return set(json.loads(r.stdout))
+
+
+def test_a_preset_model_loads_no_table_reader():
+    argv = ["verify", "--model", "cone:0.5", "--n", "4", "--C", "10", "--grid-size", "8"]
+    assert _loaded_after(argv, ["harnacklab.tables", "csv"]) == set()
+
+
+def test_parallel_ricci_compiles_no_commutator_oracle():
+    argv = ["verify", "--model", "euclidean", "--n", "4", "--C", "10", "--grid-size", "8"]
+    assert _loaded_after(argv, ["harnacklab.fdcheck", "harnacklab.commutators"]) == {
+        "harnacklab.fdcheck"}

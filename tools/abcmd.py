@@ -7,10 +7,12 @@
 Each argv runs as ``python -m harnacklab.cli <argv>`` with ``PYTHONPATH``
 set to ``<checkout>/src``, in a fresh temporary working directory, with
 stdout and stderr discarded, so a relative ``--output-dir`` lands there.
-``PYTHONPYCACHEPREFIX`` points every run at a fresh, empty bytecode
-directory and ``PYTHONDONTWRITEBYTECODE=1`` keeps it empty, so both sides
-compile from source on every run: a ``__pycache__`` left in one checkout
-cannot bias a pair.
+``PYTHONDONTWRITEBYTECODE=1`` is set, and a checkout that holds a
+``__pycache__`` anywhere under its ``src/`` is refused, with its path: the
+interpreter would read that bytecode and skip the compile on one side
+only.  So both sides compile the package from source on every run and
+read the standard library's installed bytecode, as ``perfbench/run.py``
+runs them.
 A rep runs every argv once on each side, back to back: the parent first
 in even reps and the change first in odd ones, so a drift in the
 machine's load reaches both sides alike.  There are `REPS` reps, after
@@ -45,9 +47,8 @@ WARMUP = 1   # uncounted runs of each side per argv, before the reps
 def run_once(checkout: Path, argv: list) -> tuple:
     """(exit code, wall seconds, peak RSS in MB) of one CLI run from the
     checkout's source."""
-    with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryDirectory() as pycache:
-        env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-                   PYTHONPYCACHEPREFIX=pycache, PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as cwd:
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "harnacklab.cli", *argv], cwd=cwd,
                                 env=env, stdout=subprocess.DEVNULL,
@@ -110,6 +111,9 @@ def main(argv=None) -> int:
     for side, path in checkouts.items():
         if not (path / "src" / "harnacklab" / "cli.py").is_file():
             parser.error(f"--{side} {path} holds no src/harnacklab/cli.py")
+        for cache in sorted((path / "src").rglob("__pycache__")):
+            parser.error(f"--{side} {path} holds the bytecode cache {cache}: remove it, "
+                         "so that the package compiles from source as in the benchmark")
     result = compare(checkouts, [shlex.split(a) for a in args.argv])
     print(json.dumps(result, indent=1))
     return 0
