@@ -157,12 +157,12 @@ def _verdict(ok: bool, exploratory: bool = False) -> str:
 
 
 def _model_profile(cfg: RunConfig):
-    """(model, its Green profile on the configured grid)."""
+    """The Green profile of the configured model on the configured grid."""
     from .green import compute_profile, default_grid
     from .models import model_from_id
 
-    model = model_from_id(cfg.model, cfg.n)
-    return model, compute_profile(model, default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
+    return compute_profile(model_from_id(cfg.model, cfg.n),
+                           default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
 
 
 # -- commands -----------------------------------------------------------------
@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
     cfg = RunConfig.load(args)
     exploratory = bool(args.exploratory)
     require_theorem_C(cfg.C, exploratory)  # before the profile, which may refuse n
-    _, profile = _model_profile(cfg)
+    profile = _model_profile(cfg)
     report = verify_theorem(profile, cfg.C, tol=cfg.tol, exploratory=exploratory, D=args.D)
     return _report("verify", cfg, _verdict(report.passed, report.exploratory),
                    {"report": report.payload()})
@@ -184,9 +184,7 @@ def cmd_min_c(args) -> int:
     from .harnack import minimal_C
 
     cfg = RunConfig.load(args)
-    model, profile = _model_profile(cfg)
-    return _report("min-c", cfg, _verdict(True),
-                   {"minimal_C": minimal_C(model, profile=profile)})
+    return _report("min-c", cfg, _verdict(True), {"minimal_C": minimal_C(_model_profile(cfg))})
 
 
 def _sample_triples(point, rng, count: int):
@@ -207,10 +205,13 @@ def cmd_corollary(args) -> int:
     from .models import hypothesis_report
 
     cfg = RunConfig.load(args)
-    rng = random.Random(cfg.seed)
-    model, profile = _model_profile(cfg)
+    # before the profile, which may refuse n
     if not cfg.lambdas:
         raise ModelError("corollary needs at least one lambda")
+    if not all(0.0 <= lam <= 1.0 for lam in cfg.lambdas):
+        raise ModelError("lambda must lie in [0, 1]")
+    rng = random.Random(cfg.seed)
+    profile = _model_profile(cfg)
     rows = []
     worst = math.inf
     misses = 0
@@ -219,7 +220,7 @@ def cmd_corollary(args) -> int:
     for y, z in _sample_triples(geodesics.SlicePoint, rng, args.triples):
         # one shot per report: the first pair that can be shot checks the
         # points found by arclength inversion
-        triples = geodesics.corollary_check(model, profile, y, z, cfg.C, cfg.lambdas,
+        triples = geodesics.corollary_check(profile, y, z, cfg.C, cfg.lambdas,
                                             shoot=shot_gap is None)
         # every triple of a pair shares one minimizer, its branch and quad misses
         misses += triples[0].quad_misses
@@ -235,7 +236,7 @@ def cmd_corollary(args) -> int:
             write_csv(out, "y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip",
                       rows)
 
-    flags = hypothesis_report(model, profile.grid[0], profile.grid[-1]).flags()
+    flags = hypothesis_report(profile.model, profile.grid[0], profile.grid[-1]).flags()
     return _report("corollary", cfg,
                    _verdict(worst >= -cfg.tol, is_exploratory(cfg.C, flags)), {
                        "triples": args.triples,
@@ -251,8 +252,7 @@ def cmd_audit(args) -> int:
     from .harnack import audit_proof_terms
 
     cfg = RunConfig.load(args)
-    model, profile = _model_profile(cfg)
-    audit = audit_proof_terms(model, profile, args.r, cfg.C)
+    audit = audit_proof_terms(_model_profile(cfg), args.r, cfg.C)
     # a group's rounding grows with its terms: gate it relative to their size
     ok = all(getattr(audit, name) <= cfg.tol * max(1.0, scale)
              for name, scale in audit.group_scales.items())
@@ -284,8 +284,6 @@ def cmd_oracle(args) -> int:
     from . import fdcheck
 
     cfg = RunConfig.load(args)
-    if args.what != "commutators":
-        raise ModelError("oracle supports: commutators")
     h = fdcheck.DEFAULT_H if args.h is None else args.h
     chart = fdcheck.chart_by_name(args.chart, n=cfg.n)
     f = fdcheck.default_test_function(chart)
@@ -310,8 +308,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_models(args) -> int:
     cfg = RunConfig.load(args)
-    if args.action != "list":
-        raise ModelError("models supports: list")
     return _report("models", cfg, _verdict(True), {
         "presets": [
             {"id": "euclidean", "description": "flat space, f(r) = r"},
@@ -325,7 +321,7 @@ def cmd_models(args) -> int:
 
 def cmd_export_profile(args) -> int:
     cfg = RunConfig.load(args)
-    _, profile = _model_profile(cfg)
+    profile = _model_profile(cfg)
     verdict = _verdict(True)
     if not cfg.output_dir:
         profile.to_csv(sys.stdout)

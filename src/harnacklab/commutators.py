@@ -7,12 +7,10 @@ then scale as O(h^2).  The differenced geometry and the per-point memo
 are `fdcheck`'s, which gives this module's public names too; nothing here
 uses the symbolic engine's library.
 
-Beside the oracle, this module holds what only the ``oracle`` command and
-the tests use of the chart geometry: the preset charts (``euclidean_chart``,
-``round_sphere``, ``s2xr2``, ``cone_chart``, ``chart_by_name``) with their
-probe points, and the curvature as nested tuples indexed ``T[i][j]...``
-(``christoffels``, ``riemann_coord``, ``riemann``, ``ricci``).  A check of
-parallel Ricci needs none of it, so a numeric command never compiles it.
+Beside the oracle, this module holds the preset charts of the ``oracle``
+command (``euclidean_chart``, ``round_sphere``, ``s2xr2``, ``cone_chart``,
+``chart_by_name``) with their probe points.  A check of parallel Ricci
+needs none of it, so a numeric command never compiles it.
 
 A test function keeps nothing between calls.  Each `check_lemma31` call
 memoizes the metric, the Christoffels, the jets and the covariant
@@ -27,15 +25,14 @@ import math
 import operator
 from typing import Callable
 
-from .fdcheck import (DEFAULT_H, ChartError, CoordinateChart, _central, _christoffel_terms,
-                      _ChristoffelMemo, _covariant, _diag, _entries, _gamma_flat, _nest,
-                      _per_point, _point, _riemann_flat, _to_frame, _warped, max_residual,
-                      orthonormal_frame, warped_probe_point)
+from .fdcheck import (DEFAULT_H, ChartError, CoordinateChart, _central, _ChristoffelMemo,
+                      _covariant, _diag, _entries, _per_point, _point, _riemann_flat,
+                      _to_frame, _warped, max_residual, orthonormal_frame,
+                      warped_probe_point)
 
-__all__ = ["Jet", "TestFunction", "default_test_function", "check_lemma31",
-           "hessian_scalar", "MAX_CHART_DIM", "euclidean_chart", "round_sphere", "s2xr2",
-           "cone_chart", "chart_by_name", "default_probe_point", "christoffels",
-           "riemann_coord", "riemann", "ricci"]
+__all__ = ["Jet", "TestFunction", "default_test_function", "check_lemma31", "MAX_CHART_DIM",
+           "euclidean_chart", "round_sphere", "s2xr2", "cone_chart", "chart_by_name",
+           "default_probe_point"]
 
 #: largest dimension of a preset chart: one commutator probe costs about
 #: d^4 float operations, and its per-point memo, dropped when the probe
@@ -53,12 +50,12 @@ def euclidean_chart(n: int) -> CoordinateChart:
     return CoordinateChart("euclidean", int(n), lambda x: eye)
 
 
-def round_sphere(radius: float = 1.0) -> CoordinateChart:
-    R2 = radius * radius
+def round_sphere() -> CoordinateChart:
+    """The unit round 2-sphere."""
 
     def metric(x):
         theta = x[0]
-        return _diag((R2, R2 * math.sin(theta) ** 2))
+        return _diag((1.0, math.sin(theta) ** 2))
 
     return CoordinateChart("round_sphere", 2, metric)
 
@@ -81,15 +78,17 @@ def cone_chart(c: float, n: int) -> CoordinateChart:
     return _warped(f"warped[cone:{c:g}]", int(n), lambda r: c * r)
 
 
-def chart_by_name(name: str, **kw) -> CoordinateChart:
+def chart_by_name(name: str, n: int = 4) -> CoordinateChart:
+    """The preset chart `name`; the euclidean and cone charts in dimension
+    n, the cone of aperture 0.5."""
     if name == "euclidean":
-        return euclidean_chart(int(kw.get("n", 4)))
+        return euclidean_chart(n)
     if name == "round_sphere":
-        return round_sphere(float(kw.get("radius", 1.0)))
+        return round_sphere()
     if name == "s2xr2":
         return s2xr2()
     if name == "cone":
-        return cone_chart(float(kw.get("c", 0.5)), int(kw.get("n", 4)))
+        return cone_chart(0.5, n)
     raise ChartError(f"unknown chart {name!r}")
 
 
@@ -103,42 +102,6 @@ def default_probe_point(chart: CoordinateChart) -> tuple:
         return (1.1, 0.7, 0.3, -0.4)
     # warped charts: r = 1, angles in the safe band
     return warped_probe_point(chart.dim, 1.0)
-
-
-# -- curvature as nested tuples -----------------------------------------------
-
-
-def christoffels(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
-    """Gamma[k][i][j] = Gamma^k_ij with O(h^2) error."""
-    terms = _christoffel_terms(_ChristoffelMemo(chart, h), x, h)
-    return _nest(_gamma_flat(terms, chart.dim), chart.dim, 3)
-
-
-def riemann_coord(chart: CoordinateChart, x, h: float = DEFAULT_H,
-                  gamma=None) -> tuple:
-    """R[i][j][k][l] with all indices down (gamma as in _riemann_flat)."""
-    return _nest(_riemann_flat(chart, _point(x), h, gamma), chart.dim, 4)
-
-
-def _ricci_of(R: tuple, d: int) -> tuple:
-    """Ric_ab = sum_c R_acbc, flat."""
-    return tuple([sum([R[((a * d + c) * d + b) * d + c] for c in range(d)])
-                  for a in range(d) for b in range(d)])
-
-
-def _riemann_frame(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tuple:
-    """R_abcd in an orthonormal frame, flat (gamma as in _riemann_flat)."""
-    return _to_frame(_riemann_flat(chart, x, h, gamma), orthonormal_frame(chart, x), 4)
-
-
-def riemann(chart: CoordinateChart, x, h: float = DEFAULT_H, gamma=None) -> tuple:
-    """Curvature components in an orthonormal frame (gamma as in _riemann_flat)."""
-    return _nest(_riemann_frame(chart, _point(x), h, gamma), chart.dim, 4)
-
-
-def ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> tuple:
-    """Ric_ab = sum_c R(e_a, e_c, e_b, e_c) in an orthonormal frame."""
-    return _nest(_ricci_of(_riemann_frame(chart, _point(x), h), chart.dim), chart.dim, 2)
 
 
 # -- test functions -----------------------------------------------------------
@@ -230,13 +193,6 @@ class TestFunction:
         x = _point(x)
         return self.func([Jet.coordinate(x, i) for i in range(self.dim)])
 
-    def d1(self, x) -> tuple:
-        return self.jet(x).g
-
-    def d2(self, x) -> tuple:
-        """The Hessian as a tuple of rows."""
-        return _nest(self.jet(x).h, self.dim, 2)
-
 
 def default_test_function(chart: CoordinateChart) -> TestFunction:
     if chart.name == "round_sphere":
@@ -267,8 +223,7 @@ def default_test_function(chart: CoordinateChart) -> TestFunction:
 class _CovariantStack(_ChristoffelMemo):
     """Nested covariant derivatives of f on a chart, all FD with step h,
     memoized per point with the metric, the Christoffels and f's jets; the
-    tensors are flat and the Christoffels are their nonzero terms.
-    `hess_scalar` needs no f."""
+    tensors are flat and the Christoffels are their nonzero terms."""
 
     def __init__(self, chart: CoordinateChart, f, h: float):
         super().__init__(chart, h)
@@ -327,6 +282,12 @@ class _CovariantStack(_ChristoffelMemo):
         return _covariant(hess, _central(func, x, h), self.gamma(x), 1)
 
 
+def _ricci_of(R: tuple, d: int) -> tuple:
+    """Ric_ab = sum_c R_acbc, flat."""
+    return tuple([sum([R[((a * d + c) * d + b) * d + c] for c in range(d)])
+                  for a in range(d) for b in range(d)])
+
+
 def _max_abs(values) -> float:
     return max_residual(abs(v) for v in values)
 
@@ -349,7 +310,7 @@ def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
     d = chart.dim
     stack = _CovariantStack(chart, f, h)
     E = orthonormal_frame(stack, x)
-    R = _to_frame(_riemann_flat(stack, x, h, stack.gamma), E, 4)
+    R = _to_frame(_riemann_flat(stack, x), E, 4)
     ric = _ricci_of(R, d)
     R_terms = _entries(R, d, 4)
 
@@ -395,10 +356,3 @@ def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
 
     return (r1, r2, r3, r4, r5)
 
-
-def hessian_scalar(chart: CoordinateChart, func, x, h: float = DEFAULT_H) -> tuple:
-    """Covariant Hessian (orthonormal frame) of a scalar given numerically."""
-    x = _point(x)
-    stack = _CovariantStack(chart, None, h)
-    hess = stack.hess_scalar(func, x)
-    return _nest(_to_frame(hess, orthonormal_frame(stack, x), 2), chart.dim, 2)

@@ -11,20 +11,18 @@ pinned by the round sphere having sectional curvature +1.
 This module holds what `check_parallel_ricci` runs, which every
 euclidean verdict does: charts, warped charts of a model, the central
 differences, the Christoffels, the curvature, the orthonormal frame and
-the per-point memo.  Everything else lives in `harnacklab.commutators`:
-the commutator oracle (``Jet``, ``TestFunction``, ``default_test_function``,
-``check_lemma31``, ``hessian_scalar``), the preset charts of the ``oracle``
-command (``euclidean_chart``, ``round_sphere``, ``s2xr2``, ``cone_chart``,
-``chart_by_name``, ``default_probe_point``) and the curvature as nested
-tuples (``christoffels``, ``riemann_coord``, ``riemann``, ``ricci``).
-Those names are reached through this module as well: `commutators` is
-imported on the first use of one, so a check of parallel Ricci compiles
-only the geometry, and each module stays under the parser's 4096-token
-step.  Nothing here uses the symbolic engine's library.
+the per-point memo.  The commutator oracle of the ``oracle`` command
+(``Jet``, ``TestFunction``, ``default_test_function``, ``check_lemma31``)
+and its preset charts (``euclidean_chart``, ``round_sphere``, ``s2xr2``,
+``cone_chart``, ``chart_by_name``, ``default_probe_point``,
+``MAX_CHART_DIM``) live in `harnacklab.commutators`.  Those names are
+reached through this module as well: `commutators` is imported on the
+first use of one, so a check of parallel Ricci compiles only the
+geometry, and each module stays under the parser's 4096-token step.
+Nothing here uses the symbolic engine's library.
 
 No array library is loaded: the tensors have at most d^4 entries.  Points
-are tuples of floats, and inside, a tensor is one row-major tuple of
-floats (`commutators` gives the nested tuples indexed ``T[i][j]...``).
+are tuples of floats, and a tensor is one row-major tuple of floats.
 The contractions skip the zero entries of the metric, its
 inverse, the Christoffels, the curvature and the frame, which keeps the
 diagonal charts cheap and leaves a generic metric exact.  A NaN entry is
@@ -76,26 +74,11 @@ def max_residual(values) -> float:
     return out
 
 
-# -- tensors: nested tuples outside, flat row-major tuples inside --------------
+# -- tensors: flat row-major tuples -------------------------------------------
 
 
 def _point(x) -> tuple:
     return tuple(map(float, x))
-
-
-def _flat(T) -> list:
-    """The entries of a nested tuple in row-major order."""
-    while T and isinstance(T[0], tuple):
-        T = [v for row in T for v in row]
-    return list(T)
-
-
-def _nest(flat, d: int, rank: int) -> tuple:
-    """The nested tuple of a flat rank-r tensor with every axis of length d."""
-    out = tuple(flat)
-    for _ in range(rank - 1):
-        out = tuple([out[i:i + d] for i in range(0, len(out), d)])
-    return out
 
 
 def _entries(flat, d: int, rank: int) -> list:
@@ -116,11 +99,11 @@ def _diag(values) -> list:
     return [[0.0] * i + [v] + [0.0] * (d - i - 1) for i, v in enumerate(values)]
 
 
-def _inverse(a, x) -> tuple:
-    """Gauss-Jordan inverse with partial pivoting; zero entries off a pivot
-    cost nothing, so a diagonal matrix costs O(d^2)."""
-    d = len(a)
-    rows = [list(row) + e for row, e in zip(a, _diag((1.0,) * d))]
+def _inverse(a, d: int, x) -> tuple:
+    """Gauss-Jordan inverse of a flat d x d matrix, flat, with partial
+    pivoting; zero entries off a pivot cost nothing, so a diagonal matrix
+    costs O(d^2)."""
+    rows = [list(a[i * d:(i + 1) * d]) + e for i, e in enumerate(_diag((1.0,) * d))]
     for c in range(d):
         p = max(range(c, d), key=lambda r: abs(rows[r][c]))
         if rows[p][c] == 0.0:
@@ -132,7 +115,7 @@ def _inverse(a, x) -> tuple:
             m = row[c]
             if m and r != c:
                 rows[r] = [u - m * v for u, v in zip(row, pivot)]
-    return tuple(tuple(row[d:]) for row in rows)
+    return tuple([v for row in rows for v in row[d:]])
 
 
 class CoordinateChart:
@@ -141,7 +124,7 @@ class CoordinateChart:
 
     A chart keeps nothing: each call evaluates the metric afresh.  The
     checks memoize per point for the length of one probe
-    (`_ChristoffelMemo`), and stand the memo in for the chart."""
+    (`_ChristoffelMemo`), and the geometry reads the chart through it."""
 
     __slots__ = ("name", "dim", "metric")
 
@@ -158,12 +141,6 @@ class CoordinateChart:
         if not square:
             raise ChartError("metric callable returned a wrong shape")
         return tuple(map(float, itertools.chain.from_iterable(m)))
-
-    def g(self, x) -> tuple:
-        return _nest(self._flat_g(x), self.dim, 2)
-
-    def ginv(self, x) -> tuple:
-        return _inverse(self.g(x), x)
 
 
 # -- warped charts -----------------------------------------------------------
@@ -231,13 +208,13 @@ def _central(F, x: tuple, h: float) -> tuple:
     return tuple(out)
 
 
-def _christoffel_terms(memo: "_ChristoffelMemo", x, h: float) -> tuple:
+def _christoffel_terms(memo: "_ChristoffelMemo", x: tuple) -> tuple:
     """(k, i, j, Gamma^k_ij) for the nonzero Christoffels, in row-major
-    order, with O(h^2) error, from the metric memoized by `memo`."""
+    order, with O(h^2) error in the memo's step h, from the metric
+    memoized by `memo`."""
+    h, d = memo.h, memo.dim
     if h <= 0:
         raise ChartError("step h must be positive")
-    x = _point(x)
-    d = memo.dim
     dg = _central(memo._flat_g, x, h)  # dg[k][i * d + j] = d_k g_ij
     # Gamma^k_ij = 1/2 g^{kl} v_lij, v_lij = (d_i g_jl + d_j g_il) - d_l g_ij,
     # keyed (l d + i) d + j: a nonzero d_k g_ab is the first term of v at
@@ -300,16 +277,12 @@ def _covariant(dT, T, terms, rank: int) -> tuple:
     return tuple(out)
 
 
-def _riemann_flat(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tuple:
-    """R_ijkl, flat, in the pinned sign convention; gamma(point), if given,
-    gives the Christoffel terms at a point, and otherwise a
-    `_ChristoffelMemo` for this call gives them and the metric."""
-    if gamma is None:
-        chart = _ChristoffelMemo(chart, h)
-        gamma = chart.gamma
-    d = chart.dim
+def _riemann_flat(memo: "_ChristoffelMemo", x: tuple) -> tuple:
+    """R_ijkl, flat, in the pinned sign convention, from the metric and the
+    Christoffels memoized by `memo`."""
+    d, gamma = memo.dim, memo.gamma
     rng = range(d)
-    dgamma = _central(lambda y: _gamma_flat(gamma(y), d), x, h)  # dgamma[l] = d_l Gamma
+    dgamma = _central(lambda y: _gamma_flat(gamma(y), d), x, memo.h)  # d_l Gamma
     terms = gamma(x)
     # A^m_ijk = Gamma^p_ik Gamma^m_jp, the sum over p ascending
     by_upper = [[] for _ in rng]
@@ -320,7 +293,7 @@ def _riemann_flat(chart: CoordinateChart, x: tuple, h: float, gamma=None) -> tup
         for i, k, w in by_upper[p]:
             A[((m * d + i) * d + j) * d + k] += w * v
     g_rows = [[] for _ in rng]
-    for m, l, a in _entries(chart._flat_g(x), d, 2):
+    for m, l, a in _entries(memo._flat_g(x), d, 2):
         g_rows[m].append((l, a))
     # R^m_ijk = d_j Gamma^m_ik - d_i Gamma^m_jk
     #           + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip,
@@ -353,11 +326,11 @@ def _inner(g: tuple, u, v) -> float:
     return sum([a * b for a, b in zip(w, v)])
 
 
-def orthonormal_frame(chart: CoordinateChart, x) -> tuple:
+def orthonormal_frame(memo: "_ChristoffelMemo", x: tuple) -> tuple:
     """E[i][a] = i-th coordinate component of the a-th Gram-Schmidt frame
-    vector."""
-    g = chart._flat_g(x)
-    d = chart.dim
+    vector, from the metric memoized by `memo`."""
+    g = memo._flat_g(x)
+    d = memo.dim
     frame = []
     for a in range(d):
         v = [0.0] * a + [1.0] + [0.0] * (d - a - 1)
@@ -395,7 +368,7 @@ def _to_frame(T, E, rank: int) -> tuple:
 def _ricci_coord(memo: "_ChristoffelMemo", x: tuple) -> tuple:
     """Ricci with coordinate (lower) indices, flat, for covariant
     differentiation."""
-    R = _riemann_flat(memo, x, memo.h, memo.gamma)
+    R = _riemann_flat(memo, x)
     d = memo.dim
     ginv = memo._ginv_entries(x)
     # Ric_ij = g^{kl} R_{i k j l}
@@ -427,8 +400,8 @@ def _per_point(method):
 class _ChristoffelMemo:
     """The metric, the inverse metric and the Christoffels (step h) of a
     chart, memoized per point; points are tuples of floats of the chart's
-    dimension.  It offers the chart's `dim` and `_flat_g`, and
-    `_ginv_entries`, so the geometry takes it where it takes a chart.
+    dimension.  Every geometry function takes it, and reads the chart's
+    `dim`, the step `h` and the metric (`_flat_g`) from it.
 
     This is the one per-point cache of the oracle.  A check builds one per
     probe and drops it when it returns: the stencils of two probes share
@@ -450,12 +423,12 @@ class _ChristoffelMemo:
     def _ginv_entries(self, x):
         """(k, l, g^kl) of the nonzero entries of the inverse metric at x."""
         d = self.dim
-        return _entries(_flat(_inverse(_nest(self._flat_g(x), d, 2), x)), d, 2)
+        return _entries(_inverse(self._flat_g(x), d, x), d, 2)
 
     @_per_point
     def gamma(self, x):
         """(m, k, i, Gamma^m_ki) for the nonzero Christoffels."""
-        return _christoffel_terms(self, x, self.h)
+        return _christoffel_terms(self, x)
 
 
 def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> float:
@@ -480,10 +453,9 @@ def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> flo
 #: `oracle` command calls them here, so a wrapper set on one of them here
 #: (the benchmark's tracer sets one on `check_lemma31`) sees every call
 _COMMUTATOR_NAMES = frozenset(
-    {"Jet", "TestFunction", "default_test_function", "check_lemma31", "hessian_scalar",
-     "MAX_CHART_DIM", "euclidean_chart", "round_sphere", "s2xr2", "cone_chart",
-     "chart_by_name", "default_probe_point", "christoffels", "riemann_coord", "riemann",
-     "ricci"})
+    {"Jet", "TestFunction", "default_test_function", "check_lemma31", "MAX_CHART_DIM",
+     "euclidean_chart", "round_sphere", "s2xr2", "cone_chart", "chart_by_name",
+     "default_probe_point"})
 
 
 def __getattr__(name: str):

@@ -39,7 +39,6 @@ __all__ = [
     "GeodesicPath",
     "GeodesicTriple",
     "shoot_geodesic",
-    "distance",
     "corollary_check",
 ]
 
@@ -96,13 +95,13 @@ def _geodesic_rhs(prof):
 
 
 def _dormand_prince(rhs, y0, s_out, r_floor, knots):
-    """(states at the increasing arclengths s_out, s_hit): s_out[0] = 0.
+    """(states at the increasing arclengths s_out, truncated): s_out[0] = 0.
 
     A step is cut short to land on the next of s_out, or on r = knot when
     it would cross a knot of f, where the derivatives of f jump and the
     5th-order error would not hold across.  When r falls below r_floor
-    during a step, integration stops there and s_hit is where r =
-    r_floor, with the states reached so far; otherwise s_hit is None.
+    during a step, integration stops there with the states reached so far,
+    and truncated is True.
     """
     y, k, s = y0, rhs(y0), 0.0
     h = min(0.05 * y0[0], s_out[-1])
@@ -125,7 +124,7 @@ def _dormand_prince(rhs, y0, s_out, r_floor, knots):
                     raise GeodesicError("geodesic integration failed: step underflow")
                 continue
             if y[0] >= r_floor > y_new[0]:
-                return out, s + quadrature.dp_crossing(rhs, y, k, step, r_floor)
+                return out, True
             knot = quadrature.knot_crossed(knots, y[0], y_new[0])
             # a step from a knot just landed on may seem to cross it again
             landed = None if knot == landed else knot
@@ -137,50 +136,34 @@ def _dormand_prince(rhs, y0, s_out, r_floor, knots):
             s = target if landing else s + step
             y, k = y_new, k_new
         out.append(y)
-    return out, None
+    return out, False
 
 
 def shoot_geodesic(
     model: ModelManifold,
     start: SlicePoint,
     angle: float,
-    length: float,
+    at: Sequence[float],
     r_floor: float = R_FLOOR,
-    n_samples: int = 200,
-    at: Optional[Sequence[float]] = None,
 ) -> GeodesicPath:
     """Integrate the unit-speed geodesic leaving `start` at `angle`.
 
     angle = 0 is outward radial, pi/2 purely tangential.  The path is
-    sampled at arclength 0 and at the increasing arclengths `at` in (0,
-    length], or by default at n_samples equally spaced arclengths; if r
-    falls to r_floor first, it is truncated there and sampled at n_samples
-    equally spaced arclengths up to that point.
+    sampled at arclength 0 and at the increasing arclengths `at`, up to
+    at[-1] > 0; if r falls to r_floor first, it is truncated there and
+    holds the samples reached.
     """
-    if length <= 0:
+    s = (0.0, *map(float, at))
+    if s[-1] <= 0:
         raise GeodesicError("length must be positive")
     prof = model.profile
     f0 = prof.f(start.r)
     y0 = (start.r, start.phi, math.cos(angle), math.sin(angle) / f0)
-    rhs = _geodesic_rhs(prof)
-    knots = prof.knots
-    s = _linspace(length, n_samples) if at is None else (0.0, *map(float, at))
-    states, s_hit = _dormand_prince(rhs, y0, s, r_floor, knots)
-    truncated = s_hit is not None
-    if truncated:
-        s = _linspace(s_hit, n_samples)
-        states, _ = _dormand_prince(rhs, y0, s, -math.inf, knots)
+    states, truncated = _dormand_prince(_geodesic_rhs(prof), y0, s, r_floor, prof.knots)
     r, phi, rp, php = zip(*states)
-    defect = max(abs(a * a + prof.f(max(x, r_floor)) ** 2 * b * b - 1.0)
-                 for x, a, b in zip(r, rp, php))
-    return GeodesicPath(s=s, r=r, phi=phi, truncated=truncated, unit_speed_defect=defect)
-
-
-def _linspace(stop: float, num: int) -> tuple:
-    """num >= 2 arclengths from 0 to stop, evenly spaced, both ends exact,
-    as numpy's linspace lays them."""
-    step = stop / (num - 1)
-    return (*(i * step for i in range(num - 1)), float(stop))
+    defect = max(abs(a * a + prof.f(x) ** 2 * b * b - 1.0) for x, a, b in zip(r, rp, php))
+    return GeodesicPath(s=s[:len(states)], r=r, phi=phi, truncated=truncated,
+                        unit_speed_defect=defect)
 
 
 # -- distance by Clairaut quadrature ------------------------------------------
@@ -384,11 +367,6 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
                       leg_y=float(l1 if y.r <= z.r else l2), search_misses=misses)
 
 
-def distance(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> float:
-    """Length of the minimizing slice geodesic between y and z."""
-    return _solve_minimizer(model, y, z).length
-
-
 def _points_along(y: SlicePoint, z: SlicePoint, mini: _Minimizer, s_targets) -> list:
     """The points at the arclengths s_targets from y along the minimizer to z.
 
@@ -445,8 +423,8 @@ def _shot_gap(model, y: SlicePoint, z: SlicePoint, mini: _Minimizer, inner) -> f
     from y, point) by increasing arclength, and one shot leaving y along
     the minimizer."""
     s = [s for s, _ in inner]
-    path = shoot_geodesic(model, y, _departure(model, y, z, mini), s[-1],
-                          r_floor=0.5 * mini.arc.base, at=s)
+    path = shoot_geodesic(model, y, _departure(model, y, z, mini), s,
+                          r_floor=0.5 * mini.arc.base)
     if path.truncated:
         raise GeodesicError("the check shot fell below half the minimizer's inner radius")
     return max(max(abs(r - w.r), abs(phi - w.phi))
@@ -454,7 +432,6 @@ def _shot_gap(model, y: SlicePoint, z: SlicePoint, mini: _Minimizer, inner) -> f
 
 
 def corollary_check(
-    model: ModelManifold,
     profile: RadialGreenProfile,
     y: SlicePoint,
     z: SlicePoint,
@@ -466,13 +443,13 @@ def corollary_check(
 
         b(w)^2 >= (1-lam) b(y)^2 + lam b(z)^2 - (C/2) lam(1-lam) d(y,z)^2
 
-    with w at arclength lam * d(y,z) from y.  Returns one triple per
-    lambda with the measured slack.  With `shoot`, a monotone or turning
-    minimizer is also shot once from y through its interior points, and
-    each triple carries the largest gap between shot and inversion.
+    with w at arclength lam * d(y,z) from y, on the profile's model, for
+    each lambda in [0, 1].  Returns one triple per lambda with the measured
+    slack.  With `shoot`, a monotone or turning minimizer is also shot once
+    from y through its interior points, and each triple carries the largest
+    gap between shot and inversion.
     """
-    if not all(0.0 <= lam <= 1.0 for lam in lambdas):
-        raise GeodesicError("lambda must lie in [0, 1]")
+    model = profile.model
     mini = _solve_minimizer(model, y, z)
     d_yz = mini.length
     points = _points_along(y, z, mini, [lam * d_yz for lam in lambdas])

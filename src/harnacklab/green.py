@@ -317,14 +317,12 @@ def in_float_range(values) -> bool:
     return all(_TINY <= abs(v) < math.inf or v == 0.0 for v in values)
 
 
-def default_grid(r_min=1e-2, r_max=1e2, size=512) -> tuple:
+def default_grid(r_min, r_max, size) -> tuple:
     return quadrature.geomspace(r_min, r_max, size)
 
 
-def compute_profile(model: ModelManifold, grid=None) -> RadialGreenProfile:
+def compute_profile(model: ModelManifold, grid) -> RadialGreenProfile:
     """G on the grid, piece by piece (see module doc)."""
-    if grid is None:
-        grid = default_grid()
     # a tuple while the columns fill, whose radii are read without boxing a
     # float each; the profile keeps the grid as an array
     grid = tuple(map(float, grid))

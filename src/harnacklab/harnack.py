@@ -17,17 +17,13 @@ from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import INEQ_TOL, is_exploratory, quadrature, require_theorem_C
-from .models import ModelError, ModelManifold, curvature_at, hypothesis_report
-from .green import (
-    RadialGreenProfile, compute_profile, default_grid, hess_b2_eigs, in_float_range,
-    radial_laplacian,
-)
+from .models import ModelError, curvature_at, hypothesis_report
+from .green import RadialGreenProfile, hess_b2_eigs, in_float_range, radial_laplacian
 
 __all__ = [
     "TermAudit",
     "HarnackReport",
     "htilde_eigs",
-    "consistency_hess_vs_H",
     "verify_theorem",
     "minimal_C",
     "audit_proof_terms",
@@ -65,24 +61,6 @@ def htilde_eigs(profile: RadialGreenProfile, r: float, C: float):
         raise ModelError(f"r={r} outside profile grid range")
     h_rad, h_tan = _htilde_at(profile, r, C)
     return h_rad, h_tan
-
-
-def consistency_hess_vs_H(profile: RadialGreenProfile, r: float) -> float:
-    """Residual of the eigenvalue-level identity
-
-        mu = -(2/(n-2)) * G^{-alpha} * h_H + 2
-
-    where h_H are the eigenvalues of H = Htilde at C = 2 (shift (n-2) G^alpha):
-    mu from the b^2 chain rule, h_H from the Hessian of G, both from G, G', G''.
-    """
-    n = profile.model.n
-    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
-    galpha = G ** (n / (n - 2.0))
-    hH_rad, hH_tan = _htilde(n, 2.0, G, Gp / G, Gpp / G, f, fp)
-    mu_rad, mu_tan = hess_b2_eigs(profile, r)
-    pred_rad = -(2.0 / (n - 2)) * hH_rad / galpha + 2.0
-    pred_tan = -(2.0 / (n - 2)) * hH_tan / galpha + 2.0
-    return max(abs(mu_rad - pred_rad), abs(mu_tan - pred_tan))
 
 
 class HarnackReport(NamedTuple):
@@ -134,11 +112,8 @@ def _sup_mu(profile: RadialGreenProfile):
     return mu, max(-fun, -neg_mu(grid[idx]))
 
 
-def minimal_C(model: ModelManifold, r_min=1e-2, r_max=1e2, grid_size=512,
-              profile: Optional[RadialGreenProfile] = None) -> float:
-    """Sup over the range of the largest eigenvalue of Hess b^2."""
-    if profile is None:
-        profile = compute_profile(model, default_grid(r_min, r_max, grid_size))
+def minimal_C(profile: RadialGreenProfile) -> float:
+    """Sup over the profile's range of the largest eigenvalue of Hess b^2."""
     return _sup_mu(profile)[1]
 
 
@@ -266,18 +241,15 @@ def _lap_radial_curve(profile: RadialGreenProfile, func, r: float) -> float:
     return (4 * l2 - l1) / 3.0
 
 
-def audit_proof_terms(
-    model: ModelManifold,
-    profile: RadialGreenProfile,
-    r: float,
-    C: float,
-) -> TermAudit:
-    """Evaluate every term group of the pointwise estimate at radius r.
+def audit_proof_terms(profile: RadialGreenProfile, r: float, C: float) -> TermAudit:
+    """Evaluate every term group of the pointwise estimate at radius r, on
+    the profile's model.
 
     Works in the radial eigenframe where Htilde is diagonal; V is the
     eigendirection attaining the lowest eigenvalue (radial when the two
     coincide).
     """
+    model = profile.model
     n = model.n
     G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
     # the terms divide by G^2 and carry G'^2, so those must stay in range too

@@ -35,7 +35,6 @@ __all__ = [
     "make_model",
     "model_from_id",
     "curvature_at",
-    "ricci_gradient_norm",
     "hypothesis_report",
     "nonparabolic_check",
 ]
@@ -135,9 +134,9 @@ class WarpingProfile:
         knots = [pc.lo for pc in pieces[1:]] + ([top] if top < math.inf else [])
         self.pieces = tuple(pieces)
         self.knots = tuple(knots)
-        # _rows: the pieces' lo and x0, and per derivative order the Horner
+        # _rows: the pieces' lo and x0, and for f, f' and f'' the Horner
         # rows (descending powers) of every piece
-        rows = [[Poly(pc.coef).deriv(k).coef[::-1] for pc in pieces] for k in range(4)]
+        rows = [[Poly(pc.coef).deriv(k).coef[::-1] for pc in pieces] for k in range(3)]
         los, x0s = [pc.lo for pc in pieces], [pc.x0 for pc in pieces]
         self._rows = (los, x0s, rows, top)
         # _fp_roots: fp_min's roots of f'' on each finite piece, by index
@@ -172,9 +171,6 @@ class WarpingProfile:
 
     def fpp(self, r):
         return self._eval(r, 2)
-
-    def fppp(self, r):
-        return self._eval(r, 3)
 
     def piece_at(self, r: float) -> Piece:
         """The piece whose [lo, hi) holds r > 0 (the top piece of a table
@@ -353,27 +349,6 @@ def curvature_at(model: ModelManifold, r: float) -> CurvatureSample:
     )
 
 
-def ricci_gradient_norm(model: ModelManifold, r: float) -> float:
-    """|grad Ric| at radius r, the Frobenius norm in an orthonormal frame.
-
-    With Hess r = (f'/f)(g - dr^2), the only nonzero frame components of
-    grad Ric are (grad_r Ric)_rr = ric_rad', (grad_r Ric)_aa = ric_tan' and
-    (grad_a Ric)_ar = (grad_a Ric)_ra = (f'/f)(ric_rad - ric_tan), so
-
-        |grad Ric|^2 = ric_rad'^2 + (n-1) ric_tan'^2
-                       + 2 (n-1) (f'/f)^2 (ric_rad - ric_tan)^2.
-    """
-    s = curvature_at(model, r)
-    p, n = model.profile, model.n
-    f, fp, fpp, fppp = p.f(r), p.fp(r), p.fpp(r), p.fppp(r)
-    dk_rad = (fpp * fp / f - fppp) / f
-    dk_tan = -2.0 * fp * (fpp * f + 1.0 - fp * fp) / f**3
-    d_rad = (n - 1) * dk_rad
-    d_tan = dk_rad + (n - 2) * dk_tan
-    mixed = fp / f * (s.ric_rad - s.ric_tan)
-    return math.sqrt(d_rad**2 + (n - 1) * (d_tan**2 + 2.0 * mixed**2))
-
-
 def nonparabolic_check(model: ModelManifold) -> NonParabolicityReport:
     """Convergence of the volume integral test, via the decay rate of f^{1-n}.
 
@@ -403,15 +378,20 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     sectional and Ricci margins are the exact minima over [r_min, r_max]
     (see WarpingProfile.min_ratio).
 
-    Parallel Ricci: the mixed term of |grad Ric| (see ricci_gradient_norm)
-    vanishes where f' = 0 or k_rad = k_tan, and then ric_rad' = 0 makes
-    k_rad a constant K with f'' = -K f and f'^2 + K f^2 = 1.  A polynomial
-    piece meets that only as a cylinder (f' = 0) or flat (K = 0, f'^2 = 1),
-    so grad Ric = 0 on the range iff f'(1 - f'^2) vanishes there, the same
-    at every n; the residual is its exact maximum modulus.  The
-    finite-difference chart oracle, the independent route, cross-checks a
-    True on the 3-dim chart of the same f, and the flag holds only when
-    both routes pass; on a False it does not run, and its residual is None.
+    Parallel Ricci: with Hess r = (f'/f)(g - dr^2), in an orthonormal frame
+
+        |grad Ric|^2 = ric_rad'^2 + (n-1) ric_tan'^2
+                       + 2 (n-1) (f'/f)^2 (ric_rad - ric_tan)^2,
+
+    whose mixed term vanishes where f' = 0 or k_rad = k_tan, and then
+    ric_rad' = 0 makes k_rad a constant K with f'' = -K f and
+    f'^2 + K f^2 = 1.  A polynomial piece meets that only as a cylinder
+    (f' = 0) or flat (K = 0, f'^2 = 1), so grad Ric = 0 on the range iff
+    f'(1 - f'^2) vanishes there, the same at every n; the residual is its
+    exact maximum modulus.  The finite-difference chart oracle, the
+    independent route, cross-checks a True on the 3-dim chart of the same
+    f, and the flag holds only when both routes pass; on a False it does
+    not run, and its residual is None.
 
     Euclidean volume growth: Vol B(t) / (|B^n_1| t^n) is continuous and
     positive on (0, inf) and tends to a^{n-1} as t -> inf, a the tail

@@ -5,7 +5,8 @@ The same central differences, Christoffels, curvature, Gram-Schmidt frame
 and covariant stack, on dense arrays: every contraction is an einsum over
 all entries, zero or not, so it checks the sparse plain-float contractions
 of the package on metrics of any shape.  It reads a chart only through
-``chart.g`` and a test function only through its partials ``d1`` and ``d2``.
+its metric callable ``chart.metric`` and a test function only through the
+partials of its jet, ``f.jet(x).g`` and ``f.jet(x).h``.
 """
 
 import functools
@@ -15,7 +16,13 @@ import numpy as np
 
 
 def _g(chart, x):
-    return np.asarray(chart.g(tuple(x)), float)
+    return np.asarray(chart.metric(tuple(map(float, x))), float)
+
+
+def _partials(f, x):
+    """(gradient, Hessian) of the test function f at x, from its jet."""
+    jet = f.jet(tuple(x))
+    return np.asarray(jet.g), np.reshape(jet.h, (len(jet.g),) * 2)
 
 
 def _ginv(chart, x):
@@ -108,7 +115,7 @@ class _Stack:
 
     def hess(self, x):
         def compute():
-            d2, d1 = np.asarray(self.f.d2(tuple(x))), np.asarray(self.f.d1(tuple(x)))
+            d1, d2 = _partials(self.f, x)
             return d2 - np.einsum("mij,m->ij", self.gamma(x), d1)
         return self._cached("hess", x, compute)
 
@@ -166,7 +173,7 @@ def check_lemma31(chart, f, x, h):
     E = orthonormal_frame(chart, x)
     R = riemann(chart, x, h, stack.gamma)
     ric = np.einsum("acbc->ab", R)
-    f1 = to_frame(np.asarray(f.d1(tuple(x))), E)
+    f1 = to_frame(_partials(f, x)[0], E)
     T2 = to_frame(stack.hess(x), E)
     T3 = to_frame(stack.third(x), E)
     T4 = to_frame(stack.fourth(x), E)

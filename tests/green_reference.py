@@ -8,15 +8,18 @@ eigenvalues by `b2_hessian`, each radius on its own and every power taken
 by `_pow`.  `reference_rows` walks a profile's grid this way; the package's
 columns and pointwise calls must equal it bit for bit.  `power_jet` also
 gives `check_power_laplacian`, the power rule Delta(G^beta) =
-beta (beta-1) G^{beta-2} |grad G|^2 at one radius.  The functions take
-floats or numpy arrays alike.
+beta (beta-1) G^{beta-2} |grad G|^2 at one radius, and
+`consistency_hess_vs_H` checks the Hess b^2 eigenvalues against those of
+the Harnack quantity at C = 2.  The functions take floats or numpy arrays
+alike.
 """
 
 import bisect
 import math
 
 from harnacklab import quadrature
-from harnacklab.green import GREEN_RTOL, radial_laplacian
+from harnacklab.green import GREEN_RTOL, hess_b2_eigs, radial_laplacian
+from harnacklab.harnack import _htilde
 from harnacklab.models import ModelError, Poly
 
 
@@ -127,3 +130,21 @@ def check_power_laplacian(profile, r, beta):
     lhs = radial_laplacian(profile.model.n, f, fp, up, upp)
     rhs = beta * (beta - 1) * u * q1 * q1
     return abs(lhs - rhs)
+
+
+def consistency_hess_vs_H(profile, r):
+    """Residual of the eigenvalue-level identity
+
+        mu = -(2/(n-2)) * G^{-alpha} * h_H + 2
+
+    where h_H are the eigenvalues of H = Htilde at C = 2 (shift (n-2) G^alpha):
+    mu from the b^2 chain rule, h_H from the Hessian of G, both from G, G', G''.
+    """
+    n = profile.model.n
+    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    galpha = G ** (n / (n - 2.0))
+    hH_rad, hH_tan = _htilde(n, 2.0, G, Gp / G, Gpp / G, f, fp)
+    mu_rad, mu_tan = hess_b2_eigs(profile, r)
+    pred_rad = -(2.0 / (n - 2)) * hH_rad / galpha + 2.0
+    pred_tan = -(2.0 / (n - 2)) * hH_tan / galpha + 2.0
+    return max(abs(mu_rad - pred_rad), abs(mu_tan - pred_tan))

@@ -1,0 +1,45 @@
+"""Closed forms of a model that no command evaluates, a test-only reference
+for ``harnacklab.models`` and the FD chart oracle.
+
+`third_derivative` gives f''' of a warping profile, by Horner's rule on the
+piece that holds r, as the profile gives f, f' and f''; `ricci_gradient_norm`
+gives |grad Ric| in closed form, the value the oracle's
+``check_parallel_ricci`` differences.
+"""
+
+import math
+
+from harnacklab.models import Poly, curvature_at
+
+
+def third_derivative(profile):
+    """f''' of the profile as a function of r, refusing the radii f refuses."""
+
+    def fppp(r):
+        profile.f(r)  # raises where f is undefined
+        r = float(r)
+        pc = profile.piece_at(r)
+        return Poly(pc.coef).deriv(3)(r - pc.x0)
+
+    return fppp
+
+
+def ricci_gradient_norm(model, r):
+    """|grad Ric| at radius r, the Frobenius norm in an orthonormal frame.
+
+    With Hess r = (f'/f)(g - dr^2), the only nonzero frame components of
+    grad Ric are (grad_r Ric)_rr = ric_rad', (grad_r Ric)_aa = ric_tan' and
+    (grad_a Ric)_ar = (grad_a Ric)_ra = (f'/f)(ric_rad - ric_tan), so
+
+        |grad Ric|^2 = ric_rad'^2 + (n-1) ric_tan'^2
+                       + 2 (n-1) (f'/f)^2 (ric_rad - ric_tan)^2.
+    """
+    s = curvature_at(model, r)
+    p, n = model.profile, model.n
+    f, fp, fpp, fppp = p.f(r), p.fp(r), p.fpp(r), third_derivative(p)(r)
+    dk_rad = (fpp * fp / f - fppp) / f
+    dk_tan = -2.0 * fp * (fpp * f + 1.0 - fp * fp) / f**3
+    d_rad = (n - 1) * dk_rad
+    d_tan = dk_rad + (n - 2) * dk_tan
+    mixed = fp / f * (s.ric_rad - s.ric_tan)
+    return math.sqrt(d_rad**2 + (n - 1) * (d_tan**2 + 2.0 * mixed**2))

@@ -14,10 +14,10 @@ from harnacklab.commutators import (
 from harnacklab.fdcheck import DEFAULT_H, check_parallel_ricci
 from harnacklab.geodesics import SlicePoint, corollary_check
 from harnacklab.green import compute_profile, default_grid
-from harnacklab.harnack import audit_proof_terms, consistency_hess_vs_H, minimal_C
+from harnacklab.harnack import audit_proof_terms, minimal_C
 from harnacklab.models import make_model
 from harnacklab.symbolic import verify_identity
-from green_reference import check_power_laplacian
+from green_reference import check_power_laplacian, consistency_hess_vs_H
 
 
 GRID = default_grid(0.1, 50.0, 512)
@@ -42,7 +42,7 @@ def test_01_euclidean_exactness():
         mu_rad, mu_tan = np.asarray(profile.mu_rad), np.asarray(profile.mu_tan)
         assert np.max(np.abs(mu_rad - 2.0)) < 1e-6
         assert np.max(np.abs(mu_tan - 2.0)) < 1e-6
-        assert minimal_C(model, profile=profile) == pytest.approx(2.0, abs=1e-6)
+        assert minimal_C(profile) == pytest.approx(2.0, abs=1e-6)
     assert time.time() - t0 < 5.0
 
 
@@ -65,7 +65,7 @@ def test_03_cone_minimal_C_closed_form():
         for c in (0.3, 0.5, 0.8, 1.0):
             model = make_model("cone", n, c=c)
             expect = 2.0 * c ** (2.0 * (n - 1) / (n - 2))
-            got = minimal_C(model, 0.1, 50.0, 512)
+            got = minimal_C(compute_profile(model, GRID))
             assert got == pytest.approx(expect, abs=1e-6), (n, c)
 
 
@@ -125,14 +125,14 @@ def test_07_corollary_equality_and_bound():
     model = make_model("euclidean", 4)
     profile = compute_profile(model, GRID)
     for y, z in _triples(0, 100):
-        for t in corollary_check(model, profile, y, z, 2.0, lambdas):
+        for t in corollary_check(profile, y, z, 2.0, lambdas):
             assert abs(t.slack) <= 1e-6, (y, z, t.lam)
 
     cone = make_model("cone", 4, c=0.5)
     cone_profile = compute_profile(cone, GRID)
-    C = minimal_C(cone, profile=cone_profile)
+    C = minimal_C(cone_profile)
     for y, z in _triples(1, 100):
-        for t in corollary_check(cone, cone_profile, y, z, C, lambdas):
+        for t in corollary_check(cone_profile, y, z, C, lambdas):
             if t.through_tip_region:
                 continue
             assert t.slack >= -1e-6, (y, z, t.lam)
@@ -141,12 +141,12 @@ def test_07_corollary_equality_and_bound():
 def test_08_proof_term_audit():
     model = make_model("euclidean", 4)
     profile = compute_profile(model, GRID)
-    a = audit_proof_terms(model, profile, 1.0, 10.0)
+    a = audit_proof_terms(profile, 1.0, 10.0)
     for g in (a.group_curv1, a.group_curv2, a.group_Hsq, a.group_Csq,
               a.group_mixed):
         assert g <= 1e-10
     assert a.final_bound == pytest.approx(0.0, abs=1e-10)
-    a12 = audit_proof_terms(model, profile, 1.0, 12.0)
+    a12 = audit_proof_terms(profile, 1.0, 12.0)
     assert a12.final_bound == pytest.approx(-96.0, abs=1e-6)
 
 

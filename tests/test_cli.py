@@ -334,6 +334,9 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
     # preset charts stop at n = 12
     (["oracle", "commutators", "--chart", "euclidean", "--n", "13"], "2 <= n <= 12, got 13"),
     (["oracle", "commutators", "--chart", "cone", "--n", "13"], "3 <= n <= 12"),
+    # lambdas are refused before the profile, which would refuse n = 200
+    (["corollary", "--model", "euclidean", "--n", "200", "--C", "12", "--lambdas", "2",
+      "--triples", "2"], "lambda must lie in [0, 1]"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
@@ -379,6 +382,8 @@ def test_config_integer_field_must_be_an_integer(key, value, tmp_path):
     ({"output_dir": 5}, "output_dir must be a string, got 5"),
     ({"C": True}, "C must be a finite number, got True"),
     ({"tol": -1}, "tol must be >= 0, got -1"),
+    # refused before the profile, which would refuse n = 200
+    ({"lambdas": [], "n": 200}, "corollary needs at least one lambda"),
 ])
 def test_config_field_of_the_wrong_type_exits_2_with_one_line(config, message, tmp_path):
     cfg = tmp_path / "run.json"
@@ -417,7 +422,7 @@ def test_hypotheses_are_decided_once_over_the_profile_range(argv, monkeypatch, c
     grids, calls = [], []
     compute_profile, hypothesis_report = green.compute_profile, models.hypothesis_report
 
-    def profile_spy(model, grid=None):
+    def profile_spy(model, grid):
         grids.append(grid)
         return compute_profile(model, grid)
 
@@ -557,6 +562,14 @@ def test_symbolic_verify_single_and_unknown(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["oracle", "bogus"], ["models", "bogus"]])
+def test_unknown_action_exits_2(argv, capsys):
+    # argparse's choices refuse it before the command runs
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'bogus'" in captured.err
+
+
 def test_oracle_commutators(capsys):
     code, doc = run_json(["oracle", "commutators", "--chart", "s2xr2",
                           "--probes", "3"], capsys)
@@ -567,15 +580,16 @@ def test_oracle_commutators(capsys):
 def test_oracle_nan_residual_in_a_later_probe_never_passes(monkeypatch, capsys):
     # Python's max keeps a NaN only when it comes first; a NaN residual in the
     # second probe must not pass, and a report cannot hold it: exit 2
-    from harnacklab import fdcheck
+    from harnacklab import commutators, fdcheck
 
-    real, calls = fdcheck.check_lemma31, []
+    real, calls = commutators.check_lemma31, []
 
     def nan_in_second_probe(chart, f, x, h):
         calls.append(x)
         res = real(chart, f, x, h)
         return res if len(calls) != 2 else (res[0], math.nan) + res[2:]
 
+    # the command calls it through fdcheck, where the benchmark's tracer wraps it
     monkeypatch.setattr(fdcheck, "check_lemma31", nan_in_second_probe)
     code, out = run(["oracle", "commutators", "--chart", "round_sphere", "--probes", "3"], capsys)
     assert (code, out) == (2, "")

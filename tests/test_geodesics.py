@@ -15,10 +15,22 @@ from scipy import integrate
 
 from harnacklab import cli, geodesics, models, quadrature
 from harnacklab.models import make_model, model_from_id
-from harnacklab.green import compute_profile
-from harnacklab.geodesics import (
-    GeodesicError, SlicePoint, corollary_check, distance, shoot_geodesic,
-)
+from harnacklab.green import compute_profile, default_grid
+from harnacklab.geodesics import GeodesicError, SlicePoint, corollary_check, shoot_geodesic
+
+#: the commands' default window
+GRID = default_grid(1e-2, 1e2, 512)
+
+
+def distance(model, y, z):
+    """Length of the minimizing slice geodesic between y and z, as the
+    corollary finds it."""
+    return geodesics._solve_minimizer(model, y, z).length
+
+
+def evenly(length, num=200):
+    """The num - 1 arclengths past 0 of num evenly spaced ones up to length."""
+    return np.linspace(0.0, length, num)[1:]
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +54,7 @@ def test_slice_point_at_the_tip_is_refused():
 
 
 def test_radial_shot_is_straight(eucl4):
-    path = shoot_geodesic(eucl4, SlicePoint(1.0, 0.0), 0.0, 3.0)
+    path = shoot_geodesic(eucl4, SlicePoint(1.0, 0.0), 0.0, evenly(3.0))
     assert path.r[-1] == pytest.approx(4.0, abs=1e-9)
     assert path.phi[-1] == pytest.approx(0.0, abs=1e-12)
     assert path.unit_speed_defect < 1e-9
@@ -51,7 +63,7 @@ def test_radial_shot_is_straight(eucl4):
 def test_tangential_shot_flat_endpoint(eucl4):
     # quarter-turn construction: leave (1, 0) orthogonally and travel 1;
     # planar geometry puts the endpoint at (sqrt(2), pi/4)
-    path = shoot_geodesic(eucl4, SlicePoint(1.0, 0.0), math.pi / 2, 1.0)
+    path = shoot_geodesic(eucl4, SlicePoint(1.0, 0.0), math.pi / 2, evenly(1.0))
     assert path.r[-1] == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert path.phi[-1] == pytest.approx(math.pi / 4, abs=1e-9)
 
@@ -60,7 +72,7 @@ def test_cone_tangential_shot_unrolls(cone4):
     # unroll the cone slice dr^2 + c^2 r^2 dphi^2 to a wedge: a tangential
     # shot of length sqrt(2)... endpoint radius sqrt(1 + 2) is planar
     L = math.sqrt(2.0)
-    path = shoot_geodesic(cone4, SlicePoint(1.0, 0.0), math.pi / 2, L)
+    path = shoot_geodesic(cone4, SlicePoint(1.0, 0.0), math.pi / 2, evenly(L))
     r_plane = math.sqrt(1.0 + L * L)
     assert path.r[-1] == pytest.approx(r_plane, abs=1e-9)
     # planar polar angle, scaled back by 1/c
@@ -92,7 +104,7 @@ def test_shot_matches_dop853(model_id):
     for _ in range(6):
         start = SlicePoint(rng.uniform(0.4, 3.0), rng.uniform(-1.0, 1.0))
         angle, length = rng.uniform(0.0, math.pi), rng.uniform(0.3, 3.0)
-        path = shoot_geodesic(model, start, angle, length, n_samples=7)
+        path = shoot_geodesic(model, start, angle, evenly(length, 7))
         if path.truncated:
             continue
         r, phi = _dop853_shot(model, start, angle, length, path.s)
@@ -102,11 +114,12 @@ def test_shot_matches_dop853(model_id):
 
 
 def test_shot_truncates_at_r_floor(eucl4):
-    # straight in from r = 1: r = 1 - s reaches the floor 0.1 at s = 0.9
-    path = shoot_geodesic(eucl4, SlicePoint(1.0, 0.3), math.pi, 2.0, r_floor=0.1,
-                          n_samples=10)
+    # straight in from r = 1: r = 1 - s reaches the floor 0.1 at s = 0.9, so
+    # of the samples 2/9, 4/9, ... the path holds those up to 8/9
+    at = evenly(2.0, 10)
+    path = shoot_geodesic(eucl4, SlicePoint(1.0, 0.3), math.pi, at, r_floor=0.1)
     assert path.truncated
-    assert path.s[-1] == pytest.approx(0.9, abs=1e-12)
+    assert path.s == (0.0, *at[:4])
     assert np.allclose(path.r, 1.0 - np.asarray(path.s), rtol=0.0, atol=1e-12)
     assert np.allclose(path.phi, 0.3, rtol=0.0, atol=1e-12)
 
@@ -140,18 +153,18 @@ def test_distance_matches_chord_property(eucl4, cone4):
 
 
 def test_triangle_consistency(cone4):
-    profile = compute_profile(cone4)
+    profile = compute_profile(cone4, GRID)
     y, z = SlicePoint(1.0, 0.0), SlicePoint(2.0, 2.5)
-    triples = corollary_check(cone4, profile, y, z, 0.25, [0.5])
+    triples = corollary_check(profile, y, z, 0.25, [0.5])
     w = triples[0].w
     d = triples[0].d_yz
     assert distance(cone4, y, w) + distance(cone4, w, z) - d <= 1e-7
 
 
 def test_corollary_equality_flat_C2(eucl4):
-    profile = compute_profile(eucl4)
+    profile = compute_profile(eucl4, GRID)
     y, z = SlicePoint(1.0, 0.0), SlicePoint(1.0, math.pi / 2)
-    for t in corollary_check(eucl4, profile, y, z, 2.0, [0.0, 0.25, 0.5, 1.0]):
+    for t in corollary_check(profile, y, z, 2.0, [0.0, 0.25, 0.5, 1.0]):
         assert abs(t.slack) < 1e-9
         if t.lam == 0.5:
             assert t.b2_w == pytest.approx(0.5, abs=1e-9)
@@ -159,36 +172,37 @@ def test_corollary_equality_flat_C2(eucl4):
 
 
 def test_corollary_slack_grows_with_C(eucl4):
-    profile = compute_profile(eucl4)
+    profile = compute_profile(eucl4, GRID)
     y, z = SlicePoint(1.0, 0.0), SlicePoint(1.0, math.pi / 2)
-    t = corollary_check(eucl4, profile, y, z, 10.0, [0.5])[0]
+    t = corollary_check(profile, y, z, 10.0, [0.5])[0]
     # RHS drops by (C-2)/2 * lam(1-lam) d^2 = 8/2 * 1/4 * 2 = 2 below equality
     assert t.slack == pytest.approx(2.0, abs=1e-8)
 
 
 def test_corollary_lambda_endpoints_are_exact(cone4):
-    profile = compute_profile(cone4)
+    profile = compute_profile(cone4, GRID)
     y, z = SlicePoint(0.7, 0.1), SlicePoint(2.0, 1.4)
-    t0, t1 = corollary_check(cone4, profile, y, z, 0.25, [0.0, 1.0])
+    t0, t1 = corollary_check(profile, y, z, 0.25, [0.0, 1.0])
     assert abs(t0.slack) < 1e-9 and abs(t1.slack) < 1e-9
 
 
-def test_corollary_lambda_range_gate(eucl4):
-    profile = compute_profile(eucl4)
-    with pytest.raises(GeodesicError):
-        corollary_check(eucl4, profile, SlicePoint(1, 0), SlicePoint(2, 1),
-                        2.0, [1.5])
+def test_corollary_lambda_range_gate(capsys):
+    # the command refuses a lambda outside [0, 1] before it builds a profile
+    code = cli.main(["corollary", "--model", "euclidean", "--n", "4", "--C", "2",
+                     "--lambdas", "1.5", "--triples", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: lambda must lie in [0, 1]\n"
 
 
 def test_through_tip_flagged():
     # narrow cone: opposite points at angle pi need c*dphi >= pi, so any
     # minimizer must pass the tip region and gets flagged
     model = make_model("cone", 4, c=0.3)
-    profile = compute_profile(model)
+    profile = compute_profile(model, GRID)
     y, z = SlicePoint(1.0, 0.0), SlicePoint(1.0, math.pi)
     # c * pi < pi, so the unrolled wedge chord still avoids the tip here;
     # force the through-tip branch with nearly antipodal wide separation
-    t = corollary_check(model, profile, y, z, 2.0, [0.5])[0]
+    t = corollary_check(profile, y, z, 2.0, [0.5])[0]
     assert isinstance(t.through_tip_region, bool)
 
 
@@ -213,8 +227,8 @@ def test_quad_misses_are_counted_per_minimizer(z, monkeypatch):
     # calls while the values stay those of the plain quadrature
     cone4 = model_from_id("smoothed-cone:0.8:1", 4)
     y = SlicePoint(1.0, 0.0)
-    prof = compute_profile(cone4)
-    plain = corollary_check(cone4, prof, y, z, 10.0, [0.0, 0.5, 1.0])
+    prof = compute_profile(cone4, GRID)
+    plain = corollary_check(prof, y, z, 10.0, [0.0, 0.5, 1.0])
     calls = []
     real = quadrature.gauss_legendre
 
@@ -227,7 +241,7 @@ def test_quad_misses_are_counted_per_minimizer(z, monkeypatch):
     # Green kernel's own panels, which refuse a miss
     monkeypatch.setattr(geodesics, "quadrature", SimpleNamespace(
         gauss_legendre=missing, brent_root=quadrature.brent_root))
-    forced = corollary_check(cone4, prof, y, z, 10.0, [0.0, 0.5, 1.0])
+    forced = corollary_check(prof, y, z, 10.0, [0.0, 0.5, 1.0])
     assert calls
     assert [t.quad_misses for t in forced] == [len(calls)] * 3
     assert [t.slack for t in forced] == [t.slack for t in plain]
@@ -414,7 +428,7 @@ def test_inversion_matches_shot_and_dop853(model_id, y, z, branch):
     s = [lam * mini.length for lam in (0.1, 0.25, 0.5, 0.75, 0.9)]
     points = geodesics._points_along(y, z, mini, s)
     angle = geodesics._departure(model, y, z, mini)
-    path = shoot_geodesic(model, y, angle, s[-1], at=s)
+    path = shoot_geodesic(model, y, angle, s)
     r_ref, phi_ref = _dop853_shot(model, y, angle, s[-1], np.array(s))
     for w, r, phi, rr, pr in zip(points, path.r[1:], path.phi[1:], r_ref, phi_ref):
         assert abs(w.r - r) <= 1e-9 and abs(w.phi - phi) <= 1e-9

@@ -21,15 +21,18 @@ from harnacklab.green import (
 from green_reference import check_power_laplacian, reference_G_hi, reference_rows
 from tables import concave_table, late_bump_table
 
+#: the commands' default window
+GRID = default_grid(1e-2, 1e2, 512)
+
 
 @pytest.fixture(scope="module")
 def eucl4():
-    return compute_profile(make_model("euclidean", 4))
+    return compute_profile(make_model("euclidean", 4), GRID)
 
 
 @pytest.fixture(scope="module")
 def cone4():
-    return compute_profile(make_model("cone", 4, c=0.5))
+    return compute_profile(make_model("cone", 4, c=0.5), GRID)
 
 
 def test_euclidean_green_values(eucl4):
@@ -55,14 +58,14 @@ def test_cone_green_closed_form(cone4):
 @pytest.mark.parametrize("c,n", [(0.5, 4), (0.3, 3), (0.7, 10)])
 def test_cone_b_and_grad_b_closed_form(c, n):
     # b = G^{1/(2-n)} = c^{(n-1)/(n-2)} r, so |grad b| = c^{(n-1)/(n-2)}
-    prof = compute_profile(make_model("cone", n, c=c))
+    prof = compute_profile(make_model("cone", n, c=c), GRID)
     slope = c ** ((n - 1) / (n - 2))
     assert np.allclose(prof.b, slope * np.asarray(prof.grid), rtol=1e-12, atol=0)
     assert np.allclose(prof.grad_b, slope, rtol=1e-12, atol=0)
 
 
 def test_cone_c1_equals_euclidean(eucl4):
-    prof = compute_profile(make_model("cone", 4, c=1.0))
+    prof = compute_profile(make_model("cone", 4, c=1.0), GRID)
     assert np.allclose(prof.G, eucl4.G, rtol=1e-12, atol=0)
 
 
@@ -77,7 +80,7 @@ def test_hess_b2_cone(cone4):
 
 
 def test_hess_b2_smoothed_cone_tail():
-    prof = compute_profile(make_model("smoothed_cone", 4, c=0.5, r0=1.0))
+    prof = compute_profile(make_model("smoothed_cone", 4, c=0.5, r0=1.0), GRID)
     mu = hess_b2_eigs(prof, 4.0)
     assert mu == pytest.approx((0.25, 0.25), abs=1e-6)
 
@@ -144,7 +147,7 @@ def test_csv_line_is_each_value_in_17_digits(value):
 def test_to_csv_streams_row_by_row():
     # no text of the whole table is built: the writer's own memory stays that
     # of a row, where a 4096-row table's text is about 1.5 MB
-    profile = compute_profile(make_model("euclidean", 6), default_grid(size=4096))
+    profile = compute_profile(make_model("euclidean", 6), default_grid(1e-2, 1e2, 4096))
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:
@@ -160,7 +163,7 @@ def test_profile_memory_is_its_columns(model_id, n):
     # the grid and nine float64 columns are 80 bytes a radius; no row tuple,
     # transposed copy or float object per value is held on the way
     model, size = model_from_id(model_id, n), 65536
-    grid = default_grid(size=size)
+    grid = default_grid(1e-2, 1e2, size)
     tracemalloc.start()
     try:
         profile = compute_profile(model, grid)
@@ -303,7 +306,7 @@ def test_concave_table_pointwise_G_is_grid_G(n):
 def test_G_past_the_float_range_below_the_grid_is_inf_there_only():
     # at n = 150 f^{1-n} overflows on the concave table's knots below 0.0083:
     # G is inf there, a miss no more, and the grid from 0.01 stays in range
-    prof = compute_profile(make_model("custom", 150, table=concave_table()))
+    prof = compute_profile(make_model("custom", 150, table=concave_table()), GRID)
     G_hi = reference_G_hi(prof)
     assert G_hi[0] == math.inf and math.isfinite(G_hi[-2])
     assert all(math.isfinite(g) for g in prof.G) and prof.green_at(0.005) == math.inf
@@ -316,7 +319,7 @@ def test_table_is_integrated_up_to_its_top():
     # at radii below the bump: G must still integrate the bump
     model = make_model("custom", 4, table=late_bump_table())
     assert model.profile.tail_start == 1e3 and model.profile.tail_slope == 1.0
-    prof = compute_profile(model)
+    prof = compute_profile(model, GRID)
     ref = _quad_reference_cuts(model, float(prof.grid[-1]))
     assert prof.G[-1] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -414,7 +417,7 @@ MU_CASES = ([("euclidean", None, n, 1e-12) for n in LARGE_N]
 @pytest.mark.parametrize("kind,c,n,tol", MU_CASES)
 def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
     # b^2 = c^{2(n-1)/(n-2)} r^2 (c = 1 on euclidean), so Hess b^2 = 2 c^... g
-    prof = compute_profile(make_model(kind, n, c=c))
+    prof = compute_profile(make_model(kind, n, c=c), GRID)
     mu = 2.0 * (1.0 if c is None else c) ** (2.0 * (n - 1) / (n - 2))
     assert np.max(np.abs(np.asarray(prof.mu_rad) / mu - 1.0)) <= tol
     assert np.max(np.abs(np.asarray(prof.mu_tan) / mu - 1.0)) <= tol

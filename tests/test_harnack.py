@@ -9,19 +9,22 @@ import pytest
 from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
 from harnacklab.harnack import (
-    _htilde, audit_proof_terms, consistency_hess_vs_H, htilde_eigs, minimal_C,
-    verify_theorem,
+    _htilde, audit_proof_terms, htilde_eigs, minimal_C, verify_theorem,
 )
+from green_reference import consistency_hess_vs_H
+
+#: the commands' default window
+GRID = default_grid(1e-2, 1e2, 512)
 
 
 @pytest.fixture(scope="module")
 def eucl4():
-    return compute_profile(make_model("euclidean", 4))
+    return compute_profile(make_model("euclidean", 4), GRID)
 
 
 @pytest.fixture(scope="module")
 def cone4():
-    return compute_profile(make_model("cone", 4, c=0.5))
+    return compute_profile(make_model("cone", 4, c=0.5), GRID)
 
 
 def test_htilde_eigs_euclidean(eucl4):
@@ -64,7 +67,7 @@ def test_euclidean_htilde_closed_form(eucl4):
     ("euclidean", 4), ("euclidean", 150), ("cone:0.5", 100), ("smoothed-cone:0.8:1", 5),
 ])
 def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
-    prof = compute_profile(model_from_id(model_id, n))
+    prof = compute_profile(model_from_id(model_id, n), GRID)
     p = prof.model.profile
     Gs = np.asarray(prof.G)
     cols = (Gs, np.asarray(prof.Gp) / Gs, np.asarray(prof.Gpp) / Gs,
@@ -90,7 +93,7 @@ def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
 def test_consistency_examples(eucl4, cone4):
     assert consistency_hess_vs_H(eucl4, 2.0) < 1e-12
     assert consistency_hess_vs_H(cone4, 1.0) < 1e-12
-    sc = compute_profile(make_model("smoothed_cone", 4, c=0.5, r0=1.0))
+    sc = compute_profile(make_model("smoothed_cone", 4, c=0.5, r0=1.0), GRID)
     assert consistency_hess_vs_H(sc, 0.7) < 1e-9
 
 
@@ -134,22 +137,24 @@ def test_verify_theorem_failure_detected():
 
 
 def test_minimal_C_examples():
-    assert minimal_C(make_model("euclidean", 5)) == pytest.approx(2.0, abs=1e-6)
-    assert minimal_C(make_model("cone", 4, c=0.5)) == pytest.approx(0.25, abs=1e-6)
-    assert minimal_C(make_model("cone", 3, c=0.8)) == pytest.approx(
-        2 * 0.8**4, abs=1e-6)
+    def on_grid(model):
+        return minimal_C(compute_profile(model, GRID))
+
+    assert on_grid(make_model("euclidean", 5)) == pytest.approx(2.0, abs=1e-6)
+    assert on_grid(make_model("cone", 4, c=0.5)) == pytest.approx(0.25, abs=1e-6)
+    assert on_grid(make_model("cone", 3, c=0.8)) == pytest.approx(2 * 0.8**4, abs=1e-6)
 
 
 def test_minimal_C_refines_the_grid_maximum():
     # on this blend the largest grid value (2.04376) is 2e-3 below the sup
     # between its neighbours (2.04603), which only the local search finds
     model = model_from_id("smoothed-cone:0.8:1", 4)
-    prof = compute_profile(model)
+    prof = compute_profile(model, GRID)
     mu = [max(pair) for pair in zip(prof.mu_rad, prof.mu_tan)]
     i = mu.index(max(mu))
     lo, hi = prof.grid[i - 1], prof.grid[i + 1]
     dense = max(max(hess_b2_eigs(prof, lo + (hi - lo) * k / 4000)) for k in range(4001))
-    got = minimal_C(model, profile=prof)
+    got = minimal_C(prof)
     assert abs(got - dense) <= 1e-8 and got >= dense - 1e-12
 
 
@@ -168,8 +173,7 @@ def test_pointwise_equivalence_lambda_vs_margin(cone4):
 
 
 def test_audit_euclidean_C10(eucl4):
-    model = make_model("euclidean", 4)
-    a = audit_proof_terms(model, eucl4, 1.0, 10.0)
+    a = audit_proof_terms(eucl4, 1.0, 10.0)
     groups = (a.group_curv1, a.group_curv2, a.group_Hsq, a.group_Csq, a.group_mixed)
     assert all(g <= 1e-10 for g in groups)
     assert a.final_bound == pytest.approx(0.0, abs=1e-10)
@@ -177,24 +181,20 @@ def test_audit_euclidean_C10(eucl4):
 
 
 def test_audit_euclidean_C12_final_bound(eucl4):
-    model = make_model("euclidean", 4)
-    a = audit_proof_terms(model, eucl4, 1.0, 12.0)
+    a = audit_proof_terms(eucl4, 1.0, 12.0)
     # -(n(n-2)/2) C (C-10) G^{2 alpha - 1} with G(1) = 1
     assert a.final_bound == pytest.approx(-96.0, abs=1e-6)
 
 
 def test_audit_assembled_matches_fd_laplacian(eucl4, cone4):
-    for model, profile in (
-        (make_model("euclidean", 4), eucl4),
-        (make_model("cone", 4, c=0.5), cone4),
-    ):
+    for profile in (eucl4, cone4):
         for C in (10.0, 12.0):
-            a = audit_proof_terms(model, profile, 1.5, C)
+            a = audit_proof_terms(profile, 1.5, C)
             assert a.lap_assembled == pytest.approx(a.lap_fd, rel=1e-4, abs=1e-6)
 
 
 def test_audit_cone_flags_parallel_ricci(cone4):
-    a = audit_proof_terms(make_model("cone", 4, c=0.5), cone4, 1.0, 10.0)
+    a = audit_proof_terms(cone4, 1.0, 10.0)
     assert "assembled_identity" in a.hypothesis_flags
 
 

@@ -13,7 +13,8 @@ references, nor dataclasses, whose
 import every command would pay for; and no module but ``models`` reads how a warping profile
 was specified (its kind and parameters) rather than its pieces, or
 decides its end from its top piece.  The benchmark's tracer wraps
-package functions by name: each of them must exist.
+package functions by name: each of them must exist.  Every function, class
+and method is referenced by package code outside its own definition.
 
 Every module that a numeric or ``oracle`` command compiles stays at most
 4096 parser tokens, and a command loads no module it does not run.
@@ -25,6 +26,7 @@ import json
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import harnacklab
@@ -193,6 +195,62 @@ def test_fd_oracle_imports_no_numpy():
         imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
         assert imported == expected, module
+
+
+def _references(node):
+    """(names, attributes): how often each name is read as a Name or bound
+    by an import, and each attribute read, anywhere under node."""
+    names, attrs = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            attrs[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.rsplit(".", 1)[-1]] += 1
+            if sub.asname:
+                names[sub.asname] += 1
+    return names, attrs
+
+
+def _definitions(tree):
+    """(definition, whether it is a method) for every function and class,
+    nested ones included."""
+    stack = [(tree, False)]
+    while stack:
+        node, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child, in_class and not isinstance(child, ast.ClassDef)
+            stack.append((child, isinstance(child, ast.ClassDef)))
+
+
+def test_every_definition_is_called_by_package_code():
+    """No code that only the tests reach: every function and class is
+    referenced by package code outside its own definition, as a Name, an
+    Attribute or an import alias, and every method as an Attribute, so that
+    a local variable of the same name cannot stand in for it.  Dunders are
+    exempt.  The check goes by name, so a method that shares its name with
+    another attribute (``CoordinateChart.g`` with ``Jet.g``) slips past it."""
+    modules = list(_modules())
+    names, attrs = Counter(), Counter()
+    for _, tree in modules:
+        found = _references(tree)
+        names.update(found[0])
+        attrs.update(found[1])
+    unused = []
+    for module, tree in modules:
+        for node, method in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own_names, own_attrs = _references(node)
+            used = attrs[name] - own_attrs[name]
+            if not method:
+                used += names[name] - own_names[name]
+            if used <= 0:
+                unused.append(f"{module}:{node.lineno} {name}")
+    assert unused == []
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -12,8 +12,9 @@ from scipy import integrate
 from harnacklab import fdcheck, models, quadrature
 from harnacklab.models import (
     ModelError, curvature_at, hypothesis_report, make_model,
-    model_from_id, ricci_gradient_norm,
+    model_from_id,
 )
+from model_reference import ricci_gradient_norm, third_derivative
 from tables import bump_table, concave_table, cylinder_table, line_table
 
 
@@ -230,19 +231,20 @@ def test_cone_curvature_closed_form_property(c, n, r):
 
 
 def test_third_derivative_of_profiles():
-    assert make_model("euclidean", 4).profile.fppp(2.0) == 0.0
-    assert make_model("cone", 4, c=0.5).profile.fppp(2.0) == 0.0
+    assert third_derivative(make_model("euclidean", 4).profile)(2.0) == 0.0
+    assert third_derivative(make_model("cone", 4, c=0.5).profile)(2.0) == 0.0
     p = make_model("smoothed_cone", 4, c=0.5, r0=1.0).profile
+    fppp = third_derivative(p)
     h = 1e-5
     for r in (0.55, 0.7, 0.85, 0.95):
         fd = (p.fpp(r + h) - p.fpp(r - h)) / (2 * h)
-        assert p.fppp(r) == pytest.approx(fd, rel=1e-6)
-    assert p.fppp(0.3) == 0.0 and p.fppp(1.5) == 0.0
+        assert fppp(r) == pytest.approx(fd, rel=1e-6)
+    assert fppp(0.3) == 0.0 and fppp(1.5) == 0.0
     # not-a-knot splines reproduce cubics: f''' = 6 on the table, 0 below it
     r = np.linspace(0.5, 5.0, 40)
-    q = make_model("custom", 4, table=(r, r**3)).profile
-    assert q.fppp(2.0) == pytest.approx(6.0, rel=1e-8)
-    assert q.fppp(0.2) == 0.0
+    q = third_derivative(make_model("custom", 4, table=(r, r**3)).profile)
+    assert q(2.0) == pytest.approx(6.0, rel=1e-8)
+    assert q(0.2) == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 10, 40])
@@ -509,7 +511,7 @@ def test_float_and_array_evaluation_agree(model_id):
     r = _eval_grid(p)
     if p.kind == "smoothed_cone":
         assert {0.5 * p.r0, p.r0} <= set(r.tolist())
-    for order, fun in enumerate((p.f, p.fp, p.fpp, p.fppp)):
+    for order, fun in enumerate((p.f, p.fp, p.fpp, third_derivative(p))):
         arr = array_eval(p, order, r)
         for x, want in zip(r, arr):
             for arg in (float(x), np.float64(x)):
@@ -522,7 +524,7 @@ def test_custom_profile_float_evaluation():
     r = np.linspace(0.5, 5.0, 40)
     p = make_model("custom", 4, table=(r, r + 0.1 * np.sin(r))).profile
     x = np.array([0.1, 0.5, 1.234, 4.9, 5.0])
-    for order, fun in enumerate((p.f, p.fp, p.fpp, p.fppp)):
+    for order, fun in enumerate((p.f, p.fp, p.fpp, third_derivative(p))):
         arr = array_eval(p, order, x)
         got = [fun(float(v)) for v in x]
         assert all(type(g) is float for g in got)
@@ -538,7 +540,7 @@ def test_float_and_array_evaluation_reject_the_same_inputs(model_id, bad):
     else:
         p = model_from_id(model_id, 4).profile
     for arg in (bad, np.float64(bad), np.array(bad)):
-        for fun in (p.f, p.fp, p.fpp, p.fppp):
+        for fun in (p.f, p.fp, p.fpp, third_derivative(p)):
             with pytest.raises(ModelError, match="only defined for r > 0"):
                 fun(arg)
 
@@ -564,7 +566,8 @@ def _blend_reference(profile, r):
 def test_smoothed_cone_pieces_match_the_closed_blend(model_id):
     p = model_from_id(model_id, 4).profile
     r = _eval_grid(p)
-    funs = [np.vectorize(fun, otypes=[float]) for fun in (p.f, p.fp, p.fpp, p.fppp)]
+    funs = [np.vectorize(fun, otypes=[float])
+            for fun in (p.f, p.fp, p.fpp, third_derivative(p))]
     for order, (fun, want) in enumerate(zip(funs, _blend_reference(p, r))):
         got = fun(r)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), order
