@@ -50,6 +50,7 @@ class RunConfig:
     @classmethod
     def load(cls, args) -> "RunConfig":
         cfg = cls()
+        cfg.given = set()  # the fields a config file or a flag set
         if getattr(args, "config", None):
             data = json.loads(Path(args.config).read_text())
             if not isinstance(data, dict):
@@ -59,10 +60,12 @@ class RunConfig:
                 if key not in cls.FIELDS:
                     raise ModelError(f"unknown config key {key!r}")
                 setattr(cfg, key, val)
+                cfg.given.add(key)
         for key in cls.FIELDS:
             val = getattr(args, key, None)
             if val is not None:
                 setattr(cfg, key, val)
+                cfg.given.add(key)
         # the type of every field, whether a config file or a flag set it
         for key in ("model", "output_dir"):
             val = getattr(cfg, key)
@@ -286,6 +289,10 @@ def cmd_oracle(args) -> int:
     cfg = RunConfig.load(args)
     h = fdcheck.DEFAULT_H if args.h is None else args.h
     chart = fdcheck.chart_by_name(args.chart, n=cfg.n)
+    if chart.dim != cfg.n:  # round_sphere and s2xr2 have their own dimension
+        if "n" in cfg.given:
+            raise ModelError(f"chart {args.chart} has dimension {chart.dim}, got n={cfg.n}")
+        cfg.n = chart.dim
     f = fdcheck.default_test_function(chart)
     rng = random.Random(cfg.seed)
     base = fdcheck.default_probe_point(chart)

@@ -12,7 +12,8 @@ arclength as functions of a.  The distance comes from these sweeps, summed
 over the pieces of f: where f = m r both are closed (the unrolled wedge of
 a cone), in plain floats; elsewhere they run Gauss-Legendre panels
 (`quadrature.gauss_legendre`) after a substitution r = r_0 + u^2 at the
-lower end that removes the inverse square root of a turning point.
+lower end that removes the inverse square root of a turning point, f by
+Horner's rule on the piece's own row (`models.Piece.row`) at every node.
 Brent's root finder fixes the Clairaut constant (or the turning radius)
 from the angle alone.  The point at a given arclength is found by
 inverting the arclength sweep on the branch that holds it (exactly where
@@ -179,8 +180,9 @@ class _Arc:
     k^2, the angle is [atan2(sqrt D, k)] / m and the arclength [sqrt D] / m;
     D is taken as D(base) + m^2 (r - base)(r + base) on the piece holding
     base, so it carries no cancellation at the turning radius.  Other pieces
-    run Gauss panels in u, r = base + u^2.  `misses` counts the sweeps whose
-    Gauss estimate missed its gate.
+    run Gauss panels in u, r = base + u^2, each on its own integrand, which
+    reads f off the piece's Horner row and never looks up a piece.
+    `misses` counts the sweeps whose Gauss estimate missed its gate.
     """
 
     def __init__(self, prof, k, base, turning):
@@ -197,24 +199,37 @@ class _Arc:
             d = (m * r - self.k) * (m * r + self.k)
         return math.sqrt(max(d, 0.0))
 
-    def _integrand(self, length):
-        """The sweep's integrand on Gauss nodes u, r = base + u^2."""
-        prof, k, base, f0, d0 = self.prof, self.k, self.base, self.f0, self.d0
-        q_taylor = _taylor_q(prof, base)
-        if self.turning:
-            def integrand(u):
-                # f(r)^2 - k^2 = u^2 * q(u) * (f + k)
-                f = prof.f(base + u * u)
-                root = math.sqrt(max(q_taylor(u, f) * (f + k), 1e-300))
+    def _integrand(self, pc, length):
+        """The sweep's integrand on the curved piece pc at Gauss nodes u,
+        r = base + u^2, f by Horner's rule on the piece's `row(0)`; f' and
+        f'' at base are taken once, here."""
+        k, base, f0, d0, turning = self.k, self.base, self.f0, self.d0, self.turning
+        row, x0 = pc.row(0), pc.x0
+        # q = (f(r) - f0) / u^2 by Taylor expansion near u = 0, where the
+        # difference would cancel
+        fp0, fpp0 = self.prof.fp(base), self.prof.fpp(base)
+        small = 1e-7 * max(base, 1e-3)
+
+        def integrand(u):
+            u2 = u * u
+            t = base + u2 - x0
+            f = 0.0
+            for a in row:
+                f = f * t + a
+            q = fp0 + 0.5 * fpp0 * u2 if u2 < small else (f - f0) / u2
+            # each floor is max(d, floor) as max takes it, a NaN d kept,
+            # without the cost of a call of max at every node
+            if turning:  # f(r)^2 - k^2 = u^2 q (f + k)
+                d = q * (f + k)
+                root = math.sqrt(1e-300 if 1e-300 > d else d)
                 return 2.0 * f / root if length else 2.0 * k / (f * root)
-        else:
-            def integrand(u):
-                # dr = 2u du and f^2 - k^2 = u^2 q(u) (f + f0) + D(base), free
-                # of cancellation; near the turning limit k -> f0 the
-                # integrand sharpens at u = 0 and the panels there are halved
-                f = prof.f(base + u * u)
-                root = math.sqrt(max(u * u * q_taylor(u, f) * (f + f0) + d0, 0.0))
-                return 2.0 * u * (f / root if length else k / (f * root))
+            # dr = 2u du and f^2 - k^2 = u^2 q (f + f0) + D(base), free of
+            # cancellation; near the turning limit k -> f0 the integrand
+            # sharpens at u = 0 and the panels there are halved
+            d = u2 * q * (f + f0) + d0
+            root = math.sqrt(0.0 if 0.0 > d else d)
+            return 2.0 * u * (f / root if length else k / (f * root))
+
         return integrand
 
     def _parts(self, r_lo, r_hi):
@@ -229,13 +244,13 @@ class _Arc:
     def sweep(self, r_lo, r_hi, length=False):
         """Angle swept, or arclength if `length`, over [r_lo, r_hi], base <=
         r_lo <= r_hi."""
-        k, total, curved, missed, integrand = self.k, 0.0, [], False, None
+        k, total, curved, missed = self.k, 0.0, [], False
         for pc, lo, hi in self._parts(r_lo, r_hi):
             m = pc.slope
             if m is None:
-                integrand = integrand or self._integrand(length)
                 val, _, miss = quadrature.gauss_legendre(
-                    integrand, math.sqrt(lo - self.base), math.sqrt(hi - self.base),
+                    self._integrand(pc, length),
+                    math.sqrt(lo - self.base), math.sqrt(hi - self.base),
                     rtol=1e-11, atol=1e-13)
                 curved.append(val)
                 missed |= miss
@@ -277,19 +292,6 @@ class _Arc:
                                           lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
             return r, angle + self.sweep(lo, r)
         return r_end, angle
-
-
-def _taylor_q(prof, r0):
-    """q(u, f) = (f(r0 + u^2) - f(r0)) / u^2, by Taylor expansion near
-    u = 0 to dodge the cancellation of the difference."""
-    f0, fp0, fpp0 = prof.f(r0), prof.fp(r0), prof.fpp(r0)
-    small = 1e-7 * max(r0, 1e-3)
-
-    def q(u, f):
-        u2 = u * u
-        return fp0 + 0.5 * fpp0 * u2 if u2 < small else (f - f0) / u2
-
-    return q
 
 
 class _Minimizer(NamedTuple):

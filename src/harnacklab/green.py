@@ -89,7 +89,7 @@ def _piece_green(n: int, pc: Piece, G_hi: float):
     Where f = a*r it is closed, G(r) = G_hi + a^{1-n} (r^{2-n} - hi^{2-n})
     (hi = inf contributes 0), with a^{1-n} and hi^{2-n} taken once;
     elsewhere it is G_hi plus one Gauss integral of f^{1-n} up to pc.hi,
-    f by Horner's rule on the piece's coefficients.  Every power is inf
+    f by Horner's rule on the piece's `row(0)`.  Every power is inf
     past the float range, as `_pow` takes it, and a G that is not finite
     is inf, which the range checks refuse where a radius needs it; a finite
     integral whose estimate misses GREEN_RTOL is refused here.
@@ -105,7 +105,7 @@ def _piece_green(n: int, pc: Piece, G_hi: float):
 
         return green
 
-    row, x0, e = pc.coef[::-1], pc.x0, float(1 - n)  # descending powers of t - x0
+    row, x0, e = pc.row(0), pc.x0, float(1 - n)
 
     def integrand(t):
         t -= x0
@@ -157,7 +157,8 @@ def _piece_columns(model: ModelManifold, pc: Piece, green, radii, cols, puts):
 def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
     """`_piece_columns`' puts and (f, f'), every power taken by pw.
 
-    G' = -(n-2) f^{1-n} and G'' = (n-2)(n-1) f^{-n} f'.  Where f = a r
+    G' = -(n-2) f^{1-n} and G'' = (n-2)(n-1) f^{-n} f', f and f' by
+    Horner's rule on the piece's `row(0)` and `row(1)`.  Where f = a r
     exactly the powers are taken of a and r apart, as G = a^{1-n} r^{2-n}
     takes them, and not of the rounded product a r, whose rounding the
     power would multiply by n.  Of u = G^beta, u' = beta u q1 and
@@ -168,8 +169,7 @@ def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
     """
     a, x0 = fpc.slope, fpc.x0
     slope = None if a is None else float(a)
-    row = fpc.coef[::-1]  # descending powers of r - x0
-    drow = [k * c for k, c in enumerate(fpc.coef)][:0:-1]
+    row, drow = fpc.row(0), fpc.row(1)
     e1, e0 = float(1 - n), float(-n)  # the powers of 1 - n and -n, taken sooner
     base = 1.0 if a is None else a
     c1 = -(n - 2) * pw(base, e1)

@@ -49,13 +49,20 @@ class Piece(NamedTuple):
     """f(r) = sum_k coef[k] (r - x0)^k on [lo, hi).
 
     x0 = 0 where f = a r, so a r is evaluated as the product itself;
-    elsewhere x0 = lo, which keeps the powers of r - x0 small.
+    elsewhere x0 = lo, which keeps the powers of r - x0 small.  The
+    profile's f, f' and f'', the Green kernels and the Clairaut sweeps all
+    evaluate a piece by Horner's rule on one of its `row`s.
     """
 
     lo: float
     hi: float
     x0: float
     coef: tuple  # ascending powers of r - x0
+
+    def row(self, k: int = 0) -> tuple:
+        """The Horner row of f^(k): its coefficients in descending powers
+        of t = r - x0, read as out = out * t + a from out = 0."""
+        return Poly(self.coef).deriv(k).coef[::-1]
 
     @property
     def slope(self) -> Optional[float]:
@@ -136,7 +143,7 @@ class WarpingProfile:
         self.knots = tuple(knots)
         # _rows: the pieces' lo and x0, and for f, f' and f'' the Horner
         # rows (descending powers) of every piece
-        rows = [[Poly(pc.coef).deriv(k).coef[::-1] for pc in pieces] for k in range(3)]
+        rows = [[pc.row(k) for pc in pieces] for k in range(3)]
         los, x0s = [pc.lo for pc in pieces], [pc.x0 for pc in pieces]
         self._rows = (los, x0s, rows, top)
         # _fp_roots: fp_min's roots of f'' on each finite piece, by index

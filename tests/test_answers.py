@@ -71,3 +71,26 @@ def test_edges_workload_answers_min_c_on_each_blend(tmp_path, monkeypatch):
         report = verify["stdout"]["report"]
         assert report["minimal_C"] == pytest.approx(minimal_C, rel=1e-12)
         assert len(report["violations"]) == 32
+
+
+def test_geodesics_workload_answers_corollary_on_a_smoothed_cone(tmp_path, monkeypatch):
+    # one smoothed cone at 2 triples, to keep the test cheap
+    answers = _answers()
+    assert "geodesics" in answers.CHOICES
+    monkeypatch.setattr(answers, "GEODESICS", answers.GEODESICS[:1])
+    monkeypatch.setattr(answers, "GEODESIC_TRIPLES", "2")
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["geodesics"], answers._seeds("101"), values=True)
+    assert list(entries) == ["geodesics:smoothed-cone:0.8:1:n4"]
+    entry = entries["geodesics:smoothed-cone:0.8:1:n4"]
+    assert entry["argv"][:9] == ["corollary", "--model", "smoothed-cone:0.8:1", "--n", "4",
+                                 "--C", "12", "--triples", "2"]
+    # the blend's f'' > 0 raises a hypothesis flag: the run is exploratory
+    assert entry["exit"] == 3
+    report = entry["stdout"]
+    assert (report["config"]["seed"], report["triples"]) == (0, 2)
+    # the two pairs take the two branches that sweep the blend
+    assert report["branches"] == {"monotone": 1, "radial": 0, "tip": 0, "turning": 1}
+    assert report["quad_misses"] == 0
+    assert sorted(entry["artifacts"]) == ["corollary.csv", "corollary.json"]
+    assert answers.diff(entries, entries) == []

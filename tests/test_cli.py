@@ -334,6 +334,11 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
     # preset charts stop at n = 12
     (["oracle", "commutators", "--chart", "euclidean", "--n", "13"], "2 <= n <= 12, got 13"),
     (["oracle", "commutators", "--chart", "cone", "--n", "13"], "3 <= n <= 12"),
+    # round_sphere has its own dimension: a given n is refused, the default's 4 too
+    (["oracle", "commutators", "--chart", "round_sphere", "--n", "7", "--probes", "1"],
+     "chart round_sphere has dimension 2, got n=7"),
+    (["oracle", "commutators", "--chart", "round_sphere", "--n", "4", "--probes", "1"],
+     "chart round_sphere has dimension 2, got n=4"),
     # lambdas are refused before the profile, which would refuse n = 200
     (["corollary", "--model", "euclidean", "--n", "200", "--C", "12", "--lambdas", "2",
       "--triples", "2"], "lambda must lie in [0, 1]"),
@@ -575,6 +580,24 @@ def test_oracle_commutators(capsys):
                           "--probes", "3"], capsys)
     assert code == 0
     assert doc["worst_residual"] <= doc["gate"]
+
+
+@pytest.mark.parametrize("chart,dim", [("round_sphere", 2), ("s2xr2", 4), ("euclidean", 4)])
+def test_oracle_echoes_the_dimension_it_probes(chart, dim, capsys):
+    # with no n given, round_sphere and s2xr2 report their own dimension
+    code, doc = run_json(["oracle", "commutators", "--chart", chart, "--probes", "1"], capsys)
+    assert code == 0
+    assert doc["config"]["n"] == dim == len(doc["probes"][0]["point"])
+
+
+def test_oracle_refuses_a_config_n_its_chart_does_not_take(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 3}))
+    code = main(["oracle", "commutators", "--chart", "s2xr2", "--probes", "1",
+                 "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: chart s2xr2 has dimension 4, got n=3"]
 
 
 def test_oracle_nan_residual_in_a_later_probe_never_passes(monkeypatch, capsys):

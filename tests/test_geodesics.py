@@ -377,6 +377,26 @@ def test_closed_form_sweeps_match_gauss_panels(model_id, monkeypatch):
             assert val == pytest.approx(gauss, rel=rel, abs=1e-12), (L, val, gauss)
 
 
+def test_curved_piece_sweeps_read_the_pieces_row_and_not_the_profile(monkeypatch):
+    # the Gauss integrand evaluates f on its own piece's Horner row: the
+    # profile is asked only for f' and f'' at the base, once per sweep, and
+    # every node keeps the arithmetic of a profile lookup, bit for bit
+    prof = model_from_id("smoothed-cone:0.8:1", 4).profile
+    arc = geodesics._Arc(prof, prof.f(0.4), 0.4, turning=True)
+    calls = Counter()
+    for name in ("f", "fp", "fpp"):
+        real = getattr(models.WarpingProfile, name)
+
+        def counted(self, r, real=real, name=name):
+            calls[name] += 1
+            return real(self, r)
+
+        monkeypatch.setattr(models.WarpingProfile, name, counted)
+    angle, length = arc.sweep(0.4, 1.5), arc.sweep(0.4, 1.5, length=True)
+    assert (angle, length) == (1.4919076080205387, 1.4887343202760268)
+    assert all(calls[name] <= 2 for name in ("f", "fp", "fpp")), calls
+
+
 def _wedge_point(c, y, z, lam):
     """(r, phi, chord) of the point at lam along the straight chord between
     y and z in the unrolled wedge of a cone f = c r."""

@@ -16,7 +16,12 @@ only), gives each its own ``--output-dir`` and runs it in-process through
 thousands of radii of a fine grid (``EDGES``), at 512 and 65536 points, so
 that an answer that depends on the grid's size shows as a difference
 between the two, and a failing verify's capped list of violations, its
-sup and its boundary values are pinned on the largest grid.  It prints
+sup and its boundary values are pinned on the largest grid.  The
+``geodesics`` workload, seed-free too, answers ``corollary`` at 20 triples
+(default seed 0) on three smoothed cones (``GEODESICS``), whose pairs mix
+the monotone and turning branches, so that their Clairaut sweeps and root
+finds on a curved piece are pinned; a change to the root finder is diffed
+against it with ``--values --rtol``.  It prints
 JSON holding, per argv, the exit code, a sha256 of stdout, the first line
 of stderr and a sha256 of each artifact.  The output directories are
 relative paths inside a temporary working directory, so the config a
@@ -67,7 +72,12 @@ EDGES = (("smoothed-cone:0.3:1", "30"), ("smoothed-cone:0.1:100", "12"))
 EDGE_GRID_SIZES = ("512", "65536")
 #: key suffix -> command and options; min-c's key has none
 EDGE_COMMANDS = (("", ("min-c",)), (":verify", ("verify", "--exploratory", "--C", "1")))
-CHOICES = (*workloads.WORKLOADS, "tables", "edges")
+#: the ``geodesics`` workload: (model, n, C) answered by ``corollary`` at
+#: GEODESIC_TRIPLES triples
+GEODESICS = (("smoothed-cone:0.8:1", "4", "12"), ("smoothed-cone:0.9:2", "6", "12"),
+             ("smoothed-cone:0.75:1.5", "9", "15"))
+GEODESIC_TRIPLES = "20"
+CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics")
 
 
 def _sha(data: bytes) -> str:
@@ -91,7 +101,7 @@ def _write_tables(directory: Path) -> None:
 
 def _argvs(names, seeds):
     """(key, argv) of every cycle slot and probe of the workloads at the
-    seeds, of every table command and of every edge argv."""
+    seeds, of every table command and of every edge and geodesics argv."""
     for name in names:
         if name == "tables":
             for table in TABLES:
@@ -105,6 +115,12 @@ def _argvs(names, seeds):
                     for suffix, (cmd, *opts) in EDGE_COMMANDS:
                         yield f"edges:{model}:n{n}:grid{size}{suffix}", [
                             cmd, "--model", model, "--n", n, "--grid-size", size, *opts]
+            continue
+        if name == "geodesics":
+            for model, n, C in GEODESICS:
+                yield f"geodesics:{model}:n{n}", [
+                    "corollary", "--model", model, "--n", n, "--C", C,
+                    "--triples", GEODESIC_TRIPLES]
             continue
         for seed in seeds:
             cycle, probes = workloads.build(name, seed)
