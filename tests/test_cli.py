@@ -334,14 +334,14 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
     # preset charts stop at n = 12
     (["oracle", "commutators", "--chart", "euclidean", "--n", "13"], "2 <= n <= 12, got 13"),
     (["oracle", "commutators", "--chart", "cone", "--n", "13"], "3 <= n <= 12"),
+    # lambdas are refused before the profile, which would refuse n = 200
+    (["corollary", "--model", "euclidean", "--n", "200", "--C", "12", "--lambdas", "2",
+      "--triples", "2"], "lambda must lie in [0, 1]"),
     # round_sphere has its own dimension: a given n is refused, the default's 4 too
     (["oracle", "commutators", "--chart", "round_sphere", "--n", "7", "--probes", "1"],
      "chart round_sphere has dimension 2, got n=7"),
     (["oracle", "commutators", "--chart", "round_sphere", "--n", "4", "--probes", "1"],
      "chart round_sphere has dimension 2, got n=4"),
-    # lambdas are refused before the profile, which would refuse n = 200
-    (["corollary", "--model", "euclidean", "--n", "200", "--C", "12", "--lambdas", "2",
-      "--triples", "2"], "lambda must lie in [0, 1]"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
