@@ -3,9 +3,9 @@
 Test functions carry exact first and second partials, propagated in
 order-2 Taylor jets (``Jet``) over floats, so the only finite differencing
 is in the covariant corrections; residuals of the commutator identities
-then scale as O(h^2).  The differenced geometry and the per-point memo
-are `fdcheck`'s, which gives this module's public names too; nothing here
-uses the symbolic engine's library.
+then scale as O(h^2).  The differenced geometry is `fdgeom`'s, and the
+charts and the per-point memo are `fdcheck`'s, which gives this module's
+public names too; nothing here uses the symbolic engine's library.
 
 Beside the oracle, this module holds the preset charts of the ``oracle``
 command (``euclidean_chart``, ``round_sphere``, ``s2xr2``, ``cone_chart``,
@@ -25,10 +25,10 @@ import math
 import operator
 from typing import Callable
 
-from .fdcheck import (DEFAULT_H, ChartError, CoordinateChart, _central, _ChristoffelMemo,
-                      _covariant, _diag, _entries, _per_point, _point, _riemann_flat,
+from .fdcheck import (DEFAULT_H, CoordinateChart, _ChristoffelMemo, _diag, _per_point,
                       _to_frame, _warped, max_residual, orthonormal_frame,
                       warped_probe_point)
+from .fdgeom import ChartError, _central, _covariant, _entries, _point, _riemann_flat
 
 __all__ = ["Jet", "TestFunction", "default_test_function", "check_lemma31", "MAX_CHART_DIM",
            "euclidean_chart", "round_sphere", "s2xr2", "cone_chart", "chart_by_name",

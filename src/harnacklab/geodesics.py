@@ -188,6 +188,7 @@ class _Arc:
     def __init__(self, prof, k, base, turning):
         self.prof, self.k, self.base, self.turning = prof, k, base, turning
         self.misses = 0
+        self.taylor = None  # (f'(base), f''(base)), taken by the first integrand
         self.f0 = f0 = prof.f(base)
         self.d0 = 0.0 if turning else (f0 - k) * (f0 + k)  # D(base)
 
@@ -202,12 +203,14 @@ class _Arc:
     def _integrand(self, pc, length):
         """The sweep's integrand on the curved piece pc at Gauss nodes u,
         r = base + u^2, f by Horner's rule on the piece's `row(0)`; f' and
-        f'' at base are taken once, here."""
+        f'' at base are taken once per arc, by its first integrand."""
         k, base, f0, d0, turning = self.k, self.base, self.f0, self.d0, self.turning
         row, x0 = pc.row(0), pc.x0
         # q = (f(r) - f0) / u^2 by Taylor expansion near u = 0, where the
         # difference would cancel
-        fp0, fpp0 = self.prof.fp(base), self.prof.fpp(base)
+        if self.taylor is None:
+            self.taylor = self.prof.fp(base), self.prof.fpp(base)
+        fp0, fpp0 = self.taylor
         small = 1e-7 * max(base, 1e-3)
 
         def integrand(u):

@@ -680,9 +680,10 @@ _ENGINES = [
     (["models", "list"], 0, set()),
     (["--version"], 0, set()),
     (["oracle", "commutators", "--chart", "s2xr2", "--probes", "2"], 0,
-     {"harnacklab.fdcheck", "harnacklab.commutators"}),
+     {"harnacklab.fdcheck", "harnacklab.fdgeom", "harnacklab.commutators"}),
     (["verify", "--model", "euclidean", "--n", "4", "--C", "10"], 0,
-     _MODELS | {"harnacklab.green", "harnacklab.harnack", "harnacklab.fdcheck"}),
+     _MODELS | {"harnacklab.green", "harnacklab.harnack", "harnacklab.fdcheck",
+                "harnacklab.fdgeom"}),
     (["export-profile", "--model", "euclidean", "--n", "4", "--grid-size", "8"], 0,
      _MODELS | {"harnacklab.green"}),
     (["corollary", "--model", "cone:0.5", "--n", "4", "--C", "10", "--triples", "2"], 3,

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harnacklab import commutators, fdcheck
+from harnacklab import commutators, fdcheck, fdgeom
 from harnacklab.models import (
     DEFAULT_CURV_TOL, ModelManifold, curvature_at, make_model, model_from_id,
 )
@@ -30,38 +30,38 @@ def _memo(chart, h=H):
 def christoffels(chart, x, h=H):
     """Gamma[k, i, j] = Gamma^k_ij, as the memo's Christoffel terms give it."""
     d = chart.dim
-    terms = _memo(chart, h).gamma(fdcheck._point(x))
-    return np.reshape(fdcheck._gamma_flat(terms, d), (d,) * 3)
+    terms = _memo(chart, h).gamma(fdgeom._point(x))
+    return np.reshape(fdgeom._gamma_flat(terms, d), (d,) * 3)
 
 
 def riemann_coord(chart, x, h=H):
     """R[i, j, k, l] with all indices down."""
-    return np.reshape(fdcheck._riemann_flat(_memo(chart, h), fdcheck._point(x)),
+    return np.reshape(fdgeom._riemann_flat(_memo(chart, h), fdgeom._point(x)),
                       (chart.dim,) * 4)
 
 
 def _riemann_frame(memo, x):
     """R_abcd in the orthonormal frame, flat, as `check_lemma31` takes it."""
     frame = fdcheck.orthonormal_frame(memo, x)
-    return fdcheck._to_frame(fdcheck._riemann_flat(memo, x), frame, 4)
+    return fdcheck._to_frame(fdgeom._riemann_flat(memo, x), frame, 4)
 
 
 def riemann(chart, x, h=H):
     """Curvature components in an orthonormal frame."""
-    return np.reshape(_riemann_frame(_memo(chart, h), fdcheck._point(x)), (chart.dim,) * 4)
+    return np.reshape(_riemann_frame(_memo(chart, h), fdgeom._point(x)), (chart.dim,) * 4)
 
 
 def ricci(chart, x, h=H):
     """Ric_ab = sum_c R(e_a, e_c, e_b, e_c) in an orthonormal frame."""
     d = chart.dim
-    R = _riemann_frame(_memo(chart, h), fdcheck._point(x))
+    R = _riemann_frame(_memo(chart, h), fdgeom._point(x))
     return np.reshape(commutators._ricci_of(R, d), (d, d))
 
 
 def hessian_scalar(chart, func, x, h=H):
     """Covariant Hessian (orthonormal frame) of a scalar given numerically,
     as identity 5 of `check_lemma31` takes that of the Laplacian."""
-    x = fdcheck._point(x)
+    x = fdgeom._point(x)
     stack = commutators._CovariantStack(chart, None, h)
     hess = stack.hess_scalar(func, x)
     return np.reshape(fdcheck._to_frame(hess, fdcheck.orthonormal_frame(stack, x), 2),
@@ -351,7 +351,7 @@ def test_covariant_stack_computes_each_point_once(name, monkeypatch):
     f = commutators.default_test_function(ch)
     x = tuple(v + 0.01 for v in commutators.default_probe_point(ch))
     points = []
-    terms = fdcheck._christoffel_terms
+    terms = fdgeom._christoffel_terms
 
     def counted(memo, y):
         points.append(tuple(y))
@@ -371,8 +371,8 @@ def test_covariant_stack_computes_each_point_once(name, monkeypatch):
         assert a == b, method
     assert isinstance(memo.hess(x), tuple)  # shared by every caller: immutable
     # the curvature on the stack's memo is that on a memo of its own
-    R = fdcheck._riemann_flat(memo, x)
-    assert R == fdcheck._riemann_flat(fdcheck._ChristoffelMemo(ch, H), x)
+    R = fdgeom._riemann_flat(memo, x)
+    assert R == fdgeom._riemann_flat(fdcheck._ChristoffelMemo(ch, H), x)
 
 
 def test_commutator_quadratic_convergence():
@@ -435,7 +435,7 @@ def test_chart_by_name_and_bad_step():
 def test_parallel_ricci_computes_each_point_once(chart, x, distinct, monkeypatch):
     x = commutators.default_probe_point(chart) if x is None else x
     points = []
-    terms = fdcheck._christoffel_terms
+    terms = fdgeom._christoffel_terms
 
     def counted(memo, y):
         points.append(tuple(y))
@@ -503,7 +503,7 @@ def test_generic_metric_matches_numpy_reference(chart, x):
                        rtol=0, atol=1e-12)
     assert np.allclose(riemann_coord(chart, x, H), ref.riemann_coord(chart, x, H),
                        rtol=0, atol=1e-8)
-    E = np.asarray(fdcheck.orthonormal_frame(_memo(chart), fdcheck._point(x)))
+    E = np.asarray(fdcheck.orthonormal_frame(_memo(chart), fdgeom._point(x)))
     assert np.count_nonzero(E - np.diag(np.diag(E))) > 0
     assert np.allclose(E, ref.orthonormal_frame(chart, x), rtol=0, atol=1e-14)
     assert np.allclose(riemann(chart, x, H), ref.riemann(chart, x, H), rtol=0, atol=1e-8)

@@ -17,6 +17,7 @@ from harnacklab import cli, geodesics, models, quadrature
 from harnacklab.models import make_model, model_from_id
 from harnacklab.green import compute_profile, default_grid
 from harnacklab.geodesics import GeodesicError, SlicePoint, corollary_check, shoot_geodesic
+from tables import line_table
 
 #: the commands' default window
 GRID = default_grid(1e-2, 1e2, 512)
@@ -395,6 +396,27 @@ def test_curved_piece_sweeps_read_the_pieces_row_and_not_the_profile(monkeypatch
     angle, length = arc.sweep(0.4, 1.5), arc.sweep(0.4, 1.5, length=True)
     assert (angle, length) == (1.4919076080205387, 1.4887343202760268)
     assert all(calls[name] <= 2 for name in ("f", "fp", "fpp")), calls
+
+
+def test_an_arc_takes_the_base_derivatives_once_across_many_pieces(monkeypatch):
+    # a spline of 400 nodes has a curved piece per node interval: the arc
+    # asks the profile for f' and f'' at its base once, on the first
+    # integrand, not once per piece a sweep crosses
+    prof = make_model("custom", 4, table=line_table(400)).profile
+    arc = geodesics._Arc(prof, prof.f(0.4), 0.4, turning=True)
+    calls = Counter()
+    for name in ("fp", "fpp"):
+        real = getattr(models.WarpingProfile, name)
+
+        def counted(self, r, real=real, name=name):
+            calls[name] += 1
+            return real(self, r)
+
+        monkeypatch.setattr(models.WarpingProfile, name, counted)
+    arc.sweep(0.4, 50.0)
+    arc.sweep(0.4, 50.0, length=True)
+    assert sum(pc.slope is None for pc, _, _ in arc._parts(0.4, 50.0)) > 100
+    assert calls == {"fp": 1, "fpp": 1}
 
 
 def _wedge_point(c, y, z, lam):

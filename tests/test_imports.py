@@ -17,7 +17,9 @@ package functions by name: each of them must exist.  Every function, class
 and method is referenced by package code outside its own definition.
 
 Every module that a numeric or ``oracle`` command compiles stays at most
-4096 parser tokens, and a command loads no module it does not run.
+4096 parser tokens, the FD modules that ``models.hypothesis_report``
+compiles late (``fdcheck`` and ``fdgeom``) at most 2048, and a command
+loads no module it does not run.
 """
 
 import ast
@@ -186,9 +188,10 @@ def test_fd_oracle_imports_no_numpy():
     # the oracle is plain floats, so `oracle` runs without numpy
     modules = dict(_modules())
     for module, expected in (
-            ("fdcheck", {"__future__", "functools", "itertools", "math", "typing"}),
+            ("fdgeom", {"__future__", "itertools"}),
+            ("fdcheck", {"__future__", "functools", "itertools", "math", "typing", "fdgeom"}),
             ("commutators", {"__future__", "itertools", "math", "operator", "typing",
-                             "fdcheck"})):
+                             "fdcheck", "fdgeom"})):
         tree = modules[module]
         imported = {alias.name.split(".")[0] for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names}
@@ -285,7 +288,7 @@ def test_every_function_the_tracer_wraps_exists():
 #: the modules that a numeric command (verify, min-c, audit, export-profile,
 #: corollary) or ``oracle`` may compile
 NUMERIC_MODULES = ("cli", "models", "poly", "tables", "quadrature", "green", "harnack",
-                   "geodesics", "fdcheck", "commutators")
+                   "geodesics", "fdcheck", "fdgeom", "commutators")
 #: the parser's token array doubles past this many tokens (see the test below)
 TOKEN_STEP = 4096
 
@@ -312,6 +315,28 @@ def test_numeric_modules_stay_under_the_parser_token_step():
     assert {name: n for name, n in counts.items() if n > TOKEN_STEP} == {}
 
 
+#: the FD modules that ``models.hypothesis_report`` imports only after the
+#: verdict engines are compiled, where the closed form finds Ricci parallel
+LATE_FD_MODULES = ("fdcheck", "fdgeom")
+
+
+def test_late_fd_modules_stay_under_half_the_token_step():
+    """A euclidean verdict compiles the FD oracle after the verdict
+    engines, and each compile is freed before the next starts.  A late
+    compile of at most 2048 parser tokens fits in the memory the earlier
+    ones freed; a larger one raises the command's peak RSS.  In process,
+    after a ``corollary cone:0.5`` run, compiling the first top-level
+    statements of the unsplit ``fdcheck`` (3,260 tokens) raised
+    ``ru_maxrss`` by nothing up to 1,808 tokens, by 0.125 MB from 2,234 to
+    2,724 and by 0.25 MB from 3,073 (medians of 9 runs, Python 3.11 on 2
+    shared vCPUs, bytecode caching off).  Split into
+    ``fdcheck`` and ``fdgeom`` (1,703 and 1,588 tokens), the late import
+    costs nothing, and ``verify euclidean --n 4`` peaks at 15.63 MB
+    against 16.00 before, as a cone command does (15.60)."""
+    counts = {name: _parser_tokens(PACKAGE / f"{name}.py") for name in LATE_FD_MODULES}
+    assert {name: n for name, n in counts.items() if n > TOKEN_STEP // 2} == {}
+
+
 def _loaded_after(argv, names):
     """Which of `names` a fresh interpreter holds in sys.modules after the
     command argv."""
@@ -333,5 +358,6 @@ def test_a_preset_model_loads_no_table_reader():
 
 def test_parallel_ricci_compiles_no_commutator_oracle():
     argv = ["verify", "--model", "euclidean", "--n", "4", "--C", "10", "--grid-size", "8"]
-    assert _loaded_after(argv, ["harnacklab.fdcheck", "harnacklab.commutators"]) == {
-        "harnacklab.fdcheck"}
+    loaded = _loaded_after(argv, ["harnacklab.fdcheck", "harnacklab.fdgeom",
+                                  "harnacklab.commutators"])
+    assert loaded == {"harnacklab.fdcheck", "harnacklab.fdgeom"}
