@@ -9,8 +9,11 @@ public names too; nothing here uses the symbolic engine's library.
 
 Beside the oracle, this module holds the preset charts of the ``oracle``
 command (``euclidean_chart``, ``round_sphere``, ``s2xr2``, ``cone_chart``,
-``chart_by_name``) with their probe points.  A check of parallel Ricci
-needs none of it, so a numeric command never compiles it.
+``chart_by_name``) with their probe points, and which of them have
+parallel Ricci curvature, where identity 5 holds.  A check of parallel
+Ricci needs none of it, so a numeric command never compiles it; the
+``oracle`` command imports it before `fdcheck`, so that this module, the
+largest it compiles, compiles while the fewest objects are live.
 
 A test function keeps nothing between calls.  Each `check_lemma31` call
 memoizes the metric, the Christoffels, the jets and the covariant
@@ -76,6 +79,12 @@ def cone_chart(c: float, n: int) -> CoordinateChart:
         raise ChartError(f"cone chart needs 0 < c <= 1 and an integer 3 <= n <= "
                          f"{MAX_CHART_DIM}, got c={c:g}, n={n}")
     return _warped(f"warped[cone:{c:g}]", int(n), lambda r: c * r)
+
+
+#: the preset charts whose Ricci curvature is parallel.  Identity 5 of
+#: `check_lemma31` drops the grad Ric terms, so it holds only on these; the
+#: cone (c < 1) is the one preset where it need not.
+PARALLEL_RICCI_CHARTS = frozenset({"euclidean", "round_sphere", "s2xr2"})
 
 
 def chart_by_name(name: str, n: int = 4) -> CoordinateChart:

@@ -286,8 +286,8 @@ def check_parallel_ricci(chart: CoordinateChart, x, h: float = DEFAULT_H) -> flo
 # -- the commutator oracle, on demand ------------------------------------------
 
 #: the names of `harnacklab.commutators` that this module gives too; the
-#: `oracle` command calls them here, so a wrapper set on one of them here
-#: (the benchmark's tracer sets one on `check_lemma31`) sees every call
+#: `oracle` command calls `check_lemma31` here, so a wrapper set on it here
+#: (the benchmark's tracer sets one) sees every call
 _COMMUTATOR_NAMES = frozenset(
     {"Jet", "TestFunction", "default_test_function", "check_lemma31", "MAX_CHART_DIM",
      "euclidean_chart", "round_sphere", "s2xr2", "cone_chart", "chart_by_name",

@@ -94,3 +94,21 @@ def test_geodesics_workload_answers_corollary_on_a_smoothed_cone(tmp_path, monke
     assert report["quad_misses"] == 0
     assert sorted(entry["artifacts"]) == ["corollary.csv", "corollary.json"]
     assert answers.diff(entries, entries) == []
+
+
+def test_oracle_cone_workload_answers_an_exploratory_verdict(tmp_path, monkeypatch):
+    answers = _answers()
+    assert "oracle-cone" in answers.CHOICES
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["oracle-cone"], answers._seeds("101"), values=True)
+    assert sorted(entries) == ["oracle-cone:n3", "oracle-cone:n6"]
+    for n, entry in (("3", entries["oracle-cone:n3"]), ("6", entries["oracle-cone:n6"])):
+        assert entry["argv"][:8] == ["oracle", "commutators", "--chart", "cone", "--n", n,
+                                     "--probes", "2"]
+        # identities 1-4 pass; identity 5 lies outside its hypothesis
+        assert entry["exit"] == 3
+        report = entry["stdout"]
+        assert report["verdict"] == "exploratory"
+        assert report["outside_hypothesis"]["identity"] == 5
+        assert sorted(entry["artifacts"]) == ["oracle.json"]
+    assert answers.diff(entries, entries) == []

@@ -582,12 +582,31 @@ def test_oracle_commutators(capsys):
     assert doc["worst_residual"] <= doc["gate"]
 
 
+@pytest.mark.parametrize("n", ["3", "6"])
+def test_oracle_on_the_cone_leaves_identity_5_ungated(n, capsys):
+    # identity 5 drops the grad Ric terms and the cone's Ricci is not
+    # parallel: its residual is shown outside the gate, and identities 1-4
+    # passing make the run exploratory, never a pass or a fail
+    code, doc = run_json(["oracle", "commutators", "--chart", "cone", "--n", n,
+                          "--probes", "2"], capsys)
+    assert (code, doc["verdict"]) == (3, "exploratory")
+    residuals = [row["residuals"] for row in doc["probes"]]
+    assert doc["worst_residual"] == max(v for res in residuals for v in res[:4])
+    assert doc["worst_residual"] <= doc["gate"]
+    outside = doc["outside_hypothesis"]
+    assert (outside["identity"], outside["hypothesis"]) == (5, "parallel_ricci")
+    assert outside["worst_residual"] == max(res[4] for res in residuals) > 1.0
+
+
 @pytest.mark.parametrize("chart,dim", [("round_sphere", 2), ("s2xr2", 4), ("euclidean", 4)])
 def test_oracle_echoes_the_dimension_it_probes(chart, dim, capsys):
     # with no n given, round_sphere and s2xr2 report their own dimension
     code, doc = run_json(["oracle", "commutators", "--chart", chart, "--probes", "1"], capsys)
     assert code == 0
     assert doc["config"]["n"] == dim == len(doc["probes"][0]["point"])
+    # Ricci is parallel on each of them: all five identities are gated
+    assert "outside_hypothesis" not in doc
+    assert doc["worst_residual"] == max(doc["probes"][0]["residuals"])
 
 
 def test_oracle_refuses_a_config_n_its_chart_does_not_take(tmp_path, capsys):
@@ -666,7 +685,8 @@ def test_cli_import_does_not_load_numpy():
 
 
 _SYMBOLIC = {"harnacklab.symbolic", "harnacklab.symbolic.engine",
-             "harnacklab.symbolic.identities", "harnacklab.symbolic.ring"}
+             "harnacklab.symbolic.identities", "harnacklab.symbolic.ring",
+             "harnacklab.symbolic.terms"}
 # models needs the quadrature core and its polynomials; it loads the FD oracle
 # only to confirm a closed-form parallel Ricci, so only euclidean verify brings
 # it, and the table reader only for a custom profile

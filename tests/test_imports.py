@@ -16,10 +16,11 @@ decides its end from its top piece.  The benchmark's tracer wraps
 package functions by name: each of them must exist.  Every function, class
 and method is referenced by package code outside its own definition.
 
-Every module that a numeric or ``oracle`` command compiles stays at most
-4096 parser tokens, the FD modules that ``models.hypothesis_report``
-compiles late (``fdcheck`` and ``fdgeom``) at most 2048, and a command
-loads no module it does not run.
+Every module of the package stays at most 4096 parser tokens, the
+symbolic engine's modules at most 3000, the FD modules that
+``models.hypothesis_report`` compiles late (``fdcheck`` and ``fdgeom``) at
+most 2048; the ``oracle`` and ``symbolic`` commands compile their largest
+module first, and a command loads no module it does not run.
 """
 
 import ast
@@ -30,6 +31,8 @@ import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import harnacklab
 
@@ -285,10 +288,6 @@ def test_every_function_the_tracer_wraps_exists():
     assert missing == []
 
 
-#: the modules that a numeric command (verify, min-c, audit, export-profile,
-#: corollary) or ``oracle`` may compile
-NUMERIC_MODULES = ("cli", "models", "poly", "tables", "quadrature", "green", "harnack",
-                   "geodesics", "fdcheck", "fdgeom", "commutators")
 #: the parser's token array doubles past this many tokens (see the test below)
 TOKEN_STEP = 4096
 
@@ -301,18 +300,45 @@ def _parser_tokens(path):
                    for tok in tokenize.generate_tokens(fh.readline))
 
 
-def test_numeric_modules_stay_under_the_parser_token_step():
+def _token_counts(names):
+    return {name: _parser_tokens(PACKAGE.joinpath(*name.split(".")).with_suffix(".py"))
+            for name in names}
+
+
+def test_every_module_stays_under_the_parser_token_step():
     """Bytecode caching is off where commands are measured, so each command
-    compiles the package from source, and a numeric command reaches its
-    peak RSS during that compile, not while it computes.  CPython 3.11's
-    parser grows its token array by doubling, one token record per slot,
-    so a module past 4096 tokens costs a step of 0.3-0.6 MB of peak RSS:
+    compiles the package from source, and a command reaches its peak RSS
+    during that compile, not while it computes.  CPython 3.11's parser
+    grows its token array by doubling, one token record per slot, so a
+    module past 4096 tokens costs a step of 0.3-0.6 MB of peak RSS:
     padding ``fdcheck`` from 3,986 to 4,234 tokens moved ``verify
     euclidean --n 4`` from 16.32 to 16.70 MB, and trimming ``models`` from
     5,150 to 4,012 moved the other numeric commands from 16.21-16.23 to
     15.62-15.95 MB."""
-    counts = {name: _parser_tokens(PACKAGE / f"{name}.py") for name in NUMERIC_MODULES}
+    counts = _token_counts(name for name, _ in _modules())
     assert {name: n for name, n in counts.items() if n > TOKEN_STEP} == {}
+
+
+#: the symbolic engine's modules, which the ``symbolic`` command compiles
+SYMBOLIC_MODULES = ("symbolic.terms", "symbolic.engine", "symbolic.ring",
+                    "symbolic.identities", "symbolic.__init__")
+#: the most parser tokens a symbolic module holds (see the test below)
+SYMBOLIC_TOKENS = 3000
+
+
+def test_symbolic_modules_stay_well_under_the_token_step():
+    """Clearing the step is not enough for the symbolic command.  The
+    unsplit ``symbolic.engine`` held 4,133 tokens.  A split that only
+    cleared the step (its derivative half moved out, ``engine`` left at
+    3,804) gained nothing: ``symbolic verify-all`` peaked at 16.15 MB on
+    both sides and ``verify --name misc.1`` at 16.03 against 16.01.  Split
+    at the seam between the term algebra with its normal form (``terms``,
+    2,897 tokens) and the rewrite system (``engine``, 1,314), with
+    ``terms`` compiled first, ``verify-all`` fell from 16.12 to 15.76 MB
+    and ``misc.1`` from 16.00 to 15.75 (medians of 15 alternated pairs,
+    Python 3.11 on 2 shared vCPUs, bytecode caching off)."""
+    counts = _token_counts(SYMBOLIC_MODULES)
+    assert {name: n for name, n in counts.items() if n > SYMBOLIC_TOKENS} == {}
 
 
 #: the FD modules that ``models.hypothesis_report`` imports only after the
@@ -333,7 +359,7 @@ def test_late_fd_modules_stay_under_half_the_token_step():
     ``fdcheck`` and ``fdgeom`` (1,703 and 1,588 tokens), the late import
     costs nothing, and ``verify euclidean --n 4`` peaks at 15.63 MB
     against 16.00 before, as a cone command does (15.60)."""
-    counts = {name: _parser_tokens(PACKAGE / f"{name}.py") for name in LATE_FD_MODULES}
+    counts = _token_counts(LATE_FD_MODULES)
     assert {name: n for name, n in counts.items() if n > TOKEN_STEP // 2} == {}
 
 
@@ -361,3 +387,46 @@ def test_parallel_ricci_compiles_no_commutator_oracle():
     loaded = _loaded_after(argv, ["harnacklab.fdcheck", "harnacklab.fdgeom",
                                   "harnacklab.commutators"])
     assert loaded == {"harnacklab.fdcheck", "harnacklab.fdgeom"}
+
+
+def _import_order(argv):
+    """The package modules in the order a fresh interpreter starts to import
+    them for the command argv.  A module enters ``sys.modules`` and is
+    compiled before any module it imports, but ``sys.modules`` ends up in
+    the order the imports finished, so the order they entered it is read
+    from the interpreter's ``import`` audit event, raised as each one
+    starts."""
+    script = ("import contextlib, io, json, sys\n"
+              "order = []\n"
+              "sys.addaudithook(lambda event, args: order.append(args[0])\n"
+              "                 if event == 'import' else None)\n"
+              "from harnacklab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([m for m in order if m.startswith('harnacklab.')]))")
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+@pytest.mark.parametrize("argv,largest,later", [
+    (["oracle", "commutators", "--chart", "s2xr2", "--probes", "1"],
+     "commutators", ("fdcheck", "fdgeom")),
+    (["symbolic", "verify", "--name", "misc.1"],
+     "symbolic.terms", ("symbolic.ring", "symbolic.identities")),
+])
+def test_oracle_and_symbolic_compile_their_largest_module_first(argv, largest, later):
+    """Each compile's memory is freed before the next starts, so where a
+    command compiles its largest module decides its peak RSS.  With
+    ``symbolic.ring`` compiled before ``symbolic.terms`` (2,897 tokens),
+    ``symbolic verify-all`` peaked at 16.03 MB, and at 15.77 with ``terms``
+    first; with ``fdcheck`` compiled before ``commutators`` (3,166),
+    ``oracle --chart round_sphere --probes 3`` peaked at 15.47 MB, and at
+    15.35 with ``commutators`` first (medians of 15 alternated pairs,
+    bytecode caching off).  Not every command gains: ``--chart euclidean
+    --probes 4`` read 15.64 against 15.48 MB, still below the symbolic
+    commands' peak."""
+    order = _import_order(argv)
+    first = order.index(f"harnacklab.{largest}")
+    assert all(first < order.index(f"harnacklab.{m}") for m in later), order

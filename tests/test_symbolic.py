@@ -17,7 +17,8 @@ from harnacklab.symbolic import (
     commute_and_reduce, dg, gpow, gradG_pairing, hessian_shifted, kron, laplacian,
     normalize, ric, riem, scalar, identity_names, verify_all, verify_identity,
 )
-from harnacklab.symbolic.engine import Term, _derivative, _rename
+from harnacklab.symbolic.engine import Term, _derivative
+from harnacklab.symbolic.terms import _rename
 from harnacklab.symbolic.ring import Coeff, coerce
 
 from sympy_ref import to_sympy, n as n_sym

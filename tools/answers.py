@@ -21,7 +21,11 @@ sup and its boundary values are pinned on the largest grid.  The
 (default seed 0) on three smoothed cones (``GEODESICS``), whose pairs mix
 the monotone and turning branches, so that their Clairaut sweeps and root
 finds on a curved piece are pinned; a change to the root finder is diffed
-against it with ``--values --rtol``.  It prints
+against it with ``--values --rtol``.  The ``oracle-cone`` workload,
+seed-free too, answers ``oracle commutators --chart cone`` at 2 probes in
+dimensions 3 and 6 (``ORACLE_CONE_DIMS``): the cone's Ricci is not
+parallel, so identity 5 is reported outside the gate and the verdict is
+exploratory, which this pins.  It prints
 JSON holding, per argv, the exit code, a sha256 of stdout, the first line
 of stderr and a sha256 of each artifact.  The output directories are
 relative paths inside a temporary working directory, so the config a
@@ -77,7 +81,11 @@ EDGE_COMMANDS = (("", ("min-c",)), (":verify", ("verify", "--exploratory", "--C"
 GEODESICS = (("smoothed-cone:0.8:1", "4", "12"), ("smoothed-cone:0.9:2", "6", "12"),
              ("smoothed-cone:0.75:1.5", "9", "15"))
 GEODESIC_TRIPLES = "20"
-CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics")
+#: the ``oracle-cone`` workload: the dimensions of the cone chart answered
+#: by ``oracle commutators`` at ORACLE_CONE_PROBES probes
+ORACLE_CONE_DIMS = ("3", "6")
+ORACLE_CONE_PROBES = "2"
+CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone")
 
 
 def _sha(data: bytes) -> str:
@@ -101,7 +109,8 @@ def _write_tables(directory: Path) -> None:
 
 def _argvs(names, seeds):
     """(key, argv) of every cycle slot and probe of the workloads at the
-    seeds, of every table command and of every edge and geodesics argv."""
+    seeds, of every table command and of every edge, geodesics and
+    oracle-cone argv."""
     for name in names:
         if name == "tables":
             for table in TABLES:
@@ -121,6 +130,12 @@ def _argvs(names, seeds):
                 yield f"geodesics:{model}:n{n}", [
                     "corollary", "--model", model, "--n", n, "--C", C,
                     "--triples", GEODESIC_TRIPLES]
+            continue
+        if name == "oracle-cone":
+            for n in ORACLE_CONE_DIMS:
+                yield f"oracle-cone:n{n}", [
+                    "oracle", "commutators", "--chart", "cone", "--n", n,
+                    "--probes", ORACLE_CONE_PROBES]
             continue
         for seed in seeds:
             cycle, probes = workloads.build(name, seed)
