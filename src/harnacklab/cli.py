@@ -25,92 +25,80 @@ from . import (INEQ_TOL, MAX_GRID_SIZE, THEOREM_C, ModelError, __version__,
 EXIT_INVALID = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "exploratory": 3}
 
-DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 #: finite-difference steps h with h^2 and the oracle's gate 100 h^2 normal floats
 H_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 100.0))
 
-
-class RunConfig:
-    """A run's settings: these defaults, then a config file, then the flags."""
-
-    model: str = "euclidean"
-    n: int = 4
-    C: float = 10.0
-    r_min: float = 1e-2
-    r_max: float = 1e2
-    grid_size: int = 512
-    tol: float = INEQ_TOL
-    lambdas: tuple = DEFAULT_LAMBDAS
-    seed: int = 0
-    output_dir: str = ""
-    #: the settings above: what a config file may set and a report echoes
-    FIELDS = ("model", "n", "C", "r_min", "r_max", "grid_size", "tol", "lambdas", "seed",
-              "output_dir")
-
-    @classmethod
-    def load(cls, args) -> "RunConfig":
-        cfg = cls()
-        cfg.given = set()  # the fields a config file or a flag set
-        if getattr(args, "config", None):
-            data = json.loads(Path(args.config).read_text())
-            if not isinstance(data, dict):
-                raise ModelError(f"config file {args.config} must hold a JSON object, "
-                                 f"got {type(data).__name__}")
-            for key, val in data.items():
-                if key not in cls.FIELDS:
-                    raise ModelError(f"unknown config key {key!r}")
-                setattr(cfg, key, val)
-                cfg.given.add(key)
-        for key in cls.FIELDS:
-            val = getattr(args, key, None)
-            if val is not None:
-                setattr(cfg, key, val)
-                cfg.given.add(key)
-        # the type of every field, whether a config file or a flag set it
-        for key in ("model", "output_dir"):
-            val = getattr(cfg, key)
-            if not isinstance(val, str):
-                raise ModelError(f"{key} must be a string, got {val!r}")
-        for key in ("n", "grid_size", "seed"):
-            val = getattr(cfg, key)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ModelError(f"{key} must be an integer, got {val!r}")
-        for key in ("C", "tol", "r_min", "r_max"):
-            val = getattr(cfg, key)
-            if not _finite_number(val):
-                raise ModelError(f"{key} must be a finite number, got {val!r}")
-        if not isinstance(cfg.lambdas, (list, tuple)) or not all(
-                map(_finite_number, cfg.lambdas)):
-            raise ModelError(f"lambdas must be a list of finite numbers, got {cfg.lambdas!r}")
-        if cfg.seed < 0:
-            raise ModelError(f"seed must be non-negative, got {cfg.seed!r}")
-        if not 2 <= cfg.grid_size <= MAX_GRID_SIZE:
-            raise ModelError(f"grid_size must lie in [2, {MAX_GRID_SIZE}], "
-                             f"got {cfg.grid_size!r}")
-        if cfg.tol < 0:
-            raise ModelError(f"tol must be >= 0, got {cfg.tol!r}")
-        if not 0.0 < cfg.r_min < cfg.r_max:
-            raise ModelError(f"need 0 < r_min < r_max, got r_min={cfg.r_min!r}, "
-                             f"r_max={cfg.r_max!r}")
-        D = getattr(args, "D", None)
-        if D is not None and not math.isfinite(D):
-            raise ModelError(f"D must be finite, got {D!r}")
-        h = getattr(args, "h", None)
-        if h is not None and not H_RANGE[0] <= h <= H_RANGE[1]:
-            raise ModelError(f"the finite-difference step h must lie in "
-                             f"[{H_RANGE[0]:.3g}, {H_RANGE[1]:.3g}], got {h!r}")
-        cfg.lambdas = tuple(float(x) for x in cfg.lambdas)
-        return cfg
-
-    def echo(self) -> dict:
-        d = {key: getattr(self, key) for key in self.FIELDS}
-        d["lambdas"] = list(d["lambdas"])
-        return d
+#: the commands that build a profile, and those of them that gate a C
+_PROFILE = ("verify", "audit", "corollary", "min-c", "export-profile")
+_GATED = ("verify", "audit", "corollary")
+#: every run setting: (type, default, the commands that read it).  A command
+#: takes --config and a flag for each setting it reads, and its report echoes
+#: those as its config; a config file may set any of them, and every value is
+#: checked whichever command runs
+SETTINGS = {
+    "model": (str, "euclidean", _PROFILE),
+    "n": (int, 4, _PROFILE + ("oracle",)),
+    "C": (float, 10.0, _GATED),
+    "r_min": (float, 1e-2, _PROFILE),
+    "r_max": (float, 1e2, _PROFILE),
+    "grid_size": (int, 512, _PROFILE),
+    "tol": (float, INEQ_TOL, _GATED),
+    "lambdas": (list, (0.0, 0.25, 0.5, 0.75, 1.0), ("corollary",)),
+    "seed": (int, 0, ("corollary", "oracle")),
+    "output_dir": (str, "", _PROFILE + ("symbolic", "oracle", "models")),
+}
 
 
 def _finite_number(x) -> bool:
     """A finite int or float; a bool is never a number."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+#: each type of setting: whether a value is of it, and what the error says
+_TYPES = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_finite_number, "a finite number"),
+    list: (lambda v: isinstance(v, (list, tuple)) and all(map(_finite_number, v)),
+           "a list of finite numbers"),
+}
+
+
+def _settings(args):
+    """args with every setting filled in, the defaults, then a config file,
+    then the flags, and each one checked; `given` names those a file or a
+    flag set."""
+    given = {}
+    if args.config:
+        given = json.loads(Path(args.config).read_text())
+        if not isinstance(given, dict):
+            raise ModelError(f"config file {args.config} must hold a JSON object, "
+                             f"got {type(given).__name__}")
+        for key in given:
+            if key not in SETTINGS:
+                raise ModelError(f"unknown config key {key!r}")
+    given.update((key, val) for key, val in vars(args).items()
+                 if key in SETTINGS and val is not None)
+    args.given = set(given)
+    for key, (kind, default, _) in SETTINGS.items():
+        val = given.get(key, default)
+        is_kind, what = _TYPES[kind]
+        if not is_kind(val):
+            raise ModelError(f"{key} must be {what}, got {val!r}")
+        setattr(args, key, val)
+    if args.seed < 0:
+        raise ModelError(f"seed must be non-negative, got {args.seed!r}")
+    if not 2 <= args.grid_size <= MAX_GRID_SIZE:
+        raise ModelError(f"grid_size must lie in [2, {MAX_GRID_SIZE}], "
+                         f"got {args.grid_size!r}")
+    for key in ("C", "tol"):
+        if getattr(args, key) < 0:
+            raise ModelError(f"{key} must be >= 0, got {getattr(args, key)!r}")
+    if not 0.0 < args.r_min < args.r_max:
+        raise ModelError(f"need 0 < r_min < r_max, got r_min={args.r_min!r}, "
+                         f"r_max={args.r_max!r}")
+    args.lambdas = tuple(map(float, args.lambdas))
+    return args
 
 
 def _enc(x):
@@ -132,7 +120,7 @@ def _emit(payload: dict, command: str, output_dir: str) -> None:
     text = json.dumps(_enc(payload), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if output_dir:
-        _artifact(output_dir, f"{command.replace(' ', '_')}.json").write_text(text)
+        _artifact(output_dir, f"{command}.json").write_text(text)
 
 
 def _artifact(output_dir: str, name: str) -> Path:
@@ -142,16 +130,18 @@ def _artifact(output_dir: str, name: str) -> Path:
     return out / name
 
 
-def _report(command: str, cfg: RunConfig, verdict: str, body: dict) -> int:
-    """Emit the report of a command and return the exit code of its verdict."""
+def _report(args, verdict: str, body: dict) -> int:
+    """Emit the report of a command, which echoes the settings the command
+    reads, and return the exit code of its verdict."""
     payload = {
         "version": __version__,
-        "command": command,
-        "config": cfg.echo(),
+        "command": args.command,
+        "config": {key: getattr(args, key) for key, (_, _, readers) in SETTINGS.items()
+                   if args.command in readers},
         "verdict": verdict,
         **body,
     }
-    _emit(payload, command, cfg.output_dir)
+    _emit(payload, args.command, args.output_dir)
     return EXIT_CODES[verdict]
 
 
@@ -159,13 +149,13 @@ def _verdict(ok: bool, exploratory: bool = False) -> str:
     return "fail" if not ok else ("exploratory" if exploratory else "pass")
 
 
-def _model_profile(cfg: RunConfig):
+def _model_profile(args):
     """The Green profile of the configured model on the configured grid."""
     from .green import compute_profile, default_grid
     from .models import model_from_id
 
-    return compute_profile(model_from_id(cfg.model, cfg.n),
-                           default_grid(cfg.r_min, cfg.r_max, cfg.grid_size))
+    return compute_profile(model_from_id(args.model, args.n),
+                           default_grid(args.r_min, args.r_max, args.grid_size))
 
 
 # -- commands -----------------------------------------------------------------
@@ -174,20 +164,19 @@ def _model_profile(cfg: RunConfig):
 def cmd_verify(args) -> int:
     from .harnack import verify_theorem
 
-    cfg = RunConfig.load(args)
-    exploratory = bool(args.exploratory)
-    require_theorem_C(cfg.C, exploratory)  # before the profile, which may refuse n
-    profile = _model_profile(cfg)
-    report = verify_theorem(profile, cfg.C, tol=cfg.tol, exploratory=exploratory, D=args.D)
-    return _report("verify", cfg, _verdict(report.passed, report.exploratory),
+    if args.D is not None and not math.isfinite(args.D):
+        raise ModelError(f"D must be finite, got {args.D!r}")
+    require_theorem_C(args.C, args.exploratory)  # before the profile, which may refuse n
+    report = verify_theorem(_model_profile(args), args.C, tol=args.tol,
+                            exploratory=args.exploratory, D=args.D)
+    return _report(args, _verdict(report.passed, report.exploratory),
                    {"report": report.payload()})
 
 
 def cmd_min_c(args) -> int:
     from .harnack import minimal_C
 
-    cfg = RunConfig.load(args)
-    return _report("min-c", cfg, _verdict(True), {"minimal_C": minimal_C(_model_profile(cfg))})
+    return _report(args, _verdict(True), {"minimal_C": minimal_C(_model_profile(args))})
 
 
 def _sample_triples(point, rng, count: int):
@@ -207,14 +196,13 @@ def cmd_corollary(args) -> int:
     from .green import write_csv
     from .models import hypothesis_report
 
-    cfg = RunConfig.load(args)
     # before the profile, which may refuse n
-    if not cfg.lambdas:
+    if not args.lambdas:
         raise ModelError("corollary needs at least one lambda")
-    if not all(0.0 <= lam <= 1.0 for lam in cfg.lambdas):
+    if not all(0.0 <= lam <= 1.0 for lam in args.lambdas):
         raise ModelError("lambda must lie in [0, 1]")
-    rng = random.Random(cfg.seed)
-    profile = _model_profile(cfg)
+    rng = random.Random(args.seed)
+    profile = _model_profile(args)
     rows = []
     worst = math.inf
     misses = 0
@@ -223,7 +211,7 @@ def cmd_corollary(args) -> int:
     for y, z in _sample_triples(geodesics.SlicePoint, rng, args.triples):
         # one shot per report: the first pair that can be shot checks the
         # points found by arclength inversion
-        triples = geodesics.corollary_check(profile, y, z, cfg.C, cfg.lambdas,
+        triples = geodesics.corollary_check(profile, y, z, args.C, args.lambdas,
                                             shoot=shot_gap is None)
         # every triple of a pair shares one minimizer, its branch and quad misses
         misses += triples[0].quad_misses
@@ -234,37 +222,35 @@ def cmd_corollary(args) -> int:
             worst = min(worst, t.slack)
             rows.append((t.y.r, t.y.phi, t.z.r, t.z.phi, t.lam, t.d_yz, t.b2_w, t.rhs,
                          t.slack, int(t.through_tip_region)))
-    if cfg.output_dir:
-        with _artifact(cfg.output_dir, "corollary.csv").open("w") as out:
+    if args.output_dir:
+        with _artifact(args.output_dir, "corollary.csv").open("w") as out:
             write_csv(out, "y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip",
                       rows)
 
     flags = hypothesis_report(profile.model, profile.grid[0], profile.grid[-1]).flags()
-    return _report("corollary", cfg,
-                   _verdict(worst >= -cfg.tol, is_exploratory(cfg.C, flags)), {
-                       "triples": args.triples,
-                       "worst_slack": float(worst),
-                       "quad_misses": misses,
-                       "branches": branches,
-                       "shot_gap": shot_gap,
-                       "hypothesis_flags": flags,
-                   })
+    return _report(args, _verdict(worst >= -args.tol, is_exploratory(args.C, flags)), {
+        "triples": args.triples,
+        "worst_slack": float(worst),
+        "quad_misses": misses,
+        "branches": branches,
+        "shot_gap": shot_gap,
+        "hypothesis_flags": flags,
+    })
 
 
 def cmd_audit(args) -> int:
     from .harnack import audit_proof_terms
 
-    cfg = RunConfig.load(args)
-    audit = audit_proof_terms(_model_profile(cfg), args.r, cfg.C)
+    audit = audit_proof_terms(_model_profile(args), args.r, args.C)
     # a group's rounding grows with its terms: gate it relative to their size
-    ok = all(getattr(audit, name) <= cfg.tol * max(1.0, scale)
+    ok = all(getattr(audit, name) <= args.tol * max(1.0, scale)
              for name, scale in audit.group_scales.items())
-    return _report("audit", cfg, _verdict(ok, bool(audit.hypothesis_flags)),
-                   {"audit": audit._asdict()})
+    # the proof's sign claims hold for C in the theorem's range only
+    exploratory = bool(audit.hypothesis_flags) or args.C < THEOREM_C
+    return _report(args, _verdict(ok, exploratory), {"audit": audit._asdict()})
 
 
 def cmd_symbolic(args) -> int:
-    cfg = RunConfig.load(args)
     if args.action != "verify-all" and not args.name:
         raise ModelError("symbolic supports: verify-all, or verify --name <id>")
     # the exact tensor engine, imported here so numeric commands never load it
@@ -277,7 +263,7 @@ def cmd_symbolic(args) -> int:
          "residual": None if r.residual is None else repr(r.residual)}
         for r in results
     ]
-    return _report("symbolic", cfg, _verdict(all(r.ok for r in results)), {
+    return _report(args, _verdict(all(r.ok for r in results)), {
         "identities": table,
         "zero_count": sum(r.zero for r in results),
     })
@@ -288,15 +274,17 @@ def cmd_oracle(args) -> int:
     # compiles, compiles while the fewest objects are live
     from . import commutators, fdcheck
 
-    cfg = RunConfig.load(args)
     h = fdcheck.DEFAULT_H if args.h is None else args.h
-    chart = commutators.chart_by_name(args.chart, n=cfg.n)
-    if chart.dim != cfg.n:  # round_sphere and s2xr2 have their own dimension
-        if "n" in cfg.given:
-            raise ModelError(f"chart {args.chart} has dimension {chart.dim}, got n={cfg.n}")
-        cfg.n = chart.dim
+    if not H_RANGE[0] <= h <= H_RANGE[1]:
+        raise ModelError(f"the finite-difference step h must lie in "
+                         f"[{H_RANGE[0]:.3g}, {H_RANGE[1]:.3g}], got {h!r}")
+    chart = commutators.chart_by_name(args.chart, n=args.n)
+    if chart.dim != args.n:  # round_sphere and s2xr2 have their own dimension
+        if "n" in args.given:
+            raise ModelError(f"chart {args.chart} has dimension {chart.dim}, got n={args.n}")
+        args.n = chart.dim
     f = commutators.default_test_function(chart)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     base = commutators.default_probe_point(chart)
     gate = 100.0 * h**2
     rows = []
@@ -313,12 +301,11 @@ def cmd_oracle(args) -> int:
         body["outside_hypothesis"] = {
             "identity": 5, "hypothesis": "parallel_ricci",
             "worst_residual": fdcheck.max_residual(row["residuals"][4] for row in rows)}
-    return _report("oracle", cfg, _verdict(worst <= gate, gated < 5), body)
+    return _report(args, _verdict(worst <= gate, gated < 5), body)
 
 
 def cmd_models(args) -> int:
-    cfg = RunConfig.load(args)
-    return _report("models", cfg, _verdict(True), {
+    return _report(args, _verdict(True), {
         "presets": [
             {"id": "euclidean", "description": "flat space, f(r) = r"},
             {"id": "cone:<c>", "description": "metric cone, f(r) = c r, 0 < c <= 1"},
@@ -330,16 +317,14 @@ def cmd_models(args) -> int:
 
 
 def cmd_export_profile(args) -> int:
-    cfg = RunConfig.load(args)
-    profile = _model_profile(cfg)
+    profile = _model_profile(args)
     verdict = _verdict(True)
-    if not cfg.output_dir:
+    if not args.output_dir:
         profile.to_csv(sys.stdout)
         return EXIT_CODES[verdict]
-    with _artifact(cfg.output_dir, "profile.csv").open("w") as out:
+    with _artifact(args.output_dir, "profile.csv").open("w") as out:
         profile.to_csv(out)
-    return _report("export-profile", cfg, verdict,
-                   {"rows": cfg.grid_size, "artifact": "profile.csv"})
+    return _report(args, verdict, {"rows": args.grid_size, "artifact": "profile.csv"})
 
 
 # -- argument plumbing --------------------------------------------------------
@@ -352,17 +337,13 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
+    """--config and a flag for each setting the command reads but lambdas,
+    which corollary takes as a list."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model", help="model id (euclidean | cone:<c> | ...)")
-    p.add_argument("--n", type=int, help="dimension, >= 3")
-    p.add_argument("--C", type=float, help="Harnack constant")
-    p.add_argument("--r-min", dest="r_min", type=float)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
+    for key, (kind, _, readers) in SETTINGS.items():
+        if command in readers and kind is not list:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
@@ -403,7 +384,7 @@ def _no_args(p: argparse.ArgumentParser) -> None:
     pass
 
 
-#: (name, help, the arguments past the common ones, command) of each subcommand
+#: (name, help, the arguments past its settings' flags, command) of each subcommand
 _SUBCOMMANDS = (
     ("verify", "check Hess b^2 <= C g over the grid", _verify_args, cmd_verify),
     ("min-c", "measure the least C with Hess b^2 <= C g", _no_args, cmd_min_c),
@@ -430,7 +411,7 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     for name, text, add_args, func in _SUBCOMMANDS:
         p = sub.add_parser(name, help=text)
         if name == command:
-            _add_common(p)
+            _add_settings(p, name)
             add_args(p)
             p.set_defaults(func=func)
     return parser
@@ -448,7 +429,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_settings(args))
     except (ModelError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -29,14 +29,14 @@ from __future__ import annotations
 from .terms import (
     Term, TensorExpr,
     _canon_local_fixpoint, _canonical_term, _fresh_name,
-    dg, dric, driem, gpow, kron, normalize, ric, riem, scalar,
+    dg, gpow, kron, normalize, ric, riem,
 )
 from .ring import ALPHA, BETA, C, N, TensorError
 
 __all__ = [
     "N", "C", "BETA", "ALPHA",
     "Term", "TensorExpr", "TensorError",
-    "dg", "riem", "ric", "driem", "dric", "kron", "gpow", "scalar",
+    "dg", "riem", "ric", "kron", "gpow",
     "normalize", "commute_and_reduce", "laplacian", "gradG_pairing",
 ]
 

@@ -24,7 +24,7 @@ from .engine import (
 )
 
 __all__ = [
-    "IDENTITIES", "IdentityResult", "identity_names", "verify_identity",
+    "IDENTITIES", "IdentityResult", "verify_identity",
     "verify_all", "B", "htilde", "hessian_shifted",
 ]
 
@@ -269,10 +269,6 @@ class IdentityResult(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.zero == self.expect_zero
-
-
-def identity_names():
-    return list(IDENTITIES)
 
 
 def verify_identity(name: str) -> IdentityResult:

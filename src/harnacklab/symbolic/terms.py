@@ -36,7 +36,7 @@ from .ring import N, ZERO, Coeff, Module, TensorError, coerce
 
 __all__ = [
     "Term", "TensorExpr",
-    "dg", "riem", "ric", "driem", "dric", "kron", "gpow", "scalar",
+    "dg", "riem", "ric", "kron", "gpow",
     "normalize",
 ]
 
@@ -160,24 +160,12 @@ def ric(i, j) -> TensorExpr:
     return TensorExpr.single(1, 0, [("ric", (i, j))])
 
 
-def driem(m, i, j, k, l) -> TensorExpr:
-    return TensorExpr.single(1, 0, [("driem", (m, i, j, k, l))])
-
-
-def dric(m, i, j) -> TensorExpr:
-    return TensorExpr.single(1, 0, [("dric", (m, i, j))])
-
-
 def kron(i, j) -> TensorExpr:
     return TensorExpr.single(1, 0, [("kron", (i, j))])
 
 
 def gpow(exponent) -> TensorExpr:
     return TensorExpr.single(1, exponent, [])
-
-
-def scalar(coeff) -> TensorExpr:
-    return TensorExpr.single(coeff, 0, [])
 
 
 # -- dummy bookkeeping --------------------------------------------------------

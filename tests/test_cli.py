@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,8 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": "cone:0.5", "n": 4, "C": 0.3}))
     code, doc = run_json(["min-c", "--config", str(cfg)], capsys)
     assert doc["config"]["model"] == "cone:0.5"
+    # the file may set a C, which min-c does not read or echo
+    assert "C" not in doc["config"]
     assert doc["minimal_C"] == pytest.approx(0.25, abs=1e-6)
     # a flag wins over the file
     code, doc = run_json(["min-c", "--config", str(cfg),
@@ -174,7 +177,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config,message", [
-    # attributes of RunConfig that are not settings
+    # a dunder and method names of a settings object are not settings
     ({"echo": 1}, "unknown config key 'echo'"),
     ({"__class__": 1}, "unknown config key '__class__'"),
     ({"load": 1}, "unknown config key 'load'"),
@@ -342,6 +345,11 @@ def test_oracle_on_a_line_is_invalid_input(capsys):
      "chart round_sphere has dimension 2, got n=7"),
     (["oracle", "commutators", "--chart", "round_sphere", "--n", "4", "--probes", "1"],
      "chart round_sphere has dimension 2, got n=4"),
+    # a negative C is refused before the profile, which would refuse n = 200,
+    # exploratory or not
+    (["verify", "--exploratory", "--n", "200", "--C", "-1"], "C must be >= 0, got -1.0"),
+    (["audit", "--n", "200", "--C", "-1"], "C must be >= 0, got -1.0"),
+    (["corollary", "--n", "200", "--C", "-1", "--triples", "2"], "C must be >= 0, got -1.0"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, needle):
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
@@ -360,7 +368,7 @@ def test_out_of_range_input_exits_2_with_one_line(argv, needle):
 ])
 def test_negative_seed_exits_2_with_one_line(argv):
     # random.Random would take a negative seed as its absolute value:
-    # RunConfig.load refuses it first
+    # the settings check refuses it first
     r = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv],
                        capture_output=True, text=True, timeout=60)
     assert (r.returncode, r.stdout) == (2, "")
@@ -469,13 +477,24 @@ def test_exit_code_is_the_code_of_the_printed_verdict(argv, tmp_path, capsys):
 
 # -- argument parsing -----------------------------------------------------------
 
-COMMON_OPTIONS = ("--config", "--model", "--n", "--C", "--r-min", "--r-max", "--grid-size",
-                  "--tol", "--seed", "--output-dir")
-#: each subcommand's own arguments, past the common ones
+_PROFILE_FLAGS = ("--model", "--n", "--r-min", "--r-max", "--grid-size", "--output-dir")
+#: the flags of the settings each subcommand reads, which its report echoes
+SETTING_FLAGS = {
+    "verify": _PROFILE_FLAGS + ("--C", "--tol"),
+    "min-c": _PROFILE_FLAGS,
+    "corollary": _PROFILE_FLAGS + ("--C", "--tol", "--lambdas", "--seed"),
+    "audit": _PROFILE_FLAGS + ("--C", "--tol"),
+    "symbolic": ("--output-dir",),
+    "oracle": ("--n", "--seed", "--output-dir"),
+    "models": ("--output-dir",),
+    "export-profile": _PROFILE_FLAGS,
+}
+ALL_SETTING_FLAGS = set().union(*SETTING_FLAGS.values())
+#: each subcommand's own arguments, past --config and its settings' flags
 OWN_ARGUMENTS = {
     "verify": ("--exploratory", "--D"),
     "min-c": (),
-    "corollary": ("--triples", "--lambdas"),
+    "corollary": ("--triples",),
     "audit": ("--r",),
     "symbolic": ("{verify-all,verify}", "--name"),
     "oracle": ("{commutators}", "--chart", "--h", "--probes"),
@@ -484,15 +503,55 @@ OWN_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(OWN_ARGUMENTS))
-def test_each_subcommand_help_lists_its_arguments(command, capsys):
-    # the parser builds the invoked subcommand's arguments only: its help
-    # must still list every one of them
+def _listed_flags(command, capsys):
+    """Every --flag that the help of the subcommand lists."""
     code, out = run([command, "--help"], capsys)
     assert code == 0
     assert out.startswith(f"usage: harnacklab {command} [-h]")
-    for arg in COMMON_OPTIONS + OWN_ARGUMENTS[command]:
-        assert f"  {arg}" in out or f" [{arg}" in out, (command, arg)
+    return out, set(re.findall(r"(?<![\w-])--[\w-]+", out))
+
+
+@pytest.mark.parametrize("command", sorted(OWN_ARGUMENTS))
+def test_each_subcommand_help_lists_its_arguments(command, capsys):
+    # the parser builds the invoked subcommand's arguments only: its help
+    # must list every one of them, and no flag of a setting it does not read
+    out, listed = _listed_flags(command, capsys)
+    own = OWN_ARGUMENTS[command]
+    assert listed == {"--help", "--config", *SETTING_FLAGS[command],
+                      *(arg for arg in own if arg.startswith("--"))}
+    assert all(f" {arg}" in out for arg in own if not arg.startswith("--"))
+
+
+def test_the_commands_take_51_setting_flags(capsys):
+    # --config and one flag per setting each command reads, and no flag that
+    # a command would parse and then ignore
+    pairs = sum(len(_listed_flags(command, capsys)[1] & (ALL_SETTING_FLAGS | {"--config"}))
+                for command in OWN_ARGUMENTS)
+    assert pairs == 51
+
+
+#: one cheap argv of each command, which prints a report
+_REPORTING = {
+    "verify": ["verify", "--grid-size", "8"],
+    "min-c": ["min-c", "--grid-size", "8"],
+    "corollary": ["corollary", "--triples", "1"],
+    "audit": ["audit", "--C", "12"],
+    "symbolic": ["symbolic", "verify", "--name", "power_rule"],
+    "oracle": ["oracle", "commutators", "--chart", "euclidean", "--n", "3", "--probes", "1"],
+    "models": ["models", "list"],
+    "export-profile": ["export-profile", "--grid-size", "8", "--output-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORTING))
+def test_each_report_echoes_the_settings_its_command_reads(command, tmp_path, capsys):
+    argv = [str(tmp_path) if a == "{out}" else a for a in _REPORTING[command]]
+    code, doc = run_json(argv, capsys)
+    assert code == cli.EXIT_CODES[doc["verdict"]]
+    assert set(doc["config"]) == {flag[2:].replace("-", "_") for flag in SETTING_FLAGS[command]}
+    # a flag of a setting the command does not read is refused, not ignored
+    for flag in sorted(ALL_SETTING_FLAGS - set(SETTING_FLAGS[command])):
+        assert run(argv + [flag, "1"], capsys) == (2, ""), flag
 
 
 def test_top_level_help_and_usage_errors_name_every_subcommand(capsys):
@@ -518,6 +577,15 @@ def test_audit_euclidean(capsys):
     code, doc = run_json(["audit", "--model", "euclidean", "--n", "4",
                           "--C", "12", "--r", "1.0"], capsys)
     assert doc["audit"]["final_bound"] == pytest.approx(-96.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("C", ["0", "1"])
+def test_audit_below_the_theorem_s_C_is_exploratory(C, capsys):
+    # euclidean space meets every hypothesis, and Htilde stays >= 0 at these
+    # C: C alone makes the run exploratory, never a pass
+    code, doc = run_json(["audit", "--model", "euclidean", "--n", "4", "--C", C, "--r", "1"],
+                         capsys)
+    assert (code, doc["verdict"]) == (3, "exploratory")
 
 
 def test_audit_report_keeps_every_field_of_the_audit(capsys):

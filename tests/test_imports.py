@@ -7,7 +7,7 @@ in ``models.hypothesis_report``, which loads the FD oracle only where
 the closed form finds Ricci parallel, in ``models.WarpingProfile`` and
 ``models.model_from_id``, which load the table reader only for a custom
 profile, and in ``fdcheck.__getattr__``, which
-loads the commutator oracle on the first use of one of its names; no
+loads the commutator oracle on the first use of its ``check_lemma31``; no
 module imports sympy, scipy or numpy, which only the tests use, as
 references, nor dataclasses, whose
 import every command would pay for; and no module but ``models`` reads how a warping profile
@@ -41,7 +41,7 @@ PACKAGE = Path(harnacklab.__file__).resolve().parent
 #: (module, enclosing definition) of every function-local import: each
 #: command loads its own engine, so importing the CLI loads none of them,
 #: the FD oracle is loaded only to confirm a closed-form parallel Ricci,
-#: its commutator half only where one of its names is used, and the table
+#: its commutator half only where its check_lemma31 is used, and the table
 #: reader only where a custom profile is read or splined
 LAZY_IMPORTS = {("cli", "cmd_symbolic"), ("cli", "cmd_verify"), ("cli", "cmd_min_c"),
                 ("cli", "cmd_corollary"), ("cli", "cmd_audit"), ("cli", "cmd_oracle"),
@@ -204,18 +204,15 @@ def test_fd_oracle_imports_no_numpy():
 
 
 def _references(node):
-    """(names, attributes): how often each name is read as a Name or bound
-    by an import, and each attribute read, anywhere under node."""
+    """(names, attributes): how often each name is read as a Name, and each
+    attribute read, anywhere under node.  An import binds a name without
+    using it, so a re-export is no use."""
     names, attrs = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             attrs[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
-            names[sub.name.rsplit(".", 1)[-1]] += 1
-            if sub.asname:
-                names[sub.asname] += 1
     return names, attrs
 
 
@@ -233,8 +230,8 @@ def _definitions(tree):
 
 def test_every_definition_is_called_by_package_code():
     """No code that only the tests reach: every function and class is
-    referenced by package code outside its own definition, as a Name, an
-    Attribute or an import alias, and every method as an Attribute, so that
+    referenced by package code outside its own definition, as a Name or an
+    Attribute, and every method as an Attribute, so that
     a local variable of the same name cannot stand in for it.  Dunders are
     exempt.  The check goes by name, so a method that shares its name with
     another attribute (``CoordinateChart.g`` with ``Jet.g``) slips past it."""

@@ -15,7 +15,7 @@ from harnacklab.symbolic import (
     ALPHA, BETA, N,
     TensorError, TensorExpr,
     commute_and_reduce, dg, gpow, gradG_pairing, hessian_shifted, kron, laplacian,
-    normalize, ric, riem, scalar, identity_names, verify_all, verify_identity,
+    IDENTITIES, normalize, ric, riem, verify_all, verify_identity,
 )
 from harnacklab.symbolic.engine import Term, _derivative
 from harnacklab.symbolic.terms import _rename
@@ -251,7 +251,7 @@ def test_alpha_power_coefficient():
 # -- identity catalogue -------------------------------------------------------
 
 
-ZERO_NAMES = [n for n in identity_names() if n != "lap_of_harnack.literal"]
+ZERO_NAMES = [n for n in IDENTITIES if n != "lap_of_harnack.literal"]
 
 
 @pytest.mark.parametrize("name", ZERO_NAMES)
@@ -273,7 +273,7 @@ def test_unknown_identity_name():
 
 def test_catalogue_runtime_budget():
     t0 = time.time()
-    for name in identity_names():
+    for name in IDENTITIES:
         verify_identity(name)
     assert time.time() - t0 < 30.0
 
@@ -368,12 +368,12 @@ def test_reduction_respects_subexpression_splitting():
 def test_foreign_symbols_are_refused():
     # a symbol that prints like n is still not the ring's n, and floats and
     # bools are not exact: every entry point refuses them
-    assert scalar(N).terms[0].coeff == N
+    assert TensorExpr.single(N, 0, []).terms[0].coeff == N
     assert normalize(gpow(N) * dg("i")).terms[0].gexp == N
     for foreign in (sp.Symbol("n"), sp.Symbol("n", positive=True), sp.Integer(2),
                     0.5, True):
         with pytest.raises(TensorError):
-            scalar(foreign)
+            TensorExpr.single(foreign, 0, [])
         with pytest.raises(TensorError):
             gpow(foreign)
         with pytest.raises(TensorError):
@@ -417,7 +417,7 @@ def test_warm_caches_give_the_cold_results():
     first = [fields(r) for r in verify_all()]
     second = [fields(r) for r in verify_all()]
     assert first == second
-    names = identity_names()
+    names = list(IDENTITIES)
     *cold, cold_lap = _cold(names + ["-"])
     assert dict(zip(names, cold)) == dict(zip(names, second))
     # a non-zero reduced form, whose coefficients and term order show
