@@ -398,9 +398,9 @@ _SUBCOMMANDS = (
 
 
 def build_parser(command: str) -> argparse.ArgumentParser:
-    """The parser with every subcommand registered under its help, and the
-    arguments of `command` alone: the top-level help, a usage error and the
-    command's own help read as if every subcommand had its arguments."""
+    """Every subcommand registered under its help, and the arguments of
+    `command` alone, spelled in full: the top-level help, a usage error and
+    the command's own help read as if every subcommand had its arguments."""
     parser = argparse.ArgumentParser(
         prog="harnacklab",
         description="Verification lab for the matrix bound Hess b^2 <= C g "
@@ -409,11 +409,11 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text, add_args, func in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         if name == command:
             _add_settings(p, name)
             add_args(p)
-            p.set_defaults(func=func)
+            p.set_defaults(func=func, error=p.error)
     return parser
 
 
@@ -424,7 +424,9 @@ def main(argv=None) -> int:
     command = next((word for word in argv if not word.startswith("-")), "")
     try:
         # the parser is dropped once it has parsed, before the command's engine loads
-        args = build_parser(command).parse_args(argv)
+        args, extra = build_parser(command).parse_known_args(argv)
+        if extra:  # refused in the usage of the command that does not read it
+            args.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help; pass both through
         return int(exc.code or 0)

@@ -96,7 +96,7 @@ class WarpingProfile:
     `knots` are the radii where f changes polynomial.
     """
 
-    __slots__ = ("kind", "c", "r0", "table", "pieces", "knots", "_rows", "_fp_roots")
+    __slots__ = ("kind", "c", "r0", "table", "pieces", "knots", "_rows")
 
     def __init__(self, kind: str, c: Optional[float] = None, r0: Optional[float] = None,
                  table: Optional[tuple] = None):  # (r, f) samples for kind == "custom"
@@ -146,8 +146,6 @@ class WarpingProfile:
         rows = [[pc.row(k) for pc in pieces] for k in range(3)]
         los, x0s = [pc.lo for pc in pieces], [pc.x0 for pc in pieces]
         self._rows = (los, x0s, rows, top)
-        # _fp_roots: fp_min's roots of f'' on each finite piece, by index
-        self._fp_roots = {}
 
     # -- evaluation ------------------------------------------------------
 
@@ -184,7 +182,7 @@ class WarpingProfile:
         also holds its top)."""
         return self.pieces[bisect.bisect_right(self._rows[0], r) - 1]
 
-    def ratio_range(self, lo, hi, numer, power=0, memo=None):
+    def ratio_range(self, lo, hi, numer, power=0):
         """(min, max) over [lo, hi] of N / f^power, where on each piece N =
         numer(F) for F the piece as a `Poly` in r - x0.
 
@@ -195,14 +193,11 @@ class WarpingProfile:
         them on the whole of a finite piece, so that a root, and the
         extremum there, reads the same on every window that holds it; on
         the top piece, which reaches to infinity, on the window's part.
-        A finite piece's roots do not depend on the window: `memo`, a dict
-        that a caller keeps for one numer and power, holds them by piece
-        index from one call to the next.
         """
         if not 0.0 < lo <= hi <= self.pieces[-1].hi:
             raise ModelError(f"minimum over [{lo!r}, {hi!r}] leaves the profile's range")
         least, most = math.inf, -math.inf
-        for i, pc in enumerate(self.pieces):
+        for pc in self.pieces:
             if pc.hi <= lo or pc.lo > hi:
                 continue
             F = Poly(pc.coef)
@@ -211,12 +206,7 @@ class WarpingProfile:
             # with F > 0, N' alone where power = 0
             D = N.deriv() * F - power * F.deriv() * N if power else N.deriv()
             if pc.hi < math.inf:
-                whole = None if memo is None else memo.get(i)
-                if whole is None:
-                    whole = tuple(D.real_roots(pc.lo - pc.x0, pc.hi - pc.x0))
-                    if memo is not None:
-                        memo[i] = whole
-                roots = [t for t in whole if u <= t <= v]
+                roots = [t for t in D.real_roots(pc.lo - pc.x0, pc.hi - pc.x0) if u <= t <= v]
             else:
                 roots = D.real_roots(u, v)
             for t in (u, v, *roots):
@@ -229,10 +219,8 @@ class WarpingProfile:
         return self.ratio_range(lo, hi, numer, power)[0]
 
     def fp_min(self, lo, hi):
-        """Minimum of f' over [lo, hi].  The corollary asks it once per
-        pair, so each finite piece's roots of f'' are isolated once per
-        profile."""
-        return self.ratio_range(lo, hi, Poly.deriv, memo=self._fp_roots)[0]
+        """Minimum of f' over [lo, hi]."""
+        return self.ratio_range(lo, hi, Poly.deriv)[0]
 
     @property
     def tail_start(self) -> float:

@@ -97,7 +97,11 @@ class Poly:
         to rounding, and the midpoint of each run of such parts stands for
         the multiple root or cluster of roots there; a part without sign
         change is dropped only where its coefficients, and so the
-        polynomial, keep clear of that bound.
+        polynomial, keep clear of that bound.  A part whose one end is zero
+        to rounding while its other coefficients clear the bound with one
+        sign is not halved: those are, up to positive factors, the
+        cofactor's, so that end, a run of width zero, is the part's only
+        root, and a root on a split point, in two such runs, merges to one.
         """
         c = self.coef
         while len(c) > 1 and c[-1] == 0.0:
@@ -122,6 +126,12 @@ class Poly:
             fa, fb = self(a), self(b)
             if changes == 1 and fa * fb < 0.0 and min(abs(fa), abs(fb)) > noise:
                 roots.append(quadrature.brent_root(self, a, b, xtol=xtol, rtol=_EPS))
+                continue
+            if size[0] <= noise < min(size[1:]) and not _sign_changes(bern[1:]):
+                zero.append((a, a))
+                continue
+            if size[-1] <= noise < min(size[:-1]) and not _sign_changes(bern[:-1]):
+                zero.append((b, b))
                 continue
             left, right = _halves(bern)
             parts += [(mid, b, right), (a, mid, left)]

@@ -97,7 +97,7 @@ def _misc_1():
         ric("j", "k") * dg("i", "k") + ric("i", "k") * dg("j", "k")
         - 2 * riem("i", "k", "j", "l") * dg("k", "l")
     )
-    return laplacian(dg("i", "j")) - commute_and_reduce(rhs)
+    return laplacian(dg("i", "j")) - rhs
 
 
 def _misc_2():
@@ -105,12 +105,12 @@ def _misc_2():
         ric("i", "k") * dg("j") * dg("k") + ric("j", "k") * dg("i") * dg("k")
         + 2 * dg("i", "k") * dg("j", "k")
     )
-    return laplacian(dg("i") * dg("j")) - commute_and_reduce(rhs)
+    return laplacian(dg("i") * dg("j")) - rhs
 
 
 def _misc_3():
     rhs = dg("i") * dg("k") * dg("j", "k") + dg("j") * dg("k") * dg("i", "k")
-    return gradG_pairing(dg("i") * dg("j")) - commute_and_reduce(rhs)
+    return gradG_pairing(dg("i") * dg("j")) - rhs
 
 
 def _misc_4():
@@ -122,17 +122,17 @@ def _misc_4():
         - 2 * dg("k") * dg("i") * dg("j", "k") * gpow(-2)
         - 2 * dg("k") * dg("j") * dg("i", "k") * gpow(-2)
     )
-    return laplacian(B("i", "j")) - commute_and_reduce(rhs)
+    return laplacian(B("i", "j")) - rhs
 
 
 def _misc_5():
     rhs = (2 * N / (2 - N) ** 2) * gpow(ALPHA - 2) * _grad_sq()
-    return laplacian(gpow(ALPHA)) - commute_and_reduce(rhs)
+    return laplacian(gpow(ALPHA)) - rhs
 
 
 def _power_rule():
     rhs = BETA * (BETA - 1) * gpow(BETA - 2) * _grad_sq()
-    return laplacian(gpow(BETA)) - commute_and_reduce(rhs)
+    return laplacian(gpow(BETA)) - rhs
 
 
 def _b_squared():
@@ -168,7 +168,7 @@ def _lap_of_harnack():
         )
         + (2 * N / (N - 2)) * gpow(-1) * _sym_product(htilde, M, "i", "j")
     )
-    return lhs - commute_and_reduce(rhs)
+    return lhs - rhs
 
 
 def _lap_step1():
@@ -181,7 +181,7 @@ def _lap_step1():
         - 2 * riem("i", "k", "j", "l") * dg("k", "l")
         + (2 * N / (2 - N)) * gpow(-1) * square
     )
-    return lhs - commute_and_reduce(rhs)
+    return lhs - rhs
 
 
 def _lap_step2():
@@ -200,7 +200,7 @@ def _lap_step2():
         )
         + (2 * N / (2 - N)) * gpow(-1) * square
     )
-    return lhs - commute_and_reduce(rhs)
+    return lhs - rhs
 
 
 def _lap_step3():
@@ -212,7 +212,7 @@ def _lap_step3():
         + _gradient_slot_term()
         - (2 * N / (N - 2)) * gpow(-1) * square
     )
-    return lhs - commute_and_reduce(rhs)
+    return lhs - rhs
 
 
 def _lap_literal():
@@ -225,7 +225,7 @@ def _lap_literal():
         + literal
         - (2 * N / (N - 2)) * gpow(-1) * (htilde("i", "k") * htilde("k", "j"))
     )
-    diff = lhs - commute_and_reduce(rhs)
+    diff = lhs - rhs
     diff.free_indices()  # raises: i, j are saturated inside the literal term
     return diff
 

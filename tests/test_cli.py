@@ -549,9 +549,13 @@ def test_each_report_echoes_the_settings_its_command_reads(command, tmp_path, ca
     code, doc = run_json(argv, capsys)
     assert code == cli.EXIT_CODES[doc["verdict"]]
     assert set(doc["config"]) == {flag[2:].replace("-", "_") for flag in SETTING_FLAGS[command]}
-    # a flag of a setting the command does not read is refused, not ignored
+    # a flag of a setting the command does not read is refused, not ignored,
+    # in the command's own usage
     for flag in sorted(ALL_SETTING_FLAGS - set(SETTING_FLAGS[command])):
-        assert run(argv + [flag, "1"], capsys) == (2, ""), flag
+        assert main(argv + [flag, "1"]) == 2, flag
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: harnacklab {command} "), flag
+        assert f"harnacklab {command}: error: unrecognized arguments: {flag} 1" in err
 
 
 def test_top_level_help_and_usage_errors_name_every_subcommand(capsys):

@@ -699,6 +699,46 @@ def test_real_roots_of_constants_and_lines():
     assert models.Poly((0.0, 1.0)).real_roots(0.0, 1.0) == pytest.approx([0.0], abs=1e-14)
 
 
+def _count_halves(monkeypatch):
+    from harnacklab import poly
+
+    count, halves = [0], poly._halves
+
+    def counted(bern):
+        count[0] += 1
+        return halves(bern)
+
+    monkeypatch.setattr(poly, "_halves", counted)
+    return count
+
+
+@pytest.mark.parametrize("coef,u,v,want", [
+    ((-0.5, 1.0, -0.5, 1.0), 0.5, 2.0, [0.5]),  # (t - 1/2)(t^2 + 1), a root at u
+    ((-0.5, 1.0, -0.5, 1.0), -1.0, 0.5, [0.5]),  # the same, a root at v
+    ((0.0, 1.0, -1.0), 0.0, 1.0, [0.0, 1.0]),  # t (1 - t), a root at each end
+    # (t - 1/4)(t - 1/2)(t + 1): roots on the first and second split points
+    ((0.125, -0.625, 0.25, 1.0), 0.0, 1.0, [0.25, 0.5]),
+])
+def test_real_roots_stop_at_a_root_on_a_parts_end(coef, u, v, want, monkeypatch):
+    # a simple root on an end of a part whose other coefficients are of one
+    # sign is that end exactly, reported once, without halving toward it
+    count = _count_halves(monkeypatch)
+    assert models.Poly(coef).real_roots(u, v) == want
+    assert count[0] <= 8
+
+
+@pytest.mark.parametrize("c", (0.75, 0.8, 0.85, 0.9))
+def test_smoothed_cone_report_halves_a_few_times(c, monkeypatch):
+    # f'' is 0 at both blend knots, so the flatness residual's derivative
+    # has a root on each end of the blend piece; the report stops there
+    count = _count_halves(monkeypatch)
+    for r0 in (0.5, 1.0, 1.5, 2.0):
+        for n in (3, 4, 5, 6, 8, 9):
+            count[0] = 0
+            hypothesis_report(model_from_id(f"smoothed-cone:{c}:{r0}", n), 1e-2, 1e2)
+            assert count[0] <= 8, (r0, n, count[0])
+
+
 # -- f' minimum: the monotonicity precondition of the Clairaut sweeps -----------
 
 
@@ -753,25 +793,13 @@ def test_interior_minimum_reads_the_same_on_every_window_holding_it():
     ("smoothed-cone:0.9:0.5", (0.9020480000000001, 0.6539600717839, 0.6539600717839,
                                0.9, 0.6539600717839)),
 ])
-def test_fp_min_isolates_each_finite_piece_once(model_id, values, monkeypatch):
-    # the roots on a whole finite piece do not depend on the window, so a
-    # profile isolates them once; the minima are those of a fresh isolation
-    # on every call, bit for bit
+def test_fp_min_reads_the_same_on_every_call(model_id, values):
+    # a finite piece's roots are isolated afresh on every call, on the
+    # whole piece, so each window's minimum reads the same bits each time
     p = model_from_id(model_id, 4).profile
-    spans = []
-    real_roots = models.Poly.real_roots
-
-    def counted(poly, u, v):
-        spans.append((u, v))
-        return real_roots(poly, u, v)
-
-    monkeypatch.setattr(models.Poly, "real_roots", counted)
     windows = ((1e-4, 0.3), (1e-4, 0.9), (1e-4, 1.7), (0.6, 3.0), (1e-4, 50.0))
     for _ in range(3):
         assert tuple(p.fp_min(lo, hi) for lo, hi in windows) == values
-    finite = [(pc.lo - pc.x0, pc.hi - pc.x0) for pc in p.pieces if pc.hi < math.inf]
-    # each finite piece once; the top piece, on the window's part, each time
-    assert sorted(s for s in spans if s in finite) == sorted(finite)
 
 
 def test_fp_min_custom_spline_against_dense_samples():
