@@ -101,23 +101,10 @@ def _settings(args):
     return args
 
 
-def _enc(x):
-    """17-significant-digit floats, recursively (byte-stable); refuses NaN/inf."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ModelError(f"report holds the non-finite value {x!r}")
-        return float(format(x, ".17g"))
-    if isinstance(x, dict):
-        return {k: _enc(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_enc(v) for v in x]
-    return x
-
-
 def _emit(payload: dict, command: str, output_dir: str) -> None:
-    text = json.dumps(_enc(payload), sort_keys=True, indent=2) + "\n"
+    """Print the report, and write it to output_dir if one is set; a NaN or
+    an inf in it raises ValueError before anything is written."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if output_dir:
         _artifact(output_dir, f"{command}.json").write_text(text)

@@ -74,13 +74,7 @@ def _central(F, x: tuple, h: float) -> tuple:
         plus = F(x[:k] + (v + h,) + x[k + 1:])
         minus = F(x[:k] + (v - h,) + x[k + 1:])
         if isinstance(plus, (tuple, list)):
-            # entries zero at both points difference to zero
-            positions = range(len(plus))
-            diff = [0.0] * len(plus)
-            for p in {*itertools.compress(positions, plus),
-                      *itertools.compress(positions, minus)}:
-                diff[p] = (plus[p] - minus[p]) / two_h
-            out.append(tuple(diff))
+            out.append(tuple([(p - m) / two_h for p, m in zip(plus, minus)]))
         else:
             out.append((plus - minus) / two_h)
     return tuple(out)

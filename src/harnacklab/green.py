@@ -38,7 +38,7 @@ closed form, or one integral of a Horner-row integrand up to the piece's
 top), and `_piece_columns` appends, for a run of radii on the piece, the
 value of every column of the profile there to that column, and gives f
 and f' at the last one for the pointwise calls (a table's top radius
-takes f and f' from the table's top piece).  The grid fills nine
+takes f and f' from the table's top piece).  The grid fills eight
 `array('d')` columns, one per entry of `COLUMNS`, so the profile holds
 8 bytes per value and no float object; a pointwise call (`green_at`,
 `green_derivs_at`, `b2_at`, `hess_b2_eigs`) fills one row through the
@@ -164,7 +164,7 @@ def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
     power would multiply by n.  Of u = G^beta, u' = beta u q1 and
     u'' = beta u ((beta-1) q1^2 + q2): b = G^{1/(2-n)}, |grad b| = |b'|,
     b^2 = G^{2/(2-n)}, mu_rad = (b^2)'' and mu_tan = (b^2)' f'/f.  The
-    values go out in the order of `COLUMNS`, so nine times one list's
+    values go out in the order of `COLUMNS`, so eight times one list's
     append collects one row.
     """
     a, x0 = fpc.slope, fpc.x0
@@ -176,7 +176,7 @@ def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
     c2 = (n - 2) * (n - 1) * pw(base, e0)
     beta_b, beta = 1.0 / (2 - n), 2.0 / (2 - n)
     beta_m1, inf = beta - 1, math.inf
-    put_G, put_Gp, put_Gpp, put_b, put_b2, put_b2p, put_grad_b, put_mu_rad, put_mu_tan = puts
+    put_G, put_Gp, put_Gpp, put_b, put_b2, put_grad_b, put_mu_rad, put_mu_tan = puts
     for r in radii:
         G = green(r)
         if a is None:
@@ -195,16 +195,14 @@ def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
         q1, q2 = (Gp / G, Gpp / G) if G else (inf, inf)
         b, b2 = pw(G, beta_b), pw(G, beta)
         s = beta * b2
-        b2p = s * q1
         put_G(G)
         put_Gp(Gp)
         put_Gpp(Gpp)
         put_b(b)
         put_b2(b2)
-        put_b2p(b2p)
         put_grad_b(abs(beta_b * b * q1))
         put_mu_rad(s * (beta_m1 * q1 * q1 + q2))
-        put_mu_tan(b2p * fp / f)
+        put_mu_tan(s * q1 * fp / f)
     return f, fp
 
 
@@ -214,7 +212,7 @@ def radial_laplacian(n: int, f, fp, up, upp):
 
 
 #: the columns of a profile, in the order their float range is checked
-COLUMNS = ("G", "Gp", "Gpp", "b", "b2", "b2p", "grad_b", "mu_rad", "mu_tan")
+COLUMNS = ("G", "Gp", "Gpp", "b", "b2", "grad_b", "mu_rad", "mu_tan")
 _LO = operator.attrgetter("lo")
 
 
@@ -230,7 +228,6 @@ class RadialGreenProfile(NamedTuple):
     Gpp: array
     b: array
     b2: array
-    b2p: array
     grad_b: array
     mu_rad: array      # eigenvalues of Hess b^2 relative to g
     mu_tan: array
@@ -373,4 +370,4 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
     row = profile._row_at(r)[0]
-    return row[7], row[8]
+    return row[6], row[7]

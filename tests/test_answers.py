@@ -112,3 +112,26 @@ def test_oracle_cone_workload_answers_an_exploratory_verdict(tmp_path, monkeypat
         assert report["outside_hypothesis"]["identity"] == 5
         assert sorted(entry["artifacts"]) == ["oracle.json"]
     assert answers.diff(entries, entries) == []
+
+
+def test_reports_workload_answers_each_report_shape(tmp_path, monkeypatch):
+    answers = _answers()
+    assert "reports" in answers.CHOICES
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["reports"], answers._seeds("101"), values=True)
+    assert sorted(entries) == sorted(f"reports:{key}" for key in answers.REPORTS)
+    exits = {key.partition(":")[2]: e["exit"] for key, e in entries.items()}
+    # the smoothed cone's blend and the cone raise a hypothesis flag
+    assert exits == {"verify-D": 0, "verify-D-smoothed": 3, "models": 0,
+                     "export-profile-stdout": 0, "symbolic-name": 0, "audit-off-grid": 3}
+    for key, e in entries.items():
+        if key == "reports:export-profile-stdout":
+            # no artifact: the profile's CSV is printed
+            assert e["artifacts"] == {}
+            assert e["stdout"].startswith("r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan\n")
+        else:
+            # the report printed is the report written
+            assert list(e["artifacts"].values()) == [e["stdout"]]
+    assert entries["reports:verify-D"]["stdout"]["report"]["lambda_lower_bound_ok"] is True
+    assert entries["reports:audit-off-grid"]["stdout"]["config"]["model"] == "cone:0.5"
+    assert answers.diff(entries, entries) == []

@@ -12,7 +12,6 @@ import pytest
 
 from harnacklab import cli, green, harnack, models
 from harnacklab.cli import main
-from harnacklab.models import ModelError
 from tables import concave_table, late_bump_table, line_table, write_csv
 
 
@@ -407,11 +406,24 @@ def test_config_field_of_the_wrong_type_exits_2_with_one_line(config, message, t
     assert r.stderr.splitlines() == [f"error: {message}"]
 
 
-def test_non_finite_report_value_is_refused(monkeypatch, capsys):
-    with pytest.raises(ModelError):
-        cli._enc({"a": [1.0, {"b": float("inf")}]})
+def test_non_finite_report_value_is_refused(monkeypatch, capsys, tmp_path):
+    with pytest.raises(ValueError, match="inf"):
+        cli._emit({"a": [1.0, {"b": float("inf")}]}, "min-c", str(tmp_path / "out"))
+    # refused before anything is printed or written
+    assert capsys.readouterr().out == "" and not (tmp_path / "out").exists()
     monkeypatch.setattr(harnack, "minimal_C", lambda *args, **kwargs: float("nan"))
     assert run(["min-c", "--model", "euclidean", "--n", "4"], capsys) == (2, "")
+
+
+def test_nan_report_exits_2_naming_the_value(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(harnack, "minimal_C", lambda *args, **kwargs: float("nan"))
+    out_dir = tmp_path / "out"
+    assert main(["min-c", "--model", "euclidean", "--n", "4",
+                 "--output-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not out_dir.exists()
+    assert err.splitlines() == [
+        "error: Out of range float values are not JSON compliant: nan"]
 
 
 def test_corollary_exploratory_below_C_range(capsys):

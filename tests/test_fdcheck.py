@@ -3,12 +3,15 @@
 import gc
 import math
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harnacklab import commutators, fdcheck, fdgeom
 from harnacklab.models import (
@@ -582,6 +585,37 @@ def test_metric_nan_at_one_stencil_point_fails_every_check():
     visited = []
     assert math.isnan(fdcheck.check_parallel_ricci(chart, x, H))
     assert bad in visited
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_central_difference_of_a_tensor_is_exact_at_every_entry(data):
+    # out[k][p] = (F(x + h e_k)[p] - F(x - h e_k)[p]) / 2h, bit for bit at
+    # every position: zeros of either sign, NaN and inf included
+    d = data.draw(st.integers(1, 3))
+    size = data.draw(st.integers(0, 6))
+    h = data.draw(st.sampled_from([1e-3, 0.25, 3.0]))
+    x = tuple(data.draw(st.floats(-2.0, 2.0)) for _ in range(d))
+    kind = data.draw(st.sampled_from([tuple, list]))
+    stencil = [(x[:k] + (v + h,) + x[k + 1:], x[:k] + (v - h,) + x[k + 1:])
+               for k, v in enumerate(x)]
+    values = {y: kind(data.draw(st.lists(_ENTRY, min_size=size, max_size=size)))
+              for pair in stencil for y in pair}
+    out = fdgeom._central(values.__getitem__, x, h)
+    assert len(out) == d
+    for row, (plus, minus) in zip(out, stencil):
+        assert type(row) is tuple
+        want = [(p - m) / (2 * h) for p, m in zip(values[plus], values[minus])]
+        assert _bits(row) == _bits(want)
 
 
 def test_probe_points_are_numpys_bit_for_bit():

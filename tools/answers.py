@@ -25,7 +25,10 @@ against it with ``--values --rtol``.  The ``oracle-cone`` workload,
 seed-free too, answers ``oracle commutators --chart cone`` at 2 probes in
 dimensions 3 and 6 (``ORACLE_CONE_DIMS``): the cone's Ricci is not
 parallel, so identity 5 is reported outside the gate and the verdict is
-exploratory, which this pins.  It prints
+exploratory, which this pins.  The ``reports`` workload, seed-free too,
+answers the report shapes no other workload prints (``REPORTS``): a
+verify with its eigenvalue bound ``--D``, the preset list, a profile
+exported to stdout, one symbolic identity and an audit off the grid.  It prints
 JSON holding, per argv, the exit code, a sha256 of stdout, the first line
 of stderr and a sha256 of each artifact.  The output directories are
 relative paths inside a temporary working directory, so the config a
@@ -85,7 +88,18 @@ GEODESIC_TRIPLES = "20"
 #: by ``oracle commutators`` at ORACLE_CONE_PROBES probes
 ORACLE_CONE_DIMS = ("3", "6")
 ORACLE_CONE_PROBES = "2"
-CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone")
+#: the ``reports`` workload: key suffix -> argv; an empty --output-dir writes
+#: no artifact, so export-profile prints its CSV
+REPORTS = {
+    "verify-D": ("verify", "--model", "euclidean", "--n", "4", "--D", "11"),
+    "verify-D-smoothed": ("verify", "--model", "smoothed-cone:0.8:1", "--n", "5",
+                          "--D", "2"),
+    "models": ("models", "list"),
+    "export-profile-stdout": ("export-profile", "--output-dir", ""),
+    "symbolic-name": ("symbolic", "verify", "--name", "lap_of_harnack.literal"),
+    "audit-off-grid": ("audit", "--model", "cone:0.5", "--r", "500"),
+}
+CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone", "reports")
 
 
 def _sha(data: bytes) -> str:
@@ -109,8 +123,8 @@ def _write_tables(directory: Path) -> None:
 
 def _argvs(names, seeds):
     """(key, argv) of every cycle slot and probe of the workloads at the
-    seeds, of every table command and of every edge, geodesics and
-    oracle-cone argv."""
+    seeds, of every table command and of every edge, geodesics, oracle-cone
+    and reports argv."""
     for name in names:
         if name == "tables":
             for table in TABLES:
@@ -136,6 +150,10 @@ def _argvs(names, seeds):
                 yield f"oracle-cone:n{n}", [
                     "oracle", "commutators", "--chart", "cone", "--n", n,
                     "--probes", ORACLE_CONE_PROBES]
+            continue
+        if name == "reports":
+            for suffix, argv in REPORTS.items():
+                yield f"reports:{suffix}", list(argv)
             continue
         for seed in seeds:
             cycle, probes = workloads.build(name, seed)
