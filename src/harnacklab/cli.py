@@ -238,7 +238,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
-    if args.action != "verify-all" and not args.name:
+    # verify-all takes no --name, and verify takes exactly one
+    if (args.action == "verify-all") == bool(args.name):
         raise ModelError("symbolic supports: verify-all, or verify --name <id>")
     # the exact tensor engine, imported here so numeric commands never load it
     from .symbolic import verify_all, verify_identity

@@ -75,6 +75,8 @@ class HarnackReport(NamedTuple):
     hypothesis_flags: dict
     boundary_diagnostics: dict
     lambda_lower_bound_ok: Optional[bool] = None
+    D: Optional[float] = None
+    D_premise_holds: Optional[bool] = None
 
     def payload(self) -> dict:
         payload = {
@@ -89,7 +91,10 @@ class HarnackReport(NamedTuple):
             "hypothesis_flags": self.hypothesis_flags,
             "boundary_diagnostics": self.boundary_diagnostics,
         }
-        if self.lambda_lower_bound_ok is not None:
+        if self.D is not None:
+            # the bound checked, whether its premise holds, and the conclusion
+            payload["D"] = self.D
+            payload["D_premise_holds"] = self.D_premise_holds
             payload["lambda_lower_bound_ok"] = self.lambda_lower_bound_ok
         return payload
 
@@ -144,8 +149,10 @@ def verify_theorem(
         for i in islice(viol_idx, 32)
     ]
 
-    lam_ok = None
+    lam_ok = premise = None
     if D is not None:
+        D = float(D)
+        premise = min_C <= D + tol  # Hess b^2 <= D g on the grid
         # Hess b^2 <= D g should force Lambda >= (n-2)/2 (C-D) G^alpha
         n, p = model.n, model.profile
         lam_ok = True
@@ -175,6 +182,8 @@ def verify_theorem(
         hypothesis_flags=flags,
         boundary_diagnostics=boundary,
         lambda_lower_bound_ok=lam_ok,
+        D=D,
+        D_premise_holds=premise,
     )
 
 

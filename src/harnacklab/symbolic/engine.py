@@ -1,8 +1,10 @@
 """The rewrite system of the exact tensor engine.
 
-The term algebra and its reduced form (`Term`, `TensorExpr`, the factor
-constructors and `normalize`) live in `terms`; this module gives their
-names too, so the engine's public names are all here.
+The term algebra and its reduction loop (`Term`, `TensorExpr`, the factor
+constructors, `normalize` and `_reduce`) live in `terms`; this module gives
+their names too, so the engine's public names are all here.
+`commute_and_reduce` is that one loop with `_dg_reduction_step` as its
+rewrite.
 
 The rewrite rules are exactly the commutator identities for a normal
 frame with parallel Ricci curvature, the harmonicity of G, and the
@@ -28,7 +30,7 @@ from __future__ import annotations
 # terms first: see the module docstring
 from .terms import (
     Term, TensorExpr,
-    _canon_local_fixpoint, _canonical_term, _fresh_name,
+    _fresh_name, _reduce,
     dg, gpow, kron, normalize, ric, riem,
 )
 from .ring import ALPHA, BETA, C, N, TensorError
@@ -89,7 +91,6 @@ def _swap_dg(term: Term, fpos: int, p: int):
 
 def _dg_reduction_step(term: Term):
     """One rewrite step on the first non-canonical dg factor, or None."""
-    census = term.index_census()
     for fpos, (kind, idx) in enumerate(term.factors):
         if kind != "dg" or len(idx) < 2:
             continue
@@ -119,30 +120,7 @@ def commute_and_reduce(expr: TensorExpr) -> TensorExpr:
     """Rewrite to the canonical fragment: sorted derivative strings, traces
     annihilated by harmonicity, dric killed by parallel Ricci, contracted
     driem eliminated through the second Bianchi identity."""
-    pending = list(expr.terms)
-    finished = []
-    guard = 0
-    while pending:
-        guard += 1
-        if guard > 200000:
-            raise TensorError("reduction did not terminate")
-        t = pending.pop()
-        locals_ = _canon_local_fixpoint(t)
-        if len(locals_) != 1 or locals_[0].factors != t.factors:
-            pending.extend(locals_)
-            continue
-        t = locals_[0]
-        # rename dummies canonically before choosing a rewrite, so the
-        # reduction path (and hence the normal form) is independent of the
-        # incidental dummy names carried by the input
-        key, coeff = _canonical_term(t)
-        t = Term(coeff, t.gexp, key[1])
-        step = _dg_reduction_step(t)
-        if step is None:
-            finished.append(t)
-        else:
-            pending.extend(step)
-    return normalize(TensorExpr(finished))
+    return _reduce(expr, _dg_reduction_step)
 
 
 def _in_fragment(expr: TensorExpr, longest: int, message: str) -> None:

@@ -20,11 +20,11 @@ This module holds `Term` and `TensorExpr`, the factor constructors,
 fresh dummy names and renaming, the local canonicalization of factors
 (kron contractions, curvature traces, the contracted second Bianchi
 identity, slot symmetries), the canonical naming of a term's dummies and
-`normalize`, which merges like terms on those canonical forms.  It is the
-one home of the reduced form.  The rewrite system that sorts derivative
-strings by the commutator identities (`commute_and_reduce`) and the
-derivatives built on it live in `engine`, which gives this module's
-public names too.
+`_reduce`, the one reduction loop: local steps until none applies, the
+dummies named once, an optional rewrite, like terms merged.  It is the one
+home of the reduced form: `normalize` is the loop with no rewrite, and
+`engine.commute_and_reduce` is the loop with the commutator rewrite that
+sorts derivative strings.  `engine` gives this module's public names too.
 """
 
 from __future__ import annotations
@@ -294,8 +294,9 @@ def _canon_term_local(term: Term):
                         Term(-coeff * csign, gexp, rest + (("dric", (c, a, d)),))]
             out.append((kind, idx))
         elif kind == "dg":
-            # innermost pair is symmetric; leave traced strings alone so the
-            # reduction can park the trace pair at the front
+            # innermost pair is symmetric: sort it here, before a kron can
+            # trace the string; leave traced strings alone so the reduction
+            # can park the trace pair at the front
             if len(idx) >= 2 and idx[1] < idx[0] and len(set(idx)) == len(idx):
                 idx = (idx[1], idx[0]) + idx[2:]
             out.append((kind, idx))
@@ -304,24 +305,6 @@ def _canon_term_local(term: Term):
         else:
             raise TensorError(f"unknown factor kind {kind!r}")
     return [Term(coeff, gexp, tuple(out))]
-
-
-def _canon_local_fixpoint(term: Term):
-    """Iterate local canonicalization to a fixpoint; returns a term list."""
-    pending = [term]
-    done = []
-    guard = 0
-    while pending:
-        guard += 1
-        if guard > 10000:
-            raise TensorError("local canonicalization did not terminate")
-        t = pending.pop()
-        res = _canon_term_local(t)
-        if len(res) == 1 and res[0].factors == t.factors and res[0].coeff == t.coeff:
-            done.append(res[0])
-        else:
-            pending.extend(res)
-    return done
 
 
 # -- term canonical form ------------------------------------------------------
@@ -384,6 +367,39 @@ def _canonical_term(term: Term):
     return best, term.coeff * best_sign
 
 
+def _reduce(expr: TensorExpr, rewrite=None) -> TensorExpr:
+    """The one reduction loop.  Each term takes local steps until none
+    changes it; its dummies are then named once, canonically, so that the
+    rewrite chosen (and hence the reduced form) does not depend on the
+    input's names.  `rewrite` gives the term's replacements, or None to
+    keep it; a kept term is filed under its key, and like terms merge."""
+    for t in expr.terms:
+        t.validate()
+    pending = list(expr.terms)
+    bucket = {}
+    gexps = {}
+    guard = 0
+    while pending:
+        guard += 1
+        if guard > 200000:
+            raise TensorError("reduction did not terminate")
+        t = pending.pop()
+        res = _canon_term_local(t)
+        if len(res) != 1 or res[0].factors != t.factors:
+            pending.extend(res)
+            continue
+        key, coeff = _canonical_term(t)
+        step = rewrite(Term(coeff, t.gexp, key[1])) if rewrite else None
+        if step is not None:
+            pending.extend(step)
+            continue
+        bucket[key] = bucket.get(key, ZERO) + coeff
+        gexps[key[0]] = t.gexp
+    # rebuild each canonical term from its key
+    return TensorExpr(Term(coeff, gexps[gkey], facs)
+                      for (gkey, facs), coeff in sorted(bucket.items()) if coeff)
+
+
 def normalize(expr: TensorExpr) -> TensorExpr:
     """A reduced form: local symmetries, canonical dummy naming, merged like
     terms, zero coefficients dropped.
@@ -392,19 +408,4 @@ def normalize(expr: TensorExpr) -> TensorExpr:
     derivative strings whose sorted forms differ by curvature), so equal
     forms prove equality but different forms do not disprove it.  A term
     with more than `_MAX_DUMMIES` dummies raises TensorError."""
-    bucket = {}
-    gexps = {}
-    for t in expr.terms:
-        t.validate()
-        for tt in _canon_local_fixpoint(t):
-            key, coeff = _canonical_term(tt)
-            bucket[key] = bucket.get(key, ZERO) + coeff
-            gexps[key[0]] = tt.gexp
-    out = []
-    for key, coeff in sorted(bucket.items()):
-        if not coeff:
-            continue
-        gkey, facs = key
-        # rebuild the canonical term from its key
-        out.append(Term(coeff, gexps[gkey], facs))
-    return TensorExpr(out)
+    return _reduce(expr)

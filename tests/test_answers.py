@@ -135,3 +135,24 @@ def test_reports_workload_answers_each_report_shape(tmp_path, monkeypatch):
     assert entries["reports:verify-D"]["stdout"]["report"]["lambda_lower_bound_ok"] is True
     assert entries["reports:audit-off-grid"]["stdout"]["config"]["model"] == "cone:0.5"
     assert answers.diff(entries, entries) == []
+
+
+def test_forms_workload_records_reduced_forms(tmp_path, monkeypatch):
+    answers = _answers()
+    assert "forms" in answers.CHOICES
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["forms"], answers._seeds("101"), values=True)
+    assert sorted(entries) == [
+        "forms:dg-kron-trace", "forms:gradG-pairing-dg-dg", "forms:laplacian-B",
+        "forms:laplacian-dg-dg", "forms:laplacian-hessian-shifted",
+        "forms:third-commutator-long-strings"]
+    forms = {key: e["form"] for key, e in entries.items()}
+    assert forms["forms:dg-kron-trace"] == "(1) dg(i,_0,_0)"
+    # the product of an identity and two long strings keeps a non-zero form
+    assert forms["forms:third-commutator-long-strings"].count("  +  ") == 2
+    assert all(form != "0" and not form.startswith("raised") for form in forms.values())
+    # without --values each form is its sha256
+    digests = answers.digest(["forms"], answers._seeds("101"))
+    assert digests == {key: {"form": answers._sha(form.encode())}
+                       for key, form in forms.items()}
+    assert answers.diff(entries, entries) == []

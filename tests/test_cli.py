@@ -651,6 +651,28 @@ def test_symbolic_verify_single_and_unknown(capsys):
     assert code == 2
 
 
+def test_symbolic_verify_all_refuses_a_name(capsys):
+    # verify-all checks the whole catalogue: a --name there is refused, not
+    # read as a one-identity run reported as the catalogue's pass
+    assert main(["symbolic", "verify-all", "--name", "misc.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "symbolic supports: verify-all, or verify --name <id>" in captured.err
+
+
+@pytest.mark.parametrize("D,premise", [(1.0, False), (11.0, True)])
+def test_verify_D_reports_its_bound_and_premise(D, premise, capsys):
+    code, doc = run_json(["verify", "--model", "euclidean", "--n", "4",
+                          "--D", str(D)], capsys)
+    assert code == 0
+    report = doc["report"]
+    # minimal_C is 2 here: D = 1 breaks the premise Hess b^2 <= D g, and
+    # the lower bound on Lambda it would give fails with it
+    assert report["minimal_C"] == pytest.approx(2.0)
+    assert (report["D"], report["D_premise_holds"]) == (D, premise)
+    assert report["lambda_lower_bound_ok"] is premise
+
+
 @pytest.mark.parametrize("argv", [["oracle", "bogus"], ["models", "bogus"]])
 def test_unknown_action_exits_2(argv, capsys):
     # argparse's choices refuse it before the command runs

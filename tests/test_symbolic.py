@@ -329,6 +329,29 @@ def test_normalize_idempotent_on_random_expressions():
                 for t in twice.terms]
 
 
+@pytest.mark.parametrize("seed", [20240817, 7, 11, 12345])
+def test_normalize_keeps_every_reduced_form_term_for_term(seed):
+    # the reduction files each kept term under the key normalize would give
+    # it, so normalize changes no reduced form: same terms, same order
+    rng = random.Random(seed)
+    reduced = 0
+    for _ in range(300):
+        expr = TensorExpr([_random_term(rng) for _ in range(rng.randint(1, 3))])
+        try:
+            r = commute_and_reduce(expr)
+        except TensorError:
+            continue
+        assert normalize(r).terms == r.terms, expr
+        reduced += 1
+    assert reduced > 250
+
+
+def test_innermost_dg_pair_is_sorted_before_a_kron_traces_it():
+    # the local step sorts dg(m,i,k) to dg(i,m,k), so the kron traces the
+    # outer pair; sorted only in the key, the string would read dg(_0,i,_0)
+    assert repr(normalize(dg("m", "i", "k") * kron("k", "m"))) == "(1) dg(i,_0,_0)"
+
+
 def test_reduction_confluence_under_presentation_changes():
     # reduction result must not depend on term order or dummy naming
     rng = random.Random(7)

@@ -28,15 +28,20 @@ parallel, so identity 5 is reported outside the gate and the verdict is
 exploratory, which this pins.  The ``reports`` workload, seed-free too,
 answers the report shapes no other workload prints (``REPORTS``): a
 verify with its eigenvalue bound ``--D``, the preset list, a profile
-exported to stdout, one symbolic identity and an audit off the grid.  It prints
-JSON holding, per argv, the exit code, a sha256 of stdout, the first line
-of stderr and a sha256 of each artifact.  The output directories are
-relative paths inside a temporary working directory, so the config a
-report echoes is the same for every checkout.
+exported to stdout, one symbolic identity and an audit off the grid.  The
+``forms`` workload, seed-free too, runs no argv: it records the reduced
+forms of a few exact tensor expressions built in process (``_forms``),
+non-zero ones among them, which no command prints, so that a change to the
+reduction shows here as a moved form.  It prints JSON holding, per argv,
+the exit code, a sha256 of stdout, the first line of stderr and a sha256
+of each artifact, and per form a sha256 of its ``repr``.  The output
+directories are relative paths inside a temporary working directory, so
+the config a report echoes is the same for every checkout.
 
 With ``--values`` it records the values instead of their digests: the
-parsed JSON report, and each artifact parsed (a JSON report as such, a
-CSV table as its header and one list of numbers per column).  A move of
+parsed JSON report, each form's ``repr``, and each artifact parsed (a JSON
+report as such, a CSV table as its header and one list of numbers per
+column).  A move of
 one ulp changes a sha but not a value, so this form can tell rounding
 from a wrong answer.
 
@@ -99,7 +104,8 @@ REPORTS = {
     "symbolic-name": ("symbolic", "verify", "--name", "lap_of_harnack.literal"),
     "audit-off-grid": ("audit", "--model", "cone:0.5", "--r", "500"),
 }
-CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone", "reports")
+CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone", "reports",
+           "forms")
 
 
 def _sha(data: bytes) -> str:
@@ -155,6 +161,8 @@ def _argvs(names, seeds):
             for suffix, argv in REPORTS.items():
                 yield f"reports:{suffix}", list(argv)
             continue
+        if name == "forms":
+            continue  # no argv: see _forms
         for seed in seeds:
             cycle, probes = workloads.build(name, seed)
             for kind, argvs in (("cycle", cycle), ("probe", probes)):
@@ -203,6 +211,35 @@ def _answer(main, argv, out_dir: str, values: bool) -> dict:
     }
 
 
+def _forms(values: bool) -> dict:
+    """The ``forms`` workload: key -> {"form": repr of a reduced form, or
+    its sha256}."""
+    from harnacklab.symbolic import (B, commute_and_reduce, dg, gradG_pairing,
+                                     hessian_shifted, kron, laplacian, normalize, riem)
+
+    # the third-derivative commutator, an identity, times two long strings:
+    # its reduced form is not zero although the product is
+    third = dg("i", "j", "k") - dg("i", "k", "j") - riem("j", "k", "m", "i") * dg("m")
+    forms = {
+        "laplacian-hessian-shifted": lambda: laplacian(hessian_shifted("i", "j")),
+        "laplacian-B": lambda: laplacian(B("i", "j")),
+        "laplacian-dg-dg": lambda: laplacian(dg("i") * dg("j")),
+        "gradG-pairing-dg-dg": lambda: gradG_pairing(dg("i") * dg("j")),
+        "third-commutator-long-strings":
+            lambda: commute_and_reduce(third * dg("i", "j", "l") * dg("k", "p")),
+        # the innermost pair is sorted before the kron traces the string
+        "dg-kron-trace": lambda: normalize(dg("m", "i", "k") * kron("k", "m")),
+    }
+    out = {}
+    for name, form in forms.items():
+        try:
+            text = repr(form())
+        except Exception as exc:  # a raise is an answer too
+            text = f"raised {type(exc).__name__}: {exc}"
+        out[f"forms:{name}"] = {"form": text if values else _sha(text.encode())}
+    return out
+
+
 def digest(names, seeds, values: bool = False) -> dict:
     from harnacklab.cli import main
 
@@ -212,10 +249,13 @@ def digest(names, seeds, values: bool = False) -> dict:
         try:
             if "tables" in names:
                 _write_tables(Path("tables"))
-            return {key: _answer(main, argv, f"out/{key.replace(':', '-')}", values)
-                    for key, argv in _argvs(names, seeds)}
+            answers = {key: _answer(main, argv, f"out/{key.replace(':', '-')}", values)
+                       for key, argv in _argvs(names, seeds)}
         finally:
             os.chdir(home)
+    if "forms" in names:
+        answers.update(_forms(values))
+    return answers
 
 
 def _compare(x, y, path: str, exact: list, moves: dict, rtol: float) -> None:
