@@ -36,9 +36,8 @@ Two kernels per piece do all of this, each with the piece's constants
 taken once: `_piece_green` gives G(r) on the piece from its G_hi (the
 closed form, or one integral of a Horner-row integrand up to the piece's
 top), and `_piece_columns` appends, for a run of radii on the piece, the
-value of every column of the profile there to that column, and gives f
-and f' at the last one for the pointwise calls (a table's top radius
-takes f and f' from the table's top piece).  The grid fills eight
+value of every column of the profile there to that column (a table's top
+radius takes f and f' from the table's top piece).  The grid fills eight
 `array('d')` columns, one per entry of `COLUMNS`, so the profile holds
 8 bytes per value and no float object; a pointwise call (`green_at`,
 `green_derivs_at`, `b2_at`, `hess_b2_eigs`) fills one row through the
@@ -130,8 +129,7 @@ def _piece_green(n: int, pc: Piece, G_hi: float):
 
 def _piece_columns(model: ModelManifold, pc: Piece, green, radii, cols, puts):
     """Put the values of `COLUMNS` at the radii (ascending, inside the piece
-    pc, at least one) through puts, one append per column, and give (f, f')
-    at the last radius, the one radius of a pointwise call.
+    pc, at least one) through puts, one append per column.
 
     G is green(r); f and f' come from the profile's piece at pc.lo: pc
     itself, or at the closed end of a table the table's top piece, which
@@ -147,15 +145,15 @@ def _piece_columns(model: ModelManifold, pc: Piece, green, radii, cols, puts):
         p.f(radii[-1])  # raises: f stops at a table's top
     start = len(cols[0])
     try:
-        return _fill_columns(model.n, fpc, green, radii, pow, puts)
+        _fill_columns(model.n, fpc, green, radii, pow, puts)
     except (OverflowError, ZeroDivisionError):
         for col in cols:
             del col[start:]
-        return _fill_columns(model.n, fpc, green, radii, _pow, puts)
+        _fill_columns(model.n, fpc, green, radii, _pow, puts)
 
 
 def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
-    """`_piece_columns`' puts and (f, f'), every power taken by pw.
+    """`_piece_columns`' puts, every power taken by pw.
 
     G' = -(n-2) f^{1-n} and G'' = (n-2)(n-1) f^{-n} f', f and f' by
     Horner's rule on the piece's `row(0)` and `row(1)`.  Where f = a r
@@ -203,7 +201,6 @@ def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
         put_grad_b(abs(beta_b * b * q1))
         put_mu_rad(s * (beta_m1 * q1 * q1 + q2))
         put_mu_tan(s * q1 * fp / f)
-    return f, fp
 
 
 def radial_laplacian(n: int, f, fp, up, upp):
@@ -247,24 +244,24 @@ class RadialGreenProfile(NamedTuple):
         top of its piece."""
         return self.green[self._piece_index(r)](r)
 
-    def _row_at(self, r: float):
-        """(row, f, f') at r, the row a list of the values of `COLUMNS`,
-        refused where G, G' or G'' leaves the float range, as
-        `compute_profile` refuses it on the grid; G > 0, so G = 0 is an
-        underflow."""
+    def _row_at(self, r: float) -> list:
+        """The values of `COLUMNS` at r, refused where G, G' or G'' leaves
+        the float range, as `compute_profile` refuses it on the grid; G > 0,
+        so G = 0 is an underflow."""
         k = self._piece_index(r)
         row = []
-        f, fp = _piece_columns(self.model, self.pieces[k], self.green[k], (r,), (row,),
-                               (row.append,) * len(COLUMNS))
+        _piece_columns(self.model, self.pieces[k], self.green[k], (r,), (row,),
+                       (row.append,) * len(COLUMNS))
         if not (row[0] > 0 and in_float_range(row[:3])):
             raise ModelError(f"G, G' or G'' leaves the float range at n={self.model.n}, "
                              f"r={r:g}; lower n or choose another r")
-        return row, f, fp
+        return row
 
     def green_derivs_at(self, r: float):
-        """(G, G', G'', f, f') at r, the derivatives of G in closed form."""
-        (G, Gp, Gpp, *_), f, fp = self._row_at(r)
-        return G, Gp, Gpp, f, fp
+        """(G, G', G'', mu_rad, mu_tan) at r: the derivatives of G in closed
+        form and the eigenvalues of Hess b^2."""
+        G, Gp, Gpp, _, _, _, mu_rad, mu_tan = self._row_at(r)
+        return G, Gp, Gpp, mu_rad, mu_tan
 
     def b2_at(self, r: float) -> float:
         n = self.model.n
@@ -369,5 +366,5 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    row = profile._row_at(r)[0]
+    row = profile._row_at(r)
     return row[6], row[7]

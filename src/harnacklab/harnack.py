@@ -5,9 +5,12 @@ The curvature-corrected Hessian quantity under test is
     Htilde = Hess_G + (n/(2-n)) * (grad G tensor grad G)/G
              + ((n-2)/2) * C * G^alpha * g,      alpha = n/(n-2).
 
-On a rotationally symmetric model it is diagonal in the radial frame, so
-its eigenvalues are two explicit radial curves and the whole story can be
-audited pointwise; one kernel, `_htilde`, serves every radius.
+With b^2 = G^{2/(2-n)} it is exactly ((n-2)/2) G^alpha (C g - Hess b^2), so
+its eigenvalues are ((n-2)/2) G^alpha (C - mu) for the eigenvalues mu of
+Hess b^2.  On a rotationally symmetric model it is diagonal in the radial
+frame, so its eigenvalues are two explicit radial curves and the whole
+story can be audited pointwise; one kernel, `_htilde`, reads them off G
+and the (mu_rad, mu_tan) pair the Green kernel gives, at every radius.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .green import RadialGreenProfile, hess_b2_eigs, in_float_range, radial_lapl
 __all__ = [
     "TermAudit",
     "HarnackReport",
-    "htilde_eigs",
     "verify_theorem",
     "minimal_C",
     "audit_proof_terms",
@@ -33,34 +35,21 @@ __all__ = [
 IDENT_TOL = 1e-9
 
 
-def _htilde(n: int, C: float, G, q1, q2, f, fp):
-    """Eigenvalues (h_rad, h_tan) of Htilde from G, q1 = G'/G, q2 = G''/G.
+def _htilde(n: int, C: float, G, mu_rad, mu_tan):
+    """Eigenvalues (h_rad, h_tan) of Htilde from G and the eigenvalues
+    (mu_rad, mu_tan) of Hess b^2: h = ((n-2)/2) G^alpha (C - mu).
 
-    Each is G times a sum that stays finite wherever G does: the shift
-    ((n-2)/2) C G^alpha is G * s with s = ((n-2)/2) C G^{2/(n-2)}.
+    ((n-2)/2) G^alpha is taken as G * s, s = ((n-2)/2) G^{2/(n-2)}: a
+    G^alpha past the float range would raise, while a product past it is
+    inf, which a report refuses only where it prints it.
     """
-    s = 0.5 * (n - 2) * C * G ** (2.0 / (n - 2))
-    return G * (q2 + n / (2.0 - n) * q1 * q1 + s), G * (q1 * fp / f + s)
+    s = 0.5 * (n - 2) * G ** (2.0 / (n - 2))
+    return G * (s * (C - mu_rad)), G * (s * (C - mu_tan))
 
 
 def _htilde_at(profile: RadialGreenProfile, r: float, C: float):
-    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
-    return _htilde(profile.model.n, C, G, Gp / G, Gpp / G, f, fp)
-
-
-def htilde_eigs(profile: RadialGreenProfile, r: float, C: float):
-    """Eigenvalues (h_rad, h_tan) of Htilde at radius r.
-
-    The rank-one gradient term only contributes radially, so the
-    tangential eigenvalue carries no B component.
-    """
-    if C < 0:
-        raise ModelError("C must be >= 0")
-    grid = profile.grid
-    if not (grid[0] <= r <= grid[-1]):
-        raise ModelError(f"r={r} outside profile grid range")
-    h_rad, h_tan = _htilde_at(profile, r, C)
-    return h_rad, h_tan
+    G, _, _, mu_rad, mu_tan = profile.green_derivs_at(r)
+    return _htilde(profile.model.n, C, G, mu_rad, mu_tan)
 
 
 class HarnackReport(NamedTuple):
@@ -136,7 +125,7 @@ def verify_theorem(
     verdict is labeled exploratory (never silently mixed with clean passes).
     """
     require_theorem_C(C, exploratory)
-    model, grid = profile.model, profile.grid
+    model, grid, n = profile.model, profile.grid, profile.model.n
     flags = hypothesis_report(model, grid[0], grid[-1]).flags()
 
     mu, min_C = _sup_mu(profile)
@@ -153,26 +142,27 @@ def verify_theorem(
     if D is not None:
         D = float(D)
         premise = min_C <= D + tol  # Hess b^2 <= D g on the grid
-        # Hess b^2 <= D g should force Lambda >= (n-2)/2 (C-D) G^alpha
-        n, p = model.n, model.profile
+        # Hess b^2 <= D g should force Lambda >= (n-2)/2 (C-D) G^alpha; the
+        # lower eigenvalue is the one of mu = max(mu_rad, mu_tan)
         lam_ok = True
-        for r, G, Gp, Gpp in zip(grid, profile.G, profile.Gp, profile.Gpp):
-            lam = min(_htilde(n, C, G, Gp / G, Gpp / G, p.f(r), p.fp(r)))
+        for G, m in zip(profile.G, mu):
+            lam = _htilde(n, C, G, m, m)[0]
             galpha = G ** (n / (n - 2.0))
             bound = 0.5 * (n - 2) * (C - D) * galpha
             # tolerance must track the G^alpha scale, which spans many decades
             lam_ok = lam_ok and lam >= bound - tol * max(1.0, galpha)
 
+    G, mu_rad, mu_tan = profile.G, profile.mu_rad, profile.mu_tan
     boundary = {
         "mu_max_at_r_min": mu[0],
         "mu_max_at_r_max": mu[-1],
-        "lambda_at_r_min": min(htilde_eigs(profile, grid[0], C)),
-        "lambda_at_r_max": min(htilde_eigs(profile, grid[-1], C)),
+        "lambda_at_r_min": min(_htilde(n, C, G[0], mu_rad[0], mu_tan[0])),
+        "lambda_at_r_max": min(_htilde(n, C, G[-1], mu_rad[-1], mu_tan[-1])),
     }
 
     return HarnackReport(
         model_id=model.describe(),
-        n=model.n,
+        n=n,
         C=float(C),
         passed=passed,
         exploratory=is_exploratory(C, flags),
@@ -260,12 +250,12 @@ def audit_proof_terms(profile: RadialGreenProfile, r: float, C: float) -> TermAu
     """
     model = profile.model
     n = model.n
-    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    G, Gp, Gpp, mu_rad, mu_tan = profile.green_derivs_at(r)
     # the terms divide by G^2 and carry G'^2, so those must stay in range too
     if not (G * G > 0 and in_float_range((G * G, Gp * Gp))):
         raise ModelError(f"G^2 or G'^2 leaves the float range at n={n}, r={r:g}; "
                          "lower n or choose another r")
-    h_rad, h_tan = _htilde(n, C, G, Gp / G, Gpp / G, f, fp)
+    h_rad, h_tan = _htilde(n, C, G, mu_rad, mu_tan)
     galpha = G ** (n / (n - 2.0))
     lam = min(h_rad, h_tan)
     radial_min = h_rad <= h_tan + IDENT_TOL * max(1.0, abs(h_rad), abs(h_tan))

@@ -82,7 +82,7 @@ class Coeff:
     """P/(n-2)^k, canonical and immutable; ``poly`` is P as a sorted tuple
     of (monomial exponents (i, j, l), non-zero Fraction)."""
 
-    __slots__ = ("poly", "k", "_hash")
+    __slots__ = ("poly", "k")
 
     def __init__(self, p, k=0):
         """From a dict polynomial and k >= 0, stripping factors of n - 2."""
@@ -97,7 +97,6 @@ class Coeff:
     def _set(self, poly, k):
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _canonical(cls, poly, k):
@@ -220,10 +219,8 @@ class Coeff:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            const = self.constant()
-            object.__setattr__(self, "_hash", hash(self.key if const is None else const))
-        return self._hash
+        const = self.constant()
+        return hash(self.key if const is None else const)
 
     def __bool__(self):
         return bool(self.poly)

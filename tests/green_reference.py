@@ -8,10 +8,11 @@ eigenvalues by `b2_hessian`, each radius on its own and every power taken
 by `_pow`.  `reference_rows` walks a profile's grid this way; the package's
 columns and pointwise calls must equal it bit for bit.  `power_jet` also
 gives `check_power_laplacian`, the power rule Delta(G^beta) =
-beta (beta-1) G^{beta-2} |grad G|^2 at one radius, and
-`consistency_hess_vs_H` checks the Hess b^2 eigenvalues against those of
-the Harnack quantity at C = 2.  The functions take floats or numpy arrays
-alike.
+beta (beta-1) G^{beta-2} |grad G|^2 at one radius.  `htilde_q` gives the
+eigenvalues of the Harnack quantity Htilde from the Hessian of G (q1, q2,
+f and f'), independently of the package's closed form in Hess b^2, and
+`consistency_hess_vs_H` checks the Hess b^2 eigenvalues against it at
+C = 2.  The functions take floats or numpy arrays alike.
 """
 
 import bisect
@@ -19,7 +20,6 @@ import math
 
 from harnacklab import quadrature
 from harnacklab.green import GREEN_RTOL, hess_b2_eigs, radial_laplacian
-from harnacklab.harnack import _htilde
 from harnacklab.models import ModelError, Poly
 
 
@@ -119,12 +119,25 @@ def reference_rows(profile):
     return rows
 
 
+def htilde_q(n, C, G, q1, q2, f, fp):
+    """Eigenvalues (h_rad, h_tan) of Htilde = Hess G + (n/(2-n)) dG dG/G
+    + ((n-2)/2) C G^alpha g from G, q1 = G'/G, q2 = G''/G, f and f'.
+
+    Each is G times a sum that stays finite wherever G does: the shift
+    ((n-2)/2) C G^alpha is G * s with s = ((n-2)/2) C G^{2/(n-2)}.
+    """
+    s = 0.5 * (n - 2) * C * G ** (2.0 / (n - 2))
+    return G * (q2 + n / (2.0 - n) * q1 * q1 + s), G * (q1 * fp / f + s)
+
+
 def check_power_laplacian(profile, r, beta):
     """| Delta(G^beta) - beta(beta-1) G^{beta-2} |grad G|^2 | at radius r."""
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    G, Gp, Gpp = profile.green_derivs_at(r)[:3]
+    p = profile.model.profile
+    f, fp = p.f(r), p.fp(r)
     q1 = Gp / G
     u, up, upp = power_jet(G, q1, Gpp / G, beta)
     lhs = radial_laplacian(profile.model.n, f, fp, up, upp)
@@ -138,12 +151,13 @@ def consistency_hess_vs_H(profile, r):
         mu = -(2/(n-2)) * G^{-alpha} * h_H + 2
 
     where h_H are the eigenvalues of H = Htilde at C = 2 (shift (n-2) G^alpha):
-    mu from the b^2 chain rule, h_H from the Hessian of G, both from G, G', G''.
+    mu from the b^2 chain rule, h_H from the Hessian of G (`htilde_q`), both
+    from G, G', G''.
     """
-    n = profile.model.n
-    G, Gp, Gpp, f, fp = profile.green_derivs_at(r)
+    n, p = profile.model.n, profile.model.profile
+    G, Gp, Gpp = profile.green_derivs_at(r)[:3]
     galpha = G ** (n / (n - 2.0))
-    hH_rad, hH_tan = _htilde(n, 2.0, G, Gp / G, Gpp / G, f, fp)
+    hH_rad, hH_tan = htilde_q(n, 2.0, G, Gp / G, Gpp / G, p.f(r), p.fp(r))
     mu_rad, mu_tan = hess_b2_eigs(profile, r)
     pred_rad = -(2.0 / (n - 2)) * hH_rad / galpha + 2.0
     pred_tan = -(2.0 / (n - 2)) * hH_tan / galpha + 2.0

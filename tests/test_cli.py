@@ -614,10 +614,11 @@ def test_audit_report_keeps_every_field_of_the_audit(capsys):
 
 
 def test_audit_euclidean_at_large_G_does_not_fail(capsys):
-    # group_mixed is the roundoff of terms near 1e35, far inside its gate
-    # tol * (sum of their absolute values); euclidean meets the proof exactly
+    # group_mixed is the roundoff of terms near 1e41, far inside its gate
+    # tol * (sum of their absolute values); euclidean meets the proof exactly.
+    # At r = 0.25 that roundoff is positive, so the gate is exercised
     _, doc = run_json(["audit", "--model", "euclidean", "--n", "30",
-                       "--C", "12", "--r", "0.3"], capsys)
+                       "--C", "12", "--r", "0.25"], capsys)
     assert doc["verdict"] != "fail"
     audit = doc["audit"]
     assert audit["group_scales"]["group_mixed"] > 1e35

@@ -38,12 +38,20 @@ def cone4():
 def test_euclidean_green_values(eucl4):
     # G = r^{2-n}: the quadrature must reproduce the power law
     assert eucl4.green_at(2.0) == pytest.approx(0.25, abs=1e-12)
-    G, Gp, Gpp, f, fp = eucl4.green_derivs_at(2.0)
+    G, Gp, Gpp, mu_rad, mu_tan = eucl4.green_derivs_at(2.0)
     assert Gp == pytest.approx(-0.25, abs=1e-14)
-    assert (f, fp) == (2.0, 1.0)
+    # b^2 = r^2, so Hess b^2 = 2 g
+    assert (mu_rad, mu_tan) == pytest.approx((2.0, 2.0), rel=1e-14)
     # b = r and |grad b| = 1 over the whole grid
     assert np.allclose(eucl4.b, eucl4.grid, rtol=1e-12, atol=0)
     assert np.allclose(eucl4.grad_b, 1.0, rtol=1e-12, atol=0)
+
+
+def test_hess_b2_eigs_refuses_a_radius_off_the_grid(eucl4):
+    with pytest.raises(ModelError, match="outside profile grid range"):
+        hess_b2_eigs(eucl4, 1e5)
+    with pytest.raises(ModelError, match="outside profile grid range"):
+        hess_b2_eigs(eucl4, 1e-3)
 
 
 def test_euclidean_green_power_law_whole_grid(eucl4):
@@ -465,8 +473,8 @@ def test_every_column_is_the_per_radius_path_and_the_pointwise_calls(name, n):
         k = REFERENCE_ROW.index(col)
         assert list(getattr(prof, col)) == [row[k] for row in ref], col
     for i, r in enumerate(prof.grid):
-        f, fp = ref[i][-2:]
-        assert prof.green_derivs_at(r) == (prof.G[i], prof.Gp[i], prof.Gpp[i], f, fp)
+        assert prof.green_derivs_at(r) == (prof.G[i], prof.Gp[i], prof.Gpp[i],
+                                           prof.mu_rad[i], prof.mu_tan[i])
         assert hess_b2_eigs(prof, r) == (prof.mu_rad[i], prof.mu_tan[i])
         assert prof.b2_at(r) == prof.b2[i]
         assert prof.green_at(r) == prof.G[i]

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from harnacklab import INEQ_TOL
-from harnacklab.models import ModelError, make_model, model_from_id
+from harnacklab.models import ModelError, WarpingProfile, make_model, model_from_id
 from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
 from harnacklab.harnack import (
-    _htilde, audit_proof_terms, htilde_eigs, minimal_C, verify_theorem,
+    _htilde, _htilde_at, audit_proof_terms, minimal_C, verify_theorem,
 )
-from green_reference import consistency_hess_vs_H
+from green_reference import consistency_hess_vs_H, htilde_q
 
 #: the commands' default window
 GRID = default_grid(1e-2, 1e2, 512)
@@ -29,25 +29,18 @@ def cone4():
 
 
 def test_htilde_eigs_euclidean(eucl4):
-    assert htilde_eigs(eucl4, 2.0, 10.0) == pytest.approx((0.5, 0.5), abs=1e-10)
-    assert htilde_eigs(eucl4, 2.0, 2.0) == pytest.approx((0.0, 0.0), abs=1e-10)
+    assert _htilde_at(eucl4, 2.0, 10.0) == pytest.approx((0.5, 0.5), abs=1e-10)
+    assert _htilde_at(eucl4, 2.0, 2.0) == pytest.approx((0.0, 0.0), abs=1e-10)
 
 
 def test_htilde_eigs_cone(cone4):
-    assert htilde_eigs(cone4, 1.0, 2.0) == pytest.approx((112.0, 112.0), rel=1e-10)
-
-
-def test_htilde_rejects_bad_args(eucl4):
-    with pytest.raises(ModelError):
-        htilde_eigs(eucl4, 2.0, -1.0)
-    with pytest.raises(ModelError):
-        htilde_eigs(eucl4, 1e5, 2.0)
+    assert _htilde_at(cone4, 1.0, 2.0) == pytest.approx((112.0, 112.0), rel=1e-10)
 
 
 def test_lambda_monotone_in_C(cone4):
     # linear in C with slope ((n-2)/2) G^alpha > 0
     r = 1.7
-    lams = [min(htilde_eigs(cone4, r, C)) for C in (2.0, 6.0, 10.0)]
+    lams = [min(_htilde_at(cone4, r, C)) for C in (2.0, 6.0, 10.0)]
     assert lams[0] < lams[1] < lams[2]
     G = cone4.green_at(r)
     slope = (lams[1] - lams[0]) / 4.0
@@ -60,7 +53,7 @@ def test_euclidean_htilde_closed_form(eucl4):
         for r in (0.3, 1.0, 9.0):
             G = eucl4.green_at(r)
             expect = (C - 2.0) * G**2
-            assert htilde_eigs(eucl4, r, C) == pytest.approx(
+            assert _htilde_at(eucl4, r, C) == pytest.approx(
                 (expect, expect), rel=1e-9, abs=1e-12)
 
 
@@ -68,22 +61,28 @@ def test_euclidean_htilde_closed_form(eucl4):
     ("euclidean", 4), ("euclidean", 150), ("cone:0.5", 100), ("smoothed-cone:0.8:1", 5),
 ])
 def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
+    # the closed form in the Hess b^2 eigenvalues, on arrays and on floats,
+    # against the q-form reference built from the Hessian of G, f and f'
     prof = compute_profile(model_from_id(model_id, n), GRID)
     p = prof.model.profile
     Gs = np.asarray(prof.G)
+    mus = (np.asarray(prof.mu_rad), np.asarray(prof.mu_tan))
     cols = (Gs, np.asarray(prof.Gp) / Gs, np.asarray(prof.Gpp) / Gs,
             np.vectorize(p.f, otypes=[float])(prof.grid),
             np.vectorize(p.fp, otypes=[float])(prof.grid))
     for C in (2.0, 12.0):
-        h_rad, h_tan = _htilde(n, C, *cols)
+        h_rad, h_tan = _htilde(n, C, Gs, *mus)
         assert np.all(np.isfinite(h_rad)) and np.all(np.isfinite(h_tan))
+        ref_rad, ref_tan = htilde_q(n, C, *cols)
         for i in range(0, len(prof.grid), 29):
             G, q1, q2 = (float(col[i]) for col in cols[:3])
-            one = _htilde(n, C, *(float(col[i]) for col in cols))
-            # at C = 2 the sums cancel to 0: compare against their terms' size
+            one = _htilde(n, C, G, float(mus[0][i]), float(mus[1][i]))
+            assert one == pytest.approx((h_rad[i], h_tan[i]), rel=1e-15, abs=0)
+            # at C = 2 the sums cancel to 0: compare against their terms' size,
+            # 4 eps of it for the rounding of each of the two formulas
             terms = G * (abs(q2) + q1 * q1 + C * G ** (2.0 / (n - 2)) * n)
-            assert one == pytest.approx((h_rad[i], h_tan[i]), rel=1e-15,
-                                        abs=4 * np.finfo(float).eps * terms)
+            assert one == pytest.approx((ref_rad[i], ref_tan[i]), rel=1e-15,
+                                        abs=8 * np.finfo(float).eps * terms)
     if model_id == "euclidean":
         # h_rad = h_tan = ((n-2)/2)(C-2) G^alpha, finite at every n
         expect = 0.5 * (n - 2) * 10.0 * Gs ** (n / (n - 2.0))
@@ -116,6 +115,28 @@ def test_verify_theorem_cone_exploratory(cone4):
 def test_verify_theorem_lambda_lower_bound(eucl4):
     rep = verify_theorem(eucl4, 10.0, D=2.0)
     assert rep.lambda_lower_bound_ok is True
+
+
+def test_verify_D_reads_no_warping_profile_value(cone4, monkeypatch):
+    # Lambda on the grid comes from the G and mu columns, not from f and f'
+    calls = []
+    for name in ("f", "fp"):
+        real = getattr(WarpingProfile, name)
+        monkeypatch.setattr(WarpingProfile, name,
+                            lambda self, r, _real=real, _name=name:
+                            calls.append(_name) or _real(self, r))
+    rep = verify_theorem(cone4, 10.0, D=0.25)
+    assert rep.lambda_lower_bound_ok is True and rep.D_premise_holds is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("model_id,n", [("cone:0.5", 4), ("smoothed-cone:0.8:1", 5)])
+def test_boundary_lambda_is_the_kernel_on_the_end_columns(model_id, n):
+    prof = compute_profile(model_from_id(model_id, n), GRID)
+    C = 12.0
+    bd = verify_theorem(prof, C).boundary_diagnostics
+    for key, i in (("lambda_at_r_min", 0), ("lambda_at_r_max", -1)):
+        assert bd[key] == min(_htilde(n, C, prof.G[i], prof.mu_rad[i], prof.mu_tan[i]))
 
 
 def test_verify_theorem_gate_on_small_C(eucl4):
@@ -176,16 +197,20 @@ def test_minimal_C_agrees_under_grid_refinement():
 
 def test_pointwise_equivalence_lambda_vs_margin(cone4):
     # Hess b^2 <= C g at a point <=> lowest Htilde eigenvalue >= 0 there,
-    # via the exact linear relation lam = ((n-2)/2) G^alpha (C - mu_max)
+    # via the exact linear relation lam = ((n-2)/2) G^alpha (C - mu_max):
+    # the q-form reference from the Hessian of G against the package's closed form
     G, f = np.asarray(cone4.G), cone4.model.profile
     galpha = G**2  # n = 4, alpha = 2
-    mu = np.maximum(cone4.mu_rad, cone4.mu_tan)
+    mu_rad, mu_tan = np.asarray(cone4.mu_rad), np.asarray(cone4.mu_tan)
+    mu = np.maximum(mu_rad, mu_tan)
     for C in (0.2, 0.25, 1.0):
-        lam = np.minimum(*_htilde(4, C, G, np.asarray(cone4.Gp) / G, np.asarray(cone4.Gpp) / G,
-                                  np.vectorize(f.f, otypes=[float])(cone4.grid),
-                                  np.vectorize(f.fp, otypes=[float])(cone4.grid)))
+        lam = np.minimum(*htilde_q(4, C, G, np.asarray(cone4.Gp) / G, np.asarray(cone4.Gpp) / G,
+                                   np.vectorize(f.f, otypes=[float])(cone4.grid),
+                                   np.vectorize(f.fp, otypes=[float])(cone4.grid)))
+        closed = np.minimum(*_htilde(4, C, G, mu_rad, mu_tan))
         expect = galpha * (C - mu)
         assert np.allclose(lam, expect, rtol=1e-9, atol=1e-12 * galpha.max())
+        assert np.allclose(closed, lam, rtol=1e-9, atol=1e-12 * galpha.max())
 
 
 def test_audit_euclidean_C10(eucl4):
