@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 a verified inequality/identity fails,
 2 invalid input or unmet preconditions, 3 exploratory run (conclusion
-holds but a hypothesis flag is raised; never reported as a clean pass).
+holds but a hypothesis flag is raised, or an audit's maximum-principle
+case is not exercised; never reported as a clean pass).
 
 Each command imports the engine it runs when it runs, so importing this
 module loads none of them.  Every engine computes in plain Python floats:
@@ -232,8 +233,9 @@ def cmd_audit(args) -> int:
     # a group's rounding grows with its terms: gate it relative to their size
     ok = all(getattr(audit, name) <= args.tol * max(1.0, scale)
              for name, scale in audit.group_scales.items())
-    # the proof's sign claims hold for C in the theorem's range only
-    exploratory = bool(audit.hypothesis_flags) or args.C < THEOREM_C
+    # outside the maximum-principle case the sign claims were not exercised
+    exploratory = (is_exploratory(args.C, audit.hypothesis_flags)
+                   or not audit.max_principle_case)
     return _report(args, _verdict(ok, exploratory), {"audit": audit._asdict()})
 
 
@@ -338,7 +340,7 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exploratory", action="store_true",
                    help=f"allow C < {THEOREM_C} / unmet hypotheses (exit 3 on success)")
     p.add_argument("--D", type=float, default=None,
-                   help="also check the eigenvalue lower bound for Hess b^2 <= D g")
+                   help="also report D and whether Hess b^2 <= D g holds on the range")
 
 
 def _corollary_args(p: argparse.ArgumentParser) -> None:

@@ -63,7 +63,6 @@ class HarnackReport(NamedTuple):
     violations: list
     hypothesis_flags: dict
     boundary_diagnostics: dict
-    lambda_lower_bound_ok: Optional[bool] = None
     D: Optional[float] = None
     D_premise_holds: Optional[bool] = None
 
@@ -81,10 +80,9 @@ class HarnackReport(NamedTuple):
             "boundary_diagnostics": self.boundary_diagnostics,
         }
         if self.D is not None:
-            # the bound checked, whether its premise holds, and the conclusion
+            # the bound D and whether Hess b^2 <= D g holds, on the refined sup
             payload["D"] = self.D
             payload["D_premise_holds"] = self.D_premise_holds
-            payload["lambda_lower_bound_ok"] = self.lambda_lower_bound_ok
         return payload
 
 
@@ -138,19 +136,10 @@ def verify_theorem(
         for i in islice(viol_idx, 32)
     ]
 
-    lam_ok = premise = None
-    if D is not None:
-        D = float(D)
-        premise = min_C <= D + tol  # Hess b^2 <= D g on the grid
-        # Hess b^2 <= D g should force Lambda >= (n-2)/2 (C-D) G^alpha; the
-        # lower eigenvalue is the one of mu = max(mu_rad, mu_tan)
-        lam_ok = True
-        for G, m in zip(profile.G, mu):
-            lam = _htilde(n, C, G, m, m)[0]
-            galpha = G ** (n / (n - 2.0))
-            bound = 0.5 * (n - 2) * (C - D) * galpha
-            # tolerance must track the G^alpha scale, which spans many decades
-            lam_ok = lam_ok and lam >= bound - tol * max(1.0, galpha)
+    # Hess b^2 <= D g on the range; Lambda - ((n-2)/2)(C-D) G^alpha is
+    # ((n-2)/2) G^alpha (D - mu), so the premise is the whole content of
+    # Htilde's lower bound
+    premise = None if D is None else min_C <= D + tol
 
     G, mu_rad, mu_tan = profile.G, profile.mu_rad, profile.mu_tan
     boundary = {
@@ -171,8 +160,7 @@ def verify_theorem(
         violations=violations,
         hypothesis_flags=flags,
         boundary_diagnostics=boundary,
-        lambda_lower_bound_ok=lam_ok,
-        D=D,
+        D=None if D is None else float(D),
         D_premise_holds=premise,
     )
 
@@ -189,19 +177,29 @@ class TermAudit(NamedTuple):
     holds at this point:
 
     group_curv1   2 R_mkmk (Lambda - lambda_k), claimed <= 0
+                  (relies on nonneg_sectional_along_gradG)
     group_curv2   -(2n/(n-2)) R(grad G, V, grad G, V)/G, claimed <= 0
-    group_Hsq     -(2n/((n-2)G)) (Htilde^2)_VV, claimed <= 0
+                  (relies on nonneg_sectional_along_gradG)
+    group_Hsq     -(2n/((n-2)G)) (Htilde^2)_VV, claimed <= 0 (relies on none)
     group_Csq     slack of the C^2 block against -(n(n-2)/2)C(C-8)G^{2a-1}
+                  (relies on nonneg_ricci, through the gradient estimate)
     group_mixed   slack of the anticommutator block against its bound
+                  (relies on nonneg_ricci)
     final_bound   -(n(n-2)/2) C (C-10) G^{2 alpha - 1}
 
     lap_assembled sums the raw (unslacked) terms plus the (n-2)C/2 *
-    Delta G^alpha contribution; on parallel-Ricci models it must match
-    the finite-difference Laplacian of the eigenvalue curve (lap_fd).
+    Delta G^alpha contribution; on parallel-Ricci models (parallel_ricci)
+    it must match the finite-difference Laplacian of the eigenvalue curve
+    (lap_fd).
 
     group_scales holds, per group, the sum of the absolute values of the
     terms it is made of: the size of its rounding, so a group may be
     gated relative to it.
+
+    hypothesis_flags is the model's hypothesis_report(...).flags() on the
+    profile's range, the dict verify prints: true where a hypothesis holds.
+    max_principle_case is Lambda < 0, the only case the sign claims past
+    group_Hsq speak to; where it is false they were not exercised.
     """
 
     r: float
@@ -219,6 +217,7 @@ class TermAudit(NamedTuple):
     lap_fd: float               # finite differences of the eigenvalue curve
     group_scales: dict
     hypothesis_flags: dict
+    max_principle_case: bool
 
 
 def _lap_radial_curve(profile: RadialGreenProfile, func, r: float) -> float:
@@ -315,17 +314,6 @@ def audit_proof_terms(profile: RadialGreenProfile, r: float, C: float) -> TermAu
     curve = lambda s: _htilde_at(profile, s, C)[which]
     lap_fd = _lap_radial_curve(profile, curve, r)
 
-    flags = hypothesis_report(model, profile.grid[0], profile.grid[-1]).flags()
-    relied = {
-        "group_curv1": not flags["nonneg_sectional_along_gradG"],
-        "group_curv2": not flags["nonneg_sectional_along_gradG"],
-        "group_Csq": not flags["nonneg_ricci"],       # gradient estimate input
-        "group_mixed": not flags["nonneg_ricci"],
-        "assembled_identity": not flags["parallel_ricci"],
-        # sign claims past group 3 apply in the maximum-principle case only
-        "negative_htilde_case": lam >= 0.0,
-    }
-
     return TermAudit(
         r=float(r),
         C=float(C),
@@ -343,5 +331,6 @@ def audit_proof_terms(profile: RadialGreenProfile, r: float, C: float) -> TermAu
         group_scales={name: sum(map(abs, terms)) for name, terms in (
             ("group_curv1", g1_terms), ("group_curv2", (g2,)), ("group_Hsq", (g3,)),
             ("group_Csq", g4_terms), ("group_mixed", g5_terms))},
-        hypothesis_flags={k: v for k, v in relied.items() if v},
+        hypothesis_flags=hypothesis_report(model, profile.grid[0], profile.grid[-1]).flags(),
+        max_principle_case=lam < 0.0,
     )

@@ -122,7 +122,7 @@ def test_reports_workload_answers_each_report_shape(tmp_path, monkeypatch):
     assert sorted(entries) == sorted(f"reports:{key}" for key in answers.REPORTS)
     exits = {key.partition(":")[2]: e["exit"] for key, e in entries.items()}
     # the smoothed cone's blend and the cone raise a hypothesis flag
-    assert exits == {"verify-D": 0, "verify-D-smoothed": 3, "models": 0,
+    assert exits == {"verify-D": 0, "verify-D-smoothed": 3, "verify-D-far": 0, "models": 0,
                      "export-profile-stdout": 0, "symbolic-name": 0, "audit-off-grid": 3}
     for key, e in entries.items():
         if key == "reports:export-profile-stdout":
@@ -132,7 +132,8 @@ def test_reports_workload_answers_each_report_shape(tmp_path, monkeypatch):
         else:
             # the report printed is the report written
             assert list(e["artifacts"].values()) == [e["stdout"]]
-    assert entries["reports:verify-D"]["stdout"]["report"]["lambda_lower_bound_ok"] is True
+    assert entries["reports:verify-D"]["stdout"]["report"]["D_premise_holds"] is True
+    assert entries["reports:verify-D-far"]["stdout"]["report"]["D_premise_holds"] is False
     assert entries["reports:audit-off-grid"]["stdout"]["config"]["model"] == "cone:0.5"
     assert answers.diff(entries, entries) == []
 

@@ -87,7 +87,7 @@ def test_export_profile_at_large_dimension_is_finite(capsys):
 def test_audit_euclidean_high_dimension_relies_on_parallel_ricci(capsys):
     _, doc = run_json(["audit", "--model", "euclidean", "--n", "10",
                        "--C", "12", "--r", "1.0"], capsys)
-    assert "assembled_identity" not in doc["audit"]["hypothesis_flags"]
+    assert doc["audit"]["hypothesis_flags"]["parallel_ricci"] is True
 
 
 _ALL_HOLD = dict(nonneg_sectional_along_gradG=True, nonneg_ricci=True,
@@ -610,7 +610,17 @@ def test_audit_report_keeps_every_field_of_the_audit(capsys):
     assert set(doc["audit"]) == {
         "r", "C", "direction", "group_curv1", "group_curv2", "group_Hsq", "group_Csq",
         "group_mixed", "final_bound", "group_Csq_bound", "group_mixed_bound",
-        "lap_assembled", "lap_fd", "group_scales", "hypothesis_flags"}
+        "lap_assembled", "lap_fd", "group_scales", "hypothesis_flags",
+        "max_principle_case"}
+
+
+@pytest.mark.parametrize("model", ["cone:0.5", "smoothed-cone:0.5:1"])
+def test_audit_flags_are_verify_s(model, capsys):
+    # one hypothesis dict, one polarity: true where the hypothesis holds
+    window = ["--model", model, "--n", "4", "--C", "12"]
+    _, audit = run_json(["audit", *window, "--r", "1.0"], capsys)
+    _, verify = run_json(["verify", *window], capsys)
+    assert audit["audit"]["hypothesis_flags"] == verify["report"]["hypothesis_flags"]
 
 
 def test_audit_euclidean_at_large_G_does_not_fail(capsys):
@@ -633,7 +643,7 @@ def test_audit_group_past_its_scaled_gate_fails(capsys):
     audit = doc["audit"]
     scale = audit["group_scales"]["group_curv1"]
     assert audit["group_curv1"] > 1e-3 * scale > 1.0
-    assert "group_curv1" in audit["hypothesis_flags"]
+    assert audit["hypothesis_flags"]["nonneg_sectional_along_gradG"] is False
 
 
 def test_symbolic_verify_all(capsys):
@@ -661,17 +671,51 @@ def test_symbolic_verify_all_refuses_a_name(capsys):
     assert "symbolic supports: verify-all, or verify --name <id>" in captured.err
 
 
-@pytest.mark.parametrize("D,premise", [(1.0, False), (11.0, True)])
-def test_verify_D_reports_its_bound_and_premise(D, premise, capsys):
-    code, doc = run_json(["verify", "--model", "euclidean", "--n", "4",
+@pytest.mark.parametrize("D,premise,window", [
+    pytest.param(1.0, False, ("--n", "4"), id="1.0-False"),
+    pytest.param(11.0, True, ("--n", "4"), id="11.0-True"),
+    # G^alpha <= 1e-10 on this window, where a gate with an absolute floor
+    # of tol once passed the lower bound on Lambda that D = 1 breaks
+    pytest.param(1.0, False, ("--n", "10", "--r-min", "10", "--r-max", "100",
+                              "--C", "10"), id="far-window"),
+])
+def test_verify_D_reports_its_bound_and_premise(D, premise, window, capsys):
+    code, doc = run_json(["verify", "--model", "euclidean", *window,
                           "--D", str(D)], capsys)
     assert code == 0
     report = doc["report"]
-    # minimal_C is 2 here: D = 1 breaks the premise Hess b^2 <= D g, and
-    # the lower bound on Lambda it would give fails with it
+    # minimal_C is 2 on euclidean space: D = 1 breaks the premise Hess b^2 <= D g
     assert report["minimal_C"] == pytest.approx(2.0)
     assert (report["D"], report["D_premise_holds"]) == (D, premise)
-    assert report["lambda_lower_bound_ok"] is premise
+    # the lower bound on Lambda restated the premise, and is not reported
+    assert "lambda_lower_bound_ok" not in report
+
+
+def _bool_keys(doc):
+    """Every key, at any depth of a report, whose value is a bool."""
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            if isinstance(val, bool):
+                yield key
+            yield from _bool_keys(val)
+    elif isinstance(doc, list):
+        for val in doc:
+            yield from _bool_keys(val)
+
+
+def test_every_boolean_of_a_report_is_in_the_readme_table(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Report fields", 1)[1].split("\n#", 1)[0]
+    listed = set(re.findall(r"^\| `([a-zA-Z_]+)` \|", table, re.MULTILINE))
+    printed = set()
+    for argv in (["verify", "--model", "euclidean", "--D", "1"],
+                 ["audit", "--model", "cone:0.5"],
+                 ["corollary", "--model", "euclidean", "--C", "2", "--triples", "2"],
+                 ["symbolic", "verify", "--name", "lap_of_harnack.literal"]):
+        _, doc = run_json(argv, capsys)
+        printed.update(_bool_keys(doc))
+    # no boolean goes undocumented, and the table names no field left unprinted
+    assert printed == listed
 
 
 @pytest.mark.parametrize("argv", [["oracle", "bogus"], ["models", "bogus"]])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from harnacklab import INEQ_TOL
-from harnacklab.models import ModelError, WarpingProfile, make_model, model_from_id
+from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
 from harnacklab.harnack import (
     _htilde, _htilde_at, audit_proof_terms, minimal_C, verify_theorem,
@@ -112,22 +112,14 @@ def test_verify_theorem_cone_exploratory(cone4):
     assert not rep.hypothesis_flags["parallel_ricci"]
 
 
-def test_verify_theorem_lambda_lower_bound(eucl4):
-    rep = verify_theorem(eucl4, 10.0, D=2.0)
-    assert rep.lambda_lower_bound_ok is True
-
-
-def test_verify_D_reads_no_warping_profile_value(cone4, monkeypatch):
-    # Lambda on the grid comes from the G and mu columns, not from f and f'
-    calls = []
-    for name in ("f", "fp"):
-        real = getattr(WarpingProfile, name)
-        monkeypatch.setattr(WarpingProfile, name,
-                            lambda self, r, _real=real, _name=name:
-                            calls.append(_name) or _real(self, r))
-    rep = verify_theorem(cone4, 10.0, D=0.25)
-    assert rep.lambda_lower_bound_ok is True and rep.D_premise_holds is True
-    assert calls == []
+def test_verify_D_premise_flips_at_minimal_C_less_tol(eucl4):
+    # a power-of-two tol keeps D = minimal_C - tol and D + tol exact, so the
+    # premise minimal_C <= D + tol holds at that D and fails just below it
+    tol = 2.0 ** -20
+    edge = verify_theorem(eucl4, 10.0, tol=tol).minimal_C - tol
+    for D, holds in ((edge, True), (edge - tol * 2.0 ** -20, False)):
+        rep = verify_theorem(eucl4, 10.0, tol=tol, D=D)
+        assert (rep.D, rep.D_premise_holds) == (D, holds)
 
 
 @pytest.mark.parametrize("model_id,n", [("cone:0.5", 4), ("smoothed-cone:0.8:1", 5)])
@@ -236,7 +228,7 @@ def test_audit_assembled_matches_fd_laplacian(eucl4, cone4):
 
 def test_audit_cone_flags_parallel_ricci(cone4):
     a = audit_proof_terms(cone4, 1.0, 10.0)
-    assert "assembled_identity" in a.hypothesis_flags
+    assert a.hypothesis_flags["parallel_ricci"] is False
 
 
 def _to_json(rep) -> str:

@@ -27,7 +27,8 @@ dimensions 3 and 6 (``ORACLE_CONE_DIMS``): the cone's Ricci is not
 parallel, so identity 5 is reported outside the gate and the verdict is
 exploratory, which this pins.  The ``reports`` workload, seed-free too,
 answers the report shapes no other workload prints (``REPORTS``): a
-verify with its eigenvalue bound ``--D``, the preset list, a profile
+verify with a bound ``--D``, reporting ``D`` and whether its premise
+``Hess b^2 <= D g`` holds, on near and far windows, the preset list, a profile
 exported to stdout, one symbolic identity and an audit off the grid.  The
 ``forms`` workload, seed-free too, runs no argv: it records the reduced
 forms of a few exact tensor expressions built in process (``_forms``),
@@ -99,6 +100,9 @@ REPORTS = {
     "verify-D": ("verify", "--model", "euclidean", "--n", "4", "--D", "11"),
     "verify-D-smoothed": ("verify", "--model", "smoothed-cone:0.8:1", "--n", "5",
                           "--D", "2"),
+    # a far window, where G^alpha is below the tolerance: D = 1 breaks the premise
+    "verify-D-far": ("verify", "--model", "euclidean", "--n", "10", "--r-min", "10",
+                     "--r-max", "100", "--D", "1", "--C", "10"),
     "models": ("models", "list"),
     "export-profile-stdout": ("export-profile", "--output-dir", ""),
     "symbolic-name": ("symbolic", "verify", "--name", "lap_of_harnack.literal"),
