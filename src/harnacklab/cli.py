@@ -209,7 +209,7 @@ def cmd_corollary(args) -> int:
         for t in triples:
             worst = min(worst, t.slack)
             rows.append((t.y.r, t.y.phi, t.z.r, t.z.phi, t.lam, t.d_yz, t.b2_w, t.rhs,
-                         t.slack, int(t.through_tip_region)))
+                         t.slack, int(t.branch == "tip")))
     if args.output_dir:
         with _artifact(args.output_dir, "corollary.csv").open("w") as out:
             write_csv(out, "y_r,y_phi,z_r,z_phi,lambda,d_yz,b2_w,rhs,slack,through_tip",

@@ -78,7 +78,6 @@ class GeodesicTriple(NamedTuple):
     b2_w: float
     rhs: float
     slack: float
-    through_tip_region: bool
     branch: str       # of the y-z minimizer: radial | monotone | turning | tip
     quad_misses: int  # sweep quadratures of the y-z minimizer and its points that missed tol
     shot_gap: Optional[float] = None  # largest gap between shot and inversion, if shot
@@ -473,7 +472,7 @@ def corollary_check(
             GeodesicTriple(
                 y=y, z=z, lam=float(lam), w=w, d_yz=float(d_yz),
                 b2_w=float(b2w), rhs=float(rhs), slack=float(b2w - rhs),
-                through_tip_region=mini.branch == "tip", branch=mini.branch,
+                branch=mini.branch,
                 quad_misses=mini.quad_misses, shot_gap=shot_gap,
             )
         )

@@ -35,17 +35,17 @@ top.  G at each piece's upper end, G_hi, is worked top down.
 Two kernels per piece do all of this, each with the piece's constants
 taken once: `_piece_green` gives G(r) on the piece from its G_hi (the
 closed form, or one integral of a Horner-row integrand up to the piece's
-top), and `_piece_columns` appends, for a run of radii on the piece, the
+top), and `_fill_columns` appends, for a run of radii on the piece, the
 value of every column of the profile there to that column (a table's top
 radius takes f and f' from the table's top piece).  The grid fills eight
 `array('d')` columns, one per entry of `COLUMNS`, so the profile holds
-8 bytes per value and no float object; a pointwise call (`green_at`,
-`green_derivs_at`, `b2_at`, `hess_b2_eigs`) fills one row through the
-same kernels, so they agree bit for bit, and a finite integral whose
-error estimate misses its gate raises ModelError.  A power past the float
-range is inf, in G (a knot below the grid may have one) as in the
-columns, so that the range checks refuse only the radii that need it and
-name what left the range.
+8 bytes per value and no float object; `row_at` fills one row through the
+same kernels (`green_at` and `b2_at` through `_piece_green` alone), so a
+pointwise value is the grid's bit for bit, and a finite integral whose
+error estimate misses its gate raises ModelError.  Every power is taken
+by `_pow`, inf past the float range, in G (a knot below the grid may have
+one) as in the columns, so that the range checks refuse only the radii
+that need it and name what left the range.
 """
 
 from __future__ import annotations
@@ -127,51 +127,34 @@ def _piece_green(n: int, pc: Piece, G_hi: float):
     return green
 
 
-def _piece_columns(model: ModelManifold, pc: Piece, green, radii, cols, puts):
+def _fill_columns(model: ModelManifold, pc: Piece, green, radii, puts):
     """Put the values of `COLUMNS` at the radii (ascending, inside the piece
-    pc, at least one) through puts, one append per column.
+    pc, at least one) through puts, one append per column, in the order of
+    `COLUMNS`, so that eight times one list's append collects one row.
 
     G is green(r); f and f' come from the profile's piece at pc.lo: pc
     itself, or at the closed end of a table the table's top piece, which
-    holds the top radius only; above it the profile refuses radii[-1].  The
-    powers are taken by the built-in pow, and a piece where one leaves the
-    float range is taken again by `_pow`, whose inf the range checks refuse,
-    once each of cols, the sequences that puts append to, is cut back to
-    the piece's first row.
-    """
-    p = model.profile
-    fpc = p.piece_at(pc.lo)
-    if radii[-1] > fpc.hi:
-        p.f(radii[-1])  # raises: f stops at a table's top
-    start = len(cols[0])
-    try:
-        _fill_columns(model.n, fpc, green, radii, pow, puts)
-    except (OverflowError, ZeroDivisionError):
-        for col in cols:
-            del col[start:]
-        _fill_columns(model.n, fpc, green, radii, _pow, puts)
-
-
-def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
-    """`_piece_columns`' puts, every power taken by pw.
-
+    holds the top radius only; above it the profile refuses radii[-1].
     G' = -(n-2) f^{1-n} and G'' = (n-2)(n-1) f^{-n} f', f and f' by
     Horner's rule on the piece's `row(0)` and `row(1)`.  Where f = a r
     exactly the powers are taken of a and r apart, as G = a^{1-n} r^{2-n}
     takes them, and not of the rounded product a r, whose rounding the
     power would multiply by n.  Of u = G^beta, u' = beta u q1 and
     u'' = beta u ((beta-1) q1^2 + q2): b = G^{1/(2-n)}, |grad b| = |b'|,
-    b^2 = G^{2/(2-n)}, mu_rad = (b^2)'' and mu_tan = (b^2)' f'/f.  The
-    values go out in the order of `COLUMNS`, so eight times one list's
-    append collects one row.
+    b^2 = G^{2/(2-n)}, mu_rad = (b^2)'' and mu_tan = (b^2)' f'/f.  Every
+    power is taken by `_pow`, whose inf the range checks refuse.
     """
+    n, p = model.n, model.profile
+    fpc = p.piece_at(pc.lo)
+    if radii[-1] > fpc.hi:
+        p.f(radii[-1])  # raises: f stops at a table's top
     a, x0 = fpc.slope, fpc.x0
     slope = None if a is None else float(a)
     row, drow = fpc.row(0), fpc.row(1)
     e1, e0 = float(1 - n), float(-n)  # the powers of 1 - n and -n, taken sooner
     base = 1.0 if a is None else a
-    c1 = -(n - 2) * pw(base, e1)
-    c2 = (n - 2) * (n - 1) * pw(base, e0)
+    c1 = -(n - 2) * _pow(base, e1)
+    c2 = (n - 2) * (n - 1) * _pow(base, e0)
     beta_b, beta = 1.0 / (2 - n), 2.0 / (2 - n)
     beta_m1, inf = beta - 1, math.inf
     put_G, put_Gp, put_Gpp, put_b, put_b2, put_grad_b, put_mu_rad, put_mu_tan = puts
@@ -187,11 +170,11 @@ def _fill_columns(n: int, fpc: Piece, green, radii, pw, puts):
             x = f
         else:
             f, fp, x = a * r, slope, r  # what Horner's rule gives on (a, 0) and (a,)
-        Gp = c1 * pw(x, e1)
-        Gpp = c2 * pw(x, e0) * fp
+        Gp = c1 * _pow(x, e1)
+        Gpp = c2 * _pow(x, e0) * fp
         # G = 0 is an underflow: q = inf makes b = inf, which is refused
         q1, q2 = (Gp / G, Gpp / G) if G else (inf, inf)
-        b, b2 = pw(G, beta_b), pw(G, beta)
+        b, b2 = _pow(G, beta_b), _pow(G, beta)
         s = beta * b2
         put_G(G)
         put_Gp(Gp)
@@ -208,7 +191,8 @@ def radial_laplacian(n: int, f, fp, up, upp):
     return upp + (n - 1) * fp / f * up
 
 
-#: the columns of a profile, in the order their float range is checked
+#: the columns of a profile, in the order of a row, of its CSV and of the
+#: float range checks
 COLUMNS = ("G", "Gp", "Gpp", "b", "b2", "grad_b", "mu_rad", "mu_tan")
 _LO = operator.attrgetter("lo")
 
@@ -244,24 +228,18 @@ class RadialGreenProfile(NamedTuple):
         top of its piece."""
         return self.green[self._piece_index(r)](r)
 
-    def _row_at(self, r: float) -> list:
+    def row_at(self, r: float) -> list:
         """The values of `COLUMNS` at r, refused where G, G' or G'' leaves
         the float range, as `compute_profile` refuses it on the grid; G > 0,
         so G = 0 is an underflow."""
         k = self._piece_index(r)
         row = []
-        _piece_columns(self.model, self.pieces[k], self.green[k], (r,), (row,),
-                       (row.append,) * len(COLUMNS))
+        _fill_columns(self.model, self.pieces[k], self.green[k], (r,),
+                      (row.append,) * len(COLUMNS))
         if not (row[0] > 0 and in_float_range(row[:3])):
             raise ModelError(f"G, G' or G'' leaves the float range at n={self.model.n}, "
                              f"r={r:g}; lower n or choose another r")
         return row
-
-    def green_derivs_at(self, r: float):
-        """(G, G', G'', mu_rad, mu_tan) at r: the derivatives of G in closed
-        form and the eigenvalues of Hess b^2."""
-        G, Gp, Gpp, _, _, _, mu_rad, mu_tan = self._row_at(r)
-        return G, Gp, Gpp, mu_rad, mu_tan
 
     def b2_at(self, r: float) -> float:
         n = self.model.n
@@ -274,9 +252,8 @@ class RadialGreenProfile(NamedTuple):
 
     def to_csv(self, out) -> None:
         """Write the profile as CSV to the text stream out (see `write_csv`)."""
-        write_csv(out, "r,G,Gp,Gpp,b,b2,grad_b,mu_rad,mu_tan", zip(
-            self.grid, self.G, self.Gp, self.Gpp, self.b, self.b2,
-            self.grad_b, self.mu_rad, self.mu_tan))
+        write_csv(out, ",".join(("r", *COLUMNS)),
+                  zip(self.grid, *(getattr(self, name) for name in COLUMNS)))
 
 
 def write_csv(out, header: str, rows) -> None:
@@ -350,7 +327,7 @@ def compute_profile(model: ModelManifold, grid) -> RadialGreenProfile:
     for pc, g in zip(pieces, green):
         radii = grid[bisect.bisect_left(grid, pc.lo):bisect.bisect_left(grid, pc.hi)]
         if radii:
-            _piece_columns(model, pc, g, radii, cols, puts)
+            _fill_columns(model, pc, g, radii, puts)
     columns = dict(zip(COLUMNS, cols))
     for name, col in columns.items():
         if not in_float_range(col):
@@ -366,5 +343,5 @@ def hess_b2_eigs(profile: RadialGreenProfile, r: float):
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    row = profile._row_at(r)
+    row = profile.row_at(r)
     return row[6], row[7]

@@ -47,11 +47,6 @@ def _htilde(n: int, C: float, G, mu_rad, mu_tan):
     return G * (s * (C - mu_rad)), G * (s * (C - mu_tan))
 
 
-def _htilde_at(profile: RadialGreenProfile, r: float, C: float):
-    G, _, _, mu_rad, mu_tan = profile.green_derivs_at(r)
-    return _htilde(profile.model.n, C, G, mu_rad, mu_tan)
-
-
 class HarnackReport(NamedTuple):
     model_id: str
     n: int
@@ -220,8 +215,10 @@ class TermAudit(NamedTuple):
     max_principle_case: bool
 
 
-def _lap_radial_curve(profile: RadialGreenProfile, func, r: float) -> float:
-    """Laplacian of a radial scalar curve by central differences + Richardson.
+def _lap_radial_curve(profile: RadialGreenProfile, func, r: float, u0: float) -> float:
+    """Laplacian at r of a radial scalar curve func, whose value at r is u0,
+    by central differences + Richardson: func is evaluated once at each of
+    r +- h and r +- h/2.
 
     Valid for Htilde(V,V) with V the radial or a fixed tangential frame
     direction, which stay eigendirections along the radial line.
@@ -230,8 +227,9 @@ def _lap_radial_curve(profile: RadialGreenProfile, func, r: float) -> float:
     f, fp = p.f(r), p.fp(r)
 
     def lap(h):
-        up = (func(r + h) - func(r - h)) / (2 * h)
-        upp = (func(r + h) - 2 * func(r) + func(r - h)) / (h * h)
+        u_plus, u_minus = func(r + h), func(r - h)
+        up = (u_plus - u_minus) / (2 * h)
+        upp = (u_plus - 2 * u0 + u_minus) / (h * h)
         return radial_laplacian(profile.model.n, f, fp, up, upp)
 
     h = 1e-4 * r
@@ -249,7 +247,7 @@ def audit_proof_terms(profile: RadialGreenProfile, r: float, C: float) -> TermAu
     """
     model = profile.model
     n = model.n
-    G, Gp, Gpp, mu_rad, mu_tan = profile.green_derivs_at(r)
+    G, Gp, _, _, _, _, mu_rad, mu_tan = profile.row_at(r)
     # the terms divide by G^2 and carry G'^2, so those must stay in range too
     if not (G * G > 0 and in_float_range((G * G, Gp * Gp))):
         raise ModelError(f"G^2 or G'^2 leaves the float range at n={n}, r={r:g}; "
@@ -299,7 +297,7 @@ def audit_proof_terms(profile: RadialGreenProfile, r: float, C: float) -> TermAu
     # minus the gradient-estimate remainder completing the bracket bound,
     # (4/((n-2)G)) ((n-2)^2 G^{n/(n-2)+1} - |G'|^2) lam
     g5_terms = (t5_bracket, -g5_bound,
-                -4.0 * (n - 2) * G ** (n / (n - 2.0)) * lam,
+                -4.0 * (n - 2) * galpha * lam,
                 4.0 / ((n - 2) * G) * Gp * Gp * lam)
     g5 = sum(g5_terms)
     t5 = (2.0 * n / ((n - 2) * G)) * t5_bracket
@@ -311,8 +309,12 @@ def audit_proof_terms(profile: RadialGreenProfile, r: float, C: float) -> TermAu
     assembled = g1 + g2 + g3 + t4 + t5 + 0.5 * (n - 2) * C * lap_galpha
 
     which = 0 if direction == "radial" else 1
-    curve = lambda s: _htilde_at(profile, s, C)[which]
-    lap_fd = _lap_radial_curve(profile, curve, r)
+
+    def curve(s):
+        G, *_, mu_rad, mu_tan = profile.row_at(s)
+        return _htilde(n, C, G, mu_rad, mu_tan)[which]
+
+    lap_fd = _lap_radial_curve(profile, curve, r, (h_rad, h_tan)[which])
 
     return TermAudit(
         r=float(r),

@@ -285,7 +285,6 @@ class HypothesisReport(NamedTuple):
     euclidean_volume_growth: bool
     tail_slope: float  # a of the end f ~ a r, decides the flag
     nonparabolic: bool
-    tol: float
 
     def flags(self) -> dict:
         return {
@@ -440,5 +439,4 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         euclidean_volume_growth=tail_slope >= tol,
         tail_slope=float(tail_slope),  # a cone's c, which a caller may give as an int
         nonparabolic=nonpar,
-        tol=tol,
     )

@@ -135,7 +135,7 @@ def check_power_laplacian(profile, r, beta):
     grid = profile.grid
     if not (grid[0] <= r <= grid[-1]):
         raise ModelError(f"r={r} outside profile grid range")
-    G, Gp, Gpp = profile.green_derivs_at(r)[:3]
+    G, Gp, Gpp = profile.row_at(r)[:3]
     p = profile.model.profile
     f, fp = p.f(r), p.fp(r)
     q1 = Gp / G
@@ -155,7 +155,7 @@ def consistency_hess_vs_H(profile, r):
     from G, G', G''.
     """
     n, p = profile.model.n, profile.model.profile
-    G, Gp, Gpp = profile.green_derivs_at(r)[:3]
+    G, Gp, Gpp = profile.row_at(r)[:3]
     galpha = G ** (n / (n - 2.0))
     hH_rad, hH_tan = htilde_q(n, 2.0, G, Gp / G, Gpp / G, p.f(r), p.fp(r))
     mu_rad, mu_tan = hess_b2_eigs(profile, r)

@@ -133,7 +133,7 @@ def test_07_corollary_equality_and_bound():
     C = minimal_C(cone_profile)
     for y, z in _triples(1, 100):
         for t in corollary_check(cone_profile, y, z, C, lambdas):
-            if t.through_tip_region:
+            if t.branch == "tip":
                 continue
             assert t.slack >= -1e-6, (y, z, t.lam)
 

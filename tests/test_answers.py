@@ -138,6 +138,31 @@ def test_reports_workload_answers_each_report_shape(tmp_path, monkeypatch):
     assert answers.diff(entries, entries) == []
 
 
+def test_ranges_workload_refuses_each_argv_with_one_line(tmp_path, monkeypatch):
+    # the concave table only, to keep the test cheap
+    answers = _answers()
+    assert "ranges" in answers.CHOICES
+    monkeypatch.setattr(answers, "TABLES", {"concave": answers.TABLES["concave"]})
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["ranges"], answers._seeds("101"), values=True)
+    grid = "leaves the float range on the grid at n="
+    narrow = "lower n or narrow the radii"
+    json_inf = "error: Out of range float values are not JSON compliant: inf"
+    assert {key.partition(":")[2]: (e["exit"], e["stderr"]) for key, e in entries.items()} == {
+        "cone-slope-G": (2, f"error: G {grid}4, r_min=0.01, r_max=100; {narrow}"),
+        "r-min-G": (2, f"error: G {grid}4, r_min=9.99989e-321, r_max=100; {narrow}"),
+        "table-Gpp": (2, f"error: Gpp {grid}152, r_min=0.01, r_max=100; {narrow}"),
+        "table-G": (2, f"error: G {grid}700, r_min=0.01, r_max=100; {narrow}"),
+        "audit-r-G": (2, "error: G, G' or G'' leaves the float range at n=4, r=1e-200; "
+                         "lower n or choose another r"),
+        "audit-r-G-squared": (2, "error: G^2 or G'^2 leaves the float range at n=3, "
+                                 "r=1e+300; lower n or choose another r"),
+        "report-cone-inf": (2, json_inf),
+        "report-C-inf": (2, json_inf),
+    }
+    assert answers.diff(entries, entries) == []
+
+
 def test_forms_workload_records_reduced_forms(tmp_path, monkeypatch):
     answers = _answers()
     assert "forms" in answers.CHOICES

@@ -38,7 +38,7 @@ def cone4():
 def test_euclidean_green_values(eucl4):
     # G = r^{2-n}: the quadrature must reproduce the power law
     assert eucl4.green_at(2.0) == pytest.approx(0.25, abs=1e-12)
-    G, Gp, Gpp, mu_rad, mu_tan = eucl4.green_derivs_at(2.0)
+    _, Gp, _, _, _, _, mu_rad, mu_tan = eucl4.row_at(2.0)
     assert Gp == pytest.approx(-0.25, abs=1e-14)
     # b^2 = r^2, so Hess b^2 = 2 g
     assert (mu_rad, mu_tan) == pytest.approx((2.0, 2.0), rel=1e-14)
@@ -315,7 +315,7 @@ def test_G_past_the_float_range_below_the_grid_is_inf_there_only():
     assert G_hi[0] == math.inf and math.isfinite(G_hi[-2])
     assert all(math.isfinite(g) for g in prof.G) and prof.green_at(0.005) == math.inf
     with pytest.raises(ModelError, match="leaves the float range at n=150, r=0.005"):
-        prof.green_derivs_at(0.005)
+        prof.row_at(0.005)
 
 
 def test_table_is_integrated_up_to_its_top():
@@ -347,13 +347,14 @@ def _grid_with_knots(model):
 
 @pytest.mark.parametrize("model,name", EXACT_MODELS, ids=[name for _, name in EXACT_MODELS])
 def test_pointwise_G_is_grid_G_exactly(model, name):
-    # one G function and one derivative kernel per piece serve the grid and
+    # one G function and one column kernel per piece serve the grid and
     # every pointwise call, so the two agree bit for bit, on the knots too
     prof = compute_profile(model, _grid_with_knots(model))
-    assert all(len(getattr(prof, col)) == len(prof.grid) for col in COLUMNS)
+    columns = [getattr(prof, col) for col in COLUMNS]
+    assert all(len(col) == len(prof.grid) for col in columns)
     for i, r in enumerate(prof.grid):
         assert prof.green_at(r) == prof.G[i]
-        assert prof.green_derivs_at(r)[:3] == (prof.G[i], prof.Gp[i], prof.Gpp[i])
+        assert prof.row_at(r) == [col[i] for col in columns]
 
 
 @pytest.fixture
@@ -472,9 +473,9 @@ def test_every_column_is_the_per_radius_path_and_the_pointwise_calls(name, n):
     for col in COLUMNS:
         k = REFERENCE_ROW.index(col)
         assert list(getattr(prof, col)) == [row[k] for row in ref], col
+    columns = [getattr(prof, col) for col in COLUMNS]
     for i, r in enumerate(prof.grid):
-        assert prof.green_derivs_at(r) == (prof.G[i], prof.Gp[i], prof.Gpp[i],
-                                           prof.mu_rad[i], prof.mu_tan[i])
+        assert prof.row_at(r) == [col[i] for col in columns]
         assert hess_b2_eigs(prof, r) == (prof.mu_rad[i], prof.mu_tan[i])
         assert prof.b2_at(r) == prof.b2[i]
         assert prof.green_at(r) == prof.G[i]

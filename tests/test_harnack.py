@@ -9,13 +9,17 @@ import pytest
 from harnacklab import INEQ_TOL
 from harnacklab.models import ModelError, make_model, model_from_id
 from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
-from harnacklab.harnack import (
-    _htilde, _htilde_at, audit_proof_terms, minimal_C, verify_theorem,
-)
+from harnacklab.harnack import _htilde, audit_proof_terms, minimal_C, verify_theorem
 from green_reference import consistency_hess_vs_H, htilde_q
 
 #: the commands' default window
 GRID = default_grid(1e-2, 1e2, 512)
+
+
+def _htilde_at(profile, r, C):
+    """Htilde's eigenvalues at r, from the pointwise row there."""
+    G, *_, mu_rad, mu_tan = profile.row_at(r)
+    return _htilde(profile.model.n, C, G, mu_rad, mu_tan)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +228,22 @@ def test_audit_assembled_matches_fd_laplacian(eucl4, cone4):
         for C in (10.0, 12.0):
             a = audit_proof_terms(profile, 1.5, C)
             assert a.lap_assembled == pytest.approx(a.lap_fd, rel=1e-4, abs=1e-6)
+
+
+@pytest.mark.parametrize("model_id,n", [("euclidean", 4), ("smoothed-cone:0.8:1", 4)])
+def test_audit_evaluates_each_radius_once(model_id, n, monkeypatch):
+    # r, r +- h and r +- h/2: the finite differences reuse the row at r
+    prof = compute_profile(model_from_id(model_id, n), GRID)
+    radii = []
+    row_at = type(prof).row_at
+
+    def counted(self, r):
+        radii.append(r)
+        return row_at(self, r)
+
+    monkeypatch.setattr(type(prof), "row_at", counted)
+    audit_proof_terms(prof, 0.8, 12.0)
+    assert len(radii) == len(set(radii)) == 5 and radii[0] == 0.8
 
 
 def test_audit_cone_flags_parallel_ricci(cone4):

@@ -33,7 +33,11 @@ exported to stdout, one symbolic identity and an audit off the grid.  The
 ``forms`` workload, seed-free too, runs no argv: it records the reduced
 forms of a few exact tensor expressions built in process (``_forms``),
 non-zero ones among them, which no command prints, so that a change to the
-reduction shows here as a moved form.  It prints JSON holding, per argv,
+reduction shows here as a moved form.  The ``ranges`` workload, seed-free
+too, answers the argv that leave the float range (``RANGES``): on the grid,
+in a custom table of the ``tables`` workload, at an audit's radius and in a
+report's JSON, each refused with exit 2 and one line naming what left the
+range.  It prints JSON holding, per argv,
 the exit code, a sha256 of stdout, the first line of stderr and a sha256
 of each artifact, and per form a sha256 of its ``repr``.  The output
 directories are relative paths inside a temporary working directory, so
@@ -108,8 +112,20 @@ REPORTS = {
     "symbolic-name": ("symbolic", "verify", "--name", "lap_of_harnack.literal"),
     "audit-off-grid": ("audit", "--model", "cone:0.5", "--r", "500"),
 }
+#: the ``ranges`` workload: key suffix -> argv, each refused with exit 2
+RANGES = {
+    "cone-slope-G": ("verify", "--model", "cone:1e-300", "--n", "4"),
+    "r-min-G": ("verify", "--r-min", "1e-320", "--n", "4"),
+    "table-Gpp": ("verify", "--model", "custom:tables/concave.csv", "--n", "152"),
+    "table-G": ("verify", "--model", "custom:tables/concave.csv", "--n", "700"),
+    "audit-r-G": ("audit", "--model", "cone:0.5", "--r", "1e-200", "--n", "4"),
+    "audit-r-G-squared": ("audit", "--model", "euclidean", "--r", "1e300", "--n", "3"),
+    # every column is in range; only a boundary diagnostic is inf
+    "report-cone-inf": ("verify", "--model", "cone:0.01", "--n", "3", "--r-min", "1e-100"),
+    "report-C-inf": ("verify", "--C", "1e308", "--n", "4"),
+}
 CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone", "reports",
-           "forms")
+           "ranges", "forms")
 
 
 def _sha(data: bytes) -> str:
@@ -133,8 +149,8 @@ def _write_tables(directory: Path) -> None:
 
 def _argvs(names, seeds):
     """(key, argv) of every cycle slot and probe of the workloads at the
-    seeds, of every table command and of every edge, geodesics, oracle-cone
-    and reports argv."""
+    seeds, of every table command and of every edge, geodesics, oracle-cone,
+    reports and ranges argv."""
     for name in names:
         if name == "tables":
             for table in TABLES:
@@ -161,9 +177,9 @@ def _argvs(names, seeds):
                     "oracle", "commutators", "--chart", "cone", "--n", n,
                     "--probes", ORACLE_CONE_PROBES]
             continue
-        if name == "reports":
-            for suffix, argv in REPORTS.items():
-                yield f"reports:{suffix}", list(argv)
+        if name in ("reports", "ranges"):
+            for suffix, argv in (REPORTS if name == "reports" else RANGES).items():
+                yield f"{name}:{suffix}", list(argv)
             continue
         if name == "forms":
             continue  # no argv: see _forms
@@ -251,7 +267,7 @@ def digest(names, seeds, values: bool = False) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            if "tables" in names:
+            if "tables" in names or "ranges" in names:
                 _write_tables(Path("tables"))
             answers = {key: _answer(main, argv, f"out/{key.replace(':', '-')}", values)
                        for key, argv in _argvs(names, seeds)}
