@@ -147,8 +147,9 @@ def _warped(name: str, n: int, f) -> CoordinateChart:
 
 
 def warped_chart(model) -> CoordinateChart:
-    """Warped chart of a model manifold; reads only its .n, .profile.f and
-    .describe()."""
+    """Warped chart of a model manifold, named by its model id
+    (``describe()``, the profile's name); reads only its .n, .profile.f
+    and .describe()."""
     return _warped(f"warped[{model.describe()}]", model.n, model.profile.f)
 
 

@@ -136,14 +136,6 @@ def verify_theorem(
     # Htilde's lower bound
     premise = None if D is None else min_C <= D + tol
 
-    G, mu_rad, mu_tan = profile.G, profile.mu_rad, profile.mu_tan
-    boundary = {
-        "mu_max_at_r_min": mu[0],
-        "mu_max_at_r_max": mu[-1],
-        "lambda_at_r_min": min(_htilde(n, C, G[0], mu_rad[0], mu_tan[0])),
-        "lambda_at_r_max": min(_htilde(n, C, G[-1], mu_rad[-1], mu_tan[-1])),
-    }
-
     return HarnackReport(
         model_id=model.describe(),
         n=n,
@@ -154,7 +146,7 @@ def verify_theorem(
         minimal_C=min_C,
         violations=violations,
         hypothesis_flags=flags,
-        boundary_diagnostics=boundary,
+        boundary_diagnostics={"mu_max_at_r_min": mu[0], "mu_max_at_r_max": mu[-1]},
         D=None if D is None else float(D),
         D_premise_holds=premise,
     )

@@ -13,8 +13,9 @@ f.  Closed-form curvature of such metrics:
 and Ric = ric_rad dr^2 + ric_tan (g - dr^2) with ric_rad = (n-1) k_rad,
 ric_tan = k_rad + (n-2) k_tan.
 
-The pieces of f are polynomials (`harnacklab.poly`).  A custom table is
-read and splined by `harnacklab.tables`, which only a custom profile loads.
+The pieces of f are polynomials (`harnacklab.poly`).  Each preset is one
+entry of `PRESETS`, which `model_from_id` parses; a custom table is read
+and splined by `harnacklab.tables`, which only a custom profile loads.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from . import ModelError, quadrature
 from .poly import Poly
 
 __all__ = [
+    "PRESETS",
     "WarpingProfile",
     "ModelManifold",
     "CurvatureSample",
     "HypothesisReport",
     "NonParabolicityReport",
-    "make_model",
+    "table_profile",
     "model_from_id",
     "curvature_at",
     "hypothesis_report",
@@ -82,65 +84,50 @@ def _smoothstep_blend(c, r0):
     return (Poly((0.5 * r0, 1.0)) * (1.0 + (c - 1.0) * w)).coef
 
 
+def _euclidean():
+    return [Piece(0.0, math.inf, 0.0, (0.0, 1.0))]
+
+
+def _cone(c):
+    if not 0.0 < c <= 1.0:  # NaN fails the comparison too
+        raise ModelError("cone aperture c must satisfy 0 < c <= 1")
+    return [Piece(0.0, math.inf, 0.0, (0.0, c))]
+
+
+def _smoothed_cone(c, r0):
+    """f = r near the tip, f = c r beyond r0, the C^2 quintic blend on [r0/2, r0]."""
+    _cone(c)  # checks the aperture
+    if not 0.0 < r0 < math.inf:
+        raise ModelError("smoothed_cone requires a finite r0 > 0")
+    a = 0.5 * r0
+    return [Piece(0.0, a, 0.0, (0.0, 1.0)), Piece(a, r0, a, _smoothstep_blend(c, r0)),
+            Piece(r0, math.inf, 0.0, (0.0, c))]
+
+
+#: the preset models: name -> (its parameters' names, the builder that
+#: checks them and returns the pieces of f)
+PRESETS = {
+    "euclidean": ((), _euclidean),
+    "cone": (("c",), _cone),
+    "smoothed-cone": (("c", "r0"), _smoothed_cone),
+}
+
+
 class WarpingProfile:
     """Warping function f(r) of a rotationally symmetric metric.
 
-    kind
-        one of ``euclidean`` (f = r), ``cone`` (f = c*r), ``smoothed_cone``
-        (f = r near the tip, f = c*r beyond r0, C^2 quintic blend on
-        [r0/2, r0]) or ``custom`` (cubic spline through a sampled table,
-        closed off below it by the line f = (f_0/r_0) r).
-
-    Every kind is stored as `pieces`, one polynomial of r per interval,
-    ascending; f and its derivatives of every order come from them alone.
-    `knots` are the radii where f changes polynomial.
+    `name` is its model id, a preset's (`PRESETS`) with its parameters, or
+    ``custom`` (`table_profile`).  `pieces` hold f, one polynomial of r per
+    interval, ascending; f and its derivatives of every order come from
+    them alone.  `knots` are the radii where f changes polynomial.
     """
 
-    __slots__ = ("kind", "c", "r0", "table", "pieces", "knots", "_rows")
+    __slots__ = ("name", "pieces", "knots", "_rows")
 
-    def __init__(self, kind: str, c: Optional[float] = None, r0: Optional[float] = None,
-                 table: Optional[tuple] = None):  # (r, f) samples for kind == "custom"
-        self.kind, self.c, self.r0, self.table = kind, c, r0, table
-        if self.kind in ("cone", "smoothed_cone"):
-            if self.c is None or not (0.0 < self.c <= 1.0):
-                raise ModelError("cone aperture c must satisfy 0 < c <= 1")
-        if self.kind == "smoothed_cone":
-            if self.r0 is None or not 0.0 < self.r0 < math.inf:
-                raise ModelError("smoothed_cone requires a finite r0 > 0")
-        if self.kind == "euclidean":
-            pieces = [Piece(0.0, math.inf, 0.0, (0.0, 1.0))]
-        elif self.kind == "cone":
-            pieces = [Piece(0.0, math.inf, 0.0, (0.0, self.c))]
-        elif self.kind == "smoothed_cone":
-            a, b = 0.5 * self.r0, self.r0
-            pieces = [Piece(0.0, a, 0.0, (0.0, 1.0)),
-                      Piece(a, b, a, _smoothstep_blend(self.c, self.r0)),
-                      Piece(b, math.inf, 0.0, (0.0, self.c))]
-        elif self.kind == "custom":
-            if self.table is None:
-                raise ModelError("custom profile requires a sample table")
-            r, fvals = (list(map(float, col)) for col in self.table)
-            if len(r) != len(fvals):
-                raise ModelError("custom table needs as many f values as radii")
-            if not all(map(math.isfinite, r + fvals)):
-                raise ModelError("custom table must hold finite numbers")
-            if len(r) < 4 or any(b <= a for a, b in zip(r, r[1:])):
-                raise ModelError("custom table needs >= 4 strictly increasing radii")
-            if r[0] <= 0 or min(fvals) <= 0:
-                raise ModelError("custom table must have r > 0 and f > 0")
-            from .tables import not_a_knot_rows
-
-            # the line through the first row closes the table off below,
-            # so tip integrals (volumes) stay defined
-            pieces = [Piece(0.0, r[0], 0.0, (0.0, fvals[0] / r[0]))]
-            pieces += [Piece(lo, hi, lo, row) for lo, hi, row
-                       in zip(r[:-1], r[1:], not_a_knot_rows(r, fvals))]
-        else:
-            raise ModelError(f"unknown profile kind {self.kind!r}")
+    def __init__(self, name: str, pieces: list):
         top = pieces[-1].hi
         knots = [pc.lo for pc in pieces[1:]] + ([top] if top < math.inf else [])
-        self.pieces = tuple(pieces)
-        self.knots = tuple(knots)
+        self.name, self.pieces, self.knots = name, tuple(pieces), tuple(knots)
         # _rows: the pieces' lo and x0, and for f, f' and f'' the Horner
         # rows (descending powers) of every piece
         rows = [[pc.row(k) for pc in pieces] for k in range(3)]
@@ -214,10 +201,6 @@ class WarpingProfile:
                 least, most = min(least, value), max(most, value)
         return least, most
 
-    def min_ratio(self, lo, hi, numer, power=0):
-        """min over [lo, hi] of N / f^power (see `ratio_range`)."""
-        return self.ratio_range(lo, hi, numer, power)[0]
-
     def fp_min(self, lo, hi):
         """Minimum of f' over [lo, hi]."""
         return self.ratio_range(lo, hi, Poly.deriv)[0]
@@ -251,14 +234,7 @@ class ModelManifold:
         self.n, self.profile = int(n), profile
 
     def describe(self) -> str:
-        p = self.profile
-        if p.kind == "euclidean":
-            return "euclidean"
-        if p.kind == "cone":
-            return f"cone:{p.c:g}"
-        if p.kind == "smoothed_cone":
-            return f"smoothed-cone:{p.c:g}:{p.r0:g}"
-        return "custom"
+        return self.profile.name
 
 
 class CurvatureSample(NamedTuple):
@@ -304,26 +280,45 @@ class NonParabolicityReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def make_model(kind, n, c=None, r0=None, table=None) -> ModelManifold:
-    """Build a model manifold, validating dimension and profile parameters."""
-    return ModelManifold(n, WarpingProfile(kind=kind, c=c, r0=r0, table=table))
+def table_profile(table) -> WarpingProfile:
+    """The custom profile of an (r, f) sample table: the not-a-knot cubic
+    spline through it, closed off below it by the line f = (f_0/r_0) r."""
+    r, fvals = (list(map(float, col)) for col in table)
+    if len(r) != len(fvals):
+        raise ModelError("custom table needs as many f values as radii")
+    if not all(map(math.isfinite, r + fvals)):
+        raise ModelError("custom table must hold finite numbers")
+    if len(r) < 4 or any(b <= a for a, b in zip(r, r[1:])):
+        raise ModelError("custom table needs >= 4 strictly increasing radii")
+    if r[0] <= 0 or min(fvals) <= 0:
+        raise ModelError("custom table must have r > 0 and f > 0")
+    from .tables import not_a_knot_rows
+
+    # the line through the first row closes the table off below, so tip
+    # integrals (volumes) stay defined
+    pieces = [Piece(0.0, r[0], 0.0, (0.0, fvals[0] / r[0]))]
+    pieces += [Piece(lo, hi, lo, row) for lo, hi, row
+               in zip(r[:-1], r[1:], not_a_knot_rows(r, fvals))]
+    return WarpingProfile("custom", pieces)
 
 
 def model_from_id(model_id: str, n: int) -> ModelManifold:
-    """Resolve a preset id: euclidean | cone:<c> | smoothed-cone:<c>:<r0> | custom:<path>."""
-    parts = model_id.split(":")
-    head = parts[0]
-    if head == "euclidean" and len(parts) == 1:
-        return make_model("euclidean", n)
-    if head == "cone" and len(parts) == 2:
-        return make_model("cone", n, c=float(parts[1]))
-    if head in ("smoothed-cone", "smoothed_cone") and len(parts) == 3:
-        return make_model("smoothed_cone", n, c=float(parts[1]), r0=float(parts[2]))
-    if head == "custom" and len(parts) >= 2:
+    """Resolve a model id: a preset name of `PRESETS` and its parameters
+    (euclidean | cone:<c> | smoothed-cone:<c>:<r0>, smoothed_cone read as
+    smoothed-cone), or custom:<path>."""
+    head, *params = model_id.split(":")
+    if head == "custom" and params:
         from .tables import read_table
 
-        return make_model("custom", n, table=read_table(":".join(parts[1:])))
-    raise ModelError(f"unrecognized model id {model_id!r}")
+        return ModelManifold(n, table_profile(read_table(":".join(params))))
+    if head == "smoothed_cone":
+        head = "smoothed-cone"
+    names, build = PRESETS.get(head, (None, None))
+    if names is None or len(params) != len(names):
+        raise ModelError(f"unrecognized model id {model_id!r}")
+    values = [float(x) for x in params]
+    name = ":".join([head, *(f"{v:g}" for v in values)])
+    return ModelManifold(n, WarpingProfile(name, build(*values)))
 
 
 def curvature_at(model: ModelManifold, r: float) -> CurvatureSample:
@@ -370,7 +365,7 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     The gradient of the Green function is radial on these models, so
     nonnegative sectional curvature along it reduces to k_rad >= 0.  The
     sectional and Ricci margins are the exact minima over [r_min, r_max]
-    (see WarpingProfile.min_ratio).
+    (see WarpingProfile.ratio_range).
 
     Parallel Ricci: with Hess r = (f'/f)(g - dr^2), in an orthonormal frame
 
@@ -396,9 +391,9 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     p, n, tol = model.profile, model.n, DEFAULT_CURV_TOL
     # exact minima over [r_min, r_max]: k_rad = -f''/f, ric_rad = (n-1) k_rad
     # and ric_tan = (-f f'' + (n-2)(1 - f'^2)) / f^2
-    sec_margin = p.min_ratio(r_min, r_max, lambda F: -F.deriv(2), 1)
-    ric_tan_min = p.min_ratio(
-        r_min, r_max, lambda F: -F * F.deriv(2) + (n - 2) * (1.0 - F.deriv() ** 2), 2)
+    sec_margin = p.ratio_range(r_min, r_max, lambda F: -F.deriv(2), 1)[0]
+    ric_tan_min = p.ratio_range(
+        r_min, r_max, lambda F: -F * F.deriv(2) + (n - 2) * (1.0 - F.deriv() ** 2), 2)[0]
     ric_margin = min((n - 1) * sec_margin, ric_tan_min)
 
     def flatness(F):  # f'(1 - f'^2): zero only on cylinders and flat pieces
@@ -437,6 +432,6 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         parallel_ricci_fd_residual=fd_residual,
         parallel_ricci=parallel_ricci,
         euclidean_volume_growth=tail_slope >= tol,
-        tail_slope=float(tail_slope),  # a cone's c, which a caller may give as an int
+        tail_slope=tail_slope,
         nonparabolic=nonpar,
     )

@@ -24,7 +24,7 @@ class Poly:
     Polys, derivatives, Horner evaluation at a float, and the real roots
     in an interval.
     The smoothed-cone blend, the derivative rows of every profile and the
-    margins of `WarpingProfile.min_ratio` are built from these."""
+    margins of `WarpingProfile.ratio_range` are built from these."""
 
     __slots__ = ("coef",)
 

@@ -1,6 +1,7 @@
 """Closed forms of a model that no command evaluates, a test-only reference
 for ``harnacklab.models`` and the FD chart oracle.
 
+`preset_id` spells a preset's model id from its parameters;
 `third_derivative` gives f''' of a warping profile, by Horner's rule on the
 piece that holds r, as the profile gives f, f' and f''; `ricci_gradient_norm`
 gives |grad Ric| in closed form, the value the oracle's
@@ -11,6 +12,11 @@ import math
 
 from harnacklab.models import Poly, curvature_at
 
+
+def preset_id(name, *params):
+    """The model id of a preset and its parameters, a None one left out:
+    ``preset_id("cone", 0.5, None)`` is ``"cone:0.5"``."""
+    return ":".join([name, *(repr(p) for p in params if p is not None)])
 
 def third_derivative(profile):
     """f''' of the profile as a function of r, refusing the radii f refuses."""

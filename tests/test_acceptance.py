@@ -15,7 +15,7 @@ from harnacklab.fdcheck import DEFAULT_H, check_parallel_ricci
 from harnacklab.geodesics import SlicePoint, corollary_check
 from harnacklab.green import compute_profile, default_grid
 from harnacklab.harnack import audit_proof_terms, minimal_C
-from harnacklab.models import make_model
+from harnacklab.models import model_from_id
 from harnacklab.symbolic import verify_identity
 from green_reference import check_power_laplacian, consistency_hess_vs_H
 
@@ -25,19 +25,19 @@ GRID = default_grid(0.1, 50.0, 512)
 
 def _presets():
     return [
-        make_model("euclidean", 4),
-        make_model("euclidean", 3),
-        make_model("cone", 4, c=0.5),
-        make_model("cone", 4, c=0.8),
-        make_model("cone", 5, c=0.3),
-        make_model("smoothed_cone", 4, c=0.5, r0=1.0),
+        model_from_id("euclidean", 4),
+        model_from_id("euclidean", 3),
+        model_from_id("cone:0.5", 4),
+        model_from_id("cone:0.8", 4),
+        model_from_id("cone:0.3", 5),
+        model_from_id("smoothed-cone:0.5:1", 4),
     ]
 
 
 def test_01_euclidean_exactness():
     t0 = time.time()
     for n in (3, 4, 5, 6):
-        model = make_model("euclidean", n)
+        model = model_from_id("euclidean", n)
         profile = compute_profile(model, GRID)
         mu_rad, mu_tan = np.asarray(profile.mu_rad), np.asarray(profile.mu_tan)
         assert np.max(np.abs(mu_rad - 2.0)) < 1e-6
@@ -50,10 +50,10 @@ def test_02_gradient_estimate():
     t0 = time.time()
     models = []
     for n in (3, 4, 5):
-        models.append(make_model("euclidean", n))
+        models.append(model_from_id("euclidean", n))
         for c in (0.3, 0.5, 0.8, 1.0):
-            models.append(make_model("cone", n, c=c))
-        models.append(make_model("smoothed_cone", n, c=0.5, r0=1.0))
+            models.append(model_from_id(f"cone:{c!r}", n))
+        models.append(model_from_id("smoothed-cone:0.5:1", n))
     for model in models:
         profile = compute_profile(model, GRID)
         assert np.max(profile.grad_b) <= 1.0 + 1e-8, model.describe()
@@ -63,7 +63,7 @@ def test_02_gradient_estimate():
 def test_03_cone_minimal_C_closed_form():
     for n in (3, 4, 5):
         for c in (0.3, 0.5, 0.8, 1.0):
-            model = make_model("cone", n, c=c)
+            model = model_from_id(f"cone:{c!r}", n)
             expect = 2.0 * c ** (2.0 * (n - 1) / (n - 2))
             got = minimal_C(compute_profile(model, GRID))
             assert got == pytest.approx(expect, abs=1e-6), (n, c)
@@ -122,13 +122,13 @@ def _triples(seed, count):
 
 def test_07_corollary_equality_and_bound():
     lambdas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    model = make_model("euclidean", 4)
+    model = model_from_id("euclidean", 4)
     profile = compute_profile(model, GRID)
     for y, z in _triples(0, 100):
         for t in corollary_check(profile, y, z, 2.0, lambdas):
             assert abs(t.slack) <= 1e-6, (y, z, t.lam)
 
-    cone = make_model("cone", 4, c=0.5)
+    cone = model_from_id("cone:0.5", 4)
     cone_profile = compute_profile(cone, GRID)
     C = minimal_C(cone_profile)
     for y, z in _triples(1, 100):
@@ -139,7 +139,7 @@ def test_07_corollary_equality_and_bound():
 
 
 def test_08_proof_term_audit():
-    model = make_model("euclidean", 4)
+    model = model_from_id("euclidean", 4)
     profile = compute_profile(model, GRID)
     a = audit_proof_terms(profile, 1.0, 10.0)
     for g in (a.group_curv1, a.group_curv2, a.group_Hsq, a.group_Csq,

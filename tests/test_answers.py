@@ -121,9 +121,10 @@ def test_reports_workload_answers_each_report_shape(tmp_path, monkeypatch):
     entries = answers.digest(["reports"], answers._seeds("101"), values=True)
     assert sorted(entries) == sorted(f"reports:{key}" for key in answers.REPORTS)
     exits = {key.partition(":")[2]: e["exit"] for key, e in entries.items()}
-    # the smoothed cone's blend and the cone raise a hypothesis flag
+    # the smoothed cone's blend and the cones raise a hypothesis flag
     assert exits == {"verify-D": 0, "verify-D-smoothed": 3, "verify-D-far": 0, "models": 0,
-                     "export-profile-stdout": 0, "symbolic-name": 0, "audit-off-grid": 3}
+                     "export-profile-stdout": 0, "symbolic-name": 0, "audit-off-grid": 3,
+                     "cone-tiny-r-min": 3, "C-near-max": 0}
     for key, e in entries.items():
         if key == "reports:export-profile-stdout":
             # no artifact: the profile's CSV is printed
@@ -147,7 +148,6 @@ def test_ranges_workload_refuses_each_argv_with_one_line(tmp_path, monkeypatch):
     entries = answers.digest(["ranges"], answers._seeds("101"), values=True)
     grid = "leaves the float range on the grid at n="
     narrow = "lower n or narrow the radii"
-    json_inf = "error: Out of range float values are not JSON compliant: inf"
     assert {key.partition(":")[2]: (e["exit"], e["stderr"]) for key, e in entries.items()} == {
         "cone-slope-G": (2, f"error: G {grid}4, r_min=0.01, r_max=100; {narrow}"),
         "r-min-G": (2, f"error: G {grid}4, r_min=9.99989e-321, r_max=100; {narrow}"),
@@ -157,9 +157,51 @@ def test_ranges_workload_refuses_each_argv_with_one_line(tmp_path, monkeypatch):
                          "lower n or choose another r"),
         "audit-r-G-squared": (2, "error: G^2 or G'^2 leaves the float range at n=3, "
                                  "r=1e+300; lower n or choose another r"),
-        "report-cone-inf": (2, json_inf),
-        "report-C-inf": (2, json_inf),
     }
+    assert answers.diff(entries, entries) == []
+
+
+def test_reports_print_their_verdict_where_g_alpha_overflows(tmp_path, monkeypatch):
+    # G ~ 1e102 at r_min = 1e-100 on cone:0.01 in n = 3, and C = 1e308 at n = 4:
+    # each verdict is printed, as the report no longer holds G^alpha (C - mu)
+    answers = _answers()
+    monkeypatch.setattr(answers, "REPORTS", {key: answers.REPORTS[key] for key in (
+        "cone-tiny-r-min", "C-near-max")})
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["reports"], answers._seeds("101"), values=True)
+    cone, big_C = entries["reports:cone-tiny-r-min"], entries["reports:C-near-max"]
+    assert (cone["exit"], cone["stdout"]["verdict"]) == (3, "exploratory")
+    assert (big_C["exit"], big_C["stdout"]["verdict"]) == (0, "pass")
+    # the tangent-cone law: sup mu = 2 c^{2(n-1)/(n-2)} = 2e-8 at c = 0.01, n = 3
+    assert cone["stdout"]["report"]["minimal_C"] == pytest.approx(2e-8, rel=1e-12)
+    assert sorted(cone["stdout"]["report"]["boundary_diagnostics"]) == [
+        "mu_max_at_r_max", "mu_max_at_r_min"]
+
+
+def test_ids_workload_answers_each_model_id(tmp_path, monkeypatch):
+    answers = _answers()
+    assert "ids" in answers.CHOICES
+    monkeypatch.chdir(tmp_path)
+    entries = answers.digest(["ids"], answers._seeds("101"), values=True)
+    aperture = (2, "error: cone aperture c must satisfy 0 < c <= 1")
+    r0 = (2, "error: smoothed_cone requires a finite r0 > 0")
+    unknown = "error: unrecognized model id "
+    assert {key.partition(":")[2]: (e["exit"], e["stderr"]) for key, e in entries.items()} == {
+        "cone:0": aperture, "cone:1.5": aperture, "cone:nan": aperture,
+        "smoothed-cone:nan:1": aperture,
+        "smoothed-cone:0.5:inf": r0, "smoothed-cone:0.5:0": r0, "smoothed-cone:0.5:nan": r0,
+        "euclidean:1": (2, f"{unknown}'euclidean:1'"), "cone": (2, f"{unknown}'cone'"),
+        "custom": (2, f"{unknown}'custom'"), "blend:1": (2, f"{unknown}'blend:1'"),
+        "cone:abc": (2, "error: could not convert string to float: 'abc'"),
+        # the blend raises a hypothesis flag
+        "smoothed_cone:0.8:1": (3, ""),
+    }
+    assert all(e["argv"][:5] == ["verify", "--model", key.partition(":")[2], "--n", "4"]
+               for key, e in entries.items())
+    # the report names the canonical id
+    report = entries["ids:smoothed_cone:0.8:1"]["stdout"]
+    assert (report["config"]["model"], report["report"]["model"]) == (
+        "smoothed_cone:0.8:1", "smoothed-cone:0.8:1")
     assert answers.diff(entries, entries) == []
 
 

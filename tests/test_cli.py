@@ -790,10 +790,13 @@ def test_oracle_nan_residual_in_a_later_probe_never_passes(monkeypatch, capsys):
 
 
 def test_models_list(capsys):
+    # the command lists the ids itself, so that it compiles no models module:
+    # each preset of the table with its parameters, then a custom table
     code, doc = run_json(["models", "list"], capsys)
     assert code == 0
-    names = [m["id"] for m in doc["presets"]]
-    assert "euclidean" in names and any(x.startswith("cone") for x in names)
+    presets = [":".join([name, *(f"<{p}>" for p in params)])
+               for name, (params, _) in models.PRESETS.items()]
+    assert [m["id"] for m in doc["presets"]] == [*presets, "custom:<path>"]
 
 
 def test_export_profile(tmp_path, capsys):

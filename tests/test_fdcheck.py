@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from harnacklab import commutators, fdcheck, fdgeom
 from harnacklab.models import (
-    DEFAULT_CURV_TOL, ModelManifold, curvature_at, make_model, model_from_id,
+    DEFAULT_CURV_TOL, ModelManifold, curvature_at, model_from_id,
 )
 from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
 from model_reference import ricci_gradient_norm
@@ -112,7 +112,7 @@ def test_euclidean_curvature_zero():
 
 
 def test_warped_chart_matches_closed_form_curvature():
-    model = make_model("cone", 4, c=0.5)
+    model = model_from_id("cone:0.5", 4)
     ch = fdcheck.warped_chart(model)
     r = 1.0
     x = fdcheck.warped_probe_point(4, r)
@@ -125,8 +125,8 @@ def test_warped_chart_matches_closed_form_curvature():
 
 def test_warped_chart_random_radii_cross_module():
     rng = np.random.default_rng(11)
-    for model in (make_model("euclidean", 4),
-                  make_model("smoothed_cone", 4, c=0.5, r0=1.0)):
+    for model in (model_from_id("euclidean", 4),
+                  model_from_id("smoothed-cone:0.5:1", 4)):
         ch = fdcheck.warped_chart(model)
         for r in rng.uniform(0.8, 5.0, 5):
             x = fdcheck.warped_probe_point(4, float(r))
@@ -150,7 +150,7 @@ def test_parallel_ricci_values():
 
 def test_cone_chart_matches_warped_chart_of_cone_model():
     cone = commutators.cone_chart(0.5, 4)
-    ref = fdcheck.warped_chart(make_model("cone", 4, c=0.5))
+    ref = fdcheck.warped_chart(model_from_id("cone:0.5", 4))
     assert cone.name == ref.name == "warped[cone:0.5]"
     x = fdcheck.warped_probe_point(4, 1.3)
     assert cone._flat_g(x) == ref._flat_g(x)
@@ -169,7 +169,7 @@ def test_fdcheck_does_not_import_models():
 def test_parallel_ricci_loads_no_commutator_oracle():
     # every euclidean verdict checks parallel Ricci: it compiles the geometry only
     code = ("import sys, harnacklab.fdcheck as fd, harnacklab.models as m; "
-            "chart = fd.warped_chart(m.make_model('euclidean', 3)); "
+            "chart = fd.warped_chart(m.model_from_id('euclidean', 3)); "
             "fd.check_parallel_ricci(chart, (1.0, 1.2, 1.4)); "
             "sys.exit('harnacklab.commutators' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True)
@@ -208,7 +208,7 @@ def test_closed_form_grad_ricci_matches_fd_oracle(model_id, radii, n):
         fd3 = fdcheck.check_parallel_ricci(chart3, fdcheck.warped_probe_point(3, r), H)
         # the FD error is h^2 times higher derivatives of f, which inside the
         # blend carry powers of 2/r0: there it reaches about 4e-4 relative
-        in_blend = p.kind == "smoothed_cone" and 0.5 * p.r0 < r < p.r0
+        in_blend = any(lo < r < hi for lo, hi in zip(p.knots, p.knots[1:]))
         rel = 1e-3 if in_blend else 1e-4
         assert abs(closed - fd) <= 10 * H**2 + rel * closed, (r, closed, fd)
         # the 3-dim chart of the same f reaches the same verdict
@@ -404,7 +404,7 @@ def test_frame_independence_of_residuals():
 
 
 def test_hessian_scalar_matches_profile():
-    model = make_model("cone", 4, c=0.5)
+    model = model_from_id("cone:0.5", 4)
     profile = compute_profile(model, default_grid(1e-2, 1e2, 512))
     ch = fdcheck.warped_chart(model)
     r = 1.3

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from harnacklab import cli, geodesics, models, quadrature
-from harnacklab.models import make_model, model_from_id
+from harnacklab.models import model_from_id, table_profile
 from harnacklab.green import compute_profile, default_grid
 from harnacklab.geodesics import GeodesicError, SlicePoint, corollary_check, shoot_geodesic
 from tables import line_table
@@ -36,12 +36,12 @@ def evenly(length, num=200):
 
 @pytest.fixture(scope="module")
 def eucl4():
-    return make_model("euclidean", 4)
+    return model_from_id("euclidean", 4)
 
 
 @pytest.fixture(scope="module")
 def cone4():
-    return make_model("cone", 4, c=0.5)
+    return model_from_id("cone:0.5", 4)
 
 
 def test_slice_point_validation():
@@ -199,7 +199,7 @@ def test_through_tip_flagged():
     # narrow cone: opposite points at angle pi span c * pi < pi on the
     # unrolled wedge, so the chord avoids the tip and the minimizer turns
     # short of it; the CSV's through_tip column is branch == "tip", 0 here
-    model = make_model("cone", 4, c=0.3)
+    model = model_from_id("cone:0.3", 4)
     profile = compute_profile(model, GRID)
     y, z = SlicePoint(1.0, 0.0), SlicePoint(1.0, math.pi)
     t = corollary_check(profile, y, z, 2.0, [0.5])[0]
@@ -212,7 +212,7 @@ def test_through_tip_flagged():
     dphi=st.floats(0.01, 2.8),
 )
 def test_unit_speed_and_positivity_property(r1, r2, dphi):
-    model = make_model("euclidean", 4)
+    model = model_from_id("euclidean", 4)
     d = distance(model, SlicePoint(r1, 0.0), SlicePoint(r2, dphi))
     chord = math.sqrt(r1**2 + r2**2 - 2 * r1 * r2 * math.cos(dphi))
     assert d == pytest.approx(chord, rel=1e-8)
@@ -401,7 +401,7 @@ def test_an_arc_takes_the_base_derivatives_once_across_many_pieces(monkeypatch):
     # a spline of 400 nodes has a curved piece per node interval: the arc
     # asks the profile for f' and f'' at its base once, on the first
     # integrand, not once per piece a sweep crosses
-    prof = make_model("custom", 4, table=line_table(400)).profile
+    prof = table_profile(line_table(400))
     arc = geodesics._Arc(prof, prof.f(0.4), 0.4, turning=True)
     calls = Counter()
     for name in ("fp", "fpp"):

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from harnacklab import quadrature
-from harnacklab.models import ModelError, make_model, model_from_id, nonparabolic_check
+from harnacklab.models import (ModelError, ModelManifold, model_from_id, nonparabolic_check,
+                               table_profile)
 from harnacklab.green import (
     COLUMNS, compute_profile, default_grid, hess_b2_eigs, in_float_range, write_csv,
 )
 from green_reference import check_power_laplacian, reference_G_hi, reference_rows
+from model_reference import preset_id
 from tables import concave_table, late_bump_table
 
 #: the commands' default window
@@ -27,12 +29,12 @@ GRID = default_grid(1e-2, 1e2, 512)
 
 @pytest.fixture(scope="module")
 def eucl4():
-    return compute_profile(make_model("euclidean", 4), GRID)
+    return compute_profile(model_from_id("euclidean", 4), GRID)
 
 
 @pytest.fixture(scope="module")
 def cone4():
-    return compute_profile(make_model("cone", 4, c=0.5), GRID)
+    return compute_profile(model_from_id("cone:0.5", 4), GRID)
 
 
 def test_euclidean_green_values(eucl4):
@@ -66,14 +68,14 @@ def test_cone_green_closed_form(cone4):
 @pytest.mark.parametrize("c,n", [(0.5, 4), (0.3, 3), (0.7, 10)])
 def test_cone_b_and_grad_b_closed_form(c, n):
     # b = G^{1/(2-n)} = c^{(n-1)/(n-2)} r, so |grad b| = c^{(n-1)/(n-2)}
-    prof = compute_profile(make_model("cone", n, c=c), GRID)
+    prof = compute_profile(model_from_id(f"cone:{c!r}", n), GRID)
     slope = c ** ((n - 1) / (n - 2))
     assert np.allclose(prof.b, slope * np.asarray(prof.grid), rtol=1e-12, atol=0)
     assert np.allclose(prof.grad_b, slope, rtol=1e-12, atol=0)
 
 
 def test_cone_c1_equals_euclidean(eucl4):
-    prof = compute_profile(make_model("cone", 4, c=1.0), GRID)
+    prof = compute_profile(model_from_id("cone:1", 4), GRID)
     assert np.allclose(prof.G, eucl4.G, rtol=1e-12, atol=0)
 
 
@@ -88,7 +90,7 @@ def test_hess_b2_cone(cone4):
 
 
 def test_hess_b2_smoothed_cone_tail():
-    prof = compute_profile(make_model("smoothed_cone", 4, c=0.5, r0=1.0), GRID)
+    prof = compute_profile(model_from_id("smoothed-cone:0.5:1", 4), GRID)
     mu = hess_b2_eigs(prof, 4.0)
     assert mu == pytest.approx((0.25, 0.25), abs=1e-6)
 
@@ -117,13 +119,13 @@ def test_gradient_derivative_cross_check(eucl4):
 
 def test_nonparabolic_examples():
     # an end f = a r decays as r^{1-n} exactly
-    for model in (make_model("euclidean", 4), make_model("cone", 3, c=0.5),
+    for model in (model_from_id("euclidean", 4), model_from_id("cone:0.5", 3),
                   model_from_id("smoothed-cone:0.8:1", 5)):
         rep = nonparabolic_check(model)
         assert rep.varopoulos_integral_finite and rep.tail_exponent == 1 - model.n
     # sublinear growth is parabolic and must be rejected outright
     r = np.linspace(0.05, 80, 500)
-    slow = make_model("custom", 3, table=(r, r ** (1.0 / 3)))
+    slow = ModelManifold(3, table_profile((r, r ** (1.0 / 3))))
     rep = nonparabolic_check(slow)
     assert not rep.varopoulos_integral_finite
     with pytest.raises(ModelError):
@@ -151,7 +153,7 @@ def test_csv_line_is_each_value_in_17_digits(value):
 def test_to_csv_streams_row_by_row():
     # no text of the whole table is built: the writer's own memory stays that
     # of a row, where a 4096-row table's text is about 1.5 MB
-    profile = compute_profile(make_model("euclidean", 6), default_grid(1e-2, 1e2, 4096))
+    profile = compute_profile(model_from_id("euclidean", 6), default_grid(1e-2, 1e2, 4096))
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:
@@ -180,7 +182,7 @@ def test_profile_memory_is_its_columns(model_id, n):
 
 
 def test_grid_validation():
-    m = make_model("euclidean", 4)
+    m = model_from_id("euclidean", 4)
     with pytest.raises(ModelError):
         compute_profile(m, np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ModelError):
@@ -195,7 +197,7 @@ def test_non_finite_grid_radius_is_refused(bad, where):
     grid = [0.1, 0.5, 1.0, 5.0, 10.0]
     grid[where] = bad
     with pytest.raises(ModelError, match=rf"grid radius {bad!r} is not finite"):
-        compute_profile(make_model("euclidean", 4), grid)
+        compute_profile(model_from_id("euclidean", 4), grid)
 
 
 @settings(max_examples=30, deadline=None)
@@ -214,7 +216,7 @@ _CONE3 = None
 def _cached_cone3():
     global _CONE3
     if _CONE3 is None:
-        _CONE3 = compute_profile(make_model("cone", 3, c=0.8),
+        _CONE3 = compute_profile(model_from_id("cone:0.8", 3),
                                  default_grid(1e-2, 1e2, 128))
     return _CONE3
 
@@ -236,9 +238,7 @@ def _quad_reference(model, r):
     and uses no closed form, so it is independent of the piecewise kernel.
     """
     p, n = model.profile, model.n
-    cuts = [r]
-    if p.kind == "smoothed_cone":
-        cuts += [x for x in (0.5 * p.r0, p.r0) if x > r]
+    cuts = [r, *(x for x in p.knots if x > r)]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:] + [np.inf]):
         total += integrate.quad(lambda s: p.f(s) ** (1 - n), lo, hi,
@@ -248,7 +248,7 @@ def _quad_reference(model, r):
 
 @pytest.mark.parametrize("kind,n,c,r0", KERNEL_MODELS)
 def test_kernel_matches_full_range_quadrature(kind, n, c, r0):
-    model = make_model(kind, n, c=c, r0=r0)
+    model = model_from_id(preset_id(kind, c, r0), n)
     prof = compute_profile(model, default_grid(1e-2, 1e2, 16))
     ref = np.array([_quad_reference(model, r) for r in prof.grid])
     assert np.max(np.abs(np.asarray(prof.G) / ref - 1.0)) <= 1e-12
@@ -263,7 +263,7 @@ def test_kernel_matches_full_range_quadrature(kind, n, c, r0):
 
 @pytest.mark.parametrize("c,r0,n", [(0.2, 1.0, 3), (0.5, 0.5, 5), (0.85, 2.0, 10)])
 def test_kernel_continuous_at_blend_ends(c, r0, n):
-    prof = compute_profile(make_model("smoothed_cone", n, c=c, r0=r0),
+    prof = compute_profile(model_from_id(f"smoothed-cone:{c!r}:{r0!r}", n),
                            default_grid(1e-2, 1e2, 64))
     for edge in (0.5 * r0, r0):
         left = prof.green_at(float(np.nextafter(edge, 0.0)))
@@ -274,7 +274,7 @@ def test_custom_linear_table_reproduces_cone():
     # a table sampled from f = 0.6 r: the tip piece below the table, the
     # spline piece on it and the closed tail must all give the cone's G
     r = np.geomspace(0.5, 50.0, 200)
-    model = make_model("custom", 4, table=(r, 0.6 * r))
+    model = ModelManifold(4, table_profile((r, 0.6 * r)))
     prof = compute_profile(model, default_grid(0.05, 20.0, 64))
     assert np.allclose(prof.G, 0.6**-3 * np.asarray(prof.grid)**-2.0, rtol=1e-12, atol=0)
     for x in (0.07, 0.49, 0.51, 3.0, 19.0):
@@ -285,7 +285,7 @@ def _quad_reference_cuts(model, r):
     """(n-2) int_r^inf f^{1-n}: quad between the table's radii up to the
     closed tail the kernel uses (slope f(r_top)/r_top from r_top on)."""
     p, n = model.profile, model.n
-    knots = np.asarray(p.table[0], float)
+    knots = np.asarray(p.knots)
     cuts = [r, *knots[knots > r]]
     total = sum(integrate.quad(lambda s: p.f(s) ** (1 - n), lo, hi, epsabs=0.0,
                                epsrel=1e-13, limit=500)[0]
@@ -297,7 +297,7 @@ def _quad_reference_cuts(model, r):
 @pytest.mark.parametrize("n", [3, 4, 6, 10])
 def test_concave_table_pointwise_G_is_grid_G(n):
     # one Gauss integral from r up to the next knot, on the grid and off it
-    model = make_model("custom", n, table=concave_table())
+    model = ModelManifold(n, table_profile(concave_table()))
     prof = compute_profile(model, default_grid(1e-2, 1e2, 2048))
     pointwise = np.array([prof.green_at(r) for r in prof.grid])
     assert np.max(np.abs(pointwise / np.asarray(prof.G) - 1.0)) <= 1e-12
@@ -310,7 +310,7 @@ def test_concave_table_pointwise_G_is_grid_G(n):
 def test_G_past_the_float_range_below_the_grid_is_inf_there_only():
     # at n = 150 f^{1-n} overflows on the concave table's knots below 0.0083:
     # G is inf there, a miss no more, and the grid from 0.01 stays in range
-    prof = compute_profile(make_model("custom", 150, table=concave_table()), GRID)
+    prof = compute_profile(ModelManifold(150, table_profile(concave_table())), GRID)
     G_hi = reference_G_hi(prof)
     assert G_hi[0] == math.inf and math.isfinite(G_hi[-2])
     assert all(math.isfinite(g) for g in prof.G) and prof.green_at(0.005) == math.inf
@@ -321,7 +321,7 @@ def test_G_past_the_float_range_below_the_grid_is_inf_there_only():
 def test_table_is_integrated_up_to_its_top():
     # f = r below 300 and above 500, so it equals the closing line f(top)/top r
     # at radii below the bump: G must still integrate the bump
-    model = make_model("custom", 4, table=late_bump_table())
+    model = ModelManifold(4, table_profile(late_bump_table()))
     assert model.profile.tail_start == 1e3 and model.profile.tail_slope == 1.0
     prof = compute_profile(model, GRID)
     ref = _quad_reference_cuts(model, float(prof.grid[-1]))
@@ -331,7 +331,7 @@ def test_table_is_integrated_up_to_its_top():
 EXACT_MODELS = [(model_from_id(mid, n), mid) for mid, n in (
     ("euclidean", 5), ("cone:0.4", 6), ("smoothed-cone:0.8:1", 4),
     ("smoothed-cone:0.5:2", 7))] + [
-    (make_model("custom", n, table=table), name) for table, n, name in (
+    (ModelManifold(n, table_profile(table)), name) for table, n, name in (
         (concave_table(), 4, "concave"), (late_bump_table(), 6, "late-bump"))]
 
 
@@ -382,7 +382,7 @@ def test_linear_models_make_no_quadrature(model_id, quad_calls):
 
 def test_smoothed_cone_quadrature_stays_in_blend(quad_calls):
     r0 = 1.0
-    prof = compute_profile(make_model("smoothed_cone", 5, c=0.5, r0=r0),
+    prof = compute_profile(model_from_id(f"smoothed-cone:0.5:{r0!r}", 5),
                            default_grid(1e-2, 1e2, 512))
     assert quad_calls
     assert all(0.5 * r0 <= a <= b <= r0 for a, b in quad_calls)
@@ -422,7 +422,7 @@ MU_CASES = ([("euclidean", None, n, 1e-12) for n in LARGE_N]
 @pytest.mark.parametrize("kind,c,n,tol", MU_CASES)
 def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
     # b^2 = c^{2(n-1)/(n-2)} r^2 (c = 1 on euclidean), so Hess b^2 = 2 c^... g
-    prof = compute_profile(make_model(kind, n, c=c), GRID)
+    prof = compute_profile(model_from_id(preset_id(kind, c), n), GRID)
     mu = 2.0 * (1.0 if c is None else c) ** (2.0 * (n - 1) / (n - 2))
     assert np.max(np.abs(np.asarray(prof.mu_rad) / mu - 1.0)) <= tol
     assert np.max(np.abs(np.asarray(prof.mu_tan) / mu - 1.0)) <= tol
@@ -442,7 +442,7 @@ def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
 ])
 def test_profile_past_the_float_range_is_refused(kind, c, n, r_min):
     with pytest.raises(ModelError, match=rf"n={n}, r_min={r_min:g}"):
-        compute_profile(make_model(kind, n, c=c), default_grid(r_min, 1e2, 512))
+        compute_profile(model_from_id(preset_id(kind, c), n), default_grid(r_min, 1e2, 512))
 
 
 # -- one kernel per piece: the grid and the pointwise calls, bit for bit ------
@@ -461,7 +461,7 @@ def test_every_column_is_the_per_radius_path_and_the_pointwise_calls(name, n):
     # (blend radii, knots and a table's top included), and every column
     # against the pointwise calls there
     if name == "concave":
-        model = make_model("custom", n, table=concave_table())
+        model = ModelManifold(n, table_profile(concave_table()))
     else:
         model = model_from_id(name, n)
     prof = compute_profile(model, _grid_with_knots(model))

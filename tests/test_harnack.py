@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from harnacklab import INEQ_TOL
-from harnacklab.models import ModelError, make_model, model_from_id
+from harnacklab.models import ModelError, ModelManifold, model_from_id, table_profile
 from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
 from harnacklab.harnack import _htilde, audit_proof_terms, minimal_C, verify_theorem
 from green_reference import consistency_hess_vs_H, htilde_q
@@ -24,12 +24,12 @@ def _htilde_at(profile, r, C):
 
 @pytest.fixture(scope="module")
 def eucl4():
-    return compute_profile(make_model("euclidean", 4), GRID)
+    return compute_profile(model_from_id("euclidean", 4), GRID)
 
 
 @pytest.fixture(scope="module")
 def cone4():
-    return compute_profile(make_model("cone", 4, c=0.5), GRID)
+    return compute_profile(model_from_id("cone:0.5", 4), GRID)
 
 
 def test_htilde_eigs_euclidean(eucl4):
@@ -97,7 +97,7 @@ def test_htilde_kernel_same_on_floats_and_arrays(model_id, n):
 def test_consistency_examples(eucl4, cone4):
     assert consistency_hess_vs_H(eucl4, 2.0) < 1e-12
     assert consistency_hess_vs_H(cone4, 1.0) < 1e-12
-    sc = compute_profile(make_model("smoothed_cone", 4, c=0.5, r0=1.0), GRID)
+    sc = compute_profile(model_from_id("smoothed-cone:0.5:1", 4), GRID)
     assert consistency_hess_vs_H(sc, 0.7) < 1e-9
 
 
@@ -126,15 +126,6 @@ def test_verify_D_premise_flips_at_minimal_C_less_tol(eucl4):
         assert (rep.D, rep.D_premise_holds) == (D, holds)
 
 
-@pytest.mark.parametrize("model_id,n", [("cone:0.5", 4), ("smoothed-cone:0.8:1", 5)])
-def test_boundary_lambda_is_the_kernel_on_the_end_columns(model_id, n):
-    prof = compute_profile(model_from_id(model_id, n), GRID)
-    C = 12.0
-    bd = verify_theorem(prof, C).boundary_diagnostics
-    for key, i in (("lambda_at_r_min", 0), ("lambda_at_r_max", -1)):
-        assert bd[key] == min(_htilde(n, C, prof.G[i], prof.mu_rad[i], prof.mu_tan[i]))
-
-
 def test_verify_theorem_gate_on_small_C(eucl4):
     with pytest.raises(ModelError):
         verify_theorem(eucl4, 2.0)
@@ -146,7 +137,7 @@ def test_verify_theorem_failure_detected():
     # a gaussian bump in the warping drives Hess b^2 far past C = 10
     r = np.linspace(0.05, 80, 2000)
     f = r * (1.0 + 2.0 * np.exp(-((r - 3.0) ** 2)))
-    model = make_model("custom", 4, table=(r, f))
+    model = ModelManifold(4, table_profile((r, f)))
     profile = compute_profile(model, default_grid(0.1, 10.0, 256))
     rep = verify_theorem(profile, 10.0)
     assert not rep.passed and rep.exploratory
@@ -158,9 +149,9 @@ def test_minimal_C_examples():
     def on_grid(model):
         return minimal_C(compute_profile(model, GRID))
 
-    assert on_grid(make_model("euclidean", 5)) == pytest.approx(2.0, abs=1e-6)
-    assert on_grid(make_model("cone", 4, c=0.5)) == pytest.approx(0.25, abs=1e-6)
-    assert on_grid(make_model("cone", 3, c=0.8)) == pytest.approx(2 * 0.8**4, abs=1e-6)
+    assert on_grid(model_from_id("euclidean", 5)) == pytest.approx(2.0, abs=1e-6)
+    assert on_grid(model_from_id("cone:0.5", 4)) == pytest.approx(0.25, abs=1e-6)
+    assert on_grid(model_from_id("cone:0.8", 3)) == pytest.approx(2 * 0.8**4, abs=1e-6)
 
 
 def test_minimal_C_refines_the_grid_maximum():

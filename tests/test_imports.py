@@ -4,7 +4,7 @@ Every module-level import must be used in its module or re-exported
 through ``__all__``; imports inside functions or classes are allowed
 only in the CLI's command functions, each of which loads the engine it runs,
 in ``models.hypothesis_report``, which loads the FD oracle only where
-the closed form finds Ricci parallel, in ``models.WarpingProfile`` and
+the closed form finds Ricci parallel, in ``models.table_profile`` and
 ``models.model_from_id``, which load the table reader only for a custom
 profile, and in ``fdcheck.__getattr__``, which
 loads the commutator oracle on the first use of its ``check_lemma31``; no
@@ -46,7 +46,7 @@ PACKAGE = Path(harnacklab.__file__).resolve().parent
 LAZY_IMPORTS = {("cli", "cmd_symbolic"), ("cli", "cmd_verify"), ("cli", "cmd_min_c"),
                 ("cli", "cmd_corollary"), ("cli", "cmd_audit"), ("cli", "cmd_oracle"),
                 ("cli", "_model_profile"), ("models", "hypothesis_report"),
-                ("models", "WarpingProfile"), ("models", "model_from_id"),
+                ("models", "table_profile"), ("models", "model_from_id"),
                 ("fdcheck", "__getattr__")}
 
 
@@ -377,6 +377,10 @@ def _loaded_after(argv, names):
 def test_a_preset_model_loads_no_table_reader():
     argv = ["verify", "--model", "cone:0.5", "--n", "4", "--C", "10", "--grid-size", "8"]
     assert _loaded_after(argv, ["harnacklab.tables", "csv"]) == set()
+
+
+def test_models_list_loads_no_models_module():
+    assert _loaded_after(["models", "list"], ["harnacklab.models"]) == set()
 
 
 def test_parallel_ricci_compiles_no_commutator_oracle():

@@ -11,10 +11,10 @@ from scipy import integrate
 
 from harnacklab import fdcheck, models, quadrature
 from harnacklab.models import (
-    ModelError, curvature_at, hypothesis_report, make_model,
-    model_from_id,
+    ModelError, ModelManifold, curvature_at, hypothesis_report, model_from_id,
+    table_profile,
 )
-from model_reference import ricci_gradient_norm, third_derivative
+from model_reference import preset_id, ricci_gradient_norm, third_derivative
 from tables import bump_table, concave_table, cylinder_table, line_table
 
 
@@ -56,7 +56,7 @@ def ball_volume(model, t):
 
 
 def test_euclidean_profile_values():
-    m = make_model("euclidean", 4)
+    m = model_from_id("euclidean", 4)
     p = m.profile
     assert p.f(2.0) == 2.0
     assert p.fp(2.0) == 1.0
@@ -64,22 +64,22 @@ def test_euclidean_profile_values():
 
 
 def test_cone_profile_values():
-    m = make_model("cone", 4, c=0.5)
+    m = model_from_id("cone:0.5", 4)
     assert m.profile.f(1.0) == 0.5
     assert m.profile.fp(1.0) == 0.5
 
 
 def test_dimension_gate():
     with pytest.raises(ModelError):
-        make_model("cone", 2, c=0.5)
+        model_from_id("cone:0.5", 2)
     with pytest.raises(ModelError):
-        make_model("euclidean", 3.5)
+        model_from_id("euclidean", 3.5)
 
 
 @pytest.mark.parametrize("n", [2, 3.5])
 def test_model_manifold_refuses_a_dimension_itself(n):
-    # hypothesis_report and the FD tests build it directly, past make_model
-    profile = make_model("euclidean", 4).profile
+    # hypothesis_report and the FD tests build it directly, past model_from_id
+    profile = model_from_id("euclidean", 4).profile
     with pytest.raises(ModelError, match=r"^dimension must be an integer >= 3$"):
         models.ModelManifold(n, profile)
 
@@ -87,11 +87,11 @@ def test_model_manifold_refuses_a_dimension_itself(n):
 def test_cone_aperture_gate():
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(ModelError):
-            make_model("cone", 4, c=bad)
+            model_from_id(f"cone:{bad!r}", 4)
 
 
 def test_profile_rejects_nonpositive_radius():
-    m = make_model("euclidean", 4)
+    m = model_from_id("euclidean", 4)
     with pytest.raises(ModelError):
         m.profile.f(0.0)
     with pytest.raises(ModelError):
@@ -99,25 +99,25 @@ def test_profile_rejects_nonpositive_radius():
 
 
 def test_curvature_euclidean_flat():
-    s = curvature_at(make_model("euclidean", 4), 2.0)
+    s = curvature_at(model_from_id("euclidean", 4), 2.0)
     assert s.k_rad == 0.0 and s.k_tan == 0.0
     assert s.ric_rad == 0.0 and s.ric_tan == 0.0
 
 
 def test_curvature_cone_closed_form():
-    s = curvature_at(make_model("cone", 4, c=0.5), 1.0)
+    s = curvature_at(model_from_id("cone:0.5", 4), 1.0)
     assert s.k_rad == 0.0
     assert s.k_tan == pytest.approx(3.0, abs=1e-12)  # (1 - c^2)/(c^2 r^2)
 
 
 def test_curvature_smoothed_cone_outside_blend():
-    s = curvature_at(make_model("smoothed_cone", 4, c=0.5, r0=1.0), 2.0)
+    s = curvature_at(model_from_id("smoothed-cone:0.5:1", 4), 2.0)
     assert s.k_rad == pytest.approx(0.0, abs=1e-12)
     assert s.k_tan == pytest.approx(0.75, abs=1e-12)
 
 
 def test_smoothed_cone_is_c2_at_junctions():
-    p = make_model("smoothed_cone", 4, c=0.5, r0=1.0).profile
+    p = model_from_id("smoothed-cone:0.5:1", 4).profile
     # jump across the junction is bounded by (next derivative) * step
     tols = {"f": 1e-6, "fp": 1e-5, "fpp": 1e-3}
     for r in (0.5, 1.0):
@@ -132,9 +132,9 @@ def test_smoothed_cone_is_c2_at_junctions():
 
 def test_ricci_identities_exact():
     models = [
-        make_model("euclidean", 3),
-        make_model("cone", 5, c=0.7),
-        make_model("smoothed_cone", 4, c=0.5, r0=1.0),
+        model_from_id("euclidean", 3),
+        model_from_id("cone:0.7", 5),
+        model_from_id("smoothed-cone:0.5:1", 4),
     ]
     for m in models:
         for r in np.geomspace(0.1, 30, 7):
@@ -149,12 +149,12 @@ def test_sphere_area_n4():
 
 
 def test_volume_growth_euclidean():
-    m = make_model("euclidean", 4)
+    m = model_from_id("euclidean", 4)
     assert volume_growth(m, 3.0) == pytest.approx(math.pi**2 / 2, rel=1e-10)
 
 
 def test_volume_growth_cone_scale_invariant():
-    m = make_model("cone", 4, c=0.5)
+    m = model_from_id("cone:0.5", 4)
     v1 = volume_growth(m, 1.0)
     v10 = volume_growth(m, 10.0)
     assert v1 == pytest.approx(math.pi**2 / 16, rel=1e-10)
@@ -162,7 +162,7 @@ def test_volume_growth_cone_scale_invariant():
 
 
 def test_ball_volume_positive_and_monotone():
-    m = make_model("cone", 4, c=0.5)
+    m = model_from_id("cone:0.5", 4)
     vols = [ball_volume(m, t) for t in (0.5, 1.0, 2.0)]
     assert all(v > 0 for v in vols)
     assert vols[0] < vols[1] < vols[2]
@@ -176,6 +176,25 @@ def test_model_from_id_round_trip():
         model_from_id("torus", 4)
 
 
+#: parameters of each preset that ``:g`` writes exactly
+PRESET_PARAMS = {"euclidean": (), "cone": (0.25,), "smoothed-cone": (0.75, 2.5)}
+
+
+@pytest.mark.parametrize("name", sorted(models.PRESETS))
+def test_a_preset_s_id_rebuilds_its_pieces(name):
+    params = PRESET_PARAMS[name]
+    assert len(params) == len(models.PRESETS[name][0])
+    m = model_from_id(preset_id(name, *params), 5)
+    again = model_from_id(m.describe(), 5)
+    assert again.describe() == m.describe()
+    assert again.profile.pieces == m.profile.pieces
+
+
+def test_smoothed_cone_knots_are_its_blend_ends():
+    assert model_from_id("smoothed-cone:0.8:3", 4).profile.knots == (1.5, 3.0)
+    assert model_from_id("cone:0.8", 4).profile.knots == ()
+
+
 def test_custom_profile_from_table(tmp_path):
     r = np.linspace(0.05, 50, 400)
     path = tmp_path / "profile.csv"
@@ -186,19 +205,19 @@ def test_custom_profile_from_table(tmp_path):
 
 def test_custom_table_validation():
     with pytest.raises(ModelError):
-        make_model("custom", 4, table=([1.0, 2.0], [1.0, 2.0]))  # too short
+        table_profile(([1.0, 2.0], [1.0, 2.0]))  # too short
     with pytest.raises(ModelError):
-        make_model("custom", 4, table=([1, 2, 2, 3], [1, 2, 2, 3]))  # not increasing
+        table_profile(([1, 2, 2, 3], [1, 2, 2, 3]))  # not increasing
 
 
 def test_hypothesis_report_euclidean():
-    rep = hypothesis_report(make_model("euclidean", 4), 0.1, 50.0)
+    rep = hypothesis_report(model_from_id("euclidean", 4), 0.1, 50.0)
     assert all(rep.flags().values())
     assert rep.parallel_ricci_residual < 1e-5
 
 
 def test_hypothesis_report_cone_parallel_ricci_fails():
-    rep = hypothesis_report(make_model("cone", 4, c=0.5), 0.1, 50.0)
+    rep = hypothesis_report(model_from_id("cone:0.5", 4), 0.1, 50.0)
     flags = rep.flags()
     assert flags["nonneg_sectional_along_gradG"]
     assert flags["nonneg_ricci"]
@@ -208,7 +227,7 @@ def test_hypothesis_report_cone_parallel_ricci_fails():
 
 def test_hypothesis_report_quadratic_profile_negative_ricci():
     r = np.linspace(0.05, 80, 600)
-    m = make_model("custom", 4, table=(r, r**2))
+    m = ModelManifold(4, table_profile((r, r**2)))
     rep = hypothesis_report(m, 0.1, 50.0)
     flags = rep.flags()
     assert flags["euclidean_volume_growth"]
@@ -222,7 +241,7 @@ def test_hypothesis_report_quadratic_profile_negative_ricci():
     r=st.floats(0.1, 20.0),
 )
 def test_cone_curvature_closed_form_property(c, n, r):
-    s = curvature_at(make_model("cone", n, c=c), r)
+    s = curvature_at(model_from_id(f"cone:{c!r}", n), r)
     assert s.k_rad == 0.0
     assert s.k_tan == pytest.approx((1 - c * c) / (c * c * r * r), rel=1e-12)
 
@@ -231,9 +250,9 @@ def test_cone_curvature_closed_form_property(c, n, r):
 
 
 def test_third_derivative_of_profiles():
-    assert third_derivative(make_model("euclidean", 4).profile)(2.0) == 0.0
-    assert third_derivative(make_model("cone", 4, c=0.5).profile)(2.0) == 0.0
-    p = make_model("smoothed_cone", 4, c=0.5, r0=1.0).profile
+    assert third_derivative(model_from_id("euclidean", 4).profile)(2.0) == 0.0
+    assert third_derivative(model_from_id("cone:0.5", 4).profile)(2.0) == 0.0
+    p = model_from_id("smoothed-cone:0.5:1", 4).profile
     fppp = third_derivative(p)
     h = 1e-5
     for r in (0.55, 0.7, 0.85, 0.95):
@@ -242,7 +261,7 @@ def test_third_derivative_of_profiles():
     assert fppp(0.3) == 0.0 and fppp(1.5) == 0.0
     # not-a-knot splines reproduce cubics: f''' = 6 on the table, 0 below it
     r = np.linspace(0.5, 5.0, 40)
-    q = third_derivative(make_model("custom", 4, table=(r, r**3)).profile)
+    q = third_derivative(table_profile((r, r**3)))
     assert q(2.0) == pytest.approx(6.0, rel=1e-8)
     assert q(0.2) == 0.0
 
@@ -250,13 +269,13 @@ def test_third_derivative_of_profiles():
 @pytest.mark.parametrize("n", [3, 4, 10, 40])
 def test_ricci_gradient_norm_closed_forms(n):
     for r in (0.01, 1.0, 70.0):
-        assert ricci_gradient_norm(make_model("euclidean", n), r) == 0.0
+        assert ricci_gradient_norm(model_from_id("euclidean", n), r) == 0.0
     # cone: ric_rad = 0, ric_tan = (n-2)(1-c^2)/(c r)^2, so
     # |grad Ric| = sqrt(6(n-1)) (n-2)(1-c^2) / (c^2 r^3)
     for c in (0.3, 0.7):
         for r in (0.5, 2.0):
             expect = math.sqrt(6 * (n - 1)) * (n - 2) * (1 - c * c) / (c * c * r**3)
-            got = ricci_gradient_norm(make_model("cone", n, c=c), r)
+            got = ricci_gradient_norm(model_from_id(f"cone:{c!r}", n), r)
             assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -290,11 +309,11 @@ def test_flatness_residual_takes_both_extrema_from_one_root_find(name, model, wi
     # the residual max |f'(1 - f'^2)| once took max(|min q|, |min -q|), two
     # root-finds of the same polynomial: one now serves both, with == values
     n = 5
-    m = model_from_id(model, n) if isinstance(model, str) else make_model(
-        "custom", n, table=model())
+    m = (model_from_id(model, n) if isinstance(model, str)
+         else ModelManifold(n, table_profile(model())))
     p, (lo, hi) = m.profile, window
     least, most = p.ratio_range(lo, hi, _flatness)
-    negated = p.min_ratio(lo, hi, lambda F: -_flatness(F))  # roots of -q' found anew
+    negated = p.ratio_range(lo, hi, lambda F: -_flatness(F))[0]  # roots of -q' found anew
     assert -most == negated
     two_calls = max(abs(least), abs(negated))
     assert hypothesis_report(m, lo, hi).parallel_ricci_residual == two_calls
@@ -304,7 +323,7 @@ def test_parallel_ricci_closed_form_sees_beyond_the_fd_probes():
     # the FD probes sit at r in [2, 20], where this profile is still flat;
     # the blend [25, 50) and the cone beyond it are seen only by the exact
     # route on the pieces
-    model = make_model("smoothed_cone", 4, c=0.5, r0=50.0)
+    model = model_from_id("smoothed-cone:0.5:50", 4)
     chart = fdcheck.warped_chart(models.ModelManifold(3, model.profile))
     fd = [fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
           for r in np.geomspace(2.0, 20.0, models.FD_PROBES)]
@@ -338,7 +357,7 @@ def test_nan_fd_probe_fails_parallel_ricci(probes, monkeypatch):
     # finite and within the gate, and a NaN probe is reported as the residual
     values = iter(probes)
     monkeypatch.setattr(fdcheck, "check_parallel_ricci", lambda chart, x: next(values))
-    rep = hypothesis_report(make_model("euclidean", 4), 1e-2, 1e2)
+    rep = hypothesis_report(model_from_id("euclidean", 4), 1e-2, 1e2)
     assert not rep.parallel_ricci
     assert math.isnan(rep.parallel_ricci_fd_residual)
 
@@ -353,7 +372,7 @@ def test_parallel_ricci_fd_probe_runs_on_3_dim_chart(n, monkeypatch):
         return real(chart, x, h)
 
     monkeypatch.setattr(fdcheck, "check_parallel_ricci", spy)
-    rep = hypothesis_report(make_model("euclidean", n), 1e-2, 1e2)
+    rep = hypothesis_report(model_from_id("euclidean", n), 1e-2, 1e2)
     assert seen == [(3, 3)] * 3
     assert rep.parallel_ricci
     assert rep.parallel_ricci_residual == 0.0
@@ -365,14 +384,14 @@ def test_parallel_ricci_fd_probe_runs_on_3_dim_chart(n, monkeypatch):
 
 @pytest.mark.parametrize("size", [50, 400, 4000, 6000])
 def test_flat_table_has_parallel_ricci_at_every_size(size):
-    rep = hypothesis_report(make_model("custom", 4, table=line_table(size)), 1e-2, 1e2)
+    rep = hypothesis_report(ModelManifold(4, table_profile(line_table(size))), 1e-2, 1e2)
     assert rep.parallel_ricci
     assert rep.parallel_ricci_residual <= 1e-14
     assert rep.euclidean_volume_growth and rep.tail_slope == pytest.approx(1.0, rel=1e-15)
 
 
 def test_cone_table_has_the_flags_of_the_cone():
-    table = hypothesis_report(make_model("custom", 4, table=line_table(400, 0.5)), 1e-2, 1e2)
+    table = hypothesis_report(ModelManifold(4, table_profile(line_table(400, 0.5))), 1e-2, 1e2)
     cone = hypothesis_report(model_from_id("cone:0.5", 4), 1e-2, 1e2)
     assert table.flags() == cone.flags()
     assert not table.parallel_ricci
@@ -382,7 +401,7 @@ def test_cone_table_has_the_flags_of_the_cone():
 
 
 def test_bump_table_fails_parallel_ricci_on_the_bump():
-    rep = hypothesis_report(make_model("custom", 4, table=bump_table()), 1e-2, 1e2)
+    rep = hypothesis_report(ModelManifold(4, table_profile(bump_table())), 1e-2, 1e2)
     assert not rep.parallel_ricci and rep.parallel_ricci_fd_residual is None
     # f' = 1.3 at the bump's middle, r = 41: |1.3 (1 - 1.69)| = 0.897
     assert rep.parallel_ricci_residual == pytest.approx(0.897, rel=1e-6)
@@ -391,7 +410,7 @@ def test_bump_table_fails_parallel_ricci_on_the_bump():
 
 
 def test_cylinder_table_has_parallel_ricci():
-    model = make_model("custom", 4, table=cylinder_table())
+    model = ModelManifold(4, table_profile(cylinder_table()))
     rep = hypothesis_report(model, 1e-2, 1e2)
     assert rep.parallel_ricci and rep.parallel_ricci_residual == 0.0
     assert all(ricci_gradient_norm(model, r) == 0.0 for r in (1e-2, 1.0, 1e2))
@@ -399,7 +418,7 @@ def test_cylinder_table_has_parallel_ricci():
 
 
 def test_concave_table_fails_parallel_ricci():
-    rep = hypothesis_report(make_model("custom", 6, table=concave_table()), 1e-2, 1e2)
+    rep = hypothesis_report(ModelManifold(6, table_profile(concave_table())), 1e-2, 1e2)
     assert not rep.parallel_ricci and rep.parallel_ricci_residual > 0.1
 
 
@@ -418,9 +437,7 @@ def _volume_reference(model, t):
     no closed form, so it is independent of the piecewise ball_volume.
     """
     p, n = model.profile, model.n
-    cuts = [0.0]
-    if p.kind == "smoothed_cone":
-        cuts += [x for x in (0.5 * p.r0, p.r0) if x < t]
+    cuts = [0.0, *(x for x in p.knots if x < t)]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:] + [t]):
         total += integrate.quad(lambda s: p.f(s) ** (n - 1), lo, hi,
@@ -431,7 +448,7 @@ def _volume_reference(model, t):
 @pytest.mark.parametrize("kind,c,r0", VOLUME_MODELS)
 @pytest.mark.parametrize("n", [3, 5, 10])
 def test_ball_volume_matches_full_range_quadrature(kind, c, r0, n):
-    model = make_model(kind, n, c=c, r0=r0)
+    model = model_from_id(preset_id(kind, c, r0), n)
     for t in (0.1, 0.3, 0.75, 1.5, 10.0, 90.0):
         assert ball_volume(model, t) == pytest.approx(_volume_reference(model, t),
                                                       rel=1e-10, abs=0.0)
@@ -440,7 +457,7 @@ def test_ball_volume_matches_full_range_quadrature(kind, c, r0, n):
 def test_ball_volume_custom_table():
     # the tip below the table in closed form, quadrature on the spline
     r = np.geomspace(0.5, 50.0, 200)
-    model = make_model("custom", 4, table=(r, 0.6 * r))
+    model = ModelManifold(4, table_profile((r, 0.6 * r)))
     for t in (0.3, 0.5, 2.0, 40.0):
         assert ball_volume(model, t) == pytest.approx(
             sphere_area(4) * 0.6**3 * t**4 / 4, rel=1e-10)
@@ -455,7 +472,7 @@ def test_hypothesis_report_makes_no_quadrature(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     for model_id in ("euclidean", "cone:0.4", "smoothed-cone:0.8:1", "smoothed-cone:0.5:50"):
         hypothesis_report(model_from_id(model_id, 6), 1e-2, 1e2)
-    hypothesis_report(make_model("custom", 6, table=concave_table()), 1e-2, 1e2)
+    hypothesis_report(ModelManifold(6, table_profile(concave_table())), 1e-2, 1e2)
     assert calls == []
 
 
@@ -463,7 +480,7 @@ def test_hypothesis_report_makes_no_quadrature(monkeypatch):
 @pytest.mark.parametrize("n", [3, 5, 10])
 def test_tail_slope_is_the_limit_of_the_volume_ratio(kind, c, r0, n):
     # Vol B(t) / (|B^n_1| t^n) -> a^{n-1}: the flag's hypothesis holds iff a > 0
-    model = make_model(kind, n, c=c, r0=r0)
+    model = model_from_id(preset_id(kind, c, r0), n)
     a = model.profile.tail_slope
     t = 1e4 * (r0 or 1.0)
     ratio = _volume_reference(model, t) / (sphere_area(n) / n * t**n)
@@ -496,8 +513,8 @@ EVAL_MODELS = ("euclidean", "cone:0.3", "cone:0.7", "smoothed-cone:0.5:1",
 
 def _eval_grid(profile):
     r = list(np.geomspace(1e-3, 1e3, 61))
-    if profile.kind == "smoothed_cone":
-        a, b = 0.5 * profile.r0, profile.r0
+    if profile.knots:  # a smoothed cone's blend
+        a, b = profile.knots
         r += list(np.linspace(a, b, 41))  # both ends exactly
         for edge in (a, b):  # just inside and just outside the blend
             r += [np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
@@ -509,8 +526,7 @@ def _eval_grid(profile):
 def test_float_and_array_evaluation_agree(model_id):
     p = model_from_id(model_id, 4).profile
     r = _eval_grid(p)
-    if p.kind == "smoothed_cone":
-        assert {0.5 * p.r0, p.r0} <= set(r.tolist())
+    assert set(p.knots) <= set(r.tolist())
     for order, fun in enumerate((p.f, p.fp, p.fpp, third_derivative(p))):
         arr = array_eval(p, order, r)
         for x, want in zip(r, arr):
@@ -522,7 +538,7 @@ def test_float_and_array_evaluation_agree(model_id):
 
 def test_custom_profile_float_evaluation():
     r = np.linspace(0.5, 5.0, 40)
-    p = make_model("custom", 4, table=(r, r + 0.1 * np.sin(r))).profile
+    p = table_profile((r, r + 0.1 * np.sin(r)))
     x = np.array([0.1, 0.5, 1.234, 4.9, 5.0])
     for order, fun in enumerate((p.f, p.fp, p.fpp, third_derivative(p))):
         arr = array_eval(p, order, x)
@@ -536,7 +552,7 @@ def test_custom_profile_float_evaluation():
 def test_float_and_array_evaluation_reject_the_same_inputs(model_id, bad):
     if model_id == "custom":
         r = np.linspace(0.5, 5.0, 10)
-        p = make_model("custom", 4, table=(r, r)).profile
+        p = table_profile((r, r))
     else:
         p = model_from_id(model_id, 4).profile
     for arg in (bad, np.float64(bad), np.array(bad)):
@@ -549,7 +565,7 @@ def _blend_reference(profile, r):
     """(f, f', f'', f''') of f = r (1 + (c-1) w(t)), t = (r - r0/2) / (r0/2),
     w the quintic smoothstep, in closed form; right-continuous at both
     blend ends, as the pieces are."""
-    c, h = profile.c, 0.5 * profile.r0
+    c, h = profile.tail_slope, profile.knots[0]
     t = (r - h) / h
     inside = (t >= 0.0) & (t < 1.0)
     w0 = np.where(inside, t**3 * (10.0 - 15.0 * t + 6.0 * t**2), (t >= 1.0) * 1.0)
@@ -572,9 +588,10 @@ def test_smoothed_cone_pieces_match_the_closed_blend(model_id):
         got = fun(r)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), order
     # outside the blend the pieces are f = r and f = c r, exactly
-    below, above = r[r < 0.5 * p.r0], r[r >= p.r0]
-    assert np.array_equal(funs[0](below), below) and np.array_equal(funs[0](above), p.c * above)
-    assert np.all(funs[1](below) == 1.0) and np.all(funs[1](above) == p.c)
+    (a, b), c = p.knots, p.tail_slope
+    below, above = r[r < a], r[r >= b]
+    assert np.array_equal(funs[0](below), below) and np.array_equal(funs[0](above), c * above)
+    assert np.all(funs[1](below) == 1.0) and np.all(funs[1](above) == c)
     for fun in funs[2:]:
         assert np.all(fun(below) == 0.0) and np.all(fun(above) == 0.0)
 
@@ -594,10 +611,10 @@ def _dense_margins(model, r_min, r_max):
 
 def _margin_model(name):
     if name == "concave":  # the spline rings a little below f'' = 0
-        return make_model("custom", 6, table=concave_table())
+        return ModelManifold(6, table_profile(concave_table()))
     if name == "quadratic":  # f = r^2: k_rad = -2/r^2
         r = np.linspace(0.005, 80.0, 600)
-        return make_model("custom", 4, table=(r, r**2))
+        return ModelManifold(4, table_profile((r, r**2)))
     return model_from_id(name, 4)
 
 
@@ -755,14 +772,14 @@ def test_smoothstep_blend_is_numpy_composition():
 
 
 def test_fp_min_closed_forms():
-    assert make_model("euclidean", 4).profile.fp_min(1e-4, 50.0) == 1.0
-    assert make_model("cone", 4, c=0.3).profile.fp_min(1e-4, 50.0) == 0.3
+    assert model_from_id("euclidean", 4).profile.fp_min(1e-4, 50.0) == 1.0
+    assert model_from_id("cone:0.3", 4).profile.fp_min(1e-4, 50.0) == 0.3
     # on the blend f'(t) = 1 + (c-1) P(t), P = 30t^2 - 20t^3 - 45t^4 + 36t^5,
     # whose maximum on [0, 1] is P(1/sqrt 3) = 5 - 8/(3 sqrt 3)
     p_max = 5.0 - 8.0 / (3.0 * math.sqrt(3.0))
     for c in (0.2, 0.5, 0.75, 0.9):
         for r0 in (0.5, 1.0, 2.0):
-            p = make_model("smoothed_cone", 4, c=c, r0=r0).profile
+            p = model_from_id(f"smoothed-cone:{c!r}:{r0!r}", 4).profile
             want = 1.0 + (c - 1.0) * p_max
             assert p.fp_min(1e-4, 3.0 * r0) == pytest.approx(want, abs=1e-13)
             # below the critical point f' falls monotonically from 1
@@ -781,7 +798,7 @@ def test_interior_minimum_reads_the_same_on_every_window_holding_it():
     assert len({p.fp_min(1e-4, hi) for hi in his}) == 1
     assert p.fp_min(1e-4, 2.47) == pytest.approx(
         1.0 - 0.5 * (5.0 - 8.0 / (3.0 * math.sqrt(3.0))), abs=1e-13)
-    sectional = {hi: p.min_ratio(1e-4, hi, lambda F: -F.deriv(2), 1) for hi in his}
+    sectional = {hi: p.ratio_range(1e-4, hi, lambda F: -F.deriv(2), 1)[0] for hi in his}
     assert len({sectional[hi] for hi in his if hi != 0.8474}) == 1
 
 
@@ -805,7 +822,7 @@ def test_fp_min_reads_the_same_on_every_call(model_id, values):
 def test_fp_min_custom_spline_against_dense_samples():
     r = np.linspace(1.0, 5.0, 9)
     fvals = np.array([1.0, 1.6, 1.9, 1.7, 1.8, 2.6, 3.0, 3.1, 4.0])
-    p = make_model("custom", 4, table=(r, fvals)).profile
+    p = table_profile((r, fvals))
     dense = array_eval(p, 1, np.linspace(1.0, 5.0, 200001))
     assert p.fp_min(1e-4, 5.0) == pytest.approx(dense.min(), abs=1e-8)
     assert p.fp_min(1e-4, 5.0) <= dense.min()

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 import quad_reference
 from harnacklab import quadrature
-from harnacklab.models import make_model
+from harnacklab.models import table_profile
 from model_reference import third_derivative
 from tables import concave_table
 
@@ -174,7 +174,7 @@ def test_spline_matches_scipy_cubic_spline(table):
     # a custom profile's f ... f''' over its table range: one cubic piece per
     # table interval, the not-a-knot spline that CubicSpline builds
     r, f = table
-    p, ref = make_model("custom", 4, table=(r, f)).profile, CubicSpline(r, f)
+    p, ref = table_profile((r, f)), CubicSpline(r, f)
     x = np.concatenate([r, np.geomspace(r[0], r[-1], 997)])
     for order, fun in enumerate((p.f, p.fp, p.fpp, third_derivative(p))):
         want = ref(x, order)

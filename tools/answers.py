@@ -29,15 +29,21 @@ exploratory, which this pins.  The ``reports`` workload, seed-free too,
 answers the report shapes no other workload prints (``REPORTS``): a
 verify with a bound ``--D``, reporting ``D`` and whether its premise
 ``Hess b^2 <= D g`` holds, on near and far windows, the preset list, a profile
-exported to stdout, one symbolic identity and an audit off the grid.  The
+exported to stdout, one symbolic identity, an audit off the grid, and two
+verifies whose G or C make ``G^alpha (C - mu)`` overflow at the window's
+ends, which the report does not print.  The
 ``forms`` workload, seed-free too, runs no argv: it records the reduced
 forms of a few exact tensor expressions built in process (``_forms``),
 non-zero ones among them, which no command prints, so that a change to the
 reduction shows here as a moved form.  The ``ranges`` workload, seed-free
 too, answers the argv that leave the float range (``RANGES``): on the grid,
-in a custom table of the ``tables`` workload, at an audit's radius and in a
-report's JSON, each refused with exit 2 and one line naming what left the
-range.  It prints JSON holding, per argv,
+in a custom table of the ``tables`` workload and at an audit's radius, each
+refused with exit 2 and one line naming what left the range.  The ``ids``
+workload, seed-free too, answers ``verify --n 4`` on each model id of
+``IDS``: presets with parameters out of their range or not numbers, ids no
+preset has, and the ``smoothed_cone`` spelling, so that each refusal's exit
+code and line, and the canonical id a report names, are pinned.  It prints
+JSON holding, per argv,
 the exit code, a sha256 of stdout, the first line of stderr and a sha256
 of each artifact, and per form a sha256 of its ``repr``.  The output
 directories are relative paths inside a temporary working directory, so
@@ -111,6 +117,9 @@ REPORTS = {
     "export-profile-stdout": ("export-profile", "--output-dir", ""),
     "symbolic-name": ("symbolic", "verify", "--name", "lap_of_harnack.literal"),
     "audit-off-grid": ("audit", "--model", "cone:0.5", "--r", "500"),
+    # G and G^alpha far past 1 at the window's ends: the report holds mu alone
+    "cone-tiny-r-min": ("verify", "--model", "cone:0.01", "--n", "3", "--r-min", "1e-100"),
+    "C-near-max": ("verify", "--C", "1e308", "--n", "4"),
 }
 #: the ``ranges`` workload: key suffix -> argv, each refused with exit 2
 RANGES = {
@@ -120,12 +129,13 @@ RANGES = {
     "table-G": ("verify", "--model", "custom:tables/concave.csv", "--n", "700"),
     "audit-r-G": ("audit", "--model", "cone:0.5", "--r", "1e-200", "--n", "4"),
     "audit-r-G-squared": ("audit", "--model", "euclidean", "--r", "1e300", "--n", "3"),
-    # every column is in range; only a boundary diagnostic is inf
-    "report-cone-inf": ("verify", "--model", "cone:0.01", "--n", "3", "--r-min", "1e-100"),
-    "report-C-inf": ("verify", "--C", "1e308", "--n", "4"),
 }
+#: the ``ids`` workload: model ids, each answered by ``verify --n 4``
+IDS = ("cone:0", "cone:1.5", "cone:nan", "smoothed-cone:nan:1", "smoothed-cone:0.5:inf",
+       "smoothed-cone:0.5:0", "smoothed-cone:0.5:nan", "euclidean:1", "cone", "custom",
+       "blend:1", "cone:abc", "smoothed_cone:0.8:1")
 CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone", "reports",
-           "ranges", "forms")
+           "ranges", "forms", "ids")
 
 
 def _sha(data: bytes) -> str:
@@ -150,7 +160,7 @@ def _write_tables(directory: Path) -> None:
 def _argvs(names, seeds):
     """(key, argv) of every cycle slot and probe of the workloads at the
     seeds, of every table command and of every edge, geodesics, oracle-cone,
-    reports and ranges argv."""
+    reports, ranges and ids argv."""
     for name in names:
         if name == "tables":
             for table in TABLES:
@@ -180,6 +190,10 @@ def _argvs(names, seeds):
         if name in ("reports", "ranges"):
             for suffix, argv in (REPORTS if name == "reports" else RANGES).items():
                 yield f"{name}:{suffix}", list(argv)
+            continue
+        if name == "ids":
+            for model in IDS:
+                yield f"ids:{model}", ["verify", "--model", model, "--n", "4"]
             continue
         if name == "forms":
             continue  # no argv: see _forms
