@@ -268,22 +268,17 @@ def cmd_oracle(args) -> int:
     if not H_RANGE[0] <= h <= H_RANGE[1]:
         raise ModelError(f"the finite-difference step h must lie in "
                          f"[{H_RANGE[0]:.3g}, {H_RANGE[1]:.3g}], got {h!r}")
-    chart = commutators.chart_by_name(args.chart, n=args.n)
-    if chart.dim != args.n:  # round_sphere and s2xr2 have their own dimension
-        if "n" in args.given:
-            raise ModelError(f"chart {args.chart} has dimension {chart.dim}, got n={args.n}")
-        args.n = chart.dim
-    f = commutators.default_test_function(chart)
+    chart, f, base, gated = commutators.oracle_preset(
+        args.chart, args.n if "n" in args.given else None)
+    args.n = chart.dim
     rng = random.Random(args.seed)
-    base = commutators.default_probe_point(chart)
     gate = 100.0 * h**2
     rows = []
     for k in range(args.probes):
         point = [b + rng.uniform(-0.05, 0.05) for b in base]
         res = fdcheck.check_lemma31(chart, f, point, h)
         rows.append({"probe": k, "point": point, "residuals": list(res)})
-    # identity 5 holds only where Ricci is parallel: elsewhere it is not gated
-    gated = 5 if args.chart in commutators.PARALLEL_RICCI_CHARTS else 4
+    # identity 5 holds only where Ricci is parallel: elsewhere it is not gated;
     # a NaN residual anywhere makes worst NaN, which fails the gate
     worst = fdcheck.max_residual(v for row in rows for v in row["residuals"][:gated])
     body = {"chart": args.chart, "h": h, "gate": gate, "worst_residual": worst, "probes": rows}
@@ -359,6 +354,7 @@ def _symbolic_args(p: argparse.ArgumentParser) -> None:
 
 def _oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("what", choices=["commutators"])
+    # the keys of commutators.CHARTS, spelled out so that parsing compiles no oracle
     p.add_argument("--chart", default="s2xr2",
                    choices=["euclidean", "round_sphere", "s2xr2", "cone"])
     p.add_argument("--h", type=float,

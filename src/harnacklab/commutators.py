@@ -7,10 +7,10 @@ then scale as O(h^2).  The differenced geometry is `fdgeom`'s, and the
 charts and the per-point memo are `fdcheck`'s, which gives this module's
 public names too; nothing here uses the symbolic engine's library.
 
-Beside the oracle, this module holds the preset charts of the ``oracle``
-command (``euclidean_chart``, ``round_sphere``, ``s2xr2``, ``cone_chart``,
-``chart_by_name``) with their probe points, and which of them have
-parallel Ricci curvature, where identity 5 holds.  A check of parallel
+Beside the oracle, this module holds the presets of the ``oracle``
+command in one table, ``CHARTS``: each preset's dimensions, chart, probe
+point and test function, and whether its Ricci curvature is parallel, where
+identity 5 holds; ``oracle_preset`` looks one up.  A check of parallel
 Ricci needs none of it, so a numeric command never compiles it; the
 ``oracle`` command imports it before `fdcheck`, so that this module, the
 largest it compiles, compiles while the fewest objects are live.
@@ -33,84 +33,7 @@ from .fdcheck import (DEFAULT_H, CoordinateChart, _ChristoffelMemo, _diag, _per_
                       warped_probe_point)
 from .fdgeom import ChartError, _central, _covariant, _entries, _point, _riemann_flat
 
-__all__ = ["Jet", "TestFunction", "default_test_function", "check_lemma31", "MAX_CHART_DIM",
-           "euclidean_chart", "round_sphere", "s2xr2", "cone_chart", "chart_by_name",
-           "default_probe_point"]
-
-#: largest dimension of a preset chart: one commutator probe costs about
-#: d^4 float operations, and its per-point memo, dropped when the probe
-#: returns, holds about d^5 entries
-MAX_CHART_DIM = 12
-
-
-# -- preset charts ------------------------------------------------------------
-
-
-def euclidean_chart(n: int) -> CoordinateChart:
-    if int(n) != n or not 2 <= n <= MAX_CHART_DIM:
-        raise ChartError(f"euclidean chart needs an integer 2 <= n <= {MAX_CHART_DIM}, got {n}")
-    eye = _diag((1.0,) * int(n))
-    return CoordinateChart("euclidean", int(n), lambda x: eye)
-
-
-def round_sphere() -> CoordinateChart:
-    """The unit round 2-sphere."""
-
-    def metric(x):
-        theta = x[0]
-        return _diag((1.0, math.sin(theta) ** 2))
-
-    return CoordinateChart("round_sphere", 2, metric)
-
-
-def s2xr2() -> CoordinateChart:
-    """Unit round 2-sphere times a flat plane; symmetric, parallel Ricci."""
-
-    def metric(x):
-        theta = x[0]
-        return _diag((1.0, math.sin(theta) ** 2, 1.0, 1.0))
-
-    return CoordinateChart("s2xr2", 4, metric)
-
-
-def cone_chart(c: float, n: int) -> CoordinateChart:
-    """Warped chart of the cone f = c r, 0 < c <= 1, 3 <= n <= MAX_CHART_DIM."""
-    if not (0.0 < c <= 1.0) or int(n) != n or not 3 <= n <= MAX_CHART_DIM:
-        raise ChartError(f"cone chart needs 0 < c <= 1 and an integer 3 <= n <= "
-                         f"{MAX_CHART_DIM}, got c={c:g}, n={n}")
-    return _warped(f"warped[cone:{c:g}]", int(n), lambda r: c * r)
-
-
-#: the preset charts whose Ricci curvature is parallel.  Identity 5 of
-#: `check_lemma31` drops the grad Ric terms, so it holds only on these; the
-#: cone (c < 1) is the one preset where it need not.
-PARALLEL_RICCI_CHARTS = frozenset({"euclidean", "round_sphere", "s2xr2"})
-
-
-def chart_by_name(name: str, n: int = 4) -> CoordinateChart:
-    """The preset chart `name`; the euclidean and cone charts in dimension
-    n, the cone of aperture 0.5."""
-    if name == "euclidean":
-        return euclidean_chart(n)
-    if name == "round_sphere":
-        return round_sphere()
-    if name == "s2xr2":
-        return s2xr2()
-    if name == "cone":
-        return cone_chart(0.5, n)
-    raise ChartError(f"unknown chart {name!r}")
-
-
-def default_probe_point(chart: CoordinateChart) -> tuple:
-    """A probe away from coordinate degeneracies of each preset."""
-    if chart.name == "euclidean":
-        return tuple(0.1 + 0.2 * i for i in range(chart.dim))
-    if chart.name == "round_sphere":
-        return (1.1, 0.7)
-    if chart.name == "s2xr2":
-        return (1.1, 0.7, 0.3, -0.4)
-    # warped charts: r = 1, angles in the safe band
-    return warped_probe_point(chart.dim, 1.0)
+__all__ = ["Jet", "TestFunction", "check_lemma31", "MAX_CHART_DIM", "CHARTS", "oracle_preset"]
 
 
 # -- test functions -----------------------------------------------------------
@@ -203,27 +126,69 @@ class TestFunction:
         return self.func([Jet.coordinate(x, i) for i in range(self.dim)])
 
 
-def default_test_function(chart: CoordinateChart) -> TestFunction:
-    if chart.name == "round_sphere":
-        def func(x):
-            return x[0].cos() + x[0].sin() * x[1].cos()
-    elif chart.name == "s2xr2":
-        def func(x):
-            return (x[0].cos() * (-0.25 * x[2] * x[2]).exp()
-                    + x[0].sin() * x[1].cos() + x[3] * x[2])
-    elif chart.name == "euclidean" and chart.dim <= 2:
-        def func(x):
-            return x[0] * x[0] * x[1]
-    elif chart.name == "euclidean":
-        def func(x):
-            return x[0] * x[0] * x[1] + (-x[1]).exp() * x[2].cos()
-    elif chart.dim >= 2:  # warped charts
-        def func(x):
-            return (-x[0]).exp() * x[1].cos()
-    else:
-        def func(x):
-            return (-x[0]).exp()
-    return TestFunction(func, chart.dim)
+# -- preset charts ------------------------------------------------------------
+
+#: largest dimension of a preset chart: one commutator probe costs about
+#: d^4 float operations, and its per-point memo, dropped when the probe
+#: returns, holds about d^5 entries
+MAX_CHART_DIM = 12
+
+
+def _flat(n: int) -> CoordinateChart:
+    eye = _diag((1.0,) * n)
+    return CoordinateChart("euclidean", n, lambda x: eye)
+
+
+#: each preset of the ``oracle`` command: (the dimensions n it takes, its
+#: chart, probe point and test function, the last a function of the
+#: coordinate jets, and whether its Ricci curvature is parallel).  The probe
+#: point keeps away from coordinate degeneracies.  Identity 5 of
+#: `check_lemma31` drops the grad Ric terms, so it holds only where Ricci is
+#: parallel; the cone of aperture 0.5 is the one preset where it is not.
+CHARTS = {
+    # x0^2 x1 alone would be differenced exactly: the cosine gives every n
+    # an O(h^2) error to show
+    "euclidean": (
+        range(2, MAX_CHART_DIM + 1), _flat,
+        lambda n: tuple(0.1 + 0.2 * i for i in range(n)),
+        lambda x: x[0] * x[0] * x[1] + (-x[1]).exp() * x[2 % len(x)].cos(),
+        True),
+    # the unit round 2-sphere
+    "round_sphere": (
+        (2,), lambda n: CoordinateChart(
+            "round_sphere", 2, lambda x: _diag((1.0, math.sin(x[0]) ** 2))),
+        lambda n: (1.1, 0.7),
+        lambda x: x[0].cos() + x[0].sin() * x[1].cos(),
+        True),
+    # the unit round 2-sphere times a flat plane: symmetric
+    "s2xr2": (
+        (4,), lambda n: CoordinateChart(
+            "s2xr2", 4, lambda x: _diag((1.0, math.sin(x[0]) ** 2, 1.0, 1.0))),
+        lambda n: (1.1, 0.7, 0.3, -0.4),
+        lambda x: (x[0].cos() * (-0.25 * x[2] * x[2]).exp()
+                   + x[0].sin() * x[1].cos() + x[3] * x[2]),
+        True),
+    # the warped chart of the cone f = r / 2, at r = 1
+    "cone": (
+        range(3, MAX_CHART_DIM + 1),
+        lambda n: _warped("warped[cone:0.5]", n, lambda r: 0.5 * r),
+        lambda n: warped_probe_point(n, 1.0),
+        lambda x: (-x[0]).exp() * x[1].cos(),
+        False),
+}
+
+
+def oracle_preset(name: str, n: int | None = None) -> tuple:
+    """(chart, test function, probe point, how many identities are gated) of
+    the preset `name` in dimension n, by default its one dimension or 4."""
+    dims, chart, point, func, parallel_ricci = CHARTS[name]
+    if n is None:
+        n = dims[0] if len(dims) == 1 else 4
+    if n not in dims:
+        want = (f"{dims[0]}, got n={n}" if len(dims) == 1
+                else f"{dims[0]} <= n <= {dims[-1]}, got {n}")
+        raise ChartError(f"chart {name} has dimension {want}")
+    return chart(n), TestFunction(func, n), point(n), 5 if parallel_ricci else 4
 
 
 # -- covariant derivatives of a test function ---------------------------------

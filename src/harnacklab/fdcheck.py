@@ -15,10 +15,10 @@ module only after the verdict engines are compiled, so each of the two
 stays at most 2048 parser tokens: a late compile of that size fits in the
 memory the earlier compiles freed, and a larger one raises the command's
 peak.  The commutator oracle of the ``oracle`` command
-(``Jet``, ``TestFunction``, ``default_test_function``, ``check_lemma31``)
-and its preset charts (``euclidean_chart``, ``round_sphere``, ``s2xr2``,
-``cone_chart``, ``chart_by_name``, ``default_probe_point``,
-``MAX_CHART_DIM``) live in `harnacklab.commutators`.  Its
+(``Jet``, ``TestFunction``, ``check_lemma31``) and the table of its
+presets (``CHARTS``, each preset's dimensions, chart, probe point, test
+function and whether its Ricci is parallel, looked up by
+``oracle_preset``) live in `harnacklab.commutators`.  Its
 ``check_lemma31``, which the ``oracle`` command calls, is reached through
 this module as well: `commutators` is imported on its first use, so a
 check of parallel Ricci compiles only the geometry.  Nothing here uses the symbolic engine's library.

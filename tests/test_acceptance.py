@@ -8,9 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from harnacklab.commutators import (
-    chart_by_name, check_lemma31, default_probe_point, default_test_function,
-)
+from harnacklab.commutators import check_lemma31, oracle_preset
 from harnacklab.fdcheck import DEFAULT_H, check_parallel_ricci
 from harnacklab.geodesics import SlicePoint, corollary_check
 from harnacklab.green import compute_profile, default_grid
@@ -85,9 +83,7 @@ def test_04_symbolic_zero_reduction():
 
 def test_05_commutator_oracle():
     for name in ("round_sphere", "s2xr2"):
-        chart = chart_by_name(name)
-        f = default_test_function(chart)
-        x = default_probe_point(chart)
+        chart, f, x, _ = oracle_preset(name)
         res = check_lemma31(chart, f, x, DEFAULT_H)
         assert np.max(res) <= 1e-4, name
         res2 = check_lemma31(chart, f, x, 2 * DEFAULT_H)
@@ -95,8 +91,8 @@ def test_05_commutator_oracle():
             if b < 1e-12:
                 continue
             assert 3.5 <= a / b <= 4.5, name
-    s2 = chart_by_name("s2xr2")
-    assert check_parallel_ricci(s2, default_probe_point(s2), DEFAULT_H) <= 1e-5
+    s2, _, x, _ = oracle_preset("s2xr2")
+    assert check_parallel_ricci(s2, x, DEFAULT_H) <= 1e-5
 
 
 def test_06_power_laplacian_identity():

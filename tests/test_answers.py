@@ -96,21 +96,31 @@ def test_geodesics_workload_answers_corollary_on_a_smoothed_cone(tmp_path, monke
     assert answers.diff(entries, entries) == []
 
 
-def test_oracle_cone_workload_answers_an_exploratory_verdict(tmp_path, monkeypatch):
+def test_oracle_charts_workload_answers_every_preset(tmp_path, monkeypatch):
+    from harnacklab import commutators
+
     answers = _answers()
-    assert "oracle-cone" in answers.CHOICES
+    assert "oracle-charts" in answers.CHOICES and "oracle-cone" not in answers.CHOICES
     monkeypatch.chdir(tmp_path)
-    entries = answers.digest(["oracle-cone"], answers._seeds("101"), values=True)
-    assert sorted(entries) == ["oracle-cone:n3", "oracle-cone:n6"]
-    for n, entry in (("3", entries["oracle-cone:n3"]), ("6", entries["oracle-cone:n6"])):
-        assert entry["argv"][:8] == ["oracle", "commutators", "--chart", "cone", "--n", n,
-                                     "--probes", "2"]
-        # identities 1-4 pass; identity 5 lies outside its hypothesis
-        assert entry["exit"] == 3
-        report = entry["stdout"]
-        assert report["verdict"] == "exploratory"
-        assert report["outside_hypothesis"]["identity"] == 5
+    entries = answers.digest(["oracle-charts"], answers._seeds("101"), values=True)
+    assert sorted(entries) == sorted(f"oracle-charts:{key}" for key in answers.ORACLE_CHARTS)
+    charts = set()
+    for key, entry in entries.items():
+        argv = entry["argv"]
+        assert argv[:4] == ["oracle", "commutators", "--probes", "2"]
+        report, chart = entry["stdout"], argv[5]
+        charts.add(chart)
         assert sorted(entry["artifacts"]) == ["oracle.json"]
+        # every preset's check has content: no residual set is all zero
+        assert 0.0 < report["worst_residual"] <= report["gate"], key
+        # identities 1-4 pass on the cone; identity 5 lies outside its hypothesis
+        if chart == "cone":
+            assert (entry["exit"], report["verdict"]) == (3, "exploratory")
+            assert report["outside_hypothesis"]["identity"] == 5
+        else:
+            assert (entry["exit"], report["verdict"]) == (0, "pass")
+            assert "outside_hypothesis" not in report
+    assert charts == set(commutators.CHARTS)
     assert answers.diff(entries, entries) == []
 
 

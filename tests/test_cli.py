@@ -749,15 +749,35 @@ def test_oracle_on_the_cone_leaves_identity_5_ungated(n, capsys):
     assert outside["worst_residual"] == max(res[4] for res in residuals) > 1.0
 
 
-@pytest.mark.parametrize("chart,dim", [("round_sphere", 2), ("s2xr2", 4), ("euclidean", 4)])
+#: each preset of ``oracle --chart`` and the dimension it probes with no n given
+ORACLE_DIMS = {"round_sphere": 2, "s2xr2": 4, "euclidean": 4, "cone": 4}
+
+
+def test_oracle_chart_choices_are_the_chart_table(capsys):
+    # the parser spells the choices out, so that it compiles no oracle: they
+    # are the table's keys, in its order, and each is probed below
+    from harnacklab import commutators
+
+    out, _ = _listed_flags("oracle", capsys)
+    assert f"--chart {{{','.join(commutators.CHARTS)}}}" in out
+    assert sorted(ORACLE_DIMS) == sorted(commutators.CHARTS)
+
+
+@pytest.mark.parametrize("chart,dim", ORACLE_DIMS.items())
 def test_oracle_echoes_the_dimension_it_probes(chart, dim, capsys):
-    # with no n given, round_sphere and s2xr2 report their own dimension
+    # with no n given, round_sphere and s2xr2 report their own dimension, the
+    # others 4
+    from harnacklab import commutators
+
     code, doc = run_json(["oracle", "commutators", "--chart", chart, "--probes", "1"], capsys)
-    assert code == 0
     assert doc["config"]["n"] == dim == len(doc["probes"][0]["point"])
-    # Ricci is parallel on each of them: all five identities are gated
-    assert "outside_hypothesis" not in doc
-    assert doc["worst_residual"] == max(doc["probes"][0]["residuals"])
+    # all five identities are gated where Ricci is parallel; on the cone the
+    # fifth is reported outside its hypothesis, and the run is exploratory
+    parallel_ricci = commutators.CHARTS[chart][4]
+    assert ("outside_hypothesis" not in doc) == parallel_ricci
+    assert code == (3 if chart == "cone" else 0)
+    gated = doc["probes"][0]["residuals"][:5 if parallel_ricci else 4]
+    assert doc["worst_residual"] == max(gated)
 
 
 def test_oracle_refuses_a_config_n_its_chart_does_not_take(tmp_path, capsys):

@@ -72,13 +72,12 @@ def hessian_scalar(chart, func, x, h=H):
 
 
 def test_euclidean_christoffels_vanish():
-    ch = commutators.euclidean_chart(4)
-    x = commutators.default_probe_point(ch)
+    ch, _, x, _ = commutators.oracle_preset("euclidean", 4)
     assert np.max(np.abs(christoffels(ch, x, H))) < 1e-12
 
 
 def test_sphere_christoffel_value():
-    ch = commutators.round_sphere()
+    ch = commutators.oracle_preset("round_sphere")[0]
     theta = math.pi / 3
     gamma = christoffels(ch, (theta, 0.7), H)
     # Gamma^theta_{phi phi} = -sin(theta) cos(theta)
@@ -87,8 +86,8 @@ def test_sphere_christoffel_value():
 
 
 def test_cone_christoffel_value():
-    ch = commutators.cone_chart(0.5, 4)
-    x = fdcheck.warped_probe_point(4, 1.0)
+    ch, _, x, _ = commutators.oracle_preset("cone", 4)
+    assert x == fdcheck.warped_probe_point(4, 1.0)
     # Gamma^r_{phi phi} = -c^2 r sin^2(...) pattern; for the first angular
     # coordinate the sphere factor is 1: Gamma^r_{11} = -c^2 r
     gamma = christoffels(ch, x, H)
@@ -97,8 +96,7 @@ def test_cone_christoffel_value():
 
 def test_sphere_sectional_curvature_sign_pin():
     # the curvature sign convention is pinned by the unit sphere being +1
-    ch = commutators.round_sphere()
-    x = commutators.default_probe_point(ch)
+    ch, _, x, _ = commutators.oracle_preset("round_sphere")
     R = riemann(ch, x, H)
     assert R[0, 1, 0, 1] == pytest.approx(1.0, abs=1e-5)
     ric = ricci(ch, x, H)
@@ -106,8 +104,7 @@ def test_sphere_sectional_curvature_sign_pin():
 
 
 def test_euclidean_curvature_zero():
-    ch = commutators.euclidean_chart(4)
-    x = commutators.default_probe_point(ch)
+    ch, _, x, _ = commutators.oracle_preset("euclidean", 4)
     assert np.max(np.abs(riemann(ch, x, H))) < 1e-10
 
 
@@ -137,26 +134,24 @@ def test_warped_chart_random_radii_cross_module():
 
 
 def test_parallel_ricci_values():
-    assert fdcheck.check_parallel_ricci(
-        commutators.euclidean_chart(3), commutators.default_probe_point(commutators.euclidean_chart(3)), H
-    ) < 1e-10
-    assert fdcheck.check_parallel_ricci(
-        commutators.s2xr2(), commutators.default_probe_point(commutators.s2xr2()), H
-    ) < 1e-5
-    cone = commutators.cone_chart(0.5, 4)
+    flat, _, x, _ = commutators.oracle_preset("euclidean", 3)
+    assert fdcheck.check_parallel_ricci(flat, x, H) < 1e-10
+    s2, _, x, _ = commutators.oracle_preset("s2xr2")
+    assert fdcheck.check_parallel_ricci(s2, x, H) < 1e-5
+    cone = commutators.oracle_preset("cone", 4)[0]
     val = fdcheck.check_parallel_ricci(cone, fdcheck.warped_probe_point(4, 1.0), H)
     assert val > 1e-2  # cones are not Ricci-parallel
 
 
 def test_cone_chart_matches_warped_chart_of_cone_model():
-    cone = commutators.cone_chart(0.5, 4)
+    cone = commutators.oracle_preset("cone", 4)[0]
     ref = fdcheck.warped_chart(model_from_id("cone:0.5", 4))
     assert cone.name == ref.name == "warped[cone:0.5]"
     x = fdcheck.warped_probe_point(4, 1.3)
     assert cone._flat_g(x) == ref._flat_g(x)
-    for c, n in ((0.0, 4), (1.5, 4), (0.5, 2), (0.5, 13)):
-        with pytest.raises(fdcheck.ChartError):
-            commutators.cone_chart(c, n)
+    for n in (2, 13):
+        with pytest.raises(fdcheck.ChartError, match=f"3 <= n <= 12, got {n}"):
+            commutators.oracle_preset("cone", n)
 
 
 def test_fdcheck_does_not_import_models():
@@ -179,7 +174,7 @@ def test_parallel_ricci_loads_no_commutator_oracle():
 def test_commutator_names_of_fdcheck_are_the_oracle_module_s():
     # fdcheck gives the one commutator name the oracle command calls there
     assert fdcheck.check_lemma31 is commutators.check_lemma31
-    for name in ("chart_by_name", "no_such_name"):
+    for name in ("oracle_preset", "no_such_name"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(fdcheck, name)
 
@@ -215,29 +210,28 @@ def test_closed_form_grad_ricci_matches_fd_oracle(model_id, radii, n):
         assert (fd <= gate) == (fd3 <= gate) == (closed <= DEFAULT_CURV_TOL)
 
 
-# every branch of default_test_function, as (chart, the same function in
+# the test function of every preset, as (preset, n, the same function in
 # sympy's notation); sympy differentiates it as an independent reference
 JET_CASES = [
-    (commutators.euclidean_chart(2), "x0**2*x1"),
-    (commutators.euclidean_chart(3), "x0**2*x1 + exp(-x1)*cos(x2)"),
-    (commutators.euclidean_chart(5), "x0**2*x1 + exp(-x1)*cos(x2)"),
-    (commutators.round_sphere(), "cos(x0) + sin(x0)*cos(x1)"),
-    (commutators.s2xr2(), "cos(x0)*exp(-x2**2/4) + sin(x0)*cos(x1) + x3*x2"),
-    (fdcheck.CoordinateChart("warped[line]", 1, lambda x: np.eye(1)), "exp(-x0)"),
-    (commutators.cone_chart(0.5, 3), "exp(-x0)*cos(x1)"),
-    (commutators.cone_chart(0.7, 5), "exp(-x0)*cos(x1)"),
+    ("euclidean", 2, "x0**2*x1 + exp(-x1)*cos(x0)"),
+    ("euclidean", 3, "x0**2*x1 + exp(-x1)*cos(x2)"),
+    ("euclidean", 5, "x0**2*x1 + exp(-x1)*cos(x2)"),
+    ("round_sphere", 2, "cos(x0) + sin(x0)*cos(x1)"),
+    ("s2xr2", 4, "cos(x0)*exp(-x2**2/4) + sin(x0)*cos(x1) + x3*x2"),
+    ("cone", 3, "exp(-x0)*cos(x1)"),
+    ("cone", 5, "exp(-x0)*cos(x1)"),
 ]
 
 
-@pytest.mark.parametrize("chart,expr", JET_CASES,
-                         ids=[f"{c.name}-{c.dim}" for c, _ in JET_CASES])
-def test_jet_partials_match_sympy(chart, expr):
+@pytest.mark.parametrize("name,n,expr", JET_CASES, ids=[
+    f"{commutators.oracle_preset(name, n)[0].name}-{n}" for name, n, _ in JET_CASES])
+def test_jet_partials_match_sympy(name, n, expr):
     sp = pytest.importorskip("sympy")
+    chart, f, base, _ = commutators.oracle_preset(name, n)
     xs = sp.symbols(f"x0:{chart.dim}")
     e = sp.sympify(expr)
-    f = commutators.default_test_function(chart)
     rng = np.random.default_rng(chart.dim)
-    base = np.asarray(commutators.default_probe_point(chart) if chart.dim > 1 else [1.0])
+    base = np.asarray(base)
     for _ in range(5):
         x = base + rng.uniform(-0.5, 0.5, chart.dim)
         at = dict(zip(xs, x))
@@ -253,7 +247,7 @@ def test_jet_partials_match_sympy(chart, expr):
 def test_jet_is_computed_once_per_point():
     # within one probe each distinct stencil point's jet and metric are
     # evaluated exactly once: 129 metric points and 41 jets on s2xr2
-    s2 = commutators.s2xr2()
+    s2, f2, x, _ = commutators.oracle_preset("s2xr2")
     metric_at, jet_at = [], []
 
     def metric(y):
@@ -262,15 +256,15 @@ def test_jet_is_computed_once_per_point():
 
     def func(x):
         jet_at.append(tuple(j.v for j in x))
-        return commutators.default_test_function(s2).func(x)
+        return f2.func(x)
 
     chart = fdcheck.CoordinateChart(s2.name, 4, metric)
     f = commutators.TestFunction(func, 4)
-    x = tuple(v + 0.01 for v in commutators.default_probe_point(s2))
+    x = tuple(v + 0.01 for v in x)
     res = commutators.check_lemma31(chart, f, x, H)
     assert len(metric_at) == len(set(metric_at)) == 129
     assert len(jet_at) == len(set(jet_at)) == 41
-    assert res == commutators.check_lemma31(s2, commutators.default_test_function(s2), x, H)
+    assert res == commutators.check_lemma31(s2, f2, x, H)
     metric_at.clear()
     fdcheck.check_parallel_ricci(chart, x, H)
     assert len(metric_at) == len(set(metric_at)) == 129
@@ -287,9 +281,7 @@ def test_oracle_memory_is_flat_in_the_probe_count(name):
     # the oracle's probe loop, with its chart and test function alive from
     # the first probe to the last: what it still holds after the loop must
     # not grow with the number of probes
-    chart = commutators.chart_by_name(name, n=4)
-    f = commutators.default_test_function(chart)
-    base = commutators.default_probe_point(chart)
+    chart, f, base, _ = commutators.oracle_preset(name, 4)
     commutators.check_lemma31(chart, f, base, H)  # the first probe's one-time allocations
 
     def held_after(probes):
@@ -313,24 +305,23 @@ def test_oracle_memory_is_flat_in_the_probe_count(name):
 
 
 def test_commutators_flat_chart():
-    ch = commutators.euclidean_chart(3)
+    ch, _, x, _ = commutators.oracle_preset("euclidean", 3)
     f = commutators.TestFunction(lambda x: x[0] * x[0] * x[1] + x[2], 3)
-    res = commutators.check_lemma31(ch, f, commutators.default_probe_point(ch), H)
+    res = commutators.check_lemma31(ch, f, x, H)
     assert len(res) == 5
     assert np.max(res) < 1e-9
 
 
 def test_commutators_sphere():
-    ch = commutators.round_sphere()
+    ch = commutators.oracle_preset("round_sphere")[0]
     f = commutators.TestFunction(lambda x: x[0].cos(), 2)
     res = commutators.check_lemma31(ch, f, np.array([math.pi / 3, 0.9]), H)
     assert np.max(res) <= 1e-4
 
 
 def test_commutators_s2xr2():
-    ch = commutators.s2xr2()
-    f = commutators.default_test_function(ch)
-    res = commutators.check_lemma31(ch, f, commutators.default_probe_point(ch), H)
+    ch, f, x, _ = commutators.oracle_preset("s2xr2")
+    res = commutators.check_lemma31(ch, f, x, H)
     assert np.max(res) <= 1e-4
 
 
@@ -350,9 +341,8 @@ class _UnmemoizedChristoffels(fdcheck._ChristoffelMemo):
 
 @pytest.mark.parametrize("name", ["s2xr2", "round_sphere", "cone"])
 def test_covariant_stack_computes_each_point_once(name, monkeypatch):
-    ch = commutators.chart_by_name(name)
-    f = commutators.default_test_function(ch)
-    x = tuple(v + 0.01 for v in commutators.default_probe_point(ch))
+    ch, f, x, _ = commutators.oracle_preset(name)
+    x = tuple(v + 0.01 for v in x)
     points = []
     terms = fdgeom._christoffel_terms
 
@@ -379,9 +369,7 @@ def test_covariant_stack_computes_each_point_once(name, monkeypatch):
 
 
 def test_commutator_quadratic_convergence():
-    ch = commutators.s2xr2()
-    f = commutators.default_test_function(ch)
-    x = commutators.default_probe_point(ch)
+    ch, f, x, _ = commutators.oracle_preset("s2xr2")
     res_h = commutators.check_lemma31(ch, f, x, H)
     res_2h = commutators.check_lemma31(ch, f, x, 2 * H)
     for a, b in zip(res_2h, res_h):
@@ -390,13 +378,32 @@ def test_commutator_quadratic_convergence():
         assert 3.5 <= a / b <= 4.5
 
 
+#: every preset at both ends of the dimensions it takes
+PRESET_ENDS = [(name, n) for name, (dims, *_) in commutators.CHARTS.items()
+               for n in sorted({dims[0], dims[-1]})]
+
+
+@pytest.mark.parametrize("name,n", PRESET_ENDS, ids=[f"{name}-{n}" for name, n in PRESET_ENDS])
+def test_every_preset_check_has_content(name, n):
+    # residuals that read 0.0 at every probe show nothing: on each preset some
+    # gated identity reads the O(h^2) error of its differences, which grows
+    # 4x from h to 2h; identity 5 counts only where Ricci is parallel, as an
+    # FD check of grad Ric finds it
+    chart, f, x, gated = commutators.oracle_preset(name, n)
+    assert (gated == 5) == (fdcheck.check_parallel_ricci(chart, x, H) < 1e-5)
+    res = commutators.check_lemma31(chart, f, x, H)[:gated]
+    res_2h = commutators.check_lemma31(chart, f, x, 2 * H)[:gated]
+    assert max(res) > 0.0
+    for a, b in zip(res_2h, res):
+        if b > 1e-12:
+            assert 3.5 <= a / b <= 4.5, (res, res_2h)
+
+
 def test_frame_independence_of_residuals():
     # the identities are tensorial: residuals must not depend on which
     # Gram-Schmidt order produced the frame; reversing coordinates gives
     # a genuinely different frame on the sphere factor
-    ch = commutators.s2xr2()
-    f = commutators.default_test_function(ch)
-    x = commutators.default_probe_point(ch)
+    ch, f, x, _ = commutators.oracle_preset("s2xr2")
     r1 = commutators.check_lemma31(ch, f, x, H)
     x2 = np.asarray(x) + [0.0, 0.0, 0.013, -0.02]  # flat directions: same geometry
     r2 = commutators.check_lemma31(ch, f, x2, H)
@@ -418,25 +425,31 @@ def test_hessian_scalar_matches_profile():
     assert np.max(np.abs(off)) < 5e-5
 
 
-def test_chart_by_name_and_bad_step():
-    ch = commutators.chart_by_name("euclidean", n=3)
+def test_oracle_preset_refuses_a_dimension_it_does_not_take_and_bad_step():
+    ch = commutators.oracle_preset("euclidean", 3)[0]
     assert ch.dim == 3
     # the flat test function needs two coordinates; a probe's cost grows as n^4
     for n in (1, 0, 13):
-        with pytest.raises(fdcheck.ChartError):
-            commutators.chart_by_name("euclidean", n=n)
+        with pytest.raises(fdcheck.ChartError, match=f"2 <= n <= 12, got {n}"):
+            commutators.oracle_preset("euclidean", n)
+    # with no n, a preset takes its own dimension, or 4 where it takes several
+    assert {name: commutators.oracle_preset(name)[0].dim for name in commutators.CHARTS} == {
+        "euclidean": 4, "round_sphere": 2, "s2xr2": 4, "cone": 4}
+    with pytest.raises(fdcheck.ChartError, match="chart round_sphere has dimension 2, got n=4"):
+        commutators.oracle_preset("round_sphere", 4)
     with pytest.raises(fdcheck.ChartError):
         christoffels(ch, np.zeros(3), -1.0)
 
 
 @pytest.mark.parametrize("chart,x,distinct", [
-    (commutators.s2xr2(), None, 41),
-    (commutators.cone_chart(0.5, 5), None, 63),
+    (commutators.oracle_preset("s2xr2"), None, 41),
+    (commutators.oracle_preset("cone", 5), None, 63),
     (fdcheck.warped_chart(ModelManifold(3, model_from_id("smoothed-cone:0.8:1", 3).profile)),
      fdcheck.warped_probe_point(3, 0.75), None),
 ])
 def test_parallel_ricci_computes_each_point_once(chart, x, distinct, monkeypatch):
-    x = commutators.default_probe_point(chart) if x is None else x
+    if x is None:  # a preset, at its probe point
+        chart, _, x, _ = chart
     points = []
     terms = fdgeom._christoffel_terms
 
@@ -492,8 +505,9 @@ def generic_function(d):
 GENERIC_CASES = [
     (sheared_flat(3), (0.2, -0.3, 0.5)),
     (sheared_flat(4), (0.2, -0.3, 0.5, 0.1)),
-    (sheared(commutators.round_sphere(), (1.1, 0.7)), (1.1, 0.7)),
-    (sheared(commutators.s2xr2(), (1.1, 0.7, 0.3, -0.4)), (1.12, 0.69, 0.31, -0.38)),
+    (sheared(commutators.oracle_preset("round_sphere")[0], (1.1, 0.7)), (1.1, 0.7)),
+    (sheared(commutators.oracle_preset("s2xr2")[0], (1.1, 0.7, 0.3, -0.4)),
+     (1.12, 0.69, 0.31, -0.38)),
 ]
 
 
@@ -622,5 +636,5 @@ def test_probe_points_are_numpys_bit_for_bit():
     # the oracle's probe points did not move when numpy left the oracle
     for n in range(2, 13):
         assert fdcheck.warped_probe_point(n, 1.3) == (1.3, *np.linspace(1.0, 1.6, n - 1).tolist())
-        ch = commutators.euclidean_chart(n)
-        assert commutators.default_probe_point(ch) == tuple((0.1 + 0.2 * np.arange(n)).tolist())
+        x = commutators.oracle_preset("euclidean", n)[2]
+        assert x == tuple((0.1 + 0.2 * np.arange(n)).tolist())

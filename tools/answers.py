@@ -21,11 +21,12 @@ sup and its boundary values are pinned on the largest grid.  The
 (default seed 0) on three smoothed cones (``GEODESICS``), whose pairs mix
 the monotone and turning branches, so that their Clairaut sweeps and root
 finds on a curved piece are pinned; a change to the root finder is diffed
-against it with ``--values --rtol``.  The ``oracle-cone`` workload,
-seed-free too, answers ``oracle commutators --chart cone`` at 2 probes in
-dimensions 3 and 6 (``ORACLE_CONE_DIMS``): the cone's Ricci is not
-parallel, so identity 5 is reported outside the gate and the verdict is
-exploratory, which this pins.  The ``reports`` workload, seed-free too,
+against it with ``--values --rtol``.  The ``oracle-charts`` workload,
+seed-free too, answers ``oracle commutators`` at 2 probes on every preset
+chart (``ORACLE_CHARTS``): euclidean in dimensions 2 and 3, round_sphere,
+s2xr2, and the cone in dimensions 3 and 6.  The cone's Ricci is not
+parallel, so there identity 5 is reported outside the gate and the verdict
+is exploratory, which this pins.  The ``reports`` workload, seed-free too,
 answers the report shapes no other workload prints (``REPORTS``): a
 verify with a bound ``--D``, reporting ``D`` and whether its premise
 ``Hess b^2 <= D g`` holds, on near and far windows, the preset list, a profile
@@ -100,10 +101,17 @@ EDGE_COMMANDS = (("", ("min-c",)), (":verify", ("verify", "--exploratory", "--C"
 GEODESICS = (("smoothed-cone:0.8:1", "4", "12"), ("smoothed-cone:0.9:2", "6", "12"),
              ("smoothed-cone:0.75:1.5", "9", "15"))
 GEODESIC_TRIPLES = "20"
-#: the ``oracle-cone`` workload: the dimensions of the cone chart answered
-#: by ``oracle commutators`` at ORACLE_CONE_PROBES probes
-ORACLE_CONE_DIMS = ("3", "6")
-ORACLE_CONE_PROBES = "2"
+#: the ``oracle-charts`` workload: key suffix -> argv, one per preset chart
+#: and dimension
+ORACLE = ("oracle", "commutators", "--probes", "2", "--chart")
+ORACLE_CHARTS = {
+    "euclidean:n2": (*ORACLE, "euclidean", "--n", "2"),
+    "euclidean:n3": (*ORACLE, "euclidean", "--n", "3"),
+    "round_sphere": (*ORACLE, "round_sphere"),
+    "s2xr2": (*ORACLE, "s2xr2"),
+    "cone:n3": (*ORACLE, "cone", "--n", "3"),
+    "cone:n6": (*ORACLE, "cone", "--n", "6"),
+}
 #: the ``reports`` workload: key suffix -> argv; an empty --output-dir writes
 #: no artifact, so export-profile prints its CSV
 REPORTS = {
@@ -134,8 +142,10 @@ RANGES = {
 IDS = ("cone:0", "cone:1.5", "cone:nan", "smoothed-cone:nan:1", "smoothed-cone:0.5:inf",
        "smoothed-cone:0.5:0", "smoothed-cone:0.5:nan", "euclidean:1", "cone", "custom",
        "blend:1", "cone:abc", "smoothed_cone:0.8:1")
-CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-cone", "reports",
+CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-charts", "reports",
            "ranges", "forms", "ids")
+#: the workloads whose argv are listed as such: name -> key suffix -> argv
+LISTED = {"oracle-charts": ORACLE_CHARTS, "reports": REPORTS, "ranges": RANGES}
 
 
 def _sha(data: bytes) -> str:
@@ -159,7 +169,7 @@ def _write_tables(directory: Path) -> None:
 
 def _argvs(names, seeds):
     """(key, argv) of every cycle slot and probe of the workloads at the
-    seeds, of every table command and of every edge, geodesics, oracle-cone,
+    seeds, of every table command and of every edge, geodesics, oracle-charts,
     reports, ranges and ids argv."""
     for name in names:
         if name == "tables":
@@ -181,14 +191,8 @@ def _argvs(names, seeds):
                     "corollary", "--model", model, "--n", n, "--C", C,
                     "--triples", GEODESIC_TRIPLES]
             continue
-        if name == "oracle-cone":
-            for n in ORACLE_CONE_DIMS:
-                yield f"oracle-cone:n{n}", [
-                    "oracle", "commutators", "--chart", "cone", "--n", n,
-                    "--probes", ORACLE_CONE_PROBES]
-            continue
-        if name in ("reports", "ranges"):
-            for suffix, argv in (REPORTS if name == "reports" else RANGES).items():
+        if name in LISTED:
+            for suffix, argv in LISTED[name].items():
                 yield f"{name}:{suffix}", list(argv)
             continue
         if name == "ids":
