@@ -278,15 +278,16 @@ def cmd_oracle(args) -> int:
         point = [b + rng.uniform(-0.05, 0.05) for b in base]
         res = fdcheck.check_lemma31(chart, f, point, h)
         rows.append({"probe": k, "point": point, "residuals": list(res)})
-    # identity 5 holds only where Ricci is parallel: elsewhere it is not gated;
-    # a NaN residual anywhere makes worst NaN, which fails the gate
+    # identities 2-5, of which 5 holds only where Ricci is parallel, else not
+    # gated; a NaN residual anywhere makes worst NaN, which fails the gate
     worst = fdcheck.max_residual(v for row in rows for v in row["residuals"][:gated])
     body = {"chart": args.chart, "h": h, "gate": gate, "worst_residual": worst, "probes": rows}
-    if gated < 5:
+    outside = gated < len(res)
+    if outside:
         body["outside_hypothesis"] = {
             "identity": 5, "hypothesis": "parallel_ricci",
-            "worst_residual": fdcheck.max_residual(row["residuals"][4] for row in rows)}
-    return _report(args, _verdict(worst <= gate, gated < 5), body)
+            "worst_residual": fdcheck.max_residual(row["residuals"][gated] for row in rows)}
+    return _report(args, _verdict(worst <= gate, outside), body)
 
 
 def cmd_models(args) -> int:

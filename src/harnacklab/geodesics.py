@@ -9,21 +9,21 @@ quantity a = f^2 phi' is conserved; with unit speed,
 
 which also gives closed quadrature formulas for the angle swept and the
 arclength as functions of a.  The distance comes from these sweeps, summed
-over the pieces of f: where f = m r both are closed (the unrolled wedge of
-a cone), in plain floats; elsewhere they run Gauss-Legendre panels
-(`quadrature.gauss_legendre`) after a substitution r = r_0 + u^2 at the
-lower end that removes the inverse square root of a turning point, f by
-Horner's rule on the piece's own row (`models.Piece.row`) at every node.
-Brent's root finder fixes the Clairaut constant (or the turning radius)
-from the angle alone.  The point at a given arclength is found by
-inverting the arclength sweep on the branch that holds it (exactly where
-f = m r, by Brent's method on a Gauss length sweep elsewhere) and taking
-phi from the angle sweep.  Shooting, a Dormand-Prince 5(4) integration of
-the geodesic equations in plain floats, is the second route: the
-corollary shoots once per report and records the gap.  The stepper, its
-tolerances and its knot and level crossings are `quadrature`'s
-(`quadrature.dp_step`); the adaptive loop here cuts steps at the
-profile's knots and at the radius floor.
+over the pieces of f: where f = m (r - x0) both are closed (the unrolled
+wedge of a cone in r - x0), in plain floats; elsewhere they run
+Gauss-Legendre panels (`quadrature.gauss_legendre`) after a substitution
+r = r_0 + u^2 at the lower end that removes the inverse square root of a
+turning point, f by Horner's rule on the piece's own row
+(`models.Piece.row`) at every node.  Brent's root finder fixes the
+Clairaut constant (or the turning radius) from the angle alone.  The point
+at a given arclength is found by inverting the arclength sweep on the
+branch that holds it (exactly where f is affine, by Brent's method on a
+Gauss length sweep elsewhere) and taking phi from the angle sweep.
+Shooting, a Dormand-Prince 5(4) integration of the geodesic equations in
+plain floats, is the second route: the corollary shoots once per report
+and records the gap.  The stepper, its tolerances and its knot and level
+crossings are `quadrature`'s (`quadrature.dp_step`); the adaptive loop
+here cuts steps at the profile's knots and at the radius floor.
 """
 
 from __future__ import annotations
@@ -175,10 +175,11 @@ class _Arc:
     f(base) = k) or the inner end point of a monotone minimizer.
 
     Its sweeps integrate dphi/dr = k / (f sqrt(f^2 - k^2)) or ds/dr =
-    f / sqrt(f^2 - k^2) piece by piece.  Where f = m r, with D(r) = f^2 -
-    k^2, the angle is [atan2(sqrt D, k)] / m and the arclength [sqrt D] / m;
-    D is taken as D(base) + m^2 (r - base)(r + base) on the piece holding
-    base, so it carries no cancellation at the turning radius.  Other pieces
+    f / sqrt(f^2 - k^2) piece by piece.  Where f = m (r - x0), with D(r) =
+    f^2 - k^2, the angle is [atan2(sqrt D, k)] / m and the arclength
+    [sqrt D] / m; D is taken as D(base) + m^2 (r - base)(r + base - 2 x0)
+    on the piece holding base, so it carries no cancellation at the turning
+    radius.  Other pieces
     run Gauss panels in u, r = base + u^2, each on its own integrand, which
     reads f off the piece's Horner row and never looks up a piece.
     `misses` counts the sweeps whose Gauss estimate missed its gate.
@@ -192,11 +193,12 @@ class _Arc:
         self.d0 = 0.0 if turning else (f0 - k) * (f0 + k)  # D(base)
 
     def _root(self, pc, m, r):
-        """sqrt(D(r)) on the linear piece pc, f = m r."""
+        """sqrt(D(r)) on the affine piece pc, f = m (r - x0)."""
         if pc.lo <= self.base:
-            d = self.d0 + m * m * (r - self.base) * (r + self.base)
+            d = self.d0 + m * m * (r - self.base) * (r + self.base - 2.0 * pc.x0)
         else:
-            d = (m * r - self.k) * (m * r + self.k)
+            f = m * (r - pc.x0)
+            d = (f - self.k) * (f + self.k)
         return math.sqrt(max(d, 0.0))
 
     def _integrand(self, pc, length):
@@ -259,8 +261,9 @@ class _Arc:
                 continue
             p, q = self._root(pc, m, lo), self._root(pc, m, hi)
             # the length (q - p) / m without cancellation, as q^2 - p^2 =
-            # m^2 (hi^2 - lo^2), and the difference of the two atan2 in one
-            ds = m * (hi - lo) * (hi + lo) / (p + q)
+            # m^2 (hi - lo)(hi + lo - 2 x0), and the difference of the two
+            # atan2 in one
+            ds = m * (hi - lo) * (hi + lo - 2.0 * pc.x0) / (p + q)
             total += ds if length else math.atan2(k * m * ds, k * k + p * q) / m
         self.misses += missed
         return total + sum(curved)
@@ -269,11 +272,11 @@ class _Arc:
         """(r in [base, r_end] at arclength s from base, the angle swept from
         base to r).
 
-        On a piece where f = m r, sqrt D(r) = sqrt D(lo) + m s' with s' the
-        arclength left at the piece's start lo, so r^2 = lo^2 + s' (2 sqrt
-        D(lo) / m + s'), and the angle comes from sqrt D(r) as it stands, not
-        from r; on another piece Brent's root finder solves the piece's
-        length sweep for r.
+        On a piece where f = m (r - x0), sqrt D(r) = sqrt D(lo) + m s' with
+        s' the arclength left at the piece's start lo, so (r - x0)^2 =
+        (lo - x0)^2 + s' (2 sqrt D(lo) / m + s'), and the angle comes from
+        sqrt D(r) as it stands, not from r; on another piece Brent's root
+        finder solves the piece's length sweep for r.
         """
         k, done, angle = self.k, 0.0, 0.0
         for pc, lo, hi in self._parts(self.base, r_end):
@@ -286,8 +289,8 @@ class _Arc:
             if rest >= part:
                 r = hi
             elif m is not None:
-                p = self._root(pc, m, lo)
-                r = min(math.sqrt(lo * lo + rest * (2.0 * p / m + rest)), hi)
+                p, u = self._root(pc, m, lo), lo - pc.x0
+                r = min(pc.x0 + math.sqrt(u * u + rest * (2.0 * p / m + rest)), hi)
                 return r, angle + math.atan2(k * m * rest, k * k + p * (p + m * rest)) / m
             else:
                 r = quadrature.brent_root(lambda r: self.sweep(lo, r, length=True) - rest,

@@ -14,23 +14,22 @@ q1 = G'/G and q2 = G''/G, which stay finite wherever G does:
 |grad b| = |b q1/(2-n)|, and Hess b^2 has the eigenvalues
 mu_rad = (b^2)'' on the radial line and mu_tan = (b^2)' f'/f on the sphere.
 
-G is computed on the warping profile's own pieces (`models.Piece`), on
-each of which f is one polynomial of r.  Where f = a*r exactly
+G is computed on the warping profile's `cover` (`models.Piece`s, on
+each of which f is one polynomial of r), where its end is decided.  Where
+f = a s exactly, s = r - x0 (a cone in s, apex x0),
 
-    (n-2) * int_r^s (a t)^{1-n} dt = a^{1-n} (r^{2-n} - s^{2-n})
+    (n-2) * int_r^R (a (t - x0))^{1-n} dt = a^{1-n} (s(r)^{2-n} - s(R)^{2-n})
 
 is closed; on any other piece (the smoothed-cone blend, one interval of a
 custom spline) Gauss-Legendre panels (`quadrature.gauss_legendre`)
 integrate the piece's own polynomial, on which the rules converge fast:
 one integral per radius, whose caps bound it alone, so how many grid
 radii a piece holds does not decide whether G converges.
-Euclidean space and cones are one linear piece, so G = a^{1-n} r^{2-n}
-with no quadrature at all; a smoothed cone integrates only its blend
-[r0/2, r0).  The pieces below `WarpingProfile.tail_start` are followed by
-one closed end, f = `tail_slope` * r from there on (where every kind's
-end is decided): the top piece of a profile that reaches to infinity, or
-the closure of a table above its top, so a table is integrated up to its
-top.  G at each piece's upper end, G_hi, is worked top down.
+Euclidean space and cones are one affine piece, and so are a smoothed
+cone's core and end and the lines that close a table off below and above,
+so a smoothed cone integrates only its blend [r0/2, r0), and a table only its
+spline, up to its top.  G at each piece's upper end, G_hi, is worked top
+down.
 
 Two kernels per piece do all of this, each with the piece's constants
 taken once: `_piece_green` gives G(r) on the piece from its G_hi (the
@@ -85,26 +84,26 @@ def _pow(x, y):
 def _piece_green(n: int, pc: Piece, G_hi: float):
     """G(r) at the radii r inside the piece pc, from G_hi = G(pc.hi).
 
-    Where f = a*r it is closed, G(r) = G_hi + a^{1-n} (r^{2-n} - hi^{2-n})
-    (hi = inf contributes 0), with a^{1-n} and hi^{2-n} taken once;
-    elsewhere it is G_hi plus one Gauss integral of f^{1-n} up to pc.hi,
-    f by Horner's rule on the piece's `row(0)`.  Every power is inf
+    Where f = a s, s = r - x0, it is closed, G(r) = G_hi + a^{1-n}
+    (s(r)^{2-n} - s(hi)^{2-n}) (hi = inf contributes 0), with a^{1-n} and
+    s(hi)^{2-n} taken once; elsewhere it is G_hi plus one Gauss integral of
+    f^{1-n} up to pc.hi, f by Horner's rule on the piece's `row(0)`.  Every power is inf
     past the float range, as `_pow` takes it, and a G that is not finite
     is inf, which the range checks refuse where a radius needs it; a finite
     integral whose estimate misses GREEN_RTOL is refused here.
     """
-    isfinite, inf, hi = math.isfinite, math.inf, pc.hi
+    isfinite, inf, hi, x0 = math.isfinite, math.inf, pc.hi, pc.x0
     a = pc.slope
     if a is not None:
-        scale, e, top = _pow(a, 1 - n), 2 - n, _pow(hi, 2 - n)
+        scale, e, top = _pow(a, 1 - n), 2 - n, _pow(hi - x0, 2 - n)
 
         def green(r):
-            G = G_hi + scale * (_pow(r, e) - top)
+            G = G_hi + scale * (_pow(r - x0, e) - top)
             return G if isfinite(G) else inf
 
         return green
 
-    row, x0, e = pc.row(0), pc.x0, float(1 - n)
+    row, e = pc.row(0), float(1 - n)
 
     def integrand(t):
         t -= x0
@@ -136,10 +135,10 @@ def _fill_columns(model: ModelManifold, pc: Piece, green, radii, puts):
     itself, or at the closed end of a table the table's top piece, which
     holds the top radius only; above it the profile refuses radii[-1].
     G' = -(n-2) f^{1-n} and G'' = (n-2)(n-1) f^{-n} f', f and f' by
-    Horner's rule on the piece's `row(0)` and `row(1)`.  Where f = a r
-    exactly the powers are taken of a and r apart, as G = a^{1-n} r^{2-n}
-    takes them, and not of the rounded product a r, whose rounding the
-    power would multiply by n.  Of u = G^beta, u' = beta u q1 and
+    Horner's rule on the piece's `row(0)` and `row(1)`.  Where f = a s,
+    s = r - x0, the powers are taken of a and s apart, as G = a^{1-n}
+    s^{2-n} takes them, and not of the rounded product a s, whose rounding
+    the power would multiply by n.  Of u = G^beta, u' = beta u q1 and
     u'' = beta u ((beta-1) q1^2 + q2): b = G^{1/(2-n)}, |grad b| = |b'|,
     b^2 = G^{2/(2-n)}, mu_rad = (b^2)'' and mu_tan = (b^2)' f'/f.  Every
     power is taken by `_pow`, whose inf the range checks refuse.
@@ -149,7 +148,6 @@ def _fill_columns(model: ModelManifold, pc: Piece, green, radii, puts):
     if radii[-1] > fpc.hi:
         p.f(radii[-1])  # raises: f stops at a table's top
     a, x0 = fpc.slope, fpc.x0
-    slope = None if a is None else float(a)
     row, drow = fpc.row(0), fpc.row(1)
     e1, e0 = float(1 - n), float(-n)  # the powers of 1 - n and -n, taken sooner
     base = 1.0 if a is None else a
@@ -160,8 +158,8 @@ def _fill_columns(model: ModelManifold, pc: Piece, green, radii, puts):
     put_G, put_Gp, put_Gpp, put_b, put_b2, put_grad_b, put_mu_rad, put_mu_tan = puts
     for r in radii:
         G = green(r)
+        t = r - x0
         if a is None:
-            t = r - x0
             f = fp = 0.0
             for c in row:
                 f = f * t + c
@@ -169,7 +167,7 @@ def _fill_columns(model: ModelManifold, pc: Piece, green, radii, puts):
                 fp = fp * t + c
             x = f
         else:
-            f, fp, x = a * r, slope, r  # what Horner's rule gives on (a, 0) and (a,)
+            f, fp, x = a * t, a, t  # what Horner's rule gives on (a, 0) and (a,)
         Gp = c1 * _pow(x, e1)
         Gpp = c2 * _pow(x, e0) * fp
         # G = 0 is an underflow: q = inf makes b = inf, which is refused
@@ -212,7 +210,7 @@ class RadialGreenProfile(NamedTuple):
     grad_b: array
     mu_rad: array      # eigenvalues of Hess b^2 relative to g
     mu_tan: array
-    pieces: tuple  # models.Piece cover of (0, inf), ascending, the last the closed end
+    pieces: tuple  # the profile's `cover` of (0, inf), ascending
     green: tuple   # G(r) on each piece, from `_piece_green`
 
     # -- pointwise evaluation (exact up to the quadrature of G itself) ----
@@ -310,10 +308,7 @@ def compute_profile(model: ModelManifold, grid) -> RadialGreenProfile:
             f"model is parabolic (tail exponent {rep.tail_exponent:.3g} >= -1); "
             "no positive Green function"
         )
-    n, p = model.n, model.profile
-    S = p.tail_start
-    pieces = (*(pc for pc in p.pieces if pc.lo < S),
-              Piece(S, math.inf, 0.0, (0.0, p.tail_slope)))
+    n, pieces = model.n, model.profile.cover
     # G at each upper end, from the top down; the lowest piece starts at 0
     green = [None] * len(pieces)
     g_hi = 0.0  # G(inf)

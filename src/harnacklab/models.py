@@ -50,7 +50,8 @@ FD_PROBES = 3
 class Piece(NamedTuple):
     """f(r) = sum_k coef[k] (r - x0)^k on [lo, hi).
 
-    x0 = 0 where f = a r, so a r is evaluated as the product itself;
+    x0 is the apex of an affine piece, f = a (r - x0) with coef = (0, a):
+    the cone a s in s = r - x0, s = r on every preset and closure piece;
     elsewhere x0 = lo, which keeps the powers of r - x0 small.  The
     profile's f, f' and f'', the Green kernels and the Clairaut sweeps all
     evaluate a piece by Horner's rule on one of its `row`s.
@@ -68,8 +69,8 @@ class Piece(NamedTuple):
 
     @property
     def slope(self) -> Optional[float]:
-        """a where f = a r exactly on the piece, else None."""
-        if self.x0 == 0.0 and len(self.coef) == 2 and self.coef[0] == 0.0:
+        """a where f = a (r - x0) exactly on the piece, else None."""
+        if len(self.coef) == 2 and self.coef[0] == 0.0:
             return self.coef[1]
         return None
 
@@ -119,10 +120,12 @@ class WarpingProfile:
     `name` is its model id, a preset's (`PRESETS`) with its parameters, or
     ``custom`` (`table_profile`).  `pieces` hold f, one polynomial of r per
     interval, ascending; f and its derivatives of every order come from
-    them alone.  `knots` are the radii where f changes polynomial.
+    them alone.  `knots` are the radii where f changes polynomial.  `cover`,
+    where the end is decided, is the pieces and, above a table's top, the
+    line from the origin through it: the cover of (0, inf) G is closed on.
     """
 
-    __slots__ = ("name", "pieces", "knots", "_rows")
+    __slots__ = ("name", "pieces", "knots", "cover", "_rows")
 
     def __init__(self, name: str, pieces: list):
         top = pieces[-1].hi
@@ -133,6 +136,8 @@ class WarpingProfile:
         rows = [[pc.row(k) for pc in pieces] for k in range(3)]
         los, x0s = [pc.lo for pc in pieces], [pc.x0 for pc in pieces]
         self._rows = (los, x0s, rows, top)
+        self.cover = self.pieces if top == math.inf else (
+            *self.pieces, Piece(top, math.inf, 0.0, (0.0, self.f(top) / top)))
 
     # -- evaluation ------------------------------------------------------
 
@@ -206,21 +211,9 @@ class WarpingProfile:
         return self.ratio_range(lo, hi, Poly.deriv)[0]
 
     @property
-    def tail_start(self) -> float:
-        """S from which the end is f = tail_slope * r: the lower end of a top
-        piece that reaches to infinity, a table's top (f is undefined above
-        it, and G is closed beyond it as if f = a r there)."""
-        top = self.pieces[-1]
-        return top.lo if top.hi == math.inf else top.hi
-
-    @property
     def tail_slope(self) -> float:
-        """a of the end f ~ a r from `tail_start` on: the top piece's slope
-        where it reaches to infinity, f(top)/top at a table's top."""
-        top = self.pieces[-1]
-        if top.hi == math.inf:
-            return top.slope
-        return self.f(top.hi) / top.hi
+        """a of the end f = a (r - x0), the slope of the cover's top piece."""
+        return self.cover[-1].slope
 
 
 class ModelManifold:
@@ -379,8 +372,9 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
     f'(1 - f'^2) vanishes there, the same at every n; the residual is its
     exact maximum modulus.  The finite-difference chart oracle, the
     independent route, cross-checks a True on the 3-dim chart of the same
-    f, and the flag holds only when both routes pass; on a False it does
-    not run, and its residual is None.
+    f, scaled where the window ends below r = 20, and the flag holds only
+    when both routes pass; on a False it does not run, and its residual is
+    None.
 
     Euclidean volume growth: Vol B(t) / (|B^n_1| t^n) is continuous and
     positive on (0, inf) and tends to a^{n-1} as t -> inf, a the tail
@@ -408,11 +402,16 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         # the FD oracle can only overturn a True, so only a True loads it
         from . import fdcheck
 
-        chart = fdcheck.warped_chart(ModelManifold(3, model.profile))
-        # keep fd probes at moderate radii: the step must stay well below r for
-        # the nested differences to see the geometry instead of noise
-        fd_lo = min(max(r_min, 2.0), r_max)
-        fd_hi = max(min(r_max, 20.0), fd_lo)
+        # the absolute step and gate read the model scaled by 1/L (f is then
+        # s -> f(L s)/L, grad Ric L^3 times the model's) at s in [2, 20], L = 1
+        # where r_max >= 20; no 3-step stencil reaches the window's top
+        L = min(r_max / 20.0, 1.0)
+        scaled = [Piece(pc.lo / L, pc.hi / L, pc.x0 / L, tuple(
+            c * L ** (k - 1) for k, c in enumerate(pc.coef))) for pc in p.pieces]
+        chart = fdcheck.warped_chart(ModelManifold(3, WarpingProfile(p.name, scaled)))
+        top = r_max / L - 4.0 * fdcheck.DEFAULT_H
+        fd_lo = min(max(r_min / L, 2.0), top)
+        fd_hi = max(min(top, 20.0), fd_lo)
         # NaN if any probe is NaN, so the flag needs every probe finite
         fd_residual = fdcheck.max_residual(
             fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))

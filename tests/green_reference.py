@@ -35,7 +35,7 @@ def piece_G(n, pc, G_hi, r):
     """G at a radius r inside the piece pc, from G_hi = G(pc.hi)."""
     a = pc.slope
     if a is not None:
-        G = G_hi + _pow(a, 1 - n) * (_pow(r, 2 - n) - _pow(pc.hi, 2 - n))
+        G = G_hi + _pow(a, 1 - n) * (_pow(r - pc.x0, 2 - n) - _pow(pc.hi - pc.x0, 2 - n))
     else:
         F, x0 = Poly(pc.coef), pc.x0
         val, _, missed = quadrature.gauss_legendre(lambda t: _pow(F(t - x0), 1 - n),
@@ -49,7 +49,8 @@ def piece_G(n, pc, G_hi, r):
 
 def green_derivs(n, x, fp, a=1.0):
     """(G', G'') where f = a x and f' = fp, at the same radii (a = 1 and
-    x = f in general, the slope a and x = r where f = a r exactly)."""
+    x = f in general, the slope a and x = r - x0 where f = a (r - x0)
+    exactly)."""
     return (-(n - 2) * _pow(a, 1 - n) * _pow(x, 1 - n),
             (n - 2) * (n - 1) * _pow(a, -n) * _pow(x, -n) * fp)
 
@@ -72,7 +73,7 @@ def kernel(model, pc, r_top):
             f = f * t + c
         for c in drow:
             fp = fp * t + c
-        Gp, Gpp = green_derivs(n, f, fp) if a is None else green_derivs(n, r, fp, a)
+        Gp, Gpp = green_derivs(n, f, fp) if a is None else green_derivs(n, t, fp, a)
         return Gp, Gpp, f, fp
 
     return derivs

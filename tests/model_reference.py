@@ -2,6 +2,8 @@
 for ``harnacklab.models`` and the FD chart oracle.
 
 `preset_id` spells a preset's model id from its parameters;
+`offset_end_profiles` gives one profile with an affine end off the origin
+by two routes, the end closed from its apex and the same line integrated;
 `third_derivative` gives f''' of a warping profile, by Horner's rule on the
 piece that holds r, as the profile gives f, f' and f''; `ricci_gradient_norm`
 gives |grad Ric| in closed form, the value the oracle's
@@ -10,13 +12,23 @@ gives |grad Ric| in closed form, the value the oracle's
 
 import math
 
-from harnacklab.models import Poly, curvature_at
+from harnacklab.models import Piece, Poly, WarpingProfile, curvature_at
 
 
 def preset_id(name, *params):
     """The model id of a preset and its parameters, a None one left out:
     ``preset_id("cone", 0.5, None)`` is ``"cone:0.5"``."""
     return ":".join([name, *(repr(p) for p in params if p is not None)])
+
+def offset_end_profiles():
+    """f = r on [0, 1], then f = (r + 1)/2 from 1 on, twice: with the end
+    one affine piece, the cone of slope 1/2 with its apex at -1, and with the
+    same line written on [1, 50] as a Gauss piece (x0 = lo) under that end."""
+    core = Piece(0.0, 1.0, 0.0, (0.0, 1.0))
+    return (WarpingProfile("offset-end", [core, Piece(1.0, math.inf, -1.0, (0.0, 0.5))]),
+            WarpingProfile("offset-end-gauss", [core, Piece(1.0, 50.0, 1.0, (1.0, 0.5)),
+                                                Piece(50.0, math.inf, -1.0, (0.0, 0.5))]))
+
 
 def third_derivative(profile):
     """f''' of the profile as a function of r, refusing the radii f refuses."""

@@ -113,7 +113,7 @@ def test_oracle_charts_workload_answers_every_preset(tmp_path, monkeypatch):
         assert sorted(entry["artifacts"]) == ["oracle.json"]
         # every preset's check has content: no residual set is all zero
         assert 0.0 < report["worst_residual"] <= report["gate"], key
-        # identities 1-4 pass on the cone; identity 5 lies outside its hypothesis
+        # identities 2-4 pass on the cone; identity 5 lies outside its hypothesis
         if chart == "cone":
             assert (entry["exit"], report["verdict"]) == (3, "exploratory")
             assert report["outside_hypothesis"]["identity"] == 5

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harnacklab import cli, green, harnack, models
@@ -736,17 +737,19 @@ def test_oracle_commutators(capsys):
 @pytest.mark.parametrize("n", ["3", "6"])
 def test_oracle_on_the_cone_leaves_identity_5_ungated(n, capsys):
     # identity 5 drops the grad Ric terms and the cone's Ricci is not
-    # parallel: its residual is shown outside the gate, and identities 1-4
-    # passing make the run exploratory, never a pass or a fail
+    # parallel: its residual is shown outside the gate, and identities 2-4
+    # passing make the run exploratory, never a pass or a fail; a probe
+    # reports the residuals of identities 2-5
     code, doc = run_json(["oracle", "commutators", "--chart", "cone", "--n", n,
                           "--probes", "2"], capsys)
     assert (code, doc["verdict"]) == (3, "exploratory")
     residuals = [row["residuals"] for row in doc["probes"]]
-    assert doc["worst_residual"] == max(v for res in residuals for v in res[:4])
+    assert all(len(res) == 4 for res in residuals)
+    assert doc["worst_residual"] == max(v for res in residuals for v in res[:3])
     assert doc["worst_residual"] <= doc["gate"]
     outside = doc["outside_hypothesis"]
     assert (outside["identity"], outside["hypothesis"]) == (5, "parallel_ricci")
-    assert outside["worst_residual"] == max(res[4] for res in residuals) > 1.0
+    assert outside["worst_residual"] == max(res[3] for res in residuals) > 1.0
 
 
 #: each preset of ``oracle --chart`` and the dimension it probes with no n given
@@ -771,12 +774,12 @@ def test_oracle_echoes_the_dimension_it_probes(chart, dim, capsys):
 
     code, doc = run_json(["oracle", "commutators", "--chart", chart, "--probes", "1"], capsys)
     assert doc["config"]["n"] == dim == len(doc["probes"][0]["point"])
-    # all five identities are gated where Ricci is parallel; on the cone the
+    # identities 2-5 are all gated where Ricci is parallel; on the cone the
     # fifth is reported outside its hypothesis, and the run is exploratory
     parallel_ricci = commutators.CHARTS[chart][4]
     assert ("outside_hypothesis" not in doc) == parallel_ricci
     assert code == (3 if chart == "cone" else 0)
-    gated = doc["probes"][0]["residuals"][:5 if parallel_ricci else 4]
+    gated = doc["probes"][0]["residuals"][:4 if parallel_ricci else 3]
     assert doc["worst_residual"] == max(gated)
 
 
@@ -1140,6 +1143,28 @@ def test_verify_flat_table_passes(tmp_path, capsys):
     code, doc = run_json(["verify", "--model", f"custom:{path}", "--n", "4", "--C", "10"],
                          capsys)
     assert code == 0 and doc["verdict"] == "pass"
+    assert all(doc["report"]["hypothesis_flags"].values())
+
+
+@pytest.mark.parametrize("window", [("--r-max", "1"), ("--r-min", "1e-5", "--r-max", "0.1")])
+def test_verify_flat_space_keeps_parallel_ricci_on_a_small_window(window, capsys):
+    # the FD oracle's step and gate are absolute: on a window far below
+    # r = 20 it differences the model scaled to the window, so its probes
+    # sit as far above the step as on [2, 20]
+    code, doc = run_json(["verify", "--model", "euclidean", "--n", "4", "--C", "10",
+                          *window], capsys)
+    assert (code, doc["verdict"]) == (0, "pass")
+    assert all(doc["report"]["hypothesis_flags"].values())
+
+
+def test_verify_flat_table_on_a_window_up_to_its_top(tmp_path, capsys):
+    # f is undefined past the table's top, r_max here: every FD stencil
+    # stays below it
+    r = np.arange(1, 21) * 0.5
+    path = write_csv(tmp_path / "flat.csv", (r, r))
+    code, doc = run_json(["verify", "--model", f"custom:{path}", "--n", "4", "--C", "10",
+                          "--r-min", "0.5", "--r-max", "10"], capsys)
+    assert (code, doc["verdict"]) == (0, "pass")
     assert all(doc["report"]["hypothesis_flags"].values())
 
 

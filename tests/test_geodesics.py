@@ -17,6 +17,7 @@ from harnacklab import cli, geodesics, models, quadrature
 from harnacklab.models import model_from_id, table_profile
 from harnacklab.green import compute_profile, default_grid
 from harnacklab.geodesics import GeodesicError, SlicePoint, corollary_check, shoot_geodesic
+from model_reference import offset_end_profiles
 from tables import line_table
 
 #: the commands' default window
@@ -375,6 +376,35 @@ def test_closed_form_sweeps_match_gauss_panels(model_id, monkeypatch):
             gauss, gauss_missed = case(L)
             assert not missed and not gauss_missed
             assert val == pytest.approx(gauss, rel=rel, abs=1e-12), (L, val, gauss)
+
+
+def test_offset_end_sweeps_and_inversion_agree_with_their_gauss_route():
+    # on the end f = (r + 1)/2, the cone of slope 1/2 in r + 1, the sweeps
+    # and the inversion are closed; the same line written as a Gauss piece on
+    # [1, 50] gives them within the panels' gate, and so the corollary too
+    closed, gauss = offset_end_profiles()
+    arcs = [(closed.f(r_t), r_t, True) for r_t in (0.5, 2.0, 30.0)]
+    arcs += [(k * closed.f(base), base, False) for base in (0.7, 3.0) for k in (0.0, 0.3, 0.9)]
+    for k, base, turning in arcs:
+        a, b = (geodesics._Arc(p, k, base, turning) for p in (closed, gauss))
+        for hi in (5.0, 40.0):
+            if hi <= base:
+                continue
+            for length in (False, True):
+                assert a.sweep(base, hi, length) == pytest.approx(
+                    b.sweep(base, hi, length), rel=1e-11, abs=1e-13)
+            total = a.sweep(base, hi, length=True)
+            for s in (0.3 * total, 0.8 * total):
+                assert a.invert(s, hi) == pytest.approx(b.invert(s, hi), rel=1e-11, abs=1e-13)
+        assert b.misses == 0
+    for y, z in ((SlicePoint(0.5, 0.0), SlicePoint(30.0, 1.0)),
+                 (SlicePoint(3.0, 0.0), SlicePoint(8.0, 2.5))):
+        ta, tb = (corollary_check(compute_profile(models.ModelManifold(4, p), GRID),
+                                  y, z, 10.0, (0.25, 0.5)) for p in (closed, gauss))
+        for u, v in zip(ta, tb):
+            assert u.branch == v.branch
+            assert (u.d_yz, u.w.r, u.w.phi, u.b2_w) == pytest.approx(
+                (v.d_yz, v.w.r, v.w.phi, v.b2_w), rel=1e-11, abs=1e-13)
 
 
 def test_curved_piece_sweeps_read_the_pieces_row_and_not_the_profile(monkeypatch):

@@ -1,8 +1,10 @@
 """Green profile: quadrature vs closed forms, b-function, power rule."""
 
 import io
+import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 from array import array
@@ -20,7 +22,7 @@ from harnacklab.green import (
     COLUMNS, compute_profile, default_grid, hess_b2_eigs, in_float_range, write_csv,
 )
 from green_reference import check_power_laplacian, reference_G_hi, reference_rows
-from model_reference import preset_id
+from model_reference import offset_end_profiles, preset_id
 from tables import concave_table, late_bump_table
 
 #: the commands' default window
@@ -164,21 +166,40 @@ def test_to_csv_streams_row_by_row():
     assert peak < 64 * 1024
 
 
+#: the peak of one profile's compute_profile under tracemalloc, in a child
+#: interpreter: (peak, the grid's typecode and length, each column's typecode).
+#: A profile of 8 radii is computed first, untraced: the kernels' first calls
+#: run about twice as slow under tracemalloc as later ones, at the same peak
+_PROFILE_PEAK = """\
+import json, sys, tracemalloc
+from harnacklab.green import COLUMNS, compute_profile, default_grid
+from harnacklab.models import model_from_id
+model_id, n, size = json.loads(sys.argv[1])
+model, grid = model_from_id(model_id, n), default_grid(1e-2, 1e2, size)
+compute_profile(model, default_grid(1e-2, 1e2, 8))
+tracemalloc.start()
+profile = compute_profile(model, grid)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps([peak, profile.grid.typecode, len(profile.grid),
+                  [getattr(profile, col).typecode for col in COLUMNS]]))
+"""
+
+
 @pytest.mark.parametrize("model_id,n", [("euclidean", 6), ("smoothed-cone:0.3:1", 30)])
 def test_profile_memory_is_its_columns(model_id, n):
     # the grid and eight float64 columns are 72 bytes a radius; no row tuple,
-    # transposed copy or float object per value is held on the way
-    model, size = model_from_id(model_id, n), 65536
-    grid = default_grid(1e-2, 1e2, size)
-    tracemalloc.start()
-    try:
-        profile = compute_profile(model, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # transposed copy or float object per value is held on the way.  The
+    # peak is taken in a fresh interpreter that imports only harnacklab:
+    # tracemalloc's cost grows with the heap of the process it traces
+    size = 65536
+    r = subprocess.run([sys.executable, "-c", _PROFILE_PEAK, json.dumps([model_id, n, size])],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    peak, typecode, length, typecodes = json.loads(r.stdout)
     assert peak <= 128 * size
-    assert profile.grid.typecode == "d" and len(profile.grid) == size
-    assert all(getattr(profile, col).typecode == "d" for col in COLUMNS)
+    assert typecode == "d" and length == size
+    assert typecodes == ["d"] * len(COLUMNS)
 
 
 def test_grid_validation():
@@ -322,7 +343,7 @@ def test_table_is_integrated_up_to_its_top():
     # f = r below 300 and above 500, so it equals the closing line f(top)/top r
     # at radii below the bump: G must still integrate the bump
     model = ModelManifold(4, table_profile(late_bump_table()))
-    assert model.profile.tail_start == 1e3 and model.profile.tail_slope == 1.0
+    assert model.profile.cover[-1].lo == 1e3 and model.profile.tail_slope == 1.0
     prof = compute_profile(model, GRID)
     ref = _quad_reference_cuts(model, float(prof.grid[-1]))
     assert prof.G[-1] == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -378,6 +399,25 @@ def test_linear_models_make_no_quadrature(model_id, quad_calls):
     for r in (1e-3, 0.02, 1.0, 50.0, 1e3):
         prof.green_at(r)
     assert quad_calls == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_offset_end_is_closed_and_agrees_with_its_gauss_route(n, quad_calls):
+    # an affine end off the origin is a cone in r - x0: the profile closes G
+    # on it, as on a line through the origin, and the same line integrated
+    # by Gauss panels gives every column to the quadrature's accuracy
+    closed, gauss = (ModelManifold(n, p) for p in offset_end_profiles())
+    a = compute_profile(closed, GRID)
+    assert quad_calls == []
+    b = compute_profile(gauss, GRID)
+    assert closed.profile.cover == closed.profile.pieces
+    assert closed.profile.tail_slope == gauss.profile.tail_slope == 0.5
+    assert quad_calls
+    for name in COLUMNS:
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert np.max(np.abs(x / y - 1.0)) <= 1e-13, name
+    for r in (1.0, 3.0, 49.0, 50.0, 700.0):
+        assert a.row_at(r) == pytest.approx(b.row_at(r), rel=1e-13, abs=0.0)
 
 
 def test_smoothed_cone_quadrature_stays_in_blend(quad_calls):

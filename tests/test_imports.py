@@ -11,8 +11,8 @@ loads the commutator oracle on the first use of its ``check_lemma31``; no
 module imports sympy, scipy or numpy, which only the tests use, as
 references, nor dataclasses, whose
 import every command would pay for; and no module but ``models`` reads how a warping profile
-was specified (its kind and parameters) rather than its pieces, or
-decides its end from its top piece.  The benchmark's tracer wraps
+was specified (its kind and parameters) rather than its pieces,
+decides its end from its top piece, or builds a piece.  The benchmark's tracer wraps
 package functions by name: each of them must exist.  Every function, class
 and method is referenced by package code outside its own definition.
 
@@ -153,10 +153,11 @@ def test_no_module_imports_dataclasses():
     assert _importers("dataclasses") == []
 
 
-#: what only models.py may touch: the parameters a profile is built from,
-#: and the names of the per-kind helpers its pieces replaced
+#: what only models.py may touch: the parameters a profile is built from;
+#: and what only it may call: the constructor of a profile's pieces, and the
+#: names of the per-kind helpers its pieces replaced
 PROFILE_FIELDS = {"kind", "table", "r0", "c"}
-REMOVED_PROFILE_CALLS = {"cuts", "linear_from", "asymptotic_slope"}
+MODELS_ONLY_CALLS = {"Piece", "cuts", "linear_from", "asymptotic_slope"}
 
 
 def _is_last(index):
@@ -177,12 +178,12 @@ def test_profile_format_stays_inside_models():
                 found.append(f"{name}:{node.lineno} .{node.attr}")
             if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
                     and node.value.attr == "pieces" and _is_last(node.slice)):
-                # the top piece decides the profile's end: tail_start, tail_slope
+                # the top piece decides the profile's end: cover, tail_slope
                 found.append(f"{name}:{node.lineno} .pieces[-1]")
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called in REMOVED_PROFILE_CALLS:
+                if called in MODELS_ONLY_CALLS:
                     found.append(f"{name}:{node.lineno} {called}()")
     assert found == []
 

@@ -26,7 +26,8 @@ def sphere_area(n):
 
 def volume_ratio(model, t):
     """Vol B(t) / (|B^n_1| t^n) = (n/t) int_0^t (f(s)/t)^{n-1} ds, piece by
-    piece: a^{n-1} ((hi/t)^n - (lo/t)^n) in closed form wherever f = a r,
+    piece: a^{n-1} (((hi - x0)/t)^n - ((lo - x0)/t)^n) in closed form wherever
+    f = a (r - x0),
     scipy's quad on the other pieces."""
     n, p = model.n, model.profile
     if not 0 < t <= p.pieces[-1].hi:
@@ -37,7 +38,7 @@ def volume_ratio(model, t):
             break
         hi = min(pc.hi, t)
         if pc.slope is not None:
-            total += pc.slope ** (n - 1) * ((hi / t) ** n - (pc.lo / t) ** n)
+            total += pc.slope ** (n - 1) * (((hi - pc.x0) / t) ** n - ((pc.lo - pc.x0) / t) ** n)
         else:
             total += n / t * integrate.quad(lambda s: (p.f(s) / t) ** (n - 1), pc.lo, hi,
                                             epsabs=0.0, epsrel=1e-13, limit=500)[0]
