@@ -415,7 +415,7 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         # NaN if any probe is NaN, so the flag needs every probe finite
         fd_residual = fdcheck.max_residual(
             fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
-            for r in quadrature.geomspace(fd_lo, fd_hi, FD_PROBES))
+            for r in quadrature.geomspace(fd_lo, fd_hi, FD_PROBES if fd_lo < fd_hi else 1))
         # the fd residual carries O(h^2) noise, so its boolean gets a looser gate
         parallel_ricci = fd_residual <= max(tol, 10.0 * fdcheck.DEFAULT_H**2)
 

@@ -1,16 +1,20 @@
 """Catalogue of tensor identities verified by exact reduction.
 
-Each entry builds LHS - RHS with the constructors from `engine`; an
-identity is verified when the reduced difference has no terms.  All identities
-are stated in an orthonormal normal frame, for a positive harmonic G on
-a manifold with parallel Ricci curvature, with free indices i, j and
-exact coefficients in n (dimension) and C.
+Each entry states an identity op(inner) = rhs by its parts: an operator
+(None, or the engine's `laplacian` or `gradG_pairing`), the inner field
+and a builder of the right side, which can each be read without the
+rewrite engine.  `verify_identity` alone forms op(inner) - rhs (inner - rhs
+where op is None) and reduces it; an identity is verified when the reduced
+difference has no terms.  All identities are stated in an orthonormal
+normal frame, for a positive harmonic G on a manifold with parallel Ricci
+curvature, with free indices i, j and exact coefficients in n (dimension)
+and C.
 
 The quadratic-gradient curvature term of the Hessian evolution identity
 admits two index readings; the catalogue verifies the gradient-slot
 contraction Riem(k,i,l,j) G_k G_l (which reduces to zero) and records
-the literal spelling, whose repeated free indices make it structurally
-malformed, as a non-zero entry.
+the literal spelling, whose repeated free indices make its right side
+structurally malformed, as a non-zero entry.
 """
 
 from __future__ import annotations
@@ -60,61 +64,51 @@ def _sym_product(a: Callable, b: Callable, i, j) -> TensorExpr:
     return a(i, "k") * b("k", j) + b(i, "k") * a("k", j)
 
 
-# -- identity builders (each returns LHS - RHS) -------------------------------
+# -- right sides --------------------------------------------------------------
 
 
-def _commutator_axiom1():
-    return dg("i", "j") - dg("j", "i")
+def _axiom2():
+    return dg("i", "k", "j") + riem("j", "k", "l", "i") * dg("l")
 
 
-def _commutator_axiom2():
-    return dg("i", "j", "k") - dg("i", "k", "j") - riem("j", "k", "l", "i") * dg("l")
-
-
-def _commutator_axiom3():
+def _axiom3():
     # Delta f_i - (Delta f)_i = R_ik f_k, instantiated on f = G
-    return dg("i", "k", "k") - dg("k", "k", "i") - ric("i", "k") * dg("k")
+    return dg("k", "k", "i") + ric("i", "k") * dg("k")
 
 
-def _commutator_axiom4():
+def _axiom4():
     return (
-        dg("i", "j", "k", "l") - dg("i", "j", "l", "k")
-        - riem("k", "l", "m", "j") * dg("i", "m")
-        - riem("k", "l", "m", "i") * dg("j", "m")
+        dg("i", "j", "l", "k")
+        + riem("k", "l", "m", "j") * dg("i", "m")
+        + riem("k", "l", "m", "i") * dg("j", "m")
     )
 
 
-def _commutator_axiom5():
-    return (
-        dg("i", "j", "k", "k") - dg("k", "k", "i", "j")
-        - ric("j", "k") * dg("i", "k") - ric("i", "k") * dg("j", "k")
-        + 2 * riem("i", "k", "j", "l") * dg("k", "l")
-    )
+def _axiom5():
+    # Delta G_ij - (Delta G)_ij: misc.1's curvature terms, as Delta G = 0
+    return dg("k", "k", "i", "j") + _misc_1()
 
 
 def _misc_1():
-    rhs = (
+    return (
         ric("j", "k") * dg("i", "k") + ric("i", "k") * dg("j", "k")
         - 2 * riem("i", "k", "j", "l") * dg("k", "l")
     )
-    return laplacian(dg("i", "j")) - rhs
 
 
 def _misc_2():
-    rhs = (
+    return (
         ric("i", "k") * dg("j") * dg("k") + ric("j", "k") * dg("i") * dg("k")
         + 2 * dg("i", "k") * dg("j", "k")
     )
-    return laplacian(dg("i") * dg("j")) - rhs
 
 
 def _misc_3():
-    rhs = dg("i") * dg("k") * dg("j", "k") + dg("j") * dg("k") * dg("i", "k")
-    return gradG_pairing(dg("i") * dg("j")) - rhs
+    return dg("i") * dg("k") * dg("j", "k") + dg("j") * dg("k") * dg("i", "k")
 
 
 def _misc_4():
-    rhs = (
+    return (
         ric("i", "k") * dg("j") * dg("k") * gpow(-1)
         + ric("j", "k") * dg("i") * dg("k") * gpow(-1)
         + 2 * dg("i", "k") * dg("j", "k") * gpow(-1)
@@ -122,23 +116,18 @@ def _misc_4():
         - 2 * dg("k") * dg("i") * dg("j", "k") * gpow(-2)
         - 2 * dg("k") * dg("j") * dg("i", "k") * gpow(-2)
     )
-    return laplacian(B("i", "j")) - rhs
 
 
 def _misc_5():
-    rhs = (2 * N / (2 - N) ** 2) * gpow(ALPHA - 2) * _grad_sq()
-    return laplacian(gpow(ALPHA)) - rhs
+    return (2 * N / (2 - N) ** 2) * gpow(ALPHA - 2) * _grad_sq()
 
 
 def _power_rule():
-    rhs = BETA * (BETA - 1) * gpow(BETA - 2) * _grad_sq()
-    return laplacian(gpow(BETA)) - rhs
+    return BETA * (BETA - 1) * gpow(BETA - 2) * _grad_sq()
 
 
 def _b_squared():
-    lhs = B("i", "k") * B("k", "j")
-    rhs = _grad_sq() * gpow(-1) * B("i", "j")
-    return lhs - rhs
+    return _grad_sq() * gpow(-1) * B("i", "j")
 
 
 def _curvature_contracted_htilde():
@@ -155,9 +144,8 @@ def _gradient_slot_term():
 
 
 def _lap_of_harnack():
-    lhs = laplacian(hessian_shifted("i", "j"))
     M = lambda a, b: (2 / (2 - N)) * B(a, b) + _metric_shift(a, b)
-    rhs = (
+    return (
         _curvature_contracted_htilde()
         + _gradient_slot_term()
         - (2 * N / (N - 2)) * gpow(-1) * (htilde("i", "k") * htilde("k", "j"))
@@ -168,29 +156,25 @@ def _lap_of_harnack():
         )
         + (2 * N / (N - 2)) * gpow(-1) * _sym_product(htilde, M, "i", "j")
     )
-    return lhs - rhs
 
 
 def _lap_step1():
-    lhs = laplacian(hessian_shifted("i", "j"))
     sq = lambda a, b: dg(a, b) - B(a, b)
     square = sq("i", "k") * sq("k", "j")
-    rhs = (
+    return (
         ric("i", "k") * hessian_shifted("j", "k")
         + ric("j", "k") * hessian_shifted("i", "k")
         - 2 * riem("i", "k", "j", "l") * dg("k", "l")
         + (2 * N / (2 - N)) * gpow(-1) * square
     )
-    return lhs - rhs
 
 
 def _lap_step2():
-    lhs = laplacian(hessian_shifted("i", "j"))
     br = lambda a, b: (
         htilde(a, b) - (N / (2 - N)) * B(a, b) - _metric_shift(a, b) - B(a, b)
     )
     square = br("i", "k") * br("k", "j")
-    rhs = (
+    return (
         ric("i", "k") * (htilde("j", "k") - _metric_shift("j", "k"))
         + ric("j", "k") * (htilde("i", "k") - _metric_shift("i", "k"))
         - 2 * riem("i", "k", "j", "l") * htilde("k", "l")
@@ -200,62 +184,73 @@ def _lap_step2():
         )
         + (2 * N / (2 - N)) * gpow(-1) * square
     )
-    return lhs - rhs
 
 
 def _lap_step3():
-    lhs = laplacian(hessian_shifted("i", "j"))
     br = lambda a, b: htilde(a, b) - (2 / (2 - N)) * B(a, b) - _metric_shift(a, b)
     square = br("i", "k") * br("k", "j")
-    rhs = (
+    return (
         _curvature_contracted_htilde()
         + _gradient_slot_term()
         - (2 * N / (N - 2)) * gpow(-1) * square
     )
-    return lhs - rhs
 
 
 def _lap_literal():
     """Literal index spelling: repeats the free indices inside the
     contraction, so the free-index sets of the terms disagree."""
-    lhs = laplacian(hessian_shifted("i", "j"))
     literal = (-2 * N / (N - 2)) * riem("i", "k", "j", "l") * dg("i") * dg("j") * gpow(-1)
     rhs = (
         _curvature_contracted_htilde()
         + literal
         - (2 * N / (N - 2)) * gpow(-1) * (htilde("i", "k") * htilde("k", "j"))
     )
-    diff = lhs - rhs
-    diff.free_indices()  # raises: i, j are saturated inside the literal term
-    return diff
+    rhs.free_indices()  # raises: i, j are saturated inside the literal term
+    return rhs
 
 
 class _Entry(NamedTuple):
-    builder: Callable[[], TensorExpr]
+    op: Optional[Callable[[TensorExpr], TensorExpr]]  # None, laplacian or gradG_pairing
+    inner: TensorExpr
+    rhs: Callable[[], TensorExpr]
     expect_zero: bool
-    note: str = ""
+    note: str
 
+
+#: the field whose Laplacian the maximum-principle argument reads
+_HARNACK = hessian_shifted("i", "j")
 
 IDENTITIES = {
-    "commutator.axiom1": _Entry(_commutator_axiom1, True, "hessian symmetry"),
-    "commutator.axiom2": _Entry(_commutator_axiom2, True, "third-derivative commutator"),
-    "commutator.axiom3": _Entry(_commutator_axiom3, True, "gradient laplacian commutator"),
-    "commutator.axiom4": _Entry(_commutator_axiom4, True, "fourth-derivative commutator"),
-    "commutator.axiom5": _Entry(_commutator_axiom5, True, "hessian laplacian commutator"),
-    "misc.1": _Entry(_misc_1, True, "laplacian of Hess G"),
-    "misc.2": _Entry(_misc_2, True, "laplacian of grad G tensor square"),
-    "misc.3": _Entry(_misc_3, True, "gradient pairing with grad G tensor square"),
-    "misc.4": _Entry(_misc_4, True, "laplacian of B"),
-    "misc.5": _Entry(_misc_5, True, "laplacian of G^alpha"),
-    "power_rule": _Entry(_power_rule, True, "laplacian of G^beta"),
-    "b_squared": _Entry(_b_squared, True, "B squared is |grad G|^2/G times B"),
-    "lap_of_harnack": _Entry(
-        _lap_of_harnack, True, "evolution identity, gradient-slot contraction"),
-    "lap_of_harnack.step1": _Entry(_lap_step1, True, "expansion in G derivatives"),
-    "lap_of_harnack.step2": _Entry(_lap_step2, True, "substitution of the shifted tensor"),
-    "lap_of_harnack.step3": _Entry(_lap_step3, True, "rearranged square term"),
-    "lap_of_harnack.literal": _Entry(
-        _lap_literal, False, "literal index spelling (structurally malformed)"),
+    "commutator.axiom1": _Entry(None, dg("i", "j"), lambda: dg("j", "i"), True,
+                                "hessian symmetry"),
+    "commutator.axiom2": _Entry(None, dg("i", "j", "k"), _axiom2, True,
+                                "third-derivative commutator"),
+    "commutator.axiom3": _Entry(None, dg("i", "k", "k"), _axiom3, True,
+                                "gradient laplacian commutator"),
+    "commutator.axiom4": _Entry(None, dg("i", "j", "k", "l"), _axiom4, True,
+                                "fourth-derivative commutator"),
+    "commutator.axiom5": _Entry(None, dg("i", "j", "k", "k"), _axiom5, True,
+                                "hessian laplacian commutator"),
+    "misc.1": _Entry(laplacian, dg("i", "j"), _misc_1, True, "laplacian of Hess G"),
+    "misc.2": _Entry(laplacian, dg("i") * dg("j"), _misc_2, True,
+                     "laplacian of grad G tensor square"),
+    "misc.3": _Entry(gradG_pairing, dg("i") * dg("j"), _misc_3, True,
+                     "gradient pairing with grad G tensor square"),
+    "misc.4": _Entry(laplacian, B("i", "j"), _misc_4, True, "laplacian of B"),
+    "misc.5": _Entry(laplacian, gpow(ALPHA), _misc_5, True, "laplacian of G^alpha"),
+    "power_rule": _Entry(laplacian, gpow(BETA), _power_rule, True, "laplacian of G^beta"),
+    "b_squared": _Entry(None, B("i", "k") * B("k", "j"), _b_squared, True,
+                        "B squared is |grad G|^2/G times B"),
+    "lap_of_harnack": _Entry(laplacian, _HARNACK, _lap_of_harnack, True,
+                             "evolution identity, gradient-slot contraction"),
+    "lap_of_harnack.step1": _Entry(laplacian, _HARNACK, _lap_step1, True,
+                                   "expansion in G derivatives"),
+    "lap_of_harnack.step2": _Entry(laplacian, _HARNACK, _lap_step2, True,
+                                   "substitution of the shifted tensor"),
+    "lap_of_harnack.step3": _Entry(laplacian, _HARNACK, _lap_step3, True,
+                                   "rearranged square term"),
+    "lap_of_harnack.literal": _Entry(laplacian, _HARNACK, _lap_literal, False,
+                                     "literal index spelling (structurally malformed)"),
 }
 
 
@@ -272,13 +267,16 @@ class IdentityResult(NamedTuple):
 
 
 def verify_identity(name: str) -> IdentityResult:
-    """Reduce LHS - RHS of the named identity to canonical form."""
+    """Reduce op(inner) - rhs of the named identity to canonical form; the
+    right side first, so a malformed one refuses before the operator runs."""
     try:
         entry = IDENTITIES[name]
     except KeyError:
         raise TensorError(f"unknown identity {name!r}") from None
     try:
-        residual = commute_and_reduce(entry.builder())
+        rhs = entry.rhs()
+        lhs = entry.inner if entry.op is None else entry.op(entry.inner)
+        residual = commute_and_reduce(lhs - rhs)
     except TensorError as exc:
         return IdentityResult(
             name=name, zero=False, residual=None,

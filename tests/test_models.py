@@ -351,6 +351,23 @@ def test_fd_oracle_runs_only_where_the_closed_form_passes(model_id, runs, monkey
     assert (rep.parallel_ricci_fd_residual is None) == (runs == 0)
 
 
+@pytest.mark.parametrize("window,radii,residual", [
+    ((100.0, 1000.0), [100.0], 4.434009857678412e-08),
+    ((37.3, 1000.0), [37.3], 4.96042412015806e-08),
+    ((1e-2, 1e2), [2.0, 6.32455532033676, 20.0], 8.782036756789091e-07),
+])
+def test_fd_oracle_probes_each_radius_once(window, radii, residual, monkeypatch):
+    # a window that starts past 20 pins both ends of the probe range to
+    # r_min: one probe there, with the residual the three equal probes gave
+    seen = []
+    real = fdcheck.check_parallel_ricci
+    monkeypatch.setattr(fdcheck, "check_parallel_ricci",
+                        lambda chart, x: seen.append(x[0]) or real(chart, x))
+    rep = hypothesis_report(model_from_id("euclidean", 4), *window)
+    assert seen == radii
+    assert rep.parallel_ricci_fd_residual == residual
+
+
 @pytest.mark.parametrize("probes", [[1e-12, math.nan, 1e-12], [math.nan, 1e-12, 1e-12],
                                     [1e-12, 1e-12, math.nan]])
 def test_nan_fd_probe_fails_parallel_ricci(probes, monkeypatch):

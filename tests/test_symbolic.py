@@ -17,7 +17,7 @@ from harnacklab.symbolic import (
     commute_and_reduce, dg, gpow, gradG_pairing, hessian_shifted, kron, laplacian,
     IDENTITIES, normalize, ric, riem, verify_all, verify_identity,
 )
-from harnacklab.symbolic.engine import Term, _derivative
+from harnacklab.symbolic.engine import Term, _derivative, _in_fragment
 from harnacklab.symbolic.terms import _rename
 from harnacklab.symbolic.ring import Coeff, coerce
 
@@ -264,6 +264,45 @@ def test_literal_reading_is_malformed():
     res = verify_identity("lap_of_harnack.literal")
     assert not res.zero and res.ok
     assert "free" in res.note
+
+
+#: the longest dg string each operator of the catalogue takes
+_LONGEST = {laplacian: 2, gradG_pairing: 3}
+
+
+def test_catalogue_keeps_its_names_order_and_expectations():
+    assert [(name, e.expect_zero) for name, e in IDENTITIES.items()] == [
+        ("commutator.axiom1", True), ("commutator.axiom2", True),
+        ("commutator.axiom3", True), ("commutator.axiom4", True),
+        ("commutator.axiom5", True), ("misc.1", True), ("misc.2", True),
+        ("misc.3", True), ("misc.4", True), ("misc.5", True),
+        ("power_rule", True), ("b_squared", True), ("lap_of_harnack", True),
+        ("lap_of_harnack.step1", True), ("lap_of_harnack.step2", True),
+        ("lap_of_harnack.step3", True), ("lap_of_harnack.literal", False),
+    ]
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_catalogue_entry_is_operator_inner_and_right_side(name):
+    # the operator is the engine's own function, its inner field lies in
+    # that operator's fragment (no curvature factor, short dg strings), and
+    # an identity's two sides carry the same free indices
+    entry = IDENTITIES[name]
+    assert entry.op is None or entry.op in _LONGEST
+    if entry.op is not None:
+        _in_fragment(entry.inner, _LONGEST[entry.op], f"{name}: curvature factor")
+    if entry.expect_zero:
+        lhs = entry.inner if entry.op is None else entry.op(entry.inner)
+        assert lhs.free_indices() == entry.rhs().free_indices()
+
+
+def test_literal_right_side_refuses_itself():
+    message = "inconsistent free indices across terms: {i,j}, {k,l}"
+    with pytest.raises(TensorError) as exc:
+        IDENTITIES["lap_of_harnack.literal"].rhs()
+    assert str(exc.value) == message
+    assert verify_identity("lap_of_harnack.literal").note == (
+        "literal index spelling (structurally malformed): " + message)
 
 
 def test_unknown_identity_name():
