@@ -181,13 +181,16 @@ class _Arc:
     on the piece holding base, so it carries no cancellation at the turning
     radius.  Other pieces
     run Gauss panels in u, r = base + u^2, each on its own integrand, which
-    reads f off the piece's Horner row and never looks up a piece.
-    `misses` counts the sweeps whose Gauss estimate missed its gate.
+    reads f off the piece's Horner row and never looks up a piece, and each
+    such part is integrated once per arc: `parts` keeps its (value, miss)
+    by (lo, hi, length).  `misses` counts the sweeps whose Gauss estimate
+    missed its gate, a kept one included.
     """
 
     def __init__(self, prof, k, base, turning):
         self.prof, self.k, self.base, self.turning = prof, k, base, turning
         self.misses = 0
+        self.parts = {}
         self.taylor = None  # (f'(base), f''(base)), taken by the first integrand
         self.f0 = f0 = prof.f(base)
         self.d0 = 0.0 if turning else (f0 - k) * (f0 + k)  # D(base)
@@ -252,10 +255,14 @@ class _Arc:
         for pc, lo, hi in self._parts(r_lo, r_hi):
             m = pc.slope
             if m is None:
-                val, _, miss = quadrature.gauss_legendre(
-                    self._integrand(pc, length),
-                    math.sqrt(lo - self.base), math.sqrt(hi - self.base),
-                    rtol=1e-11, atol=1e-13)
+                key = (lo, hi, length)
+                if key not in self.parts:
+                    val, _, miss = quadrature.gauss_legendre(
+                        self._integrand(pc, length),
+                        math.sqrt(lo - self.base), math.sqrt(hi - self.base),
+                        rtol=1e-11, atol=1e-13)
+                    self.parts[key] = val, miss
+                val, miss = self.parts[key]
                 curved.append(val)
                 missed |= miss
                 continue

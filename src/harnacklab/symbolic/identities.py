@@ -3,12 +3,13 @@
 Each entry states an identity op(inner) = rhs by its parts: an operator
 (None, or the engine's `laplacian` or `gradG_pairing`), the inner field
 and a builder of the right side, which can each be read without the
-rewrite engine.  `verify_identity` alone forms op(inner) - rhs (inner - rhs
-where op is None) and reduces it; an identity is verified when the reduced
-difference has no terms.  All identities are stated in an orthonormal
-normal frame, for a positive harmonic G on a manifold with parallel Ricci
-curvature, with free indices i, j and exact coefficients in n (dimension)
-and C.
+rewrite engine.  `_verify` alone forms op(inner) - rhs (inner - rhs
+where op is None) and reduces it, for `verify_identity` and `verify_all`,
+which applies each distinct operator to each inner field once per call; an
+identity is verified when the reduced difference has no terms.  All
+identities are stated in an orthonormal normal frame, for a positive
+harmonic G on a manifold with parallel Ricci curvature, with free indices
+i, j and exact coefficients in n (dimension) and C.
 
 The quadratic-gradient curvature term of the Hessian evolution identity
 admits two index readings; the catalogue verifies the gradient-slot
@@ -266,16 +267,17 @@ class IdentityResult(NamedTuple):
         return self.zero == self.expect_zero
 
 
-def verify_identity(name: str) -> IdentityResult:
-    """Reduce op(inner) - rhs of the named identity to canonical form; the
-    right side first, so a malformed one refuses before the operator runs."""
+def _verify(name: str, apply: Callable) -> IdentityResult:
+    """Reduce op(inner) - rhs of the named identity to canonical form, with
+    op(inner) as apply(op, inner) gives it; the right side first, so a
+    malformed one refuses before the operator runs."""
     try:
         entry = IDENTITIES[name]
     except KeyError:
         raise TensorError(f"unknown identity {name!r}") from None
     try:
         rhs = entry.rhs()
-        lhs = entry.inner if entry.op is None else entry.op(entry.inner)
+        lhs = entry.inner if entry.op is None else apply(entry.op, entry.inner)
         residual = commute_and_reduce(lhs - rhs)
     except TensorError as exc:
         return IdentityResult(
@@ -289,5 +291,21 @@ def verify_identity(name: str) -> IdentityResult:
     )
 
 
+def verify_identity(name: str) -> IdentityResult:
+    """The named identity's result: op(inner) - rhs reduced."""
+    return _verify(name, lambda op, inner: op(inner))
+
+
 def verify_all() -> list:
-    return [verify_identity(name) for name in IDENTITIES]
+    """Every identity's result, in catalogue order; each distinct operator
+    and inner field (the five `lap_of_harnack*` entries share one) is
+    applied once per call."""
+    applied = {}
+
+    def apply(op, inner):
+        key = (op, id(inner))  # inner fields live in IDENTITIES
+        if key not in applied:
+            applied[key] = op(inner)
+        return applied[key]
+
+    return [_verify(name, apply) for name in IDENTITIES]

@@ -6,17 +6,22 @@ exponent beta, with rational coefficients.  No other denominator occurs:
 G grows like r^{2-n}, so alpha = n/(n-2), and exponents such as 2/(2-n)
 divide only by n - 2.
 
-An element is canonical when k = 0 or P(2, C, beta) != 0; factors of
-n - 2 are stripped by synthetic division in n.  Canonical elements are
-equal iff their data are, so they hash and sort on it directly.  The
-ring has +, -, * and non-negative integer powers; division is allowed by
-units q (n-2)^j only (q a non-zero rational).  Anything else (another
-divisor, a float, a bool, a foreign object) raises TensorError.
+The ring holds its elements in m = n - 2, where that denominator is a
+monomial: an element is a Laurent polynomial in m (with polynomial
+coefficients in C and beta), kept as its sorted non-zero terms.  So the
+form is canonical by construction, + and * are polynomial addition and
+multiplication, and equal elements have equal data.  Elements are read
+back in n, as P/(n-2)^k with k = 0 or P(2, C, beta) != 0, only to sort
+and to print.  The ring has +, -, * and non-negative integer powers;
+division is allowed by units q (n-2)^j only (q a non-zero rational).
+Anything else (another divisor, a float, a bool, a foreign object)
+raises TensorError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 __all__ = ["TensorError", "Module", "Coeff", "coerce", "ZERO", "N", "C", "BETA", "ALPHA"]
 
@@ -34,76 +39,47 @@ class Module:
     __slots__ = ()
 
 
-# -- polynomials: dict {(i, j, l): Fraction} for n^i C^j beta^l ---------------
+# -- polynomials: {(i, j, l): Fraction} for x^i C^j beta^l, x = m or n ---------
+
+
+def _terms(p):
+    """The dict polynomial p, Fraction-valued, as a sorted tuple of its
+    non-zero terms."""
+    return tuple(sorted(term for term in p.items() if term[1]))
 
 
 def _padd(p, q):
     out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
+    for mono, c in q:
+        out[mono] = out.get(mono, 0) + c
+    return Coeff(_terms(out))
 
 
 def _pmul(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1:  # times one term: p's order and non-zero terms stay
+        (i2, j2, l2), c2 = q[0]
+        return Coeff(tuple(((i1 + i2, j1 + j2, l1 + l2), c1 * c2)
+                           for (i1, j1, l1), c1 in p))
     out = {}
-    for (i1, j1, l1), c1 in p.items():
-        for (i2, j2, l2), c2 in q.items():
-            m = (i1 + i2, j1 + j2, l1 + l2)
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-_N_MINUS_2 = {(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-2)}
-
-
-def _div_n2(p):
-    """p / (n - 2) by synthetic division in n, or None if n - 2 does not
-    divide p (p(2, C, beta) != 0)."""
-    columns = {}
-    for (i, j, l), c in p.items():
-        columns.setdefault((j, l), {})[i] = c
-    out = {}
-    for (j, l), col in columns.items():
-        carry = 0
-        for i in range(max(col), 0, -1):
-            carry = col.get(i, 0) + 2 * carry
-            if carry:
-                out[(i - 1, j, l)] = carry
-        if col.get(0, 0) + 2 * carry:
-            return None
-    return out
+    for (i1, j1, l1), c1 in p:
+        for (i2, j2, l2), c2 in q:
+            mono = (i1 + i2, j1 + j2, l1 + l2)
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return Coeff(_terms(out))
 
 
 class Coeff:
-    """P/(n-2)^k, canonical and immutable; ``poly`` is P as a sorted tuple
-    of (monomial exponents (i, j, l), non-zero Fraction)."""
+    """A Laurent polynomial in m = n - 2, immutable; ``poly`` is its sorted
+    tuple of (exponents (i, j, l) of m^i C^j beta^l, non-zero Fraction)."""
 
-    __slots__ = ("poly", "k")
+    __slots__ = ("poly", "_key")
 
-    def __init__(self, p, k=0):
-        """From a dict polynomial and k >= 0, stripping factors of n - 2."""
-        while k and p:
-            q = _div_n2(p)
-            if q is None:
-                break
-            p, k = q, k - 1
-        self._set(tuple(sorted((m, Fraction(c)) for m, c in p.items() if c)),
-                  k if p else 0)
-
-    def _set(self, poly, k):
+    def __init__(self, poly):
+        """From its terms, sorted and non-zero."""
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "k", k)
-
-    @classmethod
-    def _canonical(cls, poly, k):
-        """From data already in canonical form."""
-        out = cls.__new__(cls)
-        out._set(poly, k)
-        return out
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Coeff is immutable")
@@ -112,54 +88,38 @@ class Coeff:
 
     @property
     def key(self):
-        """Total-order sort key; equal keys iff equal elements."""
-        return (self.k, self.poly)
+        """(k, P) with self = P/(n-2)^k, P in n a sorted tuple like ``poly``:
+        a total-order sort key, equal keys iff equal elements."""
+        if self._key is None:
+            # poly is sorted, so its first term has the lowest power of m
+            k = max(0, -self.poly[0][0][0]) if self.poly else 0
+            p = {}
+            for (i, j, l), c in self.poly:  # (n - 2)^e = sum C(e, t) n^t (-2)^(e-t)
+                e = i + k
+                for t in range(e + 1):
+                    p[t, j, l] = p.get((t, j, l), 0) + c * comb(e, t) * (-2) ** (e - t)
+            object.__setattr__(self, "_key", (k, _terms(p)))
+        return self._key
 
     def constant(self):
         """The Fraction this element equals, or None if it is not constant."""
-        if self.k:
-            return None
         if not self.poly:
             return Fraction(0)
         if len(self.poly) == 1 and self.poly[0][0] == (0, 0, 0):
             return self.poly[0][1]
         return None
 
-    def _dict(self):
-        return dict(self.poly)
-
-    def _times_n2(self, e):
-        """Numerator times (n - 2)^e, e >= 0."""
-        p = self._dict()
-        for _ in range(e):
-            p = _pmul(p, _N_MINUS_2)
-        return p
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Module):
             return NotImplemented
-        other = coerce(other)
-        if not other.poly:
-            return self
-        if not self.poly:
-            return other
-        k = max(self.k, other.k)
-        return Coeff(_padd(self._times_n2(k - self.k), other._times_n2(k - other.k)), k)
+        return _padd(self.poly, coerce(other).poly)
 
     __radd__ = __add__
 
-    def _scaled(self, q):
-        """self * q for a Fraction q: canonical forms stay canonical."""
-        if q == 1:
-            return self
-        if not q:
-            return ZERO
-        return Coeff._canonical(tuple((m, c * q) for m, c in self.poly), self.k)
-
     def __neg__(self):
-        return self._scaled(-1)
+        return Coeff(tuple((mono, -c) for mono, c in self.poly))
 
     def __sub__(self, other):
         if isinstance(other, Module):
@@ -172,14 +132,7 @@ class Coeff:
     def __mul__(self, other):
         if isinstance(other, Module):
             return NotImplemented
-        other = coerce(other)
-        q = other.constant()
-        if q is not None:
-            return self._scaled(q)
-        q = self.constant()
-        if q is not None:
-            return other._scaled(q)
-        return Coeff(_pmul(self._dict(), other._dict()), self.k + other.k)
+        return _pmul(self.poly, coerce(other).poly)
 
     __rmul__ = __mul__
 
@@ -195,16 +148,12 @@ class Coeff:
         if isinstance(other, Module):
             return NotImplemented
         other = coerce(other)
-        # other = q (n-2)^(m - other.k) must be a unit
-        p, m = other._dict(), 0
-        while p and (q := _div_n2(p)) is not None:
-            p, m = q, m + 1
-        q = Coeff(p).constant()
-        if not q:
+        # a unit q (n-2)^j is the one monomial q m^j
+        if len(other.poly) != 1 or other.poly[0][0][1:] != (0, 0):
             raise TensorError(f"division by {other} is outside "
                               "Q[n, C, beta][1/(n-2)]: only q (n-2)^j divides")
-        num = self._times_n2(other.k)
-        return Coeff({mono: c / q for mono, c in num.items()}, self.k + m)
+        (j, _, _), q = other.poly[0]
+        return _pmul(self.poly, (((-j, 0, 0), 1 / q),))
 
     def __rtruediv__(self, other):
         return coerce(other) / self
@@ -213,7 +162,7 @@ class Coeff:
 
     def __eq__(self, other):
         if isinstance(other, Coeff):
-            return self.k == other.k and self.poly == other.poly
+            return self.poly == other.poly
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.constant() == other
         return NotImplemented
@@ -226,12 +175,13 @@ class Coeff:
         return bool(self.poly)
 
     def __str__(self):
-        num = _poly_str(self.poly)
-        if not self.k:
+        k, poly = self.key
+        num = _poly_str(poly)
+        if not k:
             return num
-        if len(self.poly) > 1:
+        if len(poly) > 1:
             num = f"({num})"
-        den = "(n - 2)" if self.k == 1 else f"(n - 2)**{self.k}"
+        den = "(n - 2)" if k == 1 else f"(n - 2)**{k}"
         return f"{num}/{den}"
 
     __repr__ = __str__
@@ -263,14 +213,14 @@ def coerce(x) -> Coeff:
     if isinstance(x, Coeff):
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Coeff({(0, 0, 0): x})
+        return Coeff(_terms({(0, 0, 0): Fraction(x)}))
     raise TensorError(f"{x!r} ({type(x).__name__}) is not an exact coefficient "
                       "in Q[n, C, beta][1/(n-2)]")
 
 
 ZERO = coerce(0)
 ONE = coerce(1)
-N = Coeff({(1, 0, 0): 1})
-C = Coeff({(0, 1, 0): 1})
-BETA = Coeff({(0, 0, 1): 1})
+N = Coeff((((0, 0, 0), Fraction(2)), ((1, 0, 0), Fraction(1))))
+C = Coeff((((0, 1, 0), Fraction(1)),))
+BETA = Coeff((((0, 0, 1), Fraction(1)),))
 ALPHA = N / (N - 2)

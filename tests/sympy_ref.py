@@ -7,10 +7,12 @@ n, C, beta = sp.symbols("n C beta")
 
 
 def to_sympy(x):
-    """P/(n-2)^k of a ring element as a sympy expression."""
-    num = sum((sp.Rational(c.numerator, c.denominator) * n**i * C**j * beta**l
-               for (i, j, l), c in x.poly), sp.Integer(0))
-    return num / (n - 2) ** x.k
+    """A ring element as a sympy expression, built from its own terms in
+    m = n - 2, sum of c (n-2)^i C^j beta^l (i of either sign), so that the
+    reference does not go through the ring's read-back in n."""
+    return sp.cancel(sum((sp.Rational(c.numerator, c.denominator)
+                          * (n - 2)**i * C**j * beta**l for (i, j, l), c in x.poly),
+                         sp.Integer(0)))
 
 
 def same(x, expr) -> bool:

@@ -225,7 +225,8 @@ def test_quad_misses_are_counted_per_minimizer(z, monkeypatch):
     # monotone (0.8 rad) and turning (2.9 rad) branches across the blend of
     # a smoothed cone, the only piece that runs Gauss panels: report every
     # sweep quadrature as a miss, and the count must equal the number of
-    # calls while the values stay those of the plain quadrature
+    # sweeps that meet the blend, a part the arc integrated before included,
+    # while the values stay those of the plain quadrature
     cone4 = model_from_id("smoothed-cone:0.8:1", 4)
     y = SlicePoint(1.0, 0.0)
     prof = compute_profile(cone4, GRID)
@@ -240,11 +241,20 @@ def test_quad_misses_are_counted_per_minimizer(z, monkeypatch):
 
     # the geodesic layer's calls only: b2 at a point on the blend runs the
     # Green kernel's own panels, which refuse a miss
+    curved = []
+    real_sweep = geodesics._Arc.sweep
+
+    def spy(arc, r_lo, r_hi, length=False):
+        if any(pc.slope is None for pc, _, _ in arc._parts(r_lo, r_hi)):
+            curved.append(1)
+        return real_sweep(arc, r_lo, r_hi, length)
+
     monkeypatch.setattr(geodesics, "quadrature", SimpleNamespace(
         gauss_legendre=missing, brent_root=quadrature.brent_root))
+    monkeypatch.setattr(geodesics._Arc, "sweep", spy)
     forced = corollary_check(prof, y, z, 10.0, [0.0, 0.5, 1.0])
-    assert calls
-    assert [t.quad_misses for t in forced] == [len(calls)] * 3
+    assert calls and len(calls) <= len(curved)
+    assert [t.quad_misses for t in forced] == [len(curved)] * 3
     assert [t.slack for t in forced] == [t.slack for t in plain]
     assert all(t.quad_misses == plain[0].quad_misses for t in plain)
 
@@ -256,12 +266,13 @@ def test_quad_misses_are_counted_per_minimizer(z, monkeypatch):
     ("smoothed-cone:0.8:1", SlicePoint(1.2, 2.5), "turning"),
 ])
 def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch):
-    # a sweep makes one Gauss call where it meets a curved piece of f and
-    # none on the pieces f = a r; the root-find iterates sweep the angle
-    # only, and the length runs once per arc, at the accepted root
+    # a sweep makes one Gauss call where it meets a curved piece of f in a
+    # part its arc has not integrated before, and none on the pieces f = a r;
+    # the root-find iterates sweep the angle only, and the length runs once
+    # per arc, at the accepted root
     model = model_from_id(model_id, 4)
     y = SlicePoint(1.0, 0.0)
-    quads, sweeps, evals = [], [], []
+    quads, sweeps, evals, parts = [], [], [], set()
     real_quad, real_brentq = quadrature.gauss_legendre, quadrature.brent_root
 
     def counting_quad(*args, **kwargs):
@@ -284,6 +295,8 @@ def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch)
         # a monotone arc by its Clairaut constant, a turning one by its base
         args = (r_lo, r_hi) if arc.turning else (arc.k, r_lo, r_hi)
         sweeps.append(("turning" if arc.turning else "monotone", args, length))
+        parts.update((arc, lo, hi, length) for pc, lo, hi in arc._parts(r_lo, r_hi)
+                     if pc.slope is None)
         return real_sweep(arc, r_lo, r_hi, length)
 
     monkeypatch.setattr(quadrature, "gauss_legendre", counting_quad)
@@ -295,10 +308,7 @@ def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch)
     angle = [s for s in sweeps if not s[2]]
     length = [s for s in sweeps if s[2]]
     assert len(sweeps) == len(angle) + len(length)
-    curved = [s for s in sweeps if any(
-        pc.slope is None and max(pc.lo, s[1][-2]) < min(pc.hi, s[1][-1])
-        for pc in model.profile.pieces)]
-    assert len(quads) == len(curved)
+    assert len(quads) == len(parts)
     if model_id.startswith("cone"):
         assert not quads
     if branch == "monotone":
@@ -311,6 +321,37 @@ def test_root_find_runs_only_angle_quadratures(model_id, z, branch, monkeypatch)
         assert [(s[0], s[1][1]) for s in length] == [("turning", 1.0), ("turning", z.r)]
         r_t = length[0][1][0]
         assert length[1][1][0] == r_t and model.profile.f(r_t) == mini.arc.k
+
+
+@pytest.mark.parametrize("model_id,n,C,triples,seed", [
+    ("smoothed-cone:0.75:1", "6", "20", "3", "580316"),
+    ("smoothed-cone:0.8:1", "4", "12", "20", "0"),
+])
+def test_no_arc_integrates_a_curved_part_twice(model_id, n, C, triples, seed,
+                                               capsys, monkeypatch):
+    # an arc keeps each curved part's Gauss integral: across a corollary
+    # report, no (arc, a, b, length) integral runs twice
+    owner, runs = {}, []
+    real_integrand, real_quad = geodesics._Arc._integrand, quadrature.gauss_legendre
+
+    def integrand(arc, pc, length):
+        fun = real_integrand(arc, pc, length)
+        owner[fun] = arc, length
+        return fun
+
+    def gauss(fun, a, b, **kwargs):
+        if fun in owner:  # not the Green kernel's panels
+            arc, length = owner[fun]
+            runs.append((arc, a, b, length))
+        return real_quad(fun, a, b, **kwargs)
+
+    monkeypatch.setattr(geodesics._Arc, "_integrand", integrand)
+    monkeypatch.setattr(quadrature, "gauss_legendre", gauss)
+    code = cli.main(["corollary", "--model", model_id, "--n", n, "--C", C,
+                     "--triples", triples, "--seed", seed])
+    capsys.readouterr()
+    assert code in (0, 3)
+    assert runs and len(set(runs)) == len(runs)
 
 
 def test_non_monotone_profile_raises_geodesic_error():

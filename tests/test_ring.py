@@ -48,13 +48,27 @@ def _random_tree(rng: random.Random, depth: int):
     return a * b, a_ref * b_ref
 
 
-def _n2_power_of_denominator(expr) -> int:
-    """k with cancel(expr) = P/(q (n-2)^k); fails on any other denominator."""
-    _, den = sp.fraction(sp.cancel(expr))
-    poly = sp.Poly(den, n_sym, C_sym, beta_sym)
-    k = poly.degree(n_sym)
-    assert sp.expand(den - poly.LC() * (n_sym - 2) ** k) == 0, den
-    return k
+_NAMES = {"n": n_sym, "C": C_sym, "beta": beta_sym}
+
+
+def _cancel_form(expr):
+    """(k, P) with cancel(expr) = P/(n-2)^k, P in n as a sorted tuple of
+    ((i, j, l), Fraction) terms; fails on any other denominator."""
+    num, den = sp.fraction(sp.cancel(expr))
+    den_poly = sp.Poly(den, n_sym, C_sym, beta_sym)
+    k, lc = den_poly.degree(n_sym), den_poly.LC()
+    assert sp.expand(den - lc * (n_sym - 2) ** k) == 0, den
+    terms = sp.Poly(num / lc, n_sym, C_sym, beta_sym).terms()
+    return k, tuple(sorted((mono, Fraction(int(c.p), int(c.q))) for mono, c in terms if c))
+
+
+def _printed_as(text, k, num_ref) -> bool:
+    """text spells num_ref/(n-2)^k: its denominator as the ring prints it,
+    its numerator sympy's polynomial."""
+    head, sep, tail = text.rpartition("/(n - 2)")
+    num, den = (head, sep + tail) if sep else (text, "")
+    want = "" if not k else "/(n - 2)" if k == 1 else f"/(n - 2)**{k}"
+    return den == want and sp.expand(sp.sympify(num, locals=_NAMES) - num_ref) == 0
 
 
 def test_random_trees_match_sympy_cancel():
@@ -63,8 +77,13 @@ def test_random_trees_match_sympy_cancel():
         got, ref = _random_tree(rng, 4)
         got = coerce(got)  # a tree of plain numbers stays a plain number
         assert same(got, ref), (got, ref)
-        # canonical: no factor n - 2 is left in both numerator and denominator
-        assert got.k == _n2_power_of_denominator(ref), (got, sp.cancel(ref))
+        # read back in n: no factor n - 2 is left in both numerator and
+        # denominator, and key and str give sympy's cancelled P/(n-2)^k
+        k, poly = _cancel_form(ref)
+        assert got.key == (k, poly), (got, sp.cancel(ref))
+        num_ref = sum((sp.Rational(c.numerator, c.denominator) * n_sym**i * C_sym**j
+                       * beta_sym**l for (i, j, l), c in poly), sp.Integer(0))
+        assert _printed_as(str(got), k, num_ref), (str(got), sp.cancel(ref))
 
 
 def test_equal_values_are_equal_elements_with_equal_hashes():
@@ -108,10 +127,10 @@ def test_constants_compare_and_hash_like_numbers():
 
 
 def test_canonical_denominator():
-    assert ALPHA.k == 1 and ((N - 2) * ALPHA).k == 0
-    assert (1 / (N - 2) ** 3).k == 3
+    assert ALPHA.key[0] == 1 and ((N - 2) * ALPHA).key[0] == 0
+    assert (1 / (N - 2) ** 3).key[0] == 3
     # P(2, C, beta) != 0 whenever k > 0
-    assert (C * (N - 2) / (N - 2) ** 2).k == 1
+    assert (C * (N - 2) / (N - 2) ** 2).key[0] == 1
 
 
 def test_total_order_key_is_deterministic():
@@ -130,7 +149,17 @@ def test_printing():
     assert str(coerce(0)) == "0"
 
 
-@pytest.mark.parametrize("divisor", [N - 1, C, BETA, N, N * (N - 2), 0, coerce(0)])
+@pytest.mark.parametrize("unit,unit_ref", [
+    (1 / (N - 2), 1 / (n_sym - 2)),
+    (2 / (N - 2) ** 2, 2 / (n_sym - 2) ** 2),
+])
+def test_division_by_a_unit_with_a_denominator(unit, unit_ref):
+    x, x_ref = C * ALPHA + BETA, C_sym * n_sym / (n_sym - 2) + beta_sym
+    assert same(x / unit, x_ref / unit_ref)
+    assert same(1 / unit, 1 / unit_ref) and same(N / unit, n_sym / unit_ref)
+
+
+@pytest.mark.parametrize("divisor", [N - 1, C, BETA, N, N * (N - 2), C * (N - 2), 0, coerce(0)])
 def test_division_only_by_units(divisor):
     with pytest.raises(TensorError):
         N / divisor
@@ -159,5 +188,5 @@ def test_only_non_negative_integer_powers(e):
 
 def test_elements_are_immutable():
     with pytest.raises(AttributeError):
-        N.k = 1
+        N.poly = ()
     assert N ** 0 == 1 and to_sympy(N ** 3) == n_sym ** 3

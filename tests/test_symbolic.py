@@ -248,6 +248,18 @@ def test_alpha_power_coefficient():
     assert sp.cancel(to_sympy(t.gexp) - (n_sym / (n_sym - 2) - 2)) == 0
 
 
+def test_terms_differing_in_their_g_exponent_keep_their_order():
+    """Terms that differ only in their G exponent sort on its key, (k, P)
+    read back in n: k = 0 first, then k = 1, then k = 2.  Sorting on the
+    ring's own terms in m = n - 2 would put every k > 0 first."""
+    expr = dg("i") * gpow(N / (N - 2) ** 2)
+    for e in (2 / (2 - N), ALPHA, -1, 0):
+        expr = expr + dg("i") * gpow(e)
+    assert str(normalize(expr)) == (
+        "(1) dg(i)  +  (1) dg(i) G^(-1)  +  (1) dg(i) G^(-2/(n - 2))  +  "
+        "(1) dg(i) G^(n/(n - 2))  +  (1) dg(i) G^(n/(n - 2)**2)")
+
+
 # -- identity catalogue -------------------------------------------------------
 
 
@@ -303,6 +315,29 @@ def test_literal_right_side_refuses_itself():
     assert str(exc.value) == message
     assert verify_identity("lap_of_harnack.literal").note == (
         "literal index spelling (structurally malformed): " + message)
+
+
+def test_verify_all_applies_each_operator_to_each_inner_field_once(monkeypatch):
+    # the five lap_of_harnack* entries share one Laplacian; the literal one
+    # refuses on its right side first, so one at a time it is taken 4 times
+    calls = []
+
+    def counted(op):
+        def wrapped(inner):
+            calls.append((op, id(inner)))
+            return op(inner)
+        return wrapped
+
+    wrappers = {op: counted(op) for op in _LONGEST}
+    for name, entry in IDENTITIES.items():
+        if entry.op is not None:
+            monkeypatch.setitem(IDENTITIES, name, entry._replace(op=wrappers[entry.op]))
+    harnack = (laplacian, id(IDENTITIES["lap_of_harnack"].inner))
+    assert all(r.ok for r in verify_all())
+    assert calls.count(harnack) == 1 and len(calls) == len(set(calls))
+    calls.clear()
+    assert all(verify_identity(name).ok for name in IDENTITIES)
+    assert calls.count(harnack) == 4
 
 
 def test_unknown_identity_name():
