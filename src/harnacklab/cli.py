@@ -20,8 +20,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import (INEQ_TOL, MAX_GRID_SIZE, THEOREM_C, ModelError, __version__,
-               is_exploratory, require_theorem_C)
+from . import INEQ_TOL, MAX_GRID_SIZE, THEOREM_C, ModelError, __version__, is_exploratory
 
 EXIT_INVALID = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "exploratory": 3}
@@ -139,11 +138,12 @@ def _verdict(ok: bool, exploratory: bool = False) -> str:
 
 def _model_profile(args):
     """The Green profile of the configured model on the configured grid."""
-    from .green import compute_profile, default_grid
+    from . import quadrature
+    from .green import compute_profile
     from .models import model_from_id
 
     return compute_profile(model_from_id(args.model, args.n),
-                           default_grid(args.r_min, args.r_max, args.grid_size))
+                           quadrature.geomspace(args.r_min, args.r_max, args.grid_size))
 
 
 # -- commands -----------------------------------------------------------------
@@ -154,9 +154,10 @@ def cmd_verify(args) -> int:
 
     if args.D is not None and not math.isfinite(args.D):
         raise ModelError(f"D must be finite, got {args.D!r}")
-    require_theorem_C(args.C, args.exploratory)  # before the profile, which may refuse n
-    report = verify_theorem(_model_profile(args), args.C, tol=args.tol,
-                            exploratory=args.exploratory, D=args.D)
+    # before the profile, which may refuse n
+    if args.C < THEOREM_C and not args.exploratory:
+        raise ModelError(f"C < {THEOREM_C} requires exploratory=True")
+    report = verify_theorem(_model_profile(args), args.C, tol=args.tol, D=args.D)
     return _report(args, _verdict(report.passed, report.exploratory),
                    {"report": report.payload()})
 

@@ -29,11 +29,11 @@ import operator
 from typing import Callable
 
 from .fdcheck import (DEFAULT_H, CoordinateChart, _ChristoffelMemo, _diag, _per_point,
-                      _to_frame, _warped, max_residual, orthonormal_frame,
+                      _to_frame, max_residual, orthonormal_frame, warped_chart,
                       warped_probe_point)
 from .fdgeom import ChartError, _central, _covariant, _entries, _point, _riemann_flat
 
-__all__ = ["Jet", "TestFunction", "check_lemma31", "MAX_CHART_DIM", "CHARTS", "oracle_preset"]
+__all__ = ["Jet", "check_lemma31", "MAX_CHART_DIM", "CHARTS", "oracle_preset"]
 
 
 # -- test functions -----------------------------------------------------------
@@ -108,24 +108,6 @@ class Jet:
         return self._chain(c, -s, -c)
 
 
-class TestFunction:
-    """Scalar function with exact partial derivatives up to 2nd order.
-
-    ``func`` maps the list of the ``dim`` coordinate jets at a point to the
-    function's jet there; each call evaluates it afresh.
-    """
-
-    __slots__ = ("func", "dim")
-
-    def __init__(self, func: Callable[[list], Jet], dim: int):
-        self.func = func
-        self.dim = dim
-
-    def jet(self, x) -> Jet:
-        x = _point(x)
-        return self.func([Jet.coordinate(x, i) for i in range(self.dim)])
-
-
 # -- preset charts ------------------------------------------------------------
 
 #: largest dimension of a preset chart: one commutator probe costs about
@@ -171,7 +153,7 @@ CHARTS = {
     # the warped chart of the cone f = r / 2, at r = 1
     "cone": (
         range(3, MAX_CHART_DIM + 1),
-        lambda n: _warped("warped[cone:0.5]", n, lambda r: 0.5 * r),
+        lambda n: warped_chart("warped[cone:0.5]", n, lambda r: 0.5 * r),
         lambda n: warped_probe_point(n, 1.0),
         lambda x: (-x[0]).exp() * x[1].cos(),
         False),
@@ -180,7 +162,8 @@ CHARTS = {
 
 def oracle_preset(name: str, n: int | None = None) -> tuple:
     """(chart, test function, probe point, how many identities are gated) of
-    the preset `name` in dimension n, by default its one dimension or 4."""
+    the preset `name` in dimension n, by default its one dimension or 4; the
+    test function maps the coordinate jets at a point to its jet there."""
     dims, chart, point, func, parallel_ricci = CHARTS[name]
     if n is None:
         n = dims[0] if len(dims) == 1 else 4
@@ -188,7 +171,7 @@ def oracle_preset(name: str, n: int | None = None) -> tuple:
         want = (f"{dims[0]}, got n={n}" if len(dims) == 1
                 else f"{dims[0]} <= n <= {dims[-1]}, got {n}")
         raise ChartError(f"chart {name} has dimension {want}")
-    return chart(n), TestFunction(func, n), point(n), 4 if parallel_ricci else 3
+    return chart(n), func, point(n), 4 if parallel_ricci else 3
 
 
 # -- covariant derivatives of a test function ---------------------------------
@@ -199,13 +182,14 @@ class _CovariantStack(_ChristoffelMemo):
     memoized per point with the metric, the Christoffels and f's jets; the
     tensors are flat and the Christoffels are their nonzero terms."""
 
-    def __init__(self, chart: CoordinateChart, f, h: float):
+    def __init__(self, chart: CoordinateChart, f: Callable[[list], Jet], h: float):
         super().__init__(chart, h)
         self.f = f
 
     @_per_point
     def jet(self, x):
-        return self.f.jet(x)
+        """f's jet at x, from the jets of the chart's coordinates there."""
+        return self.f([Jet.coordinate(x, i) for i in range(self.dim)])
 
     @_per_point
     def hess(self, x):
@@ -276,12 +260,13 @@ def _trace_last(T, d: int) -> list:
     return [sum(T[b:b + d * d:d + 1]) for b in range(0, len(T), d * d)]
 
 
-def check_lemma31(chart: CoordinateChart, f: TestFunction, x,
+def check_lemma31(chart: CoordinateChart, f: Callable[[list], Jet], x,
                   h: float = DEFAULT_H) -> tuple:
     """Residuals (max abs component, NaN if any component is NaN) of
-    commutator identities 2-5, in that order.  Identity 1, the symmetry of
-    the Hessian, holds bit for bit: the Hessian is `_covariant` of the
-    jet's exact, symmetric second partials with symmetric Christoffels."""
+    commutator identities 2-5, in that order, for the test function f of
+    the coordinate jets.  Identity 1, the symmetry of the Hessian, holds
+    bit for bit: the Hessian is `_covariant` of the jet's exact, symmetric
+    second partials with symmetric Christoffels."""
     x = _point(x)
     d = chart.dim
     stack = _CovariantStack(chart, f, h)

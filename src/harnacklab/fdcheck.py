@@ -6,7 +6,7 @@ can arbitrate both; `harnacklab.fdgeom` gives the curvature sign
 convention.
 
 This module holds what `check_parallel_ricci` runs, which every
-euclidean verdict does: charts, warped charts of a model, the inverse
+euclidean verdict does: charts, warped charts (`warped_chart`), the inverse
 metric, the orthonormal frame, the per-point memo and the check.  The
 differencing it calls (the central differences, the Christoffels, the
 covariant derivative, the curvature and the coordinate Ricci tensor)
@@ -15,7 +15,8 @@ module only after the verdict engines are compiled, so each of the two
 stays at most 2048 parser tokens: a late compile of that size fits in the
 memory the earlier compiles freed, and a larger one raises the command's
 peak.  The commutator oracle of the ``oracle`` command
-(``Jet``, ``TestFunction``, ``check_lemma31``) and the table of its
+(``Jet``, ``check_lemma31``, whose test function is a function of the
+coordinate jets) and the table of its
 presets (``CHARTS``, each preset's dimensions, chart, probe point, test
 function and whether its Ricci is parallel, looked up by
 ``oracle_preset``) live in `harnacklab.commutators`.  Its
@@ -130,7 +131,7 @@ class CoordinateChart:
 # -- warped charts -----------------------------------------------------------
 
 
-def _warped(name: str, n: int, f) -> CoordinateChart:
+def warped_chart(name: str, n: int, f) -> CoordinateChart:
     """Chart (r, theta_1, ..., theta_{n-1}) for dr^2 + f(r)^2 g_{S^{n-1}}."""
 
     def metric(x):
@@ -144,13 +145,6 @@ def _warped(name: str, n: int, f) -> CoordinateChart:
         return _diag(diag)
 
     return CoordinateChart(name, n, metric)
-
-
-def warped_chart(model) -> CoordinateChart:
-    """Warped chart of a model manifold, named by its model id
-    (``describe()``, the profile's name); reads only its .n, .profile.f
-    and .describe()."""
-    return _warped(f"warped[{model.describe()}]", model.n, model.profile.f)
 
 
 def warped_probe_point(n: int, r: float) -> tuple:

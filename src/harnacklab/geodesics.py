@@ -21,13 +21,15 @@ branch that holds it (exactly where f is affine, by Brent's method on a
 Gauss length sweep elsewhere) and taking phi from the angle sweep.
 Shooting, a Dormand-Prince 5(4) integration of the geodesic equations in
 plain floats, is the second route: the corollary shoots once per report
-and records the gap.  The stepper, its tolerances and its knot and level
-crossings are `quadrature`'s (`quadrature.dp_step`); the adaptive loop
-here cuts steps at the profile's knots and at the radius floor.
+and records the gap.  The stepper and its tolerances are `quadrature`'s
+(`quadrature.dp_step`); the adaptive loop here sizes the steps, cuts one
+short to end on a knot of the profile, found by Brent's root finder on
+the step's length, and stops at the radius floor.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -94,6 +96,15 @@ def _geodesic_rhs(prof):
     return rhs
 
 
+def _knot_between(knots, r0, r1):
+    """The first knot strictly between r0 and r1 on the way from r0, or None."""
+    if r1 > r0:
+        i = bisect.bisect_right(knots, r0)
+        return knots[i] if i < len(knots) and knots[i] < r1 else None
+    i = bisect.bisect_left(knots, r0)
+    return knots[i - 1] if i > 0 and knots[i - 1] > r1 else None
+
+
 def _dormand_prince(rhs, y0, s_out, r_floor, knots):
     """(states at the increasing arclengths s_out, truncated): s_out[0] = 0.
 
@@ -125,11 +136,14 @@ def _dormand_prince(rhs, y0, s_out, r_floor, knots):
                 continue
             if y[0] >= r_floor > y_new[0]:
                 return out, True
-            knot = quadrature.knot_crossed(knots, y[0], y_new[0])
+            knot = _knot_between(knots, y[0], y_new[0])
             # a step from a knot just landed on may seem to cross it again
             landed = None if knot == landed else knot
-            if landed is not None:
-                step, landing = quadrature.dp_crossing(rhs, y, k, step, knot), False
+            if landed is not None:  # shorten the step to end on r = knot
+                step = quadrature.brent_root(
+                    lambda t: quadrature.dp_step(rhs, y, k, t)[0][0] - knot,
+                    0.0, step, xtol=1e-15, rtol=8.9e-16)
+                landing = False
                 y_new, k_new, _ = quadrature.dp_step(rhs, y, k, step)
             elif not landing:  # a step cut short to land leaves h as it was
                 h = step * factor
@@ -313,12 +327,12 @@ class _Minimizer(NamedTuple):
     # inner radius `base` (the turning radius, or min(y.r, z.r))
     arc: Optional[_Arc] = None
     leg_y: float = 0.0  # arclength from y to the arc's base
-    search_misses: int = 0  # Gauss misses of the root-find's trial arcs
+    arcs: tuple = ()    # every arc of the solve, the root-finds' trials and `arc`
 
     @property
     def quad_misses(self) -> int:
-        """Gauss misses of the root-find and of every sweep on the arc so far."""
-        return self.search_misses + (self.arc.misses if self.arc else 0)
+        """Gauss misses of every sweep on the solve's arcs so far."""
+        return sum(arc.misses for arc in self.arcs)
 
 
 def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Minimizer:
@@ -339,17 +353,22 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
             f"but min f' = {fp_min:.17g} there")
 
     f1 = prof.f(r1)
-    misses = 0
+    # one arc per (Clairaut constant, inner radius, turning): brent_root
+    # returns a point it evaluated, so the accepted root's arc is here, with
+    # the curved parts its angle sweeps integrated
+    arcs = {}
+
+    def arc_of(*key):  # (k, base, turning)
+        if key not in arcs:
+            arcs[key] = _Arc(prof, *key)
+        return arcs[key]
 
     def angle(arc, *ends):
         """The angle `arc` sweeps from its inner radius to each end, summed."""
-        nonlocal misses
-        total = sum(arc.sweep(arc.base, r) for r in ends)
-        misses += arc.misses
-        return total
+        return sum(arc.sweep(arc.base, r) for r in ends)
 
     def turn(r_t):
-        return _Arc(prof, prof.f(r_t), r_t, turning=True)
+        return arc_of(prof.f(r_t), r_t, True)
 
     # the root-finds see only the swept angle; the length quadrature runs
     # once, on the arc of the accepted root
@@ -357,18 +376,19 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
 
     if dphi <= ang_star:
         a = quadrature.brent_root(
-            lambda a: angle(_Arc(prof, a, r1, turning=False), r2) - dphi,
+            lambda a: angle(arc_of(a, r1, False), r2) - dphi,
             0.0, f1 * (1 - 1e-13), xtol=1e-14, rtol=8.9e-16, maxiter=200,
         )
-        arc = _Arc(prof, a, r1, turning=False)
+        arc = arc_of(a, r1, False)
         length = arc.sweep(r1, r2, length=True)
         return _Minimizer(length=float(length), branch="monotone", arc=arc,
-                          leg_y=float(length) if y.r > z.r else 0.0, search_misses=misses)
+                          leg_y=float(length) if y.r > z.r else 0.0,
+                          arcs=tuple(arcs.values()))
 
     if angle(turn(R_FLOOR), r1, r2) < dphi:
         # even grazing the tip region does not sweep enough angle:
         # the minimizer runs through the tip
-        return _Minimizer(length=r1 + r2, branch="tip", search_misses=misses)
+        return _Minimizer(length=r1 + r2, branch="tip", arcs=tuple(arcs.values()))
 
     r_t = quadrature.brent_root(
         lambda rt: angle(turn(rt), r1, r2) - dphi, R_FLOOR, r1 * (1 - 1e-13),
@@ -378,7 +398,7 @@ def _solve_minimizer(model: ModelManifold, y: SlicePoint, z: SlicePoint) -> _Min
     l1 = arc.sweep(r_t, r1, length=True)
     l2 = arc.sweep(r_t, r2, length=True)
     return _Minimizer(length=float(l1 + l2), branch="turning", arc=arc,
-                      leg_y=float(l1 if y.r <= z.r else l2), search_misses=misses)
+                      leg_y=float(l1 if y.r <= z.r else l2), arcs=tuple(arcs.values()))
 
 
 def _points_along(y: SlicePoint, z: SlicePoint, mini: _Minimizer, s_targets) -> list:

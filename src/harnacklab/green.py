@@ -29,7 +29,8 @@ Euclidean space and cones are one affine piece, and so are a smoothed
 cone's core and end and the lines that close a table off below and above,
 so a smoothed cone integrates only its blend [r0/2, r0), and a table only its
 spline, up to its top.  G at each piece's upper end, G_hi, is worked top
-down.
+down.  A grid is any strictly increasing radii in (0, inf); the commands
+lay theirs out evenly in log scale (`quadrature.geomspace`).
 
 Two kernels per piece do all of this, each with the piece's constants
 taken once: `_piece_green` gives G(r) on the piece from its G_hi (the
@@ -62,7 +63,6 @@ from .models import ModelError, ModelManifold, Piece, nonparabolic_check
 __all__ = [
     "RadialGreenProfile",
     "compute_profile",
-    "radial_laplacian",
     "hess_b2_eigs",
     "in_float_range",
     "write_csv",
@@ -184,11 +184,6 @@ def _fill_columns(model: ModelManifold, pc: Piece, green, radii, puts):
         put_mu_tan(s * q1 * fp / f)
 
 
-def radial_laplacian(n: int, f, fp, up, upp):
-    """Laplace-Beltrami of a radial function: u'' + (n-1)(f'/f)u'."""
-    return upp + (n - 1) * fp / f * up
-
-
 #: the columns of a profile, in the order of a row, of its CSV and of the
 #: float range checks
 COLUMNS = ("G", "Gp", "Gpp", "b", "b2", "grad_b", "mu_rad", "mu_tan")
@@ -284,10 +279,6 @@ def in_float_range(values) -> bool:
                                        or min(map(abs, values)) >= _TINY):
         return True
     return all(_TINY <= abs(v) < math.inf or v == 0.0 for v in values)
-
-
-def default_grid(r_min, r_max, size) -> tuple:
-    return quadrature.geomspace(r_min, r_max, size)
 
 
 def compute_profile(model: ModelManifold, grid) -> RadialGreenProfile:

@@ -19,9 +19,9 @@ from array import array
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from . import INEQ_TOL, is_exploratory, quadrature, require_theorem_C
+from . import INEQ_TOL, is_exploratory, quadrature
 from .models import ModelError, curvature_at, hypothesis_report
-from .green import RadialGreenProfile, hess_b2_eigs, in_float_range, radial_laplacian
+from .green import RadialGreenProfile, hess_b2_eigs, in_float_range
 
 __all__ = [
     "TermAudit",
@@ -93,8 +93,6 @@ def _sup_mu(profile: RadialGreenProfile):
 
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, len(grid) - 1)]
-    if lo == hi:
-        return mu, -neg_mu(grid[idx])
     _, fun = quadrature.brent_min(neg_mu, lo, hi, xatol=1e-10 * (hi - lo) + 1e-14)
     return mu, max(-fun, -neg_mu(grid[idx]))
 
@@ -108,7 +106,6 @@ def verify_theorem(
     profile: RadialGreenProfile,
     C: float,
     tol: float = INEQ_TOL,
-    exploratory: bool = False,
     D: Optional[float] = None,
 ) -> HarnackReport:
     """Check Hess b^2 <= C g over the profile's grid and report margins.
@@ -117,7 +114,6 @@ def verify_theorem(
     the curvature/volume assumptions over the grid's range; otherwise the
     verdict is labeled exploratory (never silently mixed with clean passes).
     """
-    require_theorem_C(C, exploratory)
     model, grid, n = profile.model, profile.grid, profile.model.n
     flags = hypothesis_report(model, grid[0], grid[-1]).flags()
 
@@ -137,7 +133,7 @@ def verify_theorem(
     premise = None if D is None else min_C <= D + tol
 
     return HarnackReport(
-        model_id=model.describe(),
+        model_id=model.profile.name,
         n=n,
         C=float(C),
         passed=passed,
@@ -218,11 +214,11 @@ def _lap_radial_curve(profile: RadialGreenProfile, func, r: float, u0: float) ->
     p = profile.model.profile
     f, fp = p.f(r), p.fp(r)
 
-    def lap(h):
+    def lap(h):  # u'' + (n-1)(f'/f) u'
         u_plus, u_minus = func(r + h), func(r - h)
         up = (u_plus - u_minus) / (2 * h)
         upp = (u_plus - 2 * u0 + u_minus) / (h * h)
-        return radial_laplacian(profile.model.n, f, fp, up, upp)
+        return upp + (profile.model.n - 1) * fp / f * up
 
     h = 1e-4 * r
     l1, l2 = lap(h), lap(h / 2)

@@ -226,9 +226,6 @@ class ModelManifold:
             raise ModelError("dimension must be an integer >= 3")
         self.n, self.profile = int(n), profile
 
-    def describe(self) -> str:
-        return self.profile.name
-
 
 class CurvatureSample(NamedTuple):
     """Sectional and Ricci curvature of the warped metric at one radius."""
@@ -408,7 +405,7 @@ def hypothesis_report(model: ModelManifold, r_min: float, r_max: float) -> Hypot
         L = min(r_max / 20.0, 1.0)
         scaled = [Piece(pc.lo / L, pc.hi / L, pc.x0 / L, tuple(
             c * L ** (k - 1) for k, c in enumerate(pc.coef))) for pc in p.pieces]
-        chart = fdcheck.warped_chart(ModelManifold(3, WarpingProfile(p.name, scaled)))
+        chart = fdcheck.warped_chart(f"warped[{p.name}]", 3, WarpingProfile(p.name, scaled).f)
         top = r_max / L - 4.0 * fdcheck.DEFAULT_H
         fd_lo = min(max(r_min / L, 2.0), top)
         fd_hi = max(min(top, 20.0), fd_lo)

@@ -13,20 +13,17 @@ Derivatives*, 1973, chapters 4 and 5).  `geomspace` lays out the radial
 grids.
 
 `dp_step` is one Dormand-Prince 5(4) step with its error norm against
-DP_ATOL + DP_RTOL |y|, on a state whose first component is r:
-`dp_crossing` shortens a step to end on a given r, and `knot_crossed`
-finds the knot of a piecewise profile that a step would cross.  The
-adaptive loop that uses them, `geodesics._dormand_prince`, shoots the
-slice geodesics.
+DP_ATOL + DP_RTOL |y|.  The adaptive loop that takes these steps,
+`geodesics._dormand_prince`, shoots the slice geodesics: it sizes the
+steps, and cuts one short to end on a knot of the profile.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 __all__ = ["gauss_legendre", "brent_root", "brent_min", "geomspace", "dp_step",
-           "dp_crossing", "knot_crossed", "QuadratureError"]
+           "QuadratureError"]
 
 #: nodes of the k-point rule
 GAUSS_K = 12
@@ -298,18 +295,3 @@ def dp_step(rhs, y, k1, h):
          / (DP_ATOL + DP_RTOL * max(abs(y0), abs(y1)))) ** 2
         for y0, y1, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7))
     return y_new, k7, math.sqrt(norm / len(y))
-
-
-def dp_crossing(rhs, y, k, step, level):
-    """Length t in [0, step] of the step from y that ends at r = level."""
-    return brent_root(lambda t: dp_step(rhs, y, k, t)[0][0] - level,
-                                 0.0, step, xtol=1e-15, rtol=8.9e-16)
-
-
-def knot_crossed(knots, r0, r1):
-    """The first knot strictly between r0 and r1 on the way from r0, or None."""
-    if r1 > r0:
-        i = bisect.bisect_right(knots, r0)
-        return knots[i] if i < len(knots) and knots[i] < r1 else None
-    i = bisect.bisect_left(knots, r0)
-    return knots[i - 1] if i > 0 and knots[i - 1] > r1 else None

@@ -6,8 +6,9 @@ The same central differences, Christoffels, curvature, Gram-Schmidt frame
 and covariant stack, on dense arrays: every contraction is an einsum over
 all entries, zero or not, so it checks the sparse plain-float contractions
 of the package on metrics of any shape.  It reads a chart only through
-its metric callable ``chart.metric`` and a test function only through the
-partials of its jet, ``f.jet(x).g`` and ``f.jet(x).h``.
+its metric callable ``chart.metric`` and a test function, a function of
+the coordinate jets (``commutators.Jet``), only through the partials of
+the jet it gives (`jet_of`).
 """
 
 import functools
@@ -15,14 +16,22 @@ import math
 
 import numpy as np
 
+from harnacklab.commutators import Jet
+
 
 def _g(chart, x):
     return np.asarray(chart.metric(tuple(map(float, x))), float)
 
 
+def jet_of(f, x):
+    """The jet at x of the test function f of the coordinate jets."""
+    x = tuple(map(float, x))
+    return f([Jet.coordinate(x, i) for i in range(len(x))])
+
+
 def _partials(f, x):
     """(gradient, Hessian) of the test function f at x, from its jet."""
-    jet = f.jet(tuple(x))
+    jet = jet_of(f, x)
     return np.asarray(jet.g), np.reshape(jet.h, (len(jet.g),) * 2)
 
 

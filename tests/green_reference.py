@@ -19,7 +19,7 @@ import bisect
 import math
 
 from harnacklab import quadrature
-from harnacklab.green import GREEN_RTOL, hess_b2_eigs, radial_laplacian
+from harnacklab.green import GREEN_RTOL, hess_b2_eigs
 from harnacklab.models import ModelError, Poly
 
 
@@ -141,7 +141,8 @@ def check_power_laplacian(profile, r, beta):
     f, fp = p.f(r), p.fp(r)
     q1 = Gp / G
     u, up, upp = power_jet(G, q1, Gpp / G, beta)
-    lhs = radial_laplacian(profile.model.n, f, fp, up, upp)
+    # the Laplacian of a radial function, u'' + (n-1)(f'/f) u'
+    lhs = upp + (profile.model.n - 1) * fp / f * up
     rhs = beta * (beta - 1) * u * q1 * q1
     return abs(lhs - rhs)
 

@@ -11,14 +11,15 @@ import pytest
 from harnacklab.commutators import check_lemma31, oracle_preset
 from harnacklab.fdcheck import DEFAULT_H, check_parallel_ricci
 from harnacklab.geodesics import SlicePoint, corollary_check
-from harnacklab.green import compute_profile, default_grid
+from harnacklab.green import compute_profile
+from harnacklab.quadrature import geomspace
 from harnacklab.harnack import audit_proof_terms, minimal_C
 from harnacklab.models import model_from_id
 from harnacklab.symbolic import verify_identity
 from green_reference import check_power_laplacian, consistency_hess_vs_H
 
 
-GRID = default_grid(0.1, 50.0, 512)
+GRID = geomspace(0.1, 50.0, 512)
 
 
 def _presets():
@@ -54,7 +55,7 @@ def test_02_gradient_estimate():
         models.append(model_from_id("smoothed-cone:0.5:1", n))
     for model in models:
         profile = compute_profile(model, GRID)
-        assert np.max(profile.grad_b) <= 1.0 + 1e-8, model.describe()
+        assert np.max(profile.grad_b) <= 1.0 + 1e-8, model.profile.name
     assert time.time() - t0 < 10.0
 
 
@@ -103,7 +104,7 @@ def test_06_power_laplacian_identity():
         for r, G, Gp in zip(profile.grid, profile.G, profile.Gp):
             scale = abs(alpha * (alpha - 1) * G ** (alpha - 2) * Gp**2)
             rel = check_power_laplacian(profile, float(r), alpha) / scale
-            assert rel <= 1e-6, (model.describe(), r)
+            assert rel <= 1e-6, (model.profile.name, r)
 
 
 def _triples(seed, count):
@@ -151,7 +152,7 @@ def test_09_hessian_H_consistency_everywhere():
         profile = compute_profile(model, GRID)
         for r in profile.grid:
             assert consistency_hess_vs_H(profile, float(r)) <= 1e-9, \
-                (model.describe(), r)
+                (model.profile.name, r)
 
 
 def test_10_byte_identical_reports():

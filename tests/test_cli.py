@@ -463,7 +463,7 @@ def test_hypotheses_are_decided_once_over_the_profile_range(argv, monkeypatch, c
     assert code == cli.EXIT_CODES[doc["verdict"]]
     assert len(grids) == 1 and len(calls) == 1
     (model, r_min, r_max), kwargs = calls[0]
-    assert (model.describe(), model.n) == (argv[2], int(argv[4]))
+    assert (model.profile.name, model.n) == (argv[2], int(argv[4]))
     assert (r_min, r_max, kwargs) == (grids[0][0], grids[0][-1], {})
 
 

@@ -15,12 +15,20 @@ from hypothesis import strategies as st
 
 from harnacklab import commutators, fdcheck, fdgeom
 from harnacklab.models import (
-    DEFAULT_CURV_TOL, ModelManifold, curvature_at, model_from_id,
+    DEFAULT_CURV_TOL, curvature_at, model_from_id,
 )
-from harnacklab.green import compute_profile, default_grid, hess_b2_eigs
+from harnacklab.green import compute_profile, hess_b2_eigs
+from harnacklab.quadrature import geomspace
+from fd_reference import jet_of
 from model_reference import ricci_gradient_norm
 
 H = fdcheck.DEFAULT_H
+
+
+def model_chart(model, n=None):
+    """The warped chart of a model, named by its id, in dimension n (the
+    model's by default)."""
+    return fdcheck.warped_chart(f"warped[{model.profile.name}]", n or model.n, model.profile.f)
 
 
 # -- the oracle's geometry, as its checks compose it -------------------------------
@@ -110,7 +118,7 @@ def test_euclidean_curvature_zero():
 
 def test_warped_chart_matches_closed_form_curvature():
     model = model_from_id("cone:0.5", 4)
-    ch = fdcheck.warped_chart(model)
+    ch = model_chart(model)
     r = 1.0
     x = fdcheck.warped_probe_point(4, r)
     R = riemann(ch, x, H)
@@ -124,7 +132,7 @@ def test_warped_chart_random_radii_cross_module():
     rng = np.random.default_rng(11)
     for model in (model_from_id("euclidean", 4),
                   model_from_id("smoothed-cone:0.5:1", 4)):
-        ch = fdcheck.warped_chart(model)
+        ch = model_chart(model)
         for r in rng.uniform(0.8, 5.0, 5):
             x = fdcheck.warped_probe_point(4, float(r))
             R = riemann(ch, x, H)
@@ -145,7 +153,7 @@ def test_parallel_ricci_values():
 
 def test_cone_chart_matches_warped_chart_of_cone_model():
     cone = commutators.oracle_preset("cone", 4)[0]
-    ref = fdcheck.warped_chart(model_from_id("cone:0.5", 4))
+    ref = model_chart(model_from_id("cone:0.5", 4))
     assert cone.name == ref.name == "warped[cone:0.5]"
     x = fdcheck.warped_probe_point(4, 1.3)
     assert cone._flat_g(x) == ref._flat_g(x)
@@ -164,7 +172,8 @@ def test_fdcheck_does_not_import_models():
 def test_parallel_ricci_loads_no_commutator_oracle():
     # every euclidean verdict checks parallel Ricci: it compiles the geometry only
     code = ("import sys, harnacklab.fdcheck as fd, harnacklab.models as m; "
-            "chart = fd.warped_chart(m.model_from_id('euclidean', 3)); "
+            "chart = fd.warped_chart('warped[euclidean]', 3, "
+            "m.model_from_id('euclidean', 3).profile.f); "
             "fd.check_parallel_ricci(chart, (1.0, 1.2, 1.4)); "
             "sys.exit('harnacklab.commutators' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True)
@@ -193,8 +202,8 @@ PARALLEL_RICCI_CASES = [
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_closed_form_grad_ricci_matches_fd_oracle(model_id, radii, n):
     model = model_from_id(model_id, n)
-    chart = fdcheck.warped_chart(model)
-    chart3 = fdcheck.warped_chart(ModelManifold(3, model.profile))
+    chart = model_chart(model)
+    chart3 = model_chart(model, 3)
     gate = max(DEFAULT_CURV_TOL, 10 * H**2)  # the FD gate of hypothesis_report
     p = model.profile
     for r in radii:
@@ -238,8 +247,8 @@ def test_jet_partials_match_sympy(name, n, expr):
         d1 = [float(sp.diff(e, xs[i]).subs(at)) for i in range(chart.dim)]
         d2 = [[float(sp.diff(e, xs[i], xs[j]).subs(at)) for j in range(chart.dim)]
               for i in range(chart.dim)]
-        assert f.jet(x).v == pytest.approx(float(e.subs(at)), abs=1e-13)
-        jet = f.jet(x)
+        jet = jet_of(f, x)
+        assert jet.v == pytest.approx(float(e.subs(at)), abs=1e-13)
         assert np.max(np.abs(np.asarray(jet.g) - d1)) <= 1e-13
         assert np.max(np.abs(np.reshape(jet.h, (chart.dim,) * 2) - d2)) <= 1e-13
 
@@ -254,12 +263,11 @@ def test_jet_is_computed_once_per_point():
         metric_at.append(tuple(y))
         return s2.metric(y)
 
-    def func(x):
+    def f(x):
         jet_at.append(tuple(j.v for j in x))
-        return f2.func(x)
+        return f2(x)
 
     chart = fdcheck.CoordinateChart(s2.name, 4, metric)
-    f = commutators.TestFunction(func, 4)
     x = tuple(v + 0.01 for v in x)
     res = commutators.check_lemma31(chart, f, x, H)
     assert len(metric_at) == len(set(metric_at)) == 129
@@ -273,7 +281,7 @@ def test_jet_is_computed_once_per_point():
     with pytest.raises(TypeError):
         stack.jet(x).g[0] = 1.0  # shared by every caller in the probe: immutable
     with pytest.raises(TypeError):
-        f.jet(x).h[0] = 1.0
+        stack.jet(x).h[0] = 1.0
 
 
 @pytest.mark.parametrize("name", ["s2xr2", "euclidean"])
@@ -306,16 +314,14 @@ def test_oracle_memory_is_flat_in_the_probe_count(name):
 
 def test_commutators_flat_chart():
     ch, _, x, _ = commutators.oracle_preset("euclidean", 3)
-    f = commutators.TestFunction(lambda x: x[0] * x[0] * x[1] + x[2], 3)
-    res = commutators.check_lemma31(ch, f, x, H)
+    res = commutators.check_lemma31(ch, lambda x: x[0] * x[0] * x[1] + x[2], x, H)
     assert len(res) == 4  # identities 2-5
     assert np.max(res) < 1e-9
 
 
 def test_commutators_sphere():
     ch = commutators.oracle_preset("round_sphere")[0]
-    f = commutators.TestFunction(lambda x: x[0].cos(), 2)
-    res = commutators.check_lemma31(ch, f, np.array([math.pi / 3, 0.9]), H)
+    res = commutators.check_lemma31(ch, lambda x: x[0].cos(), np.array([math.pi / 3, 0.9]), H)
     assert np.max(res) <= 1e-4
 
 
@@ -412,8 +418,8 @@ def test_frame_independence_of_residuals():
 
 def test_hessian_scalar_matches_profile():
     model = model_from_id("cone:0.5", 4)
-    profile = compute_profile(model, default_grid(1e-2, 1e2, 512))
-    ch = fdcheck.warped_chart(model)
+    profile = compute_profile(model, geomspace(1e-2, 1e2, 512))
+    ch = model_chart(model)
     r = 1.3
     x = fdcheck.warped_probe_point(4, r)
     hess = hessian_scalar(ch, lambda p: profile.b2_at(p[0]), x, 1e-3)
@@ -444,7 +450,7 @@ def test_oracle_preset_refuses_a_dimension_it_does_not_take_and_bad_step():
 @pytest.mark.parametrize("chart,x,distinct", [
     (commutators.oracle_preset("s2xr2"), None, 41),
     (commutators.oracle_preset("cone", 5), None, 63),
-    (fdcheck.warped_chart(ModelManifold(3, model_from_id("smoothed-cone:0.8:1", 3).profile)),
+    (model_chart(model_from_id("smoothed-cone:0.8:1", 3)),
      fdcheck.warped_probe_point(3, 0.75), None),
 ])
 def test_parallel_ricci_computes_each_point_once(chart, x, distinct, monkeypatch):
@@ -497,9 +503,8 @@ def sheared(chart, point):
 
 def generic_function(d):
     if d == 2:
-        return commutators.TestFunction(lambda x: x[0].cos() * x[1].exp() + x[0] * x[1], 2)
-    return commutators.TestFunction(
-        lambda x: (x[0] * x[1]).sin() + x[2].cos() * x[0].exp() + x[d - 1] * x[1], d)
+        return lambda x: x[0].cos() * x[1].exp() + x[0] * x[1]
+    return lambda x: (x[0] * x[1]).sin() + x[2].cos() * x[0].exp() + x[d - 1] * x[1]
 
 
 GENERIC_CASES = [
@@ -592,8 +597,10 @@ def test_metric_nan_at_one_stencil_point_fails_every_check():
         visited.append(tuple(y))
         return np.full((3, 3), math.nan) if tuple(y) == bad else eye
 
+    def f(x):
+        return x[0] * x[0] * x[1] + x[2].cos()
+
     chart = fdcheck.CoordinateChart("flat-with-a-nan", 3, metric)
-    f = commutators.TestFunction(lambda x: x[0] * x[0] * x[1] + x[2].cos(), 3)
     visited = []
     assert math.isnan(fdcheck.max_residual(commutators.check_lemma31(chart, f, x, H)))
     assert bad in visited  # the NaN point was visited

@@ -15,13 +15,14 @@ from scipy import integrate
 
 from harnacklab import cli, geodesics, models, quadrature
 from harnacklab.models import model_from_id, table_profile
-from harnacklab.green import compute_profile, default_grid
+from harnacklab.green import compute_profile
+from harnacklab.quadrature import geomspace
 from harnacklab.geodesics import GeodesicError, SlicePoint, corollary_check, shoot_geodesic
 from model_reference import offset_end_profiles
 from tables import line_table
 
 #: the commands' default window
-GRID = default_grid(1e-2, 1e2, 512)
+GRID = geomspace(1e-2, 1e2, 512)
 
 
 def distance(model, y, z):
@@ -352,6 +353,44 @@ def test_no_arc_integrates_a_curved_part_twice(model_id, n, C, triples, seed,
     capsys.readouterr()
     assert code in (0, 3)
     assert runs and len(set(runs)) == len(runs)
+
+
+@pytest.mark.parametrize("model_id,n,C,triples,seed", [
+    ("smoothed-cone:0.75:1", "6", "20", "3", "580316"),
+    ("smoothed-cone:0.8:1", "4", "12", "20", "0"),
+])
+def test_no_solve_integrates_a_curved_part_twice(model_id, n, C, triples, seed,
+                                                 capsys, monkeypatch):
+    # a minimizer solve keeps one arc per (constant, base, turning), the
+    # accepted root's among them: within one solve and the points along its
+    # minimizer, no (constant, base, turning, length, a, b) integral runs twice
+    owner, solves = {}, []
+    real_solve = geodesics._solve_minimizer
+    real_integrand, real_quad = geodesics._Arc._integrand, quadrature.gauss_legendre
+
+    def solve(*args):
+        solves.append([])
+        return real_solve(*args)
+
+    def integrand(arc, pc, length):
+        fun = real_integrand(arc, pc, length)
+        owner[fun] = arc.k, arc.base, arc.turning, length
+        return fun
+
+    def gauss(fun, a, b, **kwargs):
+        if fun in owner:  # not the Green kernel's panels
+            solves[-1].append((*owner[fun], a, b))
+        return real_quad(fun, a, b, **kwargs)
+
+    monkeypatch.setattr(geodesics, "_solve_minimizer", solve)
+    monkeypatch.setattr(geodesics._Arc, "_integrand", integrand)
+    monkeypatch.setattr(quadrature, "gauss_legendre", gauss)
+    code = cli.main(["corollary", "--model", model_id, "--n", n, "--C", C,
+                     "--triples", triples, "--seed", seed])
+    capsys.readouterr()
+    assert code in (0, 3)
+    assert any(solves)
+    assert [len(set(runs)) for runs in solves] == [len(runs) for runs in solves]
 
 
 def test_non_monotone_profile_raises_geodesic_error():

@@ -19,14 +19,15 @@ from harnacklab import quadrature
 from harnacklab.models import (ModelError, ModelManifold, model_from_id, nonparabolic_check,
                                table_profile)
 from harnacklab.green import (
-    COLUMNS, compute_profile, default_grid, hess_b2_eigs, in_float_range, write_csv,
+    COLUMNS, compute_profile, hess_b2_eigs, in_float_range, write_csv,
 )
+from harnacklab.quadrature import geomspace
 from green_reference import check_power_laplacian, reference_G_hi, reference_rows
 from model_reference import offset_end_profiles, preset_id
 from tables import concave_table, late_bump_table
 
 #: the commands' default window
-GRID = default_grid(1e-2, 1e2, 512)
+GRID = geomspace(1e-2, 1e2, 512)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +132,7 @@ def test_nonparabolic_examples():
     rep = nonparabolic_check(slow)
     assert not rep.varopoulos_integral_finite
     with pytest.raises(ModelError):
-        compute_profile(slow, default_grid(0.1, 50, 64))
+        compute_profile(slow, geomspace(0.1, 50, 64))
 
 
 def test_profile_csv_shape(cone4):
@@ -155,7 +156,7 @@ def test_csv_line_is_each_value_in_17_digits(value):
 def test_to_csv_streams_row_by_row():
     # no text of the whole table is built: the writer's own memory stays that
     # of a row, where a 4096-row table's text is about 1.5 MB
-    profile = compute_profile(model_from_id("euclidean", 6), default_grid(1e-2, 1e2, 4096))
+    profile = compute_profile(model_from_id("euclidean", 6), geomspace(1e-2, 1e2, 4096))
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:
@@ -172,11 +173,12 @@ def test_to_csv_streams_row_by_row():
 #: run about twice as slow under tracemalloc as later ones, at the same peak
 _PROFILE_PEAK = """\
 import json, sys, tracemalloc
-from harnacklab.green import COLUMNS, compute_profile, default_grid
+from harnacklab.green import COLUMNS, compute_profile
+from harnacklab.quadrature import geomspace
 from harnacklab.models import model_from_id
 model_id, n, size = json.loads(sys.argv[1])
-model, grid = model_from_id(model_id, n), default_grid(1e-2, 1e2, size)
-compute_profile(model, default_grid(1e-2, 1e2, 8))
+model, grid = model_from_id(model_id, n), geomspace(1e-2, 1e2, size)
+compute_profile(model, geomspace(1e-2, 1e2, 8))
 tracemalloc.start()
 profile = compute_profile(model, grid)
 peak = tracemalloc.get_traced_memory()[1]
@@ -238,7 +240,7 @@ def _cached_cone3():
     global _CONE3
     if _CONE3 is None:
         _CONE3 = compute_profile(model_from_id("cone:0.8", 3),
-                                 default_grid(1e-2, 1e2, 128))
+                                 geomspace(1e-2, 1e2, 128))
     return _CONE3
 
 
@@ -270,7 +272,7 @@ def _quad_reference(model, r):
 @pytest.mark.parametrize("kind,n,c,r0", KERNEL_MODELS)
 def test_kernel_matches_full_range_quadrature(kind, n, c, r0):
     model = model_from_id(preset_id(kind, c, r0), n)
-    prof = compute_profile(model, default_grid(1e-2, 1e2, 16))
+    prof = compute_profile(model, geomspace(1e-2, 1e2, 16))
     ref = np.array([_quad_reference(model, r) for r in prof.grid])
     assert np.max(np.abs(np.asarray(prof.G) / ref - 1.0)) <= 1e-12
     # off-grid points, some of them inside the blend when there is one
@@ -285,7 +287,7 @@ def test_kernel_matches_full_range_quadrature(kind, n, c, r0):
 @pytest.mark.parametrize("c,r0,n", [(0.2, 1.0, 3), (0.5, 0.5, 5), (0.85, 2.0, 10)])
 def test_kernel_continuous_at_blend_ends(c, r0, n):
     prof = compute_profile(model_from_id(f"smoothed-cone:{c!r}:{r0!r}", n),
-                           default_grid(1e-2, 1e2, 64))
+                           geomspace(1e-2, 1e2, 64))
     for edge in (0.5 * r0, r0):
         left = prof.green_at(float(np.nextafter(edge, 0.0)))
         assert left == pytest.approx(prof.green_at(edge), rel=1e-12, abs=0.0)
@@ -296,7 +298,7 @@ def test_custom_linear_table_reproduces_cone():
     # spline piece on it and the closed tail must all give the cone's G
     r = np.geomspace(0.5, 50.0, 200)
     model = ModelManifold(4, table_profile((r, 0.6 * r)))
-    prof = compute_profile(model, default_grid(0.05, 20.0, 64))
+    prof = compute_profile(model, geomspace(0.05, 20.0, 64))
     assert np.allclose(prof.G, 0.6**-3 * np.asarray(prof.grid)**-2.0, rtol=1e-12, atol=0)
     for x in (0.07, 0.49, 0.51, 3.0, 19.0):
         assert prof.green_at(x) == pytest.approx(0.6**-3 * x**-2.0, rel=1e-12)
@@ -319,7 +321,7 @@ def _quad_reference_cuts(model, r):
 def test_concave_table_pointwise_G_is_grid_G(n):
     # one Gauss integral from r up to the next knot, on the grid and off it
     model = ModelManifold(n, table_profile(concave_table()))
-    prof = compute_profile(model, default_grid(1e-2, 1e2, 2048))
+    prof = compute_profile(model, geomspace(1e-2, 1e2, 2048))
     pointwise = np.array([prof.green_at(r) for r in prof.grid])
     assert np.max(np.abs(pointwise / np.asarray(prof.G) - 1.0)) <= 1e-12
     radii = np.geomspace(1.1e-3, 900.0, 7)
@@ -360,7 +362,7 @@ def _grid_with_knots(model):
     """The default radii, some of the model's knots and its top knot (a
     smoothed cone's r0, a table's top), ascending."""
     knots = model.profile.knots
-    radii = set(default_grid(1e-2, 1e2, 256)) | set(knots[:-1:len(knots) // 10 or 1])
+    radii = set(geomspace(1e-2, 1e2, 256)) | set(knots[:-1:len(knots) // 10 or 1])
     if knots and knots[-1] < math.inf:
         radii.add(knots[-1])
     return sorted(radii)
@@ -395,7 +397,7 @@ def quad_calls(monkeypatch):
 
 @pytest.mark.parametrize("model_id", ["euclidean", "cone:0.3", "cone:0.7"])
 def test_linear_models_make_no_quadrature(model_id, quad_calls):
-    prof = compute_profile(model_from_id(model_id, 5), default_grid(1e-2, 1e2, 512))
+    prof = compute_profile(model_from_id(model_id, 5), geomspace(1e-2, 1e2, 512))
     for r in (1e-3, 0.02, 1.0, 50.0, 1e3):
         prof.green_at(r)
     assert quad_calls == []
@@ -423,7 +425,7 @@ def test_offset_end_is_closed_and_agrees_with_its_gauss_route(n, quad_calls):
 def test_smoothed_cone_quadrature_stays_in_blend(quad_calls):
     r0 = 1.0
     prof = compute_profile(model_from_id(f"smoothed-cone:0.5:{r0!r}", 5),
-                           default_grid(1e-2, 1e2, 512))
+                           geomspace(1e-2, 1e2, 512))
     assert quad_calls
     assert all(0.5 * r0 <= a <= b <= r0 for a, b in quad_calls)
     del quad_calls[:]
@@ -439,7 +441,7 @@ def test_each_blend_radius_is_its_own_integral_on_a_fine_grid():
     # capped on its own, so their number does not decide whether G converges,
     # and G there is green_at's bit for bit
     prof = compute_profile(model_from_id("smoothed-cone:0.3:1", 30),
-                           default_grid(1e-2, 1e2, 65536))
+                           geomspace(1e-2, 1e2, 65536))
     blend = [i for i, r in enumerate(prof.grid) if 0.5 <= r < 1.0]
     assert len(blend) == 4932
     for i in (*blend[::1000], blend[-1]):
@@ -482,7 +484,7 @@ def test_hess_b2_closed_form_at_every_dimension(kind, c, n, tol):
 ])
 def test_profile_past_the_float_range_is_refused(kind, c, n, r_min):
     with pytest.raises(ModelError, match=rf"n={n}, r_min={r_min:g}"):
-        compute_profile(model_from_id(preset_id(kind, c), n), default_grid(r_min, 1e2, 512))
+        compute_profile(model_from_id(preset_id(kind, c), n), geomspace(r_min, 1e2, 512))
 
 
 # -- one kernel per piece: the grid and the pointwise calls, bit for bit ------

@@ -9,7 +9,8 @@ times lam, up to rounding.
 
 import pytest
 
-from harnacklab.green import compute_profile, default_grid
+from harnacklab.green import compute_profile
+from harnacklab.quadrature import geomspace
 from harnacklab.harnack import minimal_C
 from harnacklab.models import hypothesis_report, model_from_id
 
@@ -23,7 +24,7 @@ def answers(model_id, n, lam):
     on the commands' default window [1e-2, 1e2] times lam."""
     model = model_from_id(model_id.format(r0=repr(lam)), n)
     r_min, r_max = 1e-2 * lam, 1e2 * lam
-    profile = compute_profile(model, default_grid(r_min, r_max, 512))
+    profile = compute_profile(model, geomspace(r_min, r_max, 512))
     return minimal_C(profile), hypothesis_report(model, r_min, r_max).flags()
 
 

@@ -172,7 +172,7 @@ def test_ball_volume_positive_and_monotone():
 def test_model_from_id_round_trip():
     for mid in ("euclidean", "cone:0.5", "smoothed-cone:0.5:1"):
         m = model_from_id(mid, 4)
-        assert m.describe() == mid
+        assert m.profile.name == mid
     with pytest.raises(ModelError):
         model_from_id("torus", 4)
 
@@ -186,8 +186,8 @@ def test_a_preset_s_id_rebuilds_its_pieces(name):
     params = PRESET_PARAMS[name]
     assert len(params) == len(models.PRESETS[name][0])
     m = model_from_id(preset_id(name, *params), 5)
-    again = model_from_id(m.describe(), 5)
-    assert again.describe() == m.describe()
+    again = model_from_id(m.profile.name, 5)
+    assert again.profile.name == m.profile.name
     assert again.profile.pieces == m.profile.pieces
 
 
@@ -325,7 +325,7 @@ def test_parallel_ricci_closed_form_sees_beyond_the_fd_probes():
     # the blend [25, 50) and the cone beyond it are seen only by the exact
     # route on the pieces
     model = model_from_id("smoothed-cone:0.5:50", 4)
-    chart = fdcheck.warped_chart(models.ModelManifold(3, model.profile))
+    chart = fdcheck.warped_chart(f"warped[{model.profile.name}]", 3, model.profile.f)
     fd = [fdcheck.check_parallel_ricci(chart, fdcheck.warped_probe_point(3, r))
           for r in np.geomspace(2.0, 20.0, models.FD_PROBES)]
     assert max(fd) <= 1e-5

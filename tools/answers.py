@@ -144,8 +144,28 @@ IDS = ("cone:0", "cone:1.5", "cone:nan", "smoothed-cone:nan:1", "smoothed-cone:0
        "blend:1", "cone:abc", "smoothed_cone:0.8:1")
 CHOICES = (*workloads.WORKLOADS, "tables", "edges", "geodesics", "oracle-charts", "reports",
            "ranges", "forms", "ids")
-#: the workloads whose argv are listed as such: name -> key suffix -> argv
-LISTED = {"oracle-charts": ORACLE_CHARTS, "reports": REPORTS, "ranges": RANGES}
+
+
+def _listed() -> dict:
+    """Every seed-free workload that runs argv: name -> key suffix -> argv,
+    from the tables above as they stand at the call, so that a test may
+    narrow one."""
+    return {
+        "tables": {f"{table}:{cmd}": (cmd, "--model", f"custom:tables/{table}.csv", "--n", "4",
+                                      *opts)
+                   for table in TABLES for cmd, *opts in TABLE_COMMANDS},
+        "edges": {f"{model}:n{n}:grid{size}{suffix}": (cmd, "--model", model, "--n", n,
+                                                       "--grid-size", size, *opts)
+                  for model, n in EDGES for size in EDGE_GRID_SIZES
+                  for suffix, (cmd, *opts) in EDGE_COMMANDS},
+        "geodesics": {f"{model}:n{n}": ("corollary", "--model", model, "--n", n, "--C", C,
+                                        "--triples", GEODESIC_TRIPLES)
+                      for model, n, C in GEODESICS},
+        "oracle-charts": ORACLE_CHARTS,
+        "reports": REPORTS,
+        "ranges": RANGES,
+        "ids": {model: ("verify", "--model", model, "--n", "4") for model in IDS},
+    }
 
 
 def _sha(data: bytes) -> str:
@@ -168,36 +188,13 @@ def _write_tables(directory: Path) -> None:
 
 
 def _argvs(names, seeds):
-    """(key, argv) of every cycle slot and probe of the workloads at the
-    seeds, of every table command and of every edge, geodesics, oracle-charts,
-    reports, ranges and ids argv."""
+    """(key, argv) of every argv of the listed workloads, and of every cycle
+    slot and probe of the benchmark's workloads at the seeds."""
+    listed = _listed()
     for name in names:
-        if name == "tables":
-            for table in TABLES:
-                for cmd, *opts in TABLE_COMMANDS:
-                    yield f"tables:{table}:{cmd}", [
-                        cmd, "--model", f"custom:tables/{table}.csv", "--n", "4", *opts]
-            continue
-        if name == "edges":
-            for model, n in EDGES:
-                for size in EDGE_GRID_SIZES:
-                    for suffix, (cmd, *opts) in EDGE_COMMANDS:
-                        yield f"edges:{model}:n{n}:grid{size}{suffix}", [
-                            cmd, "--model", model, "--n", n, "--grid-size", size, *opts]
-            continue
-        if name == "geodesics":
-            for model, n, C in GEODESICS:
-                yield f"geodesics:{model}:n{n}", [
-                    "corollary", "--model", model, "--n", n, "--C", C,
-                    "--triples", GEODESIC_TRIPLES]
-            continue
-        if name in LISTED:
-            for suffix, argv in LISTED[name].items():
+        if name in listed:
+            for suffix, argv in listed[name].items():
                 yield f"{name}:{suffix}", list(argv)
-            continue
-        if name == "ids":
-            for model in IDS:
-                yield f"ids:{model}", ["verify", "--model", model, "--n", "4"]
             continue
         if name == "forms":
             continue  # no argv: see _forms
